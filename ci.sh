@@ -4,6 +4,10 @@
 set -eux
 
 cargo fmt --all --check
+# The service stack (daemon, client, gateway) stays lint-clean. --no-deps
+# keeps the gate on these three crates: the simulator and NN crates carry
+# findings of their own.
+cargo clippy -p act-serve -p act-client -p act-gate --no-deps --all-targets -- -D warnings
 cargo build --release
 cargo test -q --release
 
@@ -71,7 +75,7 @@ SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 sleep 1
 "$ACT" request train seq --addr "$ADDR" | grep "trained seq"
-# Corpus over the wire (protocol v3): ingest, read back losslessly.
+# Corpus over the wire: ingest, read back losslessly.
 "$ACT" trace seq --out "$SERVE_CORPUS/traces" --runs 1
 "$ACT" request trace-put seq --addr "$ADDR" \
     --trace "$SERVE_CORPUS/traces/seq-0.trace" | grep "stored seq-0"
@@ -83,7 +87,7 @@ grep "^diagnosis workload=seq" /tmp/act-smoke-diagnosis.txt
 grep "^#1 " /tmp/act-smoke-diagnosis.txt
 "$ACT" request status --addr "$ADDR" | tee /tmp/act-smoke-status.txt
 grep "cache_hits 1" /tmp/act-smoke-status.txt
-# STATUS v2: the metrics table rides along with the legacy counter block.
+# STATUS: the metrics table rides along with the counter block.
 grep -- "-- metrics --" /tmp/act-smoke-status.txt
 grep "cache_hit_rate" /tmp/act-smoke-status.txt
 grep "req_diagnose" /tmp/act-smoke-status.txt
@@ -143,14 +147,14 @@ grep '"target":"gate.start"' act-gate-events.jsonl
 grep '"target":"gate.down"' act-gate-events.jsonl
 grep '"target":"gate.shutdown"' act-gate-events.jsonl
 
-# Streaming ingest smoke (protocol v4): chunk a >64 MiB trace — too big
-# for any one-shot frame — through gate -> serve -> store, then read it
-# back from the corpus byte-for-byte (PROTOCOL.md, "Streaming uploads").
+# Streaming ingest smoke: chunk a >64 MiB trace — too big for any single
+# frame — through gate -> serve -> store, then read it back from the
+# corpus byte-for-byte (PROTOCOL.md, "Chunked uploads").
 BIG_B=127.0.0.1:7465
 BIG_GATE=127.0.0.1:7466
 BIG_DIR=$(mktemp -d)
 "$ACT" trace seq --out "$BIG_DIR/traces" --runs 1
-# Inflate a canonical trace past the 64 MiB one-shot cap by repeating one
+# Inflate a canonical trace past the 64 MiB frame cap by repeating one
 # store record; parse -> columnar encode -> re-serialize reproduces the
 # lines verbatim, so the round trip below stays byte-exact.
 cp "$BIG_DIR/traces/seq-0.trace" "$BIG_DIR/big.trace"

@@ -383,9 +383,9 @@ pub fn gate_diagnose_rps(target: Duration) -> f64 {
 }
 
 /// DIAGNOSE round-trips per second against a single act-serve daemon at a
-/// given pipeline depth. Depth 1 is the classic one-shot exchange (a
-/// fresh connection per request, one request on the wire at a time);
-/// larger depths ride one multiplexed protocol-v4 session with `depth`
+/// given pipeline depth. Depth 1 opens a fresh connection per request,
+/// one request on the wire at a time; larger depths ride one
+/// multiplexed session with `depth`
 /// requests in flight, so the daemon's queue never drains between ops and
 /// the per-request connect/teardown round trips disappear. The ratio of
 /// a depth-8 run over a depth-1 run is the bench's reason to exist.
@@ -399,7 +399,6 @@ pub fn pipelined_diagnose_rps(target: Duration, depth: u32) -> f64 {
         // Coalescing off: this bench prices *per-request* dispatch, and is
         // the denominator `batched_diagnose_rps` is compared against.
         batch_size: 1,
-        batch_wait: Duration::ZERO,
         ..ServeConfig::default()
     })
     .expect("bench daemon boots");
@@ -467,22 +466,19 @@ pub fn pipelined_diagnose_rps(target: Duration, depth: u32) -> f64 {
 pub fn batched_diagnose_rps(target: Duration, batch: usize) -> f64 {
     use act_serve::{Reply, Request, ServeConfig, Server};
     use std::collections::VecDeque;
-    let boot = |batch_size: usize, batch_wait: Duration| {
+    let boot = |batch_size: usize| {
         Server::start(ServeConfig {
             tcp_addr: Some("127.0.0.1:0".to_string()),
             workers: 2,
             queue_depth: 64,
             batch_size,
-            batch_wait,
             ..ServeConfig::default()
         })
         .expect("bench daemon boots")
     };
-    // Zero gather wait (the server default): batches form from queue
-    // backlog alone. Measured on the reference host, any non-zero wait
-    // only subtracts throughput — the gathered members stall with the
-    // waiting leader.
-    let server = boot(batch, Duration::ZERO);
+    // Batches form from queue backlog alone: a worker never waits for
+    // companions (DESIGN.md §12 measured any wait as a throughput loss).
+    let server = boot(batch);
     let depth = (2 * batch).max(4) as u32;
     let client = act_client::Client::builder()
         .addr(server.tcp_addr().expect("tcp").to_string())
@@ -502,7 +498,7 @@ pub fn batched_diagnose_rps(target: Duration, batch: usize) -> f64 {
     // diagnosis must match the batched one byte-for-byte.
     let batched_reply = client.diagnose(&spec, &trace).expect("batched bench diagnose");
     {
-        let sequential = boot(1, Duration::ZERO);
+        let sequential = boot(1);
         let seq_client = act_client::Client::builder()
             .addr(sequential.tcp_addr().expect("tcp").to_string())
             .build()

@@ -9,7 +9,7 @@
 //! act diagnose <workload> [--weights FILE]  full single-failure diagnosis
 //! act campaign <spec> [--jobs N] [--out FILE] [--no-timing]
 //! act serve [--addr A] [--workers N] [--queue-depth D] [--model-dir DIR]
-//!           [--corpus DIR] [--batch-size N] [--batch-wait US]
+//!           [--corpus DIR] [--batch-size N]
 //! act request <train|diagnose|status|shutdown|trace-put|trace-get> ...
 //! act store <init|put|get|ls|stat|compact> DIR [args]
 //! ```
@@ -49,12 +49,9 @@ fn usage() -> ExitCode {
          \x20 serve [--addr A] [--unix PATH] [--workers N] [--queue-depth D]\n\
          \x20       [--model-dir DIR] [--corpus DIR] [--cache N] [--deadline-ms MS]\n\
          \x20       [--io-timeout MS] [--event-log FILE]\n\
-         \x20       [--batch-size N] [--batch-wait US]\n\
-         \x20                                        run the diagnosis daemon\n\
+         \x20       [--batch-size N]                 run the diagnosis daemon\n\
          \x20                                        (--batch-size 1 disables request\n\
-         \x20                                        coalescing; --batch-wait is the\n\
-         \x20                                        gather window in microseconds,\n\
-         \x20                                        default 0 = never wait)\n\
+         \x20                                        coalescing)\n\
          \x20 gate --backends A,B,... [--listen ADDR] [--workers N] [--queue-depth D]\n\
          \x20      [--vnodes N] [--connect-timeout MS] [--io-timeout MS]\n\
          \x20      [--event-log FILE]                 run the sharding gateway\n\
@@ -117,7 +114,6 @@ pub(crate) fn parse_args(raw: &[String]) -> Args {
                 "retry",
                 "pipeline-depth",
                 "batch-size",
-                "batch-wait",
             ];
             if takes_value.contains(&name) && i + 1 < raw.len() {
                 a.flags.insert(name.to_string(), raw[i + 1].clone());
@@ -528,20 +524,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
         Ok(n) => n,
         Err(e) => return e,
     };
-    // Zero — the default — is meaningful here ("take what is queued, never
-    // wait"), so this flag does not go through `parse_count`.
-    let batch_wait_us = match args.flags.get("batch-wait") {
-        None => 0u64,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!(
-                    "--batch-wait expects microseconds (a non-negative integer), got `{raw}`"
-                );
-                return ExitCode::from(2);
-            }
-        },
-    };
     // Only --io-timeout applies to a listening daemon, but the flag set
     // (and its validation) is shared with `act gate` / `act request`.
     let net = match NetOpts::from_args(args, 2_000, 30_000) {
@@ -576,8 +558,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
         deadline: std::time::Duration::from_millis(deadline_ms as u64),
         io_timeout: net.io_timeout,
         batch_size,
-        batch_wait: std::time::Duration::from_micros(batch_wait_us),
-        ..act_serve::ServeConfig::default()
     };
     let server = match act_serve::Server::start(cfg.clone()) {
         Ok(s) => s,
@@ -597,7 +577,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
     }
     println!(
         "workers {workers} | queue depth {queue_depth} | cache {cache_capacity} models | \
-         batch {batch_size}x{batch_wait_us}us"
+         batch {batch_size}"
     );
     install_stop_handler();
     while !STOP.load(std::sync::atomic::Ordering::SeqCst) && !server.is_shutting_down() {

@@ -29,12 +29,16 @@
 //! ```
 //!
 //! Transport selection is automatic: with `pipeline_depth <= 1` each
-//! request is a classic one-shot connection (works against protocol v1–v3
-//! daemons); with a larger depth the client keeps one multiplexed
-//! protocol-v4 [`session::Session`] open and pipelines requests over it.
-//! The streaming methods ([`Client::trace_put_streaming`],
-//! [`Client::diagnose_streaming`]) always use a session, because chunked
-//! ingest only exists in v4.
+//! request opens a fresh connection, sends one frame and reads one reply
+//! (the daemon serves it as a window-1 session); with a larger depth the
+//! client keeps one multiplexed [`session::Session`] open and pipelines
+//! requests over it. The streaming methods
+//! ([`Client::trace_put_streaming`], [`Client::diagnose_streaming`])
+//! always use a session.
+//!
+//! One retry rule holds at every depth: with [`ClientBuilder::retry`] set,
+//! a transport failure or a `BUSY` reply is retried exactly once, after
+//! the policy's jittered sleep.
 //!
 //! All methods return [`ActError`], the workspace-wide error type, so
 //! callers never juggle transport-level error enums.
@@ -48,21 +52,23 @@ pub use act_core::{ActError, ConfigError};
 pub use act_obs::MetricsSnapshot;
 pub use act_serve::{ClientConfig, Endpoint, ModelSpec, Reply, Request};
 
+use act_serve::proto::{read_frame, write_frame};
+use act_serve::{ClientError, Conn};
 use session::Session;
 use std::io::Read;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use act_serve::ClientError;
-
-/// A `STATUS` answer: the human-readable counters block, plus the typed
-/// metrics snapshot when the daemon speaks protocol v2 or newer.
+/// A `STATUS` answer: the human-readable counters block and the metrics
+/// snapshot it was rendered from.
 #[derive(Debug, Clone)]
 pub struct ServerStatus {
     /// The rendered counters block.
     pub text: String,
-    /// Full metrics snapshot (`None` from v1 daemons).
+    /// The full metrics snapshot. Every daemon and gateway reply carries
+    /// one; `None` only marks a status a caller put together without a
+    /// `STATUS` reply.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -97,17 +103,17 @@ impl ClientBuilder {
         self
     }
 
-    /// Retry once on transport failure or `BUSY`, sleeping a jittered
-    /// `backoff` in between (deterministic for a given `seed`).
+    /// Retry once on transport failure or `BUSY`, at every pipeline depth,
+    /// sleeping a jittered backoff in `[backoff/2, backoff*3/2)` in between
+    /// (deterministic for a given `seed`).
     pub fn retry(mut self, backoff: Duration, seed: u64) -> ClientBuilder {
         self.cfg = self.cfg.with_retry(backoff, seed);
         self
     }
 
-    /// How many requests to keep in flight at once. `0` and `1` mean
-    /// classic one-shot requests (compatible with v1–v3 daemons); larger
-    /// depths open a multiplexed v4 session. The server may grant a
-    /// smaller window than asked.
+    /// How many requests to keep in flight at once. `0` and `1` mean one
+    /// request per connection; larger depths open a multiplexed session.
+    /// The server may grant a smaller window than asked.
     pub fn pipeline_depth(mut self, depth: u32) -> ClientBuilder {
         self.depth = depth;
         self
@@ -146,7 +152,7 @@ pub struct Client {
     endpoint: Endpoint,
     cfg: ClientConfig,
     depth: u32,
-    /// The lazily opened v4 session (pipelined and streaming calls only).
+    /// The lazily opened session (pipelined and streaming calls only).
     session: Mutex<Option<Arc<Session>>>,
 }
 
@@ -194,7 +200,7 @@ impl Client {
     }
 
     /// Like [`diagnose`](Client::diagnose), but streams the trace from
-    /// `reader` in chunks over a v4 session instead of materializing one
+    /// `reader` in chunks over a session instead of materializing one
     /// big frame — use for traces that are large or arriving piecewise.
     ///
     /// # Errors
@@ -261,14 +267,13 @@ impl Client {
         }
     }
 
-    /// Fetch the daemon's counters block (and metrics snapshot, v2+).
+    /// Fetch the daemon's counters block and metrics snapshot.
     ///
     /// # Errors
     ///
     /// Transport failures and server-side `ERROR`s.
     pub fn status(&self) -> Result<ServerStatus, ActError> {
         match self.roundtrip(&Request::Status)? {
-            Reply::StatusText(text) => Ok(ServerStatus { text, metrics: None }),
             Reply::StatusMetrics(text, snap) => Ok(ServerStatus { text, metrics: Some(snap) }),
             other => Err(unexpected("STATUS", &other)),
         }
@@ -299,63 +304,38 @@ impl Client {
         if self.depth <= 1 {
             return Err(ActError::Config(ConfigError::new(
                 "pipeline_depth",
-                "must be greater than 1 to use pipeline(); one-shot clients have no session",
+                "must be greater than 1 to use pipeline(); depth-1 clients hold no session",
             )));
         }
         self.live_session(self.depth).map_err(|e| self.convert(e))
     }
 
-    /// Dispatch a unary request over the configured transport.
+    /// Dispatch a unary request over the configured transport, under the
+    /// retry rule: a transport failure or `BUSY` is retried exactly once,
+    /// after the policy's jittered sleep, whatever the depth.
     fn roundtrip(&self, req: &Request) -> Result<Reply, ActError> {
-        if self.depth <= 1 {
-            let reply = self.oneshot(req).map_err(|e| self.convert(e))?;
-            return check_reply(reply);
-        }
-        match self.over_session(self.depth, |s| s.call(req)?.wait()) {
-            Ok(reply) => check_reply(reply),
-            Err(e) => Err(self.convert(e)),
-        }
+        let exchange = || {
+            if self.depth <= 1 {
+                self.oneshot(req)
+            } else {
+                self.over_session(|s| s.call(req)?.wait())
+            }
+        };
+        let outcome = match (exchange(), &self.cfg.retry) {
+            (Err(ClientError::Io(_)) | Ok(Reply::Busy), Some(policy)) => {
+                std::thread::sleep(policy.sleep_for(0));
+                exchange()
+            }
+            (outcome, _) => outcome,
+        };
+        check_reply(outcome.map_err(|e| self.convert(e))?)
     }
 
-    /// One classic one-shot exchange (fresh connection, one frame each
-    /// way — understood by v1+ daemons), retried exactly once on a
-    /// transport failure or `BUSY` when a retry policy is configured.
+    /// One request on a fresh connection: one frame each way.
     fn oneshot(&self, req: &Request) -> Result<Reply, ClientError> {
-        match self.oneshot_once(req) {
-            outcome @ (Err(ClientError::Io(_)) | Ok(Reply::Busy)) => match &self.cfg.retry {
-                Some(policy) => {
-                    std::thread::sleep(policy.sleep_for(0));
-                    self.oneshot_once(req)
-                }
-                None => outcome,
-            },
-            outcome => outcome,
-        }
-    }
-
-    fn oneshot_once(&self, req: &Request) -> Result<Reply, ClientError> {
-        fn exchange<S: Read + std::io::Write>(
-            mut stream: S,
-            req: &Request,
-        ) -> Result<Reply, ClientError> {
-            act_serve::proto::write_frame(&mut stream, &req.to_frame())?;
-            let frame = act_serve::proto::read_frame(&mut stream)?;
-            Ok(Reply::from_frame(&frame)?)
-        }
-        match &self.endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = act_serve::connect_tcp(addr, self.cfg.connect_timeout)?;
-                stream.set_read_timeout(self.cfg.io_timeout)?;
-                stream.set_write_timeout(self.cfg.io_timeout)?;
-                exchange(stream, req)
-            }
-            Endpoint::Unix(path) => {
-                let stream = std::os::unix::net::UnixStream::connect(path)?;
-                stream.set_read_timeout(self.cfg.io_timeout)?;
-                stream.set_write_timeout(self.cfg.io_timeout)?;
-                exchange(stream, req)
-            }
-        }
+        let mut conn = Conn::connect(&self.endpoint, &self.cfg)?;
+        write_frame(&mut conn, &req.to_frame())?;
+        Ok(Reply::from_frame(&read_frame(&mut conn)?)?)
     }
 
     /// Dispatch a chunked upload; always a session, whatever the depth
@@ -373,38 +353,44 @@ impl Client {
         }
     }
 
-    /// Run `f` against the live session, reopening and retrying exactly
-    /// once when the session turns out to be dead (daemon restarted, idle
-    /// disconnect). Only safe for requests that are replayable.
+    /// Run `f` against the live session. A cached session that turns out
+    /// to be dead (daemon restarted, idle disconnect) is replaced and `f`
+    /// runs once more on the fresh one; a session whose exchange fails is
+    /// forgotten, so the next call opens a new one. Only safe for requests
+    /// that are replayable.
     fn over_session(
         &self,
-        depth: u32,
         f: impl Fn(&Arc<Session>) -> Result<Reply, ClientError>,
     ) -> Result<Reply, ClientError> {
-        let session = self.live_session(depth)?;
-        match f(&session) {
-            Ok(reply) => Ok(reply),
-            Err(ClientError::Io(_)) => {
-                self.drop_session(&session);
-                if let Some(retry) = &self.cfg.retry {
-                    std::thread::sleep(retry.backoff);
-                }
-                let fresh = self.live_session(depth)?;
-                f(&fresh)
-            }
-            Err(e) => Err(e),
+        let failed =
+            |outcome: &Result<Reply, ClientError>| matches!(outcome, Err(ClientError::Io(_)));
+        let (mut session, cached) = self.cached_or_open(self.depth)?;
+        let mut outcome = f(&session);
+        if cached && failed(&outcome) {
+            self.drop_session(&session);
+            session = self.live_session(self.depth)?;
+            outcome = f(&session);
         }
+        if failed(&outcome) {
+            self.drop_session(&session);
+        }
+        outcome
     }
 
     /// The cached session, or a freshly opened one.
     fn live_session(&self, depth: u32) -> Result<Arc<Session>, ClientError> {
+        self.cached_or_open(depth).map(|(session, _)| session)
+    }
+
+    /// The cached session (`true`), or a freshly opened one (`false`).
+    fn cached_or_open(&self, depth: u32) -> Result<(Arc<Session>, bool), ClientError> {
         let mut slot = self.session.lock().expect("client session lock");
         if let Some(s) = slot.as_ref() {
-            return Ok(s.clone());
+            return Ok((s.clone(), true));
         }
         let fresh = Session::open(&self.endpoint, &self.cfg, depth)?;
         *slot = Some(fresh.clone());
-        Ok(fresh)
+        Ok((fresh, false))
     }
 
     /// Forget `stale` so the next call opens a new session — but only if

@@ -1,5 +1,5 @@
-//! Multiplexed, pipelined protocol-v4 sessions: one connection, many
-//! requests in flight, replies demultiplexed by request id.
+//! Multiplexed, pipelined sessions: one connection, many requests in
+//! flight, replies demultiplexed by request id.
 //!
 //! A [`Session`] opens with `HELLO`, learns its in-flight window from the
 //! `HELLO_ACK`, and then hands out [`Pending`] handles: [`Session::call`]
@@ -16,89 +16,16 @@
 //! granularity — the writer lock is held per frame, never per request.
 
 use act_serve::proto::{read_frame, write_frame, MAX_CHUNK};
-use act_serve::{ClientConfig, ClientError, Endpoint, Reply, Request};
+use act_serve::{ClientConfig, ClientError, Conn, Endpoint, Reply, Request};
 use act_store::Crc32;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::os::unix::net::UnixStream;
+use std::io::{self, Read};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Bytes per `STREAM_CHUNK` frame the client emits (well under the
 /// protocol's cap so chunks interleave fairly with other requests).
 pub const STREAM_CHUNK_BYTES: usize = 1 << 20;
-
-/// A connected socket, TCP or Unix-domain.
-enum ClientConn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for ClientConn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientConn::Tcp(s) => s.read(buf),
-            ClientConn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientConn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientConn::Tcp(s) => s.write(buf),
-            ClientConn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientConn::Tcp(s) => s.flush(),
-            ClientConn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl ClientConn {
-    fn connect(endpoint: &Endpoint, cfg: &ClientConfig) -> io::Result<ClientConn> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => {
-                ClientConn::Tcp(act_serve::connect_tcp(addr, cfg.connect_timeout)?)
-            }
-            Endpoint::Unix(path) => ClientConn::Unix(UnixStream::connect(path)?),
-        };
-        conn.set_timeouts(cfg)?;
-        Ok(conn)
-    }
-
-    fn set_timeouts(&self, cfg: &ClientConfig) -> io::Result<()> {
-        match self {
-            ClientConn::Tcp(s) => {
-                s.set_read_timeout(cfg.io_timeout)?;
-                s.set_write_timeout(cfg.io_timeout)
-            }
-            ClientConn::Unix(s) => {
-                s.set_read_timeout(cfg.io_timeout)?;
-                s.set_write_timeout(cfg.io_timeout)
-            }
-        }
-    }
-
-    fn try_clone(&self) -> io::Result<ClientConn> {
-        match self {
-            ClientConn::Tcp(s) => Ok(ClientConn::Tcp(s.try_clone()?)),
-            ClientConn::Unix(s) => Ok(ClientConn::Unix(s.try_clone()?)),
-        }
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            ClientConn::Tcp(s) => s.shutdown(Shutdown::Both),
-            ClientConn::Unix(s) => s.shutdown(Shutdown::Both),
-        };
-    }
-}
 
 /// Everything the reader thread and the waiters share, under one lock.
 struct State {
@@ -111,13 +38,13 @@ struct State {
     dead: Option<String>,
 }
 
-/// One multiplexed v4 session. Cheap to share (`Arc`); all methods take
+/// One multiplexed session. Cheap to share (`Arc`); all methods take
 /// `&self`. Dropping the last handle shuts the socket down, which also
 /// stops the reader thread.
 pub struct Session {
     /// Frame-granular write lock; whole frames only, so concurrent
     /// requests and stream chunks never interleave mid-frame.
-    writer: Mutex<ClientConn>,
+    writer: Mutex<Conn>,
     state: Mutex<State>,
     /// Signaled when a reply lands or the session dies.
     arrived: Condvar,
@@ -145,24 +72,23 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`OpenError::Transport`] on connect/read/write failure,
-    /// [`OpenError::Unsupported`] when the server answers the `HELLO` with
-    /// anything but `HELLO_ACK` (e.g. an old pre-v4 daemon).
+    /// Connect, read, or write failure, and a `HELLO` answered with
+    /// anything but `HELLO_ACK` (reported as an I/O error).
     pub fn open(
         endpoint: &Endpoint,
         cfg: &ClientConfig,
         depth: u32,
-    ) -> Result<Arc<Session>, OpenError> {
-        let transport = |e: ClientError| OpenError::Transport(e);
-        let mut conn = ClientConn::connect(endpoint, cfg).map_err(|e| transport(e.into()))?;
-        let hello = Request::Hello { window: depth }.to_frame().with_request(0);
-        write_frame(&mut conn, &hello).map_err(|e| transport(e.into()))?;
-        let ack = read_frame(&mut conn).map_err(|e| transport(e.into()))?;
-        let window = match Reply::from_frame(&ack).map_err(|e| transport(e.into()))? {
+    ) -> Result<Arc<Session>, ClientError> {
+        let mut conn = Conn::connect(endpoint, cfg)?;
+        write_frame(&mut conn, &Request::Hello { window: depth }.to_frame())?;
+        let window = match Reply::from_frame(&read_frame(&mut conn)?)? {
             Reply::HelloAck { window } => window.max(1),
-            other => return Err(OpenError::Unsupported(other)),
+            other => {
+                let why = format!("HELLO answered with {other:?}");
+                return Err(ClientError::Io(io::Error::other(why)));
+            }
         };
-        let writer = conn.try_clone().map_err(|e| transport(e.into()))?;
+        let writer = conn.try_clone()?;
         let session = Arc::new(Session {
             writer: Mutex::new(writer),
             state: Mutex::new(State { replies: HashMap::new(), in_flight: 0, dead: None }),
@@ -174,8 +100,7 @@ impl Session {
         let for_reader = session.clone();
         std::thread::Builder::new()
             .name("act-client-demux".to_string())
-            .spawn(move || reader_loop(conn, for_reader))
-            .map_err(|e| OpenError::Transport(ClientError::Io(e)))?;
+            .spawn(move || reader_loop(conn, for_reader))?;
         Ok(session)
     }
 
@@ -196,7 +121,7 @@ impl Session {
     ///
     /// Fails when the session is dead or the write fails.
     pub fn call(self: &Arc<Session>, request: &Request) -> Result<Pending, ClientError> {
-        let id = self.begin(None)?;
+        let id = self.begin()?;
         let frame = request.to_frame().with_request(id);
         if let Err(e) = {
             let mut w = self.writer.lock().expect("session writer lock");
@@ -221,7 +146,7 @@ impl Session {
         start: &Request,
         mut reader: impl Read,
     ) -> Result<Pending, ClientError> {
-        let id = self.begin(None)?;
+        let id = self.begin()?;
         let send = |frame: &act_serve::Frame| -> io::Result<()> {
             let mut w = self.writer.lock().expect("session writer lock");
             write_frame(&mut *w, frame)
@@ -254,7 +179,7 @@ impl Session {
     }
 
     /// Claim a window slot and a request id.
-    fn begin(&self, _hint: Option<u32>) -> Result<u32, ClientError> {
+    fn begin(&self) -> Result<u32, ClientError> {
         let mut st = self.state.lock().expect("session state lock");
         while st.dead.is_none() && st.in_flight >= self.window {
             st = self.slot_free.wait(st).expect("session state lock");
@@ -290,33 +215,9 @@ fn dead_error(why: &str) -> ClientError {
     ClientError::Io(io::Error::new(io::ErrorKind::BrokenPipe, format!("session dead: {why}")))
 }
 
-/// Why [`Session::open`] failed: transport trouble, or a server that
-/// answered the `HELLO` with something other than `HELLO_ACK` — i.e. one
-/// that does not speak protocol-v4 sessions. Callers that can fall back
-/// to one-shot requests (the gateway's backend pool) match on
-/// [`OpenError::Unsupported`]; everyone else converts to [`ClientError`].
-#[derive(Debug)]
-pub enum OpenError {
-    /// Connect, write, or read failed.
-    Transport(ClientError),
-    /// The server answered, but not with `HELLO_ACK`.
-    Unsupported(Reply),
-}
-
-impl From<OpenError> for ClientError {
-    fn from(e: OpenError) -> ClientError {
-        match e {
-            OpenError::Transport(inner) => inner,
-            OpenError::Unsupported(reply) => ClientError::Io(io::Error::other(format!(
-                "server does not speak v4 sessions (HELLO answered with {reply:?})"
-            ))),
-        }
-    }
-}
-
 /// Drain replies off the socket, waking the matching waiters; on any
 /// read/decode failure, fail every outstanding and future request.
-fn reader_loop(mut conn: ClientConn, session: Arc<Session>) {
+fn reader_loop(mut conn: Conn, session: Arc<Session>) {
     loop {
         let outcome =
             read_frame(&mut conn).and_then(|f| Ok((f.request_id, Reply::from_frame(&f)?)));

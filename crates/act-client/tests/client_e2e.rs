@@ -2,22 +2,24 @@
 //! ephemeral loopback port and drive it through the [`act_client::Client`]
 //! façade at every transport depth.
 //!
-//! Covers the client/protocol-v4 acceptance criteria:
-//! - typed methods produce identical results at pipeline depth 1 (one-shot
-//!   v1–v3 framing) and depth 8 (multiplexed v4 session);
+//! Covers the client acceptance criteria:
+//! - typed methods produce identical results at pipeline depth 1 (one
+//!   frame each way per connection) and depth 8 (multiplexed session);
 //! - streamed uploads (`TRACE_PUT_START`/`DIAGNOSE_START` + chunks) answer
 //!   with byte-identical summaries to their one-frame twins;
 //! - replies demultiplex out of order across a pipelined session;
 //! - a connection killed mid-stream leaves no partial corpus segment;
 //! - the in-flight window is negotiated down to the server's cap;
-//! - any interleaving of pipelined v4 requests yields the same replies as
-//!   the same requests issued sequentially over one-shot v3 (proptest);
-//! - raw v1–v3 one-shot clients keep working bit-for-bit.
+//! - any interleaving of pipelined requests yields the same replies as
+//!   the same requests issued one per connection (proptest);
+//! - a raw client that sends one frame gets a window-1 session;
+//! - the retry rule (one jittered retry after a transport failure or
+//!   `BUSY`) holds at depth 1 and at depth 8.
 
-use act_client::{Client, ModelSpec, Reply, Request};
+use act_client::{ActError, Client, ModelSpec, Reply, Request};
 use act_serve::proto::{read_frame, write_frame, FrameKind};
 use act_serve::server::{ServeConfig, Server};
-use act_serve::Endpoint;
+use act_serve::{Endpoint, SESSION_WINDOW};
 use act_store::{Corpus, EntryKind};
 use act_trace::collector::TraceCollector;
 use act_trace::io::trace_to_bytes;
@@ -26,7 +28,7 @@ use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boot a daemon on 127.0.0.1:0 and return it with its client endpoint.
 fn boot(cfg: ServeConfig) -> (Server, Endpoint) {
@@ -120,7 +122,7 @@ fn typed_methods_agree_between_depth_one_and_depth_eight() {
         assert_eq!(back, correct, "depth {depth}: trace round trip must be lossless");
         let status = client.status().expect("status");
         assert!(status.text.contains("requests_served"), "depth {depth}: {}", status.text);
-        let snap = status.metrics.expect("v2+ metrics snapshot");
+        let snap = status.metrics.expect("metrics snapshot");
         if depth > 1 {
             assert!(snap.counter("req_hello").unwrap_or(0) >= 1, "session handshake counted");
             assert!(
@@ -201,13 +203,16 @@ fn pipelined_replies_demultiplex_out_of_order() {
 
 #[test]
 fn window_is_negotiated_down_to_the_server_cap() {
-    let cfg = ServeConfig { session_window: 2, ..small(1, 8) };
-    let (server, endpoint) = boot(cfg);
+    let (server, endpoint) = boot(small(1, 8));
 
+    let cfg = act_client::ClientConfig::default();
+    let asked = SESSION_WINDOW + 8;
     let session =
-        act_client::session::Session::open(&endpoint, &act_client::ClientConfig::default(), 8)
-            .expect("session opens");
-    assert_eq!(session.window(), 2, "server caps the asked-for window");
+        act_client::session::Session::open(&endpoint, &cfg, asked).expect("session opens");
+    assert_eq!(session.window(), SESSION_WINDOW, "server caps the asked-for window");
+    drop(session);
+    let session = act_client::session::Session::open(&endpoint, &cfg, 2).expect("session opens");
+    assert_eq!(session.window(), 2, "a smaller ask is granted as is");
     drop(session);
 
     client_at(&endpoint, 1).shutdown().expect("shutdown");
@@ -225,8 +230,8 @@ fn mid_stream_kill_leaves_no_partial_corpus_segment() {
     };
     let correct = trace_bytes(0, false);
 
-    // Open a raw v4 session, start a chunked TRACE_PUT, feed half the
-    // trace, then kill the socket without STREAM_END.
+    // Open a raw session, start a chunked TRACE_PUT, feed half the trace,
+    // then kill the socket without STREAM_END.
     let mut stream = TcpStream::connect(&addr).expect("connect");
     write_frame(&mut stream, &Request::Hello { window: 2 }.to_frame().with_request(0))
         .expect("hello");
@@ -258,43 +263,116 @@ fn mid_stream_kill_leaves_no_partial_corpus_segment() {
 }
 
 #[test]
-fn raw_v1_to_v3_one_shot_clients_still_work() {
-    let (server, endpoint) = boot(small(1, 8));
-    let addr = match &endpoint {
-        Endpoint::Tcp(addr) => addr.clone(),
-        other => panic!("tcp endpoint expected, got {other}"),
+fn raw_one_frame_clients_get_a_window_one_session() {
+    let (server, endpoint) = boot(small(2, 8));
+    let Endpoint::Tcp(addr) = &endpoint else { unreachable!("boot binds tcp") };
+    let sleeper = |ms: u64| {
+        let mut spec = ModelSpec::new("__sleep");
+        spec.seed = ms;
+        Request::Train(spec)
     };
 
-    for version in 1u8..=3 {
-        // STATUS: v1 gets the plain text frame, v2/v3 the metrics frame —
-        // exactly as before the v4 redesign, stamped with the asked version.
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        write_frame(&mut stream, &Request::Status.to_frame().with_version(version))
-            .expect("send status");
-        stream.flush().expect("flush");
-        let frame = read_frame(&mut stream).expect("status reply");
-        assert_eq!(frame.version, version, "reply restamped for the v{version} requester");
-        let expected = if version == 1 { FrameKind::StatusText } else { FrameKind::StatusMetrics };
-        assert_eq!(frame.kind, expected, "v{version} status frame kind");
-        assert_eq!(frame.request_id, 0, "pre-v4 frames carry no request id");
+    // One frame out, one reply back, under the client's request id.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, &sleeper(1).to_frame().with_request(41)).expect("send");
+    let frame = read_frame(&mut stream).expect("reply");
+    assert_eq!(frame.request_id, 41, "the reply echoes the request id");
+    assert_eq!(Reply::from_frame(&frame).expect("decode"), Reply::Trained("slept 1ms".into()));
 
-        // A worker-path request round-trips too.
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        let mut spec = ModelSpec::new("__sleep");
-        spec.seed = 1;
-        write_frame(&mut stream, &Request::Train(spec).to_frame().with_version(version))
-            .expect("send train");
-        stream.flush().expect("flush");
-        let frame = read_frame(&mut stream).expect("train reply");
-        assert_eq!(frame.version, version);
-        match Reply::from_frame(&frame).expect("decode") {
-            Reply::Trained(s) => assert_eq!(s, "slept 1ms"),
-            other => panic!("unexpected v{version} reply: {other:?}"),
-        }
-    }
+    // The connection stays a session of window 1: a second request is
+    // served once the first is answered, and one sent while another is
+    // in flight is refused on its own.
+    write_frame(&mut stream, &sleeper(200).to_frame().with_request(42)).expect("send");
+    write_frame(&mut stream, &sleeper(1).to_frame().with_request(43)).expect("send");
+    let first = read_frame(&mut stream).expect("reply");
+    assert_eq!((first.request_id, first.kind), (43, FrameKind::Busy), "window 1 is full");
+    let second = read_frame(&mut stream).expect("reply");
+    assert_eq!((second.request_id, second.kind), (42, FrameKind::Trained));
+    drop(stream);
 
     client_at(&endpoint, 1).shutdown().expect("shutdown");
     server.join();
+}
+
+/// A client for `endpoint` at `depth` with one retry after `backoff`.
+fn retrying_client(endpoint: &Endpoint, depth: u32, backoff: Duration) -> Client {
+    let Endpoint::Tcp(addr) = endpoint else { unreachable!("tcp endpoints only") };
+    Client::builder()
+        .addr(addr.clone())
+        .timeouts(Duration::from_millis(500), Duration::from_secs(30))
+        .retry(backoff, 7)
+        .pipeline_depth(depth)
+        .build()
+        .expect("client builds")
+}
+
+fn dead_endpoint_is_tried_twice_at(depth: u32) {
+    // Port 1 on loopback refuses at once, so the sleep between the two
+    // tries is nearly all of the elapsed time.
+    let backoff = Duration::from_millis(200);
+    let client = retrying_client(&Endpoint::Tcp("127.0.0.1:1".into()), depth, backoff);
+    let start = Instant::now();
+    let err = client.status().expect_err("both tries must fail");
+    assert!(matches!(err, ActError::Io { .. }), "depth {depth}: {err}");
+    // The client sleeps only before a second try, at least backoff/2.
+    assert!(start.elapsed() >= backoff / 2, "depth {depth}: no retry after {:?}", start.elapsed());
+}
+
+#[test]
+fn retry_tries_a_dead_endpoint_twice_at_depth_1() {
+    dead_endpoint_is_tried_twice_at(1);
+}
+
+#[test]
+fn retry_tries_a_dead_endpoint_twice_at_depth_8() {
+    dead_endpoint_is_tried_twice_at(8);
+}
+
+fn busy_is_absorbed_by_the_retry_at(depth: u32) {
+    // One worker and a one-deep queue: a 300 ms sleeper on the worker
+    // plus one queued behind it saturate the daemon.
+    let (server, endpoint) = boot(small(1, 1));
+    let sleeper = |ms: u64| {
+        let mut spec = ModelSpec::new("__sleep");
+        spec.seed = ms;
+        spec
+    };
+    let occupants: Vec<_> = [300u64, 10]
+        .into_iter()
+        .map(|ms| {
+            let client = client_at(&endpoint, 1);
+            let occupant = std::thread::spawn(move || client.train(&sleeper(ms)));
+            std::thread::sleep(Duration::from_millis(50)); // worker first, then the queue
+            occupant
+        })
+        .collect();
+
+    // The first try is refused with BUSY; the retry comes at least 300 ms
+    // later, when the queue has room again.
+    let client = retrying_client(&endpoint, depth, Duration::from_millis(600));
+    let trained = client.train(&sleeper(1)).expect("the retry absorbs BUSY");
+    assert_eq!(trained, "slept 1ms", "depth {depth}");
+    for occupant in occupants {
+        occupant.join().expect("occupant thread").expect("occupant served");
+    }
+    let status = client_at(&endpoint, 1).status().expect("status");
+    assert!(
+        status.text.contains("requests_rejected_busy 1"),
+        "depth {depth}: the first try must have been refused:\n{}",
+        status.text
+    );
+    client_at(&endpoint, 1).shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn retry_absorbs_busy_at_depth_1() {
+    busy_is_absorbed_by_the_retry_at(1);
+}
+
+#[test]
+fn retry_absorbs_busy_at_depth_8() {
+    busy_is_absorbed_by_the_retry_at(8);
 }
 
 /// The fixed request vocabulary the equivalence property draws from. All
@@ -355,14 +433,14 @@ fn equivalence_fixture() -> &'static Vocabulary {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
-    fn any_pipelined_interleaving_matches_sequential_v3(
+    fn any_pipelined_interleaving_matches_sequential_one_frame_requests(
         depth in 2u32..6,
         plan in prop::collection::vec((any::<u8>(), any::<u8>()), 1..10),
     ) {
         let vocab = equivalence_fixture();
 
-        // Sequential baseline: the same requests one at a time over raw
-        // one-shot v3 connections.
+        // Sequential baseline: the same requests one at a time, each on a
+        // raw connection of its own (one frame each way).
         let mut expected = Vec::new();
         for (op, _) in &plan {
             let req = vocab.request(*op);
@@ -371,13 +449,13 @@ proptest! {
                 other => panic!("tcp endpoint expected, got {other}"),
             };
             let mut stream = TcpStream::connect(&addr).expect("connect");
-            write_frame(&mut stream, &req.to_frame().with_version(3)).expect("send v3");
-            let frame = read_frame(&mut stream).expect("v3 reply");
+            write_frame(&mut stream, &req.to_frame()).expect("send");
+            let frame = read_frame(&mut stream).expect("reply");
             expected.push(fingerprint(&Reply::from_frame(&frame).expect("decode")));
         }
 
-        // Pipelined run: same requests over one v4 session, issue/wait
-        // order driven by the generated plan, replies collected per id.
+        // Pipelined run: same requests over one session, issue/wait order
+        // driven by the generated plan, replies collected per id.
         let session = act_client::session::Session::open(
             &vocab.endpoint,
             &act_client::ClientConfig::default(),

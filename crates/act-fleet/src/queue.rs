@@ -103,10 +103,10 @@ impl<T> BoundedQueue<T> {
             return Err(item);
         }
         inner.items.push_back(item);
-        // notify_all, not notify_one: a consumer parked in
-        // [`drain_matching`](BoundedQueue::drain_matching) whose predicate
-        // rejects this item would otherwise swallow the only wakeup and
-        // leave a `pop`-blocked consumer asleep with work queued.
+        // Wakes every consumer parked in `pop`: one takes the item, the
+        // rest re-check and sleep again. Nothing else parks on this
+        // condvar, so `notify_one` would do; switching is a scheduling
+        // change and waits for a measurement.
         self.nonempty.notify_all();
         Ok(())
     }
@@ -128,58 +128,25 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Selectively dequeue up to `max` items matching `pred`, waiting
-    /// until `deadline` for at least one match — the gather half of a
-    /// request-coalescing scheduler. Non-matching items are left queued
+    /// Dequeue up to `max` of the items already queued that match
+    /// `pred`, oldest first, without waiting for more — the gather half of
+    /// a request-coalescing scheduler. Non-matching items are left queued
     /// *in order* for other consumers.
-    ///
-    /// Returns as soon as a scan finds one or more matches (so a gatherer
-    /// loops until its batch is full or this returns empty), and returns
-    /// an empty vector when the deadline passes or the queue closes with
-    /// no match. Each arrival re-triggers a scan, so a matching item
-    /// pushed mid-wait is picked up immediately.
-    pub fn drain_matching<F>(&self, max: usize, deadline: std::time::Instant, pred: F) -> Vec<T>
+    pub fn drain_matching<F>(&self, max: usize, pred: F) -> Vec<T>
     where
         F: Fn(&T) -> bool,
     {
-        fn scan<T>(
-            items: &mut VecDeque<T>,
-            got: &mut Vec<T>,
-            max: usize,
-            pred: &impl Fn(&T) -> bool,
-        ) {
-            let mut i = 0;
-            while i < items.len() && got.len() < max {
-                if pred(&items[i]) {
-                    got.push(items.remove(i).expect("index in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-        }
         let mut got = Vec::new();
-        if max == 0 {
-            return got;
-        }
         let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            scan(&mut inner.items, &mut got, max, &pred);
-            if !got.is_empty() || inner.closed {
-                return got;
-            }
-            let now = std::time::Instant::now();
-            let Some(wait) = deadline.checked_duration_since(now).filter(|w| !w.is_zero()) else {
-                return got;
-            };
-            let (guard, timeout) = self.nonempty.wait_timeout(inner, wait).expect("queue lock");
-            inner = guard;
-            if timeout.timed_out() {
-                // Final scan: an item may have landed between the last
-                // scan and the deadline expiring.
-                scan(&mut inner.items, &mut got, max, &pred);
-                return got;
+        let mut i = 0;
+        while i < inner.items.len() && got.len() < max {
+            if pred(&inner.items[i]) {
+                got.push(inner.items.remove(i).expect("index in bounds"));
+            } else {
+                i += 1;
             }
         }
+        got
     }
 
     /// Refuse new items and wake blocked consumers; queued items still
@@ -299,12 +266,12 @@ mod tests {
         for v in [1, 2, 3, 4, 5, 6] {
             q.try_push(v).unwrap();
         }
-        let now = std::time::Instant::now();
-        let evens = q.drain_matching(10, now, |v| v % 2 == 0);
+        let evens = q.drain_matching(10, |v| v % 2 == 0);
         assert_eq!(evens, vec![2, 4, 6]);
         assert_eq!(q.pop(), Some(1), "non-matching items stay, in order");
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), Some(5));
+        assert!(q.drain_matching(4, |_| true).is_empty(), "an empty queue yields nothing");
     }
 
     #[test]
@@ -313,48 +280,8 @@ mod tests {
         for v in 0..6 {
             q.try_push(v).unwrap();
         }
-        let got = q.drain_matching(2, std::time::Instant::now(), |_| true);
+        let got = q.drain_matching(2, |_| true);
         assert_eq!(got, vec![0, 1]);
         assert_eq!(q.len(), 4);
-    }
-
-    #[test]
-    fn drain_matching_times_out_empty() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        q.try_push(7).unwrap();
-        let start = std::time::Instant::now();
-        let deadline = start + std::time::Duration::from_millis(40);
-        let got = q.drain_matching(4, deadline, |v| *v == 99);
-        assert!(got.is_empty(), "no match ever arrives");
-        assert!(start.elapsed() >= std::time::Duration::from_millis(40), "waited to deadline");
-        assert_eq!(q.pop(), Some(7), "the non-match is untouched");
-    }
-
-    #[test]
-    fn drain_matching_wakes_on_midwait_arrival() {
-        let q: std::sync::Arc<BoundedQueue<u32>> = std::sync::Arc::new(BoundedQueue::new(4));
-        let qc = q.clone();
-        let pusher = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            qc.try_push(42).unwrap();
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let got = q.drain_matching(1, deadline, |v| *v == 42);
-        pusher.join().unwrap();
-        assert_eq!(got, vec![42], "a matching arrival ends the wait early");
-    }
-
-    #[test]
-    fn drain_matching_returns_empty_on_close() {
-        let q: std::sync::Arc<BoundedQueue<u32>> = std::sync::Arc::new(BoundedQueue::new(4));
-        let qc = q.clone();
-        let closer = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            qc.close();
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let got = q.drain_matching(1, deadline, |_| true);
-        closer.join().unwrap();
-        assert!(got.is_empty(), "close unblocks the gatherer");
     }
 }

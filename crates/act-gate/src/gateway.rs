@@ -1,30 +1,25 @@
-//! The gateway daemon: accept client frames, shard them across the
-//! backend fleet, fail over, and answer aggregated `STATUS`.
+//! The gateway daemon: accept client connections, shard their requests
+//! across the backend fleet, fail over, and answer aggregated `STATUS`.
 //!
-//! Life of a one-shot request: an acceptor thread reads one frame,
-//! answers `STATUS`/`SHUTDOWN` inline (STATUS is the aggregated fleet
-//! view), and queues everything routable — the frame, its decoded
-//! request, and its shard key — on a bounded queue, answering `BUSY` when
-//! full (the same refused-not-dropped backpressure contract as
-//! act-serve). Forwarding workers drain the queue: the consistent-hash
-//! ring orders the backends for the key, dead backends are skipped, and
-//! the request gets the owner plus at most one failover attempt on the
-//! next ring owner when the owner is down or answers `BUSY`.
+//! The acceptor only accepts: each connection gets a session thread of its
+//! own (see [`crate::session`]), with the same connection model as
+//! act-serve — a first frame of `HELLO` asks for a window, anything else
+//! opens a window-1 session. The session answers `STATUS` (the aggregated
+//! fleet view) and `SHUTDOWN` itself, and queues every routable request —
+//! decoded, with its shard key and its reply target — on a bounded queue,
+//! answering `BUSY` when full (the same refused-not-dropped backpressure
+//! contract as act-serve). Forwarding workers drain the queue: the
+//! consistent-hash ring orders the backends for the key, dead backends are
+//! skipped, and the request gets the owner plus at most one failover
+//! attempt on the next ring owner when the owner is down or answers
+//! `BUSY`. Requests from one session therefore route, fail over, and
+//! complete independently.
 //!
-//! A v4 client that opens with `HELLO` instead gets a multiplexed session
-//! (see [`crate::session`]): its requests enter the same queue, each with
-//! a per-request reply target, so pipelined requests from one connection
-//! route, fail over, and complete independently.
-//!
-//! Backend links are pooled v4 sessions ([`crate::pool`]) shared by all
-//! workers; backends that do not speak v4 sessions fall back to classic
-//! one-shot exchanges with the frame relayed verbatim. Version
-//! negotiation holds either way: the reply reaches the client stamped
-//! `min(client version, reply version)` — a v1 client talking through the
-//! gateway sees exactly the frames a v1 act-serve would have sent it.
+//! Backend links are warm pooled sessions ([`crate::pool`]), one per
+//! backend, shared by all workers.
 
 use crate::health::Health;
-use crate::pool::{BackendLink, SessionPool};
+use crate::pool::SessionPool;
 use crate::ring::HashRing;
 use crate::session::{run_gate_session, GateSessionShared};
 use act_client::{ActError, Client, ServerStatus};
@@ -32,10 +27,9 @@ use act_fleet::{BoundedQueue, ModelKey};
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
 };
-use act_serve::proto::{read_frame, write_frame, Frame, FrameKind, SESSION_VERSION, VERSION};
-use act_serve::{ClientError, Reply, Request};
+use act_serve::{ClientError, Conn, Reply, Request};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -58,13 +52,6 @@ pub struct GateConfig {
     pub workers: usize,
     /// Bounded queue depth; a full queue answers `BUSY`.
     pub queue_depth: usize,
-    /// Warm multiplexed v4 sessions kept per backend (default 1; every
-    /// worker shares them, so one is usually plenty). `0` disables
-    /// session mode and forces classic one-shot exchanges — the old
-    /// pre-v4 behavior, kept as an escape hatch. Backends that answer
-    /// the session `HELLO` with anything but an ack get one-shot
-    /// exchanges automatically, whatever this says.
-    pub pool_capacity: usize,
     /// Backend TCP connect timeout.
     pub connect_timeout: Duration,
     /// Client-facing socket read/write timeout.
@@ -86,7 +73,6 @@ impl Default for GateConfig {
             vnodes: 64,
             workers: 4,
             queue_depth: 64,
-            pool_capacity: 1,
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(30),
             backend_timeout: Duration::from_secs(300),
@@ -188,7 +174,7 @@ impl GateStats {
         self.probes_ok.get() + self.probes_failed.get()
     }
 
-    /// Client v4 sessions currently open.
+    /// Client sessions currently open.
     pub fn sessions_open(&self) -> i64 {
         self.sessions_open.get()
     }
@@ -224,43 +210,13 @@ impl GateStats {
     }
 }
 
-/// Where a forwarded request's reply goes: back down a one-shot
-/// connection, or onto a multiplexed client session under its request id.
-pub(crate) enum GateTarget {
-    /// Classic connection: one frame in, one frame out, closed after.
-    OneShot {
-        conn: TcpStream,
-        /// Protocol version the client's frame arrived with.
-        version: u8,
-        /// Request id the client stamped (0 below v4).
-        request_id: u32,
-    },
-    /// A request from a client v4 session; the reply releases its slot.
-    Session { shared: Arc<GateSessionShared>, request_id: u32 },
-}
-
-impl GateTarget {
-    /// Deliver the reply frame, version-negotiated for the client.
-    pub(crate) fn respond(self, frame: Frame) {
-        match self {
-            GateTarget::OneShot { mut conn, version, request_id } => {
-                let version = version.min(frame.version);
-                let _ =
-                    write_frame(&mut conn, &frame.with_request(request_id).with_version(version));
-            }
-            GateTarget::Session { shared, request_id } => {
-                shared.send_final_frame(request_id, frame);
-            }
-        }
-    }
-}
-
 /// One accepted, routable request waiting for a forwarding worker.
 pub(crate) struct GateJob {
-    pub(crate) target: GateTarget,
-    /// The client's frame, for verbatim relay to one-shot backends.
-    pub(crate) frame: Frame,
-    /// The decoded request, for typed forwarding over backend sessions.
+    /// The client session the request arrived on; the reply goes back on
+    /// it and releases the request's window slot.
+    pub(crate) session: Arc<GateSessionShared>,
+    /// The client's id for the request.
+    pub(crate) request_id: u32,
     pub(crate) request: Request,
     /// Shard key (ModelKey canonical form, or `trace:<key>`).
     pub(crate) key: String,
@@ -278,6 +234,9 @@ pub(crate) struct GateState {
     /// One act-client per backend, probe-timeout-configured, for health
     /// probes and STATUS aggregation.
     probe_clients: Vec<Client>,
+    pub(crate) shutdown: AtomicBool,
+    /// Client-facing socket read/write timeout.
+    pub(crate) io_timeout: Duration,
 }
 
 impl GateState {
@@ -298,8 +257,8 @@ impl GateState {
                 None
             }
             Err(_) => {
-                // It answered, just not with STATUS (a stub, something
-                // very old). Alive is alive; there's no fleet data in it.
+                // It answered, just not with STATUS. Alive is alive;
+                // there's no fleet data in it.
                 self.stats.probes_ok.inc();
                 self.note_backend_up(i);
                 self.pool.refill(i);
@@ -330,36 +289,24 @@ impl GateState {
         }
     }
 
-    /// One request/reply exchange with backend `i`: over a pooled session
-    /// when the backend speaks v4 (a dead pooled session gets one
-    /// fresh-session retry before the failure counts against the
-    /// backend), verbatim one-shot otherwise.
-    fn attempt(&self, i: usize, frame: &Frame, request: &Request) -> Result<Frame, ClientError> {
-        match self.pool.link(i)? {
-            BackendLink::Session(session) => match session.call(request).and_then(|p| p.wait()) {
-                Ok(reply) => Ok(reply.to_frame()),
-                Err(ClientError::Io(_)) => {
-                    self.pool.discard(i, &session);
-                    match self.pool.link(i)? {
-                        BackendLink::Session(fresh) => {
-                            let reply = fresh.call(request).and_then(|p| p.wait())?;
-                            Ok(reply.to_frame())
-                        }
-                        BackendLink::OneShot => self.one_shot_attempt(i, frame),
-                    }
-                }
-                Err(e) => Err(e),
-            },
-            BackendLink::OneShot => self.one_shot_attempt(i, frame),
-        }
+    /// Stop accepting and close the queue; workers drain what it holds.
+    pub(crate) fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue.close();
     }
 
-    /// The classic exchange: fresh connection, client's frame relayed
-    /// verbatim (modulo version clamp), one reply frame back.
-    fn one_shot_attempt(&self, i: usize, frame: &Frame) -> Result<Frame, ClientError> {
-        let fwd = frame.clone().with_version(frame.version.min(VERSION));
-        let mut conn = self.pool.connect(i)?;
-        exchange(&mut conn, &fwd)
+    /// One request/reply exchange with backend `i` over its pooled
+    /// session. A dead pooled session gets one fresh-session retry before
+    /// the failure counts against the backend.
+    fn attempt(&self, i: usize, request: &Request) -> Result<Reply, ClientError> {
+        let session = self.pool.session(i)?;
+        match session.call(request).and_then(|p| p.wait()) {
+            Err(ClientError::Io(_)) => {
+                self.pool.discard(i, &session);
+                self.pool.session(i)?.call(request).and_then(|p| p.wait())
+            }
+            outcome => outcome,
+        }
     }
 
     /// Route, forward with single-retry failover, and deliver the reply.
@@ -392,11 +339,10 @@ impl GateState {
                     format!("key {} failing over to backend {b}", job.key),
                 );
             }
-            match self.attempt(b, &job.frame, &job.request) {
-                Ok(reply) if reply.kind == FrameKind::Busy => {
+            match self.attempt(b, &job.request) {
+                Ok(Reply::Busy) => {
                     self.note_backend_up(b); // it answered; busy is healthy
                     last_busy = true;
-                    continue;
                 }
                 Ok(reply) => {
                     self.note_backend_up(b);
@@ -414,16 +360,15 @@ impl GateState {
             }
         }
         let reply = match outcome {
-            Some(frame) => frame,
-            None if last_busy => Reply::Busy.to_frame(),
+            Some(reply) => reply,
+            None if last_busy => Reply::Busy,
             None => {
                 // Both candidates exhausted.
                 self.stats.failed.inc();
                 Reply::Error(format!("no backend could serve key {}: {last_err}", job.key))
-                    .to_frame()
             }
         };
-        job.target.respond(reply);
+        job.session.send_final(job.request_id, &reply);
     }
 
     /// The aggregated `STATUS`: the gateway's own block, a fleet rollup
@@ -476,13 +421,8 @@ impl GateState {
     }
 }
 
-fn exchange(conn: &mut TcpStream, frame: &Frame) -> Result<Frame, ClientError> {
-    write_frame(&mut *conn, frame).map_err(ClientError::Io)?;
-    Ok(read_frame(&mut *conn)?)
-}
-
 /// The shard key of a routable request. `STATUS`/`SHUTDOWN` have none
-/// (the acceptor answers them itself), and neither do the session-control
+/// (the session answers them itself), and neither do the session-control
 /// and stream-continuation kinds (they never enter the forwarding queue).
 pub(crate) fn route_key(request: &Request) -> Option<String> {
     match request {
@@ -507,7 +447,6 @@ pub(crate) fn route_key(request: &Request) -> Option<String> {
 /// not stop it; call [`Gateway::shutdown`] then [`Gateway::join`].
 pub struct Gateway {
     state: Arc<GateState>,
-    shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     tcp_addr: SocketAddr,
 }
@@ -549,18 +488,14 @@ impl Gateway {
         let state = Arc::new(GateState {
             ring: HashRing::new(n, cfg.vnodes),
             health: Health::new(n, 0x6761_7465), // "gate"
-            pool: SessionPool::new(
-                cfg.backends.clone(),
-                cfg.pool_capacity,
-                cfg.connect_timeout,
-                cfg.backend_timeout,
-            ),
+            pool: SessionPool::new(cfg.backends.clone(), cfg.connect_timeout, cfg.backend_timeout),
             stats: GateStats::new(n),
             started: Instant::now(),
             queue: BoundedQueue::new(cfg.queue_depth),
             probe_clients,
+            shutdown: AtomicBool::new(false),
+            io_timeout: cfg.io_timeout,
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
 
         let listener = TcpListener::bind(&cfg.listen)?;
@@ -568,18 +503,23 @@ impl Gateway {
         let tcp_addr = listener.local_addr()?;
 
         {
+            // The acceptor only accepts: each connection gets a session
+            // thread of its own, so a silent client holds nobody up.
             let state = state.clone();
-            let shutdown = shutdown.clone();
-            let io_timeout = cfg.io_timeout;
             threads.push(std::thread::Builder::new().name("act-gate-accept".into()).spawn(
                 move || {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((conn, _)) => handle_connection(conn, &state, &shutdown, io_timeout),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL)
-                            }
-                            Err(_) => std::thread::sleep(POLL),
+                    while !state.shutdown.load(Ordering::SeqCst) {
+                        let Ok((conn, _)) = listener.accept() else {
+                            // Idle listener, or a transient accept error.
+                            std::thread::sleep(POLL);
+                            continue;
+                        };
+                        let state = state.clone();
+                        let spawned = std::thread::Builder::new()
+                            .name("act-gate-session".into())
+                            .spawn(move || run_gate_session(Conn::Tcp(conn), &state));
+                        if spawned.is_err() {
+                            events().emit(Level::Warn, "gate.session", "failed to spawn session");
                         }
                     }
                 },
@@ -597,7 +537,6 @@ impl Gateway {
         }
         {
             let state = state.clone();
-            let shutdown = shutdown.clone();
             let interval = cfg.probe_interval;
             threads.push(std::thread::Builder::new().name("act-gate-probe".into()).spawn(
                 move || {
@@ -606,15 +545,15 @@ impl Gateway {
                     for i in 0..n {
                         state.probe(i); // initial sweep warms pools + marks
                     }
-                    while !shutdown.load(Ordering::SeqCst) {
-                        for i in 0..n {
+                    while !state.shutdown.load(Ordering::SeqCst) {
+                        for (i, last) in last.iter_mut().enumerate() {
                             let due = if state.health.is_up(i) {
-                                last[i].elapsed() >= interval
+                                last.elapsed() >= interval
                             } else {
                                 state.health.probe_due(i)
                             };
                             if due {
-                                last[i] = Instant::now();
+                                *last = Instant::now();
                                 state.probe(i);
                             }
                         }
@@ -632,7 +571,7 @@ impl Gateway {
                 n, cfg.vnodes, cfg.workers, cfg.queue_depth
             ),
         );
-        Ok(Gateway { state, shutdown, threads, tcp_addr })
+        Ok(Gateway { state, threads, tcp_addr })
     }
 
     /// The bound listen address (with the real port when `:0` was asked).
@@ -664,125 +603,18 @@ impl Gateway {
     /// forwards. Idempotent; also triggered by a `SHUTDOWN` frame. The
     /// backends are *not* shut down — they outlive their gateway.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue.close();
+        self.state.begin_shutdown();
     }
 
     /// Whether a drain has started.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.state.shutdown.load(Ordering::SeqCst)
     }
 
     /// Wait for the drain to finish (every queued request answered).
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
-        }
-    }
-}
-
-/// Read one client frame and answer inline, enqueue, reject, or — for a
-/// v4 `HELLO` — promote the connection to a multiplexed session on its
-/// own reader thread.
-fn handle_connection(
-    mut conn: TcpStream,
-    state: &Arc<GateState>,
-    shutdown: &Arc<AtomicBool>,
-    io_timeout: Duration,
-) {
-    let _ = conn.set_read_timeout(Some(io_timeout));
-    let _ = conn.set_write_timeout(Some(io_timeout));
-    let frame = match read_frame(&mut conn) {
-        Ok(f) => f,
-        Err(e) => {
-            state.stats.proto_errors.inc();
-            let reply = Reply::Error(format!("bad request: {e}"));
-            let _ = write_frame(&mut conn, &reply.to_frame().with_version(VERSION));
-            return;
-        }
-    };
-    let version = frame.version;
-    let request_id = frame.request_id;
-    let request = match Request::from_frame(&frame) {
-        Ok(r) => r,
-        Err(e) => {
-            state.stats.proto_errors.inc();
-            let reply = Reply::Error(format!("bad request: {e}"));
-            let _ = write_frame(
-                &mut conn,
-                &reply.to_frame().with_request(request_id).with_version(version),
-            );
-            return;
-        }
-    };
-    let answer = |mut conn: TcpStream, reply: &Reply| {
-        let _ = write_frame(
-            &mut conn,
-            &reply.to_frame().with_request(request_id).with_version(version),
-        );
-    };
-    match request {
-        // A v4 connection that opens with HELLO becomes a session; the
-        // reader thread owns the connection from here.
-        Request::Hello { window } if version >= SESSION_VERSION => {
-            let state = state.clone();
-            let shutdown = shutdown.clone();
-            let spawned =
-                std::thread::Builder::new().name("act-gate-session".into()).spawn(move || {
-                    run_gate_session(conn, request_id, window, state, shutdown, io_timeout)
-                });
-            if spawned.is_err() {
-                events().emit(Level::Warn, "gate.session", "failed to spawn session thread");
-            }
-        }
-        Request::Hello { .. } => {
-            answer(conn, &Reply::Error("HELLO requires protocol v4".into()));
-        }
-        // The stream kinds only exist inside a session.
-        Request::TracePutStart { .. } | Request::DiagnoseStart(_) => {
-            answer(
-                conn,
-                &Reply::Error("streaming uploads require a v4 session (send HELLO first)".into()),
-            );
-        }
-        Request::StreamChunk(_) | Request::StreamEnd { .. } => {
-            state.stats.proto_errors.inc();
-            answer(conn, &Reply::Error("stream frame outside an open stream".into()));
-        }
-        Request::Status => {
-            let (text, snap) = state.aggregated_status();
-            let reply = if version >= 2 {
-                Reply::StatusMetrics(text, snap)
-            } else {
-                Reply::StatusText(text)
-            };
-            answer(conn, &reply);
-        }
-        Request::Shutdown => {
-            answer(conn, &Reply::Bye);
-            events().emit(Level::Info, "gate.shutdown", "shutdown requested; draining");
-            shutdown.store(true, Ordering::SeqCst);
-            state.queue.close();
-        }
-        req @ (Request::Train(_)
-        | Request::Diagnose(..)
-        | Request::TracePut { .. }
-        | Request::TraceGet { .. }) => {
-            let key = route_key(&req).expect("routable requests carry a shard key");
-            let job = GateJob {
-                target: GateTarget::OneShot { conn, version, request_id },
-                frame,
-                request: req,
-                key,
-                accepted: Instant::now(),
-            };
-            match state.queue.try_push(job) {
-                Ok(()) => state.stats.routed.inc(),
-                Err(job) => {
-                    state.stats.rejected_busy.inc();
-                    job.target.respond(Reply::Busy.to_frame());
-                }
-            }
         }
     }
 }

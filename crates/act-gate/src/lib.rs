@@ -1,28 +1,26 @@
 //! act-gate: a sharded diagnosis gateway in front of an act-serve fleet.
 //!
 //! One gateway process speaks the act-serve wire protocol on its client
-//! side — including multiplexed protocol-v4 sessions and chunked stream
-//! ingest — and fans requests out to N backends:
+//! side — sessions of any window and chunked stream ingest — and fans
+//! requests out to N backends:
 //!
 //! - [`ring`] — consistent-hash sharding over [`act_fleet::ModelKey`]
 //!   canonical strings, with virtual nodes, so repeat TRAIN/DIAGNOSE for a
 //!   workload × topology × seed hit the backend whose model cache is warm.
 //! - [`health`] — per-backend up/down marks with jittered exponential
 //!   backoff between probes of a dead backend.
-//! - [`pool`] — warm multiplexed v4 sessions per backend, shared by every
-//!   forwarding worker, with a sticky one-shot fallback for backends that
-//!   do not speak v4 sessions.
+//! - [`pool`] — one warm multiplexed session per backend, shared by every
+//!   forwarding worker.
 //! - [`gateway`] — the daemon: acceptor + bounded queue + forwarding
 //!   workers, transparent single-retry failover to the next ring owner,
-//!   version-negotiated passthrough, and an aggregated fleet `STATUS`.
-//!   Pipelined requests from one client session are demultiplexed and
-//!   routed per-request, so each fails over independently; chunked
-//!   uploads relay over a dedicated backend connection.
+//!   and an aggregated fleet `STATUS`. Pipelined requests from one client
+//!   session are demultiplexed and routed per-request, so each fails over
+//!   independently; chunked uploads relay over a dedicated backend
+//!   connection.
 //!
-//! Clients need no changes: `act train --remote`, `act diagnose --remote`,
-//! and act-fleet campaigns point at the gateway address exactly as they
-//! would at a single act-serve daemon — one-shot v1–v3 frames and v4
-//! sessions alike.
+//! Clients need no changes: `act request`, `act-client` and act-fleet
+//! campaigns point at the gateway address exactly as they would at a
+//! single act-serve daemon.
 
 pub mod gateway;
 pub mod health;
@@ -32,5 +30,5 @@ mod session;
 
 pub use gateway::{GateConfig, GateStats, Gateway};
 pub use health::Health;
-pub use pool::{BackendLink, SessionPool};
+pub use pool::SessionPool;
 pub use ring::{hash_key, HashRing};

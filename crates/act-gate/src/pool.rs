@@ -1,93 +1,38 @@
-//! Per-backend pools of warm, multiplexed protocol-v4 sessions.
+//! One warm, multiplexed session per backend, shared by every forwarding
+//! worker.
 //!
-//! Protocol v4 made the backend link long-lived: one `HELLO`-negotiated
-//! session carries many pipelined requests, so the pool finally earns its
-//! name — `pool_capacity` is the number of persistent sessions kept per
-//! backend (default 1), each shared by every forwarding worker at once.
-//! This also retires the old `pool_capacity: 0` workaround: a pre-v4
-//! "warm" connection was a *silent* pre-opened socket that stalled the
-//! backend's inline first-frame read, but a v4 session says `HELLO` the
-//! moment it connects, so the backend parks it on a session reader and
-//! the accept loop moves on.
-//!
-//! Mixed fleets keep working: a backend that answers the `HELLO` with
-//! anything but `HELLO_ACK` (an old act-serve, a stub) is remembered as
-//! one-shot — [`SessionPool::link`] then tells the forwarder to fall back
-//! to the classic connect-send-receive exchange, frames relayed verbatim.
-//! The memory resets when the backend bounces, so an upgraded backend is
-//! re-offered a session on its next probe.
+//! A session carries many pipelined requests at once, so one per backend
+//! is plenty: every worker calls into it concurrently. A session that dies
+//! is dropped, and the next forward (or the next health probe) opens a
+//! replacement.
 
-use act_client::session::{OpenError, Session};
-use act_serve::{ClientConfig, ClientError, Endpoint};
+use act_client::session::Session;
+use act_serve::{ClientConfig, ClientError, Conn, Endpoint, SESSION_WINDOW};
 use std::io;
-use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// In-flight window asked of each backend session (the backend may grant
-/// less). Big enough that every forwarding worker can wait on one session
-/// concurrently.
-const BACKEND_SESSION_DEPTH: u32 = 32;
-
-/// How a forwarder should talk to a backend right now.
-pub enum BackendLink {
-    /// A live multiplexed v4 session (shared; call + wait concurrently).
-    Session(Arc<Session>),
-    /// The backend does not speak v4 sessions: use a one-shot exchange.
-    OneShot,
-}
-
-/// What the pool has learned about a backend's protocol support.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Not yet probed with a `HELLO`.
-    Unknown,
-    /// Speaks v4: keep warm sessions.
-    Sessions,
-    /// Answered the `HELLO` with a non-ack: one-shot until it bounces.
-    OneShot,
-}
-
-struct BackendSlot {
-    sessions: Vec<Arc<Session>>,
-    /// Round-robin cursor over `sessions`.
-    next: usize,
-    mode: Mode,
-}
-
-/// Warm v4 sessions (with one-shot fallback) for a fixed backend set.
+/// Warm sessions for a fixed backend set.
 pub struct SessionPool {
     backends: Vec<String>,
-    slots: Vec<Mutex<BackendSlot>>,
-    capacity: usize,
+    slots: Vec<Mutex<Option<Arc<Session>>>>,
     cfg: ClientConfig,
 }
 
 impl SessionPool {
-    /// A pool keeping up to `capacity` sessions per backend. Capacity 0
-    /// disables session mode entirely (every link is one-shot).
+    /// An empty pool over `backends`; sessions open on first use.
     pub fn new(
         backends: Vec<String>,
-        capacity: usize,
         connect_timeout: Duration,
         io_timeout: Duration,
     ) -> SessionPool {
-        let slots = backends
-            .iter()
-            .map(|_| {
-                Mutex::new(BackendSlot {
-                    sessions: Vec::new(),
-                    next: 0,
-                    mode: if capacity == 0 { Mode::OneShot } else { Mode::Unknown },
-                })
-            })
-            .collect();
+        let slots = backends.iter().map(|_| Mutex::new(None)).collect();
         let cfg = ClientConfig {
             connect_timeout: Some(connect_timeout),
             io_timeout: Some(io_timeout),
             retry: None,
         };
-        SessionPool { backends, slots, capacity, cfg }
+        SessionPool { backends, slots, cfg }
     }
 
     /// The backend addresses, in index order.
@@ -95,112 +40,58 @@ impl SessionPool {
         &self.backends
     }
 
-    /// A link to backend `i`: a pooled session (opening one if below
-    /// capacity), or the one-shot marker for backends that lack v4.
+    /// The live session to backend `i`, opening one if there is none.
     ///
     /// # Errors
     ///
-    /// Transport failures opening a needed session (these count against
-    /// the backend's health; a non-v4 answer does not — it's a healthy
-    /// backend speaking an older protocol).
-    pub fn link(&self, i: usize) -> Result<BackendLink, ClientError> {
+    /// Transport failures opening the session (these count against the
+    /// backend's health).
+    pub fn session(&self, i: usize) -> Result<Arc<Session>, ClientError> {
         let mut slot = self.slots[i].lock().expect("pool lock");
-        if slot.mode == Mode::OneShot {
-            return Ok(BackendLink::OneShot);
-        }
-        slot.sessions.retain(|s| !s.is_dead());
-        if slot.sessions.len() < self.capacity {
-            let endpoint = Endpoint::Tcp(self.backends[i].clone());
-            match Session::open(&endpoint, &self.cfg, BACKEND_SESSION_DEPTH) {
-                Ok(session) => {
-                    slot.mode = Mode::Sessions;
-                    slot.sessions.push(session);
-                }
-                Err(OpenError::Unsupported(_)) => {
-                    slot.mode = Mode::OneShot;
-                    slot.sessions.clear();
-                    return Ok(BackendLink::OneShot);
-                }
-                Err(OpenError::Transport(e)) => {
-                    if slot.sessions.is_empty() {
-                        return Err(e);
-                    }
-                    // A surviving warm session beats failing the request.
-                }
+        match slot.as_ref() {
+            Some(s) if !s.is_dead() => Ok(s.clone()),
+            _ => {
+                let endpoint = Endpoint::Tcp(self.backends[i].clone());
+                let fresh = Session::open(&endpoint, &self.cfg, SESSION_WINDOW)?;
+                *slot = Some(fresh.clone());
+                Ok(fresh)
             }
         }
-        let n = slot.sessions.len();
-        slot.next = (slot.next + 1) % n.max(1);
-        Ok(BackendLink::Session(slot.sessions[slot.next % n].clone()))
     }
 
-    /// Drop `stale` from backend `i`'s pool (its exchange just failed) so
-    /// the next [`SessionPool::link`] opens a replacement.
+    /// Forget `stale` (its exchange just failed) so the next
+    /// [`SessionPool::session`] for backend `i` opens a replacement.
     pub fn discard(&self, i: usize, stale: &Arc<Session>) {
         let mut slot = self.slots[i].lock().expect("pool lock");
-        slot.sessions.retain(|s| !Arc::ptr_eq(s, stale));
+        if slot.as_ref().is_some_and(|s| Arc::ptr_eq(s, stale)) {
+            *slot = None;
+        }
     }
 
-    /// Open a fresh raw connection to backend `i` with the pool's
-    /// timeouts — for one-shot fallback exchanges and for the dedicated
-    /// per-stream connections chunked uploads ride on.
+    /// Open a fresh connection to backend `i` with the pool's timeouts —
+    /// what each relayed chunked upload rides on.
     ///
     /// # Errors
     ///
     /// Connect failure or socket-option failure.
-    pub fn connect(&self, i: usize) -> io::Result<TcpStream> {
-        let stream = act_serve::connect_tcp(&self.backends[i], self.cfg.connect_timeout)?;
-        stream.set_read_timeout(self.cfg.io_timeout)?;
-        stream.set_write_timeout(self.cfg.io_timeout)?;
-        Ok(stream)
+    pub fn connect(&self, i: usize) -> io::Result<Conn> {
+        Conn::connect(&Endpoint::Tcp(self.backends[i].clone()), &self.cfg)
     }
 
-    /// Top backend `i` up to `capacity` live sessions (probe path).
-    /// Returns how many sessions were opened; stops quietly at the first
-    /// failure (the health layer decides what a failure means).
-    pub fn refill(&self, i: usize) -> usize {
-        let mut opened = 0;
-        loop {
-            let mut slot = self.slots[i].lock().expect("pool lock");
-            if slot.mode == Mode::OneShot {
-                return opened;
-            }
-            slot.sessions.retain(|s| !s.is_dead());
-            if slot.sessions.len() >= self.capacity {
-                return opened;
-            }
-            let endpoint = Endpoint::Tcp(self.backends[i].clone());
-            match Session::open(&endpoint, &self.cfg, BACKEND_SESSION_DEPTH) {
-                Ok(session) => {
-                    slot.mode = Mode::Sessions;
-                    slot.sessions.push(session);
-                    opened += 1;
-                }
-                Err(OpenError::Unsupported(_)) => {
-                    slot.mode = Mode::OneShot;
-                    slot.sessions.clear();
-                    return opened;
-                }
-                Err(OpenError::Transport(_)) => return opened,
-            }
-        }
+    /// Warm backend `i` with a live session if it has none (the probe
+    /// path). A failure is left for the health layer to judge.
+    pub fn refill(&self, i: usize) {
+        let _ = self.session(i);
     }
 
-    /// Drop every session to backend `i` and forget its protocol mode (it
-    /// was marked down; whatever comes back up may speak differently).
+    /// Drop backend `i`'s session (it was marked down).
     pub fn clear(&self, i: usize) {
-        let mut slot = self.slots[i].lock().expect("pool lock");
-        slot.sessions.clear();
-        if self.capacity > 0 {
-            slot.mode = Mode::Unknown;
-        }
+        *self.slots[i].lock().expect("pool lock") = None;
     }
 
-    /// Live sessions currently pooled for backend `i`.
-    pub fn idle_len(&self, i: usize) -> usize {
-        let mut slot = self.slots[i].lock().expect("pool lock");
-        slot.sessions.retain(|s| !s.is_dead());
-        slot.sessions.len()
+    /// Whether backend `i` has a live session pooled.
+    pub fn is_warm(&self, i: usize) -> bool {
+        self.slots[i].lock().expect("pool lock").as_ref().is_some_and(|s| !s.is_dead())
     }
 }
 
@@ -209,20 +100,9 @@ mod tests {
     use super::*;
     use act_serve::server::{ServeConfig, Server};
 
-    fn backend() -> Server {
-        let cfg = ServeConfig {
-            tcp_addr: Some("127.0.0.1:0".to_string()),
-            workers: 1,
-            queue_depth: 4,
-            ..ServeConfig::default()
-        };
-        Server::start(cfg).expect("backend boots")
-    }
-
-    fn pool_for(addr: &str, capacity: usize) -> SessionPool {
+    fn pool_for(addr: &str) -> SessionPool {
         SessionPool::new(
             vec![addr.to_string()],
-            capacity,
             Duration::from_millis(500),
             Duration::from_millis(500),
         )
@@ -230,59 +110,26 @@ mod tests {
 
     #[test]
     fn refill_fills_to_capacity_and_clear_empties() {
-        let server = backend();
-        let addr = server.tcp_addr().unwrap().to_string();
-        let pool = pool_for(&addr, 2);
-        assert_eq!(pool.refill(0), 2);
-        assert_eq!(pool.idle_len(0), 2);
-        assert_eq!(pool.refill(0), 0, "already full");
-        assert!(matches!(pool.link(0), Ok(BackendLink::Session(_))));
+        let cfg = ServeConfig { workers: 1, queue_depth: 4, ..ServeConfig::default() };
+        let server = Server::start(cfg).expect("backend boots");
+        let pool = pool_for(&server.tcp_addr().unwrap().to_string());
+        pool.refill(0);
+        assert!(pool.is_warm(0));
+        let warm = pool.session(0).expect("pooled session");
+        pool.refill(0);
+        assert!(Arc::ptr_eq(&warm, &pool.session(0).unwrap()), "a warm backend keeps its session");
         pool.clear(0);
-        assert_eq!(pool.idle_len(0), 0);
+        assert!(!pool.is_warm(0));
         server.shutdown();
         server.join();
     }
 
     #[test]
     fn refill_against_a_dead_backend_opens_nothing() {
-        let pool = pool_for("127.0.0.1:1", 2);
-        assert_eq!(pool.refill(0), 0);
-        assert!(pool.link(0).is_err());
+        let pool = pool_for("127.0.0.1:1");
+        pool.refill(0);
+        assert!(!pool.is_warm(0));
+        assert!(pool.session(0).is_err());
         assert!(pool.connect(0).is_err());
-    }
-
-    #[test]
-    fn a_non_v4_backend_is_remembered_as_one_shot() {
-        use act_serve::proto::{read_frame, write_frame};
-        use act_serve::Reply;
-        // A stub that answers any frame with BUSY — decodable, not an ack.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(mut conn) = conn else { break };
-                if read_frame(&mut conn).is_ok() {
-                    let _ = write_frame(&mut conn, &Reply::Busy.to_frame());
-                }
-            }
-        });
-        let pool = pool_for(&addr, 2);
-        assert!(matches!(pool.link(0), Ok(BackendLink::OneShot)));
-        assert_eq!(pool.refill(0), 0, "one-shot backends pool nothing");
-        assert!(matches!(pool.link(0), Ok(BackendLink::OneShot)), "the mode sticks");
-        // A down-mark resets the memory so an upgraded backend gets re-probed.
-        pool.clear(0);
-        assert!(matches!(pool.link(0), Ok(BackendLink::OneShot)), "stub still answers non-ack");
-    }
-
-    #[test]
-    fn capacity_zero_forces_one_shot_mode() {
-        let server = backend();
-        let addr = server.tcp_addr().unwrap().to_string();
-        let pool = pool_for(&addr, 0);
-        assert!(matches!(pool.link(0), Ok(BackendLink::OneShot)), "0 = sessions disabled");
-        assert_eq!(pool.refill(0), 0);
-        server.shutdown();
-        server.join();
     }
 }

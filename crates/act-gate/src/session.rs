@@ -1,166 +1,105 @@
-//! Client-facing protocol-v4 sessions: the gateway end of multiplexed
-//! pipelining, plus the chunked-stream relay.
+//! Client sessions: the gateway end of a connection, plus the
+//! chunked-stream relay.
 //!
-//! A client that opens with `HELLO` gets its own session reader thread
-//! here, mirroring act-serve's: the reader demultiplexes frames, claims a
+//! Every client connection gets its own session reader thread here,
+//! mirroring act-serve's: the first frame decides the window (see
+//! [`act_serve::conn`]), and the reader demultiplexes frames, claims a
 //! window slot per routable request, and enqueues each one as an ordinary
-//! forwarding job — so requests from one session fail over *independently*
-//! (each picks its own backend by shard key) and replies go back out of
-//! order, tagged with the client's request ids.
+//! forwarding job — so requests from one session fail over
+//! *independently* (each picks its own backend by shard key) and replies
+//! go back out of order, tagged with the client's request ids.
 //!
 //! Chunked uploads cannot ride the shared backend sessions (a backend
 //! allows one inbound stream per session), so each `TRACE_PUT_START` /
-//! `DIAGNOSE_START` opens a dedicated backend connection, handshakes a
-//! width-1 session on it, and relays chunk frames as they arrive. Failover
-//! happens only before the opener is forwarded; once chunks have flowed,
-//! a backend failure is an error — half a stream must never be replayed.
-//! After `STREAM_END` a one-off thread waits for the backend's verdict so
-//! a slow ingest cannot stall the session's other pipelined requests.
+//! `DIAGNOSE_START` opens a dedicated backend connection whose first frame
+//! is the opener — a window-1 backend session — and relays chunk frames as
+//! they arrive. Failover happens only before the opener is forwarded; once
+//! chunks have flowed, a backend failure is an error — half a stream must
+//! never be replayed. After `STREAM_END` a one-off thread waits for the
+//! backend's verdict so a slow ingest cannot stall the session's other
+//! pipelined requests.
 
-use crate::gateway::{route_key, GateJob, GateState, GateTarget};
+use crate::gateway::{route_key, GateJob, GateState};
 use act_obs::{events, Level};
-use act_serve::proto::{read_frame, write_frame, Frame, VERSION};
+use act_serve::conn::{next_frame, Conn, Window};
+use act_serve::proto::{read_frame, write_frame, Frame, FrameKind};
 use act_serve::{Reply, Request};
-use std::io::{self, Read};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Cap on the in-flight window granted to one client session.
-pub(crate) const GATE_SESSION_WINDOW: u32 = 32;
+use std::time::Instant;
 
 /// The request id stream frames travel under on their dedicated backend
-/// connection (a width-1 session, so any fixed nonzero id works).
+/// connection (a window-1 session, so any fixed id works).
 const BACKEND_STREAM_ID: u32 = 1;
-
-/// How long the session reader waits for a frame's first byte before
-/// re-checking shutdown.
-const SESSION_POLL: Duration = Duration::from_millis(25);
 
 /// The half of a client session shared between its reader thread and the
 /// forwarding workers answering its requests: the write side of the
-/// socket plus the in-flight account. Frames go out whole under the
-/// writer lock, so replies from concurrent workers never interleave.
+/// socket plus the in-flight window. Frames go out whole under the writer
+/// lock, so replies from concurrent workers never interleave.
 pub(crate) struct GateSessionShared {
-    writer: Mutex<TcpStream>,
-    window: u32,
-    in_flight: AtomicU32,
+    writer: Mutex<Conn>,
+    window: Window,
 }
 
 impl GateSessionShared {
     /// Write one reply, tagged with the request id it answers.
     pub(crate) fn send(&self, request_id: u32, reply: &Reply) {
-        self.send_frame(request_id, reply.to_frame());
-    }
-
-    /// Write a reply frame (possibly relayed verbatim from a backend),
-    /// restamped with the client's request id at the session version.
-    pub(crate) fn send_frame(&self, request_id: u32, frame: Frame) {
-        let frame = frame.with_request(request_id).with_version(VERSION);
+        let frame = reply.to_frame().with_request(request_id);
         let mut w = self.writer.lock().expect("gate session writer lock");
         // A vanished client is noticed by the session reader; move on.
         let _ = write_frame(&mut *w, &frame);
     }
 
-    /// Claim one in-flight slot; `false` means the window is exhausted
-    /// and the request must be answered `BUSY`. Only the session reader
-    /// calls this, so load-then-add cannot race another claimer.
-    fn begin_request(&self) -> bool {
-        if self.in_flight.load(Ordering::SeqCst) >= self.window {
-            return false;
-        }
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        true
-    }
-
-    /// Release a claimed slot without replying (client disconnected).
-    pub(crate) fn finish_request(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Send the final reply for a claimed request. The slot is released
-    /// *before* the write — the reply is the client's signal that the
-    /// slot is free, so a pipelined client firing its next request the
-    /// moment a reply lands must never race a late decrement into `BUSY`.
+    /// Send the final reply for a claimed request, releasing its slot
+    /// first (see [`Window::release`]).
     pub(crate) fn send_final(&self, request_id: u32, reply: &Reply) {
-        self.finish_request();
+        self.window.release();
         self.send(request_id, reply);
-    }
-
-    /// [`GateSessionShared::send_final`] for an already-encoded frame.
-    pub(crate) fn send_final_frame(&self, request_id: u32, frame: Frame) {
-        self.finish_request();
-        self.send_frame(request_id, frame);
     }
 }
 
 /// One in-progress chunked upload being relayed to a backend over its own
-/// dedicated width-1 session.
+/// dedicated window-1 session.
 struct StreamRelay {
-    backend: TcpStream,
+    backend: Conn,
     backend_index: usize,
     client_request_id: u32,
 }
 
-/// Drive one client session: ack the `HELLO`, then demultiplex frames
-/// until the client closes, the gateway drains, or the stream desyncs.
-pub(crate) fn run_gate_session(
-    mut conn: TcpStream,
-    hello_id: u32,
-    asked: u32,
-    state: Arc<GateState>,
-    shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
-) {
-    let writer = match conn.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            let reply = Reply::Error(format!("session setup failed: {e}"));
-            let _ = write_frame(
-                &mut conn,
-                &reply.to_frame().with_request(hello_id).with_version(VERSION),
-            );
-            return;
-        }
-    };
-    let granted =
-        if asked == 0 { GATE_SESSION_WINDOW } else { asked.min(GATE_SESSION_WINDOW) }.max(1);
+/// Drive one client connection from its first frame until the client
+/// closes, the gateway drains, or the byte stream breaks.
+pub(crate) fn run_gate_session(mut conn: Conn, state: &Arc<GateState>) {
+    let _ = conn.set_write_timeout(Some(state.io_timeout));
+    let Ok(writer) = conn.try_clone() else { return };
+    let Some(first) = next_frame(&mut conn, state.io_timeout, &state.shutdown) else { return };
+    let hello = first.as_ref().ok().and_then(|f| Some((f.request_id, Window::asked_by(f)?)));
     let shared = Arc::new(GateSessionShared {
         writer: Mutex::new(writer),
-        window: granted,
-        in_flight: AtomicU32::new(0),
+        window: Window::new(hello.map_or(1, |(_, window)| window)),
     });
-    shared.send(hello_id, &Reply::HelloAck { window: granted });
+    // Counted before the ack goes out, so a client holding the ack never
+    // reads a count that misses its own session.
     state.stats.sessions_open.add(1);
+    let mut pending = match hello {
+        Some((hello_id, window)) => {
+            shared.send(hello_id, &Reply::HelloAck { window });
+            None
+        }
+        None => Some(first),
+    };
     let mut relay: Option<StreamRelay> = None;
 
-    'session: while !shutdown.load(Ordering::SeqCst) {
-        // Wait for the next frame's first byte with a short timeout (an
-        // all-or-nothing 1-byte read), so idle sessions notice shutdown
-        // without ever stranding a partial header.
-        let _ = conn.set_read_timeout(Some(SESSION_POLL));
-        let mut first = [0u8; 1];
-        match conn.read(&mut first) {
-            Ok(0) => break 'session, // client closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue 'session;
-            }
-            Err(_) => break 'session,
-        }
-        // A frame has started: the rest must arrive within io_timeout.
-        let _ = conn.set_read_timeout(Some(io_timeout));
-        let frame = match read_frame((&first[..]).chain(&mut conn)) {
-            Ok(f) => f,
+    while let Some(next) =
+        pending.take().or_else(|| next_frame(&mut conn, state.io_timeout, &state.shutdown))
+    {
+        let frame = match next {
+            Ok(frame) => frame,
             Err(e) => {
-                // The stream position is unknown; the session cannot
-                // continue. Best-effort error, then close.
+                // The stream position is unknown (or the peer speaks
+                // another version): answer once, then close.
                 state.stats.proto_errors.inc();
                 shared.send(0, &Reply::Error(format!("bad frame: {e}")));
-                break 'session;
+                conn.shutdown();
+                break;
             }
         };
         let request_id = frame.request_id;
@@ -170,7 +109,7 @@ pub(crate) fn run_gate_session(
                 // Framing is intact — only this request is malformed.
                 state.stats.proto_errors.inc();
                 shared.send(request_id, &Reply::Error(format!("bad request: {e}")));
-                continue 'session;
+                continue;
             }
         };
         match request {
@@ -182,24 +121,22 @@ pub(crate) fn run_gate_session(
                 shared.send(request_id, &Reply::StatusMetrics(text, snap));
             }
             Request::Shutdown => {
-                shared.send(request_id, &Reply::Bye);
+                // Draining before the BYE goes out, so a client holding the
+                // BYE never finds the gateway still accepting.
                 events().emit(Level::Info, "gate.shutdown", "shutdown requested; draining");
-                shutdown.store(true, Ordering::SeqCst);
-                state.queue.close();
-                break 'session;
+                state.begin_shutdown();
+                shared.send(request_id, &Reply::Bye);
+                break;
             }
             Request::TracePutStart { .. } | Request::DiagnoseStart(_) => {
-                if relay.is_some() {
-                    // One inbound stream per session, same as act-serve.
+                if relay.is_some() || !shared.window.claim() {
+                    // One inbound stream per session, same as act-serve,
+                    // and it needs a slot.
                     shared.send(request_id, &Reply::Busy);
-                    continue 'session;
-                }
-                if !shared.begin_request() {
-                    shared.send(request_id, &Reply::Busy);
-                    continue 'session;
+                    continue;
                 }
                 let key = route_key(&request).expect("stream openers carry a shard key");
-                match open_relay(&state, &frame, &key) {
+                match open_relay(state, &frame, &key) {
                     Ok(r) => relay = Some(r),
                     Err(msg) => {
                         state.stats.failed.inc();
@@ -210,14 +147,14 @@ pub(crate) fn run_gate_session(
             Request::StreamChunk(_) | Request::StreamEnd { .. } => {
                 let Some(active) = relay.as_mut() else {
                     state.stats.proto_errors.inc();
-                    shared.send(
-                        request_id,
-                        &Reply::Error("stream frame outside an open stream".into()),
-                    );
-                    continue 'session;
+                    let reply = Reply::Error("stream frame outside an open stream".into());
+                    shared.send(request_id, &reply);
+                    continue;
                 };
-                let fwd = frame.clone().with_request(BACKEND_STREAM_ID).with_version(VERSION);
-                if let Err(e) = write_frame(&mut active.backend, &fwd) {
+                let is_chunk = frame.kind == FrameKind::StreamChunk;
+                if let Err(e) =
+                    write_frame(&mut active.backend, &frame.with_request(BACKEND_STREAM_ID))
+                {
                     // Chunks have flowed: no failover, no replay.
                     let dead = relay.take().expect("relay checked above");
                     state.note_backend_down(dead.backend_index, &e.to_string());
@@ -226,11 +163,11 @@ pub(crate) fn run_gate_session(
                         dead.client_request_id,
                         &Reply::Error(format!("backend lost mid-stream: {e}")),
                     );
-                    continue 'session;
+                    continue;
                 }
-                if matches!(request, Request::StreamChunk(_)) {
+                if is_chunk {
                     state.stats.stream_chunks_relayed.inc();
-                    continue 'session;
+                    continue;
                 }
                 // STREAM_END went through: the backend's one reply settles
                 // the stream. A one-off thread waits for it so a slow
@@ -239,7 +176,7 @@ pub(crate) fn run_gate_session(
                 let spawned = std::thread::Builder::new().name("act-gate-stream".into()).spawn({
                     let shared = shared.clone();
                     let state = state.clone();
-                    move || finish_relay(done, shared, state)
+                    move || finish_relay(done, &shared, &state)
                 });
                 if spawned.is_err() {
                     events().emit(Level::Warn, "gate.stream", "failed to spawn stream finisher");
@@ -249,14 +186,14 @@ pub(crate) fn run_gate_session(
             | Request::Diagnose(..)
             | Request::TracePut { .. }
             | Request::TraceGet { .. }) => {
-                if !shared.begin_request() {
+                if !shared.window.claim() {
                     shared.send(request_id, &Reply::Busy);
-                    continue 'session;
+                    continue;
                 }
                 let key = route_key(&req).expect("routable requests carry a shard key");
                 let job = GateJob {
-                    target: GateTarget::Session { shared: shared.clone(), request_id },
-                    frame,
+                    session: shared.clone(),
+                    request_id,
                     request: req,
                     key,
                     accepted: Instant::now(),
@@ -265,7 +202,7 @@ pub(crate) fn run_gate_session(
                     Ok(()) => state.stats.routed.inc(),
                     Err(job) => {
                         state.stats.rejected_busy.inc();
-                        job.target.respond(Reply::Busy.to_frame());
+                        job.session.send_final(job.request_id, &Reply::Busy);
                     }
                 }
             }
@@ -275,15 +212,15 @@ pub(crate) fn run_gate_session(
         // Client vanished mid-stream. Dropping the backend connection
         // makes the backend abort its half-written stream; the window
         // slot just needs handing back.
-        shared.finish_request();
+        shared.window.release();
     }
     state.stats.sessions_open.add(-1);
 }
 
 /// Pick a backend for a new stream (ring order, one failover hop — but
-/// only here, before any chunk has flowed), handshake a dedicated width-1
-/// session, and forward the opener frame.
-fn open_relay(state: &GateState, frame: &Frame, key: &str) -> Result<StreamRelay, String> {
+/// only here, before any chunk has flowed), connect, and forward the
+/// opener as the first frame of a window-1 backend session.
+fn open_relay(state: &GateState, opener: &Frame, key: &str) -> Result<StreamRelay, String> {
     let order = state.ring.route(key);
     let mut candidates: Vec<usize> =
         order.iter().copied().filter(|&b| state.health.is_up(b)).collect();
@@ -292,29 +229,20 @@ fn open_relay(state: &GateState, frame: &Frame, key: &str) -> Result<StreamRelay
     }
     candidates.truncate(2);
 
+    let fwd = opener.clone().with_request(BACKEND_STREAM_ID);
     let mut last_err = String::from("no backends configured");
     for &b in &candidates {
-        let mut backend = match stream_handshake(state, b) {
-            Ok(conn) => conn,
-            Err(HandshakeFailure::Transport(why)) => {
-                state.note_backend_down(b, &why);
-                last_err = why;
-                continue;
-            }
-            Err(HandshakeFailure::NoSessions) => {
-                // Alive, just old: it can never take a stream.
-                last_err = format!("backend {b} does not speak v4 streaming");
-                continue;
-            }
-        };
-        let fwd = frame.clone().with_request(BACKEND_STREAM_ID).with_version(VERSION);
-        match write_frame(&mut backend, &fwd) {
-            Ok(()) => {
+        let sent = state.pool.connect(b).and_then(|mut backend| {
+            write_frame(&mut backend, &fwd)?;
+            Ok(backend)
+        });
+        match sent {
+            Ok(backend) => {
                 state.note_backend_up(b);
                 return Ok(StreamRelay {
                     backend,
                     backend_index: b,
-                    client_request_id: frame.request_id,
+                    client_request_id: opener.request_id,
                 });
             }
             Err(e) => {
@@ -326,36 +254,16 @@ fn open_relay(state: &GateState, frame: &Frame, key: &str) -> Result<StreamRelay
     Err(format!("no backend could accept a stream for key {key}: {last_err}"))
 }
 
-enum HandshakeFailure {
-    Transport(String),
-    NoSessions,
-}
-
-/// Connect to backend `b` and negotiate the width-1 session a stream
-/// relay rides on.
-fn stream_handshake(state: &GateState, b: usize) -> Result<TcpStream, HandshakeFailure> {
-    let transport = |e: &dyn std::fmt::Display| HandshakeFailure::Transport(e.to_string());
-    let mut conn = state.pool.connect(b).map_err(|e| transport(&e))?;
-    let hello = Request::Hello { window: 1 }.to_frame().with_request(0);
-    write_frame(&mut conn, &hello).map_err(|e| transport(&e))?;
-    let ack = read_frame(&mut conn).map_err(|e| transport(&e))?;
-    match Reply::from_frame(&ack) {
-        Ok(Reply::HelloAck { .. }) => Ok(conn),
-        Ok(_) => Err(HandshakeFailure::NoSessions),
-        Err(e) => Err(transport(&e)),
-    }
-}
-
 /// Wait for the backend's verdict on a sealed stream and forward it to
 /// the client under its original request id.
-fn finish_relay(mut done: StreamRelay, shared: Arc<GateSessionShared>, state: Arc<GateState>) {
-    match read_frame(&mut done.backend) {
+fn finish_relay(mut done: StreamRelay, shared: &GateSessionShared, state: &GateState) {
+    match read_frame(&mut done.backend).and_then(|f| Reply::from_frame(&f)) {
         Ok(reply) => {
             state.note_backend_up(done.backend_index);
             state.stats.forwarded_by[done.backend_index].inc();
             state.stats.relayed.inc();
             state.stats.streams_relayed.inc();
-            shared.send_final_frame(done.client_request_id, reply);
+            shared.send_final(done.client_request_id, &reply);
         }
         Err(e) => {
             state.note_backend_down(done.backend_index, &e.to_string());

@@ -4,19 +4,22 @@
 //!
 //! Covers the gateway acceptance criteria:
 //! - killing a key's owning backend mid-fleet fails the request over to
-//!   the next ring owner with zero client-visible errors — one-shot and
-//!   with four pipelined requests in flight on one v4 session;
+//!   the next ring owner with zero client-visible errors — one request per
+//!   connection and with four pipelined requests in flight on one session;
 //! - a backend answering `BUSY` gets the same failover treatment;
-//! - frames pass through byte-identically at every supported protocol
-//!   version (proptest over v1–v4 and payload shapes);
-//! - `STATUS` aggregates every backend's metrics under one reply.
+//! - request payloads and reply payloads pass through byte-identically,
+//!   under the client's request id (proptest over payload shapes);
+//! - `STATUS` aggregates every backend's metrics under one reply;
+//! - a client that connects and stays silent holds up nobody else;
+//! - a frame of any protocol version but 4 gets one `ERROR`, then EOF.
 
-use act_client::Client;
+use act_client::{Client, MetricsSnapshot};
 use act_gate::{GateConfig, Gateway};
-use act_serve::proto::{read_frame, write_frame, Frame, FrameKind, VERSION};
+use act_serve::proto::{read_frame, write_frame, Frame, FrameKind};
 use act_serve::{ModelSpec, Reply, Request};
 use act_serve::{ServeConfig, Server};
 use proptest::prelude::*;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -47,7 +50,7 @@ fn boot_gateway(backends: Vec<String>) -> Gateway {
     Gateway::start(cfg).expect("gateway boots")
 }
 
-/// A one-shot act-client pointed at the gateway.
+/// A depth-1 act-client pointed at the gateway.
 fn gate_client(gate: &Gateway) -> Client {
     Client::builder()
         .addr(gate.tcp_addr().to_string())
@@ -141,20 +144,30 @@ fn killing_the_owner_fails_over_to_the_ring_neighbor() {
     }
 }
 
-/// A stub backend that answers every routable frame with `BUSY` (and
-/// `STATUS` probes with a plausible status, so health checks pass).
-fn spawn_busy_stub() -> String {
+/// A stub backend that speaks sessions: `HELLO` gets an ack, `STATUS` a
+/// plausible status (so health checks pass), and every other frame
+/// whatever `answer` makes of it, under the frame's request id.
+fn spawn_stub(answer: fn(Frame) -> Reply) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut conn) = conn else { break };
-            let Ok(frame) = read_frame(&mut conn) else { continue };
-            let reply = match frame.kind {
-                FrameKind::Status => Reply::StatusText("stub status\n".into()).to_frame(),
-                _ => Reply::Busy.to_frame(),
-            };
-            let _ = write_frame(&mut conn, &reply.with_version(frame.version));
+            std::thread::spawn(move || {
+                while let Ok(frame) = read_frame(&mut conn) {
+                    let id = frame.request_id;
+                    let reply = match frame.kind {
+                        FrameKind::Hello => Reply::HelloAck { window: 32 },
+                        FrameKind::Status => {
+                            Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
+                        }
+                        _ => answer(frame),
+                    };
+                    if write_frame(&mut conn, &reply.to_frame().with_request(id)).is_err() {
+                        break;
+                    }
+                }
+            });
         }
     });
     addr
@@ -163,7 +176,7 @@ fn spawn_busy_stub() -> String {
 #[test]
 fn busy_owner_fails_over_to_the_next_backend() {
     let real = boot_backend();
-    let stub_addr = spawn_busy_stub();
+    let stub_addr = spawn_stub(|_| Reply::Busy);
     // Backend 0 is the always-busy stub, backend 1 the real server.
     let gate = boot_gateway(vec![stub_addr, addr_of(&real)]);
     let client = gate_client(&gate);
@@ -179,33 +192,6 @@ fn busy_owner_fails_over_to_the_next_backend() {
     real.join();
 }
 
-/// A stub backend that echoes each routable frame's payload back under a
-/// `Trained` frame at the same version — the passthrough oracle: whatever
-/// bytes enter the gateway must exit it unchanged.
-fn spawn_echo_stub() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(mut conn) = conn else { break };
-            let Ok(frame) = read_frame(&mut conn) else { continue };
-            let reply = match frame.kind {
-                FrameKind::Status => {
-                    Reply::StatusText("stub status\n".into()).to_frame().with_version(frame.version)
-                }
-                _ => Frame {
-                    version: frame.version,
-                    kind: FrameKind::Trained,
-                    request_id: frame.request_id,
-                    payload: frame.payload,
-                },
-            };
-            let _ = write_frame(&mut conn, &reply);
-        }
-    });
-    addr
-}
-
 /// One raw framed exchange with the gateway, no client-library smarts.
 fn raw_exchange(addr: &str, frame: &Frame) -> Frame {
     let mut conn = TcpStream::connect(addr).expect("connect to gateway");
@@ -216,27 +202,28 @@ fn raw_exchange(addr: &str, frame: &Frame) -> Frame {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any well-formed request at any supported version passes through the
-    /// gateway byte-identically: same payload back, same version stamp.
+    /// Any well-formed request passes through the gateway byte-identically:
+    /// an echo backend hands its payload straight back, and the client
+    /// sees it unchanged, under its own request id.
     #[test]
-    fn frames_pass_through_byte_identical_at_every_version(
-        version in 1u8..VERSION + 1,
+    fn frames_pass_through_byte_identical(
+        request_id in any::<u32>(),
         workload_ix in 0usize..4,
         seed in 0u64..1000,
         traces in 1u32..32,
     ) {
-        let echo = spawn_echo_stub();
+        let echo = spawn_stub(|frame| Reply::TraceData(frame.payload));
         let gate = boot_gateway(vec![echo]);
         let addr = gate.tcp_addr().to_string();
 
         let workload = ["seq", "prodcons", "pipeline", "mutex"][workload_ix];
         let mut spec = tiny_spec(workload, seed);
         spec.traces = traces;
-        let sent = Request::Train(spec).to_frame().with_version(version);
+        let sent = Request::Train(spec).to_frame().with_request(request_id);
         let got = raw_exchange(&addr, &sent);
 
-        prop_assert_eq!(got.kind, FrameKind::Trained);
-        prop_assert_eq!(got.version, version);
+        prop_assert_eq!(got.kind, FrameKind::TraceData);
+        prop_assert_eq!(got.request_id, request_id);
         prop_assert_eq!(&got.payload, &sent.payload);
 
         gate.shutdown();
@@ -245,20 +232,55 @@ proptest! {
 }
 
 #[test]
-fn v1_client_sees_v1_replies_from_a_v3_fleet() {
+fn frames_of_other_versions_get_one_error_then_eof() {
     let backend = boot_backend();
     let gate = boot_gateway(vec![addr_of(&backend)]);
     let addr = gate.tcp_addr().to_string();
 
-    let sent = Request::Train(tiny_spec("seq", 0)).to_frame().with_version(1);
-    let got = raw_exchange(&addr, &sent);
-    assert_eq!(got.kind, FrameKind::Trained);
-    assert_eq!(got.version, 1, "negotiated version is min(client, backend)");
+    for version in [1u8, 2, 3, 5] {
+        // Versions 1-3 had no request id, so their header is 10 bytes;
+        // a later version is assumed to keep v4's 14-byte header.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::Status.to_frame().with_request(7)).expect("encode");
+        wire[4] = version;
+        if version < 4 {
+            wire.truncate(10);
+        }
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        stream.write_all(&wire).expect("send");
+        match Reply::from_frame(&read_frame(&mut stream).expect("one reply frame")) {
+            Ok(Reply::Error(msg)) => {
+                assert!(msg.contains(&format!("protocol version {version}")), "v{version}: {msg}")
+            }
+            other => panic!("v{version} frame must get ERROR, got {other:?}"),
+        }
+        let mut rest = [0u8; 1];
+        assert_eq!(stream.read(&mut rest).expect("clean close"), 0, "v{version}: EOF after ERROR");
+    }
 
-    // STATUS at v1 must downgrade to the plain-text reply.
-    let got = raw_exchange(&addr, &Request::Status.to_frame().with_version(1));
-    assert_eq!(got.kind, FrameKind::StatusText);
-    assert_eq!(got.version, 1);
+    gate.shutdown();
+    gate.join();
+    backend.shutdown();
+    backend.join();
+}
+
+#[test]
+fn a_silent_client_does_not_stall_other_clients() {
+    let backend = boot_backend();
+    let gate = boot_gateway(vec![addr_of(&backend)]);
+    // Connects and never sends a byte, for longer than the client below
+    // is willing to wait. The listener accepts in arrival order, so this
+    // connection is ahead of the client's.
+    let silent = TcpStream::connect(gate.tcp_addr()).expect("connect");
+    let client = Client::builder()
+        .addr(gate.tcp_addr().to_string())
+        .timeouts(Duration::from_secs(2), Duration::from_secs(2))
+        .build()
+        .expect("client builds");
+    let status = client.status().expect("STATUS behind a silent client must succeed");
+    assert!(status.text.contains("act-gate status"), "odd status:\n{}", status.text);
+    drop(silent);
 
     gate.shutdown();
     gate.join();
@@ -279,7 +301,7 @@ fn status_aggregates_the_whole_fleet() {
     }
 
     let status = client.status().expect("status");
-    let (text, snap) = (status.text, status.metrics.expect("v2+ metrics from the gateway"));
+    let (text, snap) = (status.text, status.metrics.expect("metrics from the gateway"));
     for needle in [
         "act-gate status",
         "backends 2",
@@ -407,7 +429,7 @@ fn pipelined_session_fails_over_with_four_requests_in_flight() {
         .pipeline_depth(8)
         .build()
         .expect("client builds");
-    let session = client.pipeline().expect("v4 session to the gateway");
+    let session = client.pipeline().expect("session to the gateway");
     assert_eq!(gate.stats().sessions_open(), 1, "the HELLO must have opened a gateway session");
 
     // Fire all four before waiting on any: four requests genuinely in

@@ -19,7 +19,7 @@
 //! - **Snapshot** (cold): [`Registry::snapshot`] reads every cell into a
 //!   [`MetricsSnapshot`] — a plain-data value that serializes to a compact
 //!   little-endian byte form ([`MetricsSnapshot::to_bytes`]) carried by the
-//!   STATUS v2 protocol frame, and renders as a text table
+//!   act-serve STATUS reply, and renders as a text table
 //!   ([`MetricsSnapshot::render_table`]). Subsystems that keep plain-field
 //!   stats structs (act-sim `Stats`, act-core `ModuleStats`) export by
 //!   *building* a snapshot rather than by holding live handles, so one

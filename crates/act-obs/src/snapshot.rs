@@ -1,5 +1,5 @@
 //! Plain-data snapshots of metrics, with a compact little-endian wire
-//! form (carried by the act-serve STATUS v2 frame) and a text-table
+//! form (carried by the act-serve STATUS reply) and a text-table
 //! renderer (what `act request status` prints).
 //!
 //! A snapshot is just `Vec<(name, value)>` — subsystems with live

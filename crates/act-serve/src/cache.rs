@@ -511,7 +511,7 @@ mod tests {
     use super::*;
 
     fn dep(s: u32, l: u32) -> RawDep {
-        RawDep { store_pc: s, load_pc: l, inter_thread: s % 2 == 0 }
+        RawDep { store_pc: s, load_pc: l, inter_thread: s.is_multiple_of(2) }
     }
 
     #[test]

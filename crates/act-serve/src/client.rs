@@ -1,28 +1,16 @@
-//! Minimal blocking client for the act-serve protocol: connect, send one
-//! request frame, read one reply frame, done.
-//!
-//! The free functions here ([`request`], [`request_timeout`],
-//! [`request_with`]) are **deprecated shims**: application code should use
-//! the `act-client` crate's `Client` façade, which layers typed methods,
-//! pipelined protocol-v4 sessions, and streaming ingest over the same
-//! transport types. The types themselves — [`Endpoint`], [`ClientConfig`],
-//! [`RetryPolicy`], [`ClientError`], [`connect_tcp`] — remain the shared
-//! vocabulary `act-client` builds on and are not deprecated.
-//!
-//! Every exchange runs under a [`ClientConfig`]: a connect timeout, a
-//! socket read/write timeout, and an opt-in single retry with jittered
-//! backoff (seeded through `act-rng`, so retry sleeps are deterministic
-//! per caller). The bare [`request`] helper uses [`ClientConfig::default`]
-//! — bounded connect and generous-but-finite I/O — instead of the
-//! hang-forever sockets it used to open.
+//! The client-side transport vocabulary: where a daemon listens
+//! ([`Endpoint`]), how an exchange connects, waits and retries
+//! ([`ClientConfig`], [`RetryPolicy`]), what can go wrong
+//! ([`ClientError`]), and a TCP connect with a timeout ([`connect_tcp`]).
+//! The `act-client` crate's `Client` builds on these; retry sleeps are
+//! seeded through `act-rng`, so they are deterministic per caller.
 
-use crate::proto::{read_frame, write_frame, ProtoError, Reply, Request};
+use crate::proto::ProtoError;
 use act_rng::rngs::StdRng;
 use act_rng::{Rng, SeedableRng};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -97,9 +85,7 @@ impl RetryPolicy {
         RetryPolicy { backoff, seed }
     }
 
-    /// The jittered sleep before retry `attempt` (0-based). Public so
-    /// `act-client` applies the same deterministic jitter to its own
-    /// one-shot retries without going through the deprecated shims.
+    /// The jittered sleep before retry `attempt` (0-based).
     pub fn sleep_for(&self, attempt: u64) -> Duration {
         let base = self.backoff.as_millis().max(1) as u64;
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(attempt));
@@ -139,59 +125,6 @@ impl ClientConfig {
     }
 }
 
-/// Send `request` and wait for the reply under the default bounded
-/// timeouts (no retry).
-#[deprecated(
-    since = "0.1.0",
-    note = "use act_client::Client instead; this shim will be removed in 0.3"
-)]
-pub fn request(endpoint: &Endpoint, request: &Request) -> Result<Reply, ClientError> {
-    #[allow(deprecated)]
-    request_with(endpoint, request, &ClientConfig::default())
-}
-
-/// Send `request` with `timeout` as both the connect and the read/write
-/// bound (no retry).
-#[deprecated(
-    since = "0.1.0",
-    note = "use act_client::Client instead; this shim will be removed in 0.3"
-)]
-pub fn request_timeout(
-    endpoint: &Endpoint,
-    request: &Request,
-    timeout: Duration,
-) -> Result<Reply, ClientError> {
-    let cfg =
-        ClientConfig { connect_timeout: Some(timeout), io_timeout: Some(timeout), retry: None };
-    #[allow(deprecated)]
-    request_with(endpoint, request, &cfg)
-}
-
-/// Send `request` under an explicit [`ClientConfig`]. With a retry policy,
-/// a transport failure or `BUSY` reply is retried exactly once after a
-/// jittered backoff; the second outcome is returned as-is.
-#[deprecated(
-    since = "0.1.0",
-    note = "use act_client::Client (builder-configured, pipelined, streaming) instead; \
-            this shim will be removed in 0.3"
-)]
-pub fn request_with(
-    endpoint: &Endpoint,
-    request: &Request,
-    cfg: &ClientConfig,
-) -> Result<Reply, ClientError> {
-    match exchange(endpoint, request, cfg) {
-        outcome @ (Err(ClientError::Io(_)) | Ok(Reply::Busy)) => match &cfg.retry {
-            Some(policy) => {
-                std::thread::sleep(policy.sleep_for(0));
-                exchange(endpoint, request, cfg)
-            }
-            None => outcome,
-        },
-        outcome => outcome,
-    }
-}
-
 /// Open a TCP connection with a connect timeout, trying each resolved
 /// address. Exposed for callers that pool raw connections (`act-gate`).
 pub fn connect_tcp(addr: &str, timeout: Option<Duration>) -> io::Result<TcpStream> {
@@ -207,38 +140,9 @@ pub fn connect_tcp(addr: &str, timeout: Option<Duration>) -> io::Result<TcpStrea
         .unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no addresses resolved")))
 }
 
-fn exchange(
-    endpoint: &Endpoint,
-    request: &Request,
-    cfg: &ClientConfig,
-) -> Result<Reply, ClientError> {
-    match endpoint {
-        Endpoint::Tcp(addr) => {
-            let stream = connect_tcp(addr, cfg.connect_timeout)?;
-            stream.set_read_timeout(cfg.io_timeout)?;
-            stream.set_write_timeout(cfg.io_timeout)?;
-            roundtrip(stream, request)
-        }
-        Endpoint::Unix(path) => {
-            let stream = UnixStream::connect(path)?;
-            stream.set_read_timeout(cfg.io_timeout)?;
-            stream.set_write_timeout(cfg.io_timeout)?;
-            roundtrip(stream, request)
-        }
-    }
-}
-
-fn roundtrip<S: Read + Write>(mut stream: S, request: &Request) -> Result<Reply, ClientError> {
-    write_frame(&mut stream, &request.to_frame())?;
-    let frame = read_frame(&mut stream)?;
-    Ok(Reply::from_frame(&frame)?)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims' own behavior (timeouts, retry) is still under test
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     #[test]
     fn endpoints_display_with_scheme() {
@@ -252,7 +156,8 @@ mod tests {
     #[test]
     fn connect_to_dead_endpoint_is_io_error() {
         // Port 1 on loopback is essentially never listening.
-        let err = request(&Endpoint::Tcp("127.0.0.1:1".into()), &Request::Status)
+        let err = connect_tcp("127.0.0.1:1", Some(Duration::from_millis(200)))
+            .map_err(ClientError::from)
             .expect_err("connect must fail");
         assert!(matches!(err, ClientError::Io(_)), "got: {err}");
     }
@@ -267,20 +172,5 @@ mod tests {
             let s = policy.sleep_for(attempt).as_millis() as u64;
             assert!((50..150).contains(&s), "sleep {s}ms escaped [base/2, base*3/2)");
         }
-    }
-
-    #[test]
-    fn retry_attempts_a_dead_endpoint_twice() {
-        let cfg = ClientConfig {
-            connect_timeout: Some(Duration::from_millis(200)),
-            io_timeout: Some(Duration::from_millis(200)),
-            retry: Some(RetryPolicy::new(Duration::from_millis(40), 1)),
-        };
-        let start = Instant::now();
-        let err = request_with(&Endpoint::Tcp("127.0.0.1:1".into()), &Request::Status, &cfg)
-            .expect_err("both attempts must fail");
-        assert!(matches!(err, ClientError::Io(_)), "got: {err}");
-        // The backoff sleep (>= 20ms) proves the second attempt happened.
-        assert!(start.elapsed() >= Duration::from_millis(20), "no backoff observed");
     }
 }

@@ -10,45 +10,46 @@
 //! Architecture (all std, no external dependencies):
 //!
 //! ```text
-//!  clients ── TCP / Unix socket ──► acceptor threads
-//!                  │                    │  STATUS / SHUTDOWN answered inline
-//!                  │ HELLO (v4)         ▼
-//!                  ▼            BoundedQueue<Job>  ── full ──► BUSY reply
-//!          session reader ────────────►│  (pipelined requests, streamed
-//!          (windowed, chunked)         │   chunks decoded on the session)
-//!                                      ▼
+//!  clients ── TCP / Unix socket ──► acceptor threads (accept only)
+//!                                          │ one thread per connection
+//!                                          ▼
+//!        session reader: first frame HELLO → asked window, else window 1;
+//!        STATUS / SHUTDOWN answered here; streamed chunks decoded here
+//!                                          │
+//!                                          ▼
+//!                    BoundedQueue<Job>  ── full ──► BUSY reply
+//!                                          │
+//!                                          ▼
 //!                            worker pool (catch_unwind)
-//!                                      │
-//!                                      ▼
+//!                                          │
+//!                                          ▼
 //!                     ModelCache: memory ─► disk ─► train
-//!                                      │
-//!                                      ▼
+//!                                          │
+//!                                          ▼
 //!                    diagnose_trace ─► ranked suspect list reply
 //! ```
 //!
-//! - [`proto`] — the length-prefixed binary frame protocol, including the
-//!   v4 multiplexed-session and chunked-stream frames (see `PROTOCOL.md`
-//!   for the wire spec).
+//! - [`proto`] — the length-prefixed binary frame protocol (v4 only; see
+//!   `PROTOCOL.md` for the wire spec).
+//! - [`conn`] — what both daemons' session loops share: the Tcp/Unix
+//!   [`Conn`], the polled frame read, and the in-flight [`Window`].
 //! - [`server`] — listeners, acceptors, session readers, backpressure,
 //!   graceful drain.
 //! - [`pool`] — crash-isolated request workers.
 //! - [`cache`] — the LRU model cache keyed by (workload, topology, seed),
 //!   persisted through `act-core`'s weight store.
 //! - [`client`] — the transport vocabulary ([`Endpoint`], [`ClientConfig`],
-//!   ...) plus deprecated one-shot request shims; application code should
-//!   use the `act-client` crate's typed `Client` façade instead.
+//!   ...) that the `act-client` crate's typed `Client` builds on.
 
 pub mod cache;
 pub mod client;
+pub mod conn;
 pub(crate) mod pool;
 pub mod proto;
 pub mod server;
 
 pub use cache::{CacheOutcome, Model, ModelCache, ModelKey};
-#[allow(deprecated)] // the shims stay re-exported until every caller has moved to act-client
-pub use client::{
-    connect_tcp, request, request_timeout, request_with, ClientConfig, ClientError, Endpoint,
-    RetryPolicy,
-};
+pub use client::{connect_tcp, ClientConfig, ClientError, Endpoint, RetryPolicy};
+pub use conn::{Conn, Window, SESSION_WINDOW};
 pub use proto::{Frame, FrameKind, ModelSpec, ProtoError, Reply, Request};
 pub use server::{ServeConfig, Server, ServerStats};

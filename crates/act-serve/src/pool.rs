@@ -8,11 +8,11 @@
 //!
 //! Workers do not dispatch one diagnose request at a time. A worker that
 //! pops a batchable diagnose job becomes the *leader* of a micro-batch: it
-//! drains every queued job targeting the same [`ModelKey`] (and briefly
-//! waits — the gather window — for stragglers) up to the configured batch
-//! size, then runs the whole batch through
+//! drains every queued job targeting the same [`ModelKey`] up to the
+//! configured batch size — without waiting for more to arrive, so batches
+//! form from queue backlog alone — then runs the whole batch through
 //! [`act_core::diagnosis::diagnose_trace_batch`] and answers every member.
-//! Replies bound for the same v4 session go out as one buffered write.
+//! Replies bound for the same session go out as one buffered write.
 //! The win on a loaded daemon is amortization: one worker wakeup, one
 //! model-cache lookup, one classify sweep, and one reply syscall per
 //! *batch* instead of per request — while the batched kernel is
@@ -22,7 +22,7 @@
 
 use crate::cache::{CacheOutcome, ModelCache, ModelKey};
 use crate::proto::{ModelSpec, Reply, Request};
-use crate::server::{send_reply, stored_summary, Conn, ServerStats, SessionShared};
+use crate::server::{stored_summary, ServerStats, SessionShared};
 use act_core::diagnosis::{diagnose_trace, diagnose_trace_batch};
 use act_core::postprocess::Diagnosis;
 use act_fleet::{panic_message, BoundedQueue};
@@ -34,50 +34,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How workers coalesce diagnose requests into micro-batches.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BatchPolicy {
-    /// Most requests per micro-batch; `1` disables coalescing.
-    pub size: usize,
-    /// How long a leader waits for same-model companions before
-    /// dispatching what it has.
-    pub wait: Duration,
-}
-
-/// Where a finished request's reply goes: a one-shot connection (the
-/// v1–v3 model — and plain v4 requests outside a session) or a slot on a
-/// multiplexed v4 session.
-pub(crate) enum Responder {
-    /// Reply, then drop the connection (one request per connection).
-    OneShot {
-        /// The connection the reply is written to.
-        conn: Conn,
-        /// Protocol version the request arrived with; the reply is
-        /// stamped with it so old clients can decode what they get back.
-        version: u8,
-        /// Echoed on v4 one-shot replies; 0 below v4.
-        request_id: u32,
-    },
-    /// Reply onto a session's shared writer and release its window slot.
-    Session {
-        /// The session the request arrived on.
-        shared: Arc<SessionShared>,
-        /// Which in-flight request this answers.
-        request_id: u32,
-    },
+/// Where a finished request's reply goes: a slot on the session the
+/// request arrived on.
+pub(crate) struct Responder {
+    /// The session the request arrived on.
+    pub session: Arc<SessionShared>,
+    /// Which in-flight request this answers.
+    pub request_id: u32,
 }
 
 impl Responder {
-    /// Deliver `reply` wherever this request came from.
+    /// Write `reply` onto the session and release the request's slot.
     pub(crate) fn respond(self, reply: &Reply, stats: &ServerStats) {
-        match self {
-            Responder::OneShot { mut conn, version, request_id } => {
-                send_reply(&mut conn, version, request_id, reply, stats);
-            }
-            Responder::Session { shared, request_id } => {
-                shared.send_final(request_id, reply, stats);
-            }
-        }
+        self.session.send_final(self.request_id, reply, stats);
     }
 }
 
@@ -95,9 +64,9 @@ pub(crate) struct Job {
     /// Where the reply goes.
     pub responder: Responder,
     /// The work itself (only diagnosable/trainable/corpus requests are
-    /// queued; `STATUS` and `SHUTDOWN` are answered inline).
+    /// queued; the session answers `STATUS` and `SHUTDOWN` itself).
     pub work: Work,
-    /// When the acceptor enqueued it — the deadline clock starts here, so
+    /// When the session enqueued it — the deadline clock starts here, so
     /// time spent *queued* counts against the request.
     pub accepted: Instant,
 }
@@ -109,7 +78,7 @@ pub(crate) fn spawn_workers(
     cache: Arc<ModelCache>,
     stats: Arc<ServerStats>,
     deadline: Duration,
-    policy: BatchPolicy,
+    batch_size: usize,
 ) -> Vec<JoinHandle<()>> {
     (0..n.max(1))
         .map(|i| {
@@ -120,7 +89,7 @@ pub(crate) fn spawn_workers(
                 .name(format!("act-serve-worker-{i}"))
                 .spawn(move || {
                     while let Some(job) = queue.pop() {
-                        dispatch(job, &queue, &cache, &stats, deadline, policy);
+                        dispatch(job, &queue, &cache, &stats, deadline, batch_size);
                     }
                 })
                 .expect("spawn worker thread")
@@ -152,29 +121,17 @@ fn dispatch(
     cache: &ModelCache,
     stats: &ServerStats,
     deadline: Duration,
-    policy: BatchPolicy,
+    batch_size: usize,
 ) {
-    let key = if policy.size > 1 { batch_key(&job.work) } else { None };
+    let key = if batch_size > 1 { batch_key(&job.work) } else { None };
     let Some(key) = key else {
         process(job, cache, stats, deadline);
         return;
     };
     let mut batch = vec![job];
-    // The gather window is absolute: once it passes, `drain_matching`
-    // only returns companions that are *already* queued and never parks,
-    // so a lone request is dispatched at most `policy.wait` after its
-    // leader popped — a slow trickle of matches can fill the batch but
-    // cannot stall it.
-    let gather_until = Instant::now() + policy.wait;
-    while batch.len() < policy.size {
-        let want = policy.size - batch.len();
-        let more =
-            queue.drain_matching(want, gather_until, |j| batch_key(&j.work).as_ref() == Some(&key));
-        if more.is_empty() {
-            break;
-        }
-        batch.extend(more);
-    }
+    batch.extend(
+        queue.drain_matching(batch_size - 1, |j| batch_key(&j.work).as_ref() == Some(&key)),
+    );
     stats.note_batch(batch.len());
     process_batch(batch, cache, stats, deadline);
 }
@@ -339,22 +296,17 @@ fn process_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadl
     respond_batch(finished, stats);
 }
 
-/// Deliver a batch's replies: one-shot connections answer directly, and
-/// replies sharing a session are concatenated into a single buffered
-/// write via [`SessionShared::send_final_batch`].
+/// One session's share of a batch: its replies, by request id.
+type SessionReplies = (Arc<SessionShared>, Vec<(u32, Reply)>);
+
+/// Deliver a batch's replies: replies sharing a session are concatenated
+/// into a single buffered write via [`SessionShared::send_final_batch`].
 fn respond_batch(finished: Vec<(Responder, Reply)>, stats: &ServerStats) {
-    let mut sessions: Vec<(Arc<SessionShared>, Vec<(u32, Reply)>)> = Vec::new();
-    for (responder, reply) in finished {
-        match responder {
-            Responder::OneShot { mut conn, version, request_id } => {
-                send_reply(&mut conn, version, request_id, &reply, stats);
-            }
-            Responder::Session { shared, request_id } => {
-                match sessions.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &shared)) {
-                    Some((_, replies)) => replies.push((request_id, reply)),
-                    None => sessions.push((shared, vec![(request_id, reply)])),
-                }
-            }
+    let mut sessions: Vec<SessionReplies> = Vec::new();
+    for (Responder { session, request_id }, reply) in finished {
+        match sessions.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &session)) {
+            Some((_, replies)) => replies.push((request_id, reply)),
+            None => sessions.push((session, vec![(request_id, reply)])),
         }
     }
     for (shared, replies) in sessions {
@@ -444,12 +396,10 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
                 Err(e) => Reply::Error(format!("trace get failed: {e}")),
             }
         }
-        // STATUS and SHUTDOWN never reach the queue (acceptor fast path),
-        // and the session kinds are handled on the session reader.
-        Request::Status | Request::Shutdown => {
-            Reply::Error("status/shutdown are acceptor-handled".into())
-        }
-        Request::Hello { .. }
+        // The session answers these itself; they never reach the queue.
+        Request::Status
+        | Request::Shutdown
+        | Request::Hello { .. }
         | Request::TracePutStart { .. }
         | Request::DiagnoseStart(_)
         | Request::StreamChunk(_)

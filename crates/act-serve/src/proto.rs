@@ -5,49 +5,33 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "ACTS"
-//! 4       1     protocol version (1 through 4)
+//! 4       1     protocol version (always 4)
 //! 5       1     frame kind (see [`FrameKind`])
 //! 6       4     payload length, little-endian u32 (<= MAX_PAYLOAD)
-//! 10      4     request id, little-endian u32 (v4 frames ONLY)
-//! 10|14   n     payload
+//! 10      4     request id, little-endian u32
+//! 14      n     payload
 //! ```
 //!
-//! Version 2 adds exactly one reply kind, [`FrameKind::StatusMetrics`]:
-//! the `STATUS` text block plus a serialized
-//! [`MetricsSnapshot`](act_obs::MetricsSnapshot). The server answers in
-//! the version the request arrived with — a v1 `STATUS` still gets the
-//! plain [`FrameKind::StatusText`] reply — so old clients and old servers
-//! interoperate with new ones in both directions.
+//! The client chooses each request's id and the reply echoes it, so
+//! replies on one connection may arrive in any order. Every connection is
+//! a session (see [`crate::conn`]): a first frame of
+//! [`FrameKind::Hello`] asks for an in-flight window larger than one (the
+//! [`FrameKind::HelloAck`] grants it), and any other first frame opens a
+//! window-1 session with that frame as its first request. `BUSY` applies
+//! per request and means the request was never queued.
 //!
-//! Version 3 adds the corpus-store frames: [`FrameKind::TracePut`] ships a
-//! correct-run trace into the daemon's `--corpus` store (answered by
-//! [`FrameKind::Stored`]) and [`FrameKind::TraceGet`] reads one back
-//! (answered by [`FrameKind::TraceData`]). v1/v2 clients never send these
-//! kinds, and the daemon never volunteers them, so compatibility is again
-//! two-way; a daemon running without `--corpus` answers them with `ERROR`.
+//! Chunked uploads ride on sessions: [`FrameKind::TracePutStart`] /
+//! [`FrameKind::DiagnoseStart`] open one, [`FrameKind::StreamChunk`]
+//! frames (each <= [`MAX_CHUNK`]) carry the trace text incrementally, and
+//! [`FrameKind::StreamEnd`] seals it with a running CRC-32 and total
+//! length — so a trace larger than one frame's [`MAX_PAYLOAD`] can be
+//! ingested without ever being materialized whole.
 //!
-//! Version 4 adds multiplexed, pipelined sessions and streaming ingest.
-//! Every v4 frame carries a client-chosen `request_id` between the header
-//! and the payload; v1–v3 frames stay bit-for-bit identical to what they
-//! always were (no request id on the wire). A v4 connection that opens
-//! with [`FrameKind::Hello`] becomes a *session*: many requests may be in
-//! flight at once (bounded by the window the [`FrameKind::HelloAck`]
-//! grants), replies may arrive in any order and are matched by request id,
-//! and `BUSY` applies per request, not per connection. Streaming ingest
-//! rides on sessions: [`FrameKind::TracePutStart`] /
-//! [`FrameKind::DiagnoseStart`] open a chunked upload,
-//! [`FrameKind::StreamChunk`] frames (each <= [`MAX_CHUNK`]) carry the
-//! trace text incrementally, and [`FrameKind::StreamEnd`] seals it with a
-//! running CRC-32 and total length — so a trace larger than one frame's
-//! [`MAX_PAYLOAD`] can be ingested without ever being materialized whole.
-//!
-//! The v1–v3 connection model is one-shot: a client connects, writes one
-//! request frame, reads one reply frame, and the connection closes. A v4
-//! frame whose kind is not `HELLO` is served on the same one-shot path
-//! (with its request id echoed), so plain v4 clients need no session.
-//! `BUSY` semantics stay exact in both models: a rejected request was
-//! never queued. See `crates/act-serve/PROTOCOL.md` for the full
-//! specification.
+//! [`read_frame`] validates magic, version, kind and length from the first
+//! ten bytes, before it reads the request id or allocates the payload. A
+//! frame stamped with any version but [`VERSION`] is a
+//! [`ProtoError::BadVersion`]. See `crates/act-serve/PROTOCOL.md` for the
+//! full specification.
 //!
 //! Payload schemas are hand-rolled little-endian (the workspace is offline
 //! and std-only — no serde): length-prefixed strings and byte blobs plus
@@ -58,13 +42,9 @@ use std::io::{self, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ACTS";
-/// Newest protocol version this implementation speaks (v4 = multiplexed
-/// pipelined sessions + streaming ingest).
+/// The protocol version every frame carries (v4 = request ids, sessions
+/// and streaming ingest). Frames of any other version are rejected.
 pub const VERSION: u8 = 4;
-/// First version whose frames carry a request id after the header.
-pub const SESSION_VERSION: u8 = 4;
-/// Oldest protocol version still accepted.
-pub const MIN_VERSION: u8 = 1;
 /// Upper bound on payload length; longer declared lengths are rejected
 /// *before* any allocation, so a corrupt or hostile length prefix cannot
 /// balloon memory.
@@ -73,8 +53,11 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// [`MAX_PAYLOAD`] on purpose: chunks interleave with other requests'
 /// frames on a multiplexed session, so one chunk must never hog the pipe.
 pub const MAX_CHUNK: u32 = 4 << 20;
-/// Bytes of frame header before the payload (before the v4 request id).
-pub const HEADER_LEN: usize = 10;
+/// Bytes of frame header before the payload, request id included.
+pub const HEADER_LEN: usize = 14;
+/// The header prefix [`read_frame`] validates before it reads further:
+/// magic, version, kind and payload length.
+const PREFIX_LEN: usize = 10;
 
 /// What a frame carries. Requests are < 0x80, replies >= 0x80.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,44 +67,42 @@ pub enum FrameKind {
     Train = 0x01,
     /// Request: diagnose a shipped failing trace against a model.
     Diagnose = 0x02,
-    /// Request: the daemon's plain-text counters block.
+    /// Request: the daemon's counters block and metrics snapshot.
     Status = 0x03,
     /// Request: graceful drain and exit.
     Shutdown = 0x04,
-    /// Request (v3): store a correct-run trace in the daemon's corpus.
+    /// Request: store a correct-run trace in the daemon's corpus.
     TracePut = 0x05,
-    /// Request (v3): read a stored trace back from the corpus.
+    /// Request: read a stored trace back from the corpus.
     TraceGet = 0x06,
-    /// Request (v4): open a multiplexed session; payload is the desired
-    /// in-flight window (0 = server default).
+    /// Request: ask for an in-flight window; payload is the desired window
+    /// (0 = server default). Only meaningful as a connection's first frame.
     Hello = 0x07,
-    /// Request (v4): open a chunked corpus upload for `(key, workload)`.
+    /// Request: open a chunked corpus upload for `(key, workload)`.
     TracePutStart = 0x08,
-    /// Request (v4): open a chunked diagnose upload for a model spec.
+    /// Request: open a chunked diagnose upload for a model spec.
     DiagnoseStart = 0x09,
-    /// Request (v4): one chunk of an open upload (raw trace text bytes,
+    /// Request: one chunk of an open upload (raw trace text bytes,
     /// <= [`MAX_CHUNK`]); shares the opener's request id.
     StreamChunk = 0x0a,
-    /// Request (v4): seal an open upload with its CRC-32 and total length.
+    /// Request: seal an open upload with its CRC-32 and total length.
     StreamEnd = 0x0b,
     /// Reply to [`FrameKind::Train`]: training summary text.
     Trained = 0x81,
     /// Reply to [`FrameKind::Diagnose`]: the ranked suspect list, text.
     Diagnosis = 0x82,
-    /// Reply to [`FrameKind::Status`]: the counters block, text.
-    StatusText = 0x83,
     /// Reply to [`FrameKind::Shutdown`]: acknowledged, draining.
     Bye = 0x84,
-    /// Reply to [`FrameKind::Status`] (v2): the counters block *plus* a
+    /// Reply to [`FrameKind::Status`]: the counters block plus a
     /// serialized metrics snapshot.
     StatusMetrics = 0x85,
-    /// Reply to [`FrameKind::TracePut`] (v3): stored; text summary.
+    /// Reply to [`FrameKind::TracePut`]: stored; text summary.
     Stored = 0x86,
-    /// Reply to [`FrameKind::TraceGet`] (v3): the trace, `act-trace::io`
-    /// v1 text bytes.
+    /// Reply to [`FrameKind::TraceGet`]: the trace, `act-trace::io` v1
+    /// text bytes.
     TraceData = 0x87,
-    /// Reply to [`FrameKind::Hello`] (v4): session open; payload is the
-    /// granted in-flight window.
+    /// Reply to [`FrameKind::Hello`]: payload is the granted in-flight
+    /// window.
     HelloAck = 0x88,
     /// Reply: the job queue is full — retry later (backpressure; the
     /// request was *not* accepted).
@@ -131,71 +112,60 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
+    /// Every kind, in wire-byte order, with the `STATUS` counter that
+    /// counts its frames (`req_*` for requests, `reply_*` for replies).
+    pub(crate) const COUNTERS: [(FrameKind, &'static str); 20] = [
+        (FrameKind::Train, "req_train"),
+        (FrameKind::Diagnose, "req_diagnose"),
+        (FrameKind::Status, "req_status"),
+        (FrameKind::Shutdown, "req_shutdown"),
+        (FrameKind::TracePut, "req_trace_put"),
+        (FrameKind::TraceGet, "req_trace_get"),
+        (FrameKind::Hello, "req_hello"),
+        (FrameKind::TracePutStart, "req_trace_put_start"),
+        (FrameKind::DiagnoseStart, "req_diagnose_start"),
+        (FrameKind::StreamChunk, "req_stream_chunk"),
+        (FrameKind::StreamEnd, "req_stream_end"),
+        (FrameKind::Trained, "reply_trained"),
+        (FrameKind::Diagnosis, "reply_diagnosis"),
+        (FrameKind::Bye, "reply_bye"),
+        (FrameKind::StatusMetrics, "reply_status"),
+        (FrameKind::Stored, "reply_stored"),
+        (FrameKind::TraceData, "reply_trace_data"),
+        (FrameKind::HelloAck, "reply_hello_ack"),
+        (FrameKind::Busy, "reply_busy"),
+        (FrameKind::Error, "reply_error"),
+    ];
+
+    /// This kind's position in [`FrameKind::COUNTERS`].
+    pub(crate) fn index(self) -> usize {
+        FrameKind::COUNTERS.iter().position(|&(k, _)| k == self).expect("every kind is listed")
+    }
+
     fn from_u8(v: u8) -> Option<FrameKind> {
-        use FrameKind::*;
-        Some(match v {
-            0x01 => Train,
-            0x02 => Diagnose,
-            0x03 => Status,
-            0x04 => Shutdown,
-            0x05 => TracePut,
-            0x06 => TraceGet,
-            0x07 => Hello,
-            0x08 => TracePutStart,
-            0x09 => DiagnoseStart,
-            0x0a => StreamChunk,
-            0x0b => StreamEnd,
-            0x81 => Trained,
-            0x82 => Diagnosis,
-            0x83 => StatusText,
-            0x84 => Bye,
-            0x85 => StatusMetrics,
-            0x86 => Stored,
-            0x87 => TraceData,
-            0x88 => HelloAck,
-            0xe0 => Busy,
-            0xe1 => Error,
-            _ => return None,
-        })
+        FrameKind::COUNTERS.iter().map(|&(k, _)| k).find(|&k| k as u8 == v)
     }
 }
 
-/// One protocol frame: a version, a kind, a request id, and the raw
-/// payload.
+/// One protocol frame: a kind, a request id, and the raw payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Protocol version the frame was (or will be) stamped with. The
-    /// server echoes the request's version on its reply so v1 clients
-    /// never see a frame their `read_frame` rejects.
-    pub version: u8,
     /// What the payload means.
     pub kind: FrameKind,
-    /// Request id (v4). Present on the wire only when `version >= `
-    /// [`SESSION_VERSION`]; a reply carries the id of the request it
-    /// answers. Always 0 for v1–v3 frames.
+    /// Chosen by the client; a reply carries the id of the request it
+    /// answers.
     pub request_id: u32,
     /// Schema depends on `kind`; see the module docs and `PROTOCOL.md`.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// A frame stamped with the newest [`VERSION`] and request id 0.
+    /// A frame with request id 0.
     pub fn new(kind: FrameKind, payload: Vec<u8>) -> Frame {
-        Frame { version: VERSION, kind, request_id: 0, payload }
+        Frame { kind, request_id: 0, payload }
     }
 
-    /// The same frame restamped for a peer speaking `version`. Dropping
-    /// below [`SESSION_VERSION`] zeroes the request id (it has no wire
-    /// representation there).
-    pub fn with_version(mut self, version: u8) -> Frame {
-        self.version = version;
-        if version < SESSION_VERSION {
-            self.request_id = 0;
-        }
-        self
-    }
-
-    /// The same frame tagged with a session request id.
+    /// The same frame tagged with a request id.
     pub fn with_request(mut self, request_id: u32) -> Frame {
         self.request_id = request_id;
         self
@@ -229,7 +199,9 @@ impl std::fmt::Display for ProtoError {
         match self {
             ProtoError::Io(e) => write!(f, "i/o error: {e}"),
             ProtoError::BadMagic(m) => write!(f, "bad frame magic {m:?}"),
-            ProtoError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
+            ProtoError::BadVersion(v) => {
+                write!(f, "unsupported protocol version {v} (only v{VERSION} is spoken)")
+            }
             ProtoError::UnknownKind(k) => write!(f, "unknown frame kind {k:#04x}"),
             ProtoError::Oversized(n) => {
                 write!(f, "declared payload length {n} exceeds the {MAX_PAYLOAD}-byte cap")
@@ -261,7 +233,7 @@ impl From<io::Error> for ProtoError {
 /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a caller bug: requests
 /// are built by this crate and replies are bounded text).
 pub fn write_frame<W: Write>(mut w: W, frame: &Frame) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + 4 + frame.payload.len());
+    let mut buf = Vec::with_capacity(HEADER_LEN + frame.payload.len());
     encode_frame(&mut buf, frame);
     w.write_all(&buf)?;
     w.flush()
@@ -278,65 +250,51 @@ pub fn write_frame<W: Write>(mut w: W, frame: &Frame) -> io::Result<()> {
 pub fn encode_frame(buf: &mut Vec<u8>, frame: &Frame) {
     assert!(frame.payload.len() <= MAX_PAYLOAD as usize, "frame payload too large");
     buf.extend_from_slice(&MAGIC);
-    buf.push(frame.version);
+    buf.push(VERSION);
     buf.push(frame.kind as u8);
     buf.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    if frame.version >= SESSION_VERSION {
-        buf.extend_from_slice(&frame.request_id.to_le_bytes());
-    }
+    buf.extend_from_slice(&frame.request_id.to_le_bytes());
     buf.extend_from_slice(&frame.payload);
 }
 
 /// Read one frame from `r`, validating magic, version, kind, and length
-/// before allocating for the payload.
+/// before reading the request id or allocating for the payload.
 ///
 /// # Errors
 ///
 /// Returns [`ProtoError`] for I/O failures, bad headers, oversized declared
-/// lengths, and truncated payloads.
+/// lengths, and truncated frames.
 pub fn read_frame<R: Read>(mut r: R) -> Result<Frame, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtoError::Truncated { expected: HEADER_LEN }
-        } else {
-            ProtoError::Io(e)
-        }
-    })?;
+    read_all(&mut r, &mut header[..PREFIX_LEN])?;
     if header[0..4] != MAGIC {
         return Err(ProtoError::BadMagic([header[0], header[1], header[2], header[3]]));
     }
-    if !(MIN_VERSION..=VERSION).contains(&header[4]) {
+    if header[4] != VERSION {
         return Err(ProtoError::BadVersion(header[4]));
     }
-    let version = header[4];
     let kind = FrameKind::from_u8(header[5]).ok_or(ProtoError::UnknownKind(header[5]))?;
     let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
     if len > MAX_PAYLOAD {
         return Err(ProtoError::Oversized(len));
     }
-    let request_id = if version >= SESSION_VERSION {
-        let mut id = [0u8; 4];
-        r.read_exact(&mut id).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                ProtoError::Truncated { expected: 4 }
-            } else {
-                ProtoError::Io(e)
-            }
-        })?;
-        u32::from_le_bytes(id)
-    } else {
-        0
-    };
+    read_all(&mut r, &mut header[PREFIX_LEN..])?;
+    let request_id = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
+    read_all(&mut r, &mut payload)?;
+    Ok(Frame { kind, request_id, payload })
+}
+
+/// `read_exact`, with a stream that ends early reported as
+/// [`ProtoError::Truncated`].
+fn read_all<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), ProtoError> {
+    r.read_exact(buf).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtoError::Truncated { expected: len as usize }
+            ProtoError::Truncated { expected: buf.len() }
         } else {
             ProtoError::Io(e)
         }
-    })?;
-    Ok(Frame { version, kind, request_id, payload })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -409,12 +367,12 @@ pub enum Request {
     /// Diagnose a shipped failing trace (`act-trace::io` v1 bytes) against
     /// the model for a key.
     Diagnose(ModelSpec, Vec<u8>),
-    /// Fetch the counters block.
+    /// Fetch the counters block and metrics snapshot.
     Status,
     /// Drain and exit.
     Shutdown,
     /// Store a correct-run trace (`act-trace::io` v1 bytes) in the corpus
-    /// under `(workload, key)` (v3, daemons started with `--corpus`).
+    /// under `(workload, key)` (daemons started with `--corpus`).
     TracePut {
         /// Corpus entry key.
         key: String,
@@ -423,30 +381,31 @@ pub enum Request {
         /// `act-trace::io` v1 text bytes.
         trace: Vec<u8>,
     },
-    /// Read a stored trace back from the corpus (v3).
+    /// Read a stored trace back from the corpus.
     TraceGet {
         /// Corpus entry key.
         key: String,
     },
-    /// Open a multiplexed session (v4); must be a connection's first frame.
+    /// Ask for an in-flight window; only meaningful as a connection's
+    /// first frame.
     Hello {
         /// In-flight window the client wants (0 = server default). The
         /// server grants `min(desired, its own cap)` in the `HELLO_ACK`.
         window: u32,
     },
-    /// Open a chunked corpus upload under `(workload, key)` (v4 session).
+    /// Open a chunked corpus upload under `(workload, key)`.
     TracePutStart {
         /// Corpus entry key.
         key: String,
         /// Workload the trace belongs to.
         workload: String,
     },
-    /// Open a chunked diagnose upload for a model key (v4 session).
+    /// Open a chunked diagnose upload for a model key.
     DiagnoseStart(ModelSpec),
     /// One chunk of the open upload: raw `act-trace::io` v1 text bytes,
-    /// at most [`MAX_CHUNK`] of them (v4 session).
+    /// at most [`MAX_CHUNK`] of them.
     StreamChunk(Vec<u8>),
-    /// Seal the open upload (v4 session). The server verifies both fields
+    /// Seal the open upload. The server verifies both fields
     /// against its own running tallies before committing.
     StreamEnd {
         /// CRC-32 of every chunk byte, in order.
@@ -571,16 +530,14 @@ pub enum Reply {
     Trained(String),
     /// The ranked suspect list, rendered as text (see `PROTOCOL.md`).
     Diagnosis(String),
-    /// The counters block.
-    StatusText(String),
-    /// The counters block plus the daemon's full metrics snapshot
-    /// (protocol v2; v1 requesters get [`Reply::StatusText`] instead).
+    /// The counters block plus the full metrics snapshot it was rendered
+    /// from.
     StatusMetrics(String, MetricsSnapshot),
-    /// The trace was stored in the corpus; text summary (v3).
+    /// The trace was stored in the corpus; text summary.
     Stored(String),
-    /// A stored trace, `act-trace::io` v1 text bytes (v3).
+    /// A stored trace, `act-trace::io` v1 text bytes.
     TraceData(Vec<u8>),
-    /// Session open (v4); the granted in-flight window.
+    /// The granted in-flight window.
     HelloAck {
         /// How many requests the client may keep in flight at once.
         window: u32,
@@ -599,7 +556,6 @@ impl Reply {
         let (kind, payload) = match self {
             Reply::Trained(s) => (FrameKind::Trained, s.clone().into_bytes()),
             Reply::Diagnosis(s) => (FrameKind::Diagnosis, s.clone().into_bytes()),
-            Reply::StatusText(s) => (FrameKind::StatusText, s.clone().into_bytes()),
             Reply::StatusMetrics(s, snap) => {
                 let mut payload = Vec::new();
                 put_str(&mut payload, s);
@@ -630,7 +586,6 @@ impl Reply {
         Ok(match frame.kind {
             FrameKind::Trained => Reply::Trained(text(&frame.payload)?),
             FrameKind::Diagnosis => Reply::Diagnosis(text(&frame.payload)?),
-            FrameKind::StatusText => Reply::StatusText(text(&frame.payload)?),
             FrameKind::StatusMetrics => {
                 let mut c = Cursor::new(&frame.payload);
                 let status = c.take_str()?;
@@ -751,27 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_read_and_replies_restamp_for_old_clients() {
-        // A v1 client's request (old wire bytes) must decode on a new
-        // server, surfacing the version it arrived with.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Status.to_frame().with_version(1)).unwrap();
-        assert_eq!(wire[4], 1);
-        let frame = read_frame(wire.as_slice()).unwrap();
-        assert_eq!(frame.version, 1);
-        assert_eq!(Request::from_frame(&frame).unwrap(), Request::Status);
-
-        // A new server's reply to that client is stamped v1, so the old
-        // `read_frame` (which accepted only version 1) parses it.
-        let reply = Reply::StatusText("act-serve status\nrequests_served 0\n".into());
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &reply.to_frame().with_version(frame.version)).unwrap();
-        assert_eq!(wire[4], 1);
-        let back = Reply::from_frame(&read_frame(wire.as_slice()).unwrap()).unwrap();
-        assert_eq!(back, reply);
-    }
-
-    #[test]
     fn status_metrics_reply_round_trips() {
         let mut snap = MetricsSnapshot::new();
         snap.push_counter("requests_served", 5);
@@ -782,7 +716,6 @@ mod tests {
         );
         let reply = Reply::StatusMetrics("act-serve status\n".into(), snap);
         let frame = reply.to_frame();
-        assert_eq!(frame.version, VERSION);
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).unwrap();
         let back = Reply::from_frame(&read_frame(wire.as_slice()).unwrap()).unwrap();
@@ -797,23 +730,15 @@ mod tests {
     }
 
     #[test]
-    fn v4_frames_carry_the_request_id_and_v3_frames_do_not() {
-        // v4: 4 extra wire bytes between header and payload.
-        let frame = Request::Status.to_frame().with_request(0xdead_beef);
+    fn frames_carry_the_request_id_between_header_and_payload() {
+        let frame = Request::TraceGet { key: "k".into() }.to_frame().with_request(0xdead_beef);
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).unwrap();
-        assert_eq!(wire.len(), HEADER_LEN + 4);
+        assert_eq!(wire.len(), HEADER_LEN + frame.payload.len());
         assert_eq!(&wire[10..14], &0xdead_beefu32.to_le_bytes());
+        assert_eq!(&wire[HEADER_LEN..], &frame.payload[..]);
         let back = read_frame(wire.as_slice()).unwrap();
         assert_eq!(back.request_id, 0xdead_beef);
-
-        // v3: exactly the old bytes, and restamping drops the id.
-        let frame = Request::Status.to_frame().with_request(7).with_version(3);
-        assert_eq!(frame.request_id, 0, "restamp below v4 zeroes the id");
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
-        assert_eq!(wire.len(), HEADER_LEN, "v3 wire layout unchanged");
-        assert_eq!(read_frame(wire.as_slice()).unwrap().request_id, 0);
     }
 
     #[test]
@@ -883,7 +808,6 @@ mod tests {
         let replies = [
             Reply::Trained("topology 10x10x1".into()),
             Reply::Diagnosis("ranked=2\n#1 ...".into()),
-            Reply::StatusText("requests_served 5".into()),
             Reply::StatusMetrics("requests_served 5".into(), MetricsSnapshot::new()),
             Reply::Stored("stored seq-clean-7 (3.2x)".into()),
             Reply::TraceData(b"acttrace v1 10\n".to_vec()),
@@ -908,9 +832,17 @@ mod tests {
         let mut bad_magic = wire.clone();
         bad_magic[0] = b'X';
         assert!(matches!(read_frame(bad_magic.as_slice()), Err(ProtoError::BadMagic(_))));
-        let mut bad_version = wire.clone();
-        bad_version[4] = 99;
-        assert!(matches!(read_frame(bad_version.as_slice()), Err(ProtoError::BadVersion(99))));
+        for version in [1, 2, 3, 5, 99] {
+            let mut bad_version = wire.clone();
+            bad_version[4] = version;
+            let err = read_frame(bad_version.as_slice()).unwrap_err();
+            assert!(matches!(err, ProtoError::BadVersion(v) if v == version), "got {err}");
+        }
+        // An old (v1-v3) frame has no request id: it is rejected from its
+        // 10-byte prefix alone, without waiting for bytes that never come.
+        let mut old = wire[..10].to_vec();
+        old[4] = 3;
+        assert!(matches!(read_frame(old.as_slice()), Err(ProtoError::BadVersion(3))));
         let mut bad_kind = wire;
         bad_kind[5] = 0x7f;
         assert!(matches!(read_frame(bad_kind.as_slice()), Err(ProtoError::UnknownKind(0x7f))));

@@ -1,31 +1,37 @@
-//! The daemon: listeners, acceptor threads, the bounded job queue, and the
-//! counters block behind `STATUS`.
+//! The daemon: listeners, acceptor threads, one session thread per
+//! connection, the bounded job queue, and the counters block behind
+//! `STATUS`.
 //!
-//! Life of a request: an acceptor thread accepts the connection, reads one
-//! frame, and either answers inline (`STATUS`, `SHUTDOWN` — always
-//! serviceable, even with a full queue) or wraps the connection + request
-//! into a [`Job`](crate::pool::Job) and `try_push`es it onto the bounded
-//! queue. A full queue yields an immediate `BUSY` reply — the request was
-//! *refused*, never accepted-then-dropped. Workers drain the queue (see
-//! [`crate::pool`]); `SHUTDOWN` (or [`Server::shutdown`], which the CLI
-//! wires to SIGINT) stops the acceptors, closes the queue, and lets the
-//! workers finish every accepted job before [`Server::join`] returns.
+//! Life of a request: an acceptor thread accepts the connection and hands
+//! it to a session thread of its own; the acceptor never reads. The
+//! session's first frame decides its window (see [`crate::conn`]): `HELLO`
+//! asks for one, anything else opens a window-1 session with that frame as
+//! its first request. The session answers `STATUS` and `SHUTDOWN` itself —
+//! always serviceable, even with a full queue — and wraps every other
+//! request into a [`Job`](crate::pool::Job) that it `try_push`es onto the
+//! bounded queue. A full queue or a full window yields an immediate `BUSY`
+//! reply: the request was *refused*, never accepted-then-dropped. Workers
+//! drain the queue (see [`crate::pool`]) and write replies onto the
+//! session; `SHUTDOWN` (or [`Server::shutdown`], which the CLI wires to
+//! SIGINT) stops the acceptors, closes the queue, and lets the workers
+//! finish every accepted job before [`Server::join`] returns.
 
 use crate::cache::{CacheOutcome, ModelCache};
-use crate::pool::{spawn_workers, BatchPolicy, Job, Responder, Work};
-use crate::proto::{
-    encode_frame, read_frame, write_frame, ModelSpec, Reply, Request, SESSION_VERSION, VERSION,
-};
+use crate::conn::{next_frame, Conn, Window};
+use crate::pool::{spawn_workers, Job, Responder, Work};
+use crate::proto::{encode_frame, write_frame, FrameKind, ModelSpec, Reply, Request};
 use act_fleet::BoundedQueue;
-use act_obs::{events, latency_bounds_us, Counter, Gauge, Histogram, Level, Registry};
+use act_obs::{
+    events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
+};
 use act_store::Crc32;
 use act_trace::io::{parse_record_line, TraceBuilder, TraceSink, MAX_CODE_LEN};
 use act_trace::Trace;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -34,81 +40,11 @@ use std::time::{Duration, Instant};
 /// the shutdown flag is noticed without a wakeup connection).
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// How long a session reader blocks waiting for the next frame's first
-/// byte before re-checking the shutdown flag. The poll reads exactly one
-/// byte (all-or-nothing), so an idle timeout can never strand a partial
-/// frame header.
-const SESSION_POLL: Duration = Duration::from_millis(25);
-
 /// Ceiling on one streamed `DIAGNOSE` upload. Unlike streamed `TRACE_PUT`
 /// (disk-backed, memory bounded by the chunk size) a streamed diagnose
 /// materializes the parsed trace in memory, so it needs a cap; this one is
-/// 4x the old single-frame limit.
+/// 4x the single-frame limit.
 const MAX_STREAM_DIAGNOSE_BYTES: u64 = 256 << 20;
-
-/// A client connection, TCP or Unix-domain.
-pub(crate) enum Conn {
-    /// TCP (remote or loopback) client.
-    Tcp(TcpStream),
-    /// Unix-domain-socket client (local, no network stack).
-    Unix(UnixStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl Conn {
-    fn set_timeouts(&self, t: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => {
-                s.set_read_timeout(Some(t))?;
-                s.set_write_timeout(Some(t))
-            }
-            Conn::Unix(s) => {
-                s.set_read_timeout(Some(t))?;
-                s.set_write_timeout(Some(t))
-            }
-        }
-    }
-
-    fn set_read_timeout(&self, t: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(t)),
-            Conn::Unix(s) => s.set_read_timeout(Some(t)),
-        }
-    }
-
-    /// A second handle on the same socket — the session writer, so workers
-    /// can send replies while the reader blocks on the next frame.
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
-            Conn::Unix(s) => Ok(Conn::Unix(s.try_clone()?)),
-        }
-    }
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -134,23 +70,11 @@ pub struct ServeConfig {
     pub deadline: Duration,
     /// Socket read/write timeout for each connection.
     pub io_timeout: Duration,
-    /// Ceiling on the per-session in-flight window granted at `HELLO`
-    /// (protocol v4). A session asking for more (or for the default, 0)
-    /// gets `min(asked, session_window)`.
-    pub session_window: u32,
     /// Most diagnose requests coalesced into one micro-batch. `1`
     /// disables coalescing (every request dispatched alone); `0` is
-    /// rejected at startup.
+    /// rejected at startup. A batch takes whatever compatible requests are
+    /// already queued; it never waits for more.
     pub batch_size: usize,
-    /// How long a worker holding a diagnose request waits for companions
-    /// targeting the same model before dispatching the batch. Zero — the
-    /// default — means "take whatever is already queued, never wait":
-    /// under sustained load batches form from queue backlog on their own,
-    /// and measured throughput is strictly higher without the stall (the
-    /// gathered members sit idle while the leader waits). A non-zero wait
-    /// only pays off for bursty arrivals where trading latency for fuller
-    /// batches is explicitly wanted.
-    pub batch_wait: Duration,
 }
 
 impl Default for ServeConfig {
@@ -165,20 +89,18 @@ impl Default for ServeConfig {
             cache_capacity: 32,
             deadline: Duration::from_secs(120),
             io_timeout: Duration::from_secs(30),
-            session_window: 32,
             batch_size: 16,
-            batch_wait: Duration::ZERO,
         }
     }
 }
 
 /// Counters behind `STATUS` — the daemon's observability surface, backed
 /// by a per-server [`act_obs::Registry`] so the whole set serializes as
-/// one [`MetricsSnapshot`](act_obs::MetricsSnapshot) in v2 `STATUS`
-/// replies. Per-server (not the process-global registry) because the
-/// tests boot several daemons in one process and their counters must not
-/// mix. Request/reply counters are per [`FrameKind`](crate::FrameKind);
-/// service time is a fixed-bucket latency histogram.
+/// one [`MetricsSnapshot`] in `STATUS` replies. Per-server (not the
+/// process-global registry) because the tests boot several daemons in one
+/// process and their counters must not mix. Frames read and written are
+/// counted per [`FrameKind`]; service time is a fixed-bucket latency
+/// histogram.
 pub struct ServerStats {
     registry: Registry,
     accepted: Counter,
@@ -195,29 +117,11 @@ pub struct ServerStats {
     coalesced_batches: Counter,
     coalesce_hits: Counter,
     coalesce_misses: Counter,
-    req_train: Counter,
-    req_diagnose: Counter,
-    req_status: Counter,
-    req_shutdown: Counter,
-    req_trace_put: Counter,
-    req_trace_get: Counter,
-    req_hello: Counter,
-    req_trace_put_start: Counter,
-    req_diagnose_start: Counter,
-    req_stream_chunk: Counter,
-    req_stream_end: Counter,
+    /// One counter per frame kind, in [`FrameKind::COUNTERS`] order.
+    frames: Vec<Counter>,
     stream_chunk_bytes: Counter,
     streams_opened: Counter,
     streams_aborted: Counter,
-    reply_trained: Counter,
-    reply_diagnosis: Counter,
-    reply_status: Counter,
-    reply_bye: Counter,
-    reply_busy: Counter,
-    reply_error: Counter,
-    reply_stored: Counter,
-    reply_trace_data: Counter,
-    reply_hello_ack: Counter,
     uptime_ms: Gauge,
     queue_depth: Gauge,
     models_resident: Gauge,
@@ -253,29 +157,10 @@ impl ServerStats {
             coalesced_batches: registry.counter("coalesced_batches"),
             coalesce_hits: registry.counter("coalesce_hits"),
             coalesce_misses: registry.counter("coalesce_misses"),
-            req_train: registry.counter("req_train"),
-            req_diagnose: registry.counter("req_diagnose"),
-            req_status: registry.counter("req_status"),
-            req_shutdown: registry.counter("req_shutdown"),
-            req_trace_put: registry.counter("req_trace_put"),
-            req_trace_get: registry.counter("req_trace_get"),
-            req_hello: registry.counter("req_hello"),
-            req_trace_put_start: registry.counter("req_trace_put_start"),
-            req_diagnose_start: registry.counter("req_diagnose_start"),
-            req_stream_chunk: registry.counter("req_stream_chunk"),
-            req_stream_end: registry.counter("req_stream_end"),
+            frames: FrameKind::COUNTERS.iter().map(|(_, name)| registry.counter(name)).collect(),
             stream_chunk_bytes: registry.counter("stream_chunk_bytes"),
             streams_opened: registry.counter("streams_opened"),
             streams_aborted: registry.counter("streams_aborted"),
-            reply_trained: registry.counter("reply_trained"),
-            reply_diagnosis: registry.counter("reply_diagnosis"),
-            reply_status: registry.counter("reply_status"),
-            reply_bye: registry.counter("reply_bye"),
-            reply_busy: registry.counter("reply_busy"),
-            reply_error: registry.counter("reply_error"),
-            reply_stored: registry.counter("reply_stored"),
-            reply_trace_data: registry.counter("reply_trace_data"),
-            reply_hello_ack: registry.counter("reply_hello_ack"),
             uptime_ms: registry.gauge("uptime_ms"),
             queue_depth: registry.gauge("queue_depth"),
             models_resident: registry.gauge("models_resident"),
@@ -323,43 +208,13 @@ impl ServerStats {
         self.proto_errors.inc();
     }
 
-    /// Count one decoded request by frame kind.
-    pub(crate) fn note_request(&self, request: &Request) {
-        match request {
-            Request::Train(_) => self.req_train.inc(),
-            Request::Diagnose(..) => self.req_diagnose.inc(),
-            Request::Status => self.req_status.inc(),
-            Request::Shutdown => self.req_shutdown.inc(),
-            Request::TracePut { .. } => self.req_trace_put.inc(),
-            Request::TraceGet { .. } => self.req_trace_get.inc(),
-            Request::Hello { .. } => self.req_hello.inc(),
-            Request::TracePutStart { .. } => self.req_trace_put_start.inc(),
-            Request::DiagnoseStart(_) => self.req_diagnose_start.inc(),
-            Request::StreamChunk(bytes) => {
-                self.req_stream_chunk.inc();
-                self.stream_chunk_bytes.add(bytes.len() as u64);
-            }
-            Request::StreamEnd { .. } => self.req_stream_end.inc(),
-        }
-    }
-
-    /// Count one written reply by frame kind.
-    pub(crate) fn note_reply(&self, reply: &Reply) {
-        match reply {
-            Reply::Trained(_) => self.reply_trained.inc(),
-            Reply::Diagnosis(_) => self.reply_diagnosis.inc(),
-            Reply::StatusText(_) | Reply::StatusMetrics(..) => self.reply_status.inc(),
-            Reply::Bye => self.reply_bye.inc(),
-            Reply::Busy => self.reply_busy.inc(),
-            Reply::Error(_) => self.reply_error.inc(),
-            Reply::Stored(_) => self.reply_stored.inc(),
-            Reply::TraceData(_) => self.reply_trace_data.inc(),
-            Reply::HelloAck { .. } => self.reply_hello_ack.inc(),
-        }
+    /// Count one decoded request or one written reply by its frame kind.
+    pub(crate) fn note_frame(&self, kind: FrameKind) {
+        self.frames[kind.index()].inc();
     }
 
     /// Observe the queue depth seen by one enqueued request (the
-    /// per-request queue-depth histogram behind v2 `STATUS`).
+    /// per-request queue-depth histogram behind `STATUS`).
     pub(crate) fn note_enqueue_depth(&self, depth: usize) {
         self.enqueue_depth.observe(depth as u64);
     }
@@ -380,6 +235,10 @@ impl ServerStats {
         self.requests_in_flight.add(-1);
     }
 
+    pub(crate) fn note_stream_chunk(&self, bytes: usize) {
+        self.stream_chunk_bytes.add(bytes as u64);
+    }
+
     pub(crate) fn note_stream_opened(&self) {
         self.streams_opened.inc();
     }
@@ -390,10 +249,9 @@ impl ServerStats {
 
     /// Record one dispatched micro-batch of `size` diagnose requests. A
     /// request that found companions is a coalesce *hit*; a request
-    /// dispatched alone (nothing compatible arrived within the gather
-    /// window) is a *miss* — so `coalesce_hits + coalesce_misses` equals
-    /// the number of batch-eligible requests, and the hit rate reads off
-    /// directly.
+    /// dispatched alone (nothing compatible was queued) is a *miss* — so
+    /// `coalesce_hits + coalesce_misses` equals the number of
+    /// batch-eligible requests, and the hit rate reads off directly.
     pub(crate) fn note_batch(&self, size: usize) {
         self.coalesced_batches.inc();
         self.batch_size.observe(size as u64);
@@ -417,65 +275,99 @@ impl ServerStats {
         self.service_us.observe(elapsed.as_micros() as u64);
     }
 
-    /// Requests answered `BUSY`.
-    pub fn rejected_busy(&self) -> u64 {
-        self.rejected_busy.get()
-    }
-
-    /// Requests whose handler panicked (isolated; daemon kept serving).
-    pub fn crashed(&self) -> u64 {
-        self.crashed.get()
-    }
-
-    /// Model-cache hits (memory, model-dir disk, or corpus store — no
-    /// retraining in any of them).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_memory_hits.get() + self.cache_disk_loads.get() + self.cache_store_loads.get()
-    }
-
-    /// Every metric as one snapshot — what a v2 `STATUS` reply carries.
-    /// The point-in-time gauges (uptime, queue depth, resident models)
-    /// are stamped first so the snapshot is self-contained.
+    /// Every metric as one snapshot — what a `STATUS` reply carries. The
+    /// point-in-time gauges (uptime, queue depth, resident models) are
+    /// stamped first so the snapshot is self-contained.
     pub fn metrics_snapshot(
         &self,
         uptime: Duration,
         queue_len: usize,
         models_resident: usize,
-    ) -> act_obs::MetricsSnapshot {
+    ) -> MetricsSnapshot {
         self.uptime_ms.set(uptime.as_millis() as i64);
         self.queue_depth.set(queue_len as i64);
         self.models_resident.set(models_resident as i64);
         self.registry.snapshot()
     }
+}
 
-    /// Render the plain-text `STATUS` block: `key value` per line. The
-    /// keys are the v1 wire surface — scripts grep them — so the legacy
-    /// aggregates (`cache_hits` = memory + disk, `cache_misses` =
-    /// trained-from-scratch) are preserved verbatim.
-    pub fn render(&self, uptime: Duration, queue_len: usize, models_resident: usize) -> String {
-        use std::fmt::Write as _;
-        let service = self.service_us.snapshot();
-        let (p50, p99) = (service.quantile(0.50), service.quantile(0.99));
-        let mut out = String::from("act-serve status\n");
-        let mut line = |k: &str, v: u64| writeln!(out, "{k} {v}").expect("string write");
-        line("uptime_ms", uptime.as_millis() as u64);
-        line("requests_accepted", self.accepted.get());
-        line("requests_served", self.served.get());
-        line("requests_errored", self.errored.get());
-        line("requests_rejected_busy", self.rejected_busy.get());
-        line("requests_crashed", self.crashed.get());
-        line("requests_deadline_expired", self.deadline_expired.get());
-        line("protocol_errors", self.proto_errors.get());
-        line("cache_hits", self.cache_hits());
-        line("cache_misses", self.cache_trained.get());
-        line("coalesced_batches", self.coalesced_batches.get());
-        line("coalesce_hits", self.coalesce_hits.get());
-        line("coalesce_misses", self.coalesce_misses.get());
-        line("models_resident", models_resident as u64);
-        line("queue_depth", queue_len as u64);
-        writeln!(out, "service_ms_p50 {:.3}", p50 as f64 / 1e3).expect("string write");
-        writeln!(out, "service_ms_p99 {:.3}", p99 as f64 / 1e3).expect("string write");
-        out
+/// Render the plain-text `STATUS` block from the snapshot it ships with:
+/// `key value` per line. Scripts grep these keys, so the aggregates keep
+/// their names: `cache_hits` is memory + disk + store hits, `cache_misses`
+/// is models trained from scratch.
+fn render_status(snap: &MetricsSnapshot) -> String {
+    use std::fmt::Write as _;
+    let c = |name: &str| snap.counter(name).unwrap_or(0);
+    let g = |name: &str| snap.gauge(name).unwrap_or(0).max(0) as u64;
+    let mut out = String::from("act-serve status\n");
+    for (key, value) in [
+        ("uptime_ms", g("uptime_ms")),
+        ("requests_accepted", c("requests_accepted")),
+        ("requests_served", c("requests_served")),
+        ("requests_errored", c("requests_errored")),
+        ("requests_rejected_busy", c("requests_rejected_busy")),
+        ("requests_crashed", c("requests_crashed")),
+        ("requests_deadline_expired", c("requests_deadline_expired")),
+        ("protocol_errors", c("protocol_errors")),
+        ("cache_hits", c("cache_memory_hits") + c("cache_disk_loads") + c("cache_store_loads")),
+        ("cache_misses", c("cache_trained")),
+        ("coalesced_batches", c("coalesced_batches")),
+        ("coalesce_hits", c("coalesce_hits")),
+        ("coalesce_misses", c("coalesce_misses")),
+        ("models_resident", g("models_resident")),
+        ("queue_depth", g("queue_depth")),
+    ] {
+        writeln!(out, "{key} {value}").expect("string write");
+    }
+    let service = snap.histogram("service_us").cloned().unwrap_or_default();
+    for (key, q) in [("service_ms_p50", 0.50), ("service_ms_p99", 0.99)] {
+        writeln!(out, "{key} {:.3}", service.quantile(q) as f64 / 1e3).expect("string write");
+    }
+    out
+}
+
+/// What the acceptors, every session thread and the [`Server`] handle
+/// share.
+struct Daemon {
+    queue: Arc<BoundedQueue<Job>>,
+    cache: Arc<ModelCache>,
+    stats: Arc<ServerStats>,
+    shutdown: AtomicBool,
+    io_timeout: Duration,
+    started: Instant,
+}
+
+impl Daemon {
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.stats.metrics_snapshot(self.started.elapsed(), self.queue.len(), self.cache.resident())
+    }
+
+    /// The `STATUS` reply: one snapshot, and the text rendered from it.
+    fn status_reply(&self) -> Reply {
+        let snap = self.snapshot();
+        Reply::StatusMetrics(render_status(&snap), snap)
+    }
+
+    /// Stop accepting and close the queue; workers drain what it holds.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue.close();
+    }
+
+    /// Queue `job`, or answer it `BUSY` right away when the queue is full.
+    fn enqueue(&self, job: Job) {
+        let depth = self.queue.len();
+        match self.queue.try_push(job) {
+            Ok(()) => {
+                self.stats.bump_accepted();
+                self.stats.note_enqueue_depth(depth);
+            }
+            Err(job) => {
+                self.stats.bump_rejected();
+                events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
+                job.responder.respond(&Reply::Busy, &self.stats);
+            }
+        }
     }
 }
 
@@ -483,14 +375,10 @@ impl ServerStats {
 /// [`Server::shutdown`] (or send a `SHUTDOWN` frame) and then
 /// [`Server::join`].
 pub struct Server {
-    stats: Arc<ServerStats>,
-    queue: Arc<BoundedQueue<Job>>,
-    cache: Arc<ModelCache>,
-    shutdown: Arc<AtomicBool>,
+    daemon: Arc<Daemon>,
     threads: Vec<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
-    started: Instant,
 }
 
 impl Server {
@@ -499,7 +387,7 @@ impl Server {
     /// # Errors
     ///
     /// Fails when no listener is configured, a bind fails, or `workers` /
-    /// `queue_depth` / `cache_capacity` is zero.
+    /// `queue_depth` / `cache_capacity` / `batch_size` is zero.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidInput, what.to_string());
         if cfg.workers == 0 {
@@ -511,9 +399,6 @@ impl Server {
         if cfg.cache_capacity == 0 {
             return Err(invalid("cache capacity must be >= 1"));
         }
-        if cfg.session_window == 0 {
-            return Err(invalid("session window must be >= 1"));
-        }
         if cfg.batch_size == 0 {
             return Err(invalid("batch size must be >= 1 (1 disables coalescing)"));
         }
@@ -522,7 +407,6 @@ impl Server {
         }
 
         let stats = Arc::new(ServerStats::default());
-        let queue = Arc::new(BoundedQueue::new(cfg.queue_depth));
         let mut cache = ModelCache::new(cfg.cache_capacity, cfg.model_dir.clone());
         if let Some(dir) = &cfg.corpus_dir {
             let corpus = act_store::Corpus::open_or_init(dir)
@@ -535,8 +419,14 @@ impl Server {
                 .with_registry(stats.registry());
             cache = cache.with_corpus(Arc::new(Mutex::new(corpus)));
         }
-        let cache = Arc::new(cache);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let daemon = Arc::new(Daemon {
+            queue: Arc::new(BoundedQueue::new(cfg.queue_depth)),
+            cache: Arc::new(cache),
+            stats,
+            shutdown: AtomicBool::new(false),
+            io_timeout: cfg.io_timeout,
+            started: Instant::now(),
+        });
         let mut threads = Vec::new();
 
         let mut tcp_addr = None;
@@ -547,13 +437,7 @@ impl Server {
             threads.push(spawn_acceptor(
                 "act-serve-accept-tcp",
                 move || listener.accept().map(|(s, _)| Conn::Tcp(s)),
-                queue.clone(),
-                cache.clone(),
-                stats.clone(),
-                shutdown.clone(),
-                cfg.io_timeout,
-                cfg.session_window,
-                Instant::now(),
+                daemon.clone(),
             )?);
         }
         if let Some(path) = &cfg.unix_path {
@@ -565,22 +449,16 @@ impl Server {
             threads.push(spawn_acceptor(
                 "act-serve-accept-unix",
                 move || listener.accept().map(|(s, _)| Conn::Unix(s)),
-                queue.clone(),
-                cache.clone(),
-                stats.clone(),
-                shutdown.clone(),
-                cfg.io_timeout,
-                cfg.session_window,
-                Instant::now(),
+                daemon.clone(),
             )?);
         }
         threads.extend(spawn_workers(
             cfg.workers,
-            queue.clone(),
-            cache.clone(),
-            stats.clone(),
+            daemon.queue.clone(),
+            daemon.cache.clone(),
+            daemon.stats.clone(),
             cfg.deadline,
-            BatchPolicy { size: cfg.batch_size, wait: cfg.batch_wait },
+            cfg.batch_size,
         ));
 
         events().emit(
@@ -598,16 +476,7 @@ impl Server {
                 }
             ),
         );
-        Ok(Server {
-            stats,
-            queue,
-            cache,
-            shutdown,
-            threads,
-            tcp_addr,
-            unix_path: cfg.unix_path,
-            started: Instant::now(),
-        })
+        Ok(Server { daemon, threads, tcp_addr, unix_path: cfg.unix_path })
     }
 
     /// The bound TCP address (with the real port when `:0` was requested).
@@ -615,26 +484,25 @@ impl Server {
         self.tcp_addr
     }
 
-    /// Live counters (shared with the acceptors and workers).
+    /// Live counters (shared with the sessions and workers).
     pub fn stats(&self) -> Arc<ServerStats> {
-        self.stats.clone()
+        self.daemon.stats.clone()
     }
 
     /// The current `STATUS` block.
     pub fn status_text(&self) -> String {
-        self.stats.render(self.started.elapsed(), self.queue.len(), self.cache.resident())
+        render_status(&self.daemon.snapshot())
     }
 
     /// Begin graceful drain: stop accepting, let workers finish accepted
     /// jobs. Idempotent; also triggered by a `SHUTDOWN` frame.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
+        self.daemon.begin_shutdown();
     }
 
     /// Whether a drain has started.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.daemon.shutdown.load(Ordering::SeqCst)
     }
 
     /// Wait for the drain to finish (acceptors stopped, every accepted job
@@ -649,246 +517,72 @@ impl Server {
     }
 }
 
-/// Spawn one acceptor thread over a nonblocking `accept` closure.
-#[allow(clippy::too_many_arguments)]
+/// Spawn one acceptor thread over a nonblocking `accept` closure. It only
+/// accepts: each connection gets a session thread of its own, so a client
+/// that connects and stays silent holds nobody up.
 fn spawn_acceptor(
     name: &str,
     mut accept: impl FnMut() -> io::Result<Conn> + Send + 'static,
-    queue: Arc<BoundedQueue<Job>>,
-    cache: Arc<ModelCache>,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
-    session_window: u32,
-    started: Instant,
+    daemon: Arc<Daemon>,
 ) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new().name(name.to_string()).spawn(move || {
-        while !shutdown.load(Ordering::SeqCst) {
+        while !daemon.shutdown.load(Ordering::SeqCst) {
             match accept() {
-                Ok(conn) => handle_connection(
-                    conn,
-                    &queue,
-                    &cache,
-                    &stats,
-                    &shutdown,
-                    io_timeout,
-                    session_window,
-                    started,
-                ),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                // Transient accept errors (e.g. aborted handshakes) must
-                // not kill the acceptor.
+                Ok(conn) => {
+                    let daemon = daemon.clone();
+                    let spawned = std::thread::Builder::new()
+                        .name("act-serve-session".to_string())
+                        .spawn(move || run_session(conn, &daemon));
+                    if spawned.is_err() {
+                        events().emit(Level::Warn, "serve.session", "failed to spawn session");
+                    }
+                }
+                // Idle listener, or a transient accept error (e.g. an
+                // aborted handshake) that must not kill the acceptor.
                 Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
         }
     })
 }
 
-/// Read one request frame and either answer inline, enqueue, reject, or —
-/// for a v4 `HELLO` — promote the connection to a multiplexed session on
-/// its own reader thread.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    mut conn: Conn,
-    queue: &Arc<BoundedQueue<Job>>,
-    cache: &Arc<ModelCache>,
-    stats: &Arc<ServerStats>,
-    shutdown: &Arc<AtomicBool>,
-    io_timeout: Duration,
-    session_window: u32,
-    started: Instant,
-) {
-    let _ = conn.set_timeouts(io_timeout);
-    let (version, request_id, request) = match read_frame(&mut conn) {
-        Ok(frame) => match Request::from_frame(&frame) {
-            Ok(req) => (frame.version, frame.request_id, req),
-            Err(e) => {
-                stats.bump_proto_errors();
-                send_reply(
-                    &mut conn,
-                    frame.version,
-                    frame.request_id,
-                    &Reply::Error(format!("bad request: {e}")),
-                    stats,
-                );
-                return;
-            }
-        },
-        Err(e) => {
-            stats.bump_proto_errors();
-            send_reply(&mut conn, VERSION, 0, &Reply::Error(format!("bad request: {e}")), stats);
-            return;
-        }
-    };
-    stats.note_request(&request);
-    match request {
-        // A v4 connection that opens with HELLO becomes a session; the
-        // reader thread owns the connection from here.
-        Request::Hello { window } if version >= SESSION_VERSION => {
-            let session = SessionCtx {
-                queue: queue.clone(),
-                cache: cache.clone(),
-                stats: stats.clone(),
-                shutdown: shutdown.clone(),
-                io_timeout,
-                started,
-            };
-            let granted =
-                if window == 0 { session_window } else { window.min(session_window) }.max(1);
-            let spawned = std::thread::Builder::new()
-                .name("act-serve-session".to_string())
-                .spawn(move || run_session(conn, request_id, granted, session));
-            if spawned.is_err() {
-                events().emit(Level::Warn, "serve.session", "failed to spawn session thread");
-            }
-        }
-        Request::Hello { .. } => {
-            // HELLO has no meaning below v4 (old clients never send it).
-            send_reply(
-                &mut conn,
-                version,
-                request_id,
-                &Reply::Error("HELLO requires protocol v4".into()),
-                stats,
-            );
-        }
-        // The stream kinds only exist inside a session.
-        Request::TracePutStart { .. } | Request::DiagnoseStart(_) => {
-            send_reply(
-                &mut conn,
-                version,
-                request_id,
-                &Reply::Error("streaming uploads require a v4 session (send HELLO first)".into()),
-                stats,
-            );
-        }
-        Request::StreamChunk(_) | Request::StreamEnd { .. } => {
-            stats.bump_proto_errors();
-            send_reply(
-                &mut conn,
-                version,
-                request_id,
-                &Reply::Error("stream frame outside an open stream".into()),
-                stats,
-            );
-        }
-        // Always answerable, even with a saturated queue — that is the
-        // point of handling them on the acceptor.
-        Request::Status => {
-            let reply = status_reply(version, queue, cache, stats, started);
-            send_reply(&mut conn, version, request_id, &reply, stats);
-        }
-        Request::Shutdown => {
-            send_reply(&mut conn, version, request_id, &Reply::Bye, stats);
-            events().emit(Level::Info, "serve.shutdown", "shutdown requested; draining");
-            shutdown.store(true, Ordering::SeqCst);
-            queue.close();
-        }
-        req @ (Request::Train(_)
-        | Request::Diagnose(..)
-        | Request::TracePut { .. }
-        | Request::TraceGet { .. }) => {
-            let depth = queue.len();
-            let job = Job {
-                responder: Responder::OneShot { conn, version, request_id },
-                work: Work::Request(req),
-                accepted: Instant::now(),
-            };
-            match queue.try_push(job) {
-                Ok(()) => {
-                    stats.bump_accepted();
-                    stats.note_enqueue_depth(depth);
-                }
-                Err(job) => {
-                    stats.bump_rejected();
-                    events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
-                    job.responder.respond(&Reply::Busy, stats);
-                }
-            }
-        }
-    }
-}
-
-/// Build the `STATUS` reply for a `version` requester: v2+ gets the
-/// metrics snapshot, v1 the plain text block its decoder knows.
-fn status_reply(
-    version: u8,
-    queue: &BoundedQueue<Job>,
-    cache: &ModelCache,
-    stats: &ServerStats,
-    started: Instant,
-) -> Reply {
-    let text = stats.render(started.elapsed(), queue.len(), cache.resident());
-    if version >= 2 {
-        let snap = stats.metrics_snapshot(started.elapsed(), queue.len(), cache.resident());
-        Reply::StatusMetrics(text, snap)
-    } else {
-        Reply::StatusText(text)
-    }
-}
-
-/// Count and write one reply, stamped with the requester's protocol
-/// version (so v1 clients never see a frame they cannot decode) and — on
-/// v4 — the request id it answers.
-pub(crate) fn send_reply(
-    conn: &mut Conn,
-    version: u8,
-    request_id: u32,
-    reply: &Reply,
-    stats: &ServerStats,
-) {
-    stats.note_reply(reply);
-    // A vanished client is its own problem; the daemon moves on.
-    let _ = write_frame(conn, &reply.to_frame().with_request(request_id).with_version(version));
-}
-
-// ---------------------------------------------------------------------
-// v4 multiplexed sessions.
-// ---------------------------------------------------------------------
-
 /// The half of a session shared between its reader thread and the workers
 /// answering its requests: the write side of the socket plus the in-flight
-/// account. Replies go out under the writer lock, one whole frame at a
+/// window. Replies go out under the writer lock, one whole frame at a
 /// time, so frames from concurrent workers never interleave mid-frame.
 pub(crate) struct SessionShared {
     writer: Mutex<Conn>,
-    version: u8,
-    window: u32,
-    in_flight: AtomicU32,
+    window: Window,
 }
 
 impl SessionShared {
-    /// Write one reply frame tagged with the request id it answers.
+    /// Count and write one reply frame tagged with the request id it
+    /// answers.
     pub(crate) fn send(&self, request_id: u32, reply: &Reply, stats: &ServerStats) {
-        stats.note_reply(reply);
-        let frame = reply.to_frame().with_request(request_id).with_version(self.version);
+        let frame = reply.to_frame().with_request(request_id);
+        stats.note_frame(frame.kind);
         let mut w = self.writer.lock().expect("session writer lock");
-        // A vanished session client is noticed by the reader; move on.
+        // A vanished client is noticed by the session reader; move on.
         let _ = write_frame(&mut *w, &frame);
     }
 
-    /// Claim one in-flight slot; `false` means the window is exhausted and
-    /// the request must be answered `BUSY`. Only the session reader calls
-    /// this, so a plain load-then-add cannot race another claimer.
+    /// Claim one in-flight slot; `false` means the window is full and the
+    /// request must be answered `BUSY`.
     fn begin_request(&self, stats: &ServerStats) -> bool {
-        if self.in_flight.load(Ordering::SeqCst) >= self.window {
-            return false;
+        let claimed = self.window.claim();
+        if claimed {
+            stats.note_request_started();
         }
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        stats.note_request_started();
-        true
+        claimed
     }
 
     /// Release the slot claimed by [`SessionShared::begin_request`].
     pub(crate) fn finish_request(&self, stats: &ServerStats) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.window.release();
         stats.note_request_finished();
     }
 
-    /// Send the final reply for a claimed request. The slot is released
-    /// *before* the write: the reply is the client's signal that the slot
-    /// is free, so a pipelined client that fires its next request the
-    /// moment a reply lands must never race a late decrement into `BUSY`.
+    /// Send the final reply for a claimed request, releasing its slot
+    /// first (see [`Window::release`]).
     pub(crate) fn send_final(&self, request_id: u32, reply: &Reply, stats: &ServerStats) {
         self.finish_request(stats);
         self.send(request_id, reply, stats);
@@ -907,24 +601,14 @@ impl SessionShared {
         }
         let mut buf = Vec::new();
         for (request_id, reply) in replies {
-            stats.note_reply(reply);
-            let frame = reply.to_frame().with_request(*request_id).with_version(self.version);
+            let frame = reply.to_frame().with_request(*request_id);
+            stats.note_frame(frame.kind);
             encode_frame(&mut buf, &frame);
         }
         let mut w = self.writer.lock().expect("session writer lock");
-        // A vanished session client is noticed by the reader; move on.
+        // A vanished client is noticed by the session reader; move on.
         let _ = w.write_all(&buf).and_then(|()| w.flush());
     }
-}
-
-/// Everything a session reader thread needs from the daemon.
-struct SessionCtx {
-    queue: Arc<BoundedQueue<Job>>,
-    cache: Arc<ModelCache>,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
-    started: Instant,
 }
 
 /// The at-most-one inbound stream a session may have open.
@@ -944,56 +628,43 @@ impl SessionStream {
     }
 }
 
-/// Drive one v4 session: ack the HELLO, then demultiplex frames until the
-/// client closes, the daemon drains, or the stream desyncs. Replies are
-/// written by whichever thread finishes a request — out of order is the
-/// point — while this thread keeps reading.
-fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
-    let SessionCtx { queue, cache, stats, shutdown, io_timeout, started } = ctx;
-    let writer = match conn.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            let reply = Reply::Error(format!("session setup failed: {e}"));
-            send_reply(&mut conn, VERSION, hello_id, &reply, &stats);
-            return;
-        }
-    };
+/// Drive one connection from its first frame until the client closes, the
+/// daemon drains, or the byte stream breaks. Replies are written by
+/// whichever thread finishes a request — out of order is the point —
+/// while this thread keeps reading.
+fn run_session(mut conn: Conn, daemon: &Daemon) {
+    let Daemon { cache, stats, shutdown, io_timeout, .. } = daemon;
+    let _ = conn.set_write_timeout(Some(*io_timeout));
+    let Ok(writer) = conn.try_clone() else { return };
+    let Some(first) = next_frame(&mut conn, *io_timeout, shutdown) else { return };
+    let hello = first.as_ref().ok().and_then(|f| Some((f.request_id, Window::asked_by(f)?)));
     let shared = Arc::new(SessionShared {
         writer: Mutex::new(writer),
-        version: VERSION,
-        window,
-        in_flight: AtomicU32::new(0),
+        window: Window::new(hello.map_or(1, |(_, window)| window)),
     });
-    shared.send(hello_id, &Reply::HelloAck { window }, &stats);
+    // Counted before the ack goes out, so a client holding the ack never
+    // reads a STATUS that misses its own session.
     stats.note_session_opened();
+    let mut pending = match hello {
+        Some((hello_id, window)) => {
+            stats.note_frame(FrameKind::Hello);
+            shared.send(hello_id, &Reply::HelloAck { window }, stats);
+            None
+        }
+        None => Some(first),
+    };
     let mut stream: Option<SessionStream> = None;
 
-    'session: while !shutdown.load(Ordering::SeqCst) {
-        // Wait for the next frame's first byte with a short timeout (an
-        // all-or-nothing 1-byte read), so idle sessions notice shutdown
-        // without ever stranding a partial header.
-        let _ = conn.set_read_timeout(SESSION_POLL);
-        let mut first = [0u8; 1];
-        match conn.read(&mut first) {
-            Ok(0) => break 'session, // client closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue 'session;
-            }
-            Err(_) => break 'session,
-        }
-        // A frame has started: the rest must arrive within io_timeout.
-        let _ = conn.set_read_timeout(io_timeout);
-        let frame = match read_frame((&first[..]).chain(&mut conn)) {
-            Ok(f) => f,
+    while let Some(next) = pending.take().or_else(|| next_frame(&mut conn, *io_timeout, shutdown)) {
+        let frame = match next {
+            Ok(frame) => frame,
             Err(e) => {
-                // The stream position is unknown now; the session cannot
-                // continue. Best-effort error, then close.
+                // The stream position is unknown (or the peer speaks
+                // another version): answer once, then close.
                 stats.bump_proto_errors();
-                shared.send(0, &Reply::Error(format!("bad frame: {e}")), &stats);
-                break 'session;
+                shared.send(0, &Reply::Error(format!("bad frame: {e}")), stats);
+                conn.shutdown();
+                break;
             }
         };
         let request_id = frame.request_id;
@@ -1002,35 +673,30 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
             Err(e) => {
                 // Framing is intact — only this request is malformed.
                 stats.bump_proto_errors();
-                shared.send(request_id, &Reply::Error(format!("bad request: {e}")), &stats);
-                continue 'session;
+                shared.send(request_id, &Reply::Error(format!("bad request: {e}")), stats);
+                continue;
             }
         };
-        stats.note_request(&request);
+        stats.note_frame(frame.kind);
         match request {
             Request::Hello { .. } => {
-                shared.send(request_id, &Reply::Error("session already open".into()), &stats);
+                shared.send(request_id, &Reply::Error("session already open".into()), stats);
             }
-            Request::Status => {
-                let reply = status_reply(frame.version, &queue, &cache, &stats, started);
-                shared.send(request_id, &reply, &stats);
-            }
+            Request::Status => shared.send(request_id, &daemon.status_reply(), stats),
             Request::Shutdown => {
-                shared.send(request_id, &Reply::Bye, &stats);
+                // Draining before the BYE goes out, so a client holding the
+                // BYE never finds the daemon still accepting.
                 events().emit(Level::Info, "serve.shutdown", "shutdown requested; draining");
-                shutdown.store(true, Ordering::SeqCst);
-                queue.close();
-                break 'session;
+                daemon.begin_shutdown();
+                shared.send(request_id, &Reply::Bye, stats);
+                break;
             }
             Request::TracePutStart { key, workload } => {
-                if stream.is_some() {
-                    // One inbound stream per session; the client retries.
-                    shared.send(request_id, &Reply::Busy, &stats);
-                    continue 'session;
-                }
-                if !shared.begin_request(&stats) {
-                    shared.send(request_id, &Reply::Busy, &stats);
-                    continue 'session;
+                if stream.is_some() || !shared.begin_request(stats) {
+                    // One inbound stream per session, and it needs a slot;
+                    // the client retries.
+                    shared.send(request_id, &Reply::Busy, stats);
+                    continue;
                 }
                 let Some(corpus) = cache.corpus() else {
                     shared.send_final(
@@ -1038,41 +704,34 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                         &Reply::Error(
                             "no corpus store configured; start the daemon with --corpus".into(),
                         ),
-                        &stats,
+                        stats,
                     );
-                    continue 'session;
+                    continue;
                 };
                 let mut c = corpus.lock().expect("corpus lock");
                 if c.streaming_key().is_some() {
                     // Another session owns the corpus stream right now.
                     drop(c);
-                    shared.send_final(request_id, &Reply::Busy, &stats);
-                    continue 'session;
+                    shared.send_final(request_id, &Reply::Busy, stats);
+                    continue;
                 }
-                match c.stream_begin(&key, &workload) {
+                let begun = c.stream_begin(&key, &workload);
+                drop(c);
+                match begun {
                     Ok(()) => {
-                        drop(c);
                         stats.note_stream_opened();
                         stream = Some(SessionStream::TracePut { request_id });
                     }
                     Err(e) => {
-                        drop(c);
-                        shared.send_final(
-                            request_id,
-                            &Reply::Error(format!("trace put failed: {e}")),
-                            &stats,
-                        );
+                        let reply = Reply::Error(format!("trace put failed: {e}"));
+                        shared.send_final(request_id, &reply, stats);
                     }
                 }
             }
             Request::DiagnoseStart(spec) => {
-                if stream.is_some() {
-                    shared.send(request_id, &Reply::Busy, &stats);
-                    continue 'session;
-                }
-                if !shared.begin_request(&stats) {
-                    shared.send(request_id, &Reply::Busy, &stats);
-                    continue 'session;
+                if stream.is_some() || !shared.begin_request(stats) {
+                    shared.send(request_id, &Reply::Busy, stats);
+                    continue;
                 }
                 stats.note_stream_opened();
                 stream = Some(SessionStream::Diagnose {
@@ -1082,14 +741,12 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                 });
             }
             Request::StreamChunk(bytes) => {
+                stats.note_stream_chunk(bytes.len());
                 let Some(open) = stream.as_mut() else {
                     stats.bump_proto_errors();
-                    shared.send(
-                        request_id,
-                        &Reply::Error("stream frame outside an open stream".into()),
-                        &stats,
-                    );
-                    continue 'session;
+                    let reply = Reply::Error("stream frame outside an open stream".into());
+                    shared.send(request_id, &reply, stats);
+                    continue;
                 };
                 let owner = open.request_id();
                 let failed = match open {
@@ -1104,60 +761,40 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                     // The corpus/parser side already aborted; drop ours.
                     stream = None;
                     stats.note_stream_aborted();
-                    shared.send_final(owner, &Reply::Error(why), &stats);
+                    shared.send_final(owner, &Reply::Error(why), stats);
                 }
             }
             Request::StreamEnd { crc32, total_len } => {
                 let Some(open) = stream.take() else {
                     stats.bump_proto_errors();
-                    shared.send(
-                        request_id,
-                        &Reply::Error("stream frame outside an open stream".into()),
-                        &stats,
-                    );
-                    continue 'session;
+                    let reply = Reply::Error("stream frame outside an open stream".into());
+                    shared.send(request_id, &reply, stats);
+                    continue;
                 };
                 match open {
                     SessionStream::TracePut { request_id } => {
                         let corpus = cache.corpus().expect("stream opened with a corpus");
-                        let reply = {
-                            let mut c = corpus.lock().expect("corpus lock");
-                            match c.stream_finish(crc32, total_len) {
-                                Ok(info) => Reply::Stored(stored_summary(&info.meta.key, &info)),
-                                Err(e) => {
-                                    stats.note_stream_aborted();
-                                    Reply::Error(format!("trace put failed: {e}"))
-                                }
+                        let finished =
+                            corpus.lock().expect("corpus lock").stream_finish(crc32, total_len);
+                        let reply = match finished {
+                            Ok(info) => Reply::Stored(stored_summary(&info.meta.key, &info)),
+                            Err(e) => {
+                                stats.note_stream_aborted();
+                                Reply::Error(format!("trace put failed: {e}"))
                             }
                         };
-                        shared.send_final(request_id, &reply, &stats);
+                        shared.send_final(request_id, &reply, stats);
                     }
                     SessionStream::Diagnose { request_id, spec, parse } => {
                         match parse.finish(crc32, total_len) {
-                            Ok(trace) => {
-                                let depth = queue.len();
-                                let job = Job {
-                                    responder: Responder::Session {
-                                        shared: shared.clone(),
-                                        request_id,
-                                    },
-                                    work: Work::DiagnoseTrace(spec, Box::new(trace)),
-                                    accepted: Instant::now(),
-                                };
-                                match queue.try_push(job) {
-                                    Ok(()) => {
-                                        stats.bump_accepted();
-                                        stats.note_enqueue_depth(depth);
-                                    }
-                                    Err(job) => {
-                                        stats.bump_rejected();
-                                        job.responder.respond(&Reply::Busy, &stats);
-                                    }
-                                }
-                            }
+                            Ok(trace) => daemon.enqueue(Job {
+                                responder: Responder { session: shared.clone(), request_id },
+                                work: Work::DiagnoseTrace(spec, Box::new(trace)),
+                                accepted: Instant::now(),
+                            }),
                             Err(why) => {
                                 stats.note_stream_aborted();
-                                shared.send_final(request_id, &Reply::Error(why), &stats);
+                                shared.send_final(request_id, &Reply::Error(why), stats);
                             }
                         }
                     }
@@ -1167,29 +804,17 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
             | Request::Diagnose(..)
             | Request::TracePut { .. }
             | Request::TraceGet { .. }) => {
-                if !shared.begin_request(&stats) {
+                if !shared.begin_request(stats) {
                     // Window exhausted: BUSY for this request only.
                     stats.bump_rejected();
-                    shared.send(request_id, &Reply::Busy, &stats);
-                    continue 'session;
+                    shared.send(request_id, &Reply::Busy, stats);
+                    continue;
                 }
-                let depth = queue.len();
-                let job = Job {
-                    responder: Responder::Session { shared: shared.clone(), request_id },
+                daemon.enqueue(Job {
+                    responder: Responder { session: shared.clone(), request_id },
                     work: Work::Request(req),
                     accepted: Instant::now(),
-                };
-                match queue.try_push(job) {
-                    Ok(()) => {
-                        stats.bump_accepted();
-                        stats.note_enqueue_depth(depth);
-                    }
-                    Err(job) => {
-                        stats.bump_rejected();
-                        events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
-                        job.responder.respond(&Reply::Busy, &stats);
-                    }
-                }
+                });
             }
         }
     }
@@ -1203,7 +828,7 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                 corpus.lock().expect("corpus lock").stream_abort();
             }
         }
-        shared.finish_request(&stats);
+        shared.finish_request(stats);
         events().emit(Level::Warn, "serve.stream", "session closed mid-stream; upload aborted");
     }
     stats.note_session_closed();
@@ -1310,7 +935,7 @@ impl DiagnoseStream {
         Ok(())
     }
 
-    fn finish(mut self: Box<Self>, crc32: u32, total_len: u64) -> Result<Trace, String> {
+    fn finish(mut self, crc32: u32, total_len: u64) -> Result<Trace, String> {
         if self.bytes_in != total_len {
             return Err(format!(
                 "stream length mismatch: received {} bytes, client sealed {total_len}",
@@ -1348,8 +973,9 @@ mod tests {
         stats.note_cache(CacheOutcome::Memory);
         stats.note_cache(CacheOutcome::Trained);
         stats.record_service(Duration::from_millis(4));
-        let text = stats.render(Duration::from_secs(1), 3, 2);
+        let text = render_status(&stats.metrics_snapshot(Duration::from_secs(1), 3, 2));
         for needle in [
+            "uptime_ms 1000",
             "requests_served 1",
             "requests_rejected_busy 1",
             "requests_crashed 1",
@@ -1367,9 +993,9 @@ mod tests {
     #[test]
     fn metrics_snapshot_carries_counters_gauges_and_latency() {
         let stats = ServerStats::default();
-        stats.note_request(&Request::Status);
-        stats.note_request(&Request::Train(crate::proto::ModelSpec::new("fft")));
-        stats.note_reply(&Reply::Busy);
+        stats.note_frame(FrameKind::Status);
+        stats.note_frame(FrameKind::Train);
+        stats.note_frame(FrameKind::Busy);
         stats.bump_served();
         stats.note_cache(CacheOutcome::Disk);
         stats.record_service(Duration::from_micros(180));
@@ -1377,6 +1003,10 @@ mod tests {
         assert_eq!(snap.counter("req_status"), Some(1));
         assert_eq!(snap.counter("req_train"), Some(1));
         assert_eq!(snap.counter("reply_busy"), Some(1));
+        assert_eq!(snap.counter("reply_status"), Some(0));
+        for (_, name) in FrameKind::COUNTERS {
+            assert!(snap.counter(name).is_some(), "no `{name}` counter");
+        }
         assert_eq!(snap.counter("requests_served"), Some(1));
         assert_eq!(snap.counter("cache_disk_loads"), Some(1));
         assert_eq!(snap.gauge("uptime_ms"), Some(2000));
@@ -1384,7 +1014,7 @@ mod tests {
         assert_eq!(snap.gauge("models_resident"), Some(1));
         let service = snap.histogram("service_us").expect("latency histogram");
         assert_eq!(service.count(), 1);
-        // Identical after a wire round-trip — what a v2 STATUS carries.
+        // Identical after a wire round-trip — what a STATUS reply carries.
         let bytes = snap.to_bytes();
         assert_eq!(act_obs::MetricsSnapshot::from_bytes(&bytes).unwrap(), snap);
     }

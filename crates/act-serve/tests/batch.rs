@@ -1,10 +1,10 @@
-//! Coalescing-scheduler tests: drive raw protocol-v4 sessions against a
-//! daemon with batching on and assert the three properties the scheduler
-//! must hold —
+//! Coalescing-scheduler tests: drive raw sessions against a one-worker
+//! daemon with batching on. Batches form from backlog: a `__sleep`
+//! occupant holds the worker while the burst queues up behind it, so the
+//! next pop finds every companion already queued. The properties the
+//! scheduler must hold —
 //! - coalesced replies are byte-identical to what a non-batching daemon
 //!   answers (batching is invisible on the wire);
-//! - a lone request is dispatched after at most the gather window, never
-//!   stranded waiting for companions that will not come;
 //! - requests for different models never share a batch, and every
 //!   request id is answered exactly once.
 
@@ -15,16 +15,14 @@ use act_trace::io::trace_to_bytes;
 use act_workloads::registry;
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
-/// Boot a daemon on 127.0.0.1:0 with the given coalescing policy.
-fn boot(batch_size: usize, batch_wait: Duration) -> (Server, String) {
+/// Boot a one-worker daemon on 127.0.0.1:0 with the given batch size.
+fn boot(batch_size: usize) -> (Server, String) {
     let cfg = ServeConfig {
         tcp_addr: Some("127.0.0.1:0".to_string()),
         workers: 1,
         queue_depth: 32,
         batch_size,
-        batch_wait,
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("daemon boots");
@@ -61,7 +59,7 @@ fn failing_trace_bytes() -> Vec<u8> {
     panic!("no failing seq run in 64 seeds");
 }
 
-/// One raw one-shot v4 exchange (fresh connection, one frame each way).
+/// One raw exchange on a fresh connection, one frame each way.
 fn oneshot(addr: &str, request: &Request) -> Reply {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_frame(&mut stream, &request.to_frame()).expect("send");
@@ -69,7 +67,7 @@ fn oneshot(addr: &str, request: &Request) -> Reply {
     Reply::from_frame(&frame).expect("decode reply")
 }
 
-/// A raw multiplexed v4 session (HELLO already acknowledged).
+/// A raw multiplexed session (HELLO already acknowledged).
 struct RawSession {
     stream: TcpStream,
 }
@@ -91,6 +89,14 @@ impl RawSession {
             .expect("send request");
     }
 
+    /// Hold the daemon's only worker for a while (request id 0), so what
+    /// is sent next queues up behind it.
+    fn occupy_worker(&mut self) {
+        let mut spec = ModelSpec::new("__sleep");
+        spec.seed = 300;
+        self.send(0, &Request::Train(spec));
+    }
+
     /// Read `n` replies, keyed by the request id each answers.
     fn collect(&mut self, n: usize) -> HashMap<u32, Reply> {
         let mut replies = HashMap::new();
@@ -108,7 +114,6 @@ impl RawSession {
 fn counter(addr: &str, key: &str) -> u64 {
     let text = match oneshot(addr, &Request::Status) {
         Reply::StatusMetrics(text, _) => text,
-        Reply::StatusText(text) => text,
         other => panic!("unexpected status reply: {other:?}"),
     };
     text.lines()
@@ -123,11 +128,8 @@ fn shutdown(server: Server, addr: &str) {
 
 #[test]
 fn coalesced_replies_are_byte_identical_to_sequential_ones() {
-    // A generous gather window and a single worker make coalescing
-    // deterministic: the worker leads a batch from the first queued
-    // diagnose while the session's remaining requests arrive.
-    let (batched, batched_addr) = boot(16, Duration::from_millis(50));
-    let (sequential, sequential_addr) = boot(1, Duration::ZERO);
+    let (batched, batched_addr) = boot(16);
+    let (sequential, sequential_addr) = boot(1);
     let spec = tiny_spec(0);
     let trace = failing_trace_bytes();
 
@@ -146,11 +148,13 @@ fn coalesced_replies_are_byte_identical_to_sequential_ones() {
     };
 
     let mut session = RawSession::open(&batched_addr, 16);
+    session.occupy_worker();
     const BURST: u32 = 8;
     for id in 1..=BURST {
         session.send(id, &Request::Diagnose(spec.clone(), trace.clone()));
     }
-    let replies = session.collect(BURST as usize);
+    let replies = session.collect(BURST as usize + 1);
+    assert!(matches!(replies.get(&0), Some(Reply::Trained(_))), "the occupant is answered too");
     for id in 1..=BURST {
         match replies.get(&id) {
             Some(Reply::Diagnosis(text)) => assert_eq!(
@@ -161,38 +165,15 @@ fn coalesced_replies_are_byte_identical_to_sequential_ones() {
         }
     }
 
-    assert!(counter(&batched_addr, "coalesced_batches") >= 1);
-    assert!(counter(&batched_addr, "coalesce_hits") >= 2, "the burst must actually coalesce");
+    assert_eq!(counter(&batched_addr, "coalesced_batches"), 1, "the backlog is one batch");
+    assert_eq!(counter(&batched_addr, "coalesce_hits"), BURST as u64);
     shutdown(batched, &batched_addr);
     shutdown(sequential, &sequential_addr);
 }
 
 #[test]
-fn a_lone_request_is_dispatched_when_the_gather_window_closes() {
-    // Quarter-second gather window: a lone request must still be answered
-    // promptly after the window closes, not stranded until some timeout.
-    let (server, addr) = boot(16, Duration::from_millis(250));
-    let spec = tiny_spec(0);
-    let trace = failing_trace_bytes();
-    match oneshot(&addr, &Request::Train(spec.clone())) {
-        Reply::Trained(_) => {}
-        other => panic!("unexpected train reply: {other:?}"),
-    }
-
-    let start = Instant::now();
-    match oneshot(&addr, &Request::Diagnose(spec.clone(), trace)) {
-        Reply::Diagnosis(text) => assert!(text.contains("model=cache-hit"), "text: {text}"),
-        other => panic!("unexpected reply: {other:?}"),
-    }
-    let elapsed = start.elapsed();
-    assert!(elapsed < Duration::from_secs(5), "lone request stranded for {elapsed:?}");
-    assert_eq!(counter(&addr, "coalesce_misses"), 1);
-    shutdown(server, &addr);
-}
-
-#[test]
 fn different_models_never_share_a_batch_and_every_id_is_answered() {
-    let (server, addr) = boot(16, Duration::from_millis(50));
+    let (server, addr) = boot(16);
     let (spec_a, spec_b) = (tiny_spec(0), tiny_spec(1));
     let trace = failing_trace_bytes();
     for spec in [&spec_a, &spec_b] {
@@ -206,12 +187,13 @@ fn different_models_never_share_a_batch_and_every_id_is_answered() {
     // on one session; the scheduler must split them into per-key batches
     // and still answer all twelve ids.
     let mut session = RawSession::open(&addr, 16);
+    session.occupy_worker();
     const BURST: u32 = 12;
     for id in 1..=BURST {
         let spec = if id % 2 == 0 { &spec_b } else { &spec_a };
         session.send(id, &Request::Diagnose(spec.clone(), trace.clone()));
     }
-    let replies = session.collect(BURST as usize);
+    let replies = session.collect(BURST as usize + 1);
     for id in 1..=BURST {
         match replies.get(&id) {
             Some(Reply::Diagnosis(text)) => {
@@ -220,8 +202,9 @@ fn different_models_never_share_a_batch_and_every_id_is_answered() {
             other => panic!("request {id}: unexpected reply {other:?}"),
         }
     }
-    // Two keys cannot fit one batch, so at least two were dispatched.
-    assert!(counter(&addr, "coalesced_batches") >= 2);
+    // The backlog splits into exactly one batch per key.
+    assert_eq!(counter(&addr, "coalesced_batches"), 2);
+    assert_eq!(counter(&addr, "coalesce_hits"), BURST as u64);
     shutdown(server, &addr);
 }
 

@@ -6,16 +6,19 @@
 //!   keeps serving others;
 //! - a repeated request is answered from the model cache (the `STATUS`
 //!   cache-hit counter increases);
-//! - a full queue yields `BUSY` immediately, never accepted-then-dropped.
+//! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
+//! - a client that connects and stays silent holds up nobody else;
+//! - a frame of any protocol version but 4 gets one `ERROR`, then EOF.
 
-#![allow(deprecated)] // this suite IS the one-shot compatibility reference
-
-use act_serve::client::{request, Endpoint};
-use act_serve::proto::{ModelSpec, Reply, Request};
+use act_serve::client::{ClientConfig, ClientError, Endpoint};
+use act_serve::conn::Conn;
+use act_serve::proto::{read_frame, write_frame, ModelSpec, Reply, Request};
 use act_serve::server::{ServeConfig, Server};
 use act_trace::collector::TraceCollector;
 use act_trace::io::trace_to_bytes;
 use act_workloads::registry;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Boot a daemon on 127.0.0.1:0 and return it with its client endpoint.
@@ -68,12 +71,26 @@ fn counter(status: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("no `{key}` in status:\n{status}"))
 }
 
+/// One request on a fresh connection: one frame each way, under `cfg`.
+fn request_under(
+    endpoint: &Endpoint,
+    request: &Request,
+    cfg: &ClientConfig,
+) -> Result<Reply, ClientError> {
+    let mut conn = Conn::connect(endpoint, cfg)?;
+    write_frame(&mut conn, &request.to_frame())?;
+    Ok(Reply::from_frame(&read_frame(&mut conn)?)?)
+}
+
+/// [`request_under`] with the default client timeouts.
+fn request(endpoint: &Endpoint, request: &Request) -> Result<Reply, ClientError> {
+    request_under(endpoint, request, &ClientConfig::default())
+}
+
 fn status_of(endpoint: &Endpoint) -> String {
     match request(endpoint, &Request::Status).expect("status reply") {
-        // A v2 client gets the text block plus the metrics snapshot; the
-        // text is the part these tests grep.
+        // The text block is the part these tests grep.
         Reply::StatusMetrics(text, _) => text,
-        Reply::StatusText(text) => text,
         other => panic!("unexpected status reply: {other:?}"),
     }
 }
@@ -165,7 +182,7 @@ fn full_queue_answers_busy_instead_of_accepting() {
     };
     std::thread::sleep(Duration::from_millis(150)); // queue now full
 
-    // STATUS still answers while saturated (acceptor fast path) ...
+    // STATUS still answers while saturated (the session answers it) ...
     let status = status_of(&endpoint);
     assert_eq!(counter(&status, "queue_depth"), 1, "status:\n{status}");
 
@@ -187,50 +204,87 @@ fn full_queue_answers_busy_instead_of_accepting() {
 }
 
 #[test]
-fn status_speaks_both_protocol_versions() {
-    use act_serve::proto::{read_frame, write_frame, FrameKind};
-    use std::io::Write as _;
+fn status_text_is_rendered_from_the_snapshot_it_ships_with() {
     let (server, endpoint) = boot(1, 4);
-    let addr = match &endpoint {
-        Endpoint::Tcp(addr) => addr.clone(),
-        other => panic!("tcp endpoint expected, got {other}"),
-    };
-
-    // An old (v1) client: frame stamped version 1 must get a v1-stamped
-    // plain STATUS_TEXT reply — nothing a v1 decoder would reject.
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut stream, &Request::Status.to_frame().with_version(1)).expect("send v1");
-    stream.flush().expect("flush");
-    let frame = read_frame(&mut stream).expect("v1 reply frame");
-    assert_eq!(frame.version, 1, "reply restamped for the v1 requester");
-    assert_eq!(frame.kind, FrameKind::StatusText);
-    match Reply::from_frame(&frame).expect("decode") {
-        Reply::StatusText(text) => assert!(text.contains("requests_served"), "text: {text}"),
-        other => panic!("v1 STATUS must get StatusText, got {other:?}"),
-    }
-
-    // A v2 client against this v3 daemon: the reply is restamped v2 and is
-    // the StatusMetrics frame a v2 decoder already knows — the v3 frame
-    // kinds never appear unsolicited.
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut stream, &Request::Status.to_frame().with_version(2)).expect("send v2");
-    stream.flush().expect("flush");
-    let frame = read_frame(&mut stream).expect("v2 reply frame");
-    assert_eq!(frame.version, 2, "reply restamped for the v2 requester");
-    assert_eq!(frame.kind, FrameKind::StatusMetrics);
-
-    // A new (v3) client gets the metrics snapshot alongside the text, and
-    // the two surfaces agree on the counters.
+    let mut spec = ModelSpec::new("__sleep");
+    spec.seed = 1;
+    assert!(matches!(request(&endpoint, &Request::Train(spec)).expect("train"), Reply::Trained(_)));
     match request(&endpoint, &Request::Status).expect("status reply") {
         Reply::StatusMetrics(text, snap) => {
             assert!(snap.counter("req_status").expect("req_status counter") >= 1);
             assert!(snap.histogram("service_us").is_some(), "latency histogram present");
-            let served = counter(&text, "requests_served");
-            assert_eq!(snap.counter("requests_served"), Some(served));
+            for key in ["requests_served", "requests_accepted", "coalesce_misses"] {
+                assert_eq!(snap.counter(key), Some(counter(&text, key)), "{key} disagrees");
+            }
+            let uptime = snap.gauge("uptime_ms").expect("uptime gauge") as u64;
+            assert_eq!(counter(&text, "uptime_ms"), uptime, "text and snapshot are one instant");
         }
-        other => panic!("v2 STATUS must get StatusMetrics, got {other:?}"),
+        other => panic!("STATUS must get StatusMetrics, got {other:?}"),
     }
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+}
 
+/// A STATUS frame as a client of protocol `version` would lay it out:
+/// versions 1–3 had no request id, so their header is 10 bytes; any later
+/// version is assumed to keep v4's 14-byte header.
+fn status_frame_at(version: u8) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &Request::Status.to_frame().with_request(7)).expect("encode");
+    wire[4] = version;
+    if version < 4 {
+        wire.truncate(10);
+    }
+    wire
+}
+
+/// Send `wire` on a fresh connection to `addr` and expect exactly one
+/// `ERROR` reply naming the version, then EOF.
+fn expect_one_error_then_eof(addr: &str, wire: &[u8], version: u8) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    stream.write_all(wire).expect("send");
+    match Reply::from_frame(&read_frame(&mut stream).expect("one reply frame")) {
+        Ok(Reply::Error(msg)) => {
+            assert!(msg.contains(&format!("protocol version {version}")), "v{version}: {msg}")
+        }
+        other => panic!("v{version} frame must get ERROR, got {other:?}"),
+    }
+    let mut rest = [0u8; 1];
+    assert_eq!(stream.read(&mut rest).expect("clean close"), 0, "v{version}: EOF after the ERROR");
+}
+
+#[test]
+fn frames_of_other_versions_get_one_error_then_eof() {
+    let (server, endpoint) = boot(1, 4);
+    let Endpoint::Tcp(addr) = &endpoint else { unreachable!("boot binds tcp") };
+    for version in [1u8, 2, 3, 5] {
+        expect_one_error_then_eof(addr, &status_frame_at(version), version);
+    }
+    let status = status_of(&endpoint);
+    assert_eq!(counter(&status, "protocol_errors"), 4, "status:\n{status}");
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+}
+
+#[test]
+fn a_silent_client_does_not_stall_other_clients() {
+    let (server, endpoint) = boot(1, 4);
+    let Endpoint::Tcp(addr) = &endpoint else { unreachable!("boot binds tcp") };
+    // Connects and never sends a byte, for longer than the client below
+    // is willing to wait. The listener accepts in arrival order, so this
+    // connection is ahead of the client's.
+    let silent = TcpStream::connect(addr).expect("connect");
+    let cfg = ClientConfig {
+        connect_timeout: Some(Duration::from_secs(2)),
+        io_timeout: Some(Duration::from_secs(2)),
+        retry: None,
+    };
+    match request_under(&endpoint, &Request::Status, &cfg) {
+        Ok(Reply::StatusMetrics(text, _)) => assert!(text.contains("act-serve status")),
+        other => panic!("STATUS behind a silent client must succeed, got {other:?}"),
+    }
+    drop(silent);
     assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
     server.join();
 }

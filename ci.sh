@@ -63,9 +63,23 @@ cmp "$STORE_DIR/seq-0.trace" "$STORE_DIR/back.trace"
 target/release/act store compact "$STORE_DIR/corpus" | grep "compacted"
 rm -rf "$STORE_DIR"
 
+ACT=target/release/act
+
+# Wait until the daemon at the given --addr/--unix answers STATUS; fail
+# the script if it has not within 10 s.
+wait_ready() {
+    deadline=$(($(date +%s) + 10))
+    until "$ACT" request status --io-timeout 1000 "$@" > /dev/null 2>&1; do
+        if [ "$(date +%s)" -ge "$deadline" ]; then
+            echo "daemon at $* did not answer STATUS within 10 s" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
 # Daemon smoke test: boot act-serve on loopback, train + diagnose over the
 # wire, assert the ranked suspect list is non-empty, shut down cleanly.
-ACT=target/release/act
 ADDR=127.0.0.1:7461
 SERVE_CORPUS=$(mktemp -d)
 "$ACT" serve --addr "$ADDR" --workers 2 --queue-depth 8 \
@@ -73,7 +87,7 @@ SERVE_CORPUS=$(mktemp -d)
     --event-log act-serve-events.jsonl &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-sleep 1
+wait_ready --addr "$ADDR"
 "$ACT" request train seq --addr "$ADDR" | grep "trained seq"
 # Corpus over the wire: ingest, read back losslessly.
 "$ACT" trace seq --out "$SERVE_CORPUS/traces" --runs 1
@@ -102,6 +116,21 @@ test -s act-serve-events.jsonl
 grep '"target":"serve.start"' act-serve-events.jsonl
 grep '"target":"serve.shutdown"' act-serve-events.jsonl
 
+# Unix-socket smoke: a daemon on a socket path alone answers STATUS, drains
+# on SHUTDOWN, and removes its socket file on the way out.
+UNIX_DIR=$(mktemp -d)
+SOCK="$UNIX_DIR/act.sock"
+"$ACT" serve --unix "$SOCK" --workers 1 --queue-depth 4 &
+UNIX_PID=$!
+trap 'kill "$UNIX_PID" 2>/dev/null || true' EXIT
+wait_ready --unix "$SOCK"
+"$ACT" request status --unix "$SOCK" | grep "requests_served"
+"$ACT" request shutdown --unix "$SOCK"
+wait "$UNIX_PID"
+trap - EXIT
+test ! -e "$SOCK"
+rm -rf "$UNIX_DIR"
+
 # Gateway smoke test: two backends behind act-gate, one killed mid-fleet.
 # Requests keep succeeding through failover and STATUS aggregates what is
 # left standing (DESIGN.md §10).
@@ -112,11 +141,14 @@ GATE=127.0.0.1:7464
 B1_PID=$!
 "$ACT" serve --addr "$B2" --workers 2 --queue-depth 8 &
 B2_PID=$!
+trap 'kill "$B1_PID" "$B2_PID" 2>/dev/null || true' EXIT
+wait_ready --addr "$B1"
+wait_ready --addr "$B2"
 "$ACT" gate --backends "$B1,$B2" --listen "$GATE" --workers 2 \
     --event-log act-gate-events.jsonl &
 GATE_PID=$!
 trap 'kill "$GATE_PID" "$B1_PID" "$B2_PID" 2>/dev/null || true' EXIT
-sleep 1
+wait_ready --addr "$GATE"
 # Models shard across the fleet; clients talk only to the gateway.
 "$ACT" request train seq --addr "$GATE" | grep "trained seq"
 "$ACT" request train seq --seed 1 --addr "$GATE" | grep "trained seq"
@@ -164,10 +196,12 @@ test "$(wc -c < "$BIG_DIR/big.trace")" -gt 67108864
 "$ACT" serve --addr "$BIG_B" --workers 2 --queue-depth 8 \
     --corpus "$BIG_DIR/corpus" &
 BIG_B_PID=$!
+trap 'kill "$BIG_B_PID" 2>/dev/null || true' EXIT
+wait_ready --addr "$BIG_B"
 "$ACT" gate --backends "$BIG_B" --listen "$BIG_GATE" --workers 2 &
 BIG_GATE_PID=$!
 trap 'kill "$BIG_GATE_PID" "$BIG_B_PID" 2>/dev/null || true' EXIT
-sleep 1
+wait_ready --addr "$BIG_GATE"
 "$ACT" request trace-put seq --addr "$BIG_GATE" --stream \
     --trace "$BIG_DIR/big.trace" --key big | grep "stored big"
 "$ACT" request shutdown --addr "$BIG_GATE"

@@ -14,7 +14,9 @@
 //!   the same requests issued one per connection (proptest);
 //! - a raw client that sends one frame gets a window-1 session;
 //! - the retry rule (one jittered retry after a transport failure or
-//!   `BUSY`) holds at depth 1 and at depth 8.
+//!   `BUSY`) holds at depth 1 and at depth 8;
+//! - a Unix-socket daemon serves the client, and a drain wakes acceptors
+//!   blocked in `accept` on either listener.
 
 use act_client::{ActError, Client, ModelSpec, Reply, Request};
 use act_serve::proto::{read_frame, write_frame, FrameKind};
@@ -93,6 +95,70 @@ fn scratch_corpus(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("act-client-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// How a drain starts: one `shutdown()` call, two, or a `SHUTDOWN` frame.
+#[derive(Debug, Clone, Copy)]
+enum Drain {
+    Call,
+    CallTwice,
+    Frame,
+}
+
+const DRAINS: [Drain; 3] = [Drain::Call, Drain::CallTwice, Drain::Frame];
+
+/// Start `server`'s drain as `how` says (a frame goes to `endpoint`), then
+/// report whether `join` returns within 2 s. The join runs on a helper
+/// thread, so an acceptor left blocked fails the test instead of hanging it.
+fn drain_joins_promptly(server: Server, how: Drain, endpoint: &Endpoint) -> bool {
+    match how {
+        Drain::Call => server.shutdown(),
+        Drain::CallTwice => {
+            server.shutdown();
+            server.shutdown();
+        }
+        Drain::Frame => client_at(endpoint, 1).shutdown().expect("shutdown acked with BYE"),
+    }
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = done.send(());
+    });
+    joined.recv_timeout(Duration::from_secs(2)).is_ok()
+}
+
+fn socket_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("act-client-{tag}-{}.sock", std::process::id()))
+}
+
+#[test]
+fn a_unix_only_daemon_serves_the_client_and_drains_promptly() {
+    let spec = tiny_spec("seq");
+    let failing = trace_bytes(0, true);
+    for how in DRAINS {
+        let path = socket_path(&format!("unix-{how:?}"));
+        let cfg = ServeConfig { tcp_addr: None, unix_path: Some(path.clone()), ..small(1, 4) };
+        let server = Server::start(cfg).expect("daemon boots");
+        let endpoint = Endpoint::Unix(path.clone());
+        let client = client_at(&endpoint, 1);
+        let status = client.status().expect("status over the unix socket");
+        assert!(status.text.contains("requests_served"), "{how:?}: {}", status.text);
+        let report = client.diagnose(&spec, &failing).expect("diagnose over the unix socket");
+        assert!(report.starts_with("diagnosis workload=seq"), "{how:?}: {report}");
+        assert!(drain_joins_promptly(server, how, &endpoint), "{how:?}: join took over 2 s");
+        assert!(!path.exists(), "{how:?}: the socket file outlived join");
+    }
+}
+
+#[test]
+fn a_daemon_on_both_listeners_drains_promptly() {
+    for how in DRAINS {
+        let path = socket_path(&format!("both-{how:?}"));
+        let (server, endpoint) = boot(ServeConfig { unix_path: Some(path.clone()), ..small(1, 4) });
+        assert!(path.exists(), "{how:?}: the unix listener is bound");
+        assert!(drain_joins_promptly(server, how, &endpoint), "{how:?}: join took over 2 s");
+        assert!(!path.exists(), "{how:?}: the socket file outlived join");
+    }
 }
 
 #[test]

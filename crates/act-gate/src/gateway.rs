@@ -27,7 +27,8 @@ use act_fleet::{BoundedQueue, ModelKey};
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
 };
-use act_serve::{ClientError, Conn, Reply, Request};
+use act_serve::conn::{accept_loop, wake, Listener};
+use act_serve::{ClientError, Endpoint, Reply, Request};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,9 +36,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the acceptor and prober sleep between polls of an idle
-/// listener / probe schedule.
-const POLL: Duration = Duration::from_millis(5);
+/// How often the health prober wakes to see whether a probe is due (or
+/// the gateway is draining).
+const PROBE_TICK: Duration = Duration::from_millis(5);
 
 /// Gateway configuration.
 #[derive(Debug, Clone)]
@@ -237,6 +238,8 @@ pub(crate) struct GateState {
     pub(crate) shutdown: AtomicBool,
     /// Client-facing socket read/write timeout.
     pub(crate) io_timeout: Duration,
+    /// Where a drain connects to wake the acceptor.
+    wake: Endpoint,
 }
 
 impl GateState {
@@ -290,9 +293,12 @@ impl GateState {
     }
 
     /// Stop accepting and close the queue; workers drain what it holds.
+    /// Only the first call wakes the acceptor.
     pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.queue.close();
+            wake(&self.wake);
+        }
     }
 
     /// One request/reply exchange with backend `i` over its pooled
@@ -485,6 +491,9 @@ impl Gateway {
                     .expect("endpoint is set")
             })
             .collect();
+        let listener = TcpListener::bind(&cfg.listen)?;
+        let tcp_addr = listener.local_addr()?;
+        let listener = Listener::Tcp(listener);
         let state = Arc::new(GateState {
             ring: HashRing::new(n, cfg.vnodes),
             health: Health::new(n, 0x6761_7465), // "gate"
@@ -495,33 +504,19 @@ impl Gateway {
             probe_clients,
             shutdown: AtomicBool::new(false),
             io_timeout: cfg.io_timeout,
+            wake: listener.wake_endpoint()?,
         });
         let mut threads = Vec::new();
 
-        let listener = TcpListener::bind(&cfg.listen)?;
-        listener.set_nonblocking(true)?;
-        let tcp_addr = listener.local_addr()?;
-
         {
-            // The acceptor only accepts: each connection gets a session
-            // thread of its own, so a silent client holds nobody up.
             let state = state.clone();
             threads.push(std::thread::Builder::new().name("act-gate-accept".into()).spawn(
                 move || {
-                    while !state.shutdown.load(Ordering::SeqCst) {
-                        let Ok((conn, _)) = listener.accept() else {
-                            // Idle listener, or a transient accept error.
-                            std::thread::sleep(POLL);
-                            continue;
-                        };
+                    let session = {
                         let state = state.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name("act-gate-session".into())
-                            .spawn(move || run_gate_session(Conn::Tcp(conn), &state));
-                        if spawned.is_err() {
-                            events().emit(Level::Warn, "gate.session", "failed to spawn session");
-                        }
-                    }
+                        move |conn| run_gate_session(conn, &state)
+                    };
+                    accept_loop(&listener, &state.shutdown, "act-gate-session", session);
                 },
             )?);
         }
@@ -557,7 +552,7 @@ impl Gateway {
                                 state.probe(i);
                             }
                         }
-                        std::thread::sleep(POLL);
+                        std::thread::sleep(PROBE_TICK);
                     }
                 },
             )?);

@@ -11,16 +11,19 @@
 //!   under the client's request id (proptest over payload shapes);
 //! - `STATUS` aggregates every backend's metrics under one reply;
 //! - a client that connects and stays silent holds up nobody else;
-//! - a frame of any protocol version but 4 gets one `ERROR`, then EOF.
+//! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
+//! - a drain wakes the acceptor blocked in `accept`.
 
 use act_client::{Client, MetricsSnapshot};
 use act_gate::{GateConfig, Gateway};
+use act_serve::conn::{accept_loop, Conn, Listener};
 use act_serve::proto::{read_frame, write_frame, Frame, FrameKind};
 use act_serve::{ModelSpec, Reply, Request};
 use act_serve::{ServeConfig, Server};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 /// Boot a real act-serve backend on an ephemeral port.
@@ -150,25 +153,25 @@ fn killing_the_owner_fails_over_to_the_ring_neighbor() {
 fn spawn_stub(answer: fn(Frame) -> Reply) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
     let addr = listener.local_addr().unwrap().to_string();
+    let listener = Listener::Tcp(listener);
     std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(mut conn) = conn else { break };
-            std::thread::spawn(move || {
-                while let Ok(frame) = read_frame(&mut conn) {
-                    let id = frame.request_id;
-                    let reply = match frame.kind {
-                        FrameKind::Hello => Reply::HelloAck { window: 32 },
-                        FrameKind::Status => {
-                            Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
-                        }
-                        _ => answer(frame),
-                    };
-                    if write_frame(&mut conn, &reply.to_frame().with_request(id)).is_err() {
-                        break;
+        let serve = move |mut conn: Conn| {
+            while let Ok(frame) = read_frame(&mut conn) {
+                let id = frame.request_id;
+                let reply = match frame.kind {
+                    FrameKind::Hello => Reply::HelloAck { window: 32 },
+                    FrameKind::Status => {
+                        Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
                     }
+                    _ => answer(frame),
+                };
+                if write_frame(&mut conn, &reply.to_frame().with_request(id)).is_err() {
+                    break;
                 }
-            });
-        }
+            }
+        };
+        // Never drained: the stub lives as long as the test process.
+        accept_loop(&listener, &AtomicBool::new(false), "stub-session", serve);
     });
     addr
 }
@@ -341,6 +344,35 @@ fn gateway_shutdown_drains_without_touching_backends() {
     // The backend outlives its gateway.
     let direct = Client::builder().addr(addr_of(&backend)).build().expect("client builds");
     direct.status().expect("backend still up");
+    backend.shutdown();
+    backend.join();
+}
+
+#[test]
+fn a_drain_wakes_the_blocked_acceptor() {
+    let backend = boot_backend();
+    for how in ["shutdown()", "shutdown() twice", "a SHUTDOWN frame"] {
+        let gate = boot_gateway(vec![addr_of(&backend)]);
+        match how {
+            "shutdown()" => gate.shutdown(),
+            "shutdown() twice" => {
+                gate.shutdown();
+                gate.shutdown();
+            }
+            _ => gate_client(&gate).shutdown().expect("shutdown acked with BYE"),
+        }
+        // Joined on a helper thread, so an acceptor left blocked fails the
+        // test instead of hanging it.
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            gate.join();
+            let _ = done.send(());
+        });
+        assert!(
+            joined.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "drained by {how}: join took over 2 s"
+        );
+    }
     backend.shutdown();
     backend.join();
 }

@@ -126,9 +126,19 @@ impl ClientConfig {
 }
 
 /// Open a TCP connection with a connect timeout, trying each resolved
-/// address. Exposed for callers that pool raw connections (`act-gate`).
+/// address, with `TCP_NODELAY` set (see [`crate::conn`] for why). Every
+/// TCP connect in the workspace goes through here.
 pub fn connect_tcp(addr: &str, timeout: Option<Duration>) -> io::Result<TcpStream> {
-    let Some(t) = timeout else { return TcpStream::connect(addr) };
+    let stream = match timeout {
+        None => TcpStream::connect(addr)?,
+        Some(t) => connect_first(addr, t)?,
+    };
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// The first of `addr`'s resolved addresses that connects within `t`.
+fn connect_first(addr: &str, t: Duration) -> io::Result<TcpStream> {
     let mut last = None;
     for sa in addr.to_socket_addrs()? {
         match TcpStream::connect_timeout(&sa, t) {
@@ -160,6 +170,16 @@ mod tests {
             .map_err(ClientError::from)
             .expect_err("connect must fail");
         assert!(matches!(err, ClientError::Io(_)), "got: {err}");
+    }
+
+    #[test]
+    fn connected_streams_carry_tcp_nodelay() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        for timeout in [None, Some(Duration::from_secs(2))] {
+            let stream = connect_tcp(&addr, timeout).expect("connect");
+            assert!(stream.nodelay().expect("read option"), "timeout {timeout:?}");
+        }
     }
 
     #[test]

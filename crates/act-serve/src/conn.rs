@@ -1,17 +1,26 @@
 //! Connection plumbing shared by `act serve` and `act gate`: the Tcp/Unix
-//! socket type, the frame read a session loop blocks in, and the in-flight
-//! window.
+//! listener and socket types, the one accept loop both daemons run, the
+//! wake-up a drain sends it, the frame read a session loop blocks in, and
+//! the in-flight window.
 //!
-//! Every connection is a session. Its first frame decides the window: a
+//! The acceptor blocks in `accept` and never reads: every connection is a
+//! session on a thread of its own. Its first frame decides the window: a
 //! `HELLO` asks for one (capped at [`SESSION_WINDOW`]), and any other first
 //! frame opens a window-1 session with that frame as its first request —
 //! so a client that wants one reply still sends one frame and reads one.
+//!
+//! Every TCP socket either daemon accepts or connects has `TCP_NODELAY`
+//! set. Frames are written whole, one `write_all` each, so Nagle's
+//! algorithm has nothing useful to merge; all it would do is hold a
+//! frame's tail segment behind an unacknowledged one until the peer's
+//! delayed ACK fires, up to 40 ms later.
 
 use crate::client::{connect_tcp, ClientConfig, Endpoint};
 use crate::proto::{read_frame, Frame, FrameKind, ProtoError, Request};
+use act_obs::{events, Level};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::os::unix::net::UnixStream;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Duration;
 
@@ -22,6 +31,109 @@ pub const SESSION_WINDOW: u32 = 32;
 /// How long a session loop blocks waiting for the next frame's first byte
 /// before re-checking the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long the accept loop backs off after a failed `accept` (e.g.
+/// `EMFILE`) before trying again. An idle listener costs no wake-ups: the
+/// loop blocks in `accept`.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Connect timeout of the connection a drain opens to wake an acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// A bound listening socket, TCP or Unix-domain.
+#[derive(Debug)]
+pub enum Listener {
+    /// TCP (remote or loopback).
+    Tcp(TcpListener),
+    /// Unix-domain socket (local, no network stack).
+    Unix(UnixListener),
+}
+
+impl Listener {
+    /// Block until a client connects. A TCP connection comes back with
+    /// `TCP_NODELAY` set.
+    fn accept(&self) -> io::Result<Conn> {
+        match self {
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nodelay(true)?;
+                Ok(Conn::Tcp(stream))
+            }
+            Listener::Unix(l) => Ok(Conn::Unix(l.accept()?.0)),
+        }
+    }
+
+    /// Where a drain connects to wake this listener's accept loop (see
+    /// [`wake`]): the bound address, with an unspecified IP replaced by
+    /// loopback, or the bound path.
+    ///
+    /// # Errors
+    ///
+    /// The socket has no address to report.
+    pub fn wake_endpoint(&self) -> io::Result<Endpoint> {
+        match self {
+            Listener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(if addr.is_ipv4() {
+                        Ipv4Addr::LOCALHOST.into()
+                    } else {
+                        Ipv6Addr::LOCALHOST.into()
+                    });
+                }
+                Ok(Endpoint::Tcp(addr.to_string()))
+            }
+            Listener::Unix(l) => match l.local_addr()?.as_pathname() {
+                Some(path) => Ok(Endpoint::Unix(path.to_path_buf())),
+                None => Err(io::Error::new(io::ErrorKind::InvalidInput, "unnamed unix listener")),
+            },
+        }
+    }
+}
+
+/// The accept loop both daemons run, one per listener: block in `accept`
+/// and run `session` on a thread of its own (named `session_thread`) for
+/// each connection, until `draining` is set. The flag is checked after
+/// every accept, and the connection that woke the loop then is dropped
+/// without a session — a drain sets the flag, then [`wake`]s the loop
+/// with a connection of its own.
+pub fn accept_loop<F>(
+    listener: &Listener,
+    draining: &AtomicBool,
+    session_thread: &'static str,
+    session: F,
+) where
+    F: Fn(Conn) + Clone + Send + 'static,
+{
+    while !draining.load(Ordering::SeqCst) {
+        let accepted = listener.accept();
+        if draining.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok(conn) => {
+                let session = session.clone();
+                let spawned = std::thread::Builder::new()
+                    .name(session_thread.to_string())
+                    .spawn(move || session(conn));
+                if spawned.is_err() {
+                    let why = format!("failed to spawn {session_thread}");
+                    events().emit(Level::Warn, "conn.accept", why);
+                }
+            }
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+}
+
+/// Wake the accept loop listening on `endpoint` (its listener's
+/// [`Listener::wake_endpoint`]) by connecting once, under a short connect
+/// timeout, and hanging up. Best effort: a loop that is not blocked in
+/// `accept` re-checks its flag after the next connection anyway.
+pub fn wake(endpoint: &Endpoint) {
+    let cfg = ClientConfig { connect_timeout: Some(WAKE_TIMEOUT), ..ClientConfig::default() };
+    let _ = Conn::connect(endpoint, &cfg);
+}
 
 /// A connected socket, TCP or Unix-domain.
 #[derive(Debug)]
@@ -200,6 +312,45 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Arc};
+
+    #[test]
+    fn accept_loop_hands_out_nodelay_sockets_until_a_drain_wakes_it() {
+        let listener = Listener::Tcp(TcpListener::bind("127.0.0.1:0").expect("bind"));
+        let endpoint = listener.wake_endpoint().expect("bound address");
+        let Endpoint::Tcp(addr) = endpoint.clone() else { unreachable!("tcp listener") };
+        let draining = Arc::new(AtomicBool::new(false));
+        let (sessions, opened) = mpsc::channel();
+        let acceptor = {
+            let draining = draining.clone();
+            std::thread::spawn(move || {
+                let session = move |conn: Conn| {
+                    let Conn::Tcp(stream) = conn else { unreachable!("tcp listener") };
+                    sessions.send(stream.nodelay().expect("read option")).expect("test alive");
+                };
+                accept_loop(&listener, &draining, "test-session", session);
+            })
+        };
+
+        // A client that leaves Nagle on: the option comes from the loop.
+        let _client = TcpStream::connect(&addr).expect("connect");
+        let nodelay = opened.recv_timeout(Duration::from_secs(2)).expect("a session opened");
+        assert!(nodelay, "accepted sockets carry TCP_NODELAY");
+
+        draining.store(true, Ordering::SeqCst);
+        wake(&endpoint);
+        acceptor.join().expect("the woken loop returns");
+        assert!(opened.try_recv().is_err(), "the wake-up connection gets no session");
+    }
+
+    #[test]
+    fn an_unspecified_address_is_woken_on_loopback() {
+        let listener = Listener::Tcp(TcpListener::bind("0.0.0.0:0").expect("bind"));
+        let Endpoint::Tcp(addr) = listener.wake_endpoint().expect("bound address") else {
+            unreachable!("tcp listener")
+        };
+        assert!(addr.starts_with("127.0.0.1:"), "got {addr}");
+    }
 
     #[test]
     fn hello_asks_for_a_capped_window_and_anything_else_gets_one() {

@@ -31,8 +31,9 @@
 //!
 //! - [`proto`] — the length-prefixed binary frame protocol (v4 only; see
 //!   `PROTOCOL.md` for the wire spec).
-//! - [`conn`] — what both daemons' session loops share: the Tcp/Unix
-//!   [`Conn`], the polled frame read, and the in-flight [`Window`].
+//! - [`conn`] — what both daemons share: the Tcp/Unix [`Listener`] and
+//!   [`Conn`], the one blocking accept loop and the wake-up a drain sends
+//!   it, the polled frame read, and the in-flight [`Window`].
 //! - [`server`] — listeners, acceptors, session readers, backpressure,
 //!   graceful drain.
 //! - [`pool`] — crash-isolated request workers.
@@ -50,6 +51,6 @@ pub mod server;
 
 pub use cache::{CacheOutcome, Model, ModelCache, ModelKey};
 pub use client::{connect_tcp, ClientConfig, ClientError, Endpoint, RetryPolicy};
-pub use conn::{Conn, Window, SESSION_WINDOW};
+pub use conn::{Conn, Listener, Window, SESSION_WINDOW};
 pub use proto::{Frame, FrameKind, ModelSpec, ProtoError, Reply, Request};
 pub use server::{ServeConfig, Server, ServerStats};

@@ -13,11 +13,13 @@
 //! reply: the request was *refused*, never accepted-then-dropped. Workers
 //! drain the queue (see [`crate::pool`]) and write replies onto the
 //! session; `SHUTDOWN` (or [`Server::shutdown`], which the CLI wires to
-//! SIGINT) stops the acceptors, closes the queue, and lets the workers
-//! finish every accepted job before [`Server::join`] returns.
+//! SIGINT) wakes the acceptors out of `accept` and stops them, closes the
+//! queue, and lets the workers finish every accepted job before
+//! [`Server::join`] returns.
 
 use crate::cache::{CacheOutcome, ModelCache};
-use crate::conn::{next_frame, Conn, Window};
+use crate::client::Endpoint;
+use crate::conn::{accept_loop, next_frame, wake, Conn, Listener, Window};
 use crate::pool::{spawn_workers, Job, Responder, Work};
 use crate::proto::{encode_frame, write_frame, FrameKind, ModelSpec, Reply, Request};
 use act_fleet::BoundedQueue;
@@ -35,10 +37,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long acceptors sleep between polls of an idle listener (they poll so
-/// the shutdown flag is noticed without a wakeup connection).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Ceiling on one streamed `DIAGNOSE` upload. Unlike streamed `TRACE_PUT`
 /// (disk-backed, memory bounded by the chunk size) a streamed diagnose
@@ -335,6 +333,8 @@ struct Daemon {
     shutdown: AtomicBool,
     io_timeout: Duration,
     started: Instant,
+    /// Where a drain connects to wake each acceptor, one per listener.
+    wake: Vec<Endpoint>,
 }
 
 impl Daemon {
@@ -349,9 +349,12 @@ impl Daemon {
     }
 
     /// Stop accepting and close the queue; workers drain what it holds.
+    /// Only the first call wakes the acceptors.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.queue.close();
+            self.wake.iter().for_each(wake);
+        }
     }
 
     /// Queue `job`, or answer it `BUSY` right away when the queue is full.
@@ -419,6 +422,22 @@ impl Server {
                 .with_registry(stats.registry());
             cache = cache.with_corpus(Arc::new(Mutex::new(corpus)));
         }
+
+        // Every listener is bound before any thread starts, so a failed
+        // bind leaves nothing behind.
+        let mut listeners = Vec::new();
+        let mut tcp_addr = None;
+        if let Some(addr) = &cfg.tcp_addr {
+            let listener = TcpListener::bind(addr)?;
+            tcp_addr = Some(listener.local_addr()?);
+            listeners.push(("act-serve-accept-tcp", Listener::Tcp(listener)));
+        }
+        if let Some(path) = &cfg.unix_path {
+            if path.exists() {
+                std::fs::remove_file(path)?;
+            }
+            listeners.push(("act-serve-accept-unix", Listener::Unix(UnixListener::bind(path)?)));
+        }
         let daemon = Arc::new(Daemon {
             queue: Arc::new(BoundedQueue::new(cfg.queue_depth)),
             cache: Arc::new(cache),
@@ -426,40 +445,37 @@ impl Server {
             shutdown: AtomicBool::new(false),
             io_timeout: cfg.io_timeout,
             started: Instant::now(),
+            wake: listeners.iter().map(|(_, l)| l.wake_endpoint()).collect::<io::Result<_>>()?,
         });
-        let mut threads = Vec::new();
-
-        let mut tcp_addr = None;
-        if let Some(addr) = &cfg.tcp_addr {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            tcp_addr = Some(listener.local_addr()?);
-            threads.push(spawn_acceptor(
-                "act-serve-accept-tcp",
-                move || listener.accept().map(|(s, _)| Conn::Tcp(s)),
-                daemon.clone(),
-            )?);
-        }
-        if let Some(path) = &cfg.unix_path {
-            if path.exists() {
-                std::fs::remove_file(path)?;
-            }
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            threads.push(spawn_acceptor(
-                "act-serve-accept-unix",
-                move || listener.accept().map(|(s, _)| Conn::Unix(s)),
-                daemon.clone(),
-            )?);
-        }
-        threads.extend(spawn_workers(
+        let mut server =
+            Server { daemon, threads: Vec::new(), tcp_addr, unix_path: cfg.unix_path.clone() };
+        server.threads = spawn_workers(
             cfg.workers,
-            daemon.queue.clone(),
-            daemon.cache.clone(),
-            daemon.stats.clone(),
+            server.daemon.queue.clone(),
+            server.daemon.cache.clone(),
+            server.daemon.stats.clone(),
             cfg.deadline,
             cfg.batch_size,
-        ));
+        );
+        for (name, listener) in listeners {
+            let daemon = server.daemon.clone();
+            let spawned = std::thread::Builder::new().name(name.to_string()).spawn(move || {
+                let session = {
+                    let daemon = daemon.clone();
+                    move |conn| run_session(conn, &daemon)
+                };
+                accept_loop(&listener, &daemon.shutdown, "act-serve-session", session);
+            });
+            match spawned {
+                Ok(t) => server.threads.push(t),
+                Err(e) => {
+                    // Stop what already runs rather than orphan it.
+                    server.shutdown();
+                    server.join();
+                    return Err(e);
+                }
+            }
+        }
 
         events().emit(
             Level::Info,
@@ -468,7 +484,7 @@ impl Server {
                 "daemon up: {} workers, queue depth {}, listening on {}",
                 cfg.workers,
                 cfg.queue_depth,
-                match (&tcp_addr, &cfg.unix_path) {
+                match (&server.tcp_addr, &cfg.unix_path) {
                     (Some(a), Some(p)) => format!("{a} and {}", p.display()),
                     (Some(a), None) => a.to_string(),
                     (None, Some(p)) => p.display().to_string(),
@@ -476,7 +492,7 @@ impl Server {
                 }
             ),
         );
-        Ok(Server { daemon, threads, tcp_addr, unix_path: cfg.unix_path })
+        Ok(server)
     }
 
     /// The bound TCP address (with the real port when `:0` was requested).
@@ -515,34 +531,6 @@ impl Server {
             let _ = std::fs::remove_file(path);
         }
     }
-}
-
-/// Spawn one acceptor thread over a nonblocking `accept` closure. It only
-/// accepts: each connection gets a session thread of its own, so a client
-/// that connects and stays silent holds nobody up.
-fn spawn_acceptor(
-    name: &str,
-    mut accept: impl FnMut() -> io::Result<Conn> + Send + 'static,
-    daemon: Arc<Daemon>,
-) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().name(name.to_string()).spawn(move || {
-        while !daemon.shutdown.load(Ordering::SeqCst) {
-            match accept() {
-                Ok(conn) => {
-                    let daemon = daemon.clone();
-                    let spawned = std::thread::Builder::new()
-                        .name("act-serve-session".to_string())
-                        .spawn(move || run_session(conn, &daemon));
-                    if spawned.is_err() {
-                        events().emit(Level::Warn, "serve.session", "failed to spawn session");
-                    }
-                }
-                // Idle listener, or a transient accept error (e.g. an
-                // aborted handshake) that must not kill the acceptor.
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-    })
 }
 
 /// The half of a session shared between its reader thread and the workers

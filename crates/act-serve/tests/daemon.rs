@@ -8,7 +8,8 @@
 //!   cache-hit counter increases);
 //! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
 //! - a client that connects and stays silent holds up nobody else;
-//! - a frame of any protocol version but 4 gets one `ERROR`, then EOF.
+//! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
+//! - a start that fails on its second listener leaves the first unbound.
 
 use act_serve::client::{ClientConfig, ClientError, Endpoint};
 use act_serve::conn::Conn;
@@ -435,4 +436,22 @@ fn diagnose_on_a_cold_daemon_trains_then_ranks() {
     }
     assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
     server.join();
+}
+
+#[test]
+fn a_failed_start_leaves_no_listener_behind() {
+    // A loopback port nobody holds, and a socket path whose directory is
+    // missing: the TCP bind succeeds, the Unix bind fails.
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = probe.local_addr().expect("addr").to_string();
+    drop(probe);
+    let missing = std::env::temp_dir().join(format!("act-no-such-dir-{}", std::process::id()));
+    let cfg = ServeConfig {
+        tcp_addr: Some(addr.clone()),
+        unix_path: Some(missing.join("act.sock")),
+        ..ServeConfig::default()
+    };
+    assert!(Server::start(cfg).is_err(), "the unix bind must fail");
+    assert!(TcpStream::connect(&addr).is_err(), "nothing may still accept on {addr}");
+    std::net::TcpListener::bind(&addr).expect("the port is free again");
 }

@@ -292,9 +292,10 @@ impl Client {
     }
 
     /// The raw pipelined session, opening it if necessary. For callers —
-    /// the gateway, benchmarks, tests — that want to hold many
-    /// [`session::Pending`]s at once instead of the blocking typed
-    /// methods. Requires `pipeline_depth > 1`.
+    /// benchmarks, tests — that want many requests in flight at once
+    /// ([`session::Pending`] handles or [`Session::call_with`] callbacks)
+    /// instead of the blocking typed methods. Requires
+    /// `pipeline_depth > 1`.
     ///
     /// # Errors
     ///

@@ -1,11 +1,13 @@
 //! Multiplexed, pipelined sessions: one connection, many requests in
 //! flight, replies demultiplexed by request id.
 //!
-//! A [`Session`] opens with `HELLO`, learns its in-flight window from the
-//! `HELLO_ACK`, and then hands out [`Pending`] handles: [`Session::call`]
-//! claims a window slot, stamps the request with a fresh id, and writes
-//! the frame; a background reader thread matches every arriving reply to
-//! its waiter. The caller decides how much pipelining it wants by simply
+//! A [`Session`] opens with `HELLO` and learns its in-flight window from
+//! the `HELLO_ACK`. Every request then takes one path:
+//! [`Session::call_with`] claims a window slot, stamps the request with a
+//! fresh id, registers a reply callback under that id, and writes the
+//! frame; a background reader thread hands every arriving reply to its
+//! callback and frees the slot. [`Session::call`] is `call_with` with a
+//! callback that feeds a [`Pending`] handle, so a caller pipelines by
 //! holding several `Pending`s before waiting on any of them.
 //!
 //! Chunked uploads ([`Session::stream`]) share the machinery: the opener
@@ -16,50 +18,59 @@
 //! granularity — the writer lock is held per frame, never per request.
 
 use act_serve::proto::{read_frame, write_frame, MAX_CHUNK};
-use act_serve::{ClientConfig, ClientError, Conn, Endpoint, Reply, Request};
+use act_serve::{ClientConfig, ClientError, Conn, Endpoint, Frame, Reply, Request};
 use act_store::Crc32;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// Bytes per `STREAM_CHUNK` frame the client emits (well under the
 /// protocol's cap so chunks interleave fairly with other requests).
 pub const STREAM_CHUNK_BYTES: usize = 1 << 20;
 
-/// Everything the reader thread and the waiters share, under one lock.
+/// A request's reply, or the error that stands in for one.
+type Answer = Result<Reply, ClientError>;
+
+/// What a request's answer is handed to.
+type OnReply = Box<dyn FnOnce(Answer) + Send>;
+
+/// What the reader thread and the callers share. The reader holds only
+/// this, never the [`Session`], so dropping the last `Session` handle
+/// closes the connection.
+struct Shared {
+    state: Mutex<State>,
+    /// Signaled when a window slot frees up (or the session dies).
+    slot_free: Condvar,
+}
+
 struct State {
-    /// Per-request mailbox: `None` until the reply lands.
-    replies: HashMap<u32, Option<Reply>>,
-    /// Requests currently occupying window slots.
-    in_flight: u32,
+    /// The callback of every request in flight, by request id; each one
+    /// holds a window slot until its reply lands.
+    waiting: HashMap<u32, OnReply>,
     /// Set (with the reason) when the connection died; every present and
-    /// future waiter fails fast once it is.
+    /// future request fails fast once it is.
     dead: Option<String>,
 }
 
 /// One multiplexed session. Cheap to share (`Arc`); all methods take
-/// `&self`. Dropping the last handle shuts the socket down, which also
-/// stops the reader thread.
+/// `&self`. Dropping the last handle shuts the socket down, which stops
+/// the reader thread and fails every request still in flight.
 pub struct Session {
     /// Frame-granular write lock; whole frames only, so concurrent
     /// requests and stream chunks never interleave mid-frame.
     writer: Mutex<Conn>,
-    state: Mutex<State>,
-    /// Signaled when a reply lands or the session dies.
-    arrived: Condvar,
-    /// Signaled when a window slot frees up (or the session dies).
-    slot_free: Condvar,
+    shared: Arc<Shared>,
     window: u32,
     next_id: AtomicU32,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock().expect("session state lock");
+        let st = self.shared.state.lock().expect("session state lock");
         f.debug_struct("Session")
             .field("window", &self.window)
-            .field("in_flight", &st.in_flight)
+            .field("in_flight", &st.waiting.len())
             .field("dead", &st.dead)
             .finish()
     }
@@ -89,19 +100,20 @@ impl Session {
             }
         };
         let writer = conn.try_clone()?;
-        let session = Arc::new(Session {
-            writer: Mutex::new(writer),
-            state: Mutex::new(State { replies: HashMap::new(), in_flight: 0, dead: None }),
-            arrived: Condvar::new(),
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State { waiting: HashMap::new(), dead: None }),
             slot_free: Condvar::new(),
-            window,
-            next_id: AtomicU32::new(1),
         });
-        let for_reader = session.clone();
+        let for_reader = shared.clone();
         std::thread::Builder::new()
             .name("act-client-demux".to_string())
-            .spawn(move || reader_loop(conn, for_reader))?;
-        Ok(session)
+            .spawn(move || reader_loop(conn, &for_reader))?;
+        Ok(Arc::new(Session {
+            writer: Mutex::new(writer),
+            shared,
+            window,
+            next_id: AtomicU32::new(1),
+        }))
     }
 
     /// The in-flight window the server granted.
@@ -111,7 +123,33 @@ impl Session {
 
     /// Whether the connection has died (pools prune dead sessions).
     pub fn is_dead(&self) -> bool {
-        self.state.lock().expect("session state lock").dead.is_some()
+        self.shared.state.lock().expect("session state lock").dead.is_some()
+    }
+
+    /// Send one request and return its id without waiting for the reply.
+    /// Blocks only while the window is full.
+    ///
+    /// `on_reply` runs exactly once, on the session's reader thread and
+    /// outside every session lock: with the reply, or with the dead-session
+    /// error if the connection dies first. It should hand the reply off
+    /// and return — the session reads nothing else while it runs. The
+    /// request's window slot is freed when the reply lands, before
+    /// `on_reply` runs.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the session is dead or the write fails; `on_reply` then
+    /// never runs. If the connection dies while the frame is being
+    /// written, the failure is reported once: here, or through `on_reply`
+    /// when the reader saw the death first.
+    pub fn call_with(
+        &self,
+        request: &Request,
+        on_reply: impl FnOnce(Answer) + Send + 'static,
+    ) -> Result<u32, ClientError> {
+        let id = self.begin(Box::new(on_reply))?;
+        let sent = self.write(&request.to_frame().with_request(id)).map_err(ClientError::Io);
+        self.sent(id, sent)
     }
 
     /// Send one request without waiting for its reply. Blocks only while
@@ -120,17 +158,10 @@ impl Session {
     /// # Errors
     ///
     /// Fails when the session is dead or the write fails.
-    pub fn call(self: &Arc<Session>, request: &Request) -> Result<Pending, ClientError> {
-        let id = self.begin()?;
-        let frame = request.to_frame().with_request(id);
-        if let Err(e) = {
-            let mut w = self.writer.lock().expect("session writer lock");
-            write_frame(&mut *w, &frame)
-        } {
-            self.abandon(id);
-            return Err(ClientError::Io(e));
-        }
-        Ok(Pending { session: self.clone(), id })
+    pub fn call(&self, request: &Request) -> Result<Pending, ClientError> {
+        let (on_reply, reply) = Pending::channel();
+        let id = self.call_with(request, on_reply)?;
+        Ok(Pending { id, reply })
     }
 
     /// Open a chunked upload (`TRACE_PUT_START` or `DIAGNOSE_START`),
@@ -141,18 +172,11 @@ impl Session {
     /// # Errors
     ///
     /// Fails on dead sessions, source-read failures, and write failures.
-    pub fn stream(
-        self: &Arc<Session>,
-        start: &Request,
-        mut reader: impl Read,
-    ) -> Result<Pending, ClientError> {
-        let id = self.begin()?;
-        let send = |frame: &act_serve::Frame| -> io::Result<()> {
-            let mut w = self.writer.lock().expect("session writer lock");
-            write_frame(&mut *w, frame)
-        };
-        let result = (|| -> Result<(), ClientError> {
-            send(&start.to_frame().with_request(id))?;
+    pub fn stream(&self, start: &Request, mut reader: impl Read) -> Result<Pending, ClientError> {
+        let (on_reply, reply) = Pending::channel();
+        let id = self.begin(Box::new(on_reply))?;
+        let sent = (|| -> Result<(), ClientError> {
+            self.write(&start.to_frame().with_request(id))?;
             let mut crc = Crc32::new();
             let mut total = 0u64;
             let mut buf = vec![0u8; STREAM_CHUNK_BYTES.min(MAX_CHUNK as usize)];
@@ -163,50 +187,57 @@ impl Session {
                 }
                 crc.update(&buf[..n]);
                 total += n as u64;
-                send(&Request::StreamChunk(buf[..n].to_vec()).to_frame().with_request(id))?;
+                self.write(&Request::StreamChunk(buf[..n].to_vec()).to_frame().with_request(id))?;
             }
             let end = Request::StreamEnd { crc32: crc.finish(), total_len: total };
-            send(&end.to_frame().with_request(id))?;
+            self.write(&end.to_frame().with_request(id))?;
             Ok(())
         })();
-        match result {
-            Ok(()) => Ok(Pending { session: self.clone(), id }),
-            Err(e) => {
-                self.abandon(id);
-                Err(e)
-            }
-        }
+        let id = self.sent(id, sent)?;
+        Ok(Pending { id, reply })
     }
 
-    /// Claim a window slot and a request id.
-    fn begin(&self) -> Result<u32, ClientError> {
-        let mut st = self.state.lock().expect("session state lock");
-        while st.dead.is_none() && st.in_flight >= self.window {
-            st = self.slot_free.wait(st).expect("session state lock");
+    /// Claim a window slot and a request id, and register `on_reply`
+    /// under the id — before any frame goes out, so a fast reply always
+    /// finds it.
+    fn begin(&self, on_reply: OnReply) -> Result<u32, ClientError> {
+        let mut st = self.shared.state.lock().expect("session state lock");
+        while st.dead.is_none() && st.waiting.len() >= self.window as usize {
+            st = self.shared.slot_free.wait(st).expect("session state lock");
         }
         if let Some(why) = &st.dead {
             return Err(dead_error(why));
         }
-        st.in_flight += 1;
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        st.replies.insert(id, None);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        st.waiting.insert(id, on_reply);
         Ok(id)
     }
 
-    /// Give the slot back after a failed send (no reply will ever come).
-    fn abandon(&self, id: u32) {
-        let mut st = self.state.lock().expect("session state lock");
-        st.replies.remove(&id);
-        st.in_flight = st.in_flight.saturating_sub(1);
+    /// Write one whole frame under the writer lock.
+    fn write(&self, frame: &Frame) -> io::Result<()> {
+        let mut w = self.writer.lock().expect("session writer lock");
+        write_frame(&mut *w, frame)
+    }
+
+    /// Settle the send of request `id`. On failure the callback is taken
+    /// back unrun and its slot freed — unless the reader already failed it
+    /// with the dead-session error, which then is the one report.
+    fn sent(&self, id: u32, outcome: Result<(), ClientError>) -> Result<u32, ClientError> {
+        let Err(e) = outcome else { return Ok(id) };
+        let mut st = self.shared.state.lock().expect("session state lock");
+        if st.waiting.remove(&id).is_none() {
+            return Ok(id);
+        }
         drop(st);
-        self.slot_free.notify_one();
+        self.shared.slot_free.notify_one();
+        Err(e)
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
         // Shut the socket (not just our fd) so the server sees EOF and the
-        // reader thread unblocks.
+        // reader thread unblocks, failing whatever is still in flight.
         self.writer.lock().expect("session writer lock").shutdown();
     }
 }
@@ -215,44 +246,57 @@ fn dead_error(why: &str) -> ClientError {
     ClientError::Io(io::Error::new(io::ErrorKind::BrokenPipe, format!("session dead: {why}")))
 }
 
-/// Drain replies off the socket, waking the matching waiters; on any
-/// read/decode failure, fail every outstanding and future request.
-fn reader_loop(mut conn: Conn, session: Arc<Session>) {
-    loop {
-        let outcome =
-            read_frame(&mut conn).and_then(|f| Ok((f.request_id, Reply::from_frame(&f)?)));
-        match outcome {
+/// Drain replies off the socket, handing each to its request's callback;
+/// on any read/decode failure, fail every outstanding and future request.
+fn reader_loop(mut conn: Conn, shared: &Shared) {
+    let why = loop {
+        match read_frame(&mut conn).and_then(|f| Ok((f.request_id, Reply::from_frame(&f)?))) {
             Ok((id, reply)) => {
-                let mut st = session.state.lock().expect("session state lock");
-                if let Some(slot) = st.replies.get_mut(&id) {
-                    *slot = Some(reply);
-                    drop(st);
-                    session.arrived.notify_all();
-                }
+                let on_reply = shared.state.lock().expect("session state lock").waiting.remove(&id);
                 // An id nobody is waiting for (abandoned send) is dropped.
+                if let Some(on_reply) = on_reply {
+                    shared.slot_free.notify_one();
+                    on_reply(Ok(reply));
+                }
             }
-            Err(e) => {
-                let mut st = session.state.lock().expect("session state lock");
-                st.dead = Some(e.to_string());
-                drop(st);
-                session.arrived.notify_all();
-                session.slot_free.notify_all();
-                return;
-            }
+            Err(e) => break e.to_string(),
         }
+    };
+    let orphans: Vec<OnReply> = {
+        let mut st = shared.state.lock().expect("session state lock");
+        st.dead = Some(why.clone());
+        st.waiting.drain().map(|(_, on_reply)| on_reply).collect()
+    };
+    shared.slot_free.notify_all();
+    for on_reply in orphans {
+        on_reply(Err(dead_error(&why)));
     }
 }
 
-/// A request in flight on a [`Session`]. Resolve it with
-/// [`Pending::wait`]; dropping it without waiting leaks the window slot
-/// for the rest of the session's life, so don't.
-#[must_use = "a Pending holds a window slot until waited on"]
+/// A request in flight on a [`Session`]; [`Pending::wait`] blocks for its
+/// reply. The window slot is freed when the reply lands, so a `Pending`
+/// dropped unwaited costs nothing but the reply it would have carried.
+/// It does not keep the session open: once the last [`Session`] handle
+/// is dropped, `wait` fails with the dead-session error.
+#[must_use = "a Pending is the only way to read its request's reply"]
 pub struct Pending {
-    session: Arc<Session>,
     id: u32,
+    reply: mpsc::Receiver<Answer>,
 }
 
 impl Pending {
+    /// A callback that feeds a `Pending`, and the receiving end of it.
+    fn channel() -> (impl FnOnce(Answer) + Send + 'static, mpsc::Receiver<Answer>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        (
+            move |reply| {
+                // The receiver is gone when the Pending was dropped.
+                let _ = tx.send(reply);
+            },
+            rx,
+        )
+    }
+
     /// The request id this handle waits for.
     pub fn id(&self) -> u32 {
         self.id
@@ -264,24 +308,6 @@ impl Pending {
     ///
     /// Fails when the session dies before the reply lands.
     pub fn wait(self) -> Result<Reply, ClientError> {
-        let mut st = self.session.state.lock().expect("session state lock");
-        loop {
-            if st.replies.get(&self.id).is_some_and(|slot| slot.is_some()) {
-                let reply = st.replies.remove(&self.id).flatten().expect("checked above");
-                st.in_flight = st.in_flight.saturating_sub(1);
-                drop(st);
-                self.session.slot_free.notify_one();
-                return Ok(reply);
-            }
-            if let Some(why) = &st.dead {
-                let err = dead_error(why);
-                st.replies.remove(&self.id);
-                st.in_flight = st.in_flight.saturating_sub(1);
-                drop(st);
-                self.session.slot_free.notify_one();
-                return Err(err);
-            }
-            st = self.session.arrived.wait(st).expect("session state lock");
-        }
+        self.reply.recv().unwrap_or_else(|_| Err(dead_error("reply callback dropped")))
     }
 }

@@ -16,9 +16,15 @@
 //! - the retry rule (one jittered retry after a transport failure or
 //!   `BUSY`) holds at depth 1 and at depth 8;
 //! - a Unix-socket daemon serves the client, and a drain wakes acceptors
-//!   blocked in `accept` on either listener.
+//!   blocked in `accept` on either listener;
+//! - `Session::call_with` runs each reply callback exactly once, on the
+//!   session's reader thread — with the reply, or with an error when the
+//!   connection dies with requests in flight;
+//! - a dropped `Pending` frees its window slot, and dropping the last
+//!   `Session` handle closes its connection.
 
-use act_client::{ActError, Client, ModelSpec, Reply, Request};
+use act_client::session::Session;
+use act_client::{ActError, Client, ClientConfig, ModelSpec, Reply, Request};
 use act_serve::proto::{read_frame, write_frame, FrameKind};
 use act_serve::server::{ServeConfig, Server};
 use act_serve::{Endpoint, SESSION_WINDOW};
@@ -28,8 +34,9 @@ use act_trace::io::trace_to_bytes;
 use act_workloads::registry;
 use proptest::prelude::*;
 use std::io::Write as _;
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Boot a daemon on 127.0.0.1:0 and return it with its client endpoint.
@@ -65,6 +72,14 @@ fn tiny_spec(workload: &str) -> ModelSpec {
     spec.hidden = 4;
     spec.max_epochs = 30;
     spec
+}
+
+/// A `TRAIN` of the `__sleep` fault hook: a backend worker sleeps `ms`
+/// milliseconds and answers `slept {ms}ms`.
+fn sleeper(ms: u64) -> Request {
+    let mut spec = ModelSpec::new("__sleep");
+    spec.seed = ms;
+    Request::Train(spec)
 }
 
 /// Serialize a `seq` run: failing when `failing`, else correct.
@@ -243,11 +258,6 @@ fn pipelined_replies_demultiplex_out_of_order() {
     let client = client_at(&endpoint, 4);
     let session = client.pipeline().expect("session");
 
-    let sleeper = |ms: u64| {
-        let mut spec = ModelSpec::new("__sleep");
-        spec.seed = ms;
-        Request::Train(spec)
-    };
     // The slow request is issued first; with two workers the fast one
     // finishes (and is demultiplexed) while the slow one still runs.
     let slow = session.call(&sleeper(400)).expect("send slow");
@@ -332,11 +342,6 @@ fn mid_stream_kill_leaves_no_partial_corpus_segment() {
 fn raw_one_frame_clients_get_a_window_one_session() {
     let (server, endpoint) = boot(small(2, 8));
     let Endpoint::Tcp(addr) = &endpoint else { unreachable!("boot binds tcp") };
-    let sleeper = |ms: u64| {
-        let mut spec = ModelSpec::new("__sleep");
-        spec.seed = ms;
-        Request::Train(spec)
-    };
 
     // One frame out, one reply back, under the client's request id.
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -355,6 +360,132 @@ fn raw_one_frame_clients_get_a_window_one_session() {
     let second = read_frame(&mut stream).expect("reply");
     assert_eq!((second.request_id, second.kind), (42, FrameKind::Trained));
     drop(stream);
+
+    client_at(&endpoint, 1).shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn call_with_runs_each_callback_once_with_its_reply() {
+    let (server, endpoint) = boot(small(2, 16));
+    let session = Session::open(&endpoint, &ClientConfig::default(), 8).expect("session opens");
+    let (tx, rx) = mpsc::channel();
+    let mut ids = Vec::new();
+    for ms in [40u64, 5, 30, 10, 20, 15] {
+        let tx = tx.clone();
+        let id = session
+            .call_with(&sleeper(ms), move |reply| {
+                let thread = std::thread::current().name().map(str::to_string);
+                tx.send((ms, reply, thread)).expect("test receiver alive");
+            })
+            .expect("send");
+        ids.push(id);
+    }
+    drop(tx);
+    // The channel closes once every callback has run and been dropped.
+    let mut seen: Vec<(u64, Reply, Option<String>)> = rx
+        .iter()
+        .map(|(ms, reply, thread)| (ms, reply.expect("a live session replies"), thread))
+        .collect();
+    seen.sort_by_key(|(ms, ..)| *ms);
+    let got: Vec<u64> = seen.iter().map(|(ms, ..)| *ms).collect();
+    assert_eq!(got, vec![5, 10, 15, 20, 30, 40], "every callback ran exactly once");
+    for (ms, reply, thread) in seen {
+        assert_eq!(reply, Reply::Trained(format!("slept {ms}ms")), "each gets its own reply");
+        assert_eq!(thread.as_deref(), Some("act-client-demux"), "on the session's reader");
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 6, "every request got an id of its own");
+    drop(session);
+
+    client_at(&endpoint, 1).shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn a_connection_that_dies_fails_every_callback_in_flight_once() {
+    // A stub that grants a window of 8, reads four request frames, and
+    // then hangs up without answering any of them.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
+    let endpoint = Endpoint::Tcp(listener.local_addr().expect("bound").to_string());
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let hello = read_frame(&mut conn).expect("hello");
+        let ack = Reply::HelloAck { window: 8 }.to_frame().with_request(hello.request_id);
+        write_frame(&mut conn, &ack).expect("ack");
+        for _ in 0..4 {
+            read_frame(&mut conn).expect("request frame");
+        }
+    });
+
+    let session = Session::open(&endpoint, &ClientConfig::default(), 8).expect("session opens");
+    let (tx, rx) = mpsc::channel();
+    for tag in 0..4u32 {
+        let tx = tx.clone();
+        session
+            .call_with(&sleeper(1), move |reply| {
+                tx.send((tag, reply.is_err())).expect("test receiver alive");
+            })
+            .expect("sent before the stub hangs up");
+    }
+    drop(tx);
+    stub.join().expect("stub thread");
+    let mut failed: Vec<(u32, bool)> = rx.iter().collect();
+    failed.sort_unstable();
+    assert_eq!(failed, (0..4).map(|tag| (tag, true)).collect::<Vec<_>>(), "each fails once");
+    assert!(session.is_dead(), "the session knows its connection died");
+    assert!(session.call_with(&sleeper(1), |_| panic!("must not run")).is_err());
+}
+
+#[test]
+fn a_dropped_pending_frees_its_window_slot() {
+    let (server, endpoint) = boot(small(2, 8));
+    let session = Session::open(&endpoint, &ClientConfig::default(), 2).expect("session opens");
+    assert_eq!(session.window(), 2);
+    // Fill the window, then walk away from every reply.
+    for _ in 0..session.window() {
+        drop(session.call(&sleeper(1)).expect("send"));
+    }
+    // The next call needs a slot back; on a helper thread, so a leaked
+    // window fails the test instead of hanging it.
+    let (done, replied) = mpsc::channel();
+    let caller = session.clone();
+    std::thread::spawn(move || {
+        let _ = done.send(caller.call(&sleeper(1)).and_then(|p| p.wait()));
+    });
+    let reply = replied.recv_timeout(Duration::from_secs(2)).expect("a slot freed within 2 s");
+    assert_eq!(reply.expect("reply"), Reply::Trained("slept 1ms".into()));
+    drop(session);
+
+    client_at(&endpoint, 1).shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn dropping_the_last_session_handle_closes_its_connection() {
+    let (server, endpoint) = boot(small(1, 4));
+    // Whether the daemon's `sessions_open` reaches `want` within 2 s. The
+    // STATUS probe's own connection is a session too, so it counts 1.
+    let sessions_reach = |want: i64| {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let status = client_at(&endpoint, 1).status().expect("status");
+            let open = status.metrics.and_then(|m| m.gauge("sessions_open"));
+            if open == Some(want) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+    assert!(sessions_reach(1), "only the probe's own session at first");
+    let session = Session::open(&endpoint, &ClientConfig::default(), 4).expect("session opens");
+    assert!(sessions_reach(2), "the open session counts");
+    drop(session);
+    assert!(sessions_reach(1), "dropping the last handle must close the connection");
 
     client_at(&endpoint, 1).shutdown().expect("shutdown");
     server.join();

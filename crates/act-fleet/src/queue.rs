@@ -15,7 +15,8 @@
 //!   producer turns that into a backpressure reply instead of buffering
 //!   unboundedly), `pop` blocks until an item or close, and `close`
 //!   initiates graceful drain — queued items are still handed out, then
-//!   every consumer sees `None`.
+//!   every consumer sees `None`. `requeue` puts back an item that was
+//!   already accepted, past the bound and the close.
 
 use crate::spec::JobDesc;
 use std::collections::VecDeque;
@@ -109,6 +110,15 @@ impl<T> BoundedQueue<T> {
         // change and waits for a measurement.
         self.nonempty.notify_all();
         Ok(())
+    }
+
+    /// Put back an item the service already accepted (e.g. a forwarded
+    /// request whose answer came back), past the depth bound and the
+    /// closed flag: refusing it would drop accepted work, not push back.
+    /// Wakes one consumer.
+    pub fn requeue(&self, item: T) {
+        self.inner.lock().expect("queue lock").items.push_back(item);
+        self.nonempty.notify_one();
     }
 
     /// Dequeue the oldest item, blocking until one arrives. Returns `None`
@@ -252,6 +262,20 @@ mod tests {
         let mut all: Vec<u32> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
         all.sort_unstable();
         assert_eq!(all, (0..30).collect::<Vec<_>>(), "every item popped exactly once");
+    }
+
+    #[test]
+    fn requeue_admits_past_the_bound_and_the_close() {
+        let q: BoundedQueue<u32> = BoundedQueue::new(1);
+        q.try_push(1).unwrap();
+        q.requeue(2);
+        assert_eq!(q.len(), 2, "a requeued item is not bounded by the depth");
+        assert_eq!(q.try_push(3), Err(3), "try_push still answers by the depth bound");
+        q.close();
+        q.requeue(4);
+        assert_eq!(q.try_push(5), Err(5), "a closed queue refuses new items");
+        assert_eq!((q.pop(), q.pop(), q.pop()), (Some(1), Some(2), Some(4)), "FIFO, then drained");
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

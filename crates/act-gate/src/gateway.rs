@@ -5,18 +5,30 @@
 //! own (see [`crate::session`]), with the same connection model as
 //! act-serve — a first frame of `HELLO` asks for a window, anything else
 //! opens a window-1 session. The session answers `STATUS` (the aggregated
-//! fleet view) and `SHUTDOWN` itself, and queues every routable request —
-//! decoded, with its shard key and its reply target — on a bounded queue,
-//! answering `BUSY` when full (the same refused-not-dropped backpressure
-//! contract as act-serve). Forwarding workers drain the queue: the
-//! consistent-hash ring orders the backends for the key, dead backends are
-//! skipped, and the request gets the owner plus at most one failover
-//! attempt on the next ring owner when the owner is down or answers
-//! `BUSY`. Requests from one session therefore route, fail over, and
-//! complete independently.
+//! fleet view) and `SHUTDOWN` itself, and admits every routable request —
+//! decoded, with its shard key and its reply target — to a bounded
+//! forwarding queue, answering `BUSY` when full (the same
+//! refused-not-dropped backpressure contract as act-serve).
 //!
-//! Backend links are warm pooled sessions ([`crate::pool`]), one per
-//! backend, shared by all workers.
+//! Forwarding workers never wait on a backend. A worker pops an admitted
+//! request, routes it — the consistent-hash ring orders the backends for
+//! the key, down-marked backends are skipped, and the request gets the
+//! owner plus at most one failover hop — sends it on the backend's pooled
+//! session ([`crate::pool`]) and goes back to the queue. The backend
+//! session's reader puts the answered request back on the same queue and
+//! does nothing else, so it blocks on nothing but its own socket. A
+//! worker then settles the answer: it relays a reply to the client, or
+//! applies the forwarding rule — one fresh-session retry when the pooled
+//! session died, the next ring owner when the backend failed or answered
+//! `BUSY`, then `BUSY` or `ERROR`. Every hop takes that one path, and
+//! workers do every client write, so a client that stops reading stalls
+//! one worker, never a backend link. Requests from one session therefore
+//! route, fail over, and complete independently, and a backend session
+//! carries up to its whole window of forwards at once.
+//!
+//! Each admitted request counts as in flight (`requests_in_flight`) until
+//! its final reply; a drain closes the queue when that count reaches 0,
+//! so [`Gateway::join`] returns after every admitted request is answered.
 
 use crate::health::Health;
 use crate::pool::SessionPool;
@@ -32,7 +44,7 @@ use act_serve::{ClientError, Endpoint, Reply, Request};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -104,6 +116,7 @@ pub struct GateStats {
     queue_depth: Gauge,
     uptime_ms: Gauge,
     pub(crate) sessions_open: Gauge,
+    requests_in_flight: Gauge,
     service_us: Histogram,
 }
 
@@ -132,6 +145,7 @@ impl GateStats {
             queue_depth: registry.gauge("queue_depth"),
             uptime_ms: registry.gauge("uptime_ms"),
             sessions_open: registry.gauge("sessions_open"),
+            requests_in_flight: registry.gauge("requests_in_flight"),
             service_us: registry.histogram("gate_service_us", &latency_bounds_us()),
             registry,
         }
@@ -180,6 +194,13 @@ impl GateStats {
         self.sessions_open.get()
     }
 
+    /// Admitted requests that have not had their final reply yet — what a
+    /// drain waits on. With forwards no longer parked at the gateway, this
+    /// is how much work is out on the fleet.
+    pub fn requests_in_flight(&self) -> i64 {
+        self.requests_in_flight.get()
+    }
+
     /// The gateway's own counters as one snapshot, gauges stamped.
     fn snapshot(&self, uptime: Duration, queue_len: usize, up: usize) -> MetricsSnapshot {
         self.uptime_ms.set(uptime.as_millis() as i64);
@@ -206,13 +227,14 @@ impl GateStats {
         line("streams_relayed", self.streams_relayed.get());
         line("stream_chunks_relayed", self.stream_chunks_relayed.get());
         line("sessions_open", self.sessions_open.get().max(0) as u64);
+        line("requests_in_flight", self.requests_in_flight.get().max(0) as u64);
         line("queue_depth", queue_len as u64);
         out
     }
 }
 
-/// One accepted, routable request waiting for a forwarding worker.
-pub(crate) struct GateJob {
+/// One admitted, routable request, as its client session handed it over.
+pub(crate) struct Forward {
     /// The client session the request arrived on; the reply goes back on
     /// it and releases the request's window slot.
     pub(crate) session: Arc<GateSessionShared>,
@@ -224,14 +246,48 @@ pub(crate) struct GateJob {
     pub(crate) accepted: Instant,
 }
 
+/// What the forwarding queue carries.
+pub(crate) enum GateJob {
+    /// Fresh from its client session, not yet routed.
+    Admitted(Arc<Forward>),
+    /// Back from the backend its route points at, with that backend's
+    /// answer or the transport error that stands in for one.
+    Answered(Arc<Forward>, Route, Result<Reply, ClientError>),
+}
+
+/// Where a request stands on its route: the backends it may try (the
+/// ring owner and at most one failover hop), the one it is on, and
+/// whether that one already got its fresh-session retry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Route {
+    candidates: [usize; 2],
+    hops: usize,
+    hop: usize,
+    retried: bool,
+}
+
+impl Route {
+    /// The backend the request is on.
+    fn backend(&self) -> usize {
+        self.candidates[self.hop]
+    }
+}
+
 /// Everything the acceptor, workers, session readers, and prober share.
 pub(crate) struct GateState {
     pub(crate) ring: HashRing,
     pub(crate) health: Health,
     pub(crate) pool: SessionPool,
-    pub(crate) stats: GateStats,
+    pub(crate) stats: Arc<GateStats>,
     started: Instant,
-    pub(crate) queue: BoundedQueue<GateJob>,
+    /// Shared with the reply callbacks, which hold nothing else of the
+    /// gateway.
+    queue: Arc<BoundedQueue<GateJob>>,
+    /// Admitted requests not yet finally answered (mirrored in
+    /// `stats.requests_in_flight`). Admission, final replies and the start
+    /// of a drain all decide under this lock, so the reply that empties a
+    /// draining gateway cannot miss closing the queue.
+    in_flight: Mutex<u64>,
     /// One act-client per backend, probe-timeout-configured, for health
     /// probes and STATUS aggregation.
     probe_clients: Vec<Client>,
@@ -292,32 +348,53 @@ impl GateState {
         }
     }
 
-    /// Stop accepting and close the queue; workers drain what it holds.
-    /// Only the first call wakes the acceptor.
+    /// Stop accepting and start the drain. The queue closes now if nothing
+    /// is in flight, else on the last final reply; workers exit once it has
+    /// closed and emptied. Only the first call wakes the acceptor.
     pub(crate) fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
+        let in_flight = self.in_flight.lock().expect("gate in-flight lock");
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if *in_flight == 0 {
             self.queue.close();
-            wake(&self.wake);
+        }
+        drop(in_flight);
+        wake(&self.wake);
+    }
+
+    /// Admit a routable request: queue it for a worker and count it in
+    /// flight until its final reply. `false` means it was never queued —
+    /// the queue is full or the gateway is draining — and the caller
+    /// answers `BUSY`.
+    pub(crate) fn admit(&self, forward: Forward) -> bool {
+        let mut in_flight = self.in_flight.lock().expect("gate in-flight lock");
+        let admitted = !self.shutdown.load(Ordering::SeqCst)
+            && self.queue.try_push(GateJob::Admitted(Arc::new(forward))).is_ok();
+        if admitted {
+            *in_flight += 1;
+            self.stats.requests_in_flight.set(*in_flight as i64);
+        }
+        admitted
+    }
+
+    /// Write an admitted request's final reply and count it out; the reply
+    /// that empties a draining gateway closes the queue.
+    fn finish(&self, forward: &Forward, reply: &Reply) {
+        forward.session.send_final(forward.request_id, reply);
+        let mut in_flight = self.in_flight.lock().expect("gate in-flight lock");
+        *in_flight -= 1;
+        self.stats.requests_in_flight.set(*in_flight as i64);
+        if *in_flight == 0 && self.shutdown.load(Ordering::SeqCst) {
+            self.queue.close();
         }
     }
 
-    /// One request/reply exchange with backend `i` over its pooled
-    /// session. A dead pooled session gets one fresh-session retry before
-    /// the failure counts against the backend.
-    fn attempt(&self, i: usize, request: &Request) -> Result<Reply, ClientError> {
-        let session = self.pool.session(i)?;
-        match session.call(request).and_then(|p| p.wait()) {
-            Err(ClientError::Io(_)) => {
-                self.pool.discard(i, &session);
-                self.pool.session(i)?.call(request).and_then(|p| p.wait())
-            }
-            outcome => outcome,
-        }
-    }
-
-    /// Route, forward with single-retry failover, and deliver the reply.
-    pub(crate) fn forward(&self, job: GateJob) {
-        let order = self.ring.route(&job.key);
+    /// The backends a request for `key` may try, in order: the ring order
+    /// with down-marked backends skipped, cut to the owner plus one
+    /// failover hop.
+    pub(crate) fn candidates(&self, key: &str) -> Vec<usize> {
+        let order = self.ring.route(key);
         let mut candidates: Vec<usize> =
             order.iter().copied().filter(|&b| self.health.is_up(b)).collect();
         if candidates.is_empty() {
@@ -328,53 +405,99 @@ impl GateState {
         // The owner plus one failover hop; more would turn a fleet-wide
         // outage into a retry storm.
         candidates.truncate(2);
+        candidates
+    }
 
-        let mut outcome = None;
-        let mut last_busy = false;
-        let mut last_err = String::new();
-        for (hop, &b) in candidates.iter().enumerate() {
-            if hop > 0 {
-                if last_busy {
-                    self.stats.busy_failovers.inc();
-                } else {
-                    self.stats.failovers.inc();
-                }
-                events().emit(
-                    Level::Info,
-                    "gate.failover",
-                    format!("key {} failing over to backend {b}", job.key),
-                );
+    /// One forwarding step for a job off the queue: route and send an
+    /// admitted request, or settle an answered one.
+    fn work(&self, job: GateJob) {
+        match job {
+            GateJob::Admitted(forward) => {
+                let candidates = self.candidates(&forward.key);
+                let route = Route {
+                    candidates: [candidates[0], *candidates.last().expect("ring is non-empty")],
+                    hops: candidates.len(),
+                    hop: 0,
+                    retried: false,
+                };
+                self.send(forward, route);
             }
-            match self.attempt(b, &job.request) {
-                Ok(Reply::Busy) => {
-                    self.note_backend_up(b); // it answered; busy is healthy
-                    last_busy = true;
-                }
-                Ok(reply) => {
-                    self.note_backend_up(b);
-                    self.stats.forwarded_by[b].inc();
-                    self.stats.relayed.inc();
-                    self.stats.service_us.observe(job.accepted.elapsed().as_micros() as u64);
-                    outcome = Some(reply);
-                    break;
-                }
-                Err(e) => {
-                    self.note_backend_down(b, &e.to_string());
-                    last_busy = false;
-                    last_err = e.to_string();
-                }
-            }
+            GateJob::Answered(forward, route, answer) => self.settle(forward, route, answer),
         }
-        let reply = match outcome {
-            Some(reply) => reply,
-            None if last_busy => Reply::Busy,
-            None => {
-                // Both candidates exhausted.
-                self.stats.failed.inc();
-                Reply::Error(format!("no backend could serve key {}: {last_err}", job.key))
+    }
+
+    /// Send `forward` to its route's backend over the pooled session and
+    /// return without waiting: the session's reader requeues the answer.
+    /// A send that fails is settled on the spot.
+    fn send(&self, forward: Arc<Forward>, mut route: Route) {
+        let b = route.backend();
+        let session = match self.pool.session(b) {
+            Ok(session) => session,
+            Err(e) => {
+                // A session that cannot open gets no fresh-session retry.
+                route.retried = true;
+                return self.settle(forward, route, Err(e));
             }
         };
-        job.session.send_final(job.request_id, &reply);
+        let queue = self.queue.clone();
+        let answered = forward.clone();
+        let sent = session.call_with(&forward.request, move |answer| {
+            queue.requeue(GateJob::Answered(answered, route, answer));
+        });
+        if let Err(e) = sent {
+            self.pool.discard(b, &session);
+            self.settle(forward, route, Err(e));
+        }
+    }
+
+    /// Settle backend `route.backend()`'s answer: relay a reply; give a
+    /// dead pooled session one fresh-session retry; move a `BUSY` or a
+    /// failed backend on to the next hop; with no hop left, answer `BUSY`
+    /// (the last backend was busy) or `ERROR`.
+    fn settle(&self, forward: Arc<Forward>, mut route: Route, answer: Result<Reply, ClientError>) {
+        let b = route.backend();
+        let failure = match answer {
+            Ok(Reply::Busy) => {
+                self.note_backend_up(b); // it answered; busy is healthy
+                None
+            }
+            Ok(reply) => {
+                self.note_backend_up(b);
+                self.stats.forwarded_by[b].inc();
+                self.stats.relayed.inc();
+                self.stats.service_us.observe(forward.accepted.elapsed().as_micros() as u64);
+                return self.finish(&forward, &reply);
+            }
+            Err(_) if !route.retried => {
+                route.retried = true;
+                return self.send(forward, route);
+            }
+            Err(e) => {
+                self.note_backend_down(b, &e.to_string());
+                Some(e.to_string())
+            }
+        };
+        route.hop += 1;
+        route.retried = false;
+        if route.hop < route.hops {
+            let counter =
+                if failure.is_none() { &self.stats.busy_failovers } else { &self.stats.failovers };
+            counter.inc();
+            events().emit(
+                Level::Info,
+                "gate.failover",
+                format!("key {} failing over to backend {}", forward.key, route.backend()),
+            );
+            return self.send(forward, route);
+        }
+        let reply = match failure {
+            None => Reply::Busy,
+            Some(why) => {
+                self.stats.failed.inc();
+                Reply::Error(format!("no backend could serve key {}: {why}", forward.key))
+            }
+        };
+        self.finish(&forward, &reply);
     }
 
     /// The aggregated `STATUS`: the gateway's own block, a fleet rollup
@@ -498,9 +621,10 @@ impl Gateway {
             ring: HashRing::new(n, cfg.vnodes),
             health: Health::new(n, 0x6761_7465), // "gate"
             pool: SessionPool::new(cfg.backends.clone(), cfg.connect_timeout, cfg.backend_timeout),
-            stats: GateStats::new(n),
+            stats: Arc::new(GateStats::new(n)),
             started: Instant::now(),
-            queue: BoundedQueue::new(cfg.queue_depth),
+            queue: Arc::new(BoundedQueue::new(cfg.queue_depth)),
+            in_flight: Mutex::new(0),
             probe_clients,
             shutdown: AtomicBool::new(false),
             io_timeout: cfg.io_timeout,
@@ -525,7 +649,7 @@ impl Gateway {
             threads.push(std::thread::Builder::new().name(format!("act-gate-worker-{i}")).spawn(
                 move || {
                     while let Some(job) = state.queue.pop() {
-                        state.forward(job);
+                        state.work(job);
                     }
                 },
             )?);
@@ -574,8 +698,8 @@ impl Gateway {
         self.tcp_addr
     }
 
-    /// Live gateway counters.
-    pub fn stats(&self) -> &GateStats {
+    /// Live gateway counters (a handle that outlives [`Gateway::join`]).
+    pub fn stats(&self) -> &Arc<GateStats> {
         &self.state.stats
     }
 
@@ -594,9 +718,10 @@ impl Gateway {
         self.state.aggregated_status().0
     }
 
-    /// Begin graceful drain: stop accepting, let workers finish queued
-    /// forwards. Idempotent; also triggered by a `SHUTDOWN` frame. The
-    /// backends are *not* shut down — they outlive their gateway.
+    /// Begin graceful drain: stop accepting and admitting, and let the
+    /// workers finish every admitted request. Idempotent; also triggered
+    /// by a `SHUTDOWN` frame. The backends are *not* shut down — they
+    /// outlive their gateway.
     pub fn shutdown(&self) {
         self.state.begin_shutdown();
     }
@@ -606,7 +731,8 @@ impl Gateway {
         self.state.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Wait for the drain to finish (every queued request answered).
+    /// Wait for the drain to finish: every admitted request has had its
+    /// one final reply.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
@@ -665,6 +791,7 @@ mod tests {
         let stats = GateStats::new(2);
         stats.routed.inc();
         stats.relayed.inc();
+        stats.requests_in_flight.set(3);
         let text = stats.render(Duration::from_secs(1), 0, 2, 2);
         for needle in [
             "act-gate status",
@@ -676,8 +803,11 @@ mod tests {
             "requests_rejected_busy 0",
             "streams_relayed 0",
             "sessions_open 0",
+            "requests_in_flight 3",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }
+        let snap = stats.snapshot(Duration::from_secs(1), 0, 2);
+        assert_eq!(snap.gauge("requests_in_flight"), Some(3), "the snapshot carries it too");
     }
 }

@@ -9,14 +9,15 @@
 //!   workload × topology × seed hit the backend whose model cache is warm.
 //! - [`health`] — per-backend up/down marks with jittered exponential
 //!   backoff between probes of a dead backend.
-//! - [`pool`] — one warm multiplexed session per backend, shared by every
-//!   forwarding worker.
+//! - [`pool`] — one warm multiplexed session per backend, carrying every
+//!   forward to that backend.
 //! - [`gateway`] — the daemon: acceptor + bounded queue + forwarding
-//!   workers, transparent single-retry failover to the next ring owner,
-//!   and an aggregated fleet `STATUS`. Pipelined requests from one client
-//!   session are demultiplexed and routed per-request, so each fails over
-//!   independently; chunked uploads relay over a dedicated backend
-//!   connection.
+//!   workers that send each request and settle its answer when it comes
+//!   back (never waiting on a backend), transparent single-retry failover
+//!   to the next ring owner, and an aggregated fleet `STATUS`. Pipelined
+//!   requests from one client session are demultiplexed and routed
+//!   per-request, so each fails over independently; chunked uploads relay
+//!   over a dedicated backend connection.
 //!
 //! Clients need no changes: `act request`, `act-client` and act-fleet
 //! campaigns point at the gateway address exactly as they would at a

@@ -1,10 +1,12 @@
-//! One warm, multiplexed session per backend, shared by every forwarding
-//! worker.
+//! One warm, multiplexed session per backend, carrying every forward to
+//! that backend.
 //!
-//! A session carries many pipelined requests at once, so one per backend
-//! is plenty: every worker calls into it concurrently. A session that dies
-//! is dropped, and the next forward (or the next health probe) opens a
-//! replacement.
+//! A session carries up to its whole window of requests at once, so one
+//! per backend is plenty: a forwarding worker sends on it and returns, and
+//! the session's reader hands each answer back to the forwarding queue.
+//! A session that dies, is discarded or is cleared is dropped — which
+//! closes its connection and fails whatever was still in flight on it —
+//! and the next forward (or the next health probe) opens a replacement.
 
 use act_client::session::Session;
 use act_serve::{ClientConfig, ClientError, Conn, Endpoint, SESSION_WINDOW};
@@ -84,7 +86,8 @@ impl SessionPool {
         let _ = self.session(i);
     }
 
-    /// Drop backend `i`'s session (it was marked down).
+    /// Drop backend `i`'s session (it was marked down). Its connection
+    /// closes once no caller holds it any more.
     pub fn clear(&self, i: usize) {
         *self.slots[i].lock().expect("pool lock") = None;
     }

@@ -4,10 +4,11 @@
 //! Every client connection gets its own session reader thread here,
 //! mirroring act-serve's: the first frame decides the window (see
 //! [`act_serve::conn`]), and the reader demultiplexes frames, claims a
-//! window slot per routable request, and enqueues each one as an ordinary
-//! forwarding job — so requests from one session fail over
+//! window slot per routable request, and admits each one to the
+//! forwarding queue on its own — so requests from one session fail over
 //! *independently* (each picks its own backend by shard key) and replies
-//! go back out of order, tagged with the client's request ids.
+//! go back out of order, tagged with the client's request ids, written by
+//! the forwarding workers.
 //!
 //! Chunked uploads cannot ride the shared backend sessions (a backend
 //! allows one inbound stream per session), so each `TRACE_PUT_START` /
@@ -19,7 +20,7 @@
 //! backend's verdict so a slow ingest cannot stall the session's other
 //! pipelined requests.
 
-use crate::gateway::{route_key, GateJob, GateState};
+use crate::gateway::{route_key, Forward, GateState};
 use act_obs::{events, Level};
 use act_serve::conn::{next_frame, Conn, Window};
 use act_serve::proto::{read_frame, write_frame, Frame, FrameKind};
@@ -191,19 +192,18 @@ pub(crate) fn run_gate_session(mut conn: Conn, state: &Arc<GateState>) {
                     continue;
                 }
                 let key = route_key(&req).expect("routable requests carry a shard key");
-                let job = GateJob {
+                let forward = Forward {
                     session: shared.clone(),
                     request_id,
                     request: req,
                     key,
                     accepted: Instant::now(),
                 };
-                match state.queue.try_push(job) {
-                    Ok(()) => state.stats.routed.inc(),
-                    Err(job) => {
-                        state.stats.rejected_busy.inc();
-                        job.session.send_final(job.request_id, &Reply::Busy);
-                    }
+                if state.admit(forward) {
+                    state.stats.routed.inc();
+                } else {
+                    state.stats.rejected_busy.inc();
+                    shared.send_final(request_id, &Reply::Busy);
                 }
             }
         }
@@ -221,17 +221,9 @@ pub(crate) fn run_gate_session(mut conn: Conn, state: &Arc<GateState>) {
 /// only here, before any chunk has flowed), connect, and forward the
 /// opener as the first frame of a window-1 backend session.
 fn open_relay(state: &GateState, opener: &Frame, key: &str) -> Result<StreamRelay, String> {
-    let order = state.ring.route(key);
-    let mut candidates: Vec<usize> =
-        order.iter().copied().filter(|&b| state.health.is_up(b)).collect();
-    if candidates.is_empty() {
-        candidates = order;
-    }
-    candidates.truncate(2);
-
     let fwd = opener.clone().with_request(BACKEND_STREAM_ID);
     let mut last_err = String::from("no backends configured");
-    for &b in &candidates {
+    for b in state.candidates(key) {
         let sent = state.pool.connect(b).and_then(|mut backend| {
             write_frame(&mut backend, &fwd)?;
             Ok(backend)

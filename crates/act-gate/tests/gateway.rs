@@ -12,7 +12,12 @@
 //! - `STATUS` aggregates every backend's metrics under one reply;
 //! - a client that connects and stays silent holds up nobody else;
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
-//! - a drain wakes the acceptor blocked in `accept`.
+//! - a drain wakes the acceptor blocked in `accept`, and answers every
+//!   forward in flight exactly once before `join` returns;
+//! - a gateway queue held full by a window-1 backend answers `BUSY`, and
+//!   the client retry absorbs it;
+//! - any interleaving of pipelined requests through a 2-backend gateway
+//!   yields the replies the owners give one frame at a time (proptest).
 
 use act_client::{Client, MetricsSnapshot};
 use act_gate::{GateConfig, Gateway};
@@ -24,7 +29,7 @@ use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boot a real act-serve backend on an ephemeral port.
 fn boot_backend() -> Server {
@@ -151,6 +156,12 @@ fn killing_the_owner_fails_over_to_the_ring_neighbor() {
 /// plausible status (so health checks pass), and every other frame
 /// whatever `answer` makes of it, under the frame's request id.
 fn spawn_stub(answer: fn(Frame) -> Reply) -> String {
+    spawn_stub_with(32, Duration::ZERO, answer)
+}
+
+/// [`spawn_stub`] whose `HELLO_ACK` grants `window` and which answers each
+/// request frame `delay` after reading it, one at a time per connection.
+fn spawn_stub_with(window: u32, delay: Duration, answer: fn(Frame) -> Reply) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
     let addr = listener.local_addr().unwrap().to_string();
     let listener = Listener::Tcp(listener);
@@ -159,11 +170,14 @@ fn spawn_stub(answer: fn(Frame) -> Reply) -> String {
             while let Ok(frame) = read_frame(&mut conn) {
                 let id = frame.request_id;
                 let reply = match frame.kind {
-                    FrameKind::Hello => Reply::HelloAck { window: 32 },
+                    FrameKind::Hello => Reply::HelloAck { window },
                     FrameKind::Status => {
                         Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
                     }
-                    _ => answer(frame),
+                    _ => {
+                        std::thread::sleep(delay);
+                        answer(frame)
+                    }
                 };
                 if write_frame(&mut conn, &reply.to_frame().with_request(id)).is_err() {
                     break;
@@ -379,12 +393,14 @@ fn a_drain_wakes_the_blocked_acceptor() {
 
 #[test]
 fn client_retry_rides_through_a_gateway_queue_spike() {
-    // A 1-worker, 1-deep gateway queue over a slow backend: concurrent
-    // clients see BUSY, and the act-serve client retry (satellite of this
-    // change) absorbs one round of it.
-    let backend = boot_backend();
+    // The backend grants its pooled session a window of 1 and answers
+    // each request 50 ms after reading it. With one forwarding worker and
+    // a one-deep queue, the gateway holds three requests — one on the
+    // backend, one in the worker waiting for the window, one queued —
+    // and answers the rest BUSY; the act-client retry absorbs that.
+    let stub = spawn_stub_with(1, Duration::from_millis(50), |_| Reply::Trained("stub".into()));
     let cfg = GateConfig {
-        backends: vec![addr_of(&backend)],
+        backends: vec![stub],
         workers: 1,
         queue_depth: 1,
         connect_timeout: Duration::from_millis(500),
@@ -394,26 +410,73 @@ fn client_retry_rides_through_a_gateway_queue_spike() {
     let gate = Gateway::start(cfg).expect("gateway boots");
     let addr = gate.tcp_addr().to_string();
 
-    let threads: Vec<_> = (0..4)
+    let threads: Vec<_> = (0..5)
         .map(|i| {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let client = Client::builder()
                     .addr(addr)
-                    .retry(Duration::from_millis(50), 7 + i)
+                    .retry(Duration::from_millis(400), 7 + i)
                     .build()
                     .expect("client builds");
-                // __sleep holds a worker for `seed` milliseconds.
-                client.train(&tiny_spec("__sleep", 30 + i))
+                client.train(&tiny_spec("seq", i))
             })
         })
         .collect();
     let replies: Vec<_> = threads.into_iter().map(|t| t.join().expect("client thread")).collect();
-    let served = replies.iter().filter(|r| r.is_ok()).count();
-    assert!(served >= 1, "at least one client must get through: {replies:?}");
+    assert!(gate.stats().rejected_busy() >= 1, "the full queue must have answered BUSY");
+    for reply in &replies {
+        assert_eq!(reply.as_deref().ok(), Some("stub"), "the retry absorbs BUSY: {replies:?}");
+    }
+    assert_eq!(gate.stats().relayed(), 5);
 
     gate.shutdown();
     gate.join();
+}
+
+#[test]
+fn a_drain_answers_every_forward_in_flight_exactly_once() {
+    let backend = boot_backend();
+    let gate = boot_gateway(vec![addr_of(&backend)]);
+    let stats = gate.stats().clone();
+
+    // Six 200 ms sleeps in flight on one raw session, so every reply frame
+    // the gateway writes is seen.
+    let mut conn = TcpStream::connect(gate.tcp_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    write_frame(&mut conn, &Request::Hello { window: 8 }.to_frame()).expect("hello");
+    assert_eq!(read_frame(&mut conn).expect("ack").kind, FrameKind::HelloAck);
+    let sleeper = Request::Train(ModelSpec { seed: 200, ..ModelSpec::new("__sleep") });
+    for id in 1..=6 {
+        write_frame(&mut conn, &sleeper.to_frame().with_request(id)).expect("send");
+    }
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while stats.requests_in_flight() < 6 {
+        assert!(Instant::now() < deadline, "six requests never got admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    gate.shutdown();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gate.join();
+        let _ = done.send((stats.relayed(), stats.requests_in_flight()));
+    });
+    // Every request gets one reply; once the last one is out, the
+    // gateway lets go of the connection.
+    let mut answered = Vec::new();
+    while let Ok(frame) = read_frame(&mut conn) {
+        let reply = Reply::from_frame(&frame).expect("decode");
+        assert_eq!(reply, Reply::Trained("slept 200ms".into()), "id {}", frame.request_id);
+        answered.push(frame.request_id);
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, (1..=6).collect::<Vec<u32>>(), "one reply per request");
+    let (relayed, in_flight) =
+        joined.recv_timeout(Duration::from_secs(5)).expect("join returned within 5 s");
+    assert_eq!(relayed, 6, "join returned only after the last reply");
+    assert_eq!(in_flight, 0, "nothing is left in flight after join");
+
     backend.shutdown();
     backend.join();
 }
@@ -492,5 +555,163 @@ fn pipelined_session_fails_over_with_four_requests_in_flight() {
     for b in backends {
         b.shutdown();
         b.join();
+    }
+}
+
+/// Serialize a `seq` run from `base_seed` on: a failing one when
+/// `failing`, else a correct one.
+fn trace_bytes(base_seed: u64, failing: bool) -> Vec<u8> {
+    let w = act_workloads::registry::by_name("seq").expect("seq workload");
+    let norm = w.norm_code_len().unwrap_or_else(|| w.build(&w.default_params()).program.code_len());
+    for seed in base_seed..base_seed + 64 {
+        let params = w.default_params().with_seed(seed);
+        let built = w.build(&if failing { params.triggered() } else { params });
+        let mut collector = act_trace::collector::TraceCollector::new(norm);
+        let run_cfg =
+            act_sim::config::MachineConfig { seed, jitter_ppm: 10_000, ..Default::default() };
+        let outcome =
+            act_sim::machine::Machine::new(&built.program, run_cfg).run_observed(&mut collector);
+        if if failing { built.is_failure(&outcome) } else { built.is_correct(&outcome) } {
+            return act_trace::io::trace_to_bytes(&collector.into_trace());
+        }
+    }
+    panic!("no matching seq run in 64 seeds from {base_seed}");
+}
+
+/// A 2-backend gateway whose fleet holds a warm model and one stored
+/// trace per backend, all put there through the gateway.
+struct ShardedFleet {
+    gate: Gateway,
+    backends: Vec<String>,
+    spec: ModelSpec,
+    failing: Vec<u8>,
+    /// One corpus key per backend (index = owner).
+    stored: Vec<String>,
+    _servers: Vec<Server>,
+}
+
+impl ShardedFleet {
+    /// The request `op` draws from a fixed vocabulary whose replies are
+    /// deterministic and order-independent: fault-hook sleeps echo their
+    /// duration, diagnoses hit the warm model, trace gets return stored
+    /// bytes.
+    fn request(&self, op: u8) -> Request {
+        match op % 5 {
+            0 | 1 => Request::Train(ModelSpec {
+                seed: 5 + (op as u64 % 7) * 3,
+                ..ModelSpec::new("__sleep")
+            }),
+            2 => Request::Diagnose(self.spec.clone(), self.failing.clone()),
+            n => Request::TraceGet { key: self.stored[n as usize - 3].clone() },
+        }
+    }
+
+    /// The backend the gateway's ring gives `request`.
+    fn owner(&self, request: &Request) -> &str {
+        let key = match request {
+            Request::Train(spec) | Request::Diagnose(spec, _) => key_of(spec),
+            Request::TraceGet { key } => format!("trace:{key}"),
+            other => panic!("not in the vocabulary: {other:?}"),
+        };
+        &self.backends[self.gate.ring().owner(&key)]
+    }
+}
+
+fn sharded_fleet() -> &'static ShardedFleet {
+    use std::sync::OnceLock;
+    static FIXTURE: OnceLock<ShardedFleet> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let servers: Vec<Server> = (0..2)
+            .map(|i| {
+                let dir =
+                    std::env::temp_dir().join(format!("act-gate-prop-{i}-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let cfg = ServeConfig {
+                    tcp_addr: Some("127.0.0.1:0".to_string()),
+                    workers: 2,
+                    queue_depth: 64,
+                    corpus_dir: Some(dir),
+                    ..ServeConfig::default()
+                };
+                Server::start(cfg).expect("backend boots")
+            })
+            .collect();
+        let backends: Vec<String> = servers.iter().map(addr_of).collect();
+        let gate = boot_gateway(backends.clone());
+        let client = gate_client(&gate);
+        let spec = tiny_spec("seq", 0);
+        client.train(&spec).expect("warm the model through the gateway");
+        let stored: Vec<String> = (0..2)
+            .map(|want| {
+                let key = (0..)
+                    .map(|n| format!("prop-{n}"))
+                    .find(|key| gate.ring().owner(&format!("trace:{key}")) == want)
+                    .expect("some key lands on every backend");
+                let bytes = trace_bytes(100 * want as u64, false);
+                client.trace_put(&key, "seq", &bytes).expect("store through the gateway");
+                key
+            })
+            .collect();
+        ShardedFleet {
+            gate,
+            backends,
+            spec,
+            failing: trace_bytes(0, true),
+            stored,
+            _servers: servers,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Pipelined through a 2-backend gateway at any depth and in any
+    /// issue/wait order, every reply is byte-identical to the one its
+    /// owner gives the same request sent straight to it, one frame on a
+    /// connection of its own.
+    #[test]
+    fn any_pipelined_interleaving_through_a_gateway_matches_one_frame_requests_to_the_owners(
+        depth in 2u32..9,
+        plan in prop::collection::vec((any::<u8>(), any::<u8>()), 1..12),
+    ) {
+        let fleet = sharded_fleet();
+
+        let mut expected = Vec::new();
+        for (op, _) in &plan {
+            let req = fleet.request(*op);
+            let mut conn = TcpStream::connect(fleet.owner(&req)).expect("connect to owner");
+            write_frame(&mut conn, &req.to_frame()).expect("send");
+            let frame = read_frame(&mut conn).expect("reply");
+            expected.push((frame.kind, frame.payload));
+        }
+
+        let gate = act_serve::Endpoint::Tcp(fleet.gate.tcp_addr().to_string());
+        let session = act_client::session::Session::open(
+            &gate,
+            &act_client::ClientConfig::default(),
+            depth,
+        ).expect("session opens");
+        prop_assert_eq!(session.window(), depth);
+        let wire = |p: act_client::session::Pending| {
+            let frame = p.wait().expect("pipelined reply").to_frame();
+            (frame.kind, frame.payload)
+        };
+        let mut pending: Vec<(usize, act_client::session::Pending)> = Vec::new();
+        let mut got = vec![None; plan.len()];
+        for (i, (op, pick)) in plan.iter().enumerate() {
+            // Wait on a plan-chosen request whenever the window is full.
+            while pending.len() >= session.window() as usize {
+                let (slot, p) = pending.swap_remove(*pick as usize % pending.len());
+                got[slot] = Some(wire(p));
+            }
+            pending.push((i, session.call(&fleet.request(*op)).expect("send pipelined")));
+        }
+        while let Some((slot, p)) = pending.pop() {
+            got[slot] = Some(wire(p));
+        }
+        let got: Vec<_> = got.into_iter().map(|g| g.expect("every reply collected")).collect();
+
+        prop_assert_eq!(got, expected);
     }
 }

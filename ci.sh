@@ -5,9 +5,11 @@ set -eux
 
 cargo fmt --all --check
 # The service stack (daemon, client, gateway, and the queues they share)
-# stays lint-clean. --no-deps keeps the gate on these four crates: the
-# simulator and NN crates carry findings of their own.
-cargo clippy -p act-serve -p act-client -p act-gate -p act-fleet --no-deps --all-targets -- -D warnings
+# and the trace codec and corpus store under it stay lint-clean. --no-deps
+# keeps the gate on these six crates: the simulator and NN crates carry
+# findings of their own.
+cargo clippy -p act-serve -p act-client -p act-gate -p act-fleet -p act-trace -p act-store \
+    --no-deps --all-targets -- -D warnings
 cargo build --release
 cargo test -q --release
 

@@ -19,7 +19,7 @@
 
 use act_serve::proto::{read_frame, write_frame, MAX_CHUNK};
 use act_serve::{ClientConfig, ClientError, Conn, Endpoint, Frame, Reply, Request};
-use act_store::Crc32;
+use act_store::UploadCheck;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -177,19 +177,17 @@ impl Session {
         let id = self.begin(Box::new(on_reply))?;
         let sent = (|| -> Result<(), ClientError> {
             self.write(&start.to_frame().with_request(id))?;
-            let mut crc = Crc32::new();
-            let mut total = 0u64;
+            let mut check = UploadCheck::default();
             let mut buf = vec![0u8; STREAM_CHUNK_BYTES.min(MAX_CHUNK as usize)];
             loop {
                 let n = reader.read(&mut buf).map_err(ClientError::Io)?;
                 if n == 0 {
                     break;
                 }
-                crc.update(&buf[..n]);
-                total += n as u64;
+                check.update(&buf[..n]);
                 self.write(&Request::StreamChunk(buf[..n].to_vec()).to_frame().with_request(id))?;
             }
-            let end = Request::StreamEnd { crc32: crc.finish(), total_len: total };
+            let end = Request::StreamEnd { crc32: check.crc32(), total_len: check.total_len() };
             self.write(&end.to_frame().with_request(id))?;
             Ok(())
         })();

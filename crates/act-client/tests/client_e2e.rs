@@ -6,7 +6,10 @@
 //! - typed methods produce identical results at pipeline depth 1 (one
 //!   frame each way per connection) and depth 8 (multiplexed session);
 //! - streamed uploads (`TRACE_PUT_START`/`DIAGNOSE_START` + chunks) answer
-//!   with byte-identical summaries to their one-frame twins;
+//!   with byte-identical summaries to their one-frame twins, at any chunk
+//!   size;
+//! - a refused or failed upload gets exactly one reply, and the rest of its
+//!   stream frames are dropped without protocol errors;
 //! - replies demultiplex out of order across a pipelined session;
 //! - a connection killed mid-stream leaves no partial corpus segment;
 //! - the in-flight window is negotiated down to the server's cap;
@@ -250,6 +253,118 @@ fn streamed_uploads_match_their_one_frame_twins() {
     client.shutdown().expect("shutdown");
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A raw session on `endpoint`: `HELLO` for a window of 4, ack read.
+fn raw_session(endpoint: &Endpoint) -> TcpStream {
+    let Endpoint::Tcp(addr) = endpoint else { unreachable!("boot binds tcp") };
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, &Request::Hello { window: 4 }.to_frame().with_request(0))
+        .expect("hello");
+    assert_eq!(read_frame(&mut stream).expect("hello ack").kind, FrameKind::HelloAck);
+    stream
+}
+
+/// Send each of `requests` as one frame under request id `id`.
+fn send_all(stream: &mut TcpStream, id: u32, requests: &[Request]) {
+    for request in requests {
+        write_frame(&mut *stream, &request.to_frame().with_request(id)).expect("send");
+    }
+}
+
+/// `bytes` as `STREAM_CHUNK`s of `chunk` bytes.
+fn chunks(bytes: &[u8], chunk: usize) -> Vec<Request> {
+    bytes.chunks(chunk).map(|c| Request::StreamChunk(c.to_vec())).collect()
+}
+
+/// The `STREAM_END` that seals an upload of `bytes`.
+fn seal(bytes: &[u8]) -> Request {
+    Request::StreamEnd { crc32: act_store::crc32::crc32(bytes), total_len: bytes.len() as u64 }
+}
+
+/// Read one reply frame: its request id and decoded reply.
+fn read_reply(stream: &mut TcpStream) -> (u32, Reply) {
+    let frame = read_frame(stream).expect("reply frame");
+    (frame.request_id, Reply::from_frame(&frame).expect("decode"))
+}
+
+#[test]
+fn streamed_diagnose_in_tiny_chunks_matches_the_one_frame_report() {
+    let (server, endpoint) = boot(small(2, 16));
+    let spec = tiny_spec("seq");
+    let failing = trace_bytes(0, true);
+    let client = client_at(&endpoint, 1);
+    client.train(&spec).expect("warm");
+    let one_frame = client.diagnose(&spec, &failing).expect("diagnose");
+
+    // Chunks this small split the header and nearly every record line.
+    let mut session = raw_session(&endpoint);
+    for (id, chunk) in [(1u32, 1usize), (2, 3), (3, 7)] {
+        send_all(&mut session, id, &[Request::DiagnoseStart(spec.clone())]);
+        send_all(&mut session, id, &chunks(&failing, chunk));
+        send_all(&mut session, id, &[seal(&failing)]);
+        let reply = read_reply(&mut session);
+        assert_eq!(reply, (id, Reply::Diagnosis(one_frame.clone())), "{chunk}-byte chunks");
+    }
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn a_refused_or_failed_upload_gets_exactly_one_reply() {
+    let (server, endpoint) = boot(small(2, 16));
+    let spec = tiny_spec("seq");
+    let failing = trace_bytes(0, true);
+    client_at(&endpoint, 1).train(&spec).expect("warm");
+    let mut session = raw_session(&endpoint);
+    let start = Request::DiagnoseStart(spec.clone());
+
+    // A bad record line in the first chunk: one ERROR naming the line, and
+    // the upload's two later chunks and STREAM_END go unanswered.
+    let upload = b"acttrace v1 10\nS 1 2 0 7 8\nX not a record\nS 3 4 0 7 8\n";
+    let (head, tail) = upload.split_at(42);
+    send_all(&mut session, 1, &[start.clone(), Request::StreamChunk(head.to_vec())]);
+    send_all(&mut session, 1, &chunks(tail, 6));
+    send_all(&mut session, 1, &[seal(upload)]);
+    let (id, reply) = read_reply(&mut session);
+    let Reply::Error(why) = reply else { panic!("expected an ERROR, got {reply:?}") };
+    assert_eq!(id, 1);
+    assert!(why.contains("bad trace payload") && why.contains("line 3"), "{why}");
+
+    // A STREAM_END with the wrong CRC: one crc-mismatch ERROR.
+    let wrong = Request::StreamEnd {
+        crc32: act_store::crc32::crc32(&failing) ^ 1,
+        total_len: failing.len() as u64,
+    };
+    send_all(&mut session, 2, &[start.clone(), Request::StreamChunk(failing.clone()), wrong]);
+    let (id, reply) = read_reply(&mut session);
+    assert!(matches!(&reply, Reply::Error(why) if why.contains("crc mismatch")), "{reply:?}");
+    assert_eq!(id, 2);
+
+    // An opener refused BUSY while another upload is open: its frames are
+    // dropped, and the open upload's own frames still reach it.
+    send_all(&mut session, 3, std::slice::from_ref(&start));
+    send_all(&mut session, 4, std::slice::from_ref(&start));
+    assert_eq!(read_reply(&mut session), (4, Reply::Busy));
+    send_all(&mut session, 4, &chunks(&failing, 64));
+    send_all(&mut session, 3, &chunks(&failing, 64));
+    send_all(&mut session, 4, &[seal(&failing)]);
+    send_all(&mut session, 3, &[seal(&failing)]);
+    let (id, reply) = read_reply(&mut session);
+    assert!(matches!(reply, Reply::Diagnosis(_)), "{reply:?}");
+    assert_eq!(id, 3);
+
+    // The session still answers, and the client made no protocol error.
+    send_all(&mut session, 5, &[Request::Status]);
+    let (id, reply) = read_reply(&mut session);
+    let Reply::StatusMetrics(text, snap) = reply else { panic!("expected STATUS, got {reply:?}") };
+    assert_eq!(id, 5);
+    assert_eq!(snap.counter("protocol_errors"), Some(0), "{text}");
+    drop(session);
+
+    client_at(&endpoint, 1).shutdown().expect("shutdown");
+    server.join();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Encoding RAW dependence sequences as neural-network input vectors.
 //!
-//! Each dependence contributes four features:
+//! Each dependence contributes five features ([`FEATURES_PER_DEP`]):
 //!
 //! * the store's instruction address, normalized by code length, with the
 //!   inter-thread flag folded into the low-order half of the feature's
@@ -12,7 +12,7 @@
 //! The two positional features give the network locality: nearby
 //! instruction addresses map to nearby inputs, which is what lets it
 //! generalize to *new but similar* code (§II-C, Fig 7(b)). The signature
-//! feature gives it separability: two dependences whose store addresses
+//! bits give it separability: two dependences whose store addresses
 //! differ by a few instructions (exactly what a synthesized negative
 //! example looks like) land far apart, so the classifier does not need
 //! cliff-steep weights to tell them apart — a one-hidden-layer network

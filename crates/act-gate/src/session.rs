@@ -18,11 +18,13 @@
 //! chunks have flowed, a backend failure is an error — half a stream must
 //! never be replayed. After `STREAM_END` a one-off thread waits for the
 //! backend's verdict so a slow ingest cannot stall the session's other
-//! pipelined requests.
+//! pipelined requests. An upload refused at its opener or lost mid-relay
+//! gets its one reply then, and the rest of its stream frames are dropped
+//! ([`DeadUploads`]).
 
 use crate::gateway::{route_key, Forward, GateState};
 use act_obs::{events, Level};
-use act_serve::conn::{next_frame, Conn, Window};
+use act_serve::conn::{next_frame, Conn, DeadUploads, Window};
 use act_serve::proto::{read_frame, write_frame, Frame, FrameKind};
 use act_serve::{Reply, Request};
 use std::sync::{Arc, Mutex};
@@ -88,6 +90,7 @@ pub(crate) fn run_gate_session(mut conn: Conn, state: &Arc<GateState>) {
         None => Some(first),
     };
     let mut relay: Option<StreamRelay> = None;
+    let mut dead = DeadUploads::default();
 
     while let Some(next) =
         pending.take().or_else(|| next_frame(&mut conn, state.io_timeout, &state.shutdown))
@@ -134,6 +137,7 @@ pub(crate) fn run_gate_session(mut conn: Conn, state: &Arc<GateState>) {
                     // One inbound stream per session, same as act-serve,
                     // and it needs a slot.
                     shared.send(request_id, &Reply::Busy);
+                    dead.insert(request_id);
                     continue;
                 }
                 let key = route_key(&request).expect("stream openers carry a shard key");
@@ -142,28 +146,35 @@ pub(crate) fn run_gate_session(mut conn: Conn, state: &Arc<GateState>) {
                     Err(msg) => {
                         state.stats.failed.inc();
                         shared.send_final(request_id, &Reply::Error(msg));
+                        dead.insert(request_id);
                     }
                 }
             }
             Request::StreamChunk(_) | Request::StreamEnd { .. } => {
-                let Some(active) = relay.as_mut() else {
-                    state.stats.proto_errors.inc();
-                    let reply = Reply::Error("stream frame outside an open stream".into());
-                    shared.send(request_id, &reply);
+                let is_chunk = frame.kind == FrameKind::StreamChunk;
+                let Some(active) = relay.as_mut().filter(|r| r.client_request_id == request_id)
+                else {
+                    if !dead.absorbs(request_id, !is_chunk) {
+                        state.stats.proto_errors.inc();
+                        let reply = Reply::Error("stream frame outside an open stream".into());
+                        shared.send(request_id, &reply);
+                    }
                     continue;
                 };
-                let is_chunk = frame.kind == FrameKind::StreamChunk;
                 if let Err(e) =
                     write_frame(&mut active.backend, &frame.with_request(BACKEND_STREAM_ID))
                 {
                     // Chunks have flowed: no failover, no replay.
-                    let dead = relay.take().expect("relay checked above");
-                    state.note_backend_down(dead.backend_index, &e.to_string());
+                    let lost = relay.take().expect("relay checked above");
+                    state.note_backend_down(lost.backend_index, &e.to_string());
                     state.stats.failed.inc();
                     shared.send_final(
-                        dead.client_request_id,
+                        request_id,
                         &Reply::Error(format!("backend lost mid-stream: {e}")),
                     );
+                    if is_chunk {
+                        dead.insert(request_id);
+                    }
                     continue;
                 }
                 if is_chunk {

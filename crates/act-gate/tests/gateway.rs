@@ -7,6 +7,7 @@
 //!   the next ring owner with zero client-visible errors — one request per
 //!   connection and with four pipelined requests in flight on one session;
 //! - a backend answering `BUSY` gets the same failover treatment;
+//! - an upload whose backend is lost mid-relay gets exactly one `ERROR`;
 //! - request payloads and reply payloads pass through byte-identically,
 //!   under the client's request id (proptest over payload shapes);
 //! - `STATUS` aggregates every backend's metrics under one reply;
@@ -29,6 +30,7 @@ use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Boot a real act-serve backend on an ephemeral port.
@@ -207,6 +209,88 @@ fn busy_owner_fails_over_to_the_next_backend() {
     gate.join();
     real.shutdown();
     real.join();
+}
+
+/// A backend that acks `HELLO` and answers `STATUS`, but hangs up on a
+/// stream opener once the upload's first chunk has arrived — leaving it
+/// unread, so the socket resets — and then reports on `hung_up`.
+fn spawn_stream_dropper(hung_up: mpsc::Sender<()>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
+    let addr = listener.local_addr().unwrap().to_string();
+    let listener = Listener::Tcp(listener);
+    std::thread::spawn(move || {
+        let serve = move |mut conn: Conn| {
+            while let Ok(frame) = read_frame(&mut conn) {
+                let reply = match frame.kind {
+                    FrameKind::Hello => Reply::HelloAck { window: 32 },
+                    FrameKind::Status => {
+                        Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
+                    }
+                    _ => {
+                        let Conn::Tcp(stream) = &conn else { unreachable!("tcp listener") };
+                        let _ = stream.peek(&mut [0u8; 1]);
+                        drop(conn);
+                        let _ = hung_up.send(());
+                        return;
+                    }
+                };
+                let reply = reply.to_frame().with_request(frame.request_id);
+                if write_frame(&mut conn, &reply).is_err() {
+                    break;
+                }
+            }
+        };
+        // Never drained: the stub lives as long as the test process.
+        accept_loop(&listener, &AtomicBool::new(false), "stub-session", serve);
+    });
+    addr
+}
+
+#[test]
+fn an_upload_whose_backend_is_lost_mid_relay_gets_one_error() {
+    let (hung_up, backend_gone) = mpsc::channel();
+    let gate = boot_gateway(vec![spawn_stream_dropper(hung_up)]);
+    let mut conn = TcpStream::connect(gate.tcp_addr().to_string()).expect("connect");
+    let send = |conn: &mut TcpStream, id: u32, request: Request| {
+        write_frame(conn, &request.to_frame().with_request(id)).expect("send");
+    };
+    send(&mut conn, 0, Request::Hello { window: 4 });
+    assert_eq!(read_frame(&mut conn).expect("hello ack").kind, FrameKind::HelloAck);
+
+    send(&mut conn, 1, Request::DiagnoseStart(tiny_spec("seq", 0)));
+    send(&mut conn, 1, Request::StreamChunk(b"acttrace v1 10\n".to_vec()));
+    backend_gone.recv_timeout(Duration::from_secs(5)).expect("the backend hung up");
+    for _ in 0..3 {
+        send(&mut conn, 1, Request::StreamChunk(b"S 1 2 0 7 8\n".to_vec()));
+    }
+    send(&mut conn, 1, Request::StreamEnd { crc32: 0, total_len: 51 });
+    send(&mut conn, 2, Request::Status);
+
+    // Read until the upload's reply and the STATUS are both in, however
+    // the backend's loss surfaced; a second STATUS then flushes out any
+    // further reply to the upload.
+    let mut upload_replies = Vec::new();
+    let mut status_seen = false;
+    while !status_seen || upload_replies.is_empty() {
+        let frame = read_frame(&mut conn).expect("reply frame");
+        match frame.request_id {
+            1 => upload_replies.push(Reply::from_frame(&frame).expect("decode")),
+            2 => status_seen = true,
+            other => panic!("reply for unknown request id {other}"),
+        }
+    }
+    send(&mut conn, 3, Request::Status);
+    let frame = read_frame(&mut conn).expect("reply frame");
+    assert_eq!(frame.request_id, 3, "another reply to the upload: {:?}", Reply::from_frame(&frame));
+    assert_eq!(upload_replies.len(), 1, "one terminal reply per request: {upload_replies:?}");
+    assert!(
+        matches!(&upload_replies[0], Reply::Error(why) if why.contains("backend lost")),
+        "{upload_replies:?}"
+    );
+    assert_eq!(gate.stats().failed(), 1);
+
+    gate.shutdown();
+    gate.join();
 }
 
 /// One raw framed exchange with the gateway, no client-library smarts.

@@ -1,7 +1,7 @@
 //! Connection plumbing shared by `act serve` and `act gate`: the Tcp/Unix
 //! listener and socket types, the one accept loop both daemons run, the
-//! wake-up a drain sends it, the frame read a session loop blocks in, and
-//! the in-flight window.
+//! wake-up a drain sends it, the frame read a session loop blocks in, the
+//! in-flight window, and the uploads whose stream frames a session drops.
 //!
 //! The acceptor blocks in `accept` and never reads: every connection is a
 //! session on a thread of its own. Its first frame decides the window: a
@@ -18,6 +18,7 @@
 use crate::client::{connect_tcp, ClientConfig, Endpoint};
 use crate::proto::{read_frame, Frame, FrameKind, ProtoError, Request};
 use act_obs::{events, Level};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -309,6 +310,36 @@ impl Window {
     }
 }
 
+/// The uploads a session refused (`BUSY` or `ERROR` to the opener) or
+/// failed mid-stream, whose `STREAM_CHUNK` and `STREAM_END` frames may
+/// still be on their way. Such an upload already had its one terminal
+/// reply, so its later stream frames are dropped without a reply and are
+/// not protocol errors; its id is forgotten at its `STREAM_END`. At most
+/// [`SESSION_WINDOW`] ids are kept, the oldest going first — a client has
+/// no more than its window of uploads in flight.
+#[derive(Debug, Default)]
+pub struct DeadUploads(VecDeque<u32>);
+
+impl DeadUploads {
+    /// Drop the rest of upload `id`'s stream frames.
+    pub fn insert(&mut self, id: u32) {
+        if self.0.len() == SESSION_WINDOW as usize {
+            self.0.pop_front();
+        }
+        self.0.push_back(id);
+    }
+
+    /// Whether a stream frame under `id` belongs to a dead upload, and so
+    /// is dropped. A `STREAM_END` (`end`) also forgets the id.
+    pub fn absorbs(&mut self, id: u32, end: bool) -> bool {
+        let Some(i) = self.0.iter().position(|&dead| dead == id) else { return false };
+        if end {
+            self.0.remove(i);
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +393,21 @@ mod tests {
         let mut malformed = hello(8);
         malformed.payload.pop();
         assert_eq!(Window::asked_by(&malformed), None);
+    }
+
+    #[test]
+    fn dead_uploads_absorb_until_their_end_and_stay_bounded() {
+        let mut dead = DeadUploads::default();
+        dead.insert(7);
+        assert!(dead.absorbs(7, false) && dead.absorbs(7, false), "chunks are dropped");
+        assert!(!dead.absorbs(8, false), "another id is not dead");
+        assert!(dead.absorbs(7, true), "the end is dropped too");
+        assert!(!dead.absorbs(7, false), "and forgets the id");
+        for id in 0..=SESSION_WINDOW {
+            dead.insert(id);
+        }
+        assert!(!dead.absorbs(0, true), "the oldest id went first");
+        assert!(dead.absorbs(SESSION_WINDOW, true));
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //!   `PROTOCOL.md` for the wire spec).
 //! - [`conn`] — what both daemons share: the Tcp/Unix [`Listener`] and
 //!   [`Conn`], the one blocking accept loop and the wake-up a drain sends
-//!   it, the polled frame read, and the in-flight [`Window`].
+//!   it, the polled frame read, the in-flight [`Window`], and the
+//!   [`conn::DeadUploads`] whose stream frames a session drops unanswered.
 //! - [`server`] — listeners, acceptors, session readers, backpressure,
 //!   graceful drain.
 //! - [`pool`] — crash-isolated request workers.

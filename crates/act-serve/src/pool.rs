@@ -138,7 +138,7 @@ fn dispatch(
 
 /// Count and emit one expired request; build its `ERROR` reply.
 fn deadline_reply(waited: Duration, deadline: Duration, stats: &ServerStats) -> Reply {
-    stats.bump_deadline_expired();
+    stats.deadline_expired.inc();
     events().emit(
         Level::Warn,
         "serve.deadline",
@@ -159,9 +159,9 @@ fn deadline_reply(waited: Duration, deadline: Duration, stats: &ServerStats) -> 
 fn count_reply(reply: &Reply, stats: &ServerStats) {
     match reply {
         Reply::Trained(_) | Reply::Diagnosis(_) | Reply::Stored(_) | Reply::TraceData(_) => {
-            stats.bump_served()
+            stats.served.inc()
         }
-        Reply::Error(_) => stats.bump_errored(),
+        Reply::Error(_) => stats.errored.inc(),
         _ => {}
     }
 }
@@ -175,11 +175,11 @@ fn process(job: Job, cache: &ModelCache, stats: &ServerStats, deadline: Duration
     } else {
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| handle_work(&work, cache, stats)));
-        stats.record_service(started.elapsed());
+        stats.service_us.observe(started.elapsed().as_micros() as u64);
         match outcome {
             Ok(reply) => reply,
             Err(payload) => {
-                stats.bump_crashed();
+                stats.crashed.inc();
                 let message = panic_message(&*payload);
                 events().emit(
                     Level::Warn,
@@ -248,7 +248,7 @@ fn process_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadl
                 .collect();
             Ok::<_, String>((outcome, replies))
         }));
-        stats.record_service(started.elapsed());
+        stats.service_us.observe(started.elapsed().as_micros() as u64);
         match result {
             Ok(Ok((outcome, replies))) => {
                 stats.note_cache(outcome);
@@ -275,7 +275,7 @@ fn process_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadl
                     let reply = match one {
                         Ok(reply) => reply,
                         Err(p) => {
-                            stats.bump_crashed();
+                            stats.crashed.inc();
                             let m = panic_message(&*p);
                             events().emit(
                                 Level::Warn,

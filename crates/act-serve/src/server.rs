@@ -19,16 +19,17 @@
 
 use crate::cache::{CacheOutcome, ModelCache};
 use crate::client::Endpoint;
-use crate::conn::{accept_loop, next_frame, wake, Conn, Listener, Window};
+use crate::conn::{accept_loop, next_frame, wake, Conn, DeadUploads, Listener, Window};
 use crate::pool::{spawn_workers, Job, Responder, Work};
 use crate::proto::{encode_frame, write_frame, FrameKind, ModelSpec, Reply, Request};
 use act_fleet::BoundedQueue;
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
 };
-use act_store::Crc32;
-use act_trace::io::{parse_record_line, TraceBuilder, TraceSink, MAX_CODE_LEN};
+use act_store::UploadCheck;
+use act_trace::io::{CopyError, ParseTraceError, TextParser, TraceBuilder};
 use act_trace::Trace;
+use std::convert::Infallible;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
@@ -100,14 +101,16 @@ impl Default for ServeConfig {
 /// counted per [`FrameKind`]; service time is a fixed-bucket latency
 /// histogram.
 pub struct ServerStats {
-    registry: Registry,
-    accepted: Counter,
-    served: Counter,
-    errored: Counter,
-    rejected_busy: Counter,
-    crashed: Counter,
-    deadline_expired: Counter,
-    proto_errors: Counter,
+    /// The registry every counter lives in, so sibling subsystems (the
+    /// corpus store's metrics) can join the same `STATUS` snapshot.
+    pub(crate) registry: Registry,
+    pub(crate) accepted: Counter,
+    pub(crate) served: Counter,
+    pub(crate) errored: Counter,
+    pub(crate) rejected_busy: Counter,
+    pub(crate) crashed: Counter,
+    pub(crate) deadline_expired: Counter,
+    pub(crate) proto_errors: Counter,
     cache_memory_hits: Counter,
     cache_disk_loads: Counter,
     cache_store_loads: Counter,
@@ -117,28 +120,22 @@ pub struct ServerStats {
     coalesce_misses: Counter,
     /// One counter per frame kind, in [`FrameKind::COUNTERS`] order.
     frames: Vec<Counter>,
-    stream_chunk_bytes: Counter,
-    streams_opened: Counter,
-    streams_aborted: Counter,
+    pub(crate) stream_chunk_bytes: Counter,
+    pub(crate) streams_opened: Counter,
+    pub(crate) streams_aborted: Counter,
     uptime_ms: Gauge,
     queue_depth: Gauge,
     models_resident: Gauge,
-    sessions_open: Gauge,
-    requests_in_flight: Gauge,
-    service_us: Histogram,
-    enqueue_depth: Histogram,
+    pub(crate) sessions_open: Gauge,
+    pub(crate) requests_in_flight: Gauge,
+    pub(crate) service_us: Histogram,
+    pub(crate) enqueue_depth: Histogram,
     batch_size: Histogram,
 }
 
 impl Default for ServerStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ServerStats {
     /// Fresh stats over a fresh registry (all zeros).
-    pub fn new() -> ServerStats {
+    fn default() -> Self {
         let registry = Registry::new();
         ServerStats {
             accepted: registry.counter("requests_accepted"),
@@ -171,78 +168,12 @@ impl ServerStats {
             registry,
         }
     }
+}
 
-    /// The registry every counter lives in, so sibling subsystems (the
-    /// corpus store's metrics) can join the same `STATUS` snapshot.
-    pub(crate) fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    pub(crate) fn bump_accepted(&self) {
-        self.accepted.inc();
-    }
-
-    pub(crate) fn bump_served(&self) {
-        self.served.inc();
-    }
-
-    pub(crate) fn bump_errored(&self) {
-        self.errored.inc();
-    }
-
-    pub(crate) fn bump_rejected(&self) {
-        self.rejected_busy.inc();
-    }
-
-    pub(crate) fn bump_crashed(&self) {
-        self.crashed.inc();
-    }
-
-    pub(crate) fn bump_deadline_expired(&self) {
-        self.deadline_expired.inc();
-    }
-
-    pub(crate) fn bump_proto_errors(&self) {
-        self.proto_errors.inc();
-    }
-
+impl ServerStats {
     /// Count one decoded request or one written reply by its frame kind.
     pub(crate) fn note_frame(&self, kind: FrameKind) {
         self.frames[kind.index()].inc();
-    }
-
-    /// Observe the queue depth seen by one enqueued request (the
-    /// per-request queue-depth histogram behind `STATUS`).
-    pub(crate) fn note_enqueue_depth(&self, depth: usize) {
-        self.enqueue_depth.observe(depth as u64);
-    }
-
-    pub(crate) fn note_session_opened(&self) {
-        self.sessions_open.add(1);
-    }
-
-    pub(crate) fn note_session_closed(&self) {
-        self.sessions_open.add(-1);
-    }
-
-    pub(crate) fn note_request_started(&self) {
-        self.requests_in_flight.add(1);
-    }
-
-    pub(crate) fn note_request_finished(&self) {
-        self.requests_in_flight.add(-1);
-    }
-
-    pub(crate) fn note_stream_chunk(&self, bytes: usize) {
-        self.stream_chunk_bytes.add(bytes as u64);
-    }
-
-    pub(crate) fn note_stream_opened(&self) {
-        self.streams_opened.inc();
-    }
-
-    pub(crate) fn note_stream_aborted(&self) {
-        self.streams_aborted.inc();
     }
 
     /// Record one dispatched micro-batch of `size` diagnose requests. A
@@ -267,10 +198,6 @@ impl ServerStats {
             CacheOutcome::Store => self.cache_store_loads.inc(),
             CacheOutcome::Trained => self.cache_trained.inc(),
         }
-    }
-
-    pub(crate) fn record_service(&self, elapsed: Duration) {
-        self.service_us.observe(elapsed.as_micros() as u64);
     }
 
     /// Every metric as one snapshot — what a `STATUS` reply carries. The
@@ -362,11 +289,11 @@ impl Daemon {
         let depth = self.queue.len();
         match self.queue.try_push(job) {
             Ok(()) => {
-                self.stats.bump_accepted();
-                self.stats.note_enqueue_depth(depth);
+                self.stats.accepted.inc();
+                self.stats.enqueue_depth.observe(depth as u64);
             }
             Err(job) => {
-                self.stats.bump_rejected();
+                self.stats.rejected_busy.inc();
                 events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
                 job.responder.respond(&Reply::Busy, &self.stats);
             }
@@ -419,7 +346,7 @@ impl Server {
                         format!("corpus at {}: {e}", dir.display()),
                     )
                 })?
-                .with_registry(stats.registry());
+                .with_registry(&stats.registry);
             cache = cache.with_corpus(Arc::new(Mutex::new(corpus)));
         }
 
@@ -558,7 +485,7 @@ impl SessionShared {
     fn begin_request(&self, stats: &ServerStats) -> bool {
         let claimed = self.window.claim();
         if claimed {
-            stats.note_request_started();
+            stats.requests_in_flight.add(1);
         }
         claimed
     }
@@ -566,7 +493,7 @@ impl SessionShared {
     /// Release the slot claimed by [`SessionShared::begin_request`].
     pub(crate) fn finish_request(&self, stats: &ServerStats) {
         self.window.release();
-        stats.note_request_finished();
+        stats.requests_in_flight.add(-1);
     }
 
     /// Send the final reply for a claimed request, releasing its slot
@@ -599,21 +526,35 @@ impl SessionShared {
     }
 }
 
-/// The at-most-one inbound stream a session may have open.
+/// The at-most-one inbound stream a session may have open (held with its
+/// opener's request id, which its chunks and end carry too).
 enum SessionStream {
     /// A chunked `TRACE_PUT`; the corpus holds the parser/CRC state.
-    TracePut { request_id: u32 },
+    TracePut,
     /// A chunked `DIAGNOSE`; the trace is parsed here, then queued whole.
-    Diagnose { request_id: u32, spec: ModelSpec, parse: Box<DiagnoseStream> },
+    Diagnose { spec: ModelSpec, parse: Box<DiagnoseStream> },
 }
 
-impl SessionStream {
-    fn request_id(&self) -> u32 {
-        match self {
-            SessionStream::TracePut { request_id } => *request_id,
-            SessionStream::Diagnose { request_id, .. } => *request_id,
+/// Open the upload `opener` asks for, or say how to refuse it.
+fn open_stream(opener: Request, cache: &ModelCache) -> Result<SessionStream, Reply> {
+    let (key, workload) = match opener {
+        Request::TracePutStart { key, workload } => (key, workload),
+        Request::DiagnoseStart(spec) => {
+            return Ok(SessionStream::Diagnose { spec, parse: Box::default() });
         }
+        _ => unreachable!("not a stream opener"),
+    };
+    let Some(corpus) = cache.corpus() else {
+        let why = "no corpus store configured; start the daemon with --corpus";
+        return Err(Reply::Error(why.into()));
+    };
+    let mut c = corpus.lock().expect("corpus lock");
+    if c.streaming_key().is_some() {
+        // Another session owns the corpus stream right now.
+        return Err(Reply::Busy);
     }
+    c.stream_begin(&key, &workload).map_err(|e| Reply::Error(format!("trace put failed: {e}")))?;
+    Ok(SessionStream::TracePut)
 }
 
 /// Drive one connection from its first frame until the client closes, the
@@ -632,7 +573,7 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
     });
     // Counted before the ack goes out, so a client holding the ack never
     // reads a STATUS that misses its own session.
-    stats.note_session_opened();
+    stats.sessions_open.add(1);
     let mut pending = match hello {
         Some((hello_id, window)) => {
             stats.note_frame(FrameKind::Hello);
@@ -641,7 +582,8 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
         }
         None => Some(first),
     };
-    let mut stream: Option<SessionStream> = None;
+    let mut stream: Option<(u32, SessionStream)> = None;
+    let mut dead = DeadUploads::default();
 
     while let Some(next) = pending.take().or_else(|| next_frame(&mut conn, *io_timeout, shutdown)) {
         let frame = match next {
@@ -649,7 +591,7 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
             Err(e) => {
                 // The stream position is unknown (or the peer speaks
                 // another version): answer once, then close.
-                stats.bump_proto_errors();
+                stats.proto_errors.inc();
                 shared.send(0, &Reply::Error(format!("bad frame: {e}")), stats);
                 conn.shutdown();
                 break;
@@ -660,7 +602,7 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
             Ok(r) => r,
             Err(e) => {
                 // Framing is intact — only this request is malformed.
-                stats.bump_proto_errors();
+                stats.proto_errors.inc();
                 shared.send(request_id, &Reply::Error(format!("bad request: {e}")), stats);
                 continue;
             }
@@ -679,66 +621,35 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
                 shared.send(request_id, &Reply::Bye, stats);
                 break;
             }
-            Request::TracePutStart { key, workload } => {
+            opener @ (Request::TracePutStart { .. } | Request::DiagnoseStart(_)) => {
                 if stream.is_some() || !shared.begin_request(stats) {
                     // One inbound stream per session, and it needs a slot;
                     // the client retries.
                     shared.send(request_id, &Reply::Busy, stats);
+                    dead.insert(request_id);
                     continue;
                 }
-                let Some(corpus) = cache.corpus() else {
-                    shared.send_final(
-                        request_id,
-                        &Reply::Error(
-                            "no corpus store configured; start the daemon with --corpus".into(),
-                        ),
-                        stats,
-                    );
-                    continue;
-                };
-                let mut c = corpus.lock().expect("corpus lock");
-                if c.streaming_key().is_some() {
-                    // Another session owns the corpus stream right now.
-                    drop(c);
-                    shared.send_final(request_id, &Reply::Busy, stats);
-                    continue;
-                }
-                let begun = c.stream_begin(&key, &workload);
-                drop(c);
-                match begun {
-                    Ok(()) => {
-                        stats.note_stream_opened();
-                        stream = Some(SessionStream::TracePut { request_id });
+                match open_stream(opener, cache) {
+                    Ok(open) => {
+                        stats.streams_opened.inc();
+                        stream = Some((request_id, open));
                     }
-                    Err(e) => {
-                        let reply = Reply::Error(format!("trace put failed: {e}"));
+                    Err(reply) => {
                         shared.send_final(request_id, &reply, stats);
+                        dead.insert(request_id);
                     }
                 }
-            }
-            Request::DiagnoseStart(spec) => {
-                if stream.is_some() || !shared.begin_request(stats) {
-                    shared.send(request_id, &Reply::Busy, stats);
-                    continue;
-                }
-                stats.note_stream_opened();
-                stream = Some(SessionStream::Diagnose {
-                    request_id,
-                    spec,
-                    parse: Box::new(DiagnoseStream::new()),
-                });
             }
             Request::StreamChunk(bytes) => {
-                stats.note_stream_chunk(bytes.len());
-                let Some(open) = stream.as_mut() else {
-                    stats.bump_proto_errors();
-                    let reply = Reply::Error("stream frame outside an open stream".into());
-                    shared.send(request_id, &reply, stats);
+                stats.stream_chunk_bytes.add(bytes.len() as u64);
+                let Some((_, open)) = stream.as_mut().filter(|(id, _)| *id == request_id) else {
+                    if !dead.absorbs(request_id, false) {
+                        stray_stream_frame(&shared, request_id, stats);
+                    }
                     continue;
                 };
-                let owner = open.request_id();
                 let failed = match open {
-                    SessionStream::TracePut { .. } => {
+                    SessionStream::TracePut => {
                         let corpus = cache.corpus().expect("stream opened with a corpus");
                         let mut c = corpus.lock().expect("corpus lock");
                         c.stream_chunk(&bytes).err().map(|e| format!("trace put failed: {e}"))
@@ -746,34 +657,36 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
                     SessionStream::Diagnose { parse, .. } => parse.feed(&bytes).err(),
                 };
                 if let Some(why) = failed {
-                    // The corpus/parser side already aborted; drop ours.
+                    // The corpus/parser side already aborted; drop ours, and
+                    // the rest of the upload's frames with it.
                     stream = None;
-                    stats.note_stream_aborted();
-                    shared.send_final(owner, &Reply::Error(why), stats);
+                    dead.insert(request_id);
+                    stats.streams_aborted.inc();
+                    shared.send_final(request_id, &Reply::Error(why), stats);
                 }
             }
             Request::StreamEnd { crc32, total_len } => {
-                let Some(open) = stream.take() else {
-                    stats.bump_proto_errors();
-                    let reply = Reply::Error("stream frame outside an open stream".into());
-                    shared.send(request_id, &reply, stats);
+                let Some((_, open)) = stream.take_if(|(id, _)| *id == request_id) else {
+                    if !dead.absorbs(request_id, true) {
+                        stray_stream_frame(&shared, request_id, stats);
+                    }
                     continue;
                 };
                 match open {
-                    SessionStream::TracePut { request_id } => {
+                    SessionStream::TracePut => {
                         let corpus = cache.corpus().expect("stream opened with a corpus");
                         let finished =
                             corpus.lock().expect("corpus lock").stream_finish(crc32, total_len);
                         let reply = match finished {
                             Ok(info) => Reply::Stored(stored_summary(&info.meta.key, &info)),
                             Err(e) => {
-                                stats.note_stream_aborted();
+                                stats.streams_aborted.inc();
                                 Reply::Error(format!("trace put failed: {e}"))
                             }
                         };
                         shared.send_final(request_id, &reply, stats);
                     }
-                    SessionStream::Diagnose { request_id, spec, parse } => {
+                    SessionStream::Diagnose { spec, parse } => {
                         match parse.finish(crc32, total_len) {
                             Ok(trace) => daemon.enqueue(Job {
                                 responder: Responder { session: shared.clone(), request_id },
@@ -781,7 +694,7 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
                                 accepted: Instant::now(),
                             }),
                             Err(why) => {
-                                stats.note_stream_aborted();
+                                stats.streams_aborted.inc();
                                 shared.send_final(request_id, &Reply::Error(why), stats);
                             }
                         }
@@ -794,7 +707,7 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
             | Request::TraceGet { .. }) => {
                 if !shared.begin_request(stats) {
                     // Window exhausted: BUSY for this request only.
-                    stats.bump_rejected();
+                    stats.rejected_busy.inc();
                     shared.send(request_id, &Reply::Busy, stats);
                     continue;
                 }
@@ -809,9 +722,9 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
 
     // A stream still open here means the client died mid-upload: truncate
     // the half-written corpus entry so no partial segment survives.
-    if let Some(open) = stream {
-        stats.note_stream_aborted();
-        if matches!(open, SessionStream::TracePut { .. }) {
+    if let Some((_, open)) = stream {
+        stats.streams_aborted.inc();
+        if matches!(open, SessionStream::TracePut) {
             if let Some(corpus) = cache.corpus() {
                 corpus.lock().expect("corpus lock").stream_abort();
             }
@@ -819,7 +732,7 @@ fn run_session(mut conn: Conn, daemon: &Daemon) {
         shared.finish_request(stats);
         events().emit(Level::Warn, "serve.stream", "session closed mid-stream; upload aborted");
     }
-    stats.note_session_closed();
+    stats.sessions_open.add(-1);
 }
 
 /// The `STORED` reply text — shared verbatim by the one-frame and the
@@ -835,116 +748,43 @@ pub(crate) fn stored_summary(key: &str, info: &act_store::EntryInfo) -> String {
     )
 }
 
-/// Incremental parser for a streamed `DIAGNOSE` upload: text-codec lines
-/// arrive in arbitrary chunk splits, records accumulate in a
-/// [`TraceBuilder`], and the CRC-32/length tallies are checked at the end
-/// — the same state machine the corpus runs for streamed `TRACE_PUT`, but
-/// materializing in memory since the trace is diagnosed, not stored.
+/// Answer a `STREAM_CHUNK`/`STREAM_END` that belongs to no upload open or
+/// dropped on this session: a protocol error.
+fn stray_stream_frame(shared: &SessionShared, request_id: u32, stats: &ServerStats) {
+    stats.proto_errors.inc();
+    shared.send(request_id, &Reply::Error("stream frame outside an open stream".into()), stats);
+}
+
+/// A streamed `DIAGNOSE` upload in progress: the text parser fills a
+/// [`TraceBuilder`], since the trace is diagnosed, not stored, and the
+/// upload check is verified at `STREAM_END`.
+#[derive(Default)]
 struct DiagnoseStream {
-    crc: Crc32,
-    bytes_in: u64,
-    lineno: usize,
-    partial: Vec<u8>,
-    header_seen: bool,
+    check: UploadCheck,
+    parser: TextParser,
     builder: TraceBuilder,
 }
 
-/// Longest line a streamed upload may contain (matches the corpus cap).
-const MAX_STREAM_LINE_BYTES: usize = 64 << 10;
-
 impl DiagnoseStream {
-    fn new() -> DiagnoseStream {
-        DiagnoseStream {
-            crc: Crc32::new(),
-            bytes_in: 0,
-            lineno: 0,
-            partial: Vec::new(),
-            header_seen: false,
-            builder: TraceBuilder::new(),
-        }
-    }
-
     fn feed(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.crc.update(bytes);
-        self.bytes_in += bytes.len() as u64;
-        if self.bytes_in > MAX_STREAM_DIAGNOSE_BYTES {
+        self.check.update(bytes);
+        if self.check.total_len() > MAX_STREAM_DIAGNOSE_BYTES {
             return Err(format!(
                 "streamed diagnose exceeds the {MAX_STREAM_DIAGNOSE_BYTES}-byte cap"
             ));
         }
-        let mut rest = bytes;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let (head, tail) = rest.split_at(nl);
-            rest = &tail[1..];
-            let line = if self.partial.is_empty() {
-                head.to_vec()
-            } else {
-                self.partial.extend_from_slice(head);
-                std::mem::take(&mut self.partial)
-            };
-            self.line(&line)?;
-        }
-        self.partial.extend_from_slice(rest);
-        if self.partial.len() > MAX_STREAM_LINE_BYTES {
-            return Err(format!(
-                "streamed line exceeds {MAX_STREAM_LINE_BYTES} bytes without a newline"
-            ));
-        }
-        Ok(())
-    }
-
-    fn line(&mut self, line: &[u8]) -> Result<(), String> {
-        self.lineno += 1;
-        let text = std::str::from_utf8(line)
-            .map_err(|_| format!("stream line {} is not UTF-8", self.lineno))?;
-        let text = text.strip_suffix('\r').unwrap_or(text);
-        if !self.header_seen {
-            let mut hp = text.split_whitespace();
-            if hp.next() != Some("acttrace") || hp.next() != Some("v1") {
-                return Err("stream header: bad header".into());
-            }
-            let code_len: u64 = hp
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| "stream header: bad code_len".to_string())?;
-            if code_len > MAX_CODE_LEN {
-                return Err(format!("stream header: code_len {code_len} exceeds the cap"));
-            }
-            let Ok(()) = self.builder.begin(code_len as usize);
-            self.header_seen = true;
-            return Ok(());
-        }
-        if text.is_empty() {
-            return Ok(());
-        }
-        let rec =
-            parse_record_line(text, self.lineno).map_err(|e| format!("bad trace payload: {e}"))?;
-        let Ok(()) = self.builder.record(&rec);
-        Ok(())
+        self.parser.feed(bytes, &mut self.builder).map_err(bad_payload)
     }
 
     fn finish(mut self, crc32: u32, total_len: u64) -> Result<Trace, String> {
-        if self.bytes_in != total_len {
-            return Err(format!(
-                "stream length mismatch: received {} bytes, client sealed {total_len}",
-                self.bytes_in
-            ));
-        }
-        let got = self.crc.finish();
-        if got != crc32 {
-            return Err(format!(
-                "stream crc mismatch: received {got:#010x}, client sealed {crc32:#010x}"
-            ));
-        }
-        if !self.partial.is_empty() {
-            let line = std::mem::take(&mut self.partial);
-            self.line(&line)?;
-        }
-        if !self.header_seen {
-            return Err("stream ended before the header line".into());
-        }
+        self.check.verify(crc32, total_len)?;
+        self.parser.finish(&mut self.builder).map_err(bad_payload)?;
         Ok(self.builder.into_trace())
     }
+}
+
+fn bad_payload(e: CopyError<Infallible>) -> String {
+    format!("bad trace payload: {}", ParseTraceError::from(e))
 }
 
 #[cfg(test)]
@@ -954,13 +794,13 @@ mod tests {
     #[test]
     fn status_render_has_the_required_counters() {
         let stats = ServerStats::default();
-        stats.bump_accepted();
-        stats.bump_served();
-        stats.bump_rejected();
-        stats.bump_crashed();
+        stats.accepted.inc();
+        stats.served.inc();
+        stats.rejected_busy.inc();
+        stats.crashed.inc();
         stats.note_cache(CacheOutcome::Memory);
         stats.note_cache(CacheOutcome::Trained);
-        stats.record_service(Duration::from_millis(4));
+        stats.service_us.observe(4_000);
         let text = render_status(&stats.metrics_snapshot(Duration::from_secs(1), 3, 2));
         for needle in [
             "uptime_ms 1000",
@@ -984,9 +824,9 @@ mod tests {
         stats.note_frame(FrameKind::Status);
         stats.note_frame(FrameKind::Train);
         stats.note_frame(FrameKind::Busy);
-        stats.bump_served();
+        stats.served.inc();
         stats.note_cache(CacheOutcome::Disk);
-        stats.record_service(Duration::from_micros(180));
+        stats.service_us.observe(180);
         let snap = stats.metrics_snapshot(Duration::from_secs(2), 5, 1);
         assert_eq!(snap.counter("req_status"), Some(1));
         assert_eq!(snap.counter("req_train"), Some(1));

@@ -18,8 +18,7 @@
 //! before old data is unlinked, so a crash between the two steps leaves
 //! duplicates, not loss).
 
-use crate::column::CHUNK_RECORDS;
-use crate::crc32::Crc32;
+use crate::crc32::UploadCheck;
 use crate::error::StoreError;
 use crate::metrics::StoreMetrics;
 use crate::segment::{
@@ -27,11 +26,8 @@ use crate::segment::{
     SegmentWriter, TraceEntrySink, TraceEntrySource,
 };
 use act_obs::metrics::Registry;
-use act_trace::io::{
-    copy_trace, parse_record_line, stream_trace, CopyError, TextTraceSink, TextTraceSource,
-    TraceBuilder, MAX_CODE_LEN,
-};
-use act_trace::{Trace, TraceRecord};
+use act_trace::io::{copy_trace, stream_trace, CopyError, TextParser, TextTraceSink, TraceBuilder};
+use act_trace::Trace;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -114,24 +110,27 @@ pub struct Corpus {
     stream: Option<StreamPut>,
 }
 
-/// Cap on a buffered partial line in a streaming put — a chunked upload
-/// with no newlines must not grow memory without bound.
-const MAX_STREAM_LINE_BYTES: usize = 64 << 10;
-
-/// In-flight state of a chunked [`Corpus::stream_begin`] upload: the
-/// incremental text-codec parser (partial trailing line + line counter),
-/// the columnar chunk buffer, and the running CRC/length tallies the
-/// finishing frame is verified against.
+/// In-flight state of a chunked [`Corpus::stream_begin`] upload: the text
+/// parser, and the running CRC/length tally the finishing frame is
+/// verified against. (The segment writer holds the entry's partly filled
+/// chunk of records.)
 struct StreamPut {
     key: String,
     workload: String,
-    crc: Crc32,
-    bytes_in: u64,
-    lineno: usize,
-    partial: Vec<u8>,
-    header_seen: bool,
-    records: Vec<TraceRecord>,
-    total_records: u64,
+    check: UploadCheck,
+    parser: TextParser,
+}
+
+fn no_stream() -> StoreError {
+    StoreError::InvalidInput("no streaming put is open".into())
+}
+
+/// A text-codec put's failure: the input's fault, or the store's own.
+fn rejected(e: CopyError<StoreError>) -> StoreError {
+    match e {
+        CopyError::Source(e) => StoreError::InvalidInput(format!("trace payload rejected: {e}")),
+        CopyError::Sink(e) => e,
+    }
 }
 
 fn active_path(dir: &Path) -> PathBuf {
@@ -168,59 +167,6 @@ pub fn text_size_of(trace: &Trace) -> u64 {
     let mut sink = TextTraceSink::new(CountWriter::default());
     stream_trace(trace, &mut sink).expect("counting writer cannot fail");
     sink.into_inner().0
-}
-
-/// Parse the `acttrace v1 <code_len>` header line of a streamed put (the
-/// same validation [`TextTraceSource::new`] applies to materialized input).
-fn parse_stream_header(line: &str) -> Result<u64, String> {
-    let mut hp = line.split_whitespace();
-    if hp.next() != Some("acttrace") || hp.next() != Some("v1") {
-        return Err("bad header".into());
-    }
-    let code_len: u64 =
-        hp.next().and_then(|t| t.parse().ok()).ok_or_else(|| "bad code_len".to_string())?;
-    if code_len > MAX_CODE_LEN {
-        return Err(format!("code_len {code_len} exceeds the {MAX_CODE_LEN} cap"));
-    }
-    Ok(code_len)
-}
-
-/// Apply one complete line of a streaming put: the first line is the
-/// header (which opens the segment entry), every later non-empty line is a
-/// record, buffered into columnar chunks.
-fn stream_line(
-    active: &mut SegmentWriter,
-    s: &mut StreamPut,
-    line: &[u8],
-) -> Result<(), StoreError> {
-    s.lineno += 1;
-    let text = std::str::from_utf8(line)
-        .map_err(|_| StoreError::InvalidInput(format!("stream line {} is not UTF-8", s.lineno)))?;
-    let text = text.strip_suffix('\r').unwrap_or(text);
-    if !s.header_seen {
-        let code_len = parse_stream_header(text)
-            .map_err(|why| StoreError::InvalidInput(format!("stream header: {why}")))?;
-        active.begin_entry(EntryMeta {
-            kind: EntryKind::Trace,
-            key: s.key.clone(),
-            workload: s.workload.clone(),
-            code_len,
-        })?;
-        s.header_seen = true;
-        return Ok(());
-    }
-    if text.is_empty() {
-        return Ok(());
-    }
-    let rec = parse_record_line(text, s.lineno)
-        .map_err(|e| StoreError::InvalidInput(format!("trace payload rejected: {e}")))?;
-    s.records.push(rec);
-    s.total_records += 1;
-    if s.records.len() == CHUNK_RECORDS {
-        active.write_chunk(&s.records)?;
-        s.records.clear();
-    }
-    Ok(())
 }
 
 impl Corpus {
@@ -439,11 +385,12 @@ impl Corpus {
 
     // -- writes ------------------------------------------------------------
 
-    /// Truncate away a half-written entry after a failed put, so one bad
-    /// input cannot wedge the writer or leave junk for recovery to drop.
+    /// Truncate away a half-written entry after a failed put (and drop
+    /// the stream that wrote it, if any), so one bad input cannot wedge the
+    /// writer or leave junk for recovery to drop.
     fn abort_on_err<T>(&mut self, r: Result<T, StoreError>) -> Result<T, StoreError> {
         if r.is_err() {
-            let _ = self.active_mut().abort_entry();
+            self.stream_abort();
         }
         r
     }
@@ -473,8 +420,7 @@ impl Corpus {
         let raw = text_size_of(trace);
         let r = (|| {
             let active = self.active.as_mut().expect("active segment writer present");
-            let mut sink = TraceEntrySink::new(active, key, workload);
-            stream_trace(trace, &mut sink)?;
+            stream_trace(trace, &mut TraceEntrySink::new(active, key, workload))?;
             active.end_entry(raw)
         })();
         let info = self.abort_on_err(r)?;
@@ -491,18 +437,12 @@ impl Corpus {
         bytes: &[u8],
     ) -> Result<EntryInfo, StoreError> {
         self.reject_if_streaming()?;
-        let mut source = TextTraceSource::new(bytes)
-            .map_err(|e| StoreError::InvalidInput(format!("trace payload rejected: {e}")))?;
         let r = (|| {
             let active = self.active.as_mut().expect("active segment writer present");
             let mut sink = TraceEntrySink::new(active, key, workload);
-            match copy_trace(&mut source, &mut sink) {
-                Ok(()) => {}
-                Err(CopyError::Source(e)) => {
-                    return Err(StoreError::InvalidInput(format!("trace payload rejected: {e}")));
-                }
-                Err(CopyError::Sink(e)) => return Err(e),
-            }
+            let mut parser = TextParser::default();
+            parser.feed(bytes, &mut sink).map_err(rejected)?;
+            parser.finish(&mut sink).map_err(rejected)?;
             active.end_entry(bytes.len() as u64)
         })();
         let info = self.abort_on_err(r)?;
@@ -559,13 +499,8 @@ impl Corpus {
         self.stream = Some(StreamPut {
             key: key.to_string(),
             workload: workload.to_string(),
-            crc: Crc32::new(),
-            bytes_in: 0,
-            lineno: 0,
-            partial: Vec::new(),
-            header_seen: false,
-            records: Vec::new(),
-            total_records: 0,
+            check: UploadCheck::default(),
+            parser: TextParser::default(),
         });
         Ok(())
     }
@@ -581,35 +516,15 @@ impl Corpus {
     /// bytes are not valid text-codec lines, and I/O errors from the
     /// segment writer.
     pub fn stream_chunk(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        let r = self.stream_chunk_inner(bytes);
-        if r.is_err() {
-            self.stream_abort();
-        }
-        r
-    }
-
-    fn stream_chunk_inner(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        let Some(s) = self.stream.as_mut() else {
-            return Err(StoreError::InvalidInput("no streaming put is open".into()));
-        };
-        let active = self.active.as_mut().expect("active segment writer present");
-        s.crc.update(bytes);
-        s.bytes_in += bytes.len() as u64;
-        let mut rest = bytes;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let (head, tail) = rest.split_at(nl);
-            rest = &tail[1..];
-            s.partial.extend_from_slice(head);
-            let line = std::mem::take(&mut s.partial);
-            stream_line(active, s, &line)?;
-        }
-        s.partial.extend_from_slice(rest);
-        if s.partial.len() > MAX_STREAM_LINE_BYTES {
-            return Err(StoreError::InvalidInput(format!(
-                "streamed line exceeds {MAX_STREAM_LINE_BYTES} bytes without a newline"
-            )));
-        }
-        Ok(())
+        let r = (|| {
+            let s = self.stream.as_mut().ok_or_else(no_stream)?;
+            let active = self.active.as_mut().expect("active segment writer present");
+            s.check.update(bytes);
+            s.parser
+                .feed(bytes, &mut TraceEntrySink::new(active, &s.key, &s.workload))
+                .map_err(rejected)
+        })();
+        self.abort_on_err(r)
     }
 
     /// Seal the open stream: verify the client's CRC-32 and total length
@@ -619,61 +534,31 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::InvalidInput`] on CRC/length mismatch, an
-    /// empty stream, or a missing header, and I/O errors from the commit.
+    /// Returns [`StoreError::InvalidInput`] on CRC/length mismatch, a
+    /// malformed last line, or an upload with no header line, and I/O
+    /// errors from the commit.
     pub fn stream_finish(&mut self, crc32: u32, total_len: u64) -> Result<EntryInfo, StoreError> {
-        let r = self.stream_finish_inner(crc32, total_len);
-        if r.is_err() {
-            self.stream_abort();
-        }
-        r
-    }
-
-    fn stream_finish_inner(&mut self, crc32: u32, total_len: u64) -> Result<EntryInfo, StoreError> {
-        let Some(s) = self.stream.as_mut() else {
-            return Err(StoreError::InvalidInput("no streaming put is open".into()));
-        };
-        let active = self.active.as_mut().expect("active segment writer present");
-        if s.bytes_in != total_len {
-            return Err(StoreError::InvalidInput(format!(
-                "stream length mismatch: received {} bytes, client sealed {total_len}",
-                s.bytes_in
-            )));
-        }
-        let got = s.crc.finish();
-        if got != crc32 {
-            return Err(StoreError::InvalidInput(format!(
-                "stream crc mismatch: received {got:#010x}, client sealed {crc32:#010x}"
-            )));
-        }
-        // A final line without a trailing newline is still a line.
-        if !s.partial.is_empty() {
-            let line = std::mem::take(&mut s.partial);
-            stream_line(active, s, &line)?;
-        }
-        if !s.header_seen {
-            return Err(StoreError::InvalidInput("stream ended before the header line".into()));
-        }
-        if !s.records.is_empty() {
-            active.write_chunk(&s.records)?;
-            s.records.clear();
-        }
-        let raw = s.bytes_in;
-        let info = active.end_entry(raw)?;
-        self.stream = None;
+        let r = (|| {
+            let s = self.stream.take().ok_or_else(no_stream)?;
+            s.check.verify(crc32, total_len).map_err(StoreError::InvalidInput)?;
+            let active = self.active.as_mut().expect("active segment writer present");
+            s.parser
+                .finish(&mut TraceEntrySink::new(active, &s.key, &s.workload))
+                .map_err(rejected)?;
+            active.end_entry(s.check.total_len())
+        })();
+        let info = self.abort_on_err(r)?;
         self.commit(SegRef::Active, info)
     }
 
     /// Drop the open stream (client vanished mid-upload, CRC mismatch,
     /// parse failure): the half-written entry is truncated out of the
     /// active segment, leaving the corpus exactly as it was before
-    /// `stream_begin`. Idempotent; a no-op when nothing is streaming.
+    /// `stream_begin`. Idempotent; a no-op when nothing is streaming (no
+    /// entry is open between calls unless a stream opened it).
     pub fn stream_abort(&mut self) {
-        if let Some(s) = self.stream.take() {
-            if s.header_seen {
-                let _ = self.active_mut().abort_entry();
-            }
-        }
+        self.stream = None;
+        let _ = self.active_mut().abort_entry();
     }
 
     /// Key of the open streaming put, if any.
@@ -710,11 +595,10 @@ impl Corpus {
     /// chunk size, not the trace length).
     pub fn open_trace(&self, key: &str) -> Result<TraceEntrySource, StoreError> {
         let loc = self.locate(EntryKind::Trace, key)?;
-        let stream = open_entry(&self.path_of(loc.seg), loc.info.offset).map_err(|e| {
+        let stream = open_entry(&self.path_of(loc.seg), loc.info.offset).inspect_err(|e| {
             if e.is_corrupt() {
                 self.metrics.corrupt_blocks.inc();
             }
-            e
         })?;
         self.metrics.bytes_out.add(loc.info.encoded_bytes);
         TraceEntrySource::new(stream)
@@ -745,11 +629,10 @@ impl Corpus {
     pub fn get_blob(&self, kind: EntryKind, key: &str) -> Result<Vec<u8>, StoreError> {
         let loc = self.locate(kind, key)?;
         let mut stream = open_entry(&self.path_of(loc.seg), loc.info.offset)?;
-        let bytes = read_blob(&mut stream, MAX_BLOB_BYTES).map_err(|e| {
+        let bytes = read_blob(&mut stream, MAX_BLOB_BYTES).inspect_err(|e| {
             if e.is_corrupt() {
                 self.metrics.corrupt_blocks.inc();
             }
-            e
         })?;
         self.metrics.bytes_out.add(bytes.len() as u64);
         Ok(bytes)
@@ -761,7 +644,7 @@ impl Corpus {
         let mut out: Vec<EntryInfo> = self
             .index
             .values()
-            .filter(|loc| workload.map_or(true, |w| loc.info.meta.workload == w))
+            .filter(|loc| workload.is_none_or(|w| loc.info.meta.workload == w))
             .map(|loc| loc.info.clone())
             .collect();
         out.sort_by(|a, b| {
@@ -801,7 +684,7 @@ impl Corpus {
             total_entries: self.total_entries,
             raw_bytes: raw,
             encoded_bytes: encoded,
-            ratio_milli: if encoded == 0 { 0 } else { raw * 1000 / encoded },
+            ratio_milli: (raw * 1000).checked_div(encoded).unwrap_or(0),
             disk_bytes: disk,
         })
     }

@@ -29,7 +29,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Incremental CRC-32 over a byte stream, for callers that see the data in
-/// chunks (the protocol's streaming ingest): feed with [`Crc32::update`],
+/// chunks (an [`UploadCheck`]): feed with [`Crc32::update`],
 /// read the digest with [`Crc32::finish`]. `Crc32::new().update(b).finish()`
 /// equals [`crc32`]`(b)` for any chunking of `b`.
 #[derive(Debug, Clone)]
@@ -61,6 +61,55 @@ impl Crc32 {
     /// The digest of everything fed so far (the hasher stays usable).
     pub fn finish(&self) -> u32 {
         !self.state
+    }
+}
+
+/// The running tally of a chunked upload — CRC-32 and byte count over
+/// every chunk, in order — and the check of the pair `STREAM_END` seals it
+/// with. The client keeps one to seal its upload, the server one to verify
+/// it.
+#[derive(Debug, Clone, Default)]
+pub struct UploadCheck {
+    crc: Crc32,
+    total_len: u64,
+}
+
+impl UploadCheck {
+    /// Fold one chunk into the tally.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.crc.update(bytes);
+        self.total_len += bytes.len() as u64;
+    }
+
+    /// Bytes tallied so far.
+    pub fn total_len(&self) -> u64 {
+        self.total_len
+    }
+
+    /// CRC-32 of the bytes tallied so far.
+    pub fn crc32(&self) -> u32 {
+        self.crc.finish()
+    }
+
+    /// Check the tally against what the client sealed the upload with.
+    ///
+    /// # Errors
+    ///
+    /// The length mismatch (checked first), else the CRC mismatch.
+    pub fn verify(&self, crc32: u32, total_len: u64) -> Result<(), String> {
+        if self.total_len != total_len {
+            return Err(format!(
+                "stream length mismatch: received {} bytes, client sealed {total_len}",
+                self.total_len
+            ));
+        }
+        let got = self.crc32();
+        if got != crc32 {
+            return Err(format!(
+                "stream crc mismatch: received {got:#010x}, client sealed {crc32:#010x}"
+            ));
+        }
+        Ok(())
     }
 }
 

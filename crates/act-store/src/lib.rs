@@ -6,7 +6,9 @@
 //! storage layer the daemon, campaigns, and CLI share:
 //!
 //! * [`varint`] / [`crc32`] — leaf codecs (LEB128 + zigzag, CRC-32), built
-//!   in-tree because the workspace compiles offline.
+//!   in-tree because the workspace compiles offline, and the
+//!   [`UploadCheck`] (running CRC-32 + length) that seals a chunked upload
+//!   on both ends of the wire.
 //! * [`column`] — the columnar chunk codec: per-field delta+varint columns,
 //!   self-contained per chunk so decode memory is bounded.
 //! * [`segment`] — append-only segment files: CRC-checksummed blocks, entry
@@ -16,7 +18,9 @@
 //!   `TraceSink`/`TraceSource` codec interface, so there is exactly one
 //!   event codec boundary in the workspace.
 //! * [`corpus`] — the [`Corpus`] manager: create/open/append/get/iter/
-//!   compact with atomic rename commits and truncated-tail recovery.
+//!   compact with atomic rename commits and truncated-tail recovery. A
+//!   text-codec put, one-frame or chunked, runs `act-trace`'s one text
+//!   parser (`TextParser`) straight into a `TraceEntrySink`.
 //! * [`metrics`] — store instruments on an `act-obs` registry (bytes in/out,
 //!   compression ratio, decode throughput, corrupt blocks).
 
@@ -29,7 +33,7 @@ pub mod segment;
 pub mod varint;
 
 pub use corpus::{CompactStat, Corpus, CorpusStat, OpenReport, DEFAULT_SEAL_BYTES};
-pub use crc32::Crc32;
+pub use crc32::{Crc32, UploadCheck};
 pub use error::StoreError;
 pub use metrics::StoreMetrics;
 pub use segment::{

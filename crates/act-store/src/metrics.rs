@@ -41,8 +41,8 @@ impl StoreMetrics {
 
     /// Update the cumulative compression-ratio gauge.
     pub fn set_ratio(&self, raw_bytes: u64, encoded_bytes: u64) {
-        if encoded_bytes > 0 {
-            self.compression_ratio_milli.set((raw_bytes * 1000 / encoded_bytes) as i64);
+        if let Some(ratio_milli) = (raw_bytes * 1000).checked_div(encoded_bytes) {
+            self.compression_ratio_milli.set(ratio_milli as i64);
         }
     }
 }

@@ -304,6 +304,8 @@ pub struct SegmentWriter {
     entries: Vec<EntryInfo>,
     pending: Option<Pending>,
     scratch: Vec<u8>,
+    /// The open trace entry's records not yet written as a chunk.
+    chunk: Vec<TraceRecord>,
 }
 
 impl SegmentWriter {
@@ -321,6 +323,7 @@ impl SegmentWriter {
             entries: Vec::new(),
             pending: None,
             scratch: Vec::new(),
+            chunk: Vec::new(),
         })
     }
 
@@ -343,6 +346,7 @@ impl SegmentWriter {
             entries,
             pending: None,
             scratch: Vec::new(),
+            chunk: Vec::new(),
         })
     }
 
@@ -394,24 +398,36 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Append one columnar chunk of trace records to the open entry.
-    pub fn write_chunk(&mut self, records: &[TraceRecord]) -> Result<(), StoreError> {
+    /// Append one trace record to the open entry. Records are written in
+    /// [`CHUNK_RECORDS`]-sized columnar chunks; the last, short one at
+    /// `end_entry`.
+    pub fn write_record(&mut self, rec: &TraceRecord) -> Result<(), StoreError> {
         let Some(p) = &self.pending else {
             return Err(StoreError::InvalidInput("no open entry".into()));
         };
         if p.meta.kind != EntryKind::Trace {
-            return Err(StoreError::InvalidInput("chunk written to a blob entry".into()));
+            return Err(StoreError::InvalidInput("record written to a blob entry".into()));
         }
+        self.chunk.push(*rec);
+        if self.chunk.len() == CHUNK_RECORDS {
+            self.flush_chunk()?;
+        }
+        Ok(())
+    }
+
+    /// Write the buffered records as one columnar chunk of the open entry.
+    fn flush_chunk(&mut self) -> Result<(), StoreError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        encode_chunk(records, &mut scratch);
+        encode_chunk(&self.chunk, &mut scratch);
         let res = self.write_block(BLOCK_DATA, &scratch);
         let body_len = scratch.len() as u64;
         self.scratch = scratch;
         res?;
-        let p = self.pending.as_mut().unwrap();
+        let p = self.pending.as_mut().expect("records buffer only inside an open entry");
         p.encoded += body_len;
-        p.records += records.len() as u64;
+        p.records += self.chunk.len() as u64;
+        self.chunk.clear();
         Ok(())
     }
 
@@ -432,6 +448,9 @@ impl SegmentWriter {
     /// (the compression-ratio numerator). Flushes so a reader opening the
     /// file immediately afterwards sees the committed entry.
     pub fn end_entry(&mut self, raw_bytes: u64) -> Result<EntryInfo, StoreError> {
+        if !self.chunk.is_empty() {
+            self.flush_chunk()?;
+        }
         let Some(p) = self.pending.take() else {
             return Err(StoreError::InvalidInput("no open entry".into()));
         };
@@ -453,6 +472,7 @@ impl SegmentWriter {
     /// the in-process equivalent of crash recovery dropping an uncommitted
     /// tail. No-op when no entry is open.
     pub fn abort_entry(&mut self) -> Result<(), StoreError> {
+        self.chunk.clear();
         let Some(p) = self.pending.take() else {
             return Ok(());
         };
@@ -484,26 +504,20 @@ impl SegmentWriter {
 /// A [`TraceSink`] that streams records into an open segment entry in
 /// [`CHUNK_RECORDS`]-sized columnar chunks — `act-store`'s implementation of
 /// the one shared trace codec interface (the text codec in `act_trace::io`
-/// is the other).
+/// is the other). The writer holds the partly filled chunk, so an entry
+/// can be fed through several sinks in turn (a chunked upload, one sink
+/// per chunk) and still be cut into the same chunks.
 pub struct TraceEntrySink<'a> {
     writer: &'a mut SegmentWriter,
-    kind: EntryKind,
-    key: String,
-    workload: String,
-    buf: Vec<TraceRecord>,
+    key: &'a str,
+    workload: &'a str,
 }
 
 impl<'a> TraceEntrySink<'a> {
     /// Prepare a sink; the entry opens when the source calls `begin` (which
     /// supplies `code_len`).
-    pub fn new(writer: &'a mut SegmentWriter, key: &str, workload: &str) -> Self {
-        TraceEntrySink {
-            writer,
-            kind: EntryKind::Trace,
-            key: key.to_string(),
-            workload: workload.to_string(),
-            buf: Vec::new(),
-        }
+    pub fn new(writer: &'a mut SegmentWriter, key: &'a str, workload: &'a str) -> Self {
+        TraceEntrySink { writer, key, workload }
     }
 }
 
@@ -512,28 +526,15 @@ impl TraceSink for TraceEntrySink<'_> {
 
     fn begin(&mut self, code_len: usize) -> Result<(), StoreError> {
         self.writer.begin_entry(EntryMeta {
-            kind: self.kind,
-            key: self.key.clone(),
-            workload: self.workload.clone(),
+            kind: EntryKind::Trace,
+            key: self.key.to_string(),
+            workload: self.workload.to_string(),
             code_len: code_len as u64,
         })
     }
 
     fn record(&mut self, rec: &TraceRecord) -> Result<(), StoreError> {
-        self.buf.push(*rec);
-        if self.buf.len() == CHUNK_RECORDS {
-            self.writer.write_chunk(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), StoreError> {
-        if !self.buf.is_empty() {
-            self.writer.write_chunk(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
+        self.writer.write_record(rec)
     }
 }
 
@@ -665,20 +666,18 @@ pub fn scan_segment(path: &Path) -> Result<SegmentScan, StoreError> {
                 }
             }
             BLOCK_ENTRY_END => match (pending.take(), decode_entry_end(&body)) {
-                (Some(p), Ok((records, encoded, raw))) => {
-                    if records == p.records && encoded == p.encoded {
-                        scan.entries.push(EntryInfo {
-                            meta: p.meta,
-                            offset: p.offset,
-                            encoded_bytes: p.encoded,
-                            raw_bytes: raw,
-                            records: p.records,
-                        });
-                        scan.committed_len = pos;
-                        true
-                    } else {
-                        false
-                    }
+                (Some(p), Ok((records, encoded, raw)))
+                    if records == p.records && encoded == p.encoded =>
+                {
+                    scan.entries.push(EntryInfo {
+                        meta: p.meta,
+                        offset: p.offset,
+                        encoded_bytes: p.encoded,
+                        raw_bytes: raw,
+                        records: p.records,
+                    });
+                    scan.committed_len = pos;
+                    true
                 }
                 _ => false,
             },

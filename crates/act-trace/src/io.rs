@@ -15,14 +15,22 @@
 //!
 //! There is exactly **one** event codec in the workspace, and this module
 //! defines its two halves: [`TraceSink`] (consume a header + records in
-//! order) and [`TraceSource`] (produce them). The text writer and parser
-//! here are one implementation; `act-store`'s columnar segment codec is
-//! another. Everything that moves traces — files, protocol frames, the
-//! corpus store — goes through these traits instead of growing a private
-//! copy of the record schema.
+//! order) and [`TraceSource`] (produce them). `act-store`'s columnar
+//! segment codec implements both; the text format's writer is
+//! [`TextTraceSink`] and its reader is [`TextParser`]. Everything that
+//! moves traces — files, protocol frames, the corpus store — goes through
+//! these instead of growing a private copy of the record schema.
+//!
+//! [`TextParser`] is the only code that reads the text format. It is fed
+//! chunks of any size and emits records to a [`TraceSink`], so a file
+//! ([`read_trace`]), a whole protocol payload ([`trace_from_bytes`]) and
+//! the daemon's chunked uploads all run the same checks: the header, the
+//! [`MAX_CODE_LEN`] and [`MAX_LINE_BYTES`] caps, UTF-8 per line, and a
+//! 1-based line number on every malformed line.
 
 use crate::event::{Trace, TraceKind, TraceRecord};
 use act_sim::events::RawDep;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
@@ -36,6 +44,12 @@ pub const MAX_TRACE_BYTES: usize = 64 << 20;
 /// `u32`, so any honest program fits; a larger declared value is corrupt
 /// input, not a big program.
 pub const MAX_CODE_LEN: u64 = u32::MAX as u64;
+
+/// Upper bound on one line of the text format, newline excluded. A valid
+/// record line is under ~200 bytes; the cap bounds what a chunked reader
+/// must buffer for a line split across chunks, and it applies to every
+/// line, so no input's verdict depends on how it was chunked.
+pub const MAX_LINE_BYTES: usize = 64 << 10;
 
 /// Error produced when parsing a serialized trace.
 #[derive(Debug)]
@@ -67,6 +81,17 @@ impl std::error::Error for ParseTraceError {}
 impl From<io::Error> for ParseTraceError {
     fn from(e: io::Error) -> Self {
         ParseTraceError::Io(e)
+    }
+}
+
+/// A parse into a sink that cannot fail (a [`TraceBuilder`]) fails only on
+/// its input.
+impl From<CopyError<Infallible>> for ParseTraceError {
+    fn from(e: CopyError<Infallible>) -> Self {
+        match e {
+            CopyError::Source(e) => e,
+            CopyError::Sink(never) => match never {},
+        }
     }
 }
 
@@ -126,8 +151,8 @@ pub fn stream_trace<S: TraceSink>(trace: &Trace, sink: &mut S) -> Result<(), S::
 ///
 /// # Errors
 ///
-/// Source errors surface as `Err(Ok(parse_error))`-free: the sink error
-/// type wins when both could fail, so this returns a two-sided error.
+/// [`CopyError::Source`] when the source fails to read or yields malformed
+/// input, [`CopyError::Sink`] when the sink refuses a record.
 pub fn copy_trace<Src, S>(source: &mut Src, sink: &mut S) -> Result<(), CopyError<S::Error>>
 where
     Src: TraceSource,
@@ -140,10 +165,10 @@ where
     sink.finish().map_err(CopyError::Sink)
 }
 
-/// Which side of a [`copy_trace`] failed.
+/// Which side of a [`copy_trace`] or a [`TextParser`] feed failed.
 #[derive(Debug)]
 pub enum CopyError<E> {
-    /// The source produced malformed input or failed to read.
+    /// The input was malformed or failed to read.
     Source(ParseTraceError),
     /// The sink failed to accept a record.
     Sink(E),
@@ -169,7 +194,7 @@ impl TraceBuilder {
 }
 
 impl TraceSink for TraceBuilder {
-    type Error = std::convert::Infallible;
+    type Error = Infallible;
 
     fn begin(&mut self, code_len: usize) -> Result<(), Self::Error> {
         self.trace.code_len = code_len;
@@ -261,112 +286,166 @@ impl<W: Write> TraceSink for TextTraceSink<W> {
     }
 }
 
-/// The v1 text parser as a [`TraceSource`]: validates the header at
-/// construction, then yields one record per line.
-pub struct TextTraceSource<R: BufRead> {
-    lines: std::io::Lines<R>,
+/// The v1 text parser, and the only code that reads the format: feed it
+/// chunks of any size with [`TextParser::feed`], end the input with
+/// [`TextParser::finish`], and it hands the header and every record, in
+/// order, to a [`TraceSink`].
+///
+/// Each line is counted (1-based), capped at [`MAX_LINE_BYTES`], checked to
+/// be UTF-8, and loses one trailing `\r`. The first line is the header
+/// (`acttrace v1 <code_len>`, `code_len` ≤ [`MAX_CODE_LEN`]) and goes to
+/// [`TraceSink::begin`]; later empty lines are skipped, and every other
+/// line is a record for [`TraceSink::record`]. A line that lies wholly
+/// inside one chunk is parsed in place; only a line split across chunks
+/// (or left unterminated) is copied. After an error the input is
+/// rejected: feed the parser no more.
+#[derive(Debug, Default)]
+pub struct TextParser {
+    /// The head of a line split across chunks.
+    partial: Vec<u8>,
+    /// Lines seen so far; the first is the header.
     lineno: usize,
-    code_len: usize,
 }
 
-impl<R: BufRead> TextTraceSource<R> {
-    /// Read and validate the header line.
+impl TextParser {
+    /// Parse every complete line of `bytes`, carrying an unterminated tail
+    /// over to the next call.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseTraceError`] on I/O failure or a bad header.
-    pub fn new(r: R) -> Result<TextTraceSource<R>, ParseTraceError> {
-        let mut lines = r.lines();
-        let header = lines.next().ok_or_else(|| ParseTraceError::Malformed {
-            line: 1,
-            reason: "empty input".into(),
-        })??;
-        let mut hp = header.split_whitespace();
-        if hp.next() != Some("acttrace") || hp.next() != Some("v1") {
-            return Err(ParseTraceError::Malformed { line: 1, reason: "bad header".into() });
-        }
-        let code_len: u64 = hp
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| ParseTraceError::Malformed { line: 1, reason: "bad code_len".into() })?;
-        if code_len > MAX_CODE_LEN {
-            return Err(ParseTraceError::Malformed {
-                line: 1,
-                reason: format!("code_len {code_len} exceeds the {MAX_CODE_LEN} cap"),
-            });
-        }
-        Ok(TextTraceSource { lines, lineno: 1, code_len: code_len as usize })
-    }
-}
-
-impl<R: BufRead> TraceSource for TextTraceSource<R> {
-    fn code_len(&self) -> usize {
-        self.code_len
-    }
-
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, ParseTraceError> {
-        loop {
-            let Some(line) = self.lines.next() else { return Ok(None) };
-            let line = line?;
-            self.lineno += 1;
-            if line.is_empty() {
-                continue;
+    /// [`CopyError::Source`] names the first malformed line (a tail already
+    /// longer than [`MAX_LINE_BYTES`] counts); [`CopyError::Sink`] is the
+    /// sink's own failure.
+    pub fn feed<S: TraceSink>(
+        &mut self,
+        mut bytes: &[u8],
+        sink: &mut S,
+    ) -> Result<(), CopyError<S::Error>> {
+        while let Some(nl) = bytes.iter().position(|&b| b == b'\n') {
+            let line = &bytes[..nl];
+            bytes = &bytes[nl + 1..];
+            self.cap(line.len())?;
+            if self.partial.is_empty() {
+                self.line(line, sink)?;
+            } else {
+                self.partial.extend_from_slice(line);
+                let joined = std::mem::take(&mut self.partial);
+                self.line(&joined, sink)?;
             }
-            return parse_record_line(&line, self.lineno).map(Some);
         }
+        self.cap(bytes.len())?;
+        self.partial.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// End the input: parse an unterminated last line, then finish `sink`.
+    ///
+    /// # Errors
+    ///
+    /// As [`TextParser::feed`], and [`CopyError::Source`] when the input
+    /// held no header line at all.
+    pub fn finish<S: TraceSink>(mut self, sink: &mut S) -> Result<(), CopyError<S::Error>> {
+        if !self.partial.is_empty() {
+            self.feed(b"\n", sink)?;
+        }
+        if self.lineno == 0 {
+            return Err(CopyError::Source(ParseTraceError::Malformed {
+                line: 1,
+                reason: "empty input".into(),
+            }));
+        }
+        sink.finish().map_err(CopyError::Sink)
+    }
+
+    /// Refuse to let the next line, of which `partial` holds the head,
+    /// grow by `more` bytes past [`MAX_LINE_BYTES`].
+    fn cap<E>(&self, more: usize) -> Result<(), CopyError<E>> {
+        if self.partial.len() + more <= MAX_LINE_BYTES {
+            return Ok(());
+        }
+        Err(CopyError::Source(ParseTraceError::Malformed {
+            line: self.lineno + 1,
+            reason: format!("line exceeds the {MAX_LINE_BYTES}-byte cap"),
+        }))
+    }
+
+    /// Parse one complete line, newline stripped and length capped.
+    fn line<S: TraceSink>(&mut self, line: &[u8], sink: &mut S) -> Result<(), CopyError<S::Error>> {
+        self.lineno += 1;
+        let lineno = self.lineno;
+        let bad =
+            |reason: String| CopyError::Source(ParseTraceError::Malformed { line: lineno, reason });
+        let text = std::str::from_utf8(line).map_err(|_| bad("line is not valid UTF-8".into()))?;
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        if lineno == 1 {
+            let mut hp = text.split_whitespace();
+            if hp.next() != Some("acttrace") || hp.next() != Some("v1") {
+                return Err(bad("bad header".into()));
+            }
+            let code_len: u64 =
+                hp.next().and_then(|t| t.parse().ok()).ok_or_else(|| bad("bad code_len".into()))?;
+            if code_len > MAX_CODE_LEN {
+                return Err(bad(format!("code_len {code_len} exceeds the {MAX_CODE_LEN} cap")));
+            }
+            return sink.begin(code_len as usize).map_err(CopyError::Sink);
+        }
+        if text.is_empty() {
+            return Ok(());
+        }
+        let rec = parse_record_line(text, lineno).map_err(CopyError::Source)?;
+        sink.record(&rec).map_err(CopyError::Sink)
     }
 }
 
-/// Parse one record line of the v1 text format (shared by the streaming
-/// source and any line-at-a-time caller).
+/// The next whitespace-separated field of a record line, parsed as `T`.
+fn field<T: std::str::FromStr>(
+    t: &mut std::str::SplitWhitespace<'_>,
+    name: &str,
+    lineno: usize,
+) -> Result<T, ParseTraceError> {
+    t.next().and_then(|v| v.parse().ok()).ok_or_else(|| ParseTraceError::Malformed {
+        line: lineno,
+        reason: format!("missing/bad {name}"),
+    })
+}
+
+/// Parse one record line of the v1 text format.
 ///
 /// # Errors
 ///
 /// Returns [`ParseTraceError::Malformed`] naming `lineno` for any schema
-/// violation.
-pub fn parse_record_line(line: &str, lineno: usize) -> Result<TraceRecord, ParseTraceError> {
+/// violation, including a `tid` or `pc` that does not fit a `u32`.
+fn parse_record_line(line: &str, lineno: usize) -> Result<TraceRecord, ParseTraceError> {
     let mut t = line.split_whitespace();
     let bad =
         |reason: &str| ParseTraceError::Malformed { line: lineno, reason: reason.to_string() };
     let tag = t.next().ok_or_else(|| bad("missing tag"))?;
-    let mut num = |name: &str| -> Result<u64, ParseTraceError> {
-        t.next().and_then(|v| v.parse().ok()).ok_or(ParseTraceError::Malformed {
-            line: lineno,
-            reason: format!("missing/bad {name}"),
-        })
-    };
-    let seq = num("seq")?;
-    let cycle = num("cycle")?;
-    let tid = num("tid")? as u32;
+    let seq = field(&mut t, "seq", lineno)?;
+    let cycle = field(&mut t, "cycle", lineno)?;
+    let tid = field(&mut t, "tid", lineno)?;
     let (pc, kind) = match tag {
         "L" => {
-            let pc = num("pc")? as u32;
-            let addr = num("addr")?;
+            let pc = field(&mut t, "pc", lineno)?;
+            let addr = field(&mut t, "addr", lineno)?;
             let dep = match t.next() {
                 None => None,
                 Some(sp) => {
                     let store_pc: u32 = sp.parse().map_err(|_| bad("bad dep store_pc"))?;
-                    let load_pc: u32 = t
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing dep load_pc"))?;
-                    let inter: u8 = t
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing dep inter flag"))?;
+                    let load_pc = field(&mut t, "dep load_pc", lineno)?;
+                    let inter: u8 = field(&mut t, "dep inter flag", lineno)?;
                     Some(RawDep { store_pc, load_pc, inter_thread: inter != 0 })
                 }
             };
             (pc, TraceKind::Load { addr, dep })
         }
         "S" => {
-            let pc = num("pc")? as u32;
-            let addr = num("addr")?;
+            let pc = field(&mut t, "pc", lineno)?;
+            let addr = field(&mut t, "addr", lineno)?;
             (pc, TraceKind::Store { addr })
         }
         "B" => {
-            let pc = num("pc")? as u32;
-            let taken = num("taken")? != 0;
+            let pc = field(&mut t, "pc", lineno)?;
+            let taken = field::<u64>(&mut t, "taken", lineno)? != 0;
             (pc, TraceKind::Branch { taken })
         }
         "T" => (0, TraceKind::ThreadStart),
@@ -389,19 +468,28 @@ pub fn write_trace<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
     stream_trace(trace, &mut TextTraceSink::new(w))
 }
 
-/// Parse a trace previously produced by [`write_trace`].
+/// Parse a trace previously produced by [`write_trace`], feeding
+/// [`TextParser`] the chunks `r` buffers.
 ///
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] on I/O failure or any malformed line.
-pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ParseTraceError> {
-    let mut source = TextTraceSource::new(r)?;
+pub fn read_trace<R: BufRead>(mut r: R) -> Result<Trace, ParseTraceError> {
+    let mut parser = TextParser::default();
     let mut builder = TraceBuilder::new();
-    match copy_trace(&mut source, &mut builder) {
-        Ok(()) => Ok(builder.into_trace()),
-        Err(CopyError::Source(e)) => Err(e),
-        Err(CopyError::Sink(infallible)) => match infallible {},
+    loop {
+        let chunk = match r.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let n = chunk.len();
+        parser.feed(chunk, &mut builder)?;
+        r.consume(n);
     }
+    parser.finish(&mut builder)?;
+    Ok(builder.into_trace())
 }
 
 /// Serialize `trace` to an in-memory byte buffer — the binary-safe framing
@@ -423,8 +511,8 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseTraceError`] on malformed input, including input that is
-/// not UTF-8 (the v1 format is text).
+/// Returns [`ParseTraceError`] on malformed input, including a line that
+/// is not UTF-8 (the v1 format is text).
 pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, ParseTraceError> {
     if bytes.len() > MAX_TRACE_BYTES {
         return Err(ParseTraceError::Malformed {
@@ -433,12 +521,6 @@ pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, ParseTraceError> {
                 "trace payload of {} bytes exceeds the {MAX_TRACE_BYTES}-byte cap",
                 bytes.len()
             ),
-        });
-    }
-    if std::str::from_utf8(bytes).is_err() {
-        return Err(ParseTraceError::Malformed {
-            line: 1,
-            reason: "trace payload is not valid UTF-8".into(),
         });
     }
     read_trace(bytes)
@@ -560,60 +642,130 @@ mod tests {
         assert!(err.to_string().contains("cap"), "got: {err}");
     }
 
+    /// Parse `bytes` through [`TextParser`] in seeded random chunks of
+    /// 1-64 bytes.
+    fn parse_chunked(bytes: &[u8], seed: u64) -> Result<Trace, ParseTraceError> {
+        use proptest::prelude::*;
+        let mut rng = proptest::rng_for("parse_chunked", seed);
+        let mut parser = TextParser::default();
+        let mut builder = TraceBuilder::new();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let n = (any::<u8>().generate(&mut rng) % 64) as usize + 1;
+            let (chunk, tail) = rest.split_at(n.min(rest.len()));
+            parser.feed(chunk, &mut builder)?;
+            rest = tail;
+        }
+        parser.finish(&mut builder)?;
+        Ok(builder.into_trace())
+    }
+
+    /// The verdict on one input, comparable across parses.
+    fn verdict(r: Result<Trace, ParseTraceError>) -> Result<(usize, Vec<TraceRecord>), String> {
+        r.map(|t| (t.code_len, t.records)).map_err(|e| e.to_string())
+    }
+
     #[test]
     fn streaming_source_yields_records_in_order() {
         let trace = sample();
         let bytes = trace_to_bytes(&trace);
-        let mut source = TextTraceSource::new(bytes.as_slice()).unwrap();
-        assert_eq!(source.code_len(), 42);
-        let mut n = 0;
-        while let Some(rec) = source.next_record().unwrap() {
-            assert_eq!(rec, trace.records[n]);
-            n += 1;
+        for seed in 0..32 {
+            let back = parse_chunked(&bytes, seed).unwrap();
+            assert_eq!(back.code_len, 42);
+            assert_eq!(back.records, trace.records, "chunking seed {seed}");
         }
-        assert_eq!(n, trace.records.len());
+        let back = read_trace(std::io::BufReader::with_capacity(7, bytes.as_slice())).unwrap();
+        assert_eq!(back.records, trace.records, "a reader that buffers 7 bytes at a time");
     }
 
     #[test]
     fn copy_trace_pipes_source_to_sink_without_a_trace() {
-        let trace = sample();
-        let bytes = trace_to_bytes(&trace);
-        let mut source = TextTraceSource::new(bytes.as_slice()).unwrap();
+        let bytes = trace_to_bytes(&sample());
         let mut out = Vec::new();
         let mut sink = TextTraceSink::new(&mut out);
-        copy_trace(&mut source, &mut sink).unwrap();
+        let mut parser = TextParser::default();
+        parser.feed(&bytes, &mut sink).unwrap();
+        parser.finish(&mut sink).unwrap();
         assert_eq!(out, bytes, "text -> text copy is byte-identical");
     }
 
     #[test]
-    fn corrupt_input_fuzz_never_panics() {
+    fn rejects_tid_and_pc_beyond_u32() {
+        for line in ["S 1 2 4294967297 7 8", "S 1 2 0 4294967303 8"] {
+            let text = format!("acttrace v1 10\n{line}\n");
+            let err = read_trace(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, ParseTraceError::Malformed { line: 2, .. }), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn line_cap_holds_whole_and_chunked() {
+        // A valid record padded with spaces: only the cap can reject it.
+        let padded = |len: usize| {
+            let mut text = b"acttrace v1 10\nS 1 2 0 7 8".to_vec();
+            text.resize(15 + len, b' ');
+            text.extend_from_slice(b"\nT 2 3 0\n");
+            text
+        };
+        assert_eq!(trace_from_bytes(&padded(MAX_LINE_BYTES)).unwrap().records.len(), 2);
+        let over = padded(MAX_LINE_BYTES + 1);
+        let whole = trace_from_bytes(&over).unwrap_err();
+        assert!(matches!(whole, ParseTraceError::Malformed { line: 2, .. }), "{whole}");
+        assert!(whole.to_string().contains("cap"), "{whole}");
+        for seed in 0..4 {
+            assert_eq!(verdict(parse_chunked(&over, seed)), Err(whole.to_string()));
+        }
+    }
+
+    #[test]
+    fn chunking_never_changes_the_outcome() {
+        let mut inputs = vec![trace_to_bytes(&sample())];
+        inputs.extend(mutated_inputs());
+        for (case, bytes) in inputs.iter().enumerate() {
+            let whole = verdict(trace_from_bytes(bytes));
+            let chunked = verdict(parse_chunked(bytes, case as u64));
+            assert_eq!(chunked, whole, "input {case}: {:?}", String::from_utf8_lossy(bytes));
+        }
+    }
+
+    /// The sample trace under 512 seeded byte mutations: replaced,
+    /// inserted and truncated bytes, and appended `u64::MAX` fields.
+    fn mutated_inputs() -> Vec<Vec<u8>> {
         use proptest::prelude::*;
+        let base = trace_to_bytes(&sample());
+        (0..512u64)
+            .map(|case| {
+                let mut rng = proptest::rng_for("corrupt_input_fuzz_never_panics", case);
+                let mut bytes = base.clone();
+                let mutations = (any::<u8>().generate(&mut rng) % 8) as usize + 1;
+                for _ in 0..mutations {
+                    match any::<u8>().generate(&mut rng) % 4 {
+                        0 if !bytes.is_empty() => {
+                            let i = (any::<u64>().generate(&mut rng) as usize) % bytes.len();
+                            bytes[i] = any::<u8>().generate(&mut rng);
+                        }
+                        1 => {
+                            let i = (any::<u64>().generate(&mut rng) as usize) % (bytes.len() + 1);
+                            bytes.insert(i, any::<u8>().generate(&mut rng));
+                        }
+                        2 if !bytes.is_empty() => {
+                            let keep = (any::<u64>().generate(&mut rng) as usize) % bytes.len();
+                            bytes.truncate(keep);
+                        }
+                        _ => bytes.extend_from_slice(b" 18446744073709551615"),
+                    }
+                }
+                bytes
+            })
+            .collect()
+    }
+
+    #[test]
+    fn corrupt_input_fuzz_never_panics() {
         // Mutated real traces and raw garbage: every outcome must be
         // Ok(_) or Err(ParseTraceError) — never a panic or runaway
-        // allocation. (The shim's proptest! would hide the shared setup;
-        // drive the strategy loop directly.)
-        let base = trace_to_bytes(&sample());
-        for case in 0..512u64 {
-            let mut rng = proptest::rng_for("corrupt_input_fuzz_never_panics", case);
-            let mut bytes = base.clone();
-            let mutations = (any::<u8>().generate(&mut rng) % 8) as usize + 1;
-            for _ in 0..mutations {
-                match any::<u8>().generate(&mut rng) % 4 {
-                    0 if !bytes.is_empty() => {
-                        let i = (any::<u64>().generate(&mut rng) as usize) % bytes.len();
-                        bytes[i] = any::<u8>().generate(&mut rng);
-                    }
-                    1 => {
-                        let i = (any::<u64>().generate(&mut rng) as usize) % (bytes.len() + 1);
-                        bytes.insert(i, any::<u8>().generate(&mut rng));
-                    }
-                    2 if !bytes.is_empty() => {
-                        let keep = (any::<u64>().generate(&mut rng) as usize) % bytes.len();
-                        bytes.truncate(keep);
-                    }
-                    _ => bytes.extend_from_slice(b" 18446744073709551615"),
-                }
-            }
+        // allocation.
+        for bytes in mutated_inputs() {
             let _ = trace_from_bytes(&bytes); // must return, not panic
         }
     }

@@ -39,14 +39,16 @@ impl DepEvent {
     }
 }
 
+/// Per word address: its last writer, and the writer before that.
+type Writers = HashMap<u64, ((Pc, ThreadId), Option<(Pc, ThreadId)>)>;
+
 /// Extract all RAW dependences from a trace, in load order.
 ///
 /// Loads of words with no recorded writer form no dependence (e.g. reads of
 /// program inputs preloaded into the data segment), exactly like loads whose
 /// metadata was lost online.
 pub fn raw_deps(trace: &Trace) -> Vec<DepEvent> {
-    // addr -> (last_writer, previous_writer)
-    let mut writers: HashMap<u64, ((Pc, ThreadId), Option<(Pc, ThreadId)>)> = HashMap::new();
+    let mut writers = Writers::new();
     let mut out = Vec::new();
     for r in &trace.records {
         match r.kind {
@@ -88,7 +90,7 @@ pub fn raw_deps(trace: &Trace) -> Vec<DepEvent> {
 /// from the precise replay: the hardware keeps only one writer per word,
 /// which is why the paper synthesizes negatives offline only.
 pub fn observed_deps(trace: &Trace) -> Vec<DepEvent> {
-    let mut writers: HashMap<u64, ((Pc, ThreadId), Option<(Pc, ThreadId)>)> = HashMap::new();
+    let mut writers = Writers::new();
     let mut out = Vec::new();
     for r in &trace.records {
         match r.kind {

@@ -4,14 +4,18 @@
 set -eux
 
 cargo fmt --all --check
-# The service stack (daemon, client, gateway, and the queues they share)
-# and the trace codec and corpus store under it stay lint-clean. --no-deps
-# keeps the gate on these six crates: the simulator and NN crates carry
-# findings of their own.
+# The service stack (daemon, client, gateway, and the queues they share),
+# the trace codec and corpus store under it, and the diagnosis core stay
+# lint-clean. --no-deps keeps the gate on these seven crates: the
+# simulator and NN crates carry findings of their own.
 cargo clippy -p act-serve -p act-client -p act-gate -p act-fleet -p act-trace -p act-store \
-    --no-deps --all-targets -- -D warnings
+    -p act-core --no-deps --all-targets -- -D warnings
 cargo build --release
 cargo test -q --release
+# The service benchmark calls act-core, act-trace and act-store functions
+# directly: build it and run its unit tests, so an API change cannot
+# break it unseen.
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Hot-path benchmark: quick suite must run, and the artifact must exist
 # and parse against the schema (DESIGN.md §7). Numbers are not gated here

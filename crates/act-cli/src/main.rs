@@ -18,7 +18,6 @@ use act_bench::{
     act_cfg_for, collect_clean_traces, find_act_failure, machine_cfg, norm_of, train_workload,
 };
 use act_core::diagnosis::diagnose;
-use act_core::offline::offline_train;
 use act_core::weights::{shared, WeightStore};
 use act_sim::machine::Machine;
 use act_trace::collector::TraceCollector;
@@ -880,22 +879,6 @@ fn cmd_request(args: &Args) -> ExitCode {
     }
 }
 
-// The offline_train import is exercised indirectly through act_bench's
-// train_workload; keep the direct path available for library users.
-#[allow(dead_code)]
-fn retrain_from_dir(dir: &str, norm: usize) -> Result<WeightStore, Box<dyn std::error::Error>> {
-    let mut traces = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().is_some_and(|e| e == "trace") {
-            let f = std::fs::File::open(&path)?;
-            traces.push(act_trace::io::read_trace(BufReader::new(f))?);
-        }
-    }
-    let cfg = act_core::ActConfig::default();
-    Ok(offline_train(norm, &traces, &cfg).store)
-}
-
 /// `act store <init|put|get|ls|stat|compact> DIR [args]` — manage an
 /// on-disk trace/model corpus (`act-store`) without a running daemon.
 fn cmd_store(args: &Args) -> ExitCode {
@@ -928,25 +911,23 @@ fn cmd_store(args: &Args) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let trace = match corpus.get_trace(key) {
-                Ok(t) => t,
+            let read = corpus.get_trace_text(key).and_then(|bytes| {
+                Ok((corpus.entry_info(act_store::EntryKind::Trace, key)?.records, bytes))
+            });
+            let (records, bytes) = match read {
+                Ok(read) => read,
                 Err(e) => {
                     eprintln!("store get {key}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let bytes = act_trace::io::trace_to_bytes(&trace);
             match args.flags.get("out") {
                 Some(path) => {
                     if let Err(e) = std::fs::write(path, &bytes) {
                         eprintln!("cannot write {path}: {e}");
                         return ExitCode::FAILURE;
                     }
-                    println!(
-                        "wrote {path} ({} records, {} bytes)",
-                        trace.records.len(),
-                        bytes.len()
-                    );
+                    println!("wrote {path} ({records} records, {} bytes)", bytes.len());
                 }
                 None => print!("{}", String::from_utf8_lossy(&bytes)),
             }

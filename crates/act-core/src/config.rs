@@ -136,9 +136,12 @@ mod tests {
         assert!(err.to_string().contains("sequence lengths"), "{err}");
     }
 
+    /// A config field's name and a way to break it.
+    type Breaker = (&'static str, fn(&mut ActConfig));
+
     #[test]
     fn validation_names_fields_instead_of_panicking() {
-        let cases: [(&str, fn(&mut ActConfig)); 4] = [
+        let cases: [Breaker; 4] = [
             ("igb_capacity", |c| c.igb_capacity = 0),
             ("mispred_threshold", |c| c.mispred_threshold = 1.5),
             ("search_workers", |c| c.search_workers = 0),

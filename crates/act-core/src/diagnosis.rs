@@ -43,7 +43,7 @@ impl ActRun {
     where
         F: FnMut(&DebugEntry) -> bool,
     {
-        self.debug.iter().rev().position(|e| matcher(e)).map(|i| i + 1)
+        self.debug.iter().rev().position(&mut matcher).map(|i| i + 1)
     }
 }
 
@@ -134,31 +134,7 @@ pub fn classify_trace(
     norm_code_len: usize,
     threshold: f32,
 ) -> Vec<DebugEntry> {
-    use std::collections::HashMap;
-    let enc = crate::encoding::Encoder::new(norm_code_len);
-    let deps = observed_deps(trace);
-    // The final load's cycle, by global sequence number (SeqSample carries
-    // the seq of its final load; DebugEntry wants the cycle).
-    let cycle_of: HashMap<u64, u64> = trace.records.iter().map(|r| (r.seq, r.cycle)).collect();
-    let mut nets: HashMap<act_sim::events::ThreadId, act_nn::network::Network> = HashMap::new();
-    let mut entries = Vec::new();
-    // One encode buffer for every window: the per-window loop allocates
-    // only for flagged sequences (same discipline as the online module).
-    let mut x = Vec::new();
-    for s in positive_sequences(&deps, store.seq_len()) {
-        let net = nets.entry(s.tid).or_insert_with(|| store.network_for(s.tid, 0.0));
-        enc.encode_seq_into(&s.deps, &mut x);
-        let output = net.predict(&x);
-        if output < threshold {
-            entries.push(DebugEntry {
-                deps: s.deps,
-                output,
-                cycle: cycle_of.get(&s.seq).copied().unwrap_or(0),
-                tid: s.tid,
-            });
-        }
-    }
-    entries
+    classify_trace_batch(store, &[trace], norm_code_len, threshold).pop().expect("one result")
 }
 
 /// How many windows [`classify_trace_batch`] feeds to one
@@ -169,11 +145,16 @@ pub const CLASSIFY_BATCH: usize = 64;
 
 /// Batched [`classify_trace`]: classify several shipped traces against the
 /// same trained `store` in one pass, returning one entry vector per trace
-/// (same order). **Bit-identical** to calling `classify_trace` on each
-/// trace in turn: every window's features go through
+/// (same order). **Bit-identical** to classifying each trace alone: every
+/// window's features go through
 /// [`act_nn::network::Network::predict_batch`], whose per-element float
 /// ops are exactly `predict`'s, and entries are emitted in the original
 /// window order per trace.
+///
+/// Each entry's `cycle` is its window's final load's, carried on the
+/// window itself. A trace that repeats a `seq` (no writer emits one) gets
+/// each window's own load cycle; the cycle breaks rank ties in
+/// [`postprocess`].
 ///
 /// What the batching amortizes: per-thread networks are built once for
 /// the whole batch (not once per trace), and windows are grouped per
@@ -202,7 +183,6 @@ pub fn classify_trace_batch(
     let mut results = Vec::with_capacity(traces.len());
     for trace in traces {
         let deps = observed_deps(trace);
-        let cycle_of: HashMap<u64, u64> = trace.records.iter().map(|r| (r.seq, r.cycle)).collect();
         let samples = positive_sequences(&deps, store.seq_len());
         for (xs, idx) in groups.values_mut() {
             xs.clear();
@@ -236,7 +216,7 @@ pub fn classify_trace_batch(
                 entries.push(DebugEntry {
                     deps: s.deps,
                     output: outputs[i],
-                    cycle: cycle_of.get(&s.seq).copied().unwrap_or(0),
+                    cycle: s.cycle,
                     tid: s.tid,
                 });
             }
@@ -271,8 +251,7 @@ pub fn diagnose_trace(
     trace: &act_trace::event::Trace,
     norm_code_len: usize,
 ) -> Diagnosis {
-    let entries = classify_trace(store, trace, norm_code_len, 0.5);
-    postprocess(&entries, correct)
+    diagnose_trace_batch(store, correct, &[trace], norm_code_len).pop().expect("one result")
 }
 
 #[cfg(test)]

@@ -394,8 +394,8 @@ mod tests {
                 let (sw, pw) = (serial.store.weights_for(tid), par.store.weights_for(tid));
                 let bits = |w: &[f32]| w.iter().copied().map(f32::to_bits).collect::<Vec<_>>();
                 assert_eq!(
-                    bits(&sw),
-                    bits(&pw),
+                    bits(sw),
+                    bits(pw),
                     "thread {tid} weights must match bitwise at workers={workers}"
                 );
             }

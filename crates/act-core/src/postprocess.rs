@@ -62,7 +62,7 @@ impl Diagnosis {
     where
         F: FnMut(&RankedSequence) -> bool,
     {
-        self.ranked.iter().position(|s| matcher(s)).map(|i| i + 1)
+        self.ranked.iter().position(&mut matcher).map(|i| i + 1)
     }
 }
 

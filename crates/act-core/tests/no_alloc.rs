@@ -83,11 +83,11 @@ fn classify_and_online_train_do_not_allocate_in_steady_state() {
         let window = (0..SEQ_LEN).map(|k| igb[(start + k) % IGB_CAP]);
         enc.encode_iter_into(window, x);
         local.inc();
-        if pushed % 200 == 0 {
+        if pushed.is_multiple_of(200) {
             local.flush(&predictions);
         }
         let o = net.predict(x);
-        if pushed % 4 == 0 {
+        if pushed.is_multiple_of(4) {
             net.train(x, 1.0)
         } else {
             o

@@ -29,8 +29,8 @@ use act_serve::{ServeConfig, Server};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Boot a real act-serve backend on an ephemeral port.
@@ -158,12 +158,15 @@ fn killing_the_owner_fails_over_to_the_ring_neighbor() {
 /// plausible status (so health checks pass), and every other frame
 /// whatever `answer` makes of it, under the frame's request id.
 fn spawn_stub(answer: fn(Frame) -> Reply) -> String {
-    spawn_stub_with(32, Duration::ZERO, answer)
+    spawn_stub_with(32, answer)
 }
 
-/// [`spawn_stub`] whose `HELLO_ACK` grants `window` and which answers each
-/// request frame `delay` after reading it, one at a time per connection.
-fn spawn_stub_with(window: u32, delay: Duration, answer: fn(Frame) -> Reply) -> String {
+/// [`spawn_stub`] whose `HELLO_ACK` grants `window` and which answers
+/// request frames one at a time per connection.
+fn spawn_stub_with<F>(window: u32, answer: F) -> String
+where
+    F: Fn(Frame) -> Reply + Clone + Send + 'static,
+{
     let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
     let addr = listener.local_addr().unwrap().to_string();
     let listener = Listener::Tcp(listener);
@@ -176,10 +179,7 @@ fn spawn_stub_with(window: u32, delay: Duration, answer: fn(Frame) -> Reply) -> 
                     FrameKind::Status => {
                         Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
                     }
-                    _ => {
-                        std::thread::sleep(delay);
-                        answer(frame)
-                    }
+                    _ => answer(frame),
                 };
                 if write_frame(&mut conn, &reply.to_frame().with_request(id)).is_err() {
                     break;
@@ -477,12 +477,22 @@ fn a_drain_wakes_the_blocked_acceptor() {
 
 #[test]
 fn client_retry_rides_through_a_gateway_queue_spike() {
-    // The backend grants its pooled session a window of 1 and answers
-    // each request 50 ms after reading it. With one forwarding worker and
-    // a one-deep queue, the gateway holds three requests — one on the
-    // backend, one in the worker waiting for the window, one queued —
-    // and answers the rest BUSY; the act-client retry absorbs that.
-    let stub = spawn_stub_with(1, Duration::from_millis(50), |_| Reply::Trained("stub".into()));
+    // The backend grants its pooled session a window of 1 and holds every
+    // answer until the test releases it. With one forwarding worker and a
+    // one-deep queue, the gateway holds three requests — one on the
+    // backend, one in the worker waiting for the window, one queued — and
+    // answers the rest BUSY; the act-client retry absorbs that. The
+    // backend is released only once every client's first try has been
+    // admitted or refused, so the queue drains long before any retry,
+    // which waits at least half its 400 ms backoff.
+    let released = Arc::new(AtomicBool::new(false));
+    let hold = released.clone();
+    let stub = spawn_stub_with(1, move |_| {
+        while !hold.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Reply::Trained("stub".into())
+    });
     let cfg = GateConfig {
         backends: vec![stub],
         workers: 1,
@@ -494,19 +504,29 @@ fn client_retry_rides_through_a_gateway_queue_spike() {
     let gate = Gateway::start(cfg).expect("gateway boots");
     let addr = gate.tcp_addr().to_string();
 
+    let start = Arc::new(Barrier::new(5));
     let threads: Vec<_> = (0..5)
         .map(|i| {
             let addr = addr.clone();
+            let start = start.clone();
             std::thread::spawn(move || {
                 let client = Client::builder()
                     .addr(addr)
                     .retry(Duration::from_millis(400), 7 + i)
                     .build()
                     .expect("client builds");
+                start.wait();
                 client.train(&tiny_spec("seq", i))
             })
         })
         .collect();
+    let stats = gate.stats().clone();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats.requests_in_flight() as u64 + stats.rejected_busy() < 5 {
+        assert!(Instant::now() < deadline, "the five first tries never all landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    released.store(true, Ordering::SeqCst);
     let replies: Vec<_> = threads.into_iter().map(|t| t.join().expect("client thread")).collect();
     assert!(gate.stats().rejected_busy() >= 1, "the full queue must have answered BUSY");
     for reply in &replies {

@@ -27,7 +27,7 @@ use act_core::diagnosis::{diagnose_trace, diagnose_trace_batch};
 use act_core::postprocess::Diagnosis;
 use act_fleet::{panic_message, BoundedQueue};
 use act_obs::{events, Level};
-use act_trace::io::{trace_from_bytes, trace_to_bytes};
+use act_trace::io::trace_from_bytes;
 use act_trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -391,8 +391,8 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
                 );
             };
             let c = corpus.lock().expect("corpus lock");
-            match c.get_trace(key) {
-                Ok(trace) => Reply::TraceData(trace_to_bytes(&trace)),
+            match c.get_trace_text(key) {
+                Ok(text) => Reply::TraceData(text),
                 Err(e) => Reply::Error(format!("trace get failed: {e}")),
             }
         }

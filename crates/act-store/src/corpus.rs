@@ -26,7 +26,7 @@ use crate::segment::{
     SegmentWriter, TraceEntrySink, TraceEntrySource,
 };
 use act_obs::metrics::Registry;
-use act_trace::io::{copy_trace, stream_trace, CopyError, TextParser, TextTraceSink, TraceBuilder};
+use act_trace::io::{stream_trace, CopyError, TextParser, TextTraceSink, TraceBuilder, TraceSink};
 use act_trace::Trace;
 use std::collections::HashMap;
 use std::fs;
@@ -102,6 +102,10 @@ pub struct Corpus {
     active: Option<SegmentWriter>,
     sealed: Vec<PathBuf>,
     index: HashMap<(EntryKind, String), Location>,
+    /// Raw and encoded payload bytes of the live entries, kept as entries
+    /// commit so a put costs O(1), not a pass over the index.
+    live_raw: u64,
+    live_encoded: u64,
     total_entries: usize,
     report: OpenReport,
     metrics: StoreMetrics,
@@ -184,6 +188,8 @@ impl Corpus {
             active: Some(active),
             sealed: Vec::new(),
             index: HashMap::new(),
+            live_raw: 0,
+            live_encoded: 0,
             total_entries: 0,
             report: OpenReport::default(),
             metrics: StoreMetrics::global(),
@@ -281,11 +287,13 @@ impl Corpus {
             SegmentWriter::create(&apath)?
         };
 
-        let corpus = Corpus {
+        let mut corpus = Corpus {
             dir,
             active: Some(active),
             sealed,
             index,
+            live_raw: 0,
+            live_encoded: 0,
             total_entries,
             report,
             metrics,
@@ -293,7 +301,7 @@ impl Corpus {
             next_seg_id,
             stream: None,
         };
-        corpus.publish_ratio();
+        corpus.recount();
         Ok(corpus)
     }
 
@@ -334,26 +342,28 @@ impl Corpus {
         self.active.as_mut().expect("active segment writer present")
     }
 
-    fn live_totals(&self) -> (u64, u64) {
-        let mut raw = 0;
-        let mut encoded = 0;
-        for loc in self.index.values() {
-            raw += loc.info.raw_bytes;
-            encoded += loc.info.encoded_bytes;
-        }
-        (raw, encoded)
+    /// Total the live entries afresh (after `open` and `compact` rebuild
+    /// the index).
+    fn recount(&mut self) {
+        self.live_raw = self.index.values().map(|loc| loc.info.raw_bytes).sum();
+        self.live_encoded = self.index.values().map(|loc| loc.info.encoded_bytes).sum();
+        self.publish_ratio();
     }
 
     fn publish_ratio(&self) {
-        let (raw, encoded) = self.live_totals();
-        self.metrics.set_ratio(raw, encoded);
+        self.metrics.set_ratio(self.live_raw, self.live_encoded);
     }
 
     fn commit(&mut self, seg: SegRef, info: EntryInfo) -> Result<EntryInfo, StoreError> {
         self.metrics.bytes_in.add(info.raw_bytes);
         self.total_entries += 1;
-        self.index
-            .insert((info.meta.kind, info.meta.key.clone()), Location { seg, info: info.clone() });
+        let key = (info.meta.kind, info.meta.key.clone());
+        if let Some(shadowed) = self.index.insert(key, Location { seg, info: info.clone() }) {
+            self.live_raw -= shadowed.info.raw_bytes;
+            self.live_encoded -= shadowed.info.encoded_bytes;
+        }
+        self.live_raw += info.raw_bytes;
+        self.live_encoded += info.encoded_bytes;
         self.publish_ratio();
         self.maybe_seal()?;
         Ok(info)
@@ -591,38 +601,55 @@ impl Corpus {
         Ok(self.locate(kind, key)?.info.clone())
     }
 
-    /// Open a stored trace for streaming decode (memory bounded by the
-    /// chunk size, not the trace length).
-    pub fn open_trace(&self, key: &str) -> Result<TraceEntrySource, StoreError> {
+    /// Stream a stored trace into `sink` chunk by chunk (memory bounded by
+    /// the chunk size, not the trace length) and record decode throughput;
+    /// a damaged entry errors and counts in `corrupt_blocks`.
+    fn decode_trace<S: TraceSink>(&self, key: &str, sink: &mut S) -> Result<(), StoreError>
+    where
+        StoreError: From<S::Error>,
+    {
+        let start = Instant::now();
         let loc = self.locate(EntryKind::Trace, key)?;
-        let stream = open_entry(&self.path_of(loc.seg), loc.info.offset).inspect_err(|e| {
+        let counted = |e: &StoreError| {
             if e.is_corrupt() {
                 self.metrics.corrupt_blocks.inc();
             }
-        })?;
+        };
+        let stream = open_entry(&self.path_of(loc.seg), loc.info.offset).inspect_err(counted)?;
         self.metrics.bytes_out.add(loc.info.encoded_bytes);
-        TraceEntrySource::new(stream)
-    }
-
-    /// Materialize a stored trace (and record decode throughput).
-    pub fn get_trace(&self, key: &str) -> Result<Trace, StoreError> {
-        let start = Instant::now();
-        let mut source = self.open_trace(key)?;
-        let mut builder = TraceBuilder::default();
-        match copy_trace(&mut source, &mut builder) {
-            Ok(()) => {}
-            Err(CopyError::Source(e)) => {
-                self.metrics.corrupt_blocks.inc();
-                return Err(StoreError::corrupt(0, format!("stored trace damaged: {e}")));
-            }
-            Err(CopyError::Sink(e)) => match e {},
+        let mut source = TraceEntrySource::new(stream)?;
+        sink.begin(source.meta().code_len as usize)?;
+        while let Some(rec) = source.next_record().inspect_err(counted)? {
+            sink.record(&rec)?;
         }
+        sink.finish()?;
         let elapsed = start.elapsed().as_secs_f64();
         if elapsed > 0.0 {
             let mbps = source.encoded_bytes_read as f64 / (1 << 20) as f64 / elapsed;
             self.metrics.decode_mb_per_sec.set(mbps as i64);
         }
+        Ok(())
+    }
+
+    /// Materialize a stored trace (and record decode throughput).
+    pub fn get_trace(&self, key: &str) -> Result<Trace, StoreError> {
+        let mut builder = TraceBuilder::new();
+        self.decode_trace(key, &mut builder)?;
         Ok(builder.into_trace())
+    }
+
+    /// A stored trace as v1 text — the bytes `trace_to_bytes` would make of
+    /// [`Corpus::get_trace`]'s result — streamed from the columnar chunks
+    /// straight into the text writer, with no [`Trace`] in between. The
+    /// output is sized up front from the entry's raw byte count, capped at
+    /// `MAX_TRACE_BYTES`.
+    pub fn get_trace_text(&self, key: &str) -> Result<Vec<u8>, StoreError> {
+        use act_trace::io::MAX_TRACE_BYTES;
+        let raw = self.locate(EntryKind::Trace, key)?.info.raw_bytes;
+        let presize = usize::try_from(raw).map_or(MAX_TRACE_BYTES, |n| n.min(MAX_TRACE_BYTES));
+        let mut sink = TextTraceSink::new(Vec::with_capacity(presize));
+        self.decode_trace(key, &mut sink)?;
+        Ok(sink.into_inner())
     }
 
     /// Materialize a stored blob.
@@ -672,7 +699,7 @@ impl Corpus {
 
     /// Corpus-wide accounting.
     pub fn stat(&self) -> Result<CorpusStat, StoreError> {
-        let (raw, encoded) = self.live_totals();
+        let (raw, encoded) = (self.live_raw, self.live_encoded);
         let mut disk = 0;
         for path in &self.sealed {
             disk += fs::metadata(path)?.len();
@@ -702,16 +729,9 @@ impl Corpus {
         for info in &live {
             match info.meta.kind {
                 EntryKind::Trace => {
-                    let mut source = self.open_trace(&info.meta.key)?;
                     let mut sink =
                         TraceEntrySink::new(&mut writer, &info.meta.key, &info.meta.workload);
-                    match copy_trace(&mut source, &mut sink) {
-                        Ok(()) => {}
-                        Err(CopyError::Source(e)) => {
-                            return Err(StoreError::corrupt(0, format!("compact read: {e}")));
-                        }
-                        Err(CopyError::Sink(e)) => return Err(e),
-                    }
+                    self.decode_trace(&info.meta.key, &mut sink)?;
                     writer.end_entry(info.raw_bytes)?;
                 }
                 kind => {
@@ -745,7 +765,7 @@ impl Corpus {
             );
         }
         self.total_entries = self.index.len();
-        self.publish_ratio();
+        self.recount();
         let after = self.stat()?;
         Ok(CompactStat {
             entries_kept: self.index.len(),
@@ -798,14 +818,102 @@ mod tests {
         Trace { records, code_len: 40 }
     }
 
+    /// A stored trace's text, read both ways: streamed from the columns
+    /// (`get_trace_text`) and materialized then written (`get_trace`).
+    fn text_of(c: &Corpus, key: &str) -> Vec<u8> {
+        let text = c.get_trace_text(key).unwrap();
+        assert_eq!(text, act_trace::io::trace_to_bytes(&c.get_trace(key).unwrap()), "{key}");
+        text
+    }
+
+    /// The live totals recounted from the listing, as `stat` must report.
+    fn assert_totals_match_a_recount(c: &Corpus) {
+        let live = c.entries(None);
+        let raw: u64 = live.iter().map(|i| i.raw_bytes).sum();
+        let encoded: u64 = live.iter().map(|i| i.encoded_bytes).sum();
+        let stat = c.stat().unwrap();
+        assert_eq!((stat.raw_bytes, stat.encoded_bytes), (raw, encoded));
+        assert_eq!(stat.ratio_milli, (raw * 1000).checked_div(encoded).unwrap_or(0));
+        assert_eq!(stat.live_entries, live.len());
+    }
+
     #[test]
     fn put_get_roundtrip_is_byte_identical() {
         let dir = tmp_dir("roundtrip");
         let mut c = Corpus::init(&dir).unwrap();
         let trace = sample_trace(500, 3);
         c.put_trace("t1", "wl", &trace).unwrap();
-        let back = c.get_trace("t1").unwrap();
-        assert_eq!(act_trace::io::trace_to_bytes(&back), act_trace::io::trace_to_bytes(&trace));
+        assert_eq!(text_of(&c, "t1"), act_trace::io::trace_to_bytes(&trace));
+        // An empty trace, and a text read of a missing key or a blob.
+        c.put_trace("empty", "wl", &Trace::default()).unwrap();
+        assert_eq!(text_of(&c, "empty"), b"acttrace v1 0\n");
+        assert!(matches!(c.get_trace_text("nope"), Err(StoreError::NotFound { .. })));
+        c.put_blob(EntryKind::Model, "m", "wl", b"w").unwrap();
+        assert!(matches!(c.get_trace_text("m"), Err(StoreError::NotFound { .. })));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_entry_errors_and_counts_on_either_read() {
+        let dir = tmp_dir("damaged");
+        let registry = Registry::new();
+        let mut c = Corpus::init(&dir).unwrap().with_registry(&registry);
+        let info = c.put_trace("t", "wl", &sample_trace(2000, 1)).unwrap();
+        // Flip a byte inside the committed entry's data, under the open
+        // corpus (a reopen would drop the damaged tail instead).
+        let path = active_path(&dir);
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = (info.offset as usize + bytes.len()) / 2;
+        bytes[mid] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+        let corrupt = || {
+            let snap = registry.snapshot();
+            let (_, v) = snap.entries.iter().find(|(n, _)| n == "store_corrupt_blocks").unwrap();
+            v.clone()
+        };
+        use act_obs::snapshot::MetricValue::Counter;
+        assert!(c.get_trace("t").unwrap_err().is_corrupt());
+        assert_eq!(corrupt(), Counter(1));
+        assert!(c.get_trace_text("t").unwrap_err().is_corrupt());
+        assert_eq!(corrupt(), Counter(2));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn live_totals_follow_puts_overwrites_and_compaction() {
+        let dir = tmp_dir("totals");
+        let mut c = Corpus::init(&dir).unwrap();
+        c.set_seal_bytes(512);
+        assert_totals_match_a_recount(&c);
+        for i in 0..6 {
+            c.put_trace(&format!("t{i}"), "wl", &sample_trace(40 + 10 * i, i)).unwrap();
+            assert_totals_match_a_recount(&c);
+        }
+        // Overwrites shadow: the old entry leaves the totals.
+        for i in 0..3 {
+            c.put_trace(&format!("t{i}"), "wl", &sample_trace(200, 9 + i)).unwrap();
+            assert_totals_match_a_recount(&c);
+        }
+        let text = act_trace::io::trace_to_bytes(&sample_trace(30, 2));
+        c.put_trace_bytes("t4", "wl", &text).unwrap();
+        c.put_blob(EntryKind::Model, "m", "wl", b"weights-v1").unwrap();
+        c.put_blob(EntryKind::Model, "m", "wl", b"weights-v2, longer").unwrap();
+        c.stream_begin("t5", "wl").unwrap();
+        c.stream_chunk(&text).unwrap();
+        c.stream_finish(crate::crc32::crc32(&text), text.len() as u64).unwrap();
+        assert_totals_match_a_recount(&c);
+        let before = c.stat().unwrap();
+        c.compact().unwrap();
+        assert_totals_match_a_recount(&c);
+        let after = c.stat().unwrap();
+        assert_eq!(
+            (after.raw_bytes, after.encoded_bytes),
+            (before.raw_bytes, before.encoded_bytes)
+        );
+        drop(c);
+        let c = Corpus::open(&dir).unwrap();
+        assert_totals_match_a_recount(&c);
+        assert_eq!(c.stat().unwrap().raw_bytes, before.raw_bytes);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -817,7 +925,7 @@ mod tests {
         let text = act_trace::io::trace_to_bytes(&trace);
         let info = c.put_trace_bytes("t1", "wl", &text).unwrap();
         assert_eq!(info.raw_bytes, text.len() as u64);
-        assert_eq!(act_trace::io::trace_to_bytes(&c.get_trace("t1").unwrap()), text);
+        assert_eq!(text_of(&c, "t1"), text);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -853,7 +961,7 @@ mod tests {
             let info = c.stream_finish(crc, text.len() as u64).unwrap();
             assert_eq!(info.raw_bytes, text.len() as u64);
             assert!(c.streaming_key().is_none());
-            assert_eq!(act_trace::io::trace_to_bytes(&c.get_trace(&key).unwrap()), text);
+            assert_eq!(text_of(&c, &key), text);
         }
         // Byte-for-byte the same accounting as the materialized path.
         let info = c.put_trace_bytes("mat", "wl", &text).unwrap();
@@ -924,7 +1032,7 @@ mod tests {
         let rest = &text[10..];
         c.stream_chunk(rest).unwrap();
         c.stream_finish(crate::crc32::crc32(&text), text.len() as u64).unwrap();
-        assert_eq!(act_trace::io::trace_to_bytes(&c.get_trace("s").unwrap()), text);
+        assert_eq!(text_of(&c, "s"), text);
         c.put_trace("t", "wl", &trace).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -957,10 +1065,7 @@ mod tests {
         assert_eq!(stat.entries_kept, 2);
         assert_eq!(stat.entries_dropped, 1);
         assert!(stat.disk_bytes_after <= stat.disk_bytes_before);
-        assert_eq!(
-            act_trace::io::trace_to_bytes(&c.get_trace("t").unwrap()),
-            act_trace::io::trace_to_bytes(&newer)
-        );
+        assert_eq!(text_of(&c, "t"), act_trace::io::trace_to_bytes(&newer));
         assert_eq!(c.get_blob(EntryKind::Model, "m").unwrap(), b"weights-v2");
         // And the compacted corpus reopens cleanly.
         drop(c);
@@ -983,7 +1088,7 @@ mod tests {
         let c = Corpus::open(&dir).unwrap();
         for i in 0..6 {
             assert_eq!(
-                act_trace::io::trace_to_bytes(&c.get_trace(&format!("t{i}")).unwrap()),
+                text_of(&c, &format!("t{i}")),
                 act_trace::io::trace_to_bytes(&sample_trace(80, i))
             );
         }

@@ -69,11 +69,9 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Map a store decode error into the trace codec's error type so store-backed
-/// readers can implement [`act_trace::io::TraceSource`].
-pub fn to_parse_error(e: StoreError) -> act_trace::io::ParseTraceError {
-    match e {
-        StoreError::Io(io) => act_trace::io::ParseTraceError::Io(io),
-        other => act_trace::io::ParseTraceError::Malformed { line: 0, reason: other.to_string() },
+/// A sink that cannot fail (a `TraceBuilder`) never reports an error.
+impl From<std::convert::Infallible> for StoreError {
+    fn from(never: std::convert::Infallible) -> Self {
+        match never {}
     }
 }

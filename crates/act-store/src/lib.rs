@@ -14,8 +14,8 @@
 //! * [`segment`] — append-only segment files: CRC-checksummed blocks, entry
 //!   commit protocol (`ENTRY_BEGIN DATA* ENTRY_END`), footer index, and the
 //!   streaming [`segment::SegmentWriter`] / [`segment::TraceEntrySource`]
-//!   pair. The trace entry types implement `act-trace`'s shared
-//!   `TraceSink`/`TraceSource` codec interface, so there is exactly one
+//!   pair. A trace entry is written through `act-trace`'s shared
+//!   `TraceSink` interface and read back into one, so there is exactly one
 //!   event codec boundary in the workspace.
 //! * [`corpus`] — the [`Corpus`] manager: create/open/append/get/iter/
 //!   compact with atomic rename commits and truncated-tail recovery. A

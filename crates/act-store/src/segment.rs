@@ -22,9 +22,9 @@
 
 use crate::column::{decode_chunk, encode_chunk, CHUNK_RECORDS};
 use crate::crc32::crc32;
-use crate::error::{to_parse_error, StoreError};
+use crate::error::StoreError;
 use crate::varint::{get_varint, put_varint};
-use act_trace::io::{TraceSink, TraceSource};
+use act_trace::io::TraceSink;
 use act_trace::TraceRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -732,15 +732,8 @@ impl EntryStream {
         &self.meta
     }
 
-    /// Next verified `DATA` body, or `None` once the entry's `ENTRY_END`
-    /// has been consumed.
-    pub fn next_data(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
-        let mut body = Vec::new();
-        Ok(if self.next_data_into(&mut body)? { Some(body) } else { None })
-    }
-
-    /// [`EntryStream::next_data`] into a caller-owned buffer (`true` =
-    /// `body` holds the next `DATA` payload). A streaming decoder calls
+    /// Read the next verified `DATA` payload into `body` (`false` once the
+    /// entry's `ENTRY_END` has been consumed). A streaming decoder calls
     /// this with the same buffer every time, so steady-state decode does
     /// not allocate per chunk.
     pub fn next_data_into(&mut self, body: &mut Vec<u8>) -> Result<bool, StoreError> {
@@ -762,8 +755,8 @@ impl EntryStream {
     }
 }
 
-/// Streaming [`TraceSource`] over a stored trace entry: decodes one chunk at
-/// a time, so memory is bounded by [`CHUNK_RECORDS`] regardless of trace
+/// Streaming decoder over a stored trace entry: decodes one chunk at a
+/// time, so memory is bounded by [`CHUNK_RECORDS`] regardless of trace
 /// length — the "stream-decode without materializing" contract.
 pub struct TraceEntrySource {
     stream: EntryStream,
@@ -812,9 +805,8 @@ impl TraceEntrySource {
         Ok(true)
     }
 
-    /// `next_record` with the store's own error type (the [`TraceSource`]
-    /// impl maps it onto `ParseTraceError`).
-    pub fn try_next(&mut self) -> Result<Option<TraceRecord>, StoreError> {
+    /// The next record, or `None` after the entry's last.
+    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, StoreError> {
         while self.next == self.buf.len() {
             if !self.refill()? {
                 return Ok(None);
@@ -826,21 +818,11 @@ impl TraceEntrySource {
     }
 }
 
-impl TraceSource for TraceEntrySource {
-    fn code_len(&self) -> usize {
-        self.stream.meta().code_len as usize
-    }
-
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, act_trace::io::ParseTraceError> {
-        self.try_next().map_err(to_parse_error)
-    }
-}
-
 /// Materialize a blob entry (models, correct sets). Total size is capped by
 /// `limit` — allocation never exceeds the declared, verified block sizes.
 pub fn read_blob(stream: &mut EntryStream, limit: usize) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::new();
-    while let Some(body) = stream.next_data()? {
+    let (mut out, mut body) = (Vec::new(), Vec::new());
+    while stream.next_data_into(&mut body)? {
         if out.len() + body.len() > limit {
             return Err(StoreError::corrupt(0, format!("blob exceeds {limit} byte cap")));
         }

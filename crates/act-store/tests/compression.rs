@@ -43,6 +43,7 @@ fn representative_trace_compresses_at_least_3x_and_is_lossless() {
     // Lossless: byte-identical text after a round trip through the store.
     let back = c.get_trace("lu-clean-42").unwrap();
     assert_eq!(trace_to_bytes(&back), text);
+    assert_eq!(c.get_trace_text("lu-clean-42").unwrap(), text, "streamed to text alike");
 
     // ≥ 3× smaller than the text codec.
     let ratio = text.len() as f64 / info.encoded_bytes as f64;

@@ -35,6 +35,14 @@ fn small_trace(n: u64, salt: u64) -> Trace {
     Trace { records, code_len: 16 }
 }
 
+/// A stored trace's text, read both ways: streamed from the columns
+/// (`get_trace_text`) and materialized then written (`get_trace`).
+fn text_of(c: &Corpus, key: &str) -> Vec<u8> {
+    let text = c.get_trace_text(key).unwrap();
+    assert_eq!(text, trace_to_bytes(&c.get_trace(key).unwrap()), "{key}");
+    text
+}
+
 fn copy_corpus(src: &Path, dst: &Path) {
     let _ = fs::remove_dir_all(dst);
     fs::create_dir_all(dst).unwrap();
@@ -84,20 +92,20 @@ fn recovery_at_every_truncation_point_of_the_tail_entry() {
         let entries = c.entries(None);
         assert_eq!(entries.len(), 2, "cut {cut}: committed entries lost or tail resurrected");
         assert!(!c.contains(EntryKind::Trace, "t2"), "cut {cut}: uncommitted entry visible");
-        assert_eq!(trace_to_bytes(&c.get_trace("t0").unwrap()), trace_to_bytes(&t0));
-        assert_eq!(trace_to_bytes(&c.get_trace("t1").unwrap()), trace_to_bytes(&t1));
+        assert_eq!(text_of(&c, "t0"), trace_to_bytes(&t0));
+        assert_eq!(text_of(&c, "t1"), trace_to_bytes(&t1));
 
         // The recovered corpus must accept appends again.
         let mut c = c;
         c.put_trace("t3", "wl", &t2).unwrap();
-        assert_eq!(trace_to_bytes(&c.get_trace("t3").unwrap()), trace_to_bytes(&t2));
+        assert_eq!(text_of(&c, "t3"), trace_to_bytes(&t2));
     }
 
     // Untruncated file: everything is there, nothing is reported dropped.
     let c = Corpus::open(&base).unwrap();
     assert!(!c.open_report().dropped_tail);
     assert_eq!(c.entries(None).len(), 3);
-    assert_eq!(trace_to_bytes(&c.get_trace("t2").unwrap()), trace_to_bytes(&t2));
+    assert_eq!(text_of(&c, "t2"), trace_to_bytes(&t2));
 
     fs::remove_dir_all(&base).unwrap();
     fs::remove_dir_all(&scratch).unwrap();
@@ -125,7 +133,7 @@ fn flipped_byte_in_tail_is_dropped_not_served() {
     let c = Corpus::open(&base).unwrap();
     assert!(c.open_report().dropped_tail);
     assert_eq!(c.entries(None).len(), 1);
-    assert_eq!(trace_to_bytes(&c.get_trace("t0").unwrap()), trace_to_bytes(&t0));
+    assert_eq!(text_of(&c, "t0"), trace_to_bytes(&t0));
     fs::remove_dir_all(&base).unwrap();
 }
 
@@ -149,6 +157,6 @@ fn sealed_segment_with_damaged_footer_falls_back_to_scan() {
 
     let c = Corpus::open(&base).unwrap();
     assert_eq!(c.open_report().scanned_segments, 1);
-    assert_eq!(trace_to_bytes(&c.get_trace("t0").unwrap()), trace_to_bytes(&small_trace(40, 0)));
+    assert_eq!(text_of(&c, "t0"), trace_to_bytes(&small_trace(40, 0)));
     fs::remove_dir_all(&base).unwrap();
 }

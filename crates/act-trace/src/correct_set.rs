@@ -160,7 +160,8 @@ mod tests {
 
     #[test]
     fn from_samples_builds_set() {
-        let sample = SeqSample { deps: vec![dep(1, 2), dep(3, 4)], tid: 0, seq: 0, valid: true };
+        let sample =
+            SeqSample { deps: vec![dep(1, 2), dep(3, 4)], tid: 0, seq: 0, cycle: 0, valid: true };
         let set = CorrectSet::from_samples([&sample]);
         assert_eq!(set.len(), 1);
         assert_eq!(set.seq_len(), 2);

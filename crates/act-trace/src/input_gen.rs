@@ -16,6 +16,8 @@ pub struct SeqSample {
     pub tid: ThreadId,
     /// Global sequence number of the final load.
     pub seq: u64,
+    /// Cycle of the final load (where a flagged window sits in time).
+    pub cycle: u64,
     /// Whether this is a positive (observed) or negative (synthesized)
     /// example.
     pub valid: bool,
@@ -93,18 +95,14 @@ pub fn sequences_ext(
     for (w, d) in deps.iter().enumerate() {
         let h = history.entry(d.tid).or_default();
         if h.len() >= n - 1 {
-            let prefix: Vec<RawDep> = h[h.len() - (n - 1)..].to_vec();
-            let mut pos = prefix.clone();
-            pos.push(d.dep);
-            positives.push(SeqSample { deps: pos, tid: d.tid, seq: d.seq, valid: true });
+            let sample =
+                |deps, valid| SeqSample { deps, tid: d.tid, seq: d.seq, cycle: d.cycle, valid };
+            let prefix = &h[h.len() - (n - 1)..];
+            let window = [prefix, &[d.dep]].concat();
             if let Some(neg_dep) = d.negative() {
-                let mut neg = prefix.clone();
-                neg.push(neg_dep);
-                negatives.push(SeqSample { deps: neg, tid: d.tid, seq: d.seq, valid: false });
+                negatives.push(sample([prefix, &[neg_dep]].concat(), false));
             }
             if donors.len() > 1 {
-                let mut window = prefix.clone();
-                window.push(d.dep);
                 for k in 0..cross_negs {
                     // Perturb a rotating position of the window (bugs
                     // corrupt prefix dependences as often as the final
@@ -138,9 +136,10 @@ pub fn sequences_ext(
                         load_pc: window[at].load_pc,
                         inter_thread: donor.inter_thread,
                     };
-                    negatives.push(SeqSample { deps: neg, tid: d.tid, seq: d.seq, valid: false });
+                    negatives.push(sample(neg, false));
                 }
             }
+            positives.push(sample(window, true));
         }
         h.push(d.dep);
         // Bound per-thread history to what windows need.
@@ -167,7 +166,7 @@ mod tests {
     }
 
     fn ev(seq: u64, tid: ThreadId, d: RawDep, prev: Option<Pc>) -> DepEvent {
-        DepEvent { dep: d, tid, seq, prev_writer: prev.map(|p| (p, tid)) }
+        DepEvent { dep: d, tid, seq, cycle: 10 * seq, prev_writer: prev.map(|p| (p, tid)) }
     }
 
     #[test]
@@ -187,6 +186,7 @@ mod tests {
         assert_eq!(pos[1].deps, vec![dep(3, 4), dep(7, 8)]);
         assert_eq!(pos[2].deps, vec![dep(5, 6), dep(9, 10)]);
         assert!(pos.iter().all(|s| s.valid));
+        assert!(pos.iter().all(|s| s.cycle == 10 * s.seq), "the final load's cycle");
     }
 
     #[test]

@@ -13,26 +13,30 @@
 //! E <seq> <cycle> <tid>
 //! ```
 //!
-//! There is exactly **one** event codec in the workspace, and this module
-//! defines its two halves: [`TraceSink`] (consume a header + records in
-//! order) and [`TraceSource`] (produce them). `act-store`'s columnar
-//! segment codec implements both; the text format's writer is
-//! [`TextTraceSink`] and its reader is [`TextParser`]. Everything that
-//! moves traces — files, protocol frames, the corpus store — goes through
-//! these instead of growing a private copy of the record schema.
+//! There is exactly **one** event codec boundary in the workspace:
+//! [`TraceSink`], which consumes a header and then records in order.
+//! Producers push into it — [`stream_trace`] from a [`Trace`], the text
+//! reader [`TextParser`], and `act-store`'s columnar decoder — and writers
+//! implement it: the text writer [`TextTraceSink`], `act-store`'s columnar
+//! encoder, and [`TraceBuilder`]. Everything that moves traces — files,
+//! protocol frames, the corpus store — goes through it instead of growing
+//! a private copy of the record schema.
 //!
-//! [`TextParser`] is the only code that reads the text format. It is fed
-//! chunks of any size and emits records to a [`TraceSink`], so a file
-//! ([`read_trace`]), a whole protocol payload ([`trace_from_bytes`]) and
-//! the daemon's chunked uploads all run the same checks: the header, the
-//! [`MAX_CODE_LEN`] and [`MAX_LINE_BYTES`] caps, UTF-8 per line, and a
-//! 1-based line number on every malformed line.
+//! [`TextParser`] is the only code that reads the text format. Fed chunks
+//! of any size, it gives a whole payload ([`trace_from_bytes`]) and the
+//! daemon's chunked uploads the same checks: the header, the
+//! [`MAX_CODE_LEN`] and [`MAX_LINE_BYTES`] caps, and a 1-based line number
+//! on every malformed line. It reads each line in one pass over its bytes,
+//! accumulating a field's digits as it scans them. The format is ASCII:
+//! fields are separated by runs of the six ASCII bytes `char::is_whitespace`
+//! accepts (`\t \n \x0B \x0C \r`, space), and a line holding a byte ≥ 0x80
+//! is rejected — `line is not valid UTF-8` if it is not UTF-8, else `line
+//! is not ASCII`.
 
 use crate::event::{Trace, TraceKind, TraceRecord};
 use act_sim::events::RawDep;
 use std::convert::Infallible;
-use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Upper bound on a serialized trace accepted by [`trace_from_bytes`] —
 /// the same 64 MiB pre-allocation cap `act-serve` applies to protocol
@@ -54,8 +58,6 @@ pub const MAX_LINE_BYTES: usize = 64 << 10;
 /// Error produced when parsing a serialized trace.
 #[derive(Debug)]
 pub enum ParseTraceError {
-    /// Underlying I/O failure.
-    Io(io::Error),
     /// A malformed line, with its 1-based line number.
     Malformed {
         /// 1-based line number.
@@ -68,7 +70,6 @@ pub enum ParseTraceError {
 impl std::fmt::Display for ParseTraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParseTraceError::Io(e) => write!(f, "i/o error: {e}"),
             ParseTraceError::Malformed { line, reason } => {
                 write!(f, "malformed trace at line {line}: {reason}")
             }
@@ -77,12 +78,6 @@ impl std::fmt::Display for ParseTraceError {
 }
 
 impl std::error::Error for ParseTraceError {}
-
-impl From<io::Error> for ParseTraceError {
-    fn from(e: io::Error) -> Self {
-        ParseTraceError::Io(e)
-    }
-}
 
 /// A parse into a sink that cannot fail (a [`TraceBuilder`]) fails only on
 /// its input.
@@ -96,7 +91,7 @@ impl From<CopyError<Infallible>> for ParseTraceError {
 }
 
 // ---------------------------------------------------------------------
-// The shared codec surface: sinks consume, sources produce.
+// The shared codec surface.
 // ---------------------------------------------------------------------
 
 /// The consuming half of the trace codec: receives the header once, then
@@ -118,20 +113,6 @@ pub trait TraceSink {
     }
 }
 
-/// The producing half of the trace codec: yields the header, then records
-/// one at a time — a reader can process a trace without materializing it.
-pub trait TraceSource {
-    /// The trace's declared code length (available after construction).
-    fn code_len(&self) -> usize;
-
-    /// The next record, or `None` at the end of the trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseTraceError`] on I/O failure or malformed input.
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, ParseTraceError>;
-}
-
 /// Stream `trace` into `sink`: header, every record in order, finish.
 /// This is the only encode loop in the workspace — every writer (text
 /// file, protocol frame, columnar segment) is a [`TraceSink`] fed by it.
@@ -147,25 +128,7 @@ pub fn stream_trace<S: TraceSink>(trace: &Trace, sink: &mut S) -> Result<(), S::
     sink.finish()
 }
 
-/// Drain `source` into `sink` record by record (no intermediate [`Trace`]).
-///
-/// # Errors
-///
-/// [`CopyError::Source`] when the source fails to read or yields malformed
-/// input, [`CopyError::Sink`] when the sink refuses a record.
-pub fn copy_trace<Src, S>(source: &mut Src, sink: &mut S) -> Result<(), CopyError<S::Error>>
-where
-    Src: TraceSource,
-    S: TraceSink,
-{
-    sink.begin(source.code_len()).map_err(CopyError::Sink)?;
-    while let Some(rec) = source.next_record().map_err(CopyError::Source)? {
-        sink.record(&rec).map_err(CopyError::Sink)?;
-    }
-    sink.finish().map_err(CopyError::Sink)
-}
-
-/// Which side of a [`copy_trace`] or a [`TextParser`] feed failed.
+/// Which side of a [`TextParser`] feed failed.
 #[derive(Debug)]
 pub enum CopyError<E> {
     /// The input was malformed or failed to read.
@@ -175,7 +138,7 @@ pub enum CopyError<E> {
 }
 
 /// A [`TraceSink`] that materializes a [`Trace`] in memory — the bridge
-/// from any streaming source back to the owned form the analyses take.
+/// from any streaming producer back to the owned form the analyses take.
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
     trace: Trace,
@@ -215,17 +178,32 @@ impl TraceSink for TraceBuilder {
 /// amortize `write_all` syscalls, small enough to stay streaming.
 const TEXT_FLUSH_BYTES: usize = 64 << 10;
 
+/// Append ` <v>` in decimal: the digit writer behind every text field.
+fn push_field(buf: &mut Vec<u8>, mut v: u64) {
+    let mut field = [b' '; 21];
+    let mut at = field.len();
+    loop {
+        at -= 1;
+        field[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&field[at - 1..]);
+}
+
 /// The v1 text writer as a [`TraceSink`]: one line per record, buffered
 /// writes to any `W: Write`.
 pub struct TextTraceSink<W: Write> {
     w: W,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> TextTraceSink<W> {
     /// A sink writing the v1 text format to `w`.
     pub fn new(w: W) -> TextTraceSink<W> {
-        TextTraceSink { w, buf: String::new() }
+        TextTraceSink { w, buf: Vec::new() }
     }
 
     /// Recover the inner writer (call after `finish`; unflushed buffered
@@ -239,39 +217,32 @@ impl<W: Write> TraceSink for TextTraceSink<W> {
     type Error = io::Error;
 
     fn begin(&mut self, code_len: usize) -> Result<(), io::Error> {
-        writeln!(self.buf, "acttrace v1 {code_len}").expect("string write");
+        self.buf.extend_from_slice(b"acttrace v1");
+        push_field(&mut self.buf, code_len as u64);
+        self.buf.push(b'\n');
         Ok(())
     }
 
     fn record(&mut self, r: &TraceRecord) -> Result<(), io::Error> {
-        let buf = &mut self.buf;
-        match r.kind {
-            TraceKind::Load { addr, dep } => {
-                write!(buf, "L {} {} {} {} {}", r.seq, r.cycle, r.tid, r.pc, addr)
-                    .expect("string write");
-                if let Some(d) = dep {
-                    write!(buf, " {} {} {}", d.store_pc, d.load_pc, d.inter_thread as u8)
-                        .expect("string write");
-                }
-                buf.push('\n');
+        // The tag, and the fields after `<seq> <cycle> <tid>`.
+        let pc = r.pc.into();
+        let (tag, tail, n) = match r.kind {
+            TraceKind::Load { addr, dep: None } => (b'L', [pc, addr, 0, 0, 0], 2),
+            TraceKind::Load { addr, dep: Some(d) } => {
+                (b'L', [pc, addr, d.store_pc.into(), d.load_pc.into(), d.inter_thread.into()], 5)
             }
-            TraceKind::Store { addr } => {
-                writeln!(buf, "S {} {} {} {} {}", r.seq, r.cycle, r.tid, r.pc, addr)
-                    .expect("string write");
-            }
-            TraceKind::Branch { taken } => {
-                writeln!(buf, "B {} {} {} {} {}", r.seq, r.cycle, r.tid, r.pc, taken as u8)
-                    .expect("string write");
-            }
-            TraceKind::ThreadStart => {
-                writeln!(buf, "T {} {} {}", r.seq, r.cycle, r.tid).expect("string write");
-            }
-            TraceKind::ThreadEnd => {
-                writeln!(buf, "E {} {} {}", r.seq, r.cycle, r.tid).expect("string write");
-            }
+            TraceKind::Store { addr } => (b'S', [pc, addr, 0, 0, 0], 2),
+            TraceKind::Branch { taken } => (b'B', [pc, taken.into(), 0, 0, 0], 2),
+            TraceKind::ThreadStart => (b'T', [0; 5], 0),
+            TraceKind::ThreadEnd => (b'E', [0; 5], 0),
+        };
+        self.buf.push(tag);
+        for &v in [r.seq, r.cycle, r.tid.into()].iter().chain(&tail[..n]) {
+            push_field(&mut self.buf, v);
         }
+        self.buf.push(b'\n');
         if self.buf.len() >= TEXT_FLUSH_BYTES {
-            self.w.write_all(self.buf.as_bytes())?;
+            self.w.write_all(&self.buf)?;
             self.buf.clear();
         }
         Ok(())
@@ -279,7 +250,7 @@ impl<W: Write> TraceSink for TextTraceSink<W> {
 
     fn finish(&mut self) -> Result<(), io::Error> {
         if !self.buf.is_empty() {
-            self.w.write_all(self.buf.as_bytes())?;
+            self.w.write_all(&self.buf)?;
             self.buf.clear();
         }
         Ok(())
@@ -289,16 +260,11 @@ impl<W: Write> TraceSink for TextTraceSink<W> {
 /// The v1 text parser, and the only code that reads the format: feed it
 /// chunks of any size with [`TextParser::feed`], end the input with
 /// [`TextParser::finish`], and it hands the header and every record, in
-/// order, to a [`TraceSink`].
-///
-/// Each line is counted (1-based), capped at [`MAX_LINE_BYTES`], checked to
-/// be UTF-8, and loses one trailing `\r`. The first line is the header
-/// (`acttrace v1 <code_len>`, `code_len` ≤ [`MAX_CODE_LEN`]) and goes to
-/// [`TraceSink::begin`]; later empty lines are skipped, and every other
-/// line is a record for [`TraceSink::record`]. A line that lies wholly
-/// inside one chunk is parsed in place; only a line split across chunks
-/// (or left unterminated) is copied. After an error the input is
-/// rejected: feed the parser no more.
+/// order, to a [`TraceSink`]. A field is a decimal with an optional `+`;
+/// fields past a record's last are ignored, and lines empty once one
+/// trailing `\r` is dropped are skipped. A line wholly inside one chunk is
+/// parsed in place; only a line split across chunks (or left unterminated)
+/// is copied. After an error the input is rejected: feed it no more.
 #[derive(Debug, Default)]
 pub struct TextParser {
     /// The head of a line split across chunks.
@@ -321,21 +287,20 @@ impl TextParser {
         mut bytes: &[u8],
         sink: &mut S,
     ) -> Result<(), CopyError<S::Error>> {
-        while let Some(nl) = bytes.iter().position(|&b| b == b'\n') {
-            let line = &bytes[..nl];
+        if !self.partial.is_empty() {
+            let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
+                return self.carry(bytes);
+            };
+            let mut line = std::mem::take(&mut self.partial);
+            line.extend_from_slice(&bytes[..=nl]);
+            self.lines(&line, sink)?;
+            line.clear();
+            self.partial = line;
             bytes = &bytes[nl + 1..];
-            self.cap(line.len())?;
-            if self.partial.is_empty() {
-                self.line(line, sink)?;
-            } else {
-                self.partial.extend_from_slice(line);
-                let joined = std::mem::take(&mut self.partial);
-                self.line(&joined, sink)?;
-            }
         }
-        self.cap(bytes.len())?;
-        self.partial.extend_from_slice(bytes);
-        Ok(())
+        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+        self.lines(&bytes[..whole], sink)?;
+        self.carry(&bytes[whole..])
     }
 
     /// End the input: parse an unterminated last line, then finish `sink`.
@@ -349,108 +314,213 @@ impl TextParser {
             self.feed(b"\n", sink)?;
         }
         if self.lineno == 0 {
-            return Err(CopyError::Source(ParseTraceError::Malformed {
-                line: 1,
-                reason: "empty input".into(),
-            }));
+            return Err(malformed(1, "empty input".into()));
         }
         sink.finish().map_err(CopyError::Sink)
     }
 
-    /// Refuse to let the next line, of which `partial` holds the head,
-    /// grow by `more` bytes past [`MAX_LINE_BYTES`].
-    fn cap<E>(&self, more: usize) -> Result<(), CopyError<E>> {
-        if self.partial.len() + more <= MAX_LINE_BYTES {
-            return Ok(());
+    /// Keep `tail`, the head of the next line, unless that line would grow
+    /// past [`MAX_LINE_BYTES`].
+    fn carry<E>(&mut self, tail: &[u8]) -> Result<(), CopyError<E>> {
+        if self.partial.len() + tail.len() > MAX_LINE_BYTES {
+            return Err(malformed(self.lineno + 1, line_cap()));
         }
-        Err(CopyError::Source(ParseTraceError::Malformed {
-            line: self.lineno + 1,
-            reason: format!("line exceeds the {MAX_LINE_BYTES}-byte cap"),
-        }))
+        self.partial.extend_from_slice(tail);
+        Ok(())
     }
 
-    /// Parse one complete line, newline stripped and length capped.
-    fn line<S: TraceSink>(&mut self, line: &[u8], sink: &mut S) -> Result<(), CopyError<S::Error>> {
-        self.lineno += 1;
-        let lineno = self.lineno;
-        let bad =
-            |reason: String| CopyError::Source(ParseTraceError::Malformed { line: lineno, reason });
-        let text = std::str::from_utf8(line).map_err(|_| bad("line is not valid UTF-8".into()))?;
-        let text = text.strip_suffix('\r').unwrap_or(text);
-        if lineno == 1 {
-            let mut hp = text.split_whitespace();
-            if hp.next() != Some("acttrace") || hp.next() != Some("v1") {
-                return Err(bad("bad header".into()));
+    /// Parse `bytes`, a run of whole lines each ending in `\n`, in one pass:
+    /// each field is checked and its digits accumulated as it is scanned,
+    /// and only what follows a record's last field is scanned to be ASCII.
+    fn lines<S: TraceSink>(
+        &mut self,
+        bytes: &[u8],
+        sink: &mut S,
+    ) -> Result<(), CopyError<S::Error>> {
+        let mut f = Fields { bytes, pos: 0 };
+        while f.pos < bytes.len() {
+            self.lineno += 1;
+            let start = f.pos;
+            let parsed = if self.lineno == 1 {
+                header(&mut f).map(Line::Header)
+            } else if bytes[start..].starts_with(b"\n") || bytes[start..].starts_with(b"\r\n") {
+                Ok(Line::Blank)
+            } else {
+                record(&mut f).map(Line::Record)
+            };
+            // A parsed line's fields are ASCII: only the rest is checked.
+            let rest_ascii = f.seek_line_end();
+            let line = &bytes[start..f.pos];
+            f.pos += 1;
+            match parsed {
+                Ok(parsed) if rest_ascii && line.len() <= MAX_LINE_BYTES => match parsed {
+                    Line::Header(code_len) => sink.begin(code_len).map_err(CopyError::Sink)?,
+                    Line::Record(rec) => sink.record(&rec).map_err(CopyError::Sink)?,
+                    Line::Blank => {}
+                },
+                parsed => return Err(malformed(self.lineno, rejection(line, parsed.err()))),
             }
-            let code_len: u64 =
-                hp.next().and_then(|t| t.parse().ok()).ok_or_else(|| bad("bad code_len".into()))?;
-            if code_len > MAX_CODE_LEN {
-                return Err(bad(format!("code_len {code_len} exceeds the {MAX_CODE_LEN} cap")));
-            }
-            return sink.begin(code_len as usize).map_err(CopyError::Sink);
         }
-        if text.is_empty() {
-            return Ok(());
-        }
-        let rec = parse_record_line(text, lineno).map_err(CopyError::Source)?;
-        sink.record(&rec).map_err(CopyError::Sink)
+        Ok(())
     }
 }
 
-/// The next whitespace-separated field of a record line, parsed as `T`.
-fn field<T: std::str::FromStr>(
-    t: &mut std::str::SplitWhitespace<'_>,
-    name: &str,
-    lineno: usize,
-) -> Result<T, ParseTraceError> {
-    t.next().and_then(|v| v.parse().ok()).ok_or_else(|| ParseTraceError::Malformed {
-        line: lineno,
-        reason: format!("missing/bad {name}"),
-    })
+/// Why `line` is rejected: the cap outranks a non-ASCII byte, which
+/// outranks the line's parse error. Only a non-ASCII line is checked for
+/// UTF-8, to name its fault.
+fn rejection(line: &[u8], parse_error: Option<String>) -> String {
+    if line.len() > MAX_LINE_BYTES {
+        line_cap()
+    } else if line.is_ascii() {
+        parse_error.expect("an ASCII line under the cap is rejected only by its parse")
+    } else if line.utf8_chunks().all(|chunk| chunk.invalid().is_empty()) {
+        "line is not ASCII".into()
+    } else {
+        "line is not valid UTF-8".into()
+    }
 }
 
-/// Parse one record line of the v1 text format.
-///
-/// # Errors
-///
-/// Returns [`ParseTraceError::Malformed`] naming `lineno` for any schema
-/// violation, including a `tid` or `pc` that does not fit a `u32`.
-fn parse_record_line(line: &str, lineno: usize) -> Result<TraceRecord, ParseTraceError> {
-    let mut t = line.split_whitespace();
-    let bad =
-        |reason: &str| ParseTraceError::Malformed { line: lineno, reason: reason.to_string() };
-    let tag = t.next().ok_or_else(|| bad("missing tag"))?;
-    let seq = field(&mut t, "seq", lineno)?;
-    let cycle = field(&mut t, "cycle", lineno)?;
-    let tid = field(&mut t, "tid", lineno)?;
+/// A parse failure of the input at a 1-based line.
+fn malformed<E>(line: usize, reason: String) -> CopyError<E> {
+    CopyError::Source(ParseTraceError::Malformed { line, reason })
+}
+
+fn line_cap() -> String {
+    format!("line exceeds the {MAX_LINE_BYTES}-byte cap")
+}
+
+/// What one well-formed line holds.
+enum Line {
+    Header(usize),
+    Record(TraceRecord),
+    Blank,
+}
+
+/// Whether `b` separates fields: the six ASCII bytes `char::is_whitespace`
+/// accepts (`\t \n \x0B \x0C \r` and space). `u8::is_ascii_whitespace`
+/// omits `\x0B`.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// A cursor over whole lines. Every line ends in `\n`, a separator, so a
+/// scan that stops at a separator never runs off the slice.
+struct Fields<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// Skip separators up to the next field or the line's `\n`, and return
+    /// the byte there.
+    fn skip_space(&mut self) -> u8 {
+        loop {
+            let b = self.bytes[self.pos];
+            if b == b'\n' || !is_space(b) {
+                return b;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// The next field's bytes; empty at the end of the line.
+    fn token(&mut self) -> &'a [u8] {
+        self.skip_space();
+        let start = self.pos;
+        while !is_space(self.bytes[self.pos]) {
+            self.pos += 1;
+        }
+        &self.bytes[start..self.pos]
+    }
+
+    /// The next field as a `T`: an optional `+` and decimal digits, as
+    /// `str::parse` reads an unsigned integer. `None` when the field is
+    /// missing, holds anything else, or does not fit `T`.
+    fn number<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        if self.skip_space() == b'+' {
+            self.pos += 1;
+        }
+        let start = self.pos;
+        let mut v = 0u64;
+        loop {
+            let b = self.bytes[self.pos];
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                return if self.pos > start && is_space(b) { T::try_from(v).ok() } else { None };
+            }
+            v = v.checked_mul(10)?.checked_add(digit.into())?;
+            self.pos += 1;
+        }
+    }
+
+    /// The next field as a `T`, or `missing/bad <name>`.
+    fn field<T: TryFrom<u64>>(&mut self, name: &str) -> Result<T, String> {
+        self.number().ok_or_else(|| format!("missing/bad {name}"))
+    }
+
+    /// Move to the line's `\n`; whether the bytes passed on the way are
+    /// ASCII.
+    fn seek_line_end(&mut self) -> bool {
+        let mut ascii = true;
+        loop {
+            let b = self.bytes[self.pos];
+            if b == b'\n' {
+                return ascii;
+            }
+            ascii &= b.is_ascii();
+            self.pos += 1;
+        }
+    }
+}
+
+/// The header line: `acttrace v1 <code_len>`.
+fn header(f: &mut Fields<'_>) -> Result<usize, String> {
+    if f.token() != b"acttrace" || f.token() != b"v1" {
+        return Err("bad header".into());
+    }
+    let code_len: u64 = f.number().ok_or("bad code_len")?;
+    if code_len > MAX_CODE_LEN {
+        return Err(format!("code_len {code_len} exceeds the {MAX_CODE_LEN} cap"));
+    }
+    Ok(code_len as usize)
+}
+
+/// One record line. Fields are checked in order — the tag is read first
+/// but judged after `seq`, `cycle` and `tid` — and a `tid` or `pc` must fit
+/// a `u32`.
+fn record(f: &mut Fields<'_>) -> Result<TraceRecord, String> {
+    let tag = f.token();
+    if tag.is_empty() {
+        return Err("missing tag".into());
+    }
+    let seq = f.field("seq")?;
+    let cycle = f.field("cycle")?;
+    let tid = f.field("tid")?;
     let (pc, kind) = match tag {
-        "L" => {
-            let pc = field(&mut t, "pc", lineno)?;
-            let addr = field(&mut t, "addr", lineno)?;
-            let dep = match t.next() {
-                None => None,
-                Some(sp) => {
-                    let store_pc: u32 = sp.parse().map_err(|_| bad("bad dep store_pc"))?;
-                    let load_pc = field(&mut t, "dep load_pc", lineno)?;
-                    let inter: u8 = field(&mut t, "dep inter flag", lineno)?;
-                    Some(RawDep { store_pc, load_pc, inter_thread: inter != 0 })
-                }
+        b"L" => {
+            let pc = f.field("pc")?;
+            let addr = f.field("addr")?;
+            let dep = if f.skip_space() == b'\n' {
+                None
+            } else {
+                let store_pc = f.number().ok_or("bad dep store_pc")?;
+                let load_pc = f.field("dep load_pc")?;
+                let inter: u8 = f.field("dep inter flag")?;
+                Some(RawDep { store_pc, load_pc, inter_thread: inter != 0 })
             };
             (pc, TraceKind::Load { addr, dep })
         }
-        "S" => {
-            let pc = field(&mut t, "pc", lineno)?;
-            let addr = field(&mut t, "addr", lineno)?;
-            (pc, TraceKind::Store { addr })
+        b"S" => {
+            let pc = f.field("pc")?;
+            (pc, TraceKind::Store { addr: f.field("addr")? })
         }
-        "B" => {
-            let pc = field(&mut t, "pc", lineno)?;
-            let taken = field::<u64>(&mut t, "taken", lineno)? != 0;
-            (pc, TraceKind::Branch { taken })
+        b"B" => {
+            let pc = f.field("pc")?;
+            (pc, TraceKind::Branch { taken: f.field::<u64>("taken")? != 0 })
         }
-        "T" => (0, TraceKind::ThreadStart),
-        "E" => (0, TraceKind::ThreadEnd),
-        other => return Err(bad(&format!("unknown tag {other}"))),
+        b"T" => (0, TraceKind::ThreadStart),
+        b"E" => (0, TraceKind::ThreadEnd),
+        other => return Err(format!("unknown tag {}", String::from_utf8_lossy(other))),
     };
     Ok(TraceRecord { seq, cycle, tid, pc, kind })
 }
@@ -466,30 +536,6 @@ fn parse_record_line(line: &str, lineno: usize) -> Result<TraceRecord, ParseTrac
 /// Propagates any I/O error from `w`.
 pub fn write_trace<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
     stream_trace(trace, &mut TextTraceSink::new(w))
-}
-
-/// Parse a trace previously produced by [`write_trace`], feeding
-/// [`TextParser`] the chunks `r` buffers.
-///
-/// # Errors
-///
-/// Returns [`ParseTraceError`] on I/O failure or any malformed line.
-pub fn read_trace<R: BufRead>(mut r: R) -> Result<Trace, ParseTraceError> {
-    let mut parser = TextParser::default();
-    let mut builder = TraceBuilder::new();
-    loop {
-        let chunk = match r.fill_buf() {
-            Ok([]) => break,
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        let n = chunk.len();
-        parser.feed(chunk, &mut builder)?;
-        r.consume(n);
-    }
-    parser.finish(&mut builder)?;
-    Ok(builder.into_trace())
 }
 
 /// Serialize `trace` to an in-memory byte buffer — the binary-safe framing
@@ -512,7 +558,7 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] on malformed input, including a line that
-/// is not UTF-8 (the v1 format is text).
+/// is not ASCII.
 pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, ParseTraceError> {
     if bytes.len() > MAX_TRACE_BYTES {
         return Err(ParseTraceError::Malformed {
@@ -523,7 +569,11 @@ pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, ParseTraceError> {
             ),
         });
     }
-    read_trace(bytes)
+    let mut parser = TextParser::default();
+    let mut builder = TraceBuilder::new();
+    parser.feed(bytes, &mut builder)?;
+    parser.finish(&mut builder)?;
+    Ok(builder.into_trace())
 }
 
 #[cfg(test)]
@@ -576,26 +626,26 @@ mod tests {
         let trace = sample();
         let mut buf = Vec::new();
         write_trace(&trace, &mut buf).unwrap();
-        let back = read_trace(buf.as_slice()).unwrap();
+        let back = trace_from_bytes(&buf).unwrap();
         assert_eq!(back.code_len, trace.code_len);
         assert_eq!(back.records, trace.records);
     }
 
     #[test]
     fn rejects_bad_header() {
-        let err = read_trace(&b"nottrace v1 10\n"[..]).unwrap_err();
+        let err = trace_from_bytes(b"nottrace v1 10\n").unwrap_err();
         assert!(matches!(err, ParseTraceError::Malformed { line: 1, .. }));
     }
 
     #[test]
     fn rejects_unknown_tag() {
-        let err = read_trace(&b"acttrace v1 10\nX 1 2 3\n"[..]).unwrap_err();
+        let err = trace_from_bytes(b"acttrace v1 10\nX 1 2 3\n").unwrap_err();
         assert!(err.to_string().contains("unknown tag"));
     }
 
     #[test]
     fn rejects_truncated_record() {
-        let err = read_trace(&b"acttrace v1 10\nS 1 2\n"[..]).unwrap_err();
+        let err = trace_from_bytes(b"acttrace v1 10\nS 1 2\n").unwrap_err();
         assert!(matches!(err, ParseTraceError::Malformed { line: 2, .. }));
     }
 
@@ -619,7 +669,7 @@ mod tests {
 
     #[test]
     fn empty_body_is_an_empty_trace() {
-        let t = read_trace(&b"acttrace v1 99\n"[..]).unwrap();
+        let t = trace_from_bytes(b"acttrace v1 99\n").unwrap();
         assert_eq!(t.code_len, 99);
         assert!(t.records.is_empty());
     }
@@ -627,7 +677,7 @@ mod tests {
     #[test]
     fn rejects_oversized_code_len_before_anything_else() {
         let huge = format!("acttrace v1 {}\n", u64::MAX);
-        let err = read_trace(huge.as_bytes()).unwrap_err();
+        let err = trace_from_bytes(huge.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("cap"), "got: {err}");
     }
 
@@ -674,8 +724,6 @@ mod tests {
             assert_eq!(back.code_len, 42);
             assert_eq!(back.records, trace.records, "chunking seed {seed}");
         }
-        let back = read_trace(std::io::BufReader::with_capacity(7, bytes.as_slice())).unwrap();
-        assert_eq!(back.records, trace.records, "a reader that buffers 7 bytes at a time");
     }
 
     #[test]
@@ -693,7 +741,7 @@ mod tests {
     fn rejects_tid_and_pc_beyond_u32() {
         for line in ["S 1 2 4294967297 7 8", "S 1 2 0 4294967303 8"] {
             let text = format!("acttrace v1 10\n{line}\n");
-            let err = read_trace(text.as_bytes()).unwrap_err();
+            let err = trace_from_bytes(text.as_bytes()).unwrap_err();
             assert!(matches!(err, ParseTraceError::Malformed { line: 2, .. }), "{line}: {err}");
         }
     }
@@ -758,6 +806,318 @@ mod tests {
                 bytes
             })
             .collect()
+    }
+
+    /// The str-based reader the byte parser replaced, kept as its
+    /// reference: each line checked as UTF-8, split with
+    /// `split_whitespace` and read with `str::parse` — plus the one
+    /// intended change, that a line must be ASCII.
+    fn reference_parse(bytes: &[u8]) -> Result<Trace, ParseTraceError> {
+        let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        if lines.last().is_some_and(|l| l.is_empty()) {
+            lines.pop();
+        }
+        if lines.is_empty() {
+            return Err(ParseTraceError::Malformed { line: 1, reason: "empty input".into() });
+        }
+        let mut trace = Trace::default();
+        for (i, line) in lines.into_iter().enumerate() {
+            let lineno = i + 1;
+            let bad = |reason: String| ParseTraceError::Malformed { line: lineno, reason };
+            if line.len() > MAX_LINE_BYTES {
+                return Err(bad(format!("line exceeds the {MAX_LINE_BYTES}-byte cap")));
+            }
+            let text =
+                std::str::from_utf8(line).map_err(|_| bad("line is not valid UTF-8".into()))?;
+            if !text.is_ascii() {
+                return Err(bad("line is not ASCII".into()));
+            }
+            let text = text.strip_suffix('\r').unwrap_or(text);
+            if lineno == 1 {
+                let mut hp = text.split_whitespace();
+                if hp.next() != Some("acttrace") || hp.next() != Some("v1") {
+                    return Err(bad("bad header".into()));
+                }
+                let code_len: u64 = hp
+                    .next()
+                    .and_then(|t| t.parse().ok())
+                    .ok_or_else(|| bad("bad code_len".into()))?;
+                if code_len > MAX_CODE_LEN {
+                    return Err(bad(format!("code_len {code_len} exceeds the {MAX_CODE_LEN} cap")));
+                }
+                trace.code_len = code_len as usize;
+            } else if !text.is_empty() {
+                trace.records.push(parse_record_line(text, lineno)?);
+            }
+        }
+        Ok(trace)
+    }
+
+    /// The next whitespace-separated field of a record line, parsed as `T`.
+    fn ref_field<T: std::str::FromStr>(
+        t: &mut std::str::SplitWhitespace<'_>,
+        name: &str,
+        lineno: usize,
+    ) -> Result<T, ParseTraceError> {
+        t.next().and_then(|v| v.parse().ok()).ok_or_else(|| ParseTraceError::Malformed {
+            line: lineno,
+            reason: format!("missing/bad {name}"),
+        })
+    }
+
+    /// One record line, as the str-based reader parsed it.
+    fn parse_record_line(line: &str, lineno: usize) -> Result<TraceRecord, ParseTraceError> {
+        let mut t = line.split_whitespace();
+        let bad =
+            |reason: &str| ParseTraceError::Malformed { line: lineno, reason: reason.to_string() };
+        let tag = t.next().ok_or_else(|| bad("missing tag"))?;
+        let seq = ref_field(&mut t, "seq", lineno)?;
+        let cycle = ref_field(&mut t, "cycle", lineno)?;
+        let tid = ref_field(&mut t, "tid", lineno)?;
+        let (pc, kind) = match tag {
+            "L" => {
+                let pc = ref_field(&mut t, "pc", lineno)?;
+                let addr = ref_field(&mut t, "addr", lineno)?;
+                let dep = match t.next() {
+                    None => None,
+                    Some(sp) => {
+                        let store_pc: u32 = sp.parse().map_err(|_| bad("bad dep store_pc"))?;
+                        let load_pc = ref_field(&mut t, "dep load_pc", lineno)?;
+                        let inter: u8 = ref_field(&mut t, "dep inter flag", lineno)?;
+                        Some(RawDep { store_pc, load_pc, inter_thread: inter != 0 })
+                    }
+                };
+                (pc, TraceKind::Load { addr, dep })
+            }
+            "S" => {
+                let pc = ref_field(&mut t, "pc", lineno)?;
+                let addr = ref_field(&mut t, "addr", lineno)?;
+                (pc, TraceKind::Store { addr })
+            }
+            "B" => {
+                let pc = ref_field(&mut t, "pc", lineno)?;
+                let taken = ref_field::<u64>(&mut t, "taken", lineno)? != 0;
+                (pc, TraceKind::Branch { taken })
+            }
+            "T" => (0, TraceKind::ThreadStart),
+            "E" => (0, TraceKind::ThreadEnd),
+            other => return Err(bad(&format!("unknown tag {other}"))),
+        };
+        Ok(TraceRecord { seq, cycle, tid, pc, kind })
+    }
+
+    /// 1,200 seeded ASCII inputs aimed at the grammar's edges: good and bad
+    /// headers, all five tags and unknown ones, runs of each separator,
+    /// `+`, `-` and missing fields, values at and past the `u8`, `u32` and
+    /// `u64` maximums, CRLF endings, blank lines and extra fields.
+    fn grammar_inputs() -> Vec<Vec<u8>> {
+        use proptest::prelude::*;
+        // `\n` last: a clean input draws its separators from the first five.
+        const SEPARATORS: &[u8] = b"\t\x0B\x0C\r \n";
+        const VALUES: &[&str] = &[
+            "0",
+            "7",
+            "+7",
+            "-3",
+            "+",
+            "-",
+            "",
+            "007",
+            "+0",
+            "1x",
+            "x",
+            "++1",
+            "255",
+            "256",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999",
+            "000000000000000000000000042",
+        ];
+        const TAGS: &[&str] = &["L", "S", "B", "T", "E", "X", "l", "LL", "#", "+1"];
+        // The first seven are good.
+        const HEADERS: &[&str] = &[
+            "acttrace v1 42",
+            "acttrace v1 +42",
+            "acttrace v1 0",
+            "acttrace v1 4294967295",
+            "acttrace  v1\t42 extra",
+            " acttrace v1 42",
+            "acttrace v1 42\r",
+            "acttrace v1 4294967296",
+            "acttrace v1 -1",
+            "acttrace v1",
+            "acttrace v2 42",
+            "ACTTRACE v1 42",
+            "acttracev1 42",
+            "",
+        ];
+        (0..1200u64)
+            .map(|case| {
+                let mut rng = proptest::rng_for("grammar_inputs", case);
+                let pick = |rng: &mut proptest::TestRng, n: usize| (0..n).generate(rng);
+                // Half the inputs are clean: every line well formed.
+                let clean = pick(&mut rng, 2) == 0;
+                let kinds = if clean { 5 } else { 6 };
+                let sep = |rng: &mut proptest::TestRng| -> Vec<u8> {
+                    // Mostly one space; otherwise a run of one separator
+                    // byte, or a mixed run.
+                    match pick(rng, 8) {
+                        0..=4 => b" ".to_vec(),
+                        5 | 6 => vec![SEPARATORS[pick(rng, kinds)]; pick(rng, 3) + 1],
+                        _ => (0..pick(rng, 4) + 1).map(|_| SEPARATORS[pick(rng, kinds)]).collect(),
+                    }
+                };
+                let mut out = Vec::new();
+                let headers = if clean { 7 } else { HEADERS.len() };
+                out.extend_from_slice(HEADERS[pick(&mut rng, headers)].as_bytes());
+                for _ in 0..pick(&mut rng, 9) {
+                    // After a blank line, `\r\r\n` leaves a line of one `\r`.
+                    out.extend_from_slice(match pick(&mut rng, 12) {
+                        0 => b"\r\n",
+                        1 if !clean => b"\r\r\n",
+                        _ => b"\n",
+                    });
+                    if pick(&mut rng, 12) == 0 {
+                        continue; // a blank line
+                    }
+                    if pick(&mut rng, 10) == 0 {
+                        out.extend_from_slice(&sep(&mut rng));
+                    }
+                    let valid = clean || pick(&mut rng, 3) != 0;
+                    let tag = if valid {
+                        TAGS[pick(&mut rng, 5)]
+                    } else {
+                        TAGS[pick(&mut rng, TAGS.len())]
+                    };
+                    out.extend_from_slice(tag.as_bytes());
+                    let arity = match (valid, tag) {
+                        (true, "L") => [5, 8][pick(&mut rng, 2)],
+                        (true, "S" | "B") => 5,
+                        (true, _) => 3,
+                        (false, _) => pick(&mut rng, 10),
+                    };
+                    for _ in 0..arity {
+                        out.extend_from_slice(&sep(&mut rng));
+                        let value = if clean || valid && pick(&mut rng, 8) != 0 {
+                            // In range for every field, inter flag included.
+                            pick(&mut rng, 256).to_string()
+                        } else {
+                            VALUES[pick(&mut rng, VALUES.len())].to_string()
+                        };
+                        out.extend_from_slice(value.as_bytes());
+                    }
+                    if pick(&mut rng, 8) == 0 {
+                        out.extend_from_slice(b" 1 2 extra");
+                    }
+                }
+                if pick(&mut rng, 3) != 0 {
+                    out.push(b'\n');
+                }
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn byte_parser_matches_the_str_reference() {
+        let mut inputs = vec![trace_to_bytes(&sample())];
+        inputs.extend(mutated_inputs());
+        inputs.extend(grammar_inputs());
+        let mut accepted = 0;
+        for (case, bytes) in inputs.iter().enumerate() {
+            let reference = verdict(reference_parse(bytes));
+            accepted += usize::from(reference.is_ok());
+            let show = String::from_utf8_lossy(bytes);
+            assert_eq!(verdict(trace_from_bytes(bytes)), reference, "input {case}: {show:?}");
+            for seed in [case as u64, case as u64 + 7919] {
+                let chunked = verdict(parse_chunked(bytes, seed));
+                assert_eq!(chunked, reference, "input {case}, chunking {seed}: {show:?}");
+            }
+        }
+        // Both verdicts are well represented, so neither path goes untested.
+        assert!(accepted > 600 && inputs.len() - accepted > 600, "{accepted}/{}", inputs.len());
+    }
+
+    #[test]
+    fn a_line_of_unicode_separators_is_not_ascii() {
+        // U+3000 is whitespace to `split_whitespace`, so the str reader took
+        // this line as a record; the format is ASCII, and it is now refused.
+        let line = "S\u{3000}1\u{3000}2 0 7 8";
+        assert!(parse_record_line(line, 2).is_ok(), "the str reader accepted it");
+        let err = trace_from_bytes(format!("acttrace v1 10\n{line}\n").as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "malformed trace at line 2: line is not ASCII");
+        let err = trace_from_bytes(b"acttrace v1 10\nS 1 2 0 7 \xff\n").unwrap_err();
+        assert_eq!(err.to_string(), "malformed trace at line 2: line is not valid UTF-8");
+    }
+
+    /// A record line as `write!` formats it: the writer's reference.
+    fn reference_line(r: &TraceRecord) -> String {
+        let head = format!("{} {} {}", r.seq, r.cycle, r.tid);
+        match r.kind {
+            TraceKind::Load { addr, dep: None } => format!("L {head} {} {addr}\n", r.pc),
+            TraceKind::Load { addr, dep: Some(d) } => format!(
+                "L {head} {} {addr} {} {} {}\n",
+                r.pc, d.store_pc, d.load_pc, d.inter_thread as u8
+            ),
+            TraceKind::Store { addr } => format!("S {head} {} {addr}\n", r.pc),
+            TraceKind::Branch { taken } => format!("B {head} {} {}\n", r.pc, taken as u8),
+            TraceKind::ThreadStart => format!("T {head}\n"),
+            TraceKind::ThreadEnd => format!("E {head}\n"),
+        }
+    }
+
+    #[test]
+    fn digit_writer_matches_format() {
+        use proptest::prelude::*;
+        let edge64 = [0, 1, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        let edge32 = [0, 1, 9, 10, u32::MAX - 1, u32::MAX];
+        for case in 0..200u64 {
+            let mut rng = proptest::rng_for("digit_writer_matches_format", case);
+            let v64 = |rng: &mut proptest::TestRng| match (0..3u8).generate(rng) {
+                0 => edge64[(0..edge64.len()).generate(rng)],
+                1 => any::<u64>().generate(rng) >> (0..64u32).generate(rng),
+                _ => any::<u64>().generate(rng),
+            };
+            let v32 = |rng: &mut proptest::TestRng| match (0..2u8).generate(rng) {
+                0 => edge32[(0..edge32.len()).generate(rng)],
+                _ => any::<u32>().generate(rng) >> (0..32u32).generate(rng),
+            };
+            let code_len = [0, 42, u32::MAX as usize][(case % 3) as usize];
+            let mut trace = Trace { records: Vec::new(), code_len };
+            for _ in 0..(0..40usize).generate(&mut rng) {
+                let kind = match (0..6u8).generate(&mut rng) {
+                    0 => TraceKind::Load { addr: v64(&mut rng), dep: None },
+                    1 => TraceKind::Load {
+                        addr: v64(&mut rng),
+                        dep: Some(RawDep {
+                            store_pc: v32(&mut rng),
+                            load_pc: v32(&mut rng),
+                            inter_thread: any::<bool>().generate(&mut rng),
+                        }),
+                    },
+                    2 => TraceKind::Store { addr: v64(&mut rng) },
+                    3 => TraceKind::Branch { taken: any::<bool>().generate(&mut rng) },
+                    4 => TraceKind::ThreadStart,
+                    _ => TraceKind::ThreadEnd,
+                };
+                let pc = if matches!(kind, TraceKind::ThreadStart | TraceKind::ThreadEnd) {
+                    0
+                } else {
+                    v32(&mut rng)
+                };
+                let (seq, cycle, tid) = (v64(&mut rng), v64(&mut rng), v32(&mut rng));
+                trace.records.push(TraceRecord { seq, cycle, tid, pc, kind });
+            }
+            let mut expected = format!("acttrace v1 {code_len}\n");
+            expected.extend(trace.records.iter().map(reference_line));
+            let bytes = trace_to_bytes(&trace);
+            assert_eq!(String::from_utf8_lossy(&bytes), expected, "case {case}");
+            let back = trace_from_bytes(&bytes).unwrap();
+            assert_eq!((back.code_len, back.records), (trace.code_len, trace.records));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! writer of each word: the paper forms an invalid dependence `S' -> L`
 //! where `S'` is "the store before the last store to the same address".
 
-use crate::event::{Trace, TraceKind};
+use crate::event::{Trace, TraceKind, TraceRecord};
 use act_sim::events::{RawDep, ThreadId};
 use act_sim::isa::Pc;
 use std::collections::HashMap;
@@ -24,6 +24,8 @@ pub struct DepEvent {
     pub tid: ThreadId,
     /// Global sequence number of the load.
     pub seq: u64,
+    /// Cycle at which the load happened.
+    pub cycle: u64,
     /// The writer *before* the last writer of the word, if any — the store
     /// `S'` used to synthesize a negative example.
     pub prev_writer: Option<(Pc, ThreadId)>,
@@ -42,6 +44,13 @@ impl DepEvent {
 /// Per word address: its last writer, and the writer before that.
 type Writers = HashMap<u64, ((Pc, ThreadId), Option<(Pc, ThreadId)>)>;
 
+/// Record a store: it becomes the word's last writer, and the last writer
+/// before it the previous one.
+fn note_store(writers: &mut Writers, r: &TraceRecord, addr: u64) {
+    let writer = (r.pc, r.tid);
+    writers.entry(addr).and_modify(|w| *w = (writer, Some(w.0))).or_insert((writer, None));
+}
+
 /// Extract all RAW dependences from a trace, in load order.
 ///
 /// Loads of words with no recorded writer form no dependence (e.g. reads of
@@ -52,24 +61,14 @@ pub fn raw_deps(trace: &Trace) -> Vec<DepEvent> {
     let mut out = Vec::new();
     for r in &trace.records {
         match r.kind {
-            TraceKind::Store { addr } => {
-                let entry = writers.entry(addr);
-                match entry {
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        let (last, _) = *o.get();
-                        *o.get_mut() = ((r.pc, r.tid), Some(last));
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(((r.pc, r.tid), None));
-                    }
-                }
-            }
+            TraceKind::Store { addr } => note_store(&mut writers, r, addr),
             TraceKind::Load { addr, .. } => {
                 if let Some(&((wpc, wtid), prev)) = writers.get(&addr) {
                     out.push(DepEvent {
                         dep: RawDep { store_pc: wpc, load_pc: r.pc, inter_thread: wtid != r.tid },
                         tid: r.tid,
                         seq: r.seq,
+                        cycle: r.cycle,
                         prev_writer: prev,
                     });
                 }
@@ -94,18 +93,10 @@ pub fn observed_deps(trace: &Trace) -> Vec<DepEvent> {
     let mut out = Vec::new();
     for r in &trace.records {
         match r.kind {
-            TraceKind::Store { addr } => match writers.entry(addr) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let (last, _) = *o.get();
-                    *o.get_mut() = ((r.pc, r.tid), Some(last));
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(((r.pc, r.tid), None));
-                }
-            },
+            TraceKind::Store { addr } => note_store(&mut writers, r, addr),
             TraceKind::Load { addr, dep: Some(dep) } => {
-                let prev = writers.get(&addr).and_then(|&(_, prev)| prev);
-                out.push(DepEvent { dep, tid: r.tid, seq: r.seq, prev_writer: prev });
+                let prev_writer = writers.get(&addr).and_then(|&(_, prev)| prev);
+                out.push(DepEvent { dep, tid: r.tid, seq: r.seq, cycle: r.cycle, prev_writer });
             }
             _ => {}
         }
@@ -125,7 +116,6 @@ pub fn distinct_deps(deps: &[DepEvent]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceRecord;
 
     fn store(seq: u64, tid: ThreadId, pc: Pc, addr: u64) -> TraceRecord {
         TraceRecord { seq, cycle: seq, tid, pc, kind: TraceKind::Store { addr } }
@@ -203,6 +193,27 @@ mod tests {
         assert_eq!(deps[0].dep.store_pc, 3);
         assert_eq!(deps[1].dep.store_pc, 4);
         assert_eq!(distinct_deps(&deps), 2);
+    }
+
+    #[test]
+    fn observed_deps_carry_the_load_cycle() {
+        let dep = RawDep { store_pc: 5, load_pc: 9, inter_thread: false };
+        let t = Trace {
+            records: vec![
+                store(0, 0, 5, 0x2000),
+                TraceRecord {
+                    seq: 1,
+                    cycle: 70,
+                    tid: 0,
+                    pc: 9,
+                    kind: TraceKind::Load { addr: 0x2000, dep: Some(dep) },
+                },
+            ],
+            code_len: 10,
+        };
+        let deps = observed_deps(&t);
+        assert_eq!((deps[0].seq, deps[0].cycle), (1, 70));
+        assert_eq!(raw_deps(&t)[0].cycle, 70);
     }
 
     #[test]

@@ -110,7 +110,7 @@ proptest! {
     fn trace_io_round_trips(trace in arb_trace()) {
         let mut buf = Vec::new();
         act_trace::io::write_trace(&trace, &mut buf).unwrap();
-        let back = act_trace::io::read_trace(buf.as_slice()).unwrap();
+        let back = act_trace::io::trace_from_bytes(&buf).unwrap();
         prop_assert_eq!(back.code_len, trace.code_len);
         prop_assert_eq!(back.records, trace.records);
     }

@@ -5,11 +5,11 @@ set -eux
 
 cargo fmt --all --check
 # The service stack (daemon, client, gateway, and the queues they share),
-# the trace codec and corpus store under it, and the diagnosis core stay
-# lint-clean. --no-deps keeps the gate on these seven crates: the
-# simulator and NN crates carry findings of their own.
+# the trace codec and corpus store under it, the diagnosis core, the CLI
+# and the metrics crate stay lint-clean. --no-deps keeps the gate on these
+# nine crates: the simulator and NN crates carry findings of their own.
 cargo clippy -p act-serve -p act-client -p act-gate -p act-fleet -p act-trace -p act-store \
-    -p act-core --no-deps --all-targets -- -D warnings
+    -p act-core -p act-cli -p act-obs --no-deps --all-targets -- -D warnings
 cargo build --release
 cargo test -q --release
 # The service benchmark calls act-core, act-trace and act-store functions

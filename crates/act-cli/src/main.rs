@@ -181,7 +181,7 @@ fn main() -> ExitCode {
 }
 
 fn cmd_list() -> ExitCode {
-    println!("{:<36} {:<14} {}", "name", "kind", "description");
+    println!("{:<36} {:<14} description", "name", "kind");
     println!("{}", "-".repeat(90));
     for w in registry::all() {
         let built = w.build(&w.default_params().triggered());

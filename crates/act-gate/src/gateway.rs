@@ -33,13 +33,12 @@
 use crate::health::Health;
 use crate::pool::SessionPool;
 use crate::ring::HashRing;
-use crate::session::{run_gate_session, GateSessionShared};
 use act_client::{ActError, Client, ServerStatus};
 use act_fleet::{BoundedQueue, ModelKey};
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
 };
-use act_serve::conn::{accept_loop, wake, Listener};
+use act_serve::conn::{accept_loop, run_session, wake, Listener, SessionShared, SessionStats};
 use act_serve::{ClientError, Endpoint, Reply, Request};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -99,13 +98,17 @@ impl Default for GateConfig {
 /// [`Registry`] (tests boot several gateways in one process).
 pub struct GateStats {
     registry: Registry,
+    /// What the session loop counts. Its window slots are not reported:
+    /// the gateway's `requests_in_flight` counts admitted forwards.
+    pub(crate) session: Arc<SessionStats>,
     pub(crate) routed: Counter,
     pub(crate) relayed: Counter,
     pub(crate) failovers: Counter,
     pub(crate) busy_failovers: Counter,
     pub(crate) failed: Counter,
+    /// Queue-full refusals, and the session loop's `BUSY`s.
     pub(crate) rejected_busy: Counter,
-    pub(crate) proto_errors: Counter,
+    proto_errors: Counter,
     pub(crate) probes_ok: Counter,
     pub(crate) probes_failed: Counter,
     pub(crate) streams_relayed: Counter,
@@ -115,7 +118,7 @@ pub struct GateStats {
     backends_up: Gauge,
     queue_depth: Gauge,
     uptime_ms: Gauge,
-    pub(crate) sessions_open: Gauge,
+    sessions_open: Gauge,
     requests_in_flight: Gauge,
     service_us: Histogram,
 }
@@ -124,6 +127,7 @@ impl GateStats {
     fn new(backends: usize) -> GateStats {
         let registry = Registry::new();
         GateStats {
+            session: Arc::new(SessionStats::new(&registry, Gauge::default(), Counter::detached())),
             routed: registry.counter("requests_routed"),
             relayed: registry.counter("replies_relayed"),
             failovers: registry.counter("failovers"),
@@ -172,7 +176,9 @@ impl GateStats {
         self.failed.get()
     }
 
-    /// Requests refused because the gateway's own queue was full.
+    /// Requests the gateway refused `BUSY` itself: its queue was full,
+    /// the session's window was full, or the session already had an
+    /// upload open.
     pub fn rejected_busy(&self) -> u64 {
         self.rejected_busy.get()
     }
@@ -237,7 +243,7 @@ impl GateStats {
 pub(crate) struct Forward {
     /// The client session the request arrived on; the reply goes back on
     /// it and releases the request's window slot.
-    pub(crate) session: Arc<GateSessionShared>,
+    pub(crate) session: Arc<SessionShared>,
     /// The client's id for the request.
     pub(crate) request_id: u32,
     pub(crate) request: Request,
@@ -638,7 +644,7 @@ impl Gateway {
                 move || {
                     let session = {
                         let state = state.clone();
-                        move |conn| run_gate_session(conn, &state)
+                        move |conn| run_session(conn, &state)
                     };
                     accept_loop(&listener, &state.shutdown, "act-gate-session", session);
                 },

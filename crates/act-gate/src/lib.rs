@@ -14,10 +14,12 @@
 //! - [`gateway`] — the daemon: acceptor + bounded queue + forwarding
 //!   workers that send each request and settle its answer when it comes
 //!   back (never waiting on a backend), transparent single-retry failover
-//!   to the next ring owner, and an aggregated fleet `STATUS`. Pipelined
-//!   requests from one client session are demultiplexed and routed
-//!   per-request, so each fails over independently; chunked uploads relay
-//!   over a dedicated backend connection.
+//!   to the next ring owner, and an aggregated fleet `STATUS`.
+//! - `session` — where a request goes: each client connection runs
+//!   act-serve's session loop, and the gateway supplies only its
+//!   `STATUS`, its drain, the admission of each pipelined request —
+//!   routed per request, so each fails over independently — and the
+//!   relay of chunked uploads over a dedicated backend connection.
 //!
 //! Clients need no changes: `act request`, `act-client` and act-fleet
 //! campaigns point at the gateway address exactly as they would at a

@@ -8,6 +8,11 @@
 //!   connection and with four pipelined requests in flight on one session;
 //! - a backend answering `BUSY` gets the same failover treatment;
 //! - an upload whose backend is lost mid-relay gets exactly one `ERROR`;
+//! - one raw-frame script of the session rules holds against a daemon and
+//!   against a gateway in front of it: a second `HELLO` is an error, a
+//!   refused or failed upload gets exactly one reply and its later stream
+//!   frames are dropped, a stream frame of no upload is a protocol error,
+//!   and a full window answers `BUSY` — each `BUSY` counted once;
 //! - request payloads and reply payloads pass through byte-identically,
 //!   under the client's request id (proptest over payload shapes);
 //! - `STATUS` aggregates every backend's metrics under one reply;
@@ -291,6 +296,143 @@ fn an_upload_whose_backend_is_lost_mid_relay_gets_one_error() {
 
     gate.shutdown();
     gate.join();
+}
+
+/// A raw session on `addr`: `HELLO` for `window`, ack read.
+fn raw_session(addr: &str, window: u32) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    send_all(&mut stream, 0, &[Request::Hello { window }]);
+    assert_eq!(read_frame(&mut stream).expect("hello ack").kind, FrameKind::HelloAck);
+    stream
+}
+
+/// Send each of `requests` as one frame under request id `id`.
+fn send_all(stream: &mut TcpStream, id: u32, requests: &[Request]) {
+    for request in requests {
+        write_frame(&mut *stream, &request.to_frame().with_request(id)).expect("send");
+    }
+}
+
+/// Read one reply frame: its request id and decoded reply.
+fn read_reply(stream: &mut TcpStream) -> (u32, Reply) {
+    let frame = read_frame(stream).expect("reply frame");
+    (frame.request_id, Reply::from_frame(&frame).expect("decode"))
+}
+
+/// `bytes` as `STREAM_CHUNK`s of `chunk` bytes.
+fn chunks(bytes: &[u8], chunk: usize) -> Vec<Request> {
+    bytes.chunks(chunk).map(|c| Request::StreamChunk(c.to_vec())).collect()
+}
+
+/// The `STREAM_END` that seals an upload of `bytes`.
+fn seal(bytes: &[u8]) -> Request {
+    Request::StreamEnd { crc32: act_store::crc32::crc32(bytes), total_len: bytes.len() as u64 }
+}
+
+/// A session's `STATUS` counter `name` (the gateway's own, not its fleet's).
+fn status_counter(session: &mut TcpStream, id: u32, name: &str) -> u64 {
+    send_all(session, id, &[Request::Status]);
+    let (got, reply) = read_reply(session);
+    let Reply::StatusMetrics(_, snap) = reply else { panic!("expected STATUS, got {reply:?}") };
+    assert_eq!(got, id);
+    snap.counter(name).expect("counter in the snapshot")
+}
+
+/// A backend, and a gateway in front of it: the two ends a client may
+/// speak the session protocol to.
+fn daemon_and_gateway() -> (Server, Gateway) {
+    let backend = boot_backend();
+    let gate = boot_gateway(vec![addr_of(&backend)]);
+    (backend, gate)
+}
+
+#[test]
+fn a_refused_or_failed_upload_gets_exactly_one_reply() {
+    let (backend, gate) = daemon_and_gateway();
+    let spec = tiny_spec("seq", 0);
+    let failing = trace_bytes(0, true);
+    for addr in [addr_of(&backend), gate.tcp_addr().to_string()] {
+        Client::builder().addr(addr.clone()).build().unwrap().train(&spec).expect("warm");
+        let mut session = raw_session(&addr, 4);
+        let start = Request::DiagnoseStart(spec.clone());
+
+        // A second HELLO: one ERROR, and the session goes on.
+        send_all(&mut session, 9, &[Request::Hello { window: 4 }]);
+        assert_eq!(read_reply(&mut session), (9, Reply::Error("session already open".into())));
+
+        // A bad record line in the first chunk: one ERROR naming the line,
+        // and the upload's two later chunks and STREAM_END go unanswered.
+        let upload = b"acttrace v1 10\nS 1 2 0 7 8\nX not a record\nS 3 4 0 7 8\n";
+        let (head, tail) = upload.split_at(42);
+        send_all(&mut session, 1, &[start.clone(), Request::StreamChunk(head.to_vec())]);
+        send_all(&mut session, 1, &chunks(tail, 6));
+        send_all(&mut session, 1, &[seal(upload)]);
+        let (id, reply) = read_reply(&mut session);
+        let Reply::Error(why) = reply else { panic!("{addr}: expected an ERROR, got {reply:?}") };
+        assert_eq!(id, 1);
+        assert!(why.contains("bad trace payload") && why.contains("line 3"), "{addr}: {why}");
+
+        // A STREAM_END with the wrong CRC: one crc-mismatch ERROR.
+        let wrong = Request::StreamEnd {
+            crc32: act_store::crc32::crc32(&failing) ^ 1,
+            total_len: failing.len() as u64,
+        };
+        send_all(&mut session, 2, &[start.clone(), Request::StreamChunk(failing.clone()), wrong]);
+        let (id, reply) = read_reply(&mut session);
+        assert!(matches!(&reply, Reply::Error(why) if why.contains("crc mismatch")), "{reply:?}");
+        assert_eq!(id, 2);
+
+        // An opener refused BUSY while another upload is open: its frames
+        // are dropped, and the open upload's own frames still reach it.
+        send_all(&mut session, 3, std::slice::from_ref(&start));
+        send_all(&mut session, 4, std::slice::from_ref(&start));
+        assert_eq!(read_reply(&mut session), (4, Reply::Busy));
+        send_all(&mut session, 4, &chunks(&failing, 64));
+        send_all(&mut session, 3, &chunks(&failing, 64));
+        send_all(&mut session, 4, &[seal(&failing)]);
+        send_all(&mut session, 3, &[seal(&failing)]);
+        let (id, reply) = read_reply(&mut session);
+        assert!(matches!(reply, Reply::Diagnosis(_)), "{addr}: {reply:?}");
+        assert_eq!(id, 3);
+
+        // The client made no protocol error, and the BUSY was counted.
+        assert_eq!(status_counter(&mut session, 5, "protocol_errors"), 0, "{addr}");
+        assert_eq!(status_counter(&mut session, 5, "requests_rejected_busy"), 1, "{addr}");
+
+        // A STREAM_END under an id that never opened an upload is one.
+        send_all(&mut session, 6, &[seal(&failing)]);
+        let reply = Reply::Error("stream frame outside an open stream".into());
+        assert_eq!(read_reply(&mut session), (6, reply), "{addr}");
+        assert_eq!(status_counter(&mut session, 7, "protocol_errors"), 1, "{addr}");
+    }
+
+    gate.shutdown();
+    gate.join();
+    backend.shutdown();
+    backend.join();
+}
+
+#[test]
+fn a_full_window_answers_busy_and_counts_it() {
+    let (backend, gate) = daemon_and_gateway();
+    let sleeper = Request::Train(ModelSpec { seed: 500, ..ModelSpec::new("__sleep") });
+    for addr in [addr_of(&backend), gate.tcp_addr().to_string()] {
+        let mut session = raw_session(&addr, 2);
+        for id in 1..=3 {
+            send_all(&mut session, id, std::slice::from_ref(&sleeper));
+        }
+        let mut replies: Vec<_> = (0..3).map(|_| read_reply(&mut session)).collect();
+        replies.sort_by_key(|&(id, _)| id);
+        let slept = Reply::Trained("slept 500ms".into());
+        assert_eq!(replies, [(1, slept.clone()), (2, slept), (3, Reply::Busy)], "{addr}");
+        assert_eq!(status_counter(&mut session, 4, "requests_rejected_busy"), 1, "{addr}");
+    }
+    assert_eq!(gate.stats().rejected_busy(), 1);
+
+    gate.shutdown();
+    gate.join();
+    backend.shutdown();
+    backend.join();
 }
 
 /// One raw framed exchange with the gateway, no client-library smarts.

@@ -1,13 +1,21 @@
-//! Connection plumbing shared by `act serve` and `act gate`: the Tcp/Unix
-//! listener and socket types, the one accept loop both daemons run, the
-//! wake-up a drain sends it, the frame read a session loop blocks in, the
-//! in-flight window, and the uploads whose stream frames a session drops.
+//! The connection model of `act serve` and `act gate`: the Tcp/Unix
+//! listener and socket types, the one accept loop both daemons run and
+//! the wake-up a drain sends it, and the one session loop both run on
+//! every connection, [`run_session`].
 //!
 //! The acceptor blocks in `accept` and never reads: every connection is a
 //! session on a thread of its own. Its first frame decides the window: a
 //! `HELLO` asks for one (capped at [`SESSION_WINDOW`]), and any other first
 //! frame opens a window-1 session with that frame as its first request —
 //! so a client that wants one reply still sends one frame and reads one.
+//!
+//! The session loop owns the protocol: `STATUS` and `SHUTDOWN` are
+//! answered at the session, every other request claims a window slot or
+//! gets `BUSY`, a session has one upload open at most, a refused or
+//! failed upload's later stream frames are dropped, and any other stray
+//! stream frame is a protocol error. A daemon plugs in through
+//! [`SessionHost`]: its `STATUS`, its drain, where a request goes, and
+//! what an upload does with its frames.
 //!
 //! Every TCP socket either daemon accepts or connects has `TCP_NODELAY`
 //! set. Frames are written whole, one `write_all` each, so Nagle's
@@ -16,13 +24,15 @@
 //! delayed ACK fires, up to 40 ms later.
 
 use crate::client::{connect_tcp, ClientConfig, Endpoint};
-use crate::proto::{read_frame, Frame, FrameKind, ProtoError, Request};
-use act_obs::{events, Level};
+use crate::proto::{encode_frame, read_frame, write_frame, Frame, FrameKind, ProtoError};
+use crate::proto::{Reply, Request};
+use act_obs::{events, Counter, Gauge, Level, Registry};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Ceiling on the in-flight window a `HELLO` can ask for (and what a
@@ -233,12 +243,295 @@ impl Conn {
     }
 }
 
+/// The counters every session of one daemon keeps in that daemon's
+/// registry: frames read and written per [`FrameKind`] (`req_*`,
+/// `reply_*`), `protocol_errors`, the `BUSY`s the session loop writes
+/// (`requests_rejected_busy`) and `sessions_open`. The window slots held
+/// and the chunk bytes read go where the daemon says. Cells are found by
+/// name, so a daemon reads them through handles of its own.
+pub struct SessionStats {
+    frames: Vec<Counter>,
+    proto_errors: Counter,
+    rejected_busy: Counter,
+    sessions_open: Gauge,
+    slots: Gauge,
+    chunk_bytes: Counter,
+}
+
+impl SessionStats {
+    /// The session counters in `registry`, plus where the window slots
+    /// held and the `STREAM_CHUNK` bytes read are counted.
+    pub fn new(registry: &Registry, slots: Gauge, chunk_bytes: Counter) -> SessionStats {
+        SessionStats {
+            frames: FrameKind::COUNTERS.iter().map(|(_, name)| registry.counter(name)).collect(),
+            proto_errors: registry.counter("protocol_errors"),
+            rejected_busy: registry.counter("requests_rejected_busy"),
+            sessions_open: registry.gauge("sessions_open"),
+            slots,
+            chunk_bytes,
+        }
+    }
+
+    /// Count one frame read or written, by its kind.
+    pub(crate) fn note_frame(&self, kind: FrameKind) {
+        self.frames[kind.index()].inc();
+    }
+}
+
+/// The half of a session its reader shares with whoever answers its
+/// requests: the write side of the socket, the in-flight window, and the
+/// daemon's session counters. A frame goes out whole under the writer
+/// lock, so replies written by concurrent threads never interleave.
+pub struct SessionShared {
+    writer: Mutex<Conn>,
+    window: Window,
+    stats: Arc<SessionStats>,
+}
+
+impl SessionShared {
+    /// Count and write one reply frame tagged with the request id it
+    /// answers.
+    pub fn send(&self, request_id: u32, reply: &Reply) {
+        let frame = reply.to_frame().with_request(request_id);
+        self.stats.note_frame(frame.kind);
+        let mut w = self.writer.lock().expect("session writer lock");
+        // A vanished client is noticed by the session reader; move on.
+        let _ = write_frame(&mut *w, &frame);
+    }
+
+    /// Send the final reply for a request holding a window slot,
+    /// releasing the slot first: a client may send its next request the
+    /// moment the reply lands, and must not find the slot still taken.
+    pub fn send_final(&self, request_id: u32, reply: &Reply) {
+        self.release();
+        self.send(request_id, reply);
+    }
+
+    /// Send the final replies for several requests of one micro-batch in
+    /// a single buffered write: every slot is released first (as in
+    /// [`SessionShared::send_final`]), then one write under one lock —
+    /// where a coalesced batch's reply-side win comes from.
+    pub(crate) fn send_final_batch(&self, replies: &[(u32, Reply)]) {
+        for _ in replies {
+            self.release();
+        }
+        let mut buf = Vec::new();
+        for (request_id, reply) in replies {
+            let frame = reply.to_frame().with_request(*request_id);
+            self.stats.note_frame(frame.kind);
+            encode_frame(&mut buf, &frame);
+        }
+        let mut w = self.writer.lock().expect("session writer lock");
+        // A vanished client is noticed by the session reader; move on.
+        let _ = w.write_all(&buf).and_then(|()| w.flush());
+    }
+
+    /// Claim one window slot; `false` means the window is full.
+    fn claim(&self) -> bool {
+        let claimed = self.window.claim();
+        if claimed {
+            self.stats.slots.add(1);
+        }
+        claimed
+    }
+
+    /// Give back a slot taken by [`SessionShared::claim`].
+    fn release(&self) {
+        self.window.release();
+        self.stats.slots.add(-1);
+    }
+
+    /// Answer `BUSY` to a request that holds no slot, counting it.
+    fn refuse(&self, request_id: u32) {
+        self.stats.rejected_busy.inc();
+        self.send(request_id, &Reply::Busy);
+    }
+}
+
+/// What a daemon plugs into the one session loop, [`run_session`]. The
+/// loop owns the protocol; a daemon supplies only what differs: its
+/// `STATUS` and its drain, where a request that holds a window slot goes,
+/// and what an upload does with its frames.
+pub trait SessionHost {
+    /// One upload in progress: opened by its `TRACE_PUT_START` or
+    /// `DIAGNOSE_START`, fed its chunks, sealed by its `STREAM_END`.
+    type Upload;
+
+    /// The counters every session of this daemon keeps.
+    fn session_stats(&self) -> &Arc<SessionStats>;
+    /// Set once the daemon drains; a session then stops reading.
+    fn draining(&self) -> &AtomicBool;
+    /// The read/write timeout of a session's socket.
+    fn io_timeout(&self) -> Duration;
+
+    /// The `STATUS` reply.
+    fn status(&self) -> Reply;
+    /// Begin the drain a `SHUTDOWN` asks for; the loop answers `BYE` once
+    /// this returns.
+    fn shutdown(&self);
+    /// Take a `TRAIN`, `DIAGNOSE`, `TRACE_PUT` or `TRACE_GET` that holds a
+    /// window slot. Its final reply goes out on `session` through
+    /// [`SessionShared::send_final`], now or later.
+    fn route(&self, session: &Arc<SessionShared>, request_id: u32, request: Request);
+    /// Open the upload `opener` asks for; an `Err` is the final reply that
+    /// refuses it.
+    fn open(&self, opener: Request) -> Result<Self::Upload, Reply>;
+    /// Feed the upload one `STREAM_CHUNK`'s bytes; an `Err` is the final
+    /// reply that fails it.
+    fn chunk(&self, upload: &mut Self::Upload, bytes: Vec<u8>) -> Result<(), Reply>;
+    /// Seal the upload at its `STREAM_END`. As with
+    /// [`SessionHost::route`], its final reply goes out on `session`.
+    fn end(
+        self: Arc<Self>,
+        session: &Arc<SessionShared>,
+        request_id: u32,
+        upload: Self::Upload,
+        crc32: u32,
+        total_len: u64,
+    );
+    /// Drop an upload still open when its connection closed; the loop
+    /// frees its slot.
+    fn abandon(&self, upload: Self::Upload);
+}
+
+/// Drive one connection from its first frame until the client closes, the
+/// daemon drains, or the byte stream breaks (see the module docs for the
+/// rules). Replies are written by whichever thread finishes a request —
+/// out of order is the point — while this thread keeps reading.
+pub fn run_session<H: SessionHost>(mut conn: Conn, host: &Arc<H>) {
+    let (io_timeout, draining) = (host.io_timeout(), host.draining());
+    let _ = conn.set_write_timeout(Some(io_timeout));
+    let Ok(writer) = conn.try_clone() else { return };
+    let Some(first) = next_frame(&mut conn, io_timeout, draining) else { return };
+    let hello = first.as_ref().ok().and_then(|f| Some((f.request_id, Window::asked_by(f)?)));
+    let stats = host.session_stats();
+    let session = Arc::new(SessionShared {
+        writer: Mutex::new(writer),
+        window: Window::new(hello.map_or(1, |(_, window)| window)),
+        stats: stats.clone(),
+    });
+    // Counted before the ack goes out, so a client holding the ack never
+    // reads a STATUS that misses its own session.
+    stats.sessions_open.add(1);
+    let mut pending = match hello {
+        Some((hello_id, window)) => {
+            stats.note_frame(FrameKind::Hello);
+            session.send(hello_id, &Reply::HelloAck { window });
+            None
+        }
+        None => Some(first),
+    };
+    let mut upload: Option<(u32, H::Upload)> = None;
+    let mut dead = DeadUploads::default();
+
+    while let Some(next) = pending.take().or_else(|| next_frame(&mut conn, io_timeout, draining)) {
+        let frame = match next {
+            Ok(frame) => frame,
+            Err(e) => {
+                // The stream position is unknown (or the peer speaks
+                // another version): answer once, then close.
+                stats.proto_errors.inc();
+                session.send(0, &Reply::Error(format!("bad frame: {e}")));
+                conn.shutdown();
+                break;
+            }
+        };
+        let request_id = frame.request_id;
+        let request = match Request::from_frame(&frame) {
+            Ok(r) => r,
+            Err(e) => {
+                // Framing is intact — only this request is malformed.
+                stats.proto_errors.inc();
+                session.send(request_id, &Reply::Error(format!("bad request: {e}")));
+                continue;
+            }
+        };
+        stats.note_frame(frame.kind);
+        if let Request::StreamChunk(bytes) = &request {
+            stats.chunk_bytes.add(bytes.len() as u64);
+        }
+        match request {
+            Request::Hello { .. } => {
+                session.send(request_id, &Reply::Error("session already open".into()));
+            }
+            Request::Status => session.send(request_id, &host.status()),
+            Request::Shutdown => {
+                // Draining before the BYE goes out, so a client holding the
+                // BYE never finds the daemon still accepting.
+                host.shutdown();
+                session.send(request_id, &Reply::Bye);
+                break;
+            }
+            opener @ (Request::TracePutStart { .. } | Request::DiagnoseStart(_)) => {
+                // One upload per session, and it needs a slot; the client
+                // retries.
+                if upload.is_some() || !session.claim() {
+                    session.refuse(request_id);
+                    dead.insert(request_id);
+                    continue;
+                }
+                match host.open(opener) {
+                    Ok(open) => upload = Some((request_id, open)),
+                    Err(reply) => {
+                        if reply == Reply::Busy {
+                            stats.rejected_busy.inc();
+                        }
+                        session.send_final(request_id, &reply);
+                        dead.insert(request_id);
+                    }
+                }
+            }
+            Request::StreamChunk(_) | Request::StreamEnd { .. }
+                if upload.as_ref().is_none_or(|(id, _)| *id != request_id) =>
+            {
+                // A refused or failed upload's frame is dropped; any other
+                // belongs to no upload.
+                if !dead.absorbs(request_id, frame.kind == FrameKind::StreamEnd) {
+                    stats.proto_errors.inc();
+                    let reply = Reply::Error("stream frame outside an open stream".into());
+                    session.send(request_id, &reply);
+                }
+            }
+            Request::StreamChunk(bytes) => {
+                let (_, open) = upload.as_mut().expect("an upload of this id is open");
+                if let Err(reply) = host.chunk(open, bytes) {
+                    // The rest of the failed upload's frames are dropped.
+                    upload = None;
+                    dead.insert(request_id);
+                    session.send_final(request_id, &reply);
+                }
+            }
+            Request::StreamEnd { crc32, total_len } => {
+                let (_, open) = upload.take().expect("an upload of this id is open");
+                Arc::clone(host).end(&session, request_id, open, crc32, total_len);
+            }
+            routable @ (Request::Train(_)
+            | Request::Diagnose(..)
+            | Request::TracePut { .. }
+            | Request::TraceGet { .. }) => {
+                if session.claim() {
+                    host.route(&session, request_id, routable);
+                } else {
+                    // Window exhausted: BUSY for this request only.
+                    session.refuse(request_id);
+                }
+            }
+        }
+    }
+    if let Some((_, open)) = upload {
+        // The client vanished mid-upload.
+        host.abandon(open);
+        session.release();
+    }
+    stats.sessions_open.add(-1);
+}
+
 /// Wait for the next frame on `conn`. Blocks at most 25 ms at a time
 /// for the frame's first byte (an all-or-nothing one-byte read, so an idle
 /// timeout never strands a partial header), re-checking `shutdown` in
 /// between; once a frame has started, the rest must arrive within
 /// `io_timeout`. `None` means the peer closed or the daemon is draining.
-pub fn next_frame(
+fn next_frame(
     conn: &mut Conn,
     io_timeout: Duration,
     shutdown: &AtomicBool,
@@ -260,11 +553,11 @@ pub fn next_frame(
     Some(read_frame((&first[..]).chain(&mut *conn)))
 }
 
-/// The in-flight account of one session: how many of its requests have
-/// been claimed and not yet answered, against the window its first frame
-/// set.
+/// The in-flight account of one session: how many of its requests hold a
+/// slot and have not been answered yet, against the window its first
+/// frame set.
 #[derive(Debug)]
-pub struct Window {
+struct Window {
     cap: u32,
     in_flight: AtomicU32,
 }
@@ -274,7 +567,7 @@ impl Window {
     /// well-formed `HELLO` gets its ask capped at [`SESSION_WINDOW`] (0
     /// asks for the cap). `None` for any other first frame, whose session
     /// gets a window of 1.
-    pub fn asked_by(first: &Frame) -> Option<u32> {
+    fn asked_by(first: &Frame) -> Option<u32> {
         if first.kind != FrameKind::Hello {
             return None;
         }
@@ -286,14 +579,14 @@ impl Window {
     }
 
     /// An empty window of `cap` slots.
-    pub fn new(cap: u32) -> Window {
+    fn new(cap: u32) -> Window {
         Window { cap, in_flight: AtomicU32::new(0) }
     }
 
     /// Claim one slot; `false` means the window is full and the request
     /// must be answered `BUSY`. Only the session's reader claims, so a
     /// load-then-add cannot race another claimer.
-    pub fn claim(&self) -> bool {
+    fn claim(&self) -> bool {
         if self.in_flight.load(Ordering::SeqCst) >= self.cap {
             return false;
         }
@@ -305,7 +598,7 @@ impl Window {
     /// final reply: the reply tells the client the slot is free, so a
     /// client that sends its next request the moment a reply lands must
     /// never race a late release into `BUSY`.
-    pub fn release(&self) {
+    fn release(&self) {
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -318,11 +611,11 @@ impl Window {
 /// [`SESSION_WINDOW`] ids are kept, the oldest going first — a client has
 /// no more than its window of uploads in flight.
 #[derive(Debug, Default)]
-pub struct DeadUploads(VecDeque<u32>);
+struct DeadUploads(VecDeque<u32>);
 
 impl DeadUploads {
     /// Drop the rest of upload `id`'s stream frames.
-    pub fn insert(&mut self, id: u32) {
+    fn insert(&mut self, id: u32) {
         if self.0.len() == SESSION_WINDOW as usize {
             self.0.pop_front();
         }
@@ -331,7 +624,7 @@ impl DeadUploads {
 
     /// Whether a stream frame under `id` belongs to a dead upload, and so
     /// is dropped. A `STREAM_END` (`end`) also forgets the id.
-    pub fn absorbs(&mut self, id: u32, end: bool) -> bool {
+    fn absorbs(&mut self, id: u32, end: bool) -> bool {
         let Some(i) = self.0.iter().position(|&dead| dead == id) else { return false };
         if end {
             self.0.remove(i);

@@ -13,11 +13,12 @@
 //!  clients ── TCP / Unix socket ──► acceptor threads (accept only)
 //!                                          │ one thread per connection
 //!                                          ▼
-//!        session reader: first frame HELLO → asked window, else window 1;
-//!        STATUS / SHUTDOWN answered here; streamed chunks decoded here
-//!                                          │
+//!   session loop (conn::run_session, act-gate runs it too): first frame
+//!   HELLO → asked window, else window 1; STATUS / SHUTDOWN answered here;
+//!   window full ──► BUSY; uploads routed by request id
+//!                                          │ SessionHost: the daemon
 //!                                          ▼
-//!                    BoundedQueue<Job>  ── full ──► BUSY reply
+//!      streamed chunks parsed or stored; BoundedQueue<Job> ── full ──► BUSY
 //!                                          │
 //!                                          ▼
 //!                            worker pool (catch_unwind)
@@ -33,10 +34,10 @@
 //!   `PROTOCOL.md` for the wire spec).
 //! - [`conn`] — what both daemons share: the Tcp/Unix [`Listener`] and
 //!   [`Conn`], the one blocking accept loop and the wake-up a drain sends
-//!   it, the polled frame read, the in-flight [`Window`], and the
-//!   [`conn::DeadUploads`] whose stream frames a session drops unanswered.
-//! - [`server`] — listeners, acceptors, session readers, backpressure,
-//!   graceful drain.
+//!   it, and the one session loop with the [`conn::SessionHost`] trait a
+//!   daemon plugs into it.
+//! - [`server`] — listeners, acceptors, the daemon's session host,
+//!   backpressure, graceful drain.
 //! - [`pool`] — crash-isolated request workers.
 //! - [`cache`] — the LRU model cache keyed by (workload, topology, seed),
 //!   persisted through `act-core`'s weight store.
@@ -52,6 +53,6 @@ pub mod server;
 
 pub use cache::{CacheOutcome, Model, ModelCache, ModelKey};
 pub use client::{connect_tcp, ClientConfig, ClientError, Endpoint, RetryPolicy};
-pub use conn::{Conn, Listener, Window, SESSION_WINDOW};
+pub use conn::{Conn, Listener, SESSION_WINDOW};
 pub use proto::{Frame, FrameKind, ModelSpec, ProtoError, Reply, Request};
 pub use server::{ServeConfig, Server, ServerStats};

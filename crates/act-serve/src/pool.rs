@@ -21,8 +21,9 @@
 //! their per-request semantics (panic/sleep injection) must hold exactly.
 
 use crate::cache::{CacheOutcome, ModelCache, ModelKey};
+use crate::conn::SessionShared;
 use crate::proto::{ModelSpec, Reply, Request};
-use crate::server::{stored_summary, ServerStats, SessionShared};
+use crate::server::{stored_summary, ServerStats};
 use act_core::diagnosis::{diagnose_trace, diagnose_trace_batch};
 use act_core::postprocess::Diagnosis;
 use act_fleet::{panic_message, BoundedQueue};
@@ -45,8 +46,8 @@ pub(crate) struct Responder {
 
 impl Responder {
     /// Write `reply` onto the session and release the request's slot.
-    pub(crate) fn respond(self, reply: &Reply, stats: &ServerStats) {
-        self.session.send_final(self.request_id, reply, stats);
+    pub(crate) fn respond(self, reply: &Reply) {
+        self.session.send_final(self.request_id, reply);
     }
 }
 
@@ -191,7 +192,7 @@ fn process(job: Job, cache: &ModelCache, stats: &ServerStats, deadline: Duration
         }
     };
     count_reply(&reply, stats);
-    responder.respond(&reply, stats);
+    responder.respond(&reply);
 }
 
 /// Execute one gathered micro-batch: per-member deadline checks and trace
@@ -293,7 +294,7 @@ fn process_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadl
     for (_, reply) in &finished {
         count_reply(reply, stats);
     }
-    respond_batch(finished, stats);
+    respond_batch(finished);
 }
 
 /// One session's share of a batch: its replies, by request id.
@@ -301,7 +302,7 @@ type SessionReplies = (Arc<SessionShared>, Vec<(u32, Reply)>);
 
 /// Deliver a batch's replies: replies sharing a session are concatenated
 /// into a single buffered write via [`SessionShared::send_final_batch`].
-fn respond_batch(finished: Vec<(Responder, Reply)>, stats: &ServerStats) {
+fn respond_batch(finished: Vec<(Responder, Reply)>) {
     let mut sessions: Vec<SessionReplies> = Vec::new();
     for (Responder { session, request_id }, reply) in finished {
         match sessions.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &session)) {
@@ -311,9 +312,9 @@ fn respond_batch(finished: Vec<(Responder, Reply)>, stats: &ServerStats) {
     }
     for (shared, replies) in sessions {
         if let [(request_id, reply)] = &replies[..] {
-            shared.send_final(*request_id, reply, stats);
+            shared.send_final(*request_id, reply);
         } else {
-            shared.send_final_batch(&replies, stats);
+            shared.send_final_batch(&replies);
         }
     }
 }
@@ -373,11 +374,7 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
             Reply::Diagnosis(render_diagnosis(&spec.workload, outcome, &diag))
         }
         Request::TracePut { key, workload, trace } => {
-            let Some(corpus) = cache.corpus() else {
-                return Reply::Error(
-                    "no corpus store configured; start the daemon with --corpus".into(),
-                );
-            };
+            let Some(corpus) = cache.corpus() else { return no_corpus() };
             let mut c = corpus.lock().expect("corpus lock");
             match c.put_trace_bytes(key, workload, trace) {
                 Ok(info) => Reply::Stored(stored_summary(key, &info)),
@@ -385,11 +382,7 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
             }
         }
         Request::TraceGet { key } => {
-            let Some(corpus) = cache.corpus() else {
-                return Reply::Error(
-                    "no corpus store configured; start the daemon with --corpus".into(),
-                );
-            };
+            let Some(corpus) = cache.corpus() else { return no_corpus() };
             let c = corpus.lock().expect("corpus lock");
             match c.get_trace_text(key) {
                 Ok(text) => Reply::TraceData(text),
@@ -405,6 +398,11 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
         | Request::StreamChunk(_)
         | Request::StreamEnd { .. } => Reply::Error("session frames are session-handled".into()),
     }
+}
+
+/// The `ERROR` to a corpus request on a daemon without a corpus store.
+pub(crate) fn no_corpus() -> Reply {
+    Reply::Error("no corpus store configured; start the daemon with --corpus".into())
 }
 
 /// Reserved `__`-prefixed workload names inject faults for testing the

@@ -4,24 +4,27 @@
 //!
 //! Life of a request: an acceptor thread accepts the connection and hands
 //! it to a session thread of its own; the acceptor never reads. The
-//! session's first frame decides its window (see [`crate::conn`]): `HELLO`
-//! asks for one, anything else opens a window-1 session with that frame as
-//! its first request. The session answers `STATUS` and `SHUTDOWN` itself —
-//! always serviceable, even with a full queue — and wraps every other
-//! request into a [`Job`](crate::pool::Job) that it `try_push`es onto the
-//! bounded queue. A full queue or a full window yields an immediate `BUSY`
-//! reply: the request was *refused*, never accepted-then-dropped. Workers
-//! drain the queue (see [`crate::pool`]) and write replies onto the
-//! session; `SHUTDOWN` (or [`Server::shutdown`], which the CLI wires to
-//! SIGINT) wakes the acceptors out of `accept` and stops them, closes the
-//! queue, and lets the workers finish every accepted job before
-//! [`Server::join`] returns.
+//! session runs the loop both daemons share ([`crate::conn::run_session`]):
+//! its first frame decides its window, `STATUS` and `SHUTDOWN` are answered
+//! there — always serviceable, even with a full queue — and every other
+//! request claims a window slot or gets `BUSY`. The daemon is the loop's
+//! [`SessionHost`]: it wraps a claimed request into a
+//! [`Job`](crate::pool::Job) that it `try_push`es onto the bounded queue,
+//! and parses a streamed `DIAGNOSE` or feeds a streamed `TRACE_PUT` to the
+//! corpus as its chunks arrive. A full queue or a full window yields an
+//! immediate `BUSY` reply: the request was *refused*, never
+//! accepted-then-dropped. Workers drain the queue (see [`crate::pool`])
+//! and write replies onto the session; `SHUTDOWN` (or
+//! [`Server::shutdown`], which the CLI wires to SIGINT) wakes the
+//! acceptors out of `accept` and stops them, closes the queue, and lets
+//! the workers finish every accepted job before [`Server::join`] returns.
 
 use crate::cache::{CacheOutcome, ModelCache};
 use crate::client::Endpoint;
-use crate::conn::{accept_loop, next_frame, wake, Conn, DeadUploads, Listener, Window};
-use crate::pool::{spawn_workers, Job, Responder, Work};
-use crate::proto::{encode_frame, write_frame, FrameKind, ModelSpec, Reply, Request};
+use crate::conn::{accept_loop, run_session, wake, Listener};
+use crate::conn::{SessionHost, SessionShared, SessionStats};
+use crate::pool::{no_corpus, spawn_workers, Job, Responder, Work};
+use crate::proto::{ModelSpec, Reply, Request};
 use act_fleet::BoundedQueue;
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
@@ -30,12 +33,12 @@ use act_store::UploadCheck;
 use act_trace::io::{CopyError, ParseTraceError, TextParser, TraceBuilder};
 use act_trace::Trace;
 use std::convert::Infallible;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -97,20 +100,24 @@ impl Default for ServeConfig {
 /// by a per-server [`act_obs::Registry`] so the whole set serializes as
 /// one [`MetricsSnapshot`] in `STATUS` replies. Per-server (not the
 /// process-global registry) because the tests boot several daemons in one
-/// process and their counters must not mix. Frames read and written are
-/// counted per [`FrameKind`]; service time is a fixed-bucket latency
-/// histogram.
+/// process and their counters must not mix. The counters every session
+/// keeps — frames read and written per [`crate::FrameKind`] among them —
+/// are a [`SessionStats`] in the same registry; service time is a
+/// fixed-bucket latency histogram.
 pub struct ServerStats {
     /// The registry every counter lives in, so sibling subsystems (the
     /// corpus store's metrics) can join the same `STATUS` snapshot.
     pub(crate) registry: Registry,
+    /// What the session loop counts; `requests_in_flight` follows the
+    /// window slots its sessions hold.
+    session: Arc<SessionStats>,
     pub(crate) accepted: Counter,
     pub(crate) served: Counter,
     pub(crate) errored: Counter,
+    /// Queue-full refusals, and the session loop's `BUSY`s.
     pub(crate) rejected_busy: Counter,
     pub(crate) crashed: Counter,
     pub(crate) deadline_expired: Counter,
-    pub(crate) proto_errors: Counter,
     cache_memory_hits: Counter,
     cache_disk_loads: Counter,
     cache_store_loads: Counter,
@@ -118,16 +125,11 @@ pub struct ServerStats {
     coalesced_batches: Counter,
     coalesce_hits: Counter,
     coalesce_misses: Counter,
-    /// One counter per frame kind, in [`FrameKind::COUNTERS`] order.
-    frames: Vec<Counter>,
-    pub(crate) stream_chunk_bytes: Counter,
     pub(crate) streams_opened: Counter,
     pub(crate) streams_aborted: Counter,
     uptime_ms: Gauge,
     queue_depth: Gauge,
     models_resident: Gauge,
-    pub(crate) sessions_open: Gauge,
-    pub(crate) requests_in_flight: Gauge,
     pub(crate) service_us: Histogram,
     pub(crate) enqueue_depth: Histogram,
     batch_size: Histogram,
@@ -138,13 +140,17 @@ impl Default for ServerStats {
     fn default() -> Self {
         let registry = Registry::new();
         ServerStats {
+            session: Arc::new(SessionStats::new(
+                &registry,
+                registry.gauge("requests_in_flight"),
+                registry.counter("stream_chunk_bytes"),
+            )),
             accepted: registry.counter("requests_accepted"),
             served: registry.counter("requests_served"),
             errored: registry.counter("requests_errored"),
             rejected_busy: registry.counter("requests_rejected_busy"),
             crashed: registry.counter("requests_crashed"),
             deadline_expired: registry.counter("requests_deadline_expired"),
-            proto_errors: registry.counter("protocol_errors"),
             cache_memory_hits: registry.counter("cache_memory_hits"),
             cache_disk_loads: registry.counter("cache_disk_loads"),
             cache_store_loads: registry.counter("cache_store_loads"),
@@ -152,15 +158,11 @@ impl Default for ServerStats {
             coalesced_batches: registry.counter("coalesced_batches"),
             coalesce_hits: registry.counter("coalesce_hits"),
             coalesce_misses: registry.counter("coalesce_misses"),
-            frames: FrameKind::COUNTERS.iter().map(|(_, name)| registry.counter(name)).collect(),
-            stream_chunk_bytes: registry.counter("stream_chunk_bytes"),
             streams_opened: registry.counter("streams_opened"),
             streams_aborted: registry.counter("streams_aborted"),
             uptime_ms: registry.gauge("uptime_ms"),
             queue_depth: registry.gauge("queue_depth"),
             models_resident: registry.gauge("models_resident"),
-            sessions_open: registry.gauge("sessions_open"),
-            requests_in_flight: registry.gauge("requests_in_flight"),
             service_us: registry.histogram("service_us", &latency_bounds_us()),
             enqueue_depth: registry
                 .histogram("enqueue_depth", &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256]),
@@ -171,11 +173,6 @@ impl Default for ServerStats {
 }
 
 impl ServerStats {
-    /// Count one decoded request or one written reply by its frame kind.
-    pub(crate) fn note_frame(&self, kind: FrameKind) {
-        self.frames[kind.index()].inc();
-    }
-
     /// Record one dispatched micro-batch of `size` diagnose requests. A
     /// request that found companions is a coalesce *hit*; a request
     /// dispatched alone (nothing compatible was queued) is a *miss* — so
@@ -269,12 +266,6 @@ impl Daemon {
         self.stats.metrics_snapshot(self.started.elapsed(), self.queue.len(), self.cache.resident())
     }
 
-    /// The `STATUS` reply: one snapshot, and the text rendered from it.
-    fn status_reply(&self) -> Reply {
-        let snap = self.snapshot();
-        Reply::StatusMetrics(render_status(&snap), snap)
-    }
-
     /// Stop accepting and close the queue; workers drain what it holds.
     /// Only the first call wakes the acceptors.
     fn begin_shutdown(&self) {
@@ -284,10 +275,12 @@ impl Daemon {
         }
     }
 
-    /// Queue `job`, or answer it `BUSY` right away when the queue is full.
-    fn enqueue(&self, job: Job) {
+    /// Queue `work` for the request `request_id` of `session`, or answer
+    /// it `BUSY` right away when the queue is full.
+    fn enqueue(&self, session: &Arc<SessionShared>, request_id: u32, work: Work) {
+        let responder = Responder { session: session.clone(), request_id };
         let depth = self.queue.len();
-        match self.queue.try_push(job) {
+        match self.queue.try_push(Job { responder, work, accepted: Instant::now() }) {
             Ok(()) => {
                 self.stats.accepted.inc();
                 self.stats.enqueue_depth.observe(depth as u64);
@@ -295,9 +288,126 @@ impl Daemon {
             Err(job) => {
                 self.stats.rejected_busy.inc();
                 events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
-                job.responder.respond(&Reply::Busy, &self.stats);
+                job.responder.respond(&Reply::Busy);
             }
         }
+    }
+
+    /// The corpus a `TRACE_PUT` upload writes to, locked.
+    fn upload_corpus(&self) -> MutexGuard<'_, act_store::Corpus> {
+        self.cache.corpus().expect("upload opened with a corpus").lock().expect("corpus lock")
+    }
+}
+
+/// The at-most-one upload a session may have open.
+enum Upload {
+    /// A chunked `TRACE_PUT`; the corpus holds the parser/CRC state.
+    TracePut,
+    /// A chunked `DIAGNOSE`; the trace is parsed here, then queued whole.
+    Diagnose { spec: ModelSpec, parse: Box<DiagnoseStream> },
+}
+
+impl SessionHost for Daemon {
+    type Upload = Upload;
+
+    fn session_stats(&self) -> &Arc<SessionStats> {
+        &self.stats.session
+    }
+
+    fn draining(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn io_timeout(&self) -> Duration {
+        self.io_timeout
+    }
+
+    /// One snapshot, and the text rendered from it.
+    fn status(&self) -> Reply {
+        let snap = self.snapshot();
+        Reply::StatusMetrics(render_status(&snap), snap)
+    }
+
+    fn shutdown(&self) {
+        events().emit(Level::Info, "serve.shutdown", "shutdown requested; draining");
+        self.begin_shutdown();
+    }
+
+    fn route(&self, session: &Arc<SessionShared>, request_id: u32, request: Request) {
+        self.enqueue(session, request_id, Work::Request(request));
+    }
+
+    fn open(&self, opener: Request) -> Result<Upload, Reply> {
+        let upload = match opener {
+            Request::DiagnoseStart(spec) => Upload::Diagnose { spec, parse: Box::default() },
+            Request::TracePutStart { key, workload } => {
+                let Some(corpus) = self.cache.corpus() else { return Err(no_corpus()) };
+                let mut c = corpus.lock().expect("corpus lock");
+                if c.streaming_key().is_some() {
+                    // Another session owns the corpus stream right now.
+                    return Err(Reply::Busy);
+                }
+                c.stream_begin(&key, &workload)
+                    .map_err(|e| Reply::Error(format!("trace put failed: {e}")))?;
+                Upload::TracePut
+            }
+            _ => unreachable!("not a stream opener"),
+        };
+        self.stats.streams_opened.inc();
+        Ok(upload)
+    }
+
+    fn chunk(&self, upload: &mut Upload, bytes: Vec<u8>) -> Result<(), Reply> {
+        let fed = match upload {
+            Upload::TracePut => self
+                .upload_corpus()
+                .stream_chunk(&bytes)
+                .map_err(|e| format!("trace put failed: {e}")),
+            Upload::Diagnose { parse, .. } => parse.feed(&bytes),
+        };
+        // A failed feed has already aborted the corpus/parser side.
+        fed.map_err(|why| {
+            self.stats.streams_aborted.inc();
+            Reply::Error(why)
+        })
+    }
+
+    fn end(
+        self: Arc<Self>,
+        session: &Arc<SessionShared>,
+        request_id: u32,
+        upload: Upload,
+        crc32: u32,
+        total_len: u64,
+    ) {
+        let failed = match upload {
+            Upload::TracePut => match self.upload_corpus().stream_finish(crc32, total_len) {
+                Ok(info) => {
+                    let reply = Reply::Stored(stored_summary(&info.meta.key, &info));
+                    return session.send_final(request_id, &reply);
+                }
+                Err(e) => format!("trace put failed: {e}"),
+            },
+            Upload::Diagnose { spec, parse } => match parse.finish(crc32, total_len) {
+                Ok(trace) => {
+                    let work = Work::DiagnoseTrace(spec, Box::new(trace));
+                    return self.enqueue(session, request_id, work);
+                }
+                Err(why) => why,
+            },
+        };
+        self.stats.streams_aborted.inc();
+        session.send_final(request_id, &Reply::Error(failed));
+    }
+
+    /// The client died mid-upload: truncate the half-written corpus entry
+    /// so no partial segment survives.
+    fn abandon(&self, upload: Upload) {
+        self.stats.streams_aborted.inc();
+        if matches!(upload, Upload::TracePut) {
+            self.upload_corpus().stream_abort();
+        }
+        events().emit(Level::Warn, "serve.stream", "session closed mid-stream; upload aborted");
     }
 }
 
@@ -460,281 +570,6 @@ impl Server {
     }
 }
 
-/// The half of a session shared between its reader thread and the workers
-/// answering its requests: the write side of the socket plus the in-flight
-/// window. Replies go out under the writer lock, one whole frame at a
-/// time, so frames from concurrent workers never interleave mid-frame.
-pub(crate) struct SessionShared {
-    writer: Mutex<Conn>,
-    window: Window,
-}
-
-impl SessionShared {
-    /// Count and write one reply frame tagged with the request id it
-    /// answers.
-    pub(crate) fn send(&self, request_id: u32, reply: &Reply, stats: &ServerStats) {
-        let frame = reply.to_frame().with_request(request_id);
-        stats.note_frame(frame.kind);
-        let mut w = self.writer.lock().expect("session writer lock");
-        // A vanished client is noticed by the session reader; move on.
-        let _ = write_frame(&mut *w, &frame);
-    }
-
-    /// Claim one in-flight slot; `false` means the window is full and the
-    /// request must be answered `BUSY`.
-    fn begin_request(&self, stats: &ServerStats) -> bool {
-        let claimed = self.window.claim();
-        if claimed {
-            stats.requests_in_flight.add(1);
-        }
-        claimed
-    }
-
-    /// Release the slot claimed by [`SessionShared::begin_request`].
-    pub(crate) fn finish_request(&self, stats: &ServerStats) {
-        self.window.release();
-        stats.requests_in_flight.add(-1);
-    }
-
-    /// Send the final reply for a claimed request, releasing its slot
-    /// first (see [`Window::release`]).
-    pub(crate) fn send_final(&self, request_id: u32, reply: &Reply, stats: &ServerStats) {
-        self.finish_request(stats);
-        self.send(request_id, reply, stats);
-    }
-
-    /// Send the final replies for several claimed requests of one
-    /// micro-batch in a single buffered write. Every slot is released
-    /// first (same ordering contract as [`SessionShared::send_final`]),
-    /// then all frames are concatenated and written under one writer-lock
-    /// acquisition — one syscall per batch per session instead of one per
-    /// reply, which is where a coalesced batch's reply-side win comes
-    /// from on a pipelined session.
-    pub(crate) fn send_final_batch(&self, replies: &[(u32, Reply)], stats: &ServerStats) {
-        for _ in replies {
-            self.finish_request(stats);
-        }
-        let mut buf = Vec::new();
-        for (request_id, reply) in replies {
-            let frame = reply.to_frame().with_request(*request_id);
-            stats.note_frame(frame.kind);
-            encode_frame(&mut buf, &frame);
-        }
-        let mut w = self.writer.lock().expect("session writer lock");
-        // A vanished client is noticed by the session reader; move on.
-        let _ = w.write_all(&buf).and_then(|()| w.flush());
-    }
-}
-
-/// The at-most-one inbound stream a session may have open (held with its
-/// opener's request id, which its chunks and end carry too).
-enum SessionStream {
-    /// A chunked `TRACE_PUT`; the corpus holds the parser/CRC state.
-    TracePut,
-    /// A chunked `DIAGNOSE`; the trace is parsed here, then queued whole.
-    Diagnose { spec: ModelSpec, parse: Box<DiagnoseStream> },
-}
-
-/// Open the upload `opener` asks for, or say how to refuse it.
-fn open_stream(opener: Request, cache: &ModelCache) -> Result<SessionStream, Reply> {
-    let (key, workload) = match opener {
-        Request::TracePutStart { key, workload } => (key, workload),
-        Request::DiagnoseStart(spec) => {
-            return Ok(SessionStream::Diagnose { spec, parse: Box::default() });
-        }
-        _ => unreachable!("not a stream opener"),
-    };
-    let Some(corpus) = cache.corpus() else {
-        let why = "no corpus store configured; start the daemon with --corpus";
-        return Err(Reply::Error(why.into()));
-    };
-    let mut c = corpus.lock().expect("corpus lock");
-    if c.streaming_key().is_some() {
-        // Another session owns the corpus stream right now.
-        return Err(Reply::Busy);
-    }
-    c.stream_begin(&key, &workload).map_err(|e| Reply::Error(format!("trace put failed: {e}")))?;
-    Ok(SessionStream::TracePut)
-}
-
-/// Drive one connection from its first frame until the client closes, the
-/// daemon drains, or the byte stream breaks. Replies are written by
-/// whichever thread finishes a request — out of order is the point —
-/// while this thread keeps reading.
-fn run_session(mut conn: Conn, daemon: &Daemon) {
-    let Daemon { cache, stats, shutdown, io_timeout, .. } = daemon;
-    let _ = conn.set_write_timeout(Some(*io_timeout));
-    let Ok(writer) = conn.try_clone() else { return };
-    let Some(first) = next_frame(&mut conn, *io_timeout, shutdown) else { return };
-    let hello = first.as_ref().ok().and_then(|f| Some((f.request_id, Window::asked_by(f)?)));
-    let shared = Arc::new(SessionShared {
-        writer: Mutex::new(writer),
-        window: Window::new(hello.map_or(1, |(_, window)| window)),
-    });
-    // Counted before the ack goes out, so a client holding the ack never
-    // reads a STATUS that misses its own session.
-    stats.sessions_open.add(1);
-    let mut pending = match hello {
-        Some((hello_id, window)) => {
-            stats.note_frame(FrameKind::Hello);
-            shared.send(hello_id, &Reply::HelloAck { window }, stats);
-            None
-        }
-        None => Some(first),
-    };
-    let mut stream: Option<(u32, SessionStream)> = None;
-    let mut dead = DeadUploads::default();
-
-    while let Some(next) = pending.take().or_else(|| next_frame(&mut conn, *io_timeout, shutdown)) {
-        let frame = match next {
-            Ok(frame) => frame,
-            Err(e) => {
-                // The stream position is unknown (or the peer speaks
-                // another version): answer once, then close.
-                stats.proto_errors.inc();
-                shared.send(0, &Reply::Error(format!("bad frame: {e}")), stats);
-                conn.shutdown();
-                break;
-            }
-        };
-        let request_id = frame.request_id;
-        let request = match Request::from_frame(&frame) {
-            Ok(r) => r,
-            Err(e) => {
-                // Framing is intact — only this request is malformed.
-                stats.proto_errors.inc();
-                shared.send(request_id, &Reply::Error(format!("bad request: {e}")), stats);
-                continue;
-            }
-        };
-        stats.note_frame(frame.kind);
-        match request {
-            Request::Hello { .. } => {
-                shared.send(request_id, &Reply::Error("session already open".into()), stats);
-            }
-            Request::Status => shared.send(request_id, &daemon.status_reply(), stats),
-            Request::Shutdown => {
-                // Draining before the BYE goes out, so a client holding the
-                // BYE never finds the daemon still accepting.
-                events().emit(Level::Info, "serve.shutdown", "shutdown requested; draining");
-                daemon.begin_shutdown();
-                shared.send(request_id, &Reply::Bye, stats);
-                break;
-            }
-            opener @ (Request::TracePutStart { .. } | Request::DiagnoseStart(_)) => {
-                if stream.is_some() || !shared.begin_request(stats) {
-                    // One inbound stream per session, and it needs a slot;
-                    // the client retries.
-                    shared.send(request_id, &Reply::Busy, stats);
-                    dead.insert(request_id);
-                    continue;
-                }
-                match open_stream(opener, cache) {
-                    Ok(open) => {
-                        stats.streams_opened.inc();
-                        stream = Some((request_id, open));
-                    }
-                    Err(reply) => {
-                        shared.send_final(request_id, &reply, stats);
-                        dead.insert(request_id);
-                    }
-                }
-            }
-            Request::StreamChunk(bytes) => {
-                stats.stream_chunk_bytes.add(bytes.len() as u64);
-                let Some((_, open)) = stream.as_mut().filter(|(id, _)| *id == request_id) else {
-                    if !dead.absorbs(request_id, false) {
-                        stray_stream_frame(&shared, request_id, stats);
-                    }
-                    continue;
-                };
-                let failed = match open {
-                    SessionStream::TracePut => {
-                        let corpus = cache.corpus().expect("stream opened with a corpus");
-                        let mut c = corpus.lock().expect("corpus lock");
-                        c.stream_chunk(&bytes).err().map(|e| format!("trace put failed: {e}"))
-                    }
-                    SessionStream::Diagnose { parse, .. } => parse.feed(&bytes).err(),
-                };
-                if let Some(why) = failed {
-                    // The corpus/parser side already aborted; drop ours, and
-                    // the rest of the upload's frames with it.
-                    stream = None;
-                    dead.insert(request_id);
-                    stats.streams_aborted.inc();
-                    shared.send_final(request_id, &Reply::Error(why), stats);
-                }
-            }
-            Request::StreamEnd { crc32, total_len } => {
-                let Some((_, open)) = stream.take_if(|(id, _)| *id == request_id) else {
-                    if !dead.absorbs(request_id, true) {
-                        stray_stream_frame(&shared, request_id, stats);
-                    }
-                    continue;
-                };
-                match open {
-                    SessionStream::TracePut => {
-                        let corpus = cache.corpus().expect("stream opened with a corpus");
-                        let finished =
-                            corpus.lock().expect("corpus lock").stream_finish(crc32, total_len);
-                        let reply = match finished {
-                            Ok(info) => Reply::Stored(stored_summary(&info.meta.key, &info)),
-                            Err(e) => {
-                                stats.streams_aborted.inc();
-                                Reply::Error(format!("trace put failed: {e}"))
-                            }
-                        };
-                        shared.send_final(request_id, &reply, stats);
-                    }
-                    SessionStream::Diagnose { spec, parse } => {
-                        match parse.finish(crc32, total_len) {
-                            Ok(trace) => daemon.enqueue(Job {
-                                responder: Responder { session: shared.clone(), request_id },
-                                work: Work::DiagnoseTrace(spec, Box::new(trace)),
-                                accepted: Instant::now(),
-                            }),
-                            Err(why) => {
-                                stats.streams_aborted.inc();
-                                shared.send_final(request_id, &Reply::Error(why), stats);
-                            }
-                        }
-                    }
-                }
-            }
-            req @ (Request::Train(_)
-            | Request::Diagnose(..)
-            | Request::TracePut { .. }
-            | Request::TraceGet { .. }) => {
-                if !shared.begin_request(stats) {
-                    // Window exhausted: BUSY for this request only.
-                    stats.rejected_busy.inc();
-                    shared.send(request_id, &Reply::Busy, stats);
-                    continue;
-                }
-                daemon.enqueue(Job {
-                    responder: Responder { session: shared.clone(), request_id },
-                    work: Work::Request(req),
-                    accepted: Instant::now(),
-                });
-            }
-        }
-    }
-
-    // A stream still open here means the client died mid-upload: truncate
-    // the half-written corpus entry so no partial segment survives.
-    if let Some((_, open)) = stream {
-        stats.streams_aborted.inc();
-        if matches!(open, SessionStream::TracePut) {
-            if let Some(corpus) = cache.corpus() {
-                corpus.lock().expect("corpus lock").stream_abort();
-            }
-        }
-        shared.finish_request(stats);
-        events().emit(Level::Warn, "serve.stream", "session closed mid-stream; upload aborted");
-    }
-    stats.sessions_open.add(-1);
-}
-
 /// The `STORED` reply text — shared verbatim by the one-frame and the
 /// streamed `TRACE_PUT` paths, so clients see one format.
 pub(crate) fn stored_summary(key: &str, info: &act_store::EntryInfo) -> String {
@@ -746,13 +581,6 @@ pub(crate) fn stored_summary(key: &str, info: &act_store::EntryInfo) -> String {
         info.encoded_bytes,
         info.raw_bytes as f64 / info.encoded_bytes.max(1) as f64
     )
-}
-
-/// Answer a `STREAM_CHUNK`/`STREAM_END` that belongs to no upload open or
-/// dropped on this session: a protocol error.
-fn stray_stream_frame(shared: &SessionShared, request_id: u32, stats: &ServerStats) {
-    stats.proto_errors.inc();
-    shared.send(request_id, &Reply::Error("stream frame outside an open stream".into()), stats);
 }
 
 /// A streamed `DIAGNOSE` upload in progress: the text parser fills a
@@ -790,6 +618,14 @@ fn bad_payload(e: CopyError<Infallible>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::FrameKind;
+
+    impl ServerStats {
+        /// Count one frame by its kind, as a session does.
+        fn note_frame(&self, kind: FrameKind) {
+            self.session.note_frame(kind);
+        }
+    }
 
     #[test]
     fn status_render_has_the_required_counters() {

@@ -26,11 +26,11 @@ use crate::segment::{
     SegmentWriter, TraceEntrySink, TraceEntrySource,
 };
 use act_obs::metrics::Registry;
-use act_trace::io::{stream_trace, CopyError, TextParser, TextTraceSink, TraceBuilder, TraceSink};
+use act_trace::io::{stream_trace, trace_to_bytes, CopyError, TextParser, TextTraceSink};
+use act_trace::io::{TraceBuilder, TraceSink};
 use act_trace::Trace;
 use std::collections::HashMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -150,27 +150,9 @@ fn seg_id_of(name: &str) -> Option<u64> {
     rest.parse().ok()
 }
 
-/// A `Write` that only counts — used to price a trace in text-codec bytes
-/// (the compression-ratio baseline) without allocating the text.
-#[derive(Default)]
-struct CountWriter(u64);
-
-impl Write for CountWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0 += buf.len() as u64;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Text-codec byte size of `trace` (what `trace_to_bytes` would produce).
+/// Text-codec byte size of `trace` (what `trace_to_bytes` produces).
 pub fn text_size_of(trace: &Trace) -> u64 {
-    let mut sink = TextTraceSink::new(CountWriter::default());
-    stream_trace(trace, &mut sink).expect("counting writer cannot fail");
-    sink.into_inner().0
+    trace_to_bytes(trace).len() as u64
 }
 
 impl Corpus {
@@ -647,9 +629,9 @@ impl Corpus {
         use act_trace::io::MAX_TRACE_BYTES;
         let raw = self.locate(EntryKind::Trace, key)?.info.raw_bytes;
         let presize = usize::try_from(raw).map_or(MAX_TRACE_BYTES, |n| n.min(MAX_TRACE_BYTES));
-        let mut sink = TextTraceSink::new(Vec::with_capacity(presize));
+        let mut sink = TextTraceSink::with_capacity(presize);
         self.decode_trace(key, &mut sink)?;
-        Ok(sink.into_inner())
+        Ok(sink.into_bytes())
     }
 
     /// Materialize a stored blob.

@@ -174,10 +174,6 @@ impl TraceSink for TraceBuilder {
 // Text implementation of the codec.
 // ---------------------------------------------------------------------
 
-/// Flush threshold for the text writer's internal buffer: large enough to
-/// amortize `write_all` syscalls, small enough to stay streaming.
-const TEXT_FLUSH_BYTES: usize = 64 << 10;
-
 /// Append ` <v>` in decimal: the digit writer behind every text field.
 fn push_field(buf: &mut Vec<u8>, mut v: u64) {
     let mut field = [b' '; 21];
@@ -193,37 +189,36 @@ fn push_field(buf: &mut Vec<u8>, mut v: u64) {
     buf.extend_from_slice(&field[at - 1..]);
 }
 
-/// The v1 text writer as a [`TraceSink`]: one line per record, buffered
-/// writes to any `W: Write`.
-pub struct TextTraceSink<W: Write> {
-    w: W,
+/// The v1 text writer as a [`TraceSink`]: one line per record, appended
+/// to a buffer the sink owns and hands over whole.
+#[derive(Debug, Default)]
+pub struct TextTraceSink {
     buf: Vec<u8>,
 }
 
-impl<W: Write> TextTraceSink<W> {
-    /// A sink writing the v1 text format to `w`.
-    pub fn new(w: W) -> TextTraceSink<W> {
-        TextTraceSink { w, buf: Vec::new() }
+impl TextTraceSink {
+    /// A sink whose buffer has room for `capacity` bytes up front.
+    pub fn with_capacity(capacity: usize) -> TextTraceSink {
+        TextTraceSink { buf: Vec::with_capacity(capacity) }
     }
 
-    /// Recover the inner writer (call after `finish`; unflushed buffered
-    /// lines are dropped).
-    pub fn into_inner(self) -> W {
-        self.w
+    /// The text written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 }
 
-impl<W: Write> TraceSink for TextTraceSink<W> {
-    type Error = io::Error;
+impl TraceSink for TextTraceSink {
+    type Error = Infallible;
 
-    fn begin(&mut self, code_len: usize) -> Result<(), io::Error> {
+    fn begin(&mut self, code_len: usize) -> Result<(), Infallible> {
         self.buf.extend_from_slice(b"acttrace v1");
         push_field(&mut self.buf, code_len as u64);
         self.buf.push(b'\n');
         Ok(())
     }
 
-    fn record(&mut self, r: &TraceRecord) -> Result<(), io::Error> {
+    fn record(&mut self, r: &TraceRecord) -> Result<(), Infallible> {
         // The tag, and the fields after `<seq> <cycle> <tid>`.
         let pc = r.pc.into();
         let (tag, tail, n) = match r.kind {
@@ -241,18 +236,6 @@ impl<W: Write> TraceSink for TextTraceSink<W> {
             push_field(&mut self.buf, v);
         }
         self.buf.push(b'\n');
-        if self.buf.len() >= TEXT_FLUSH_BYTES {
-            self.w.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), io::Error> {
-        if !self.buf.is_empty() {
-            self.w.write_all(&self.buf)?;
-            self.buf.clear();
-        }
         Ok(())
     }
 }
@@ -534,17 +517,17 @@ fn record(f: &mut Fields<'_>) -> Result<TraceRecord, String> {
 /// # Errors
 ///
 /// Propagates any I/O error from `w`.
-pub fn write_trace<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
-    stream_trace(trace, &mut TextTraceSink::new(w))
+pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
+    w.write_all(&trace_to_bytes(trace))
 }
 
 /// Serialize `trace` to an in-memory byte buffer — the binary-safe framing
 /// of the v1 text format used when a trace travels inside a length-prefixed
 /// protocol frame (`act-serve`) rather than a file.
 pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_trace(trace, &mut buf).expect("in-memory write cannot fail");
-    buf
+    let mut sink = TextTraceSink::default();
+    let Ok(()) = stream_trace(trace, &mut sink);
+    sink.into_bytes()
 }
 
 /// Parse a trace from bytes previously produced by [`trace_to_bytes`] (or
@@ -729,12 +712,11 @@ mod tests {
     #[test]
     fn copy_trace_pipes_source_to_sink_without_a_trace() {
         let bytes = trace_to_bytes(&sample());
-        let mut out = Vec::new();
-        let mut sink = TextTraceSink::new(&mut out);
+        let mut sink = TextTraceSink::default();
         let mut parser = TextParser::default();
         parser.feed(&bytes, &mut sink).unwrap();
         parser.finish(&mut sink).unwrap();
-        assert_eq!(out, bytes, "text -> text copy is byte-identical");
+        assert_eq!(sink.into_bytes(), bytes, "text -> text copy is byte-identical");
     }
 
     #[test]

@@ -4,12 +4,9 @@
 set -eux
 
 cargo fmt --all --check
-# The service stack (daemon, client, gateway, and the queues they share),
-# the trace codec and corpus store under it, the diagnosis core, the CLI
-# and the metrics crate stay lint-clean. --no-deps keeps the gate on these
-# nine crates: the simulator and NN crates carry findings of their own.
-cargo clippy -p act-serve -p act-client -p act-gate -p act-fleet -p act-trace -p act-store \
-    -p act-core -p act-cli -p act-obs --no-deps --all-targets -- -D warnings
+# Every crate of the workspace — simulator, NN, workloads, harness and
+# service stack, with their tests, benches and examples — stays lint-clean.
+cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q --release
 # The service benchmark calls act-core, act-trace and act-store functions

@@ -6,7 +6,7 @@ use act_core::module::DebugEntry;
 use act_core::postprocess::postprocess;
 use act_sim::events::RawDep;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::{positive_sequences, sequences_ext};
+use act_trace::input_gen::sequences_ext;
 use act_trace::raw::observed_deps;
 use act_workloads::registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -26,13 +26,7 @@ fn bench_trace_analysis(c: &mut Criterion) {
 
 fn bench_postprocess(c: &mut Criterion) {
     let w = registry::by_name("lu").unwrap();
-    let traces = collect_clean_traces(w.as_ref(), 0..4);
-    let mut set = CorrectSet::default();
-    for t in &traces {
-        for s in positive_sequences(&observed_deps(t), 2) {
-            set.insert(&s.deps);
-        }
-    }
+    let set = CorrectSet::from_traces(&collect_clean_traces(w.as_ref(), 0..4), 2);
     // A debug buffer of 60 synthetic entries.
     let entries: Vec<DebugEntry> = (0..60u32)
         .map(|i| DebugEntry {

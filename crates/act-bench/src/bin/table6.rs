@@ -8,11 +8,10 @@
 use act_bench::{act_cfg_for, machine_cfg, opt, train_workload};
 use act_core::diagnosis::{diagnose, run_with_act};
 use act_core::weights::shared;
-use act_sim::machine::Machine;
 use act_trace::collector::TraceCollector;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
+use act_trace::correct_set::CorrectSet;
 use act_workloads::injected;
+use act_workloads::run::correct_runs;
 use act_workloads::spec::Params;
 
 fn main() {
@@ -48,20 +47,13 @@ fn main() {
         let bug = built.bug.as_ref().expect("injected bug");
 
         // 3. Correct Set from extended-program correct runs.
-        let mut set = act_trace::correct_set::CorrectSet::default();
-        for seed in 100..120u64 {
-            let b = w.build(&Params { seed, new_code: true, ..w.default_params() });
-            let mut coll = TraceCollector::new(b.program.code_len());
-            let mut m = Machine::new(&b.program, machine_cfg(seed));
-            let out = m.run_observed(&mut coll);
-            if b.is_correct(&out) {
-                let deps = observed_deps(&coll.into_trace());
-                for s in positive_sequences(&deps, n) {
-                    set.insert(&s.deps);
-                }
-            }
-        }
-        let diag = diagnose(&run, &set);
+        let extended = Params { new_code: true, ..w.default_params() };
+        let traces: Vec<_> = correct_runs(w.as_ref(), extended, 100..120, |b| {
+            TraceCollector::new(b.program.code_len())
+        })
+        .map(|run| run.observer.into_trace())
+        .collect();
+        let diag = diagnose(&run, &CorrectSet::from_traces(&traces, n));
         let rank = diag.rank_where(|s| bug.matches_any(&s.deps));
         println!("{:<36} {:>7.1} {:>6}", w.name(), diag.filter_pct(), opt(rank));
     }

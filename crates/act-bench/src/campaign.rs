@@ -23,8 +23,8 @@
 //! (default: all cores); `act campaign <spec>` does the same from a file.
 
 use crate::{
-    act_cfg_for, aviso_diagnose, collect_clean_traces, diagnose_workload, find_act_failure,
-    machine_cfg, opt, pbi_diagnose, train_workload,
+    act_cfg_for, aviso_diagnose, collect_clean_traces, diagnose_workload, failing_trace,
+    find_act_failure, machine_cfg, opt, pbi_diagnose, train_workload,
 };
 use act_core::diagnosis::{diagnose, run_with_act};
 use act_core::weights::shared;
@@ -32,8 +32,6 @@ use act_core::{ActConfig, ActError};
 use act_fleet::{run_campaign, CampaignReport, CampaignSpec, JobDesc, JobOutput};
 use act_sim::machine::Machine;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
 use act_workloads::spec::Workload;
 use act_workloads::{kernels, registry};
 
@@ -137,13 +135,15 @@ pub fn ablation_spec() -> CampaignSpec {
     spec
 }
 
+/// A campaign executor: one job in, its output out, callable from any
+/// worker thread.
+pub type Executor = Box<dyn Fn(&JobDesc) -> JobOutput + Send + Sync>;
+
 /// Resolve a spec's `kind` to its executor.
 ///
 /// The returned closure is shared across worker threads; all its captures
 /// come from the spec's parameters (plain values), so it is `Send + Sync`.
-pub fn executor_for(
-    spec: &CampaignSpec,
-) -> Result<Box<dyn Fn(&JobDesc) -> JobOutput + Send + Sync>, ActError> {
+pub fn executor_for(spec: &CampaignSpec) -> Result<Executor, ActError> {
     let traces: usize = spec.param_or("traces", 10);
     let max_tries: u64 = spec.param_or("max_tries", 20);
     // `corpus = DIR` points the train executor at an act-store corpus as
@@ -304,21 +304,13 @@ fn remote_diagnose_exec(
 }
 
 /// Serialize a failing trace of `workload` the way a production client
-/// would ship one: run triggered configurations from `base_seed` up until
-/// one actually fails. Deterministic per (workload, base_seed).
+/// would ship one ([`failing_trace`]). Deterministic per (workload,
+/// base_seed).
 pub fn failing_trace_bytes(workload: &str, base_seed: u64) -> Vec<u8> {
-    let w = lookup(workload);
-    let norm = crate::norm_of(w.as_ref());
-    for seed in base_seed..base_seed + 64 {
-        let built = w.build(&w.default_params().triggered().with_seed(seed));
-        let mut collector = act_trace::collector::TraceCollector::new(norm);
-        let mut machine = Machine::new(&built.program, machine_cfg(seed));
-        let outcome = machine.run_observed(&mut collector);
-        if built.is_failure(&outcome) {
-            return act_trace::io::trace_to_bytes(&collector.into_trace());
-        }
-    }
-    panic!("{workload}: no failing run in seeds {base_seed}..{}", base_seed + 64)
+    let Some((_, trace)) = failing_trace(lookup(workload).as_ref(), base_seed) else {
+        panic!("{workload}: no failing run in seeds {base_seed}..{}", base_seed + 64)
+    };
+    act_trace::io::trace_to_bytes(&trace)
 }
 
 /// `run`: a single (optionally triggered) machine run.
@@ -499,13 +491,8 @@ fn ablation_exec(job: &JobDesc, traces: usize, max_tries: u64) -> JobOutput {
     let Some(failure) = find_act_failure(w.as_ref(), &store, &cfg, max_tries) else {
         return JobOutput::default().int("diagnosed", 0).text("status", "no failure");
     };
-    let mut set = CorrectSet::default();
-    for t in collect_clean_traces(w.as_ref(), 100..116) {
-        for s in positive_sequences(&observed_deps(&t), trained.report.seq_len) {
-            set.insert(&s.deps);
-        }
-    }
-    let diag = diagnose(&failure.run, &set);
+    let clean = collect_clean_traces(w.as_ref(), 100..116);
+    let diag = diagnose(&failure.run, &CorrectSet::from_traces(&clean, trained.report.seq_len));
     let bug = failure.built.bug.as_ref().unwrap();
     let rank = diag.rank_where(|s| bug.matches_any(&s.deps));
     let diagnosed = rank.is_some_and(|r| r <= 5);

@@ -8,13 +8,16 @@
 //!
 //! 1. [`collect_clean_traces`] — run a workload's *clean* configuration over
 //!    several input/interleaving seeds, keeping traces of runs its oracle
-//!    accepts (ACT trains only on correct executions).
-//! 2. [`train_workload`] — offline training + topology search.
+//!    accepts (ACT trains only on correct executions). Every run goes
+//!    through `act_workloads::run`, the daemon's and the CLI's too.
+//! 2. [`train_workload`] — offline training with the shared recipe
+//!    ([`act_cfg`] is `ActConfig::recipe` at N = 2, hidden 10).
 //! 3. [`find_act_failure`] — run the *triggering* configuration with ACT
 //!    modules attached until a failure occurs (one production failure; it
 //!    is never reproduced for ACT's diagnosis).
 //! 4. [`diagnose_workload`] — build the Correct Set from fresh correct
-//!    runs, prune + rank, and score against the workload's ground truth.
+//!    runs (`CorrectSet::from_traces`), prune + rank, and score against
+//!    the workload's ground truth.
 //! 5. [`aviso_diagnose`] / [`pbi_diagnose`] — the baselines, each with its
 //!    own methodology (Aviso reproduces failures; PBI uses 15 correct + 1
 //!    failing run).
@@ -28,36 +31,22 @@ use act_core::diagnosis::{diagnose, run_with_act, ActRun};
 use act_core::offline::{offline_train, TrainedAct};
 use act_core::weights::SharedWeightStore;
 use act_core::ActConfig;
-use act_sim::config::MachineConfig;
-use act_sim::machine::Machine;
 use act_trace::collector::TraceCollector;
+use act_trace::correct_set::CorrectSet;
 use act_trace::event::Trace;
+use act_workloads::run::{correct_runs, first_failure};
 use act_workloads::spec::{BuiltWorkload, Workload, NORM_CODE_LEN};
 
-/// Machine configuration used by the experiments: the paper's Table III
-/// defaults plus interleaving jitter so seeded runs differ.
-pub fn machine_cfg(seed: u64) -> MachineConfig {
-    MachineConfig { seed, jitter_ppm: 10_000, ..Default::default() }
-}
+pub use act_workloads::run::{machine_cfg, norm_of};
 
-/// ACT configuration used by the experiments (paper defaults, with a
-/// trimmed topology search so the full table suite runs in minutes).
+/// ACT configuration used by the experiments: the shared training recipe
+/// ([`ActConfig::recipe`]) at the daemon's default model, N = 2 and a
+/// 10-neuron hidden layer.
 pub fn act_cfg() -> ActConfig {
-    let mut cfg = ActConfig::default();
     // Sequence context is what distinguishes "same dependence, wrong
     // context" bugs (gzip, seq, apache); N = 1 can win error ties only
     // because it cannot even express them, so the harness pins N = 2.
-    cfg.search.seq_lens = vec![2];
-    cfg.search.hidden_sizes = vec![10];
-    cfg.train.max_epochs = 300;
-    cfg.train.learning_rate = 0.5;
-    cfg
-}
-
-/// The code length used to normalize `w`'s instruction addresses: the
-/// workload's fixed override if it has one, else the built program length.
-pub fn norm_of(w: &dyn Workload) -> usize {
-    w.norm_code_len().unwrap_or_else(|| w.build(&w.default_params()).program.code_len())
+    ActConfig::recipe(2, 10, 0, 0)
 }
 
 /// [`act_cfg`] with the normalization length pinned for `w`.
@@ -67,34 +56,43 @@ pub fn act_cfg_for(w: &dyn Workload) -> ActConfig {
     cfg
 }
 
-/// Run the workload's clean configuration once per seed (seed drives both
-/// the inputs and the interleaving) and keep correct runs' traces.
-pub fn collect_clean_traces(w: &dyn Workload, seeds: impl Iterator<Item = u64>) -> Vec<Trace> {
-    let mut traces = Vec::new();
-    for seed in seeds {
-        let built = w.build(&w.default_params().with_seed(seed));
-        let mut collector = TraceCollector::new(NORM_CODE_LEN);
-        let mut machine = Machine::new(&built.program, machine_cfg(seed));
-        let outcome = machine.run_observed(&mut collector);
-        if built.is_correct(&outcome) {
-            traces.push(collector.into_trace());
-        }
-    }
-    traces
+/// The traces of the workload's correct clean runs, one run per seed (the
+/// seed drives both the inputs and the interleaving), lazily.
+pub(crate) fn clean_traces<'a>(
+    w: &'a dyn Workload,
+    seeds: impl Iterator<Item = u64> + 'a,
+) -> impl Iterator<Item = Trace> + 'a {
+    correct_runs(w, w.default_params(), seeds, |_| TraceCollector::new(NORM_CODE_LEN))
+        .map(|run| run.observer.into_trace())
 }
 
-/// Offline-train ACT for a workload from `n_traces` clean runs.
+/// Run the workload's clean configuration once per seed and keep correct
+/// runs' traces.
+pub fn collect_clean_traces(w: &dyn Workload, seeds: impl Iterator<Item = u64>) -> Vec<Trace> {
+    clean_traces(w, seeds).collect()
+}
+
+/// Offline-train ACT for a workload from its first `n_traces` correct
+/// clean runs among seeds `0..2 * n_traces`.
 ///
 /// # Panics
 ///
 /// Panics if no clean run was correct (a workload bug).
 pub fn train_workload(w: &dyn Workload, n_traces: usize, cfg: &ActConfig) -> TrainedAct {
-    let traces = collect_clean_traces(w, 0..n_traces as u64 * 2)
-        .into_iter()
-        .take(n_traces)
-        .collect::<Vec<_>>();
+    let traces: Vec<Trace> = clean_traces(w, 0..n_traces as u64 * 2).take(n_traces).collect();
     assert!(!traces.is_empty(), "{}: no correct training runs", w.name());
     offline_train(norm_of(w), &traces, cfg)
+}
+
+/// A failing trace of `w` the way a production client's tracing layer
+/// would ship one, with its seed: the first triggered run from
+/// `base_seed` on that fails, trying 64 seeds at most.
+pub fn failing_trace(w: &dyn Workload, base_seed: u64) -> Option<(u64, Trace)> {
+    let norm = norm_of(w);
+    let seeds = base_seed..base_seed + 64;
+    let failure =
+        first_failure(w, w.default_params().triggered(), seeds, |_| TraceCollector::new(norm))?;
+    Some((failure.seed, failure.observer.into_trace()))
 }
 
 /// A production failure observed under ACT.
@@ -148,16 +146,8 @@ pub fn diagnose_workload(w: &dyn Workload, failure: &ActFailure, seq_len: usize)
     let bug = failure.built.bug.as_ref().expect("bug workload has ground truth");
     // Correct Set: ~20 fresh correct executions of the clean configuration
     // (the failure itself is never reproduced).
-    let traces = collect_clean_traces(w, 100..120u64);
-    let mut merged = act_trace::correct_set::CorrectSet::default();
-    for t in &traces {
-        let deps = act_trace::raw::observed_deps(t);
-        for s in act_trace::input_gen::positive_sequences(&deps, seq_len) {
-            merged.insert(&s.deps);
-        }
-    }
-
-    let diag = diagnose(&failure.run, &merged);
+    let correct = CorrectSet::from_traces(&collect_clean_traces(w, 100..120u64), seq_len);
+    let diag = diagnose(&failure.run, &correct);
     let rank = diag.rank_where(|s| bug.matches_any(&s.deps));
     let debug_pos = failure.run.debug_position_where(|e| bug.matches_any(&e.deps));
     ActRow {
@@ -180,28 +170,18 @@ pub fn aviso_diagnose(w: &dyn Workload, max_failures: u32) -> Option<(usize, u32
         return None; // Aviso only sees inter-thread events.
     }
     let mut aviso = Aviso::new(5);
-    for t in collect_clean_traces(w, 0..10) {
+    for t in clean_traces(w, 0..10) {
         aviso.add_correct_run(&t);
     }
+    let triggered = w.default_params().triggered();
     let mut fail_seed = 0u64;
     for _ in 0..max_failures {
         // Reproduce a failure (Aviso's methodology requires this).
-        let mut reproduced = false;
-        for _ in 0..50 {
-            let built = w.build(&w.default_params().with_seed(fail_seed).triggered());
-            let mut collector = TraceCollector::new(NORM_CODE_LEN);
-            let mut machine = Machine::new(&built.program, machine_cfg(fail_seed));
-            let outcome = machine.run_observed(&mut collector);
-            fail_seed += 1;
-            if built.is_failure(&outcome) {
-                aviso.add_failing_run(&collector.into_trace());
-                reproduced = true;
-                break;
-            }
-        }
-        if !reproduced {
-            return None;
-        }
+        let failure = first_failure(w, triggered, fail_seed..fail_seed + 50, |_| {
+            TraceCollector::new(NORM_CODE_LEN)
+        })?;
+        fail_seed = failure.seed + 1;
+        aviso.add_failing_run(&failure.observer.into_trace());
         if let Some(rank) = aviso.rank_where(|d| bug.matches(d)) {
             return Some((rank, aviso.failing_runs()));
         }
@@ -212,37 +192,20 @@ pub fn aviso_diagnose(w: &dyn Workload, max_failures: u32) -> Option<(usize, u32
 /// PBI's result: rank of the buggy instruction's predicate and the number
 /// of candidate predicates, from 15 correct runs and 1 failing run.
 pub fn pbi_diagnose(w: &dyn Workload) -> (Option<usize>, usize) {
-    let mut correct = Vec::new();
-    for seed in 0..30u64 {
-        let built = w.build(&w.default_params().with_seed(seed));
-        let mut coll = pbi::PredicateCollector::new();
-        let mut machine = Machine::new(&built.program, machine_cfg(seed));
-        let outcome = machine.run_observed(&mut coll);
-        if built.is_correct(&outcome) {
-            correct.push(coll.into_predicates());
-            if correct.len() == 15 {
-                break;
-            }
-        }
-    }
-    let mut failing = Vec::new();
-    let mut bug_pcs: Vec<u32> = Vec::new();
-    for seed in 0..50u64 {
-        let built = w.build(&w.default_params().with_seed(seed).triggered());
-        let mut coll = pbi::PredicateCollector::new();
-        let mut machine = Machine::new(&built.program, machine_cfg(seed));
-        let outcome = machine.run_observed(&mut coll);
-        if built.is_failure(&outcome) {
-            failing.push(coll.into_predicates());
-            if let Some(bug) = &built.bug {
-                bug_pcs = bug.store_pcs.iter().chain(&bug.load_pcs).copied().collect();
-            }
-            break; // a single failing run, per the paper's comparison
-        }
-    }
-    if failing.is_empty() {
+    let collector = |_: &BuiltWorkload| pbi::PredicateCollector::new();
+    let correct: Vec<_> = correct_runs(w, w.default_params(), 0..30, collector)
+        .take(15)
+        .map(|run| run.observer.into_predicates())
+        .collect();
+    // A single failing run, per the paper's comparison.
+    let Some(failure) = first_failure(w, w.default_params().triggered(), 0..50, collector) else {
         return (None, 0);
-    }
+    };
+    let bug_pcs: Vec<u32> = match &failure.built.bug {
+        Some(bug) => bug.store_pcs.iter().chain(&bug.load_pcs).copied().collect(),
+        None => Vec::new(),
+    };
+    let failing = [failure.observer.into_predicates()];
     let scored = pbi::rank_predicates(&correct, &failing);
     pbi::rank_where(&scored, |pc| bug_pcs.contains(&pc))
 }

@@ -23,7 +23,7 @@
 //! higher-is-better; wall-clock benches (`s`) are lower-is-better.
 
 use crate::campaign::{executor_for, table4_spec};
-use crate::{act_cfg_for, collect_clean_traces, norm_of};
+use crate::{act_cfg_for, clean_traces, collect_clean_traces, norm_of};
 use act_core::encoding::{Encoder, FEATURES_PER_DEP};
 use act_core::offline::offline_train;
 use act_core::ActError;
@@ -128,7 +128,7 @@ pub fn classify_predictions_per_sec(target: Duration) -> f64 {
     // inside the measured op.
     let ring: [RawDep; 64] = std::array::from_fn(|i| {
         let i = i as u32;
-        RawDep { store_pc: 17 * i + 3, load_pc: 29 * i + 7, inter_thread: i % 3 == 0 }
+        RawDep { store_pc: 17 * i + 3, load_pc: 29 * i + 7, inter_thread: i.is_multiple_of(3) }
     });
     let mut igb = [ring[0]; IGB_CAP];
     let mut x: Vec<f32> = Vec::new();
@@ -161,7 +161,7 @@ pub fn obs_classify_predictions_per_sec(target: Duration) -> f64 {
     let mut net = Network::random(Topology::new(FEATURES_PER_DEP * SEQ_LEN, 10), 0.2, 42);
     let ring: [RawDep; 64] = std::array::from_fn(|i| {
         let i = i as u32;
-        RawDep { store_pc: 17 * i + 3, load_pc: 29 * i + 7, inter_thread: i % 3 == 0 }
+        RawDep { store_pc: 17 * i + 3, load_pc: 29 * i + 7, inter_thread: i.is_multiple_of(3) }
     });
     let registry = Registry::new();
     let predictions = registry.counter("predictions");
@@ -296,8 +296,7 @@ pub fn online_train_steps_per_sec(target: Duration) -> f64 {
 pub fn offline_train_wall_s(quick: bool, jobs: usize) -> f64 {
     let w = registry::by_name("fft").expect("fft kernel registered");
     let want = if quick { 4 } else { 8 };
-    let traces: Vec<_> =
-        collect_clean_traces(w.as_ref(), 0..want as u64 * 2).into_iter().take(want).collect();
+    let traces: Vec<_> = clean_traces(w.as_ref(), 0..want as u64 * 2).take(want).collect();
     assert!(!traces.is_empty(), "fft produced no clean traces");
     let mut cfg = act_cfg_for(w.as_ref());
     cfg.search.seq_lens = if quick { vec![2] } else { vec![1, 2] };
@@ -593,7 +592,7 @@ pub fn cache_hit_lookups_per_sec(target: Duration, threads: usize) -> f64 {
 pub fn run_all(quick: bool, jobs: usize, only: Option<&str>) -> Vec<BenchEntry> {
     let target = if quick { Duration::from_millis(150) } else { Duration::from_millis(600) };
     let want = |name: &str| {
-        only.map_or(true, |f| f.split(',').any(|part| !part.is_empty() && name.contains(part)))
+        only.is_none_or(|f| f.split(',').any(|part| !part.is_empty() && name.contains(part)))
     };
     let mut entries = Vec::new();
     if want("classify_predictions_per_sec") {
@@ -734,7 +733,7 @@ fn baseline_name(bench: &str) -> &str {
 pub fn merge_baseline(entries: &mut [BenchEntry], baseline: &[BenchEntry]) {
     for e in entries {
         let row = |name: &str, jobs: Option<usize>| {
-            baseline.iter().find(|b| b.bench == name && jobs.map_or(true, |j| b.jobs == j))
+            baseline.iter().find(|b| b.bench == name && jobs.is_none_or(|j| b.jobs == j))
         };
         e.before = row(&e.bench, Some(e.jobs))
             .or_else(|| row(&e.bench, Some(1)))

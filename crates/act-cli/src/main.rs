@@ -15,16 +15,17 @@
 //! ```
 
 use act_bench::{
-    act_cfg_for, collect_clean_traces, find_act_failure, machine_cfg, norm_of, train_workload,
+    act_cfg_for, collect_clean_traces, failing_trace, find_act_failure, machine_cfg, norm_of,
+    train_workload,
 };
 use act_core::diagnosis::diagnose;
 use act_core::weights::{shared, WeightStore};
 use act_sim::machine::Machine;
 use act_trace::collector::TraceCollector;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
+use act_trace::event::Trace;
 use act_workloads::registry;
+use act_workloads::run::correct_runs;
 use act_workloads::spec::{Params, Workload};
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -158,6 +159,15 @@ fn lookup(name: &str) -> Result<Box<dyn Workload>, ExitCode> {
     })
 }
 
+/// `(seed, trace)` of the first `runs` correct clean runs of `w` among
+/// seeds `0..2 * runs`, traced the way a production client ships them.
+fn correct_run_traces(w: &dyn Workload, runs: u64) -> impl Iterator<Item = (u64, Trace)> + '_ {
+    let norm = norm_of(w);
+    correct_runs(w, w.default_params(), 0..runs * 2, move |_| TraceCollector::new(norm))
+        .take(runs as usize)
+        .map(|run| (run.seed, run.observer.into_trace()))
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = raw.first().map(String::as_str) else {
@@ -259,17 +269,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let mut written = 0;
-    for seed in 0..runs * 2 {
-        if written == runs {
-            break;
-        }
-        let built = w.build(&w.default_params().with_seed(seed));
-        let mut coll = TraceCollector::new(norm_of(w.as_ref()));
-        let mut m = Machine::new(&built.program, machine_cfg(seed));
-        let out = m.run_observed(&mut coll);
-        if !built.is_correct(&out) {
-            continue;
-        }
+    for (seed, trace) in correct_run_traces(w.as_ref(), runs) {
         let path = format!("{dir}/{name}-{seed}.trace");
         let file = match std::fs::File::create(&path) {
             Ok(f) => f,
@@ -278,7 +278,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(e) = act_trace::io::write_trace(&coll.into_trace(), file) {
+        if let Err(e) = act_trace::io::write_trace(&trace, file) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -357,12 +357,7 @@ fn cmd_diagnose(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     };
     println!("failure: {}", failure.run.outcome);
-    let mut set = CorrectSet::default();
-    for t in collect_clean_traces(w.as_ref(), 100..120) {
-        for s in positive_sequences(&observed_deps(&t), seq_len) {
-            set.insert(&s.deps);
-        }
-    }
+    let set = CorrectSet::from_traces(&collect_clean_traces(w.as_ref(), 100..120), seq_len);
     let diag = diagnose(&failure.run, &set);
     let program = &failure.built.program;
     println!(
@@ -726,18 +721,12 @@ fn failing_trace_bytes(args: &Args, name: &str) -> Result<Vec<u8>, ExitCode> {
     }
     let w = lookup(name)?;
     let base = args.flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(0);
-    for seed in base..base + 64 {
-        let built = w.build(&w.default_params().triggered().with_seed(seed));
-        let mut coll = TraceCollector::new(norm_of(w.as_ref()));
-        let mut m = Machine::new(&built.program, machine_cfg(seed));
-        let out = m.run_observed(&mut coll);
-        if built.is_failure(&out) {
-            println!("(failure manifested at seed {seed}; shipping its trace)");
-            return Ok(act_trace::io::trace_to_bytes(&coll.into_trace()));
-        }
-    }
-    eprintln!("{name}: no failure manifested in 64 triggered runs");
-    Err(ExitCode::FAILURE)
+    let Some((seed, trace)) = failing_trace(w.as_ref(), base) else {
+        eprintln!("{name}: no failure manifested in 64 triggered runs");
+        return Err(ExitCode::FAILURE);
+    };
+    println!("(failure manifested at seed {seed}; shipping its trace)");
+    Ok(act_trace::io::trace_to_bytes(&trace))
 }
 
 /// `act request <train|diagnose|status|shutdown|trace-put|trace-get>`:
@@ -1068,19 +1057,9 @@ fn cmd_store_put(args: &Args, dir: &str) -> ExitCode {
         Err(e) => return e,
     };
     let mut stored = 0;
-    for seed in 0..runs * 2 {
-        if stored == runs {
-            break;
-        }
-        let built = w.build(&w.default_params().with_seed(seed));
-        let mut coll = TraceCollector::new(norm_of(w.as_ref()));
-        let mut m = Machine::new(&built.program, machine_cfg(seed));
-        let out = m.run_observed(&mut coll);
-        if !built.is_correct(&out) {
-            continue;
-        }
+    for (seed, trace) in correct_run_traces(w.as_ref(), runs) {
         let key = format!("{name}-{seed}");
-        match corpus.put_trace(&key, name, &coll.into_trace()) {
+        match corpus.put_trace(&key, name, &trace) {
             Ok(info) => {
                 println!(
                     "stored {key} ({} records, {} -> {} bytes)",

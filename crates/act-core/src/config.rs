@@ -4,6 +4,9 @@ use act_nn::error::ConfigError;
 use act_nn::pipeline::PipelineConfig;
 use act_nn::trainer::{SearchSpace, TrainConfig};
 
+/// The epoch cap of [`ActConfig::recipe`] when a caller asks for none.
+const DEFAULT_MAX_EPOCHS: usize = 300;
+
 /// Full configuration of the ACT mechanism.
 #[derive(Debug, Clone)]
 pub struct ActConfig {
@@ -73,6 +76,21 @@ impl Default for ActConfig {
 }
 
 impl ActConfig {
+    /// The one training recipe, shared by the experiment harness and the
+    /// diagnosis daemon: the topology pinned to `seq_len` × `hidden` (0
+    /// counts as 1), learning rate 0.5, `max_epochs` epochs (0 means the
+    /// default 300), and training seed `seed + 1`. Online retraining runs
+    /// at the same rate. [`ActConfig::default`] keeps the paper's 0.2.
+    pub fn recipe(seq_len: usize, hidden: usize, max_epochs: usize, seed: u64) -> ActConfig {
+        let mut cfg = ActConfig::default();
+        cfg.search.seq_lens = vec![seq_len.max(1)];
+        cfg.search.hidden_sizes = vec![hidden.max(1)];
+        cfg.train.max_epochs = if max_epochs == 0 { DEFAULT_MAX_EPOCHS } else { max_epochs };
+        cfg.train.learning_rate = 0.5;
+        cfg.train.seed = seed.wrapping_add(1);
+        cfg
+    }
+
     /// Validate internal consistency, naming the offending field on
     /// failure: non-zero buffer sizes, a threshold inside `(0, 1)`, and a
     /// search space whose sequences fit the hardware's input capacity.
@@ -125,6 +143,20 @@ mod tests {
         assert!((c.train.learning_rate - 0.2).abs() < 1e-6);
         assert_eq!(c.search.seq_lens, vec![1, 2]);
         assert_eq!(c.search.hidden_sizes.len(), 10);
+    }
+
+    #[test]
+    fn recipe_pins_the_topology_and_the_schedule() {
+        let c = ActConfig::recipe(2, 10, 0, 0);
+        c.validate().expect("the recipe is valid");
+        assert_eq!((c.search.seq_lens.clone(), c.search.hidden_sizes.clone()), (vec![2], vec![10]));
+        assert_eq!(c.train.max_epochs, 300, "0 asks for the default cap");
+        assert!((c.train.learning_rate - 0.5).abs() < 1e-6);
+        assert_eq!(c.train.seed, TrainConfig::default().seed, "seed 0 trains at the default seed");
+        let c = ActConfig::recipe(0, 0, 30, 7);
+        assert_eq!((c.search.seq_lens[0], c.search.hidden_sizes[0]), (1, 1));
+        assert_eq!((c.train.max_epochs, c.train.seed), (30, 8));
+        assert_eq!(ActConfig::recipe(1, 1, 1, u64::MAX).train.seed, 0, "the seed wraps");
     }
 
     #[test]

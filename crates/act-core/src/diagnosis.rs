@@ -1,7 +1,8 @@
 //! End-to-end diagnosis workflow: run a program with ACT modules attached,
-//! collect the per-core debug buffers, build a Correct Set from fresh
-//! correct executions, and postprocess into a ranked diagnosis — all
-//! without ever reproducing the failure.
+//! collect the per-core debug buffers, and postprocess them against a
+//! Correct Set of fresh correct executions
+//! ([`CorrectSet::from_traces`]) into a ranked diagnosis — all without
+//! ever reproducing the failure.
 
 use crate::config::ActConfig;
 use crate::module::{ActModule, DebugEntry, ModuleStats};
@@ -80,30 +81,6 @@ pub fn run_with_act(
     debug.sort_by_key(|e| e.cycle);
 
     ActRun { outcome, debug, machine_stats, module_stats, pipeline_stats }
-}
-
-/// Build the Correct Set by running `program` a few more times (the paper
-/// uses ~20) with fresh seeds and keeping sequences from runs `is_correct`
-/// accepts. The failure is *not* reproduced — these are correct executions.
-pub fn build_correct_set<F>(
-    program: &Program,
-    base: &MachineConfig,
-    seeds: impl IntoIterator<Item = u64>,
-    seq_len: usize,
-    is_correct: F,
-) -> CorrectSet
-where
-    F: FnMut(&RunOutcome) -> bool,
-{
-    let traces = crate::offline::collect_traces(program, base, seeds, is_correct);
-    let mut set = CorrectSet::default();
-    for t in &traces {
-        let deps = observed_deps(t);
-        for s in positive_sequences(&deps, seq_len) {
-            set.insert(&s.deps);
-        }
-    }
-    set
 }
 
 /// Prune and rank a failed run's debug buffer against the Correct Set.
@@ -257,34 +234,13 @@ pub fn diagnose_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{correct_traces, looping_program, Looping};
     use crate::weights::{shared, WeightStore};
     use act_nn::network::Topology;
-    use act_sim::asm::Asm;
     use act_sim::events::RawDep;
-    use act_sim::isa::{AluOp, Reg};
 
-    const R1: Reg = Reg(1);
-    const R2: Reg = Reg(2);
-    const R3: Reg = Reg(3);
-    const R4: Reg = Reg(4);
-
-    fn looping_program() -> Program {
-        let mut a = Asm::new();
-        let buf = a.static_zeroed(8);
-        a.func("main");
-        a.imm(R1, buf as i64);
-        a.imm(R2, 0);
-        let top = a.label_here();
-        a.alui(AluOp::Mul, R3, R2, 8);
-        a.add(R3, R1, R3);
-        a.store(R2, R3, 0);
-        a.load(R4, R3, 0);
-        a.addi(R2, R2, 1);
-        a.alui(AluOp::Lt, R4, R2, 8);
-        a.bnz(R4, top);
-        a.out(R2);
-        a.halt();
-        a.finish().unwrap()
+    fn correct_set() -> CorrectSet {
+        CorrectSet::from_traces(&correct_traces(&Looping::CORRECT, 1..4), 2)
     }
 
     #[test]
@@ -305,9 +261,7 @@ mod tests {
 
     #[test]
     fn correct_set_built_from_reruns() {
-        let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let set = build_correct_set(&p, &base, 1..=3, 2, |o| o.completed());
+        let set = correct_set();
         assert!(!set.is_empty());
         assert_eq!(set.seq_len(), 2);
     }
@@ -322,9 +276,7 @@ mod tests {
             shared(WeightStore::new(Topology::new(2 * crate::encoding::FEATURES_PER_DEP, 3), 2, 1));
         let cfg = MachineConfig { jitter_ppm: 0, cores: 1, ..Default::default() };
         let run = run_with_act(&p, cfg, &ActConfig::default(), &store);
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let set = build_correct_set(&p, &base, 1..=3, 2, |o| o.completed());
-        let diag = diagnose(&run, &set);
+        let diag = diagnose(&run, &correct_set());
         assert_eq!(
             diag.ranked.len(),
             0,
@@ -336,8 +288,7 @@ mod tests {
     #[test]
     fn classify_trace_flags_windows_with_untrained_store() {
         let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let traces = crate::offline::collect_traces(&p, &base, [1], |o| o.completed());
+        let traces = correct_traces(&Looping::CORRECT, 1..2);
         // Untrained store: default weights are biased invalid, so every
         // window of the shipped trace is flagged.
         let store = WeightStore::new(Topology::new(2 * crate::encoding::FEATURES_PER_DEP, 3), 2, 1);
@@ -352,10 +303,9 @@ mod tests {
     #[test]
     fn diagnose_trace_prunes_correct_sequences() {
         let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let traces = crate::offline::collect_traces(&p, &base, [1], |o| o.completed());
+        let traces = correct_traces(&Looping::CORRECT, 1..2);
         let store = WeightStore::new(Topology::new(2 * crate::encoding::FEATURES_PER_DEP, 3), 2, 1);
-        let set = build_correct_set(&p, &base, 1..=3, 2, |o| o.completed());
+        let set = correct_set();
         let diag = diagnose_trace(&store, &set, &traces[0], p.code_len());
         assert!(diag.total_logged > 0, "untrained store logs everything");
         assert_eq!(
@@ -369,9 +319,8 @@ mod tests {
     #[test]
     fn classify_trace_batch_matches_sequential_bit_for_bit() {
         let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
         // Three traces from different seeds, diagnosed as one batch.
-        let traces = crate::offline::collect_traces(&p, &base, [1, 2, 3], |o| o.completed());
+        let traces = correct_traces(&Looping::CORRECT, 1..4);
         let store = WeightStore::new(Topology::new(2 * crate::encoding::FEATURES_PER_DEP, 3), 2, 1);
         let refs: Vec<&act_trace::event::Trace> = traces.iter().collect();
         let batched = classify_trace_batch(&store, &refs, p.code_len(), 0.5);
@@ -391,10 +340,9 @@ mod tests {
     #[test]
     fn diagnose_trace_batch_matches_sequential() {
         let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let traces = crate::offline::collect_traces(&p, &base, [1, 2], |o| o.completed());
+        let traces = correct_traces(&Looping::CORRECT, 1..3);
         let store = WeightStore::new(Topology::new(2 * crate::encoding::FEATURES_PER_DEP, 3), 2, 1);
-        let set = build_correct_set(&p, &base, 1..=3, 2, |o| o.completed());
+        let set = correct_set();
         let refs: Vec<&act_trace::event::Trace> = traces.iter().collect();
         let batched = diagnose_trace_batch(&store, &set, &refs, p.code_len());
         for (t, b) in traces.iter().zip(&batched) {

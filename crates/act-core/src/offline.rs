@@ -1,17 +1,14 @@
-//! Offline training (§III-B): collect traces from correct executions, run
-//! the input generator, search topologies, and produce per-thread weights.
+//! Offline training (§III-B): from traces of correct executions, run the
+//! input generator, search topologies, and produce per-thread weights.
+//! The traces come from `act_workloads::run::correct_runs` or a corpus;
+//! the settings from [`ActConfig::recipe`].
 
 use crate::config::ActConfig;
 use crate::encoding::Encoder;
 use crate::weights::WeightStore;
 use act_nn::network::{Network, Topology};
 use act_nn::trainer::{self, Example, SearchOutcome};
-use act_sim::config::MachineConfig;
 use act_sim::events::ThreadId;
-use act_sim::machine::Machine;
-use act_sim::outcome::RunOutcome;
-use act_sim::program::Program;
-use act_trace::collector::TraceCollector;
 use act_trace::event::Trace;
 use act_trace::input_gen::sequences_ext;
 use act_trace::raw::{distinct_deps, observed_deps, DepEvent};
@@ -53,30 +50,6 @@ pub struct TrainedAct {
     pub store: WeightStore,
     /// Training summary.
     pub report: OfflineReport,
-}
-
-/// Run `program` once per seed and keep the traces of runs that
-/// `is_correct` accepts (offline training uses only correct executions).
-pub fn collect_traces<F>(
-    program: &Program,
-    base: &MachineConfig,
-    seeds: impl IntoIterator<Item = u64>,
-    mut is_correct: F,
-) -> Vec<Trace>
-where
-    F: FnMut(&RunOutcome) -> bool,
-{
-    let mut traces = Vec::new();
-    for seed in seeds {
-        let cfg = MachineConfig { seed, ..base.clone() };
-        let mut collector = TraceCollector::new(program.code_len());
-        let mut machine = Machine::new(program, cfg);
-        let outcome = machine.run_observed(&mut collector);
-        if is_correct(&outcome) {
-            traces.push(collector.into_trace());
-        }
-    }
-    traces
 }
 
 /// Interleave positive and negative examples, *oversampling* the negatives
@@ -310,32 +283,7 @@ pub fn offline_train(code_len: usize, traces: &[Trace], cfg: &ActConfig) -> Trai
 #[cfg(test)]
 mod tests {
     use super::*;
-    use act_sim::asm::Asm;
-    use act_sim::isa::{AluOp, Reg};
-
-    const R1: Reg = Reg(1);
-    const R2: Reg = Reg(2);
-    const R3: Reg = Reg(3);
-    const R4: Reg = Reg(4);
-
-    /// A simple producer/consumer loop with stable dependences.
-    fn looping_program() -> Program {
-        let mut a = Asm::new();
-        let buf = a.static_zeroed(8);
-        a.func("main");
-        a.imm(R1, buf as i64);
-        a.imm(R2, 0);
-        let top = a.label_here();
-        a.alui(AluOp::Mul, R3, R2, 8);
-        a.add(R3, R1, R3);
-        a.store(R2, R3, 0);
-        a.load(R4, R3, 0);
-        a.addi(R2, R2, 1);
-        a.alui(AluOp::Lt, R4, R2, 8);
-        a.bnz(R4, top);
-        a.halt();
-        a.finish().unwrap()
-    }
+    use crate::testing::{correct_traces, Looping};
 
     fn small_cfg() -> ActConfig {
         let mut cfg = ActConfig::default();
@@ -346,23 +294,18 @@ mod tests {
     }
 
     #[test]
-    fn collect_traces_keeps_only_correct_runs() {
-        let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let traces = collect_traces(&p, &base, [1, 2, 3], |o| o.completed());
+    fn training_traces_come_only_from_correct_runs() {
+        let traces = correct_traces(&Looping::CORRECT, 1..4);
         assert_eq!(traces.len(), 3);
         assert!(traces[0].access_count() > 0);
-        // A rejecting filter keeps nothing.
-        let none = collect_traces(&p, &base, [1], |_| false);
-        assert!(none.is_empty());
+        // An oracle that rejects every run keeps nothing.
+        assert!(correct_traces(&Looping::REJECTED, 1..2).is_empty());
     }
 
     #[test]
     fn offline_train_produces_store_and_report() {
-        let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let traces = collect_traces(&p, &base, 1..=4, |o| o.completed());
-        let trained = offline_train(p.code_len(), &traces, &small_cfg());
+        let traces = correct_traces(&Looping::CORRECT, 1..5);
+        let trained = offline_train(traces[0].code_len, &traces, &small_cfg());
         let r = &trained.report;
         assert!(r.total_deps > 0);
         assert!(r.distinct_deps > 0);
@@ -376,14 +319,13 @@ mod tests {
 
     #[test]
     fn offline_train_is_byte_identical_at_any_search_worker_count() {
-        let p = looping_program();
-        let base = MachineConfig { jitter_ppm: 0, ..Default::default() };
-        let traces = collect_traces(&p, &base, 1..=4, |o| o.completed());
-        let serial = offline_train(p.code_len(), &traces, &small_cfg());
+        let traces = correct_traces(&Looping::CORRECT, 1..5);
+        let code_len = traces[0].code_len;
+        let serial = offline_train(code_len, &traces, &small_cfg());
         for workers in [2, 4, 8] {
             let mut cfg = small_cfg();
             cfg.search_workers = workers;
-            let par = offline_train(p.code_len(), &traces, &cfg);
+            let par = offline_train(code_len, &traces, &cfg);
             assert_eq!(par.report.seq_len, serial.report.seq_len, "workers={workers}");
             assert_eq!(par.report.topology, serial.report.topology, "workers={workers}");
             assert_eq!(par.report.candidates, serial.report.candidates, "workers={workers}");

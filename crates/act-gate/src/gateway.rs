@@ -26,9 +26,10 @@
 //! route, fail over, and complete independently, and a backend session
 //! carries up to its whole window of forwards at once.
 //!
-//! Each admitted request counts as in flight (`requests_in_flight`) until
-//! its final reply; a drain closes the queue when that count reaches 0,
-//! so [`Gateway::join`] returns after every admitted request is answered.
+//! Each admitted request, and each relayed upload from its opener on,
+//! counts as in flight (`requests_in_flight`) until its final reply; a
+//! drain closes the queue when that count reaches 0, so [`Gateway::join`]
+//! returns after every admitted request and upload is answered.
 
 use crate::health::Health;
 use crate::pool::SessionPool;
@@ -177,8 +178,8 @@ impl GateStats {
     }
 
     /// Requests the gateway refused `BUSY` itself: its queue was full,
-    /// the session's window was full, or the session already had an
-    /// upload open.
+    /// the session's window was full, the session already had an upload
+    /// open, or the gateway was draining.
     pub fn rejected_busy(&self) -> u64 {
         self.rejected_busy.get()
     }
@@ -200,9 +201,9 @@ impl GateStats {
         self.sessions_open.get()
     }
 
-    /// Admitted requests that have not had their final reply yet — what a
-    /// drain waits on. With forwards no longer parked at the gateway, this
-    /// is how much work is out on the fleet.
+    /// Admitted requests and relayed uploads that have not had their
+    /// final reply yet — what a drain waits on. With forwards no longer
+    /// parked at the gateway, this is how much work is out on the fleet.
     pub fn requests_in_flight(&self) -> i64 {
         self.requests_in_flight.get()
     }
@@ -289,10 +290,10 @@ pub(crate) struct GateState {
     /// Shared with the reply callbacks, which hold nothing else of the
     /// gateway.
     queue: Arc<BoundedQueue<GateJob>>,
-    /// Admitted requests not yet finally answered (mirrored in
-    /// `stats.requests_in_flight`). Admission, final replies and the start
-    /// of a drain all decide under this lock, so the reply that empties a
-    /// draining gateway cannot miss closing the queue.
+    /// Admitted requests and open uploads not yet finally answered
+    /// (mirrored in `stats.requests_in_flight`). Admission, final replies
+    /// and the start of a drain all decide under this lock, so the reply
+    /// that empties a draining gateway cannot miss closing the queue.
     in_flight: Mutex<u64>,
     /// One act-client per backend, probe-timeout-configured, for health
     /// probes and STATUS aggregation.
@@ -369,31 +370,42 @@ impl GateState {
         wake(&self.wake);
     }
 
-    /// Admit a routable request: queue it for a worker and count it in
-    /// flight until its final reply. `false` means it was never queued —
-    /// the queue is full or the gateway is draining — and the caller
-    /// answers `BUSY`.
-    pub(crate) fn admit(&self, forward: Forward) -> bool {
+    /// Count a request or upload in flight if the gateway is not draining
+    /// and `accepted` takes it. `false` means it was never taken, and the
+    /// caller answers `BUSY`.
+    pub(crate) fn enter(&self, accepted: impl FnOnce() -> bool) -> bool {
         let mut in_flight = self.in_flight.lock().expect("gate in-flight lock");
-        let admitted = !self.shutdown.load(Ordering::SeqCst)
-            && self.queue.try_push(GateJob::Admitted(Arc::new(forward))).is_ok();
-        if admitted {
+        let entered = !self.shutdown.load(Ordering::SeqCst) && accepted();
+        if entered {
             *in_flight += 1;
             self.stats.requests_in_flight.set(*in_flight as i64);
         }
-        admitted
+        entered
     }
 
-    /// Write an admitted request's final reply and count it out; the reply
-    /// that empties a draining gateway closes the queue.
-    fn finish(&self, forward: &Forward, reply: &Reply) {
-        forward.session.send_final(forward.request_id, reply);
+    /// Count a request or upload out once its final reply is written; the
+    /// last one out of a draining gateway closes the queue.
+    pub(crate) fn leave(&self) {
         let mut in_flight = self.in_flight.lock().expect("gate in-flight lock");
         *in_flight -= 1;
         self.stats.requests_in_flight.set(*in_flight as i64);
         if *in_flight == 0 && self.shutdown.load(Ordering::SeqCst) {
             self.queue.close();
         }
+    }
+
+    /// Admit a routable request: queue it for a worker and count it in
+    /// flight until its final reply. `false` means it was never queued —
+    /// the queue is full or the gateway is draining — and the caller
+    /// answers `BUSY`.
+    pub(crate) fn admit(&self, forward: Forward) -> bool {
+        self.enter(|| self.queue.try_push(GateJob::Admitted(Arc::new(forward))).is_ok())
+    }
+
+    /// Write an admitted request's final reply and count it out.
+    fn finish(&self, forward: &Forward, reply: &Reply) {
+        forward.session.send_final(forward.request_id, reply);
+        self.leave();
     }
 
     /// The backends a request for `key` may try, in order: the ring order
@@ -737,8 +749,8 @@ impl Gateway {
         self.state.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Wait for the drain to finish: every admitted request has had its
-    /// one final reply.
+    /// Wait for the drain to finish: every admitted request and relayed
+    /// upload has had its one final reply.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();

@@ -18,7 +18,9 @@
 //! chunks have flowed, a backend failure is an error — half a stream must
 //! never be replayed. After `STREAM_END` a one-off thread waits for the
 //! backend's verdict so a slow ingest cannot stall the session's other
-//! pipelined requests.
+//! pipelined requests. An upload counts in `requests_in_flight` from its
+//! opener to its one reply, so a drain waits for the verdict; a draining
+//! gateway refuses new openers `BUSY`.
 
 use crate::gateway::{route_key, Forward, GateState};
 use act_obs::{events, Level};
@@ -82,16 +84,23 @@ impl SessionHost for GateState {
         }
     }
 
+    /// Count the upload in flight, then open its relay. A failed open or
+    /// chunk is counted out as the session loop writes its `ERROR`.
     fn open(&self, opener: Request) -> Result<Relay, Reply> {
+        if !self.enter(|| true) {
+            return Err(Reply::Busy);
+        }
         let key = route_key(&opener).expect("stream openers carry a shard key");
         open_relay(self, &opener.to_frame().with_request(BACKEND_STREAM_ID), &key).map_err(|msg| {
             self.stats.failed.inc();
+            self.leave();
             Reply::Error(msg)
         })
     }
 
     fn chunk(&self, relay: &mut Relay, bytes: Vec<u8>) -> Result<(), Reply> {
-        self.relay(relay, Frame::new(FrameKind::StreamChunk, bytes))?;
+        self.relay(relay, Frame::new(FrameKind::StreamChunk, bytes))
+            .inspect_err(|_| self.leave())?;
         self.stats.stream_chunks_relayed.inc();
         Ok(())
     }
@@ -109,23 +118,34 @@ impl SessionHost for GateState {
     ) {
         let end = Request::StreamEnd { crc32, total_len }.to_frame();
         if let Err(reply) = self.relay(&mut relay, end) {
-            return session.send_final(request_id, &reply);
+            return self.answer_upload(session, request_id, &reply);
         }
-        let session = session.clone();
+        let (state, finisher_session) = (self.clone(), session.clone());
         let spawned = std::thread::Builder::new()
             .name("act-gate-stream".into())
-            .spawn(move || finish_relay(relay, &session, request_id, &self));
+            .spawn(move || finish_relay(relay, &finisher_session, request_id, &state));
         if spawned.is_err() {
             events().emit(Level::Warn, "gate.stream", "failed to spawn stream finisher");
+            self.stats.failed.inc();
+            let reply = Reply::Error("gateway could not start a stream finisher".into());
+            self.answer_upload(session, request_id, &reply);
         }
     }
 
     /// Dropping the backend connection makes the backend abort its
     /// half-written upload.
-    fn abandon(&self, _relay: Relay) {}
+    fn abandon(&self, _relay: Relay) {
+        self.leave();
+    }
 }
 
 impl GateState {
+    /// Write an upload's one reply and count the upload out.
+    fn answer_upload(&self, session: &SessionShared, request_id: u32, reply: &Reply) {
+        session.send_final(request_id, reply);
+        self.leave();
+    }
+
     /// Relay one stream frame to its upload's backend. Chunks have flowed
     /// by now, so a failure ends the upload: no failover, no replay.
     fn relay(&self, relay: &mut Relay, frame: Frame) -> Result<(), Reply> {
@@ -164,18 +184,19 @@ fn open_relay(state: &GateState, opener: &Frame, key: &str) -> Result<Relay, Str
 /// Wait for the backend's verdict on a sealed stream and forward it to
 /// the client under its original request id.
 fn finish_relay(mut done: Relay, session: &SessionShared, request_id: u32, state: &GateState) {
-    match read_frame(&mut done.backend).and_then(|f| Reply::from_frame(&f)) {
+    let reply = match read_frame(&mut done.backend).and_then(|f| Reply::from_frame(&f)) {
         Ok(reply) => {
             state.note_backend_up(done.backend_index);
             state.stats.forwarded_by[done.backend_index].inc();
             state.stats.relayed.inc();
             state.stats.streams_relayed.inc();
-            session.send_final(request_id, &reply);
+            reply
         }
         Err(e) => {
             state.note_backend_down(done.backend_index, &e.to_string());
             state.stats.failed.inc();
-            session.send_final(request_id, &Reply::Error(format!("backend lost mid-stream: {e}")));
+            Reply::Error(format!("backend lost mid-stream: {e}"))
         }
-    }
+    };
+    state.answer_upload(session, request_id, &reply);
 }

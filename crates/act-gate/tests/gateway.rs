@@ -298,6 +298,62 @@ fn an_upload_whose_backend_is_lost_mid_relay_gets_one_error() {
     gate.join();
 }
 
+/// A backend that acks `HELLO` and answers `STATUS`, takes a stream's
+/// opener and chunks without a word, and answers its `STREAM_END` 300 ms
+/// after reading it — reporting on `sealed` the moment it has.
+fn spawn_slow_sealer(sealed: mpsc::Sender<()>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
+    let addr = listener.local_addr().unwrap().to_string();
+    let listener = Listener::Tcp(listener);
+    std::thread::spawn(move || {
+        let serve = move |mut conn: Conn| {
+            while let Ok(frame) = read_frame(&mut conn) {
+                let reply = match frame.kind {
+                    FrameKind::Hello => Reply::HelloAck { window: 32 },
+                    FrameKind::Status => {
+                        Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
+                    }
+                    FrameKind::StreamEnd => {
+                        let _ = sealed.send(());
+                        std::thread::sleep(Duration::from_millis(300));
+                        Reply::Stored("stored slow-0".into())
+                    }
+                    _ => continue, // the opener and its chunks
+                };
+                let reply = reply.to_frame().with_request(frame.request_id);
+                if write_frame(&mut conn, &reply).is_err() {
+                    break;
+                }
+            }
+        };
+        // Never drained: the stub lives as long as the test process.
+        accept_loop(&listener, &AtomicBool::new(false), "stub-session", serve);
+    });
+    addr
+}
+
+#[test]
+fn a_drain_waits_for_a_relayed_upload_verdict() {
+    let (sealed, backend_sealed) = mpsc::channel();
+    let gate = boot_gateway(vec![spawn_slow_sealer(sealed)]);
+    let stats = gate.stats().clone();
+    let mut conn = raw_session(&gate.tcp_addr().to_string(), 4);
+    conn.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let body = b"acttrace v1 10\nS 1 2 0 7 8\n";
+    let opener = Request::TracePutStart { key: "slow-0".into(), workload: "seq".into() };
+    send_all(&mut conn, 1, &[opener]);
+    send_all(&mut conn, 1, &chunks(body, 8));
+    send_all(&mut conn, 1, &[seal(body)]);
+    backend_sealed.recv_timeout(Duration::from_secs(5)).expect("the backend read STREAM_END");
+
+    gate.shutdown();
+    gate.join();
+    assert_eq!(stats.streams_relayed(), 1, "join returned only after the verdict was relayed");
+    assert_eq!(stats.requests_in_flight(), 0, "nothing is left in flight after join");
+    assert_eq!(read_reply(&mut conn), (1, Reply::Stored("stored slow-0".into())));
+    assert!(read_frame(&mut conn).is_err(), "one reply, then the gateway lets go");
+}
+
 /// A raw session on `addr`: `HELLO` for `window`, ack read.
 fn raw_session(addr: &str, window: u32) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");

@@ -610,7 +610,7 @@ mod tests {
     #[should_panic(expected = "batch input size mismatch")]
     fn predict_batch_rejects_ragged_input() {
         let mut net = Network::random(Topology::new(3, 2), 0.2, 0);
-        let _ = net.predict_batch(&[0.0; 7], &mut Vec::new());
+        net.predict_batch(&[0.0; 7], &mut Vec::new());
     }
 
     #[test]

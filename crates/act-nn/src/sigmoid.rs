@@ -44,7 +44,7 @@ fn exp_fast(x: f32) -> f32 {
     let f4 = f2 * f2;
     let q0 = 6.931_472e-1 * f + 1.0;
     let q1 = 5.550_332_5e-2 * f + 2.402_264_7e-1;
-    let q2 = 1.339_887_4e-3 * f + 9.618_437_4e-3;
+    let q2 = 1.339_887_4e-3 * f + 9.618_438e-3;
     let p = q0 + f2 * q1 + f4 * (q2 + f2 * 1.535_336_2e-4);
     // 2^k assembled directly in the exponent field. `k` is recovered from
     // `kf`'s low mantissa bits with integer arithmetic: `to_bits(kf) =

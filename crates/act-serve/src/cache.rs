@@ -20,25 +20,18 @@ use crate::proto::ModelSpec;
 use act_core::offline::offline_train;
 use act_core::weights::WeightStore;
 use act_core::{ActConfig, ActError};
-use act_sim::config::MachineConfig;
 use act_sim::events::RawDep;
-use act_sim::machine::Machine;
 use act_store::{Corpus, EntryKind};
 use act_trace::collector::TraceCollector;
 use act_trace::correct_set::CorrectSet;
 use act_trace::event::Trace;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
 use act_workloads::registry;
+use act_workloads::run::{correct_runs, norm_of};
 use act_workloads::spec::Workload;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// Default training epoch cap when the request leaves `max_epochs` at 0
-/// (matches the experiment harness's `act_cfg`).
-pub const DEFAULT_MAX_EPOCHS: usize = 300;
 
 /// Cache key: the shared workload × topology × seed identity from
 /// `act-fleet` — `seq_len` and `hidden` pin the topology
@@ -304,34 +297,14 @@ fn corpus_traces(corpus: &Corpus, workload: &str) -> Vec<Trace> {
 // Training (server-side): clean traces -> offline training -> Correct Set.
 // ---------------------------------------------------------------------
 
-/// Machine configuration for server-side runs: the experiment harness's
-/// defaults (interleaving jitter so seeded runs differ).
-fn run_cfg(seed: u64) -> MachineConfig {
-    MachineConfig { seed, jitter_ppm: 10_000, ..Default::default() }
-}
-
-/// The code length `w`'s traces are normalized by.
-fn norm_of(w: &dyn Workload) -> usize {
-    w.norm_code_len().unwrap_or_else(|| w.build(&w.default_params()).program.code_len())
-}
-
-/// Collect up to `want` correct-run traces of `w`'s clean configuration.
-fn clean_traces(w: &dyn Workload, base_seed: u64, want: usize, norm: usize) -> Vec<Trace> {
-    let mut traces = Vec::new();
-    for offset in 0..(want as u64 * 2) {
-        if traces.len() == want {
-            break;
-        }
-        let seed = base_seed + offset;
-        let built = w.build(&w.default_params().with_seed(seed));
-        let mut collector = TraceCollector::new(norm);
-        let mut machine = Machine::new(&built.program, run_cfg(seed));
-        let outcome = machine.run_observed(&mut collector);
-        if built.is_correct(&outcome) {
-            traces.push(collector.into_trace());
-        }
-    }
-    traces
+/// The traces of up to `want` correct runs of `w`'s clean configuration,
+/// from seed `first` on, trying at most `2 * want` seeds.
+fn clean_traces(w: &dyn Workload, first: u64, want: usize, norm: usize) -> Vec<Trace> {
+    let seeds = (0..want as u64 * 2).map(|i| first.wrapping_add(i));
+    correct_runs(w, w.default_params(), seeds, |_| TraceCollector::new(norm))
+        .take(want)
+        .map(|run| run.observer.into_trace())
+        .collect()
 }
 
 /// Train the model a spec names: collect clean traces, run offline
@@ -356,7 +329,7 @@ pub fn train_model(spec: &ModelSpec) -> Result<Model, ActError> {
         });
     }
     // Correct Set from fresh correct runs at disjoint seeds.
-    let correct_traces = clean_traces(w.as_ref(), spec.seed + 100, 20, norm);
+    let correct_traces = clean_traces(w.as_ref(), spec.seed.wrapping_add(100), 20, norm);
     finish_training(spec, norm, &traces, &correct_traces, "")
 }
 
@@ -379,8 +352,9 @@ pub fn train_model_from_traces(spec: &ModelSpec, traces: Vec<Trace>) -> Result<M
     finish_training(spec, norm, &traces, &traces, " from corpus")
 }
 
-/// The shared back half of training: offline training with the spec's
-/// pinned topology, then the Correct Set from `correct_traces`.
+/// The shared back half of training: offline training with the shared
+/// recipe at the spec's pinned topology, then the Correct Set from
+/// `correct_traces`.
 fn finish_training(
     spec: &ModelSpec,
     norm: usize,
@@ -388,23 +362,15 @@ fn finish_training(
     correct_traces: &[Trace],
     source: &str,
 ) -> Result<Model, ActError> {
-    let mut cfg = ActConfig::default();
-    cfg.search.seq_lens = vec![spec.seq_len.max(1) as usize];
-    cfg.search.hidden_sizes = vec![spec.hidden.max(1) as usize];
-    cfg.train.max_epochs =
-        if spec.max_epochs == 0 { DEFAULT_MAX_EPOCHS } else { spec.max_epochs as usize };
-    cfg.train.learning_rate = 0.5;
-    cfg.train.seed = spec.seed.wrapping_add(1);
+    let mut cfg = ActConfig::recipe(
+        spec.seq_len as usize,
+        spec.hidden as usize,
+        spec.max_epochs as usize,
+        spec.seed,
+    );
     cfg.norm_code_len = norm;
     let trained = offline_train(norm, traces, &cfg);
-
-    let seq_len = trained.store.seq_len();
-    let mut correct = CorrectSet::default();
-    for t in correct_traces {
-        for s in positive_sequences(&observed_deps(t), seq_len) {
-            correct.insert(&s.deps);
-        }
-    }
+    let correct = CorrectSet::from_traces(correct_traces, trained.store.seq_len());
 
     let r = &trained.report;
     let summary = format!(

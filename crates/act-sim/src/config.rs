@@ -142,7 +142,7 @@ impl MachineConfig {
         assert!(self.rob_entries >= self.issue_width);
         assert!(self.line_bytes >= crate::isa::WORD_BYTES);
         assert!(self.line_bytes.is_power_of_two());
-        assert!(self.bus_bytes > 0 && self.line_bytes % self.bus_bytes == 0);
+        assert!(self.bus_bytes > 0 && self.line_bytes.is_multiple_of(self.bus_bytes));
         let _ = self.l1.sets(self.line_bytes);
         let _ = self.l2.sets(self.line_bytes);
     }

@@ -676,7 +676,7 @@ impl Corpus {
                 traces.push(self.get_trace(&info.meta.key)?);
             }
         }
-        Ok(act_trace::CorrectSet::from_corpus(traces, n))
+        Ok(act_trace::CorrectSet::from_traces(&traces, n))
     }
 
     /// Corpus-wide accounting.

@@ -30,18 +30,19 @@ impl CorrectSet {
         set
     }
 
-    /// Build from whole correct-run traces, e.g. streamed out of an
-    /// `act-store` corpus. Each trace contributes the positive dependence
-    /// windows of length `n` that the Input Generator would emit, using the
-    /// *observed* dependence stream (what the hardware saw), so the set
-    /// matches what online classification is scored against.
-    pub fn from_corpus<I>(traces: I, n: usize) -> Self
+    /// Build from whole correct-run traces — fresh simulator runs or an
+    /// `act-store` corpus's stored ones. This is the one Correct Set
+    /// builder: each trace contributes the positive dependence windows of
+    /// length `n` that the Input Generator would emit, using the *observed*
+    /// dependence stream (what the hardware saw), so the set matches what
+    /// online classification is scored against.
+    pub fn from_traces<'a, I>(traces: I, n: usize) -> Self
     where
-        I: IntoIterator<Item = crate::event::Trace>,
+        I: IntoIterator<Item = &'a crate::event::Trace>,
     {
         let mut set = CorrectSet::default();
         for trace in traces {
-            let deps = crate::raw::observed_deps(&trace);
+            let deps = crate::raw::observed_deps(trace);
             for s in crate::input_gen::positive_sequences(&deps, n) {
                 set.insert(&s.deps);
             }
@@ -169,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn from_corpus_builds_windows_from_observed_deps() {
+    fn from_traces_builds_windows_from_observed_deps() {
         use crate::event::{Trace, TraceKind, TraceRecord};
         let load = |seq: u64, pc: Pc, d: RawDep| TraceRecord {
             seq,
@@ -185,7 +186,7 @@ mod tests {
             records: vec![load(0, 10, d1), load(1, 20, d2), load(2, 30, d3)],
             code_len: 40,
         };
-        let set = CorrectSet::from_corpus([trace], 2);
+        let set = CorrectSet::from_traces([&trace], 2);
         assert_eq!(set.seq_len(), 2);
         assert!(set.contains(&[d1, d2]));
         assert!(set.contains(&[d2, d3]));

@@ -12,6 +12,8 @@
 //!   consecutive dependences, positive and negative.
 //! * [`correct_set`] — the Correct Set used by offline postprocessing to
 //!   prune the debug buffer and count matched dependences for ranking.
+//!   [`CorrectSet::from_traces`] is its one builder, for fresh correct
+//!   runs and stored corpus traces alike.
 //! * [`io`] — text (de)serialization so traces can be archived and shipped
 //!   like the paper's PIN trace files.
 

@@ -154,9 +154,9 @@ mod tests {
         let mut crashes = 0;
         for seed in 0..6 {
             let cfg = MachineConfig { jitter_ppm: 10_000, seed, ..Default::default() };
-            match Machine::new(&built.program, cfg).run() {
-                RunOutcome::Crash { kind: CrashKind::NullDeref, .. } => crashes += 1,
-                _ => {}
+            let outcome = Machine::new(&built.program, cfg).run();
+            if let RunOutcome::Crash { kind: CrashKind::NullDeref, .. } = outcome {
+                crashes += 1;
             }
         }
         assert!(crashes >= 4, "only {crashes}/6 triggered runs crashed");

@@ -26,7 +26,7 @@ fn tokens(p: &Params) -> Vec<i64> {
     if p.trigger_bug {
         // `-` in the middle: the bug's triggering input shape.
         vec![files[0], files[1], STDIN_TOKEN, files[2], files[3]]
-    } else if p.seed % 2 == 0 {
+    } else if p.seed.is_multiple_of(2) {
         // `-` first (handled correctly).
         vec![STDIN_TOKEN, files[0], files[1], files[2], files[3]]
     } else {

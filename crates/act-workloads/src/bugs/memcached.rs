@@ -41,7 +41,7 @@ impl Workload for Memcached {
         // invalidate-first training configuration is deterministic.
         let (d_start, d_incr, d_inval) = if p.trigger_bug {
             (0, 1500, 400 + jit) // invalidate lands inside the window
-        } else if p.seed % 2 == 0 {
+        } else if p.seed.is_multiple_of(2) {
             (0, 0, 5000 + jit) // incr completes, then invalidate
         } else {
             (3000, 0, 10 + jit) // invalidate first, incr sees INVALID

@@ -25,7 +25,7 @@ fn delims(p: &Params) -> Vec<i64> {
     let mut s = base;
     if p.trigger_bug {
         s.push(BACKSLASH); // escape at the very end
-    } else if p.seed % 2 == 0 {
+    } else if p.seed.is_multiple_of(2) {
         s.insert(2, BACKSLASH); // escaped pair in the middle
     }
     s

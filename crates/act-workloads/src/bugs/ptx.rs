@@ -27,7 +27,7 @@ fn input_chars(p: &Params) -> Vec<i64> {
     if p.trigger_bug {
         // Odd number of consecutive backslashes at the end.
         s.push(BACKSLASH);
-    } else if p.seed % 2 == 0 {
+    } else if p.seed.is_multiple_of(2) {
         // Escaped pair in the middle (exercises the escape path safely).
         s.insert(3, BACKSLASH);
     }

@@ -24,7 +24,7 @@ fn inputs(p: &Params) -> (i64, i64, i64) {
     if p.trigger_bug {
         // Step overshoots: `i == last` never holds at the final number.
         (first, first + 7, 3)
-    } else if p.seed % 2 == 0 {
+    } else if p.seed.is_multiple_of(2) {
         (first, first + 6, 2) // exact hit
     } else {
         (first, first + 4, 1) // exact hit

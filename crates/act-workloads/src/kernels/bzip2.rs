@@ -30,7 +30,7 @@ fn gen_input(n: usize, seed: u64) -> Vec<i64> {
     while v.len() < n {
         let sym = rng.gen_range(1i64..6);
         let run = rng.gen_range(1usize..6).min(n - v.len());
-        v.extend(std::iter::repeat(sym).take(run));
+        v.extend(std::iter::repeat_n(sym, run));
     }
     v
 }

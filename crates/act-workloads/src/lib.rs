@@ -7,11 +7,18 @@
 //! output) and, when buggy, a ground-truth [`spec::BugInfo`] naming the
 //! buggy store/load instruction addresses so diagnosis rankings can be
 //! scored automatically.
+//!
+//! [`run`] is the one place a workload meets the simulator with an
+//! observer attached: the seeded [`run::machine_cfg`], [`run::norm_of`],
+//! the lazy [`run::correct_runs`] search (training traces and the Correct
+//! Set come from it) and [`run::first_failure`]. The experiment harness,
+//! the CLI and the diagnosis daemon all run workloads through it.
 
 pub mod bugs;
 pub mod injected;
 pub mod kernels;
 pub mod registry;
+pub mod run;
 pub mod spec;
 pub mod util;
 

@@ -10,8 +10,6 @@ use act_bench::{act_cfg_for, collect_clean_traces, find_act_failure, train_workl
 use act_core::diagnosis::diagnose;
 use act_core::weights::shared;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
 use act_workloads::registry;
 
 fn diagnose_one(name: &str) {
@@ -28,13 +26,8 @@ fn diagnose_one(name: &str) {
         failure.run.machine_stats.total_attach_stalls()
     );
 
-    let mut set = CorrectSet::default();
-    for t in collect_clean_traces(w.as_ref(), 100..120) {
-        for s in positive_sequences(&observed_deps(&t), trained.report.seq_len) {
-            set.insert(&s.deps);
-        }
-    }
-    let diag = diagnose(&failure.run, &set);
+    let clean = collect_clean_traces(w.as_ref(), 100..120);
+    let diag = diagnose(&failure.run, &CorrectSet::from_traces(&clean, trained.report.seq_len));
     let program = &failure.built.program;
     let bug = failure.built.bug.as_ref().unwrap();
     println!("bug class: {:?} — {}", bug.class, bug.description);

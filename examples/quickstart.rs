@@ -10,8 +10,6 @@ use act_bench::{act_cfg_for, find_act_failure, train_workload};
 use act_core::diagnosis::diagnose;
 use act_core::weights::shared;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
 use act_workloads::registry;
 
 fn main() {
@@ -37,12 +35,7 @@ fn main() {
 
     // 3. Postprocess: Correct Set from fresh correct runs, prune, rank.
     let traces = act_bench::collect_clean_traces(workload.as_ref(), 100..120);
-    let mut set = CorrectSet::default();
-    for t in &traces {
-        for s in positive_sequences(&observed_deps(t), trained.report.seq_len) {
-            set.insert(&s.deps);
-        }
-    }
+    let set = CorrectSet::from_traces(&traces, trained.report.seq_len);
     let diag = diagnose(&failure.run, &set);
     println!("diagnosis ({} candidates after pruning {}):", diag.ranked.len(), diag.pruned);
     let program = &failure.built.program;

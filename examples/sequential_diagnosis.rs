@@ -13,8 +13,6 @@ use act_bench::{
 use act_core::diagnosis::diagnose;
 use act_core::weights::shared;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
 use act_workloads::registry;
 
 fn main() {
@@ -33,13 +31,8 @@ fn main() {
             failure.run.outcome.output()
         );
 
-        let mut set = CorrectSet::default();
-        for t in collect_clean_traces(w.as_ref(), 100..120) {
-            for s in positive_sequences(&observed_deps(&t), trained.report.seq_len) {
-                set.insert(&s.deps);
-            }
-        }
-        let diag = diagnose(&failure.run, &set);
+        let clean = collect_clean_traces(w.as_ref(), 100..120);
+        let diag = diagnose(&failure.run, &CorrectSet::from_traces(&clean, trained.report.seq_len));
         let bug = failure.built.bug.as_ref().unwrap();
         let program = &failure.built.program;
         match diag.rank_where(|s| bug.matches_any(&s.deps)) {

@@ -1,7 +1,10 @@
 //! Cross-crate integration invariants that no single crate can test alone.
 
-use act_bench::{collect_clean_traces, machine_cfg};
+use act_bench::{act_cfg_for, collect_clean_traces, machine_cfg, norm_of, train_workload};
+use act_core::weights::WeightStore;
+use act_serve::ModelSpec;
 use act_sim::machine::Machine;
+use act_trace::correct_set::CorrectSet;
 use act_trace::raw::{observed_deps, raw_deps};
 use act_workloads::registry;
 use act_workloads::spec::Params;
@@ -83,5 +86,35 @@ fn real_bugs_trigger_and_clean_runs_pass() {
             }
         }
         assert!(failed, "{} never failed under trigger", w.name());
+    }
+}
+
+/// The experiment harness and the diagnosis daemon train one model for the
+/// same workload: `act serve`'s default `TRAIN` and the harness's
+/// `train_workload` at `act_cfg_for`, with the harness's Correct Set from
+/// seeds 100..120, agree byte for byte — weights and Correct Set alike.
+#[test]
+fn harness_and_daemon_train_the_same_model() {
+    let bytes = |store: &WeightStore| {
+        let mut buf = Vec::new();
+        store.save(&mut buf).expect("in-memory save");
+        buf
+    };
+    let sequences = |set: &CorrectSet| {
+        let mut seqs: Vec<_> = set.sequences().cloned().collect();
+        seqs.sort();
+        (set.seq_len(), seqs)
+    };
+    for name in ["seq", "gzip"] {
+        let w = registry::by_name(name).unwrap();
+        let daemon = act_serve::cache::train_model(&ModelSpec::new(name)).expect("daemon trains");
+        let harness = train_workload(w.as_ref(), 10, &act_cfg_for(w.as_ref()));
+        let correct = CorrectSet::from_traces(
+            &collect_clean_traces(w.as_ref(), 100..120),
+            harness.store.seq_len(),
+        );
+        assert_eq!(bytes(&daemon.store), bytes(&harness.store), "{name}: weights differ");
+        assert_eq!(sequences(&daemon.correct), sequences(&correct), "{name}: Correct Sets differ");
+        assert_eq!(daemon.norm_code_len, norm_of(w.as_ref()), "{name}: encodings differ");
     }
 }

@@ -6,8 +6,6 @@ use act_bench::{act_cfg_for, collect_clean_traces, find_act_failure, train_workl
 use act_core::diagnosis::diagnose;
 use act_core::weights::shared;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
 use act_workloads::registry;
 
 fn diagnose_rank(name: &str) -> Option<usize> {
@@ -16,13 +14,8 @@ fn diagnose_rank(name: &str) -> Option<usize> {
     let trained = train_workload(w.as_ref(), 8, &cfg);
     let store = shared(trained.store.clone());
     let failure = find_act_failure(w.as_ref(), &store, &cfg, 20)?;
-    let mut set = CorrectSet::default();
-    for t in collect_clean_traces(w.as_ref(), 100..116) {
-        for s in positive_sequences(&observed_deps(&t), trained.report.seq_len) {
-            set.insert(&s.deps);
-        }
-    }
-    let diag = diagnose(&failure.run, &set);
+    let clean = collect_clean_traces(w.as_ref(), 100..116);
+    let diag = diagnose(&failure.run, &CorrectSet::from_traces(&clean, trained.report.seq_len));
     let bug = failure.built.bug.as_ref().unwrap();
     diag.rank_where(|s| bug.matches_any(&s.deps))
 }
@@ -125,13 +118,8 @@ fn persisted_weights_diagnose_like_fresh_ones() {
 
     let store = shared(loaded);
     let failure = find_act_failure(w.as_ref(), &store, &cfg, 10).expect("gzip bug triggers");
-    let mut set = CorrectSet::default();
-    for t in collect_clean_traces(w.as_ref(), 100..112) {
-        for s in positive_sequences(&observed_deps(&t), trained.report.seq_len) {
-            set.insert(&s.deps);
-        }
-    }
-    let diag = diagnose(&failure.run, &set);
+    let clean = collect_clean_traces(w.as_ref(), 100..112);
+    let diag = diagnose(&failure.run, &CorrectSet::from_traces(&clean, trained.report.seq_len));
     let bug = failure.built.bug.as_ref().unwrap();
     assert!(diag.rank_where(|s| bug.matches_any(&s.deps)).is_some_and(|r| r <= 5));
 }

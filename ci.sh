@@ -9,6 +9,9 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q --release
+# The trace codec and the store's kernels once more in debug, where an
+# integer overflow panics instead of wrapping silently.
+cargo test -q -p act-trace -p act-store
 # The service benchmark calls act-core, act-trace and act-store functions
 # directly: build it and run its unit tests, so an API change cannot
 # break it unseen.
@@ -48,9 +51,10 @@ cargo run --release -p act-bench --bin perf -- --quick --only obs_classify \
     --out BENCH_obs.quick.json
 test -s BENCH_obs.quick.json
 
-# Corpus store: the codec benches must run, and a CLI round trip through a
-# real corpus must be lossless (DESIGN.md §9).
-cargo run --release -p act-bench --bin perf -- --quick --only store_ \
+# Corpus store and text codec: the codec, CRC-32 and text parse/write
+# benches must run, and a CLI round trip through a real corpus must be
+# lossless (DESIGN.md §9).
+cargo run --release -p act-bench --bin perf -- --quick --only store_,text_ \
     --out BENCH_store.quick.json
 test -s BENCH_store.quick.json
 STORE_DIR=$(mktemp -d)

@@ -4,9 +4,10 @@
 //! run on every retired RAW dependence (§III); the software model has to keep
 //! the same discipline. This module measures the four rates that gate it —
 //! steady-state classify throughput, online-training throughput, offline
-//! training wall-clock, and the end-to-end `table4` campaign — and emits
-//! `BENCH_hotpath.json` so the trajectory is recorded per PR instead of
-//! asserted in prose.
+//! training wall-clock, and the end-to-end `table4` campaign — plus the
+//! service's own kernels (the corpus codec, CRC-32, text parse and write),
+//! and emits `BENCH_hotpath.json` so the trajectory is recorded per PR
+//! instead of asserted in prose.
 //!
 //! Schema (one JSON array, one object per measurement):
 //!
@@ -33,7 +34,9 @@ use act_obs::{LocalCounter, Registry};
 use act_sim::events::RawDep;
 use act_store::column::{decode_chunk, encode_chunk, CHUNK_RECORDS};
 use act_store::corpus::text_size_of;
-use act_trace::event::TraceRecord;
+use act_store::crc32::crc32;
+use act_trace::event::{Trace, TraceRecord};
+use act_trace::io::{trace_from_bytes, trace_to_bytes};
 use act_workloads::registry;
 use std::time::{Duration, Instant};
 
@@ -266,7 +269,7 @@ pub fn store_decode_mb_per_sec(target: Duration) -> f64 {
 pub fn store_compression_ratio() -> f64 {
     let (records, _) = store_bench_payload();
     let raw: u64 = {
-        let mut t = act_trace::event::Trace { records: records.clone(), code_len: 0 };
+        let mut t = Trace { records: records.clone(), code_len: 0 };
         t.code_len = 4096;
         text_size_of(&t)
     };
@@ -275,6 +278,39 @@ pub fn store_compression_ratio() -> f64 {
         encode_chunk(chunk, &mut out);
     }
     raw as f64 / out.len().max(1) as f64
+}
+
+/// The text-codec bench payload: the store payload's records as one v1
+/// text trace — the bytes a `DIAGNOSE` or `TRACE_PUT` carries — with its
+/// size in MiB.
+fn text_bench_payload() -> (Trace, Vec<u8>, f64) {
+    let (records, _) = store_bench_payload();
+    let trace = Trace { records, code_len: 4096 };
+    let text = trace_to_bytes(&trace);
+    let mb = text.len() as f64 / (1 << 20) as f64;
+    (trace, text, mb)
+}
+
+/// Text parse throughput, in MiB of v1 text per second: the
+/// `trace_from_bytes` a daemon runs on every `DIAGNOSE` (and, into the
+/// columnar encoder, on every `TRACE_PUT`).
+pub fn text_parse_mb_per_sec(target: Duration) -> f64 {
+    let (_, text, mb) = text_bench_payload();
+    mb_rate(target, mb, move || trace_from_bytes(&text).expect("bench text parses").len())
+}
+
+/// Text write throughput, in MiB of v1 text per second: the digit writer
+/// behind every `TRACE_GET` reply and `trace_to_bytes`.
+pub fn text_write_mb_per_sec(target: Duration) -> f64 {
+    let (trace, _, mb) = text_bench_payload();
+    mb_rate(target, mb, move || trace_to_bytes(&trace).len())
+}
+
+/// CRC-32 throughput, in MiB hashed per second: the check on every
+/// segment block the store writes or verifies.
+pub fn store_crc32_mb_per_sec(target: Duration) -> f64 {
+    let (_, text, mb) = text_bench_payload();
+    mb_rate(target, mb, move || crc32(&text) as usize)
 }
 
 /// Online back-propagation throughput on the harness topology: the work of
@@ -656,6 +692,30 @@ pub fn run_all(quick: bool, jobs: usize, only: Option<&str>) -> Vec<BenchEntry> 
             "store_compression_ratio",
             store_compression_ratio(),
             "ratio",
+            1,
+        ));
+    }
+    if want("store_crc32_mb_per_sec") {
+        entries.push(BenchEntry::new(
+            "store_crc32_mb_per_sec",
+            store_crc32_mb_per_sec(target),
+            "MB/s",
+            1,
+        ));
+    }
+    if want("text_parse_mb_per_sec") {
+        entries.push(BenchEntry::new(
+            "text_parse_mb_per_sec",
+            text_parse_mb_per_sec(target),
+            "MB/s",
+            1,
+        ));
+    }
+    if want("text_write_mb_per_sec") {
+        entries.push(BenchEntry::new(
+            "text_write_mb_per_sec",
+            text_write_mb_per_sec(target),
+            "MB/s",
             1,
         ));
     }

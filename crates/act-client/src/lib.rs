@@ -336,7 +336,7 @@ impl Client {
     fn oneshot(&self, req: &Request) -> Result<Reply, ClientError> {
         let mut conn = Conn::connect(&self.endpoint, &self.cfg)?;
         write_frame(&mut conn, &req.to_frame())?;
-        Ok(Reply::from_frame(&read_frame(&mut conn)?)?)
+        Ok(Reply::from_frame(read_frame(&mut conn)?)?)
     }
 
     /// Dispatch a chunked upload; always a session, whatever the depth

@@ -92,7 +92,7 @@ impl Session {
     ) -> Result<Arc<Session>, ClientError> {
         let mut conn = Conn::connect(endpoint, cfg)?;
         write_frame(&mut conn, &Request::Hello { window: depth }.to_frame())?;
-        let window = match Reply::from_frame(&read_frame(&mut conn)?)? {
+        let window = match Reply::from_frame(read_frame(&mut conn)?)? {
             Reply::HelloAck { window } => window.max(1),
             other => {
                 let why = format!("HELLO answered with {other:?}");
@@ -248,7 +248,7 @@ fn dead_error(why: &str) -> ClientError {
 /// on any read/decode failure, fail every outstanding and future request.
 fn reader_loop(mut conn: Conn, shared: &Shared) {
     let why = loop {
-        match read_frame(&mut conn).and_then(|f| Ok((f.request_id, Reply::from_frame(&f)?))) {
+        match read_frame(&mut conn).and_then(|f| Ok((f.request_id, Reply::from_frame(f)?))) {
             Ok((id, reply)) => {
                 let on_reply = shared.state.lock().expect("session state lock").waiting.remove(&id);
                 // An id nobody is waiting for (abandoned send) is dropped.

@@ -5,8 +5,9 @@
 //! warm-up — one reshape of the scratch vector to the window width — the
 //! path never touches the heap.
 //!
-//! This file holds exactly one `#[test]` so no sibling test thread
-//! allocates concurrently and trips the counter.
+//! Only the test's own thread counts: its allocator counts an allocation
+//! only on a thread that set the thread-local `COUNTED` flag, so the
+//! harness's threads and any sibling test cannot trip the counter.
 
 //! The loop also runs with observability enabled — a per-prediction
 //! `LocalCounter` flushed amortized into a registered `act-obs` counter —
@@ -17,25 +18,40 @@ use act_nn::network::{Network, Topology};
 use act_obs::{LocalCounter, Registry};
 use act_sim::events::RawDep;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set by the thread that runs the measured loop: only its allocations
+    /// count, so the test harness's own threads cannot trip the counter.
+    /// A `const` initializer needs no lazy set-up, which would allocate.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count one allocation if the calling thread is the measured one.
+fn count() {
+    if COUNTED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,6 +65,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn classify_and_online_train_do_not_allocate_in_steady_state() {
+    COUNTED.with(|c| c.set(true));
     const SEQ_LEN: usize = 2;
     const IGB_CAP: usize = 8;
     let enc = Encoder::new(4096);

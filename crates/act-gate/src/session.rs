@@ -184,7 +184,7 @@ fn open_relay(state: &GateState, opener: &Frame, key: &str) -> Result<Relay, Str
 /// Wait for the backend's verdict on a sealed stream and forward it to
 /// the client under its original request id.
 fn finish_relay(mut done: Relay, session: &SessionShared, request_id: u32, state: &GateState) {
-    let reply = match read_frame(&mut done.backend).and_then(|f| Reply::from_frame(&f)) {
+    let reply = match read_frame(&mut done.backend).and_then(Reply::from_frame) {
         Ok(reply) => {
             state.note_backend_up(done.backend_index);
             state.stats.forwarded_by[done.backend_index].inc();

@@ -548,7 +548,7 @@ fn frames_of_other_versions_get_one_error_then_eof() {
         let mut stream = TcpStream::connect(&addr).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         stream.write_all(&wire).expect("send");
-        match Reply::from_frame(&read_frame(&mut stream).expect("one reply frame")) {
+        match Reply::from_frame(read_frame(&mut stream).expect("one reply frame")) {
             Ok(Reply::Error(msg)) => {
                 assert!(msg.contains(&format!("protocol version {version}")), "v{version}: {msg}")
             }

@@ -436,8 +436,8 @@ pub fn run_session<H: SessionHost>(mut conn: Conn, host: &Arc<H>) {
                 break;
             }
         };
-        let request_id = frame.request_id;
-        let request = match Request::from_frame(&frame) {
+        let (request_id, kind) = (frame.request_id, frame.kind);
+        let request = match Request::from_frame(frame) {
             Ok(r) => r,
             Err(e) => {
                 // Framing is intact — only this request is malformed.
@@ -446,7 +446,7 @@ pub fn run_session<H: SessionHost>(mut conn: Conn, host: &Arc<H>) {
                 continue;
             }
         };
-        stats.note_frame(frame.kind);
+        stats.note_frame(kind);
         if let Request::StreamChunk(bytes) = &request {
             stats.chunk_bytes.add(bytes.len() as u64);
         }
@@ -486,7 +486,7 @@ pub fn run_session<H: SessionHost>(mut conn: Conn, host: &Arc<H>) {
             {
                 // A refused or failed upload's frame is dropped; any other
                 // belongs to no upload.
-                if !dead.absorbs(request_id, frame.kind == FrameKind::StreamEnd) {
+                if !dead.absorbs(request_id, kind == FrameKind::StreamEnd) {
                     stats.proto_errors.inc();
                     let reply = Reply::Error("stream frame outside an open stream".into());
                     session.send(request_id, &reply);

@@ -38,6 +38,7 @@
 //! fixed-width integers, via [`Cursor`].
 
 use act_obs::MetricsSnapshot;
+use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
@@ -169,6 +170,26 @@ impl Frame {
     pub fn with_request(mut self, request_id: u32) -> Frame {
         self.request_id = request_id;
         self
+    }
+}
+
+/// A frame handed to a decoder ([`Request::from_frame`],
+/// [`Reply::from_frame`]): an owned [`Frame`] gives its payload up to the
+/// decoded message, a borrowed one is copied from.
+pub trait IntoPayload: Borrow<Frame> {
+    /// The payload: moved out of an owned frame, copied from a borrowed one.
+    fn into_payload(self) -> Vec<u8>;
+}
+
+impl IntoPayload for Frame {
+    fn into_payload(self) -> Vec<u8> {
+        self.payload
+    }
+}
+
+impl IntoPayload for &Frame {
+    fn into_payload(self) -> Vec<u8> {
+        self.payload.clone()
     }
 }
 
@@ -471,15 +492,17 @@ impl Request {
         }
     }
 
-    /// Decode a request frame.
+    /// Decode a request frame. A `STREAM_CHUNK` taken by value keeps the
+    /// frame's payload allocation.
     ///
     /// # Errors
     ///
     /// Returns [`ProtoError::Malformed`] when the frame is a reply kind or
     /// its payload does not match the schema.
-    pub fn from_frame(frame: &Frame) -> Result<Request, ProtoError> {
-        let mut c = Cursor::new(&frame.payload);
-        let req = match frame.kind {
+    pub fn from_frame(frame: impl IntoPayload) -> Result<Request, ProtoError> {
+        let f: &Frame = frame.borrow();
+        let mut c = Cursor::new(&f.payload);
+        let req = match f.kind {
             FrameKind::Train => Request::Train(ModelSpec::decode(&mut c)?),
             FrameKind::Diagnose => {
                 let spec = ModelSpec::decode(&mut c)?;
@@ -503,13 +526,13 @@ impl Request {
             }
             FrameKind::DiagnoseStart => Request::DiagnoseStart(ModelSpec::decode(&mut c)?),
             FrameKind::StreamChunk => {
-                if frame.payload.len() > MAX_CHUNK as usize {
+                if f.payload.len() > MAX_CHUNK as usize {
                     return Err(ProtoError::Malformed(format!(
                         "stream chunk of {} bytes exceeds the {MAX_CHUNK}-byte cap",
-                        frame.payload.len()
+                        f.payload.len()
                     )));
                 }
-                return Ok(Request::StreamChunk(frame.payload.clone()));
+                return Ok(Request::StreamChunk(frame.into_payload()));
             }
             FrameKind::StreamEnd => {
                 let crc32 = c.take_u32()?;
@@ -572,38 +595,40 @@ impl Reply {
         Frame::new(kind, payload)
     }
 
-    /// Decode a reply frame.
+    /// Decode a reply frame. A `TRACE_DATA` or text reply taken by value
+    /// keeps the frame's payload allocation.
     ///
     /// # Errors
     ///
     /// Returns [`ProtoError::Malformed`] when the frame is a request kind
     /// or a text payload is not UTF-8.
-    pub fn from_frame(frame: &Frame) -> Result<Reply, ProtoError> {
-        let text = |payload: &[u8]| {
-            String::from_utf8(payload.to_vec())
+    pub fn from_frame(frame: impl IntoPayload) -> Result<Reply, ProtoError> {
+        let text = |payload: Vec<u8>| {
+            String::from_utf8(payload)
                 .map_err(|_| ProtoError::Malformed("reply text is not UTF-8".into()))
         };
-        Ok(match frame.kind {
-            FrameKind::Trained => Reply::Trained(text(&frame.payload)?),
-            FrameKind::Diagnosis => Reply::Diagnosis(text(&frame.payload)?),
+        let f: &Frame = frame.borrow();
+        Ok(match f.kind {
+            FrameKind::Trained => Reply::Trained(text(frame.into_payload())?),
+            FrameKind::Diagnosis => Reply::Diagnosis(text(frame.into_payload())?),
             FrameKind::StatusMetrics => {
-                let mut c = Cursor::new(&frame.payload);
+                let mut c = Cursor::new(&f.payload);
                 let status = c.take_str()?;
                 let snap = MetricsSnapshot::from_bytes(c.rest)
                     .map_err(|e| ProtoError::Malformed(e.to_string()))?;
                 Reply::StatusMetrics(status, snap)
             }
-            FrameKind::Stored => Reply::Stored(text(&frame.payload)?),
-            FrameKind::TraceData => Reply::TraceData(frame.payload.clone()),
+            FrameKind::Stored => Reply::Stored(text(frame.into_payload())?),
+            FrameKind::TraceData => Reply::TraceData(frame.into_payload()),
             FrameKind::HelloAck => {
-                let mut c = Cursor::new(&frame.payload);
+                let mut c = Cursor::new(&f.payload);
                 let window = c.take_u32()?;
                 c.finish()?;
                 Reply::HelloAck { window }
             }
             FrameKind::Bye => Reply::Bye,
             FrameKind::Busy => Reply::Busy,
-            FrameKind::Error => Reply::Error(text(&frame.payload)?),
+            FrameKind::Error => Reply::Error(text(frame.into_payload())?),
             other => return Err(ProtoError::Malformed(format!("{other:?} is not a reply"))),
         })
     }
@@ -718,7 +743,7 @@ mod tests {
         let frame = reply.to_frame();
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).unwrap();
-        let back = Reply::from_frame(&read_frame(wire.as_slice()).unwrap()).unwrap();
+        let back = Reply::from_frame(read_frame(wire.as_slice()).unwrap()).unwrap();
         assert_eq!(back, reply);
     }
 
@@ -798,8 +823,9 @@ mod tests {
             let frame = req.to_frame();
             let mut wire = Vec::new();
             write_frame(&mut wire, &frame).unwrap();
-            let back = Request::from_frame(&read_frame(wire.as_slice()).unwrap()).unwrap();
-            assert_eq!(back, req);
+            let back = read_frame(wire.as_slice()).unwrap();
+            assert_eq!(Request::from_frame(&back).unwrap(), req, "borrowed");
+            assert_eq!(Request::from_frame(back).unwrap(), req, "owned");
         }
     }
 
@@ -820,8 +846,25 @@ mod tests {
             let frame = reply.to_frame();
             let mut wire = Vec::new();
             write_frame(&mut wire, &frame).unwrap();
-            let back = Reply::from_frame(&read_frame(wire.as_slice()).unwrap()).unwrap();
-            assert_eq!(back, reply);
+            let back = read_frame(wire.as_slice()).unwrap();
+            assert_eq!(Reply::from_frame(&back).unwrap(), reply, "borrowed");
+            assert_eq!(Reply::from_frame(back).unwrap(), reply, "owned");
+        }
+    }
+
+    #[test]
+    fn decoding_an_owned_frame_keeps_its_payload_allocation() {
+        let frame = Request::StreamChunk(b"S 1 6 0 15 200\n".to_vec()).to_frame();
+        let at = frame.payload.as_ptr();
+        match Request::from_frame(frame).unwrap() {
+            Request::StreamChunk(bytes) => assert_eq!(bytes.as_ptr(), at),
+            other => panic!("decoded {other:?}"),
+        }
+        let frame = Reply::TraceData(b"acttrace v1 10\n".to_vec()).to_frame();
+        let at = frame.payload.as_ptr();
+        match Reply::from_frame(frame).unwrap() {
+            Reply::TraceData(bytes) => assert_eq!(bytes.as_ptr(), at),
+            other => panic!("decoded {other:?}"),
         }
     }
 
@@ -894,7 +937,7 @@ mod tests {
         frame.payload.truncate(4);
         assert!(matches!(Request::from_frame(&frame), Err(ProtoError::Malformed(_))));
         // Reply kind decoded as request and vice versa.
-        assert!(Request::from_frame(&Reply::Busy.to_frame()).is_err());
-        assert!(Reply::from_frame(&Request::Status.to_frame()).is_err());
+        assert!(Request::from_frame(Reply::Busy.to_frame()).is_err());
+        assert!(Reply::from_frame(Request::Status.to_frame()).is_err());
     }
 }

@@ -245,7 +245,7 @@ fn expect_one_error_then_eof(addr: &str, wire: &[u8], version: u8) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     stream.write_all(wire).expect("send");
-    match Reply::from_frame(&read_frame(&mut stream).expect("one reply frame")) {
+    match Reply::from_frame(read_frame(&mut stream).expect("one reply frame")) {
         Ok(Reply::Error(msg)) => {
             assert!(msg.contains(&format!("protocol version {version}")), "v{version}: {msg}")
         }

@@ -1,9 +1,17 @@
 //! CRC-32 (IEEE 802.3 polynomial), table-driven, built in-tree because the
 //! workspace must compile offline. Every segment block carries a CRC of its
 //! body so bit rot and torn writes are detected before decode.
+//!
+//! The kernel is slicing-by-8: eight 256-entry tables fold 8 input bytes
+//! per step, and a tail shorter than 8 bytes takes the bytewise step of
+//! the first table. Digests are those of the bytewise loop for every input
+//! and every chunking.
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the bytewise table; `TABLES[k][i]` is the CRC state that
+/// byte `i` leaves after `k` more zero bytes, so one step can fold byte `j`
+/// of an 8-byte block through `TABLES[7 - j]`.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -13,13 +21,23 @@ const fn build_table() -> [u32; 256] {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `bytes` (reflected, init/xorout `!0` — the zlib convention).
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -51,9 +69,22 @@ impl Crc32 {
 
     /// Fold `bytes` into the running digest.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+        let mut blocks = bytes.chunks_exact(8);
+        for b in &mut blocks {
+            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][usize::from(b[4])]
+                ^ t[2][usize::from(b[5])]
+                ^ t[1][usize::from(b[6])]
+                ^ t[0][usize::from(b[7])];
+        }
+        for &b in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
         }
         self.state = crc;
     }
@@ -134,6 +165,49 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finish(), want, "split at {split}");
+        }
+    }
+
+    /// The bytewise kernel slicing-by-8 replaced: one table step per byte.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        !bytes
+            .iter()
+            .fold(!0u32, |crc, &b| (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize])
+    }
+
+    /// `len` seeded random bytes.
+    fn noise(rng: &mut proptest::TestRng, len: usize) -> Vec<u8> {
+        use proptest::prelude::*;
+        (0..len).map(|_| any::<u8>().generate(rng)).collect()
+    }
+
+    #[test]
+    fn sliced_kernel_matches_bytewise_at_every_length_and_offset() {
+        let data = noise(&mut proptest::rng_for("crc32_lengths", 0), 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[start..start + len];
+                assert_eq!(crc32(bytes), bytewise(bytes), "offset {start}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_kernel_matches_bytewise_at_random_split_points() {
+        use proptest::prelude::*;
+        for case in 0..64u64 {
+            let mut rng = proptest::rng_for("crc32_splits", case);
+            let len = (1..4097usize).generate(&mut rng);
+            let data = noise(&mut rng, len);
+            let mut points: Vec<usize> = (0..4).map(|_| (0..len + 1).generate(&mut rng)).collect();
+            points.sort_unstable();
+            let mut h = Crc32::new();
+            let mut at = 0;
+            for p in points.into_iter().chain([len]) {
+                h.update(&data[at..p]);
+                at = p;
+            }
+            assert_eq!(h.finish(), bytewise(&data), "case {case}");
         }
     }
 

@@ -70,6 +70,20 @@ cmp "$STORE_DIR/seq-0.trace" "$STORE_DIR/back.trace"
 target/release/act store compact "$STORE_DIR/corpus" | grep "compacted"
 rm -rf "$STORE_DIR"
 
+# Command-line rejection: an unknown flag, an unparsable value and a zero
+# count each exit 2 before any work is done (the trace directory stays
+# empty, and no daemon starts).
+expect_exit_2() {
+    status=0
+    "$@" || status=$?
+    test "$status" = 2
+}
+REJECT_DIR=$(mktemp -d)
+expect_exit_2 target/release/act trace seq --out "$REJECT_DIR" --runs abc
+expect_exit_2 target/release/act serve --worker 2
+expect_exit_2 target/release/table4 --jobs 0
+rmdir "$REJECT_DIR"
+
 ACT=target/release/act
 
 # Wait until the daemon at the given --addr/--unix answers STATUS; fail

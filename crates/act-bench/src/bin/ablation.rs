@@ -9,21 +9,11 @@
 //!
 //! Run with `cargo run --release -p act-bench --bin ablation -- [--jobs N] [--out report.json]`.
 
-use act_bench::campaign::{
-    ablation_spec, run_cli_campaign, timing_footer, ABLATIONS, ABLATION_BUGS,
-};
+use act_bench::campaign::{ablation_spec, campaign_main, timing_footer, ABLATIONS, ABLATION_BUGS};
 use act_fleet::Metric;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let spec = ablation_spec();
-    let report = match run_cli_campaign(&spec, &args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ablation: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = campaign_main("ablation", &ablation_spec());
     println!("{:<26} {:>18} {:>18}", "Ablation", "bugs found (of 4)", "clean flag rate");
     println!("{}", "-".repeat(64));
     for (label, display) in ABLATIONS {

@@ -9,18 +9,10 @@
 //!
 //! Run with `cargo run --release -p act-bench --bin fig8_overhead -- [--jobs N] [--out report.json]`.
 
-use act_bench::campaign::{fig8_spec, run_cli_campaign, timing_footer, FIG8_SWEEPS};
+use act_bench::campaign::{campaign_main, fig8_spec, timing_footer, FIG8_SWEEPS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let spec = fig8_spec();
-    let report = match run_cli_campaign(&spec, &args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fig8_overhead: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = campaign_main("fig8_overhead", &fig8_spec());
     print!("{:<14}", "Program");
     for (label, _, _) in FIG8_SWEEPS {
         print!(" {:>20}", label);

@@ -23,86 +23,13 @@
 //! (comma-separated, exact match) restricts the verdict to the named
 //! benches; everything else still runs and is recorded, ungated.
 
+use act_bench::cli::Flags;
 use act_bench::perf;
 use act_core::ActError;
 
-struct Args {
-    quick: bool,
-    out: String,
-    baseline: Option<String>,
-    validate: Option<String>,
-    only: Option<String>,
-    jobs: usize,
-    gate: Option<String>,
-    gate_pct: f64,
-    gate_bench: Option<String>,
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, ActError> {
-    let mut args = Args {
-        quick: false,
-        out: "BENCH_hotpath.json".to_string(),
-        baseline: None,
-        validate: None,
-        only: None,
-        jobs: act_fleet::default_workers(),
-        gate: None,
-        gate_pct: 10.0,
-        gate_bench: None,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--quick" => args.quick = true,
-            "--out" => {
-                i += 1;
-                args.out = argv.get(i).ok_or("--out needs a value")?.clone();
-            }
-            "--baseline" => {
-                i += 1;
-                args.baseline = Some(argv.get(i).ok_or("--baseline needs a value")?.clone());
-            }
-            "--validate" => {
-                i += 1;
-                args.validate = Some(argv.get(i).ok_or("--validate needs a value")?.clone());
-            }
-            "--only" => {
-                i += 1;
-                args.only = Some(argv.get(i).ok_or("--only needs a value")?.clone());
-            }
-            "--jobs" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--jobs needs a value")?;
-                args.jobs =
-                    v.parse().map_err(|_| ActError::Parse(format!("bad --jobs value `{v}`")))?;
-                if args.jobs == 0 {
-                    return Err("--jobs must be >= 1".into());
-                }
-            }
-            "--gate" => {
-                i += 1;
-                args.gate = Some(argv.get(i).ok_or("--gate needs a value")?.clone());
-            }
-            "--gate-pct" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--gate-pct needs a value")?;
-                args.gate_pct = v
-                    .parse()
-                    .map_err(|_| ActError::Parse(format!("bad --gate-pct value `{v}`")))?;
-                if !args.gate_pct.is_finite() || args.gate_pct < 0.0 {
-                    return Err("--gate-pct must be a non-negative percentage".into());
-                }
-            }
-            "--gate-bench" => {
-                i += 1;
-                args.gate_bench = Some(argv.get(i).ok_or("--gate-bench needs a value")?.clone());
-            }
-            other => return Err(ActError::Parse(format!("unknown flag `{other}`"))),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
+/// The value flags `perf` takes; `--quick` is its one switch.
+const VALUES: [&str; 8] =
+    ["out", "baseline", "validate", "only", "jobs", "gate", "gate-pct", "gate-bench"];
 
 fn load_entries(path: &str) -> Result<Vec<perf::BenchEntry>, ActError> {
     let text = std::fs::read_to_string(path)
@@ -112,20 +39,28 @@ fn load_entries(path: &str) -> Result<Vec<perf::BenchEntry>, ActError> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("perf: {e}");
-            eprintln!(
-                "usage: perf [--quick] [--out FILE] [--baseline FILE] [--validate FILE] \
-                 [--only NAMES] [--jobs N] [--gate FILE] [--gate-pct PCT] [--gate-bench NAMES]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let parsed = Flags::parse(&argv, &VALUES, &["quick"]).and_then(|flags| {
+        let jobs = flags.count("jobs")?.unwrap_or_else(act_fleet::default_workers);
+        let gate_pct = flags.parsed("gate-pct", |raw| match raw.parse::<f64>() {
+            Ok(pct) if pct.is_finite() && pct >= 0.0 => Ok(pct),
+            Ok(_) => Err("must be a non-negative percentage".to_string()),
+            Err(e) => Err(e.to_string()),
+        })?;
+        Ok((flags, jobs, gate_pct.unwrap_or(10.0)))
+    });
+    let (flags, jobs, gate_pct) = parsed.unwrap_or_else(|e| {
+        eprintln!("perf: {e}");
+        eprintln!(
+            "usage: perf [--quick] [--out FILE] [--baseline FILE] [--validate FILE] \
+             [--only NAMES] [--jobs N] [--gate FILE] [--gate-pct PCT] [--gate-bench NAMES]"
+        );
+        std::process::exit(2);
+    });
+    let quick = flags.switch("quick");
+    let out = flags.value("out").unwrap_or("BENCH_hotpath.json");
 
     // Validation mode: schema-check an existing file and exit.
-    if let Some(path) = &args.validate {
+    if let Some(path) = flags.value("validate") {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -145,7 +80,7 @@ fn main() {
         }
     }
 
-    let baseline = args.baseline.as_deref().map(|p| match load_entries(p) {
+    let baseline = flags.value("baseline").map(|p| match load_entries(p) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("perf: bad baseline: {e}");
@@ -153,12 +88,8 @@ fn main() {
         }
     });
 
-    eprintln!(
-        "perf: running {} suite (jobs {})...",
-        if args.quick { "quick" } else { "full" },
-        args.jobs
-    );
-    let mut entries = perf::run_all(args.quick, args.jobs, args.only.as_deref());
+    eprintln!("perf: running {} suite (jobs {})...", if quick { "quick" } else { "full" }, jobs);
+    let mut entries = perf::run_all(quick, jobs, flags.value("only"));
     if let Some(baseline) = &baseline {
         perf::merge_baseline(&mut entries, baseline);
     }
@@ -171,16 +102,16 @@ fn main() {
     }
 
     let json = perf::render_json(&entries);
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("perf: cannot write {}: {e}", args.out);
+    if let Err(e) = std::fs::write(out, &json) {
+        eprintln!("perf: cannot write {out}: {e}");
         std::process::exit(2);
     }
-    println!("wrote {}", args.out);
+    println!("wrote {out}");
 
     // Gate mode: compare against the committed reference file and fail the
     // run on any regression past the threshold. Benches absent from the
     // gate file pass vacuously (a new bench cannot block its own PR).
-    if let Some(path) = &args.gate {
+    if let Some(path) = flags.value("gate") {
         let reference = match load_entries(path) {
             Ok(r) => r,
             Err(e) => {
@@ -190,7 +121,7 @@ fn main() {
         };
         let mut gated = entries.clone();
         perf::merge_baseline(&mut gated, &reference);
-        if let Some(filter) = &args.gate_bench {
+        if let Some(filter) = flags.value("gate-bench") {
             gated.retain(|e| filter.split(',').any(|p| e.bench == p));
         }
         let mut failed = false;
@@ -199,12 +130,12 @@ fn main() {
                 println!("gate: {:<30} no reference, skipped", e.bench);
                 continue;
             };
-            let ok = regression <= args.gate_pct;
+            let ok = regression <= gate_pct;
             println!(
                 "gate: {:<30} {:+.1}% vs {path} (limit +{:.1}%): {}",
                 e.bench,
                 regression,
-                args.gate_pct,
+                gate_pct,
                 if ok { "ok" } else { "REGRESSION" }
             );
             failed |= !ok;

@@ -7,18 +7,10 @@
 //!
 //! Run with `cargo run --release -p act-bench --bin table4 -- [--jobs N] [--out report.json]`.
 
-use act_bench::campaign::{run_cli_campaign, table4_spec, timing_footer};
+use act_bench::campaign::{campaign_main, table4_spec, timing_footer};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let spec = table4_spec();
-    let report = match run_cli_campaign(&spec, &args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("table4: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = campaign_main("table4", &table4_spec());
     println!(
         "{:<14} {:>7} {:>9} {:>9} {:>10} {:>10}",
         "Program", "Traces", "# RAW Dep", "Topology", "%Mispred", "(FN rate)"

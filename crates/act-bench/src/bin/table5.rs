@@ -7,18 +7,10 @@
 //!
 //! Run with `cargo run --release -p act-bench --bin table5 -- [--jobs N] [--out report.json]`.
 
-use act_bench::campaign::{run_cli_campaign, table5_spec, timing_footer};
+use act_bench::campaign::{campaign_main, table5_spec, timing_footer};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let spec = table5_spec();
-    let report = match run_cli_campaign(&spec, &args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("table5: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = campaign_main("table5", &table5_spec());
     println!(
         "{:<10} {:>7} {:>9} {:>8} {:>5} | {:>12} | {:>14} {:>6}",
         "Prog.", "Traces", "DebugPos", "Filter%", "Rank", "Aviso(fails)", "PBI rank(tot)", "Status"

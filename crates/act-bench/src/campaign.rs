@@ -22,6 +22,7 @@
 //! `ablation`) build their spec here and fan out with `--jobs N`
 //! (default: all cores); `act campaign <spec>` does the same from a file.
 
+use crate::cli::{CliError, Flags};
 use crate::{
     act_cfg_for, aviso_diagnose, collect_clean_traces, diagnose_workload, failing_trace,
     find_act_failure, machine_cfg, opt, pbi_diagnose, train_workload,
@@ -503,58 +504,42 @@ fn ablation_exec(job: &JobDesc, traces: usize, max_tries: u64) -> JobOutput {
     out
 }
 
-/// Parse the experiment binaries' shared flags: `--jobs N` (worker count,
-/// default all cores) and `--out FILE` (write the full JSON report).
-pub struct CampaignArgs {
-    /// Worker threads.
-    pub jobs: usize,
-    /// JSON output path, if any.
-    pub out: Option<String>,
-    /// Strip the (non-deterministic) timing section from the JSON.
-    pub no_timing: bool,
-}
+/// The value flags and switches of the campaign binaries and of `act
+/// campaign`: `--jobs N` (worker threads, default all cores), `--out FILE`
+/// (write the JSON report) and `--no-timing` (leave the report's
+/// wall-clock section out, so the file itself is reproducible).
+pub const CAMPAIGN_FLAGS: (&[&str], &[&str]) = (&["jobs", "out"], &["no-timing"]);
 
-impl CampaignArgs {
-    /// Parse from raw argv (everything after the binary name). Unknown
-    /// flags error so typos do not silently change an experiment.
-    pub fn parse(args: &[String]) -> Result<Self, ActError> {
-        let mut parsed =
-            CampaignArgs { jobs: act_fleet::default_workers(), out: None, no_timing: false };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--jobs" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--jobs needs a value")?;
-                    parsed.jobs = v
-                        .parse()
-                        .map_err(|_| ActError::Parse(format!("bad --jobs value `{v}`")))?;
-                }
-                "--out" => {
-                    i += 1;
-                    parsed.out = Some(args.get(i).ok_or("--out needs a value")?.clone());
-                }
-                "--no-timing" => parsed.no_timing = true,
-                other => return Err(ActError::Parse(format!("unknown flag `{other}`"))),
-            }
-            i += 1;
-        }
-        Ok(parsed)
-    }
-}
-
-/// Run `spec` with the binaries' shared CLI conventions: resolve the
-/// executor, fan out, optionally write the JSON report, and print a timing
-/// footer. The caller prints the table itself (header + `report.lines()`).
-pub fn run_cli_campaign(spec: &CampaignSpec, args: &[String]) -> Result<CampaignReport, ActError> {
-    let args = CampaignArgs::parse(args)?;
-    let exec = executor_for(spec)?;
-    let report = run_campaign(spec, args.jobs, exec);
-    if let Some(path) = &args.out {
-        let json = if args.no_timing { report.deterministic_json() } else { report.json() };
-        std::fs::write(path, json).map_err(|e| ActError::io(format!("cannot write {path}"), e))?;
+/// Run `spec` as [`CAMPAIGN_FLAGS`] in `flags` say: resolve the executor,
+/// fan out, and write the JSON report to `--out`. The caller prints the
+/// table itself (header + `report.lines()`).
+///
+/// # Errors
+///
+/// A bad `--jobs` or a kind with no executor ([`CliError::Usage`]), or an
+/// unwritable `--out` ([`CliError::Failed`]).
+pub fn run_cli_campaign(spec: &CampaignSpec, flags: &Flags) -> Result<CampaignReport, CliError> {
+    let jobs = flags.count("jobs")?.unwrap_or_else(act_fleet::default_workers);
+    let exec = executor_for(spec).map_err(|e| CliError::Usage(e.to_string()))?;
+    let report = run_campaign(spec, jobs, exec);
+    if let Some(path) = flags.value("out") {
+        let json =
+            if flags.switch("no-timing") { report.deterministic_json() } else { report.json() };
+        std::fs::write(path, json)
+            .map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))?;
     }
     Ok(report)
+}
+
+/// [`run_cli_campaign`] on this process's own arguments, for the
+/// experiment binaries: a bad command line or a failed run ends the
+/// process with a `prog: ...` line.
+pub fn campaign_main(prog: &str, spec: &CampaignSpec) -> CampaignReport {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (values, switches) = CAMPAIGN_FLAGS;
+    Flags::parse(&argv, values, switches)
+        .and_then(|flags| run_cli_campaign(spec, &flags))
+        .unwrap_or_else(|e| e.exit(prog))
 }
 
 /// The standard timing footer the binaries print after their table.
@@ -640,14 +625,15 @@ mod tests {
 
     #[test]
     fn campaign_args_parse_and_reject() {
-        let ok =
-            CampaignArgs::parse(&["--jobs".into(), "4".into(), "--out".into(), "r.json".into()])
-                .unwrap();
-        assert_eq!(ok.jobs, 4);
-        assert_eq!(ok.out.as_deref(), Some("r.json"));
-        assert!(!ok.no_timing);
-        assert!(CampaignArgs::parse(&["--jobs".into()]).is_err());
-        assert!(CampaignArgs::parse(&["--typo".into()]).is_err());
+        let (values, switches) = CAMPAIGN_FLAGS;
+        let ok = Flags::parse(&["--jobs", "4", "--out", "r.json"], values, switches).unwrap();
+        assert_eq!(ok.count::<usize>("jobs"), Ok(Some(4)));
+        assert_eq!(ok.value("out"), Some("r.json"));
+        assert!(!ok.switch("no-timing"));
+        assert!(Flags::parse(&["--jobs"], values, switches).is_err());
+        assert!(Flags::parse(&["--typo"], values, switches).is_err());
+        let zero = Flags::parse(&["--jobs", "0"], values, switches).unwrap();
+        assert!(matches!(run_cli_campaign(&table4_spec(), &zero), Err(CliError::Usage(_))));
     }
 
     /// A tiny end-to-end run campaign: deterministic across worker counts.

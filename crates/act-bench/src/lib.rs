@@ -23,6 +23,7 @@
 //!    failing run).
 
 pub mod campaign;
+pub mod cli;
 pub mod perf;
 
 use act_baselines::aviso::Aviso;

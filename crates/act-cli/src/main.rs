@@ -1,162 +1,134 @@
 //! `act` — command-line interface to the ACT toolchain.
 //!
-//! ```text
-//! act list                                  list all workloads
-//! act disasm <workload>                     disassemble a workload's program
-//! act run <workload> [--seed N] [--trigger] [--new-code]
-//! act trace <workload> --out DIR [--runs N] collect correct-run traces
-//! act train <workload> --out FILE [--runs N] offline-train, save weights
-//! act diagnose <workload> [--weights FILE]  full single-failure diagnosis
-//! act campaign <spec> [--jobs N] [--out FILE] [--no-timing]
-//! act serve [--addr A] [--workers N] [--queue-depth D] [--model-dir DIR]
-//!           [--corpus DIR] [--batch-size N]
-//! act request <train|diagnose|status|shutdown|trace-put|trace-get> ...
-//! act store <init|put|get|ls|stat|compact> DIR [args]
-//! ```
+//! `act` with no arguments prints `USAGE`: every command with its flags.
+//! Each command declares its flags in `COMMANDS`, and
+//! [`act_bench::cli::Flags`] reads them: an unknown flag or a bad value
+//! exits 2 with one `act: --flag: ...` line.
 
+use act_bench::campaign::{run_cli_campaign, timing_footer, CAMPAIGN_FLAGS};
+use act_bench::cli::CliError::{self, Failed, Usage};
+use act_bench::cli::Flags;
 use act_bench::{
     act_cfg_for, collect_clean_traces, failing_trace, find_act_failure, machine_cfg, norm_of,
     train_workload,
 };
 use act_core::diagnosis::diagnose;
 use act_core::weights::{shared, WeightStore};
+use act_gate::Gateway;
+use act_serve::Server;
 use act_sim::machine::Machine;
+use act_store::{EntryInfo, StoreError};
 use act_trace::collector::TraceCollector;
 use act_trace::correct_set::CorrectSet;
 use act_trace::event::Trace;
 use act_workloads::registry;
 use act_workloads::run::correct_runs;
-use act_workloads::spec::{Params, Workload};
+use act_workloads::spec::Workload;
 use std::io::BufReader;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-mod netopts;
-use netopts::{parse_count, NetOpts};
+const USAGE: &str = "usage: act <command> [args]\n\
+     \n\
+     commands:\n\
+     \x20 list                                   list workloads\n\
+     \x20 disasm <workload>                      disassemble the program\n\
+     \x20 run <workload> [--seed N] [--trigger] [--new-code]\n\
+     \x20 trace <workload> --out DIR [--runs N]  collect correct-run traces\n\
+     \x20 train <workload> --out FILE [--runs N] offline-train, save weights\n\
+     \x20 diagnose <workload> [--weights FILE]   diagnose a single failure\n\
+     \x20 campaign <spec> [--jobs N] [--out FILE] [--no-timing]\n\
+     \x20                                        run a campaign spec in parallel\n\
+     \x20 serve [--addr A] [--unix PATH] [--workers N] [--queue-depth D]\n\
+     \x20       [--model-dir DIR] [--corpus DIR] [--cache N] [--deadline-ms MS]\n\
+     \x20       [--io-timeout MS] [--event-log FILE]\n\
+     \x20       [--batch-size N]                 run the diagnosis daemon\n\
+     \x20                                        (--batch-size 1 disables request\n\
+     \x20                                        coalescing)\n\
+     \x20 gate --backends A,B,... [--listen ADDR] [--workers N] [--queue-depth D]\n\
+     \x20      [--vnodes N] [--connect-timeout MS] [--io-timeout MS]\n\
+     \x20      [--event-log FILE]                 run the sharding gateway\n\
+     \x20 request <train|diagnose|status|shutdown|trace-put|trace-get> [workload]\n\
+     \x20       [--addr A] [--unix PATH] [--seed N] [--traces N]\n\
+     \x20       [--seq-len N] [--hidden N] [--epochs N] [--trace FILE] [--key K]\n\
+     \x20       [--out FILE] [--connect-timeout MS] [--io-timeout MS] [--retry MS]\n\
+     \x20       [--pipeline-depth N] [--stream]  talk to a running daemon\n\
+     \x20 store init DIR                         create an empty corpus store\n\
+     \x20 store put DIR <workload> [--runs N] [--trace FILE --key K]\n\
+     \x20                                        ingest correct-run traces\n\
+     \x20 store get DIR <key> [--out FILE]       read a trace back as text\n\
+     \x20 store ls DIR [workload]                list entries\n\
+     \x20 store stat DIR                         corpus accounting\n\
+     \x20 store compact DIR                      drop shadowed entries";
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: act <command> [args]\n\
-         \n\
-         commands:\n\
-         \x20 list                                   list workloads\n\
-         \x20 disasm <workload>                      disassemble the program\n\
-         \x20 run <workload> [--seed N] [--trigger] [--new-code]\n\
-         \x20 trace <workload> --out DIR [--runs N]  collect correct-run traces\n\
-         \x20 train <workload> --out FILE [--runs N] offline-train, save weights\n\
-         \x20 diagnose <workload> [--weights FILE]   diagnose a single failure\n\
-         \x20 campaign <spec> [--jobs N] [--out FILE] [--no-timing]\n\
-         \x20                                        run a campaign spec in parallel\n\
-         \x20 serve [--addr A] [--unix PATH] [--workers N] [--queue-depth D]\n\
-         \x20       [--model-dir DIR] [--corpus DIR] [--cache N] [--deadline-ms MS]\n\
-         \x20       [--io-timeout MS] [--event-log FILE]\n\
-         \x20       [--batch-size N]                 run the diagnosis daemon\n\
-         \x20                                        (--batch-size 1 disables request\n\
-         \x20                                        coalescing)\n\
-         \x20 gate --backends A,B,... [--listen ADDR] [--workers N] [--queue-depth D]\n\
-         \x20      [--vnodes N] [--connect-timeout MS] [--io-timeout MS]\n\
-         \x20      [--event-log FILE]                 run the sharding gateway\n\
-         \x20 request <train|diagnose|status|shutdown|trace-put|trace-get> [workload]\n\
-         \x20       [--addr A] [--unix PATH] [--seed N] [--traces N]\n\
-         \x20       [--seq-len N] [--hidden N] [--epochs N] [--trace FILE] [--key K]\n\
-         \x20       [--connect-timeout MS] [--io-timeout MS] [--retry MS]\n\
-         \x20       [--pipeline-depth N] [--stream]  talk to a running daemon\n\
-         \x20 store init DIR                         create an empty corpus store\n\
-         \x20 store put DIR <workload> [--runs N] [--trace FILE --key K]\n\
-         \x20                                        ingest correct-run traces\n\
-         \x20 store get DIR <key> [--out FILE]       read a trace back as text\n\
-         \x20 store ls DIR [workload]                list entries\n\
-         \x20 store stat DIR                         corpus accounting\n\
-         \x20 store compact DIR                      drop shadowed entries"
-    );
-    ExitCode::from(2)
-}
+/// A command: its name, its value flags, its switches, and what runs it.
+type Command = (&'static str, &'static [&'static str], &'static [&'static str], CommandFn);
+type CommandFn = fn(&Flags) -> Result<(), CliError>;
 
-pub(crate) struct Args {
-    pub(crate) positional: Vec<String>,
-    pub(crate) flags: std::collections::HashMap<String, String>,
-    pub(crate) switches: std::collections::HashSet<String>,
-}
+/// Every command `act` runs, with the flags [`USAGE`] lists for it.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("list", &[], &[], cmd_list),
+    ("disasm", &[], &[], cmd_disasm),
+    ("run", &["seed"], &["trigger", "new-code"], cmd_run),
+    ("trace", &["out", "runs"], &[], cmd_trace),
+    ("train", &["out", "runs"], &[], cmd_train),
+    ("diagnose", &["weights"], &[], cmd_diagnose),
+    ("campaign", CAMPAIGN_FLAGS.0, CAMPAIGN_FLAGS.1, cmd_campaign),
+    ("serve", &["addr", "unix", "workers", "queue-depth", "model-dir", "corpus", "cache",
+        "deadline-ms", "io-timeout", "event-log", "batch-size"], &[], cmd_serve),
+    ("gate", &["backends", "listen", "workers", "queue-depth", "vnodes", "connect-timeout",
+        "io-timeout", "event-log"], &[], cmd_gate),
+    ("request", &["addr", "unix", "seed", "traces", "seq-len", "hidden", "epochs", "trace", "key",
+        "out", "connect-timeout", "io-timeout", "retry", "pipeline-depth"], &["stream"], cmd_request),
+    ("store", &["runs", "trace", "key", "out"], &[], cmd_store),
+];
 
-pub(crate) fn parse_args(raw: &[String]) -> Args {
-    let mut a =
-        Args { positional: Vec::new(), flags: Default::default(), switches: Default::default() };
-    let mut i = 0;
-    while i < raw.len() {
-        let t = &raw[i];
-        if let Some(name) = t.strip_prefix("--") {
-            // Value-taking flags.
-            let takes_value = [
-                "seed",
-                "runs",
-                "out",
-                "weights",
-                "jobs",
-                "addr",
-                "unix",
-                "workers",
-                "queue-depth",
-                "model-dir",
-                "cache",
-                "deadline-ms",
-                "event-log",
-                "traces",
-                "seq-len",
-                "hidden",
-                "epochs",
-                "trace",
-                "corpus",
-                "key",
-                "backends",
-                "listen",
-                "vnodes",
-                "connect-timeout",
-                "io-timeout",
-                "retry",
-                "pipeline-depth",
-                "batch-size",
-            ];
-            if takes_value.contains(&name) && i + 1 < raw.len() {
-                a.flags.insert(name.to_string(), raw[i + 1].clone());
-                i += 2;
-                continue;
-            }
-            a.switches.insert(name.to_string());
-        } else {
-            a.positional.push(t.clone());
-        }
-        i += 1;
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let command = argv.first().and_then(|name| COMMANDS.iter().find(|(n, ..)| n == name));
+    let Some((_, values, switches, run)) = command else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    };
+    match Flags::parse(&argv[1..], values, switches).and_then(|flags| run(&flags)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => e.report("act"),
     }
-    a
 }
 
-/// Resolve a worker-count flag (`--jobs`, `--workers`): absent means "all
-/// cores", `0` and non-numbers are rejected with a clear message instead of
-/// being silently replaced.
-fn resolve_workers(args: &Args, flag: &str) -> Result<usize, ExitCode> {
-    match args.flags.get(flag) {
-        None => Ok(act_fleet::default_workers()),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(0) => {
-                eprintln!(
-                    "--{flag} must be at least 1 (got 0); omit the flag to use all {} cores",
-                    act_fleet::default_workers()
-                );
-                Err(ExitCode::from(2))
-            }
-            Ok(n) => Ok(n),
-            Err(_) => {
-                eprintln!("--{flag} expects a positive integer, got `{raw}`");
-                Err(ExitCode::from(2))
-            }
+fn lookup(name: &str) -> Result<Box<dyn Workload>, CliError> {
+    registry::by_name(name)
+        .ok_or_else(|| Failed(format!("unknown workload `{name}`; try `act list`")))
+}
+
+fn read_file(path: &str) -> Result<Vec<u8>, CliError> {
+    std::fs::read(path).map_err(|e| Failed(format!("cannot read {path}: {e}")))
+}
+
+/// Write `bytes` to `--out FILE` and return its path, or print them as
+/// text and return `None`.
+fn write_out_or_print<'a>(flags: &'a Flags, bytes: &[u8]) -> Result<Option<&'a str>, CliError> {
+    let Some(path) = flags.value("out") else {
+        print!("{}", String::from_utf8_lossy(bytes));
+        return Ok(None);
+    };
+    std::fs::write(path, bytes).map_err(|e| Failed(format!("cannot write {path}: {e}")))?;
+    Ok(Some(path))
+}
+
+/// `--key K`, or else the stem of the trace file at `path`.
+fn key_for(flags: &Flags, path: &str) -> String {
+    flags.value("key").map_or_else(
+        || {
+            Path::new(path)
+                .file_stem()
+                .map_or_else(|| path.to_string(), |s| s.to_string_lossy().into_owned())
         },
-    }
-}
-
-fn lookup(name: &str) -> Result<Box<dyn Workload>, ExitCode> {
-    registry::by_name(name).ok_or_else(|| {
-        eprintln!("unknown workload `{name}`; try `act list`");
-        ExitCode::FAILURE
-    })
+        String::from,
+    )
 }
 
 /// `(seed, trace)` of the first `runs` correct clean runs of `w` among
@@ -168,29 +140,7 @@ fn correct_run_traces(w: &dyn Workload, runs: u64) -> impl Iterator<Item = (u64,
         .map(|run| (run.seed, run.observer.into_trace()))
 }
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().map(String::as_str) else {
-        return usage();
-    };
-    let args = parse_args(&raw[1..]);
-    match cmd {
-        "list" => cmd_list(),
-        "disasm" => cmd_disasm(&args),
-        "run" => cmd_run(&args),
-        "trace" => cmd_trace(&args),
-        "train" => cmd_train(&args),
-        "diagnose" => cmd_diagnose(&args),
-        "campaign" => cmd_campaign(&args),
-        "serve" => cmd_serve(&args),
-        "gate" => cmd_gate(&args),
-        "request" => cmd_request(&args),
-        "store" => cmd_store(&args),
-        _ => usage(),
-    }
-}
-
-fn cmd_list() -> ExitCode {
+fn cmd_list(_: &Flags) -> Result<(), CliError> {
     println!("{:<36} {:<14} description", "name", "kind");
     println!("{}", "-".repeat(90));
     for w in registry::all() {
@@ -202,37 +152,21 @@ fn cmd_list() -> ExitCode {
         let desc: String = desc.chars().take(60).collect();
         println!("{:<36} {:<14} {}", w.name(), format!("{:?}", w.kind()), desc);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_disasm(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.first() else { return usage() };
-    let w = match lookup(name) {
-        Ok(w) => w,
-        Err(e) => return e,
-    };
-    let built = w.build(&w.default_params());
-    print!("{}", built.program.disassemble());
-    ExitCode::SUCCESS
+fn cmd_disasm(flags: &Flags) -> Result<(), CliError> {
+    let w = lookup(flags.arg(0, "workload")?)?;
+    print!("{}", w.build(&w.default_params()).program.disassemble());
+    Ok(())
 }
 
-fn params_from(args: &Args, w: &dyn Workload) -> Params {
+fn cmd_run(flags: &Flags) -> Result<(), CliError> {
+    let w = lookup(flags.arg(0, "workload")?)?;
     let mut p = w.default_params();
-    if let Some(seed) = args.flags.get("seed").and_then(|s| s.parse().ok()) {
-        p.seed = seed;
-    }
-    p.trigger_bug = args.switches.contains("trigger");
-    p.new_code = args.switches.contains("new-code");
-    p
-}
-
-fn cmd_run(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.first() else { return usage() };
-    let w = match lookup(name) {
-        Ok(w) => w,
-        Err(e) => return e,
-    };
-    let p = params_from(args, w.as_ref());
+    p.seed = flags.get("seed")?.unwrap_or(p.seed);
+    p.trigger_bug = flags.switch("trigger");
+    p.new_code = flags.switch("new-code");
     let built = w.build(&p);
     let mut m = Machine::new(&built.program, machine_cfg(p.seed));
     let out = m.run();
@@ -250,56 +184,34 @@ fn cmd_run(args: &Args) -> ExitCode {
         s.mem.l1_hits,
         s.mem.cache_to_cache
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_trace(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.first() else { return usage() };
-    let Some(dir) = args.flags.get("out") else {
-        eprintln!("trace requires --out DIR");
-        return ExitCode::from(2);
-    };
-    let runs: u64 = args.flags.get("runs").and_then(|s| s.parse().ok()).unwrap_or(10);
-    let w = match lookup(name) {
-        Ok(w) => w,
-        Err(e) => return e,
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {dir}: {e}");
-        return ExitCode::FAILURE;
-    }
+fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
+    let name = flags.arg(0, "workload")?;
+    let dir = flags.required("out")?;
+    let runs = flags.count("runs")?.unwrap_or(10);
+    let w = lookup(name)?;
+    std::fs::create_dir_all(dir).map_err(|e| Failed(format!("cannot create {dir}: {e}")))?;
     let mut written = 0;
     for (seed, trace) in correct_run_traces(w.as_ref(), runs) {
         let path = format!("{dir}/{name}-{seed}.trace");
-        let file = match std::fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = act_trace::io::write_trace(&trace, file) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        let file = std::fs::File::create(&path)
+            .map_err(|e| Failed(format!("cannot create {path}: {e}")))?;
+        act_trace::io::write_trace(&trace, file)
+            .map_err(|e| Failed(format!("cannot write {path}: {e}")))?;
         println!("wrote {path}");
         written += 1;
     }
     println!("{written} correct-run traces in {dir}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_train(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.first() else { return usage() };
-    let Some(out) = args.flags.get("out") else {
-        eprintln!("train requires --out FILE");
-        return ExitCode::from(2);
-    };
-    let runs: usize = args.flags.get("runs").and_then(|s| s.parse().ok()).unwrap_or(10);
-    let w = match lookup(name) {
-        Ok(w) => w,
-        Err(e) => return e,
-    };
+fn cmd_train(flags: &Flags) -> Result<(), CliError> {
+    let name = flags.arg(0, "workload")?;
+    let out = flags.required("out")?;
+    let runs = flags.count("runs")?.unwrap_or(10);
+    let w = lookup(name)?;
     let cfg = act_cfg_for(w.as_ref());
     let trained = train_workload(w.as_ref(), runs, &cfg);
     let r = &trained.report;
@@ -313,37 +225,20 @@ fn cmd_train(args: &Args) -> ExitCode {
     );
     // Atomic save (temp file + rename): an interrupted `act train` never
     // leaves a torn weight file behind.
-    if let Err(e) = trained.store.save_to_path(out) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    trained.store.save_to_path(out).map_err(|e| Failed(format!("cannot write {out}: {e}")))?;
     println!("weights saved to {out}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_diagnose(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.first() else { return usage() };
-    let w = match lookup(name) {
-        Ok(w) => w,
-        Err(e) => return e,
-    };
+fn cmd_diagnose(flags: &Flags) -> Result<(), CliError> {
+    let w = lookup(flags.arg(0, "workload")?)?;
     let cfg = act_cfg_for(w.as_ref());
-    let store = match args.flags.get("weights") {
+    let store = match flags.value("weights") {
         Some(path) => {
-            let f = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match WeightStore::load(BufReader::new(f)) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let f = std::fs::File::open(path)
+                .map_err(|e| Failed(format!("cannot open {path}: {e}")))?;
+            WeightStore::load(BufReader::new(f))
+                .map_err(|e| Failed(format!("cannot parse {path}: {e}")))?
         }
         None => {
             println!("(no --weights given: training from 10 correct runs first)");
@@ -352,10 +247,8 @@ fn cmd_diagnose(args: &Args) -> ExitCode {
     };
     let seq_len = store.seq_len();
     let store = shared(store);
-    let Some(failure) = find_act_failure(w.as_ref(), &store, &cfg, 30) else {
-        eprintln!("no failure manifested in 30 triggered runs");
-        return ExitCode::FAILURE;
-    };
+    let failure = find_act_failure(w.as_ref(), &store, &cfg, 30)
+        .ok_or_else(|| Failed("no failure manifested in 30 triggered runs".into()))?;
     println!("failure: {}", failure.run.outcome);
     let set = CorrectSet::from_traces(&collect_clean_traces(w.as_ref(), 100..120), seq_len);
     let diag = diagnose(&failure.run, &set);
@@ -388,7 +281,7 @@ fn cmd_diagnose(args: &Args) -> ExitCode {
             None => println!("ground truth: root cause not ranked"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `act campaign <spec>`: run a declarative workload × config × seed grid
@@ -397,9 +290,9 @@ fn cmd_diagnose(args: &Args) -> ExitCode {
 /// The deterministic `results` section of the report is byte-identical at
 /// any `--jobs` count; `--out FILE` writes the JSON report (`--no-timing`
 /// strips the wall-clock section so the file itself is reproducible).
-fn cmd_campaign(args: &Args) -> ExitCode {
-    let Some(path) = args.positional.first() else {
-        eprintln!(
+fn cmd_campaign(flags: &Flags) -> Result<(), CliError> {
+    let Some(path) = flags.positional(0) else {
+        return Err(Usage(
             "campaign requires a spec file, e.g.\n\
              \x20 act campaign table5.spec --jobs 8 --out report.json\n\
              \n\
@@ -410,39 +303,17 @@ fn cmd_campaign(args: &Args) -> ExitCode {
              \x20 configs   = default          # optional\n\
              \x20 seeds     = 0..8             # or: 0, 1, 7\n\
              other keys become executor parameters (e.g. traces = 10)"
-        );
-        return ExitCode::from(2);
+                .into(),
+        ));
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match act_fleet::CampaignSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let exec = match act_bench::campaign::executor_for(&spec) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let jobs = match resolve_workers(args, "jobs") {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let report = act_fleet::run_campaign(&spec, jobs, exec);
+    let text =
+        std::fs::read_to_string(path).map_err(|e| Failed(format!("cannot read {path}: {e}")))?;
+    let spec = act_fleet::CampaignSpec::parse(&text).map_err(|e| Usage(format!("{path}: {e}")))?;
+    let report = run_cli_campaign(&spec, flags)?;
     for line in report.lines() {
         println!("{line}");
     }
-    for r in report.results.iter().filter(|r| !r.outcome.is_completed()) {
+    for r in &report.results {
         if let act_fleet::JobOutcome::Crashed { message } = &r.outcome {
             eprintln!(
                 "CRASHED job {} ({}/{}/seed {}): {message}",
@@ -450,34 +321,26 @@ fn cmd_campaign(args: &Args) -> ExitCode {
             );
         }
     }
-    println!("{}", act_bench::campaign::timing_footer(&report));
-    if let Some(out) = args.flags.get("out") {
-        let json = if args.switches.contains("no-timing") {
-            report.deterministic_json()
-        } else {
-            report.json()
-        };
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
+    println!("{}", timing_footer(&report));
+    if let Some(out) = flags.value("out") {
         println!("report written to {out}");
     }
-    if report.aggregate.crashed > 0 {
-        return ExitCode::FAILURE;
+    match report.aggregate.crashed {
+        0 => Ok(()),
+        n => Err(Failed(format!("{n} campaign job(s) crashed"))),
     }
-    ExitCode::SUCCESS
 }
 
 // ---------------------------------------------------------------------
-// act serve / act request — the diagnosis-as-a-service daemon.
+// act serve / act gate / act request — the diagnosis-as-a-service daemon,
+// its sharding gateway, and a client for either.
 // ---------------------------------------------------------------------
 
 /// Set by the SIGINT/SIGTERM handler; the serve loop polls it.
-static STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static STOP: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_stop_signal(_sig: i32) {
-    STOP.store(true, std::sync::atomic::Ordering::SeqCst);
+    STOP.store(true, Ordering::SeqCst);
 }
 
 /// Install `on_stop_signal` for SIGINT and SIGTERM. Raw `signal(2)` via the
@@ -495,236 +358,172 @@ fn install_stop_handler() {
     }
 }
 
+/// Add `--event-log FILE`, when given, as a JSONL sink of this process's
+/// events.
+fn open_event_log(flags: &Flags) -> Result<(), CliError> {
+    if let Some(path) = flags.value("event-log") {
+        let sink = act_obs::JsonlSink::create(Path::new(path))
+            .map_err(|e| Failed(format!("cannot open event log {path}: {e}")))?;
+        act_obs::events().add_sink(Box::new(sink));
+        println!("event log: {path}");
+    }
+    Ok(())
+}
+
+/// Run a started daemon until SIGINT/SIGTERM or a client's `SHUTDOWN`,
+/// then drain it and print its final `STATUS`. `act serve` and `act gate`
+/// pass their daemon's own methods.
+fn run_until_stopped<D>(
+    daemon: D,
+    stopping: fn(&D) -> bool,
+    drain: fn(&D),
+    status: fn(&D) -> String,
+    join: fn(D),
+) {
+    install_stop_handler();
+    while !STOP.load(Ordering::SeqCst) && !stopping(&daemon) {
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    println!("draining...");
+    drain(&daemon);
+    let final_status = status(&daemon);
+    join(daemon);
+    print!("{final_status}");
+}
+
 /// `act serve`: run the diagnosis daemon until SIGINT/SIGTERM or a client's
 /// SHUTDOWN frame, then drain accepted requests and print final counters.
-fn cmd_serve(args: &Args) -> ExitCode {
-    let workers = match resolve_workers(args, "workers") {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let queue_depth = match parse_count(args, "queue-depth", 64) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let cache_capacity = match parse_count(args, "cache", 32) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let deadline_ms = match parse_count(args, "deadline-ms", 120_000) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let batch_size = match parse_count(args, "batch-size", 16) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    // Only --io-timeout applies to a listening daemon, but the flag set
-    // (and its validation) is shared with `act gate` / `act request`.
-    let net = match NetOpts::from_args(args, 2_000, 30_000) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    if let Some(path) = args.flags.get("event-log") {
-        match act_obs::JsonlSink::create(std::path::Path::new(path)) {
-            Ok(sink) => {
-                act_obs::events().add_sink(Box::new(sink));
-                println!("event log: {path}");
-            }
-            Err(e) => {
-                eprintln!("cannot open event log {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let unix_path = args.flags.get("unix").map(std::path::PathBuf::from);
+fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
+    let workers = flags.count("workers")?.unwrap_or_else(act_fleet::default_workers);
+    let queue_depth = flags.count("queue-depth")?.unwrap_or(64);
+    let cache_capacity = flags.count("cache")?.unwrap_or(32);
+    let batch_size = flags.count("batch-size")?.unwrap_or(16);
+    let unix_path = flags.value("unix");
     let cfg = act_serve::ServeConfig {
-        tcp_addr: if unix_path.is_some() && !args.flags.contains_key("addr") {
-            None // --unix alone means Unix-socket only
-        } else {
-            Some(args.flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7411".to_string()))
+        tcp_addr: match (flags.value("addr"), unix_path) {
+            (None, Some(_)) => None, // --unix alone means Unix-socket only
+            (addr, _) => Some(addr.unwrap_or("127.0.0.1:7411").to_string()),
         },
-        unix_path,
+        unix_path: unix_path.map(PathBuf::from),
         workers,
         queue_depth,
-        model_dir: args.flags.get("model-dir").map(std::path::PathBuf::from),
-        corpus_dir: args.flags.get("corpus").map(std::path::PathBuf::from),
+        model_dir: flags.value("model-dir").map(PathBuf::from),
+        corpus_dir: flags.value("corpus").map(PathBuf::from),
         cache_capacity,
-        deadline: std::time::Duration::from_millis(deadline_ms as u64),
-        io_timeout: net.io_timeout,
+        deadline: flags.millis("deadline-ms")?.unwrap_or(Duration::from_secs(120)),
+        io_timeout: flags.millis("io-timeout")?.unwrap_or(Duration::from_secs(30)),
         batch_size,
     };
-    let server = match act_serve::Server::start(cfg.clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start daemon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    open_event_log(flags)?;
+    let server = Server::start(cfg).map_err(|e| Failed(format!("cannot start daemon: {e}")))?;
     if let Some(addr) = server.tcp_addr() {
         println!("act-serve listening on tcp://{addr}");
     }
-    if let Some(path) = &cfg.unix_path {
-        println!("act-serve listening on unix://{}", path.display());
+    if let Some(path) = unix_path {
+        println!("act-serve listening on unix://{path}");
     }
-    if let Some(dir) = args.flags.get("corpus") {
+    if let Some(dir) = flags.value("corpus") {
         println!("corpus store: {dir}");
     }
     println!(
         "workers {workers} | queue depth {queue_depth} | cache {cache_capacity} models | \
          batch {batch_size}"
     );
-    install_stop_handler();
-    while !STOP.load(std::sync::atomic::Ordering::SeqCst) && !server.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    println!("draining...");
-    server.shutdown();
-    let final_status = server.status_text();
-    server.join();
-    print!("{final_status}");
-    ExitCode::SUCCESS
+    run_until_stopped(
+        server,
+        Server::is_shutting_down,
+        Server::shutdown,
+        Server::status_text,
+        Server::join,
+    );
+    Ok(())
 }
 
-fn cmd_gate(args: &Args) -> ExitCode {
-    let Some(raw_backends) = args.flags.get("backends") else {
-        eprintln!("act gate needs --backends ADDR[,ADDR...] (act-serve TCP addresses)");
-        return ExitCode::from(2);
-    };
-    let backends: Vec<String> = raw_backends
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect();
-    if backends.is_empty() {
-        eprintln!("--backends lists no addresses: `{raw_backends}`");
-        return ExitCode::from(2);
-    }
-    let workers = match resolve_workers(args, "workers") {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let queue_depth = match parse_count(args, "queue-depth", 64) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let vnodes = match parse_count(args, "vnodes", 64) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    // --connect-timeout / --io-timeout govern the backend links (a cold
-    // TRAIN on a backend legitimately takes minutes).
-    let net = match NetOpts::from_args(args, 2_000, 300_000) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    if let Some(path) = args.flags.get("event-log") {
-        match act_obs::JsonlSink::create(std::path::Path::new(path)) {
-            Ok(sink) => {
-                act_obs::events().add_sink(Box::new(sink));
-                println!("event log: {path}");
-            }
-            Err(e) => {
-                eprintln!("cannot open event log {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+/// `act gate`: run the sharding gateway in front of `--backends` until
+/// SIGINT/SIGTERM or a client's SHUTDOWN frame, as `act serve` runs.
+fn cmd_gate(flags: &Flags) -> Result<(), CliError> {
+    let backends = flags.parsed("backends", |raw| {
+        let list: Vec<String> =
+            raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
+        if list.is_empty() {
+            Err("lists no addresses".to_string())
+        } else {
+            Ok(list)
         }
-    }
+    })?;
+    let backends = backends.ok_or_else(|| Usage("--backends: required".into()))?;
+    let workers = flags.count("workers")?.unwrap_or_else(act_fleet::default_workers);
+    let queue_depth = flags.count("queue-depth")?.unwrap_or(64);
+    let vnodes = flags.count("vnodes")?.unwrap_or(64);
+    let n = backends.len();
     let cfg = act_gate::GateConfig {
-        listen: args.flags.get("listen").cloned().unwrap_or_else(|| "127.0.0.1:7412".to_string()),
+        listen: flags.value("listen").unwrap_or("127.0.0.1:7412").to_string(),
         backends,
         vnodes,
         workers,
         queue_depth,
-        connect_timeout: net.connect_timeout,
-        backend_timeout: net.io_timeout,
+        // --connect-timeout / --io-timeout govern the backend links (a
+        // cold TRAIN on a backend legitimately takes minutes).
+        connect_timeout: flags.millis("connect-timeout")?.unwrap_or(Duration::from_secs(2)),
+        backend_timeout: flags.millis("io-timeout")?.unwrap_or(Duration::from_secs(300)),
         ..act_gate::GateConfig::default()
     };
-    let gate = match act_gate::Gateway::start(cfg.clone()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("cannot start gateway: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    open_event_log(flags)?;
+    let gate = Gateway::start(cfg).map_err(|e| Failed(format!("cannot start gateway: {e}")))?;
     println!("act-gate listening on tcp://{}", gate.tcp_addr());
-    println!(
-        "backends {} | vnodes {vnodes} | workers {workers} | queue depth {queue_depth}",
-        cfg.backends.len()
+    println!("backends {n} | vnodes {vnodes} | workers {workers} | queue depth {queue_depth}");
+    run_until_stopped(
+        gate,
+        Gateway::is_shutting_down,
+        Gateway::shutdown,
+        Gateway::status_text,
+        Gateway::join,
     );
-    install_stop_handler();
-    while !STOP.load(std::sync::atomic::Ordering::SeqCst) && !gate.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    println!("draining...");
-    gate.shutdown();
-    let final_status = gate.status_text();
-    gate.join();
-    print!("{final_status}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// An [`act_client::Client`] for the daemon named by `--addr`/`--unix`
-/// (default local TCP port), configured from the shared network flags.
-fn client_from(args: &Args) -> Result<act_client::Client, ExitCode> {
-    let net = NetOpts::from_args(args, 10_000, 300_000)?;
-    let depth = parse_count(args, "pipeline-depth", 1)?;
-    let mut builder = act_client::Client::builder();
-    builder = if let Some(path) = args.flags.get("unix") {
-        builder.unix(path)
-    } else {
-        builder
-            .addr(args.flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7411".to_string()))
+/// (default local TCP port), configured from the network flags.
+fn client_from(flags: &Flags) -> Result<act_client::Client, CliError> {
+    let builder = match flags.value("unix") {
+        Some(path) => act_client::Client::builder().unix(path),
+        None => act_client::Client::builder().addr(flags.value("addr").unwrap_or("127.0.0.1:7411")),
     };
-    builder = builder.timeouts(net.connect_timeout, net.io_timeout).pipeline_depth(depth as u32);
-    if let Some(backoff) = net.retry {
-        let seed = args.flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(0);
-        builder = builder.retry(backoff, seed);
+    let mut builder = builder
+        .timeouts(
+            flags.millis("connect-timeout")?.unwrap_or(Duration::from_secs(10)),
+            flags.millis("io-timeout")?.unwrap_or(Duration::from_secs(300)),
+        )
+        .pipeline_depth(flags.count("pipeline-depth")?.unwrap_or(1));
+    if let Some(backoff) = flags.millis("retry")? {
+        builder = builder.retry(backoff, flags.get("seed")?.unwrap_or(0));
     }
-    builder.build().map_err(|e| {
-        eprintln!("{e}");
-        ExitCode::from(2)
-    })
+    builder.build().map_err(|e| Usage(e.to_string()))
 }
 
 /// The model spec named by `act request` flags.
-fn spec_from(args: &Args, workload: &str) -> act_serve::ModelSpec {
-    let mut spec = act_serve::ModelSpec::new(workload);
-    let num = |flag: &str| args.flags.get(flag).and_then(|s| s.parse::<u64>().ok());
-    if let Some(v) = num("seed") {
-        spec.seed = v;
-    }
-    if let Some(v) = num("traces") {
-        spec.traces = v as u32;
-    }
-    if let Some(v) = num("seq-len") {
-        spec.seq_len = v as u16;
-    }
-    if let Some(v) = num("hidden") {
-        spec.hidden = v as u16;
-    }
-    if let Some(v) = num("epochs") {
-        spec.max_epochs = v as u32;
-    }
-    spec
+fn spec_from(flags: &Flags, workload: &str) -> Result<act_client::ModelSpec, CliError> {
+    let d = act_client::ModelSpec::new(workload);
+    Ok(act_client::ModelSpec {
+        seed: flags.get("seed")?.unwrap_or(d.seed),
+        traces: flags.get("traces")?.unwrap_or(d.traces),
+        seq_len: flags.get("seq-len")?.unwrap_or(d.seq_len),
+        hidden: flags.get("hidden")?.unwrap_or(d.hidden),
+        max_epochs: flags.get("epochs")?.unwrap_or(d.max_epochs),
+        ..d
+    })
 }
 
 /// A serialized failing trace of `name`: from `--trace FILE` when given,
 /// otherwise by running the triggered configuration locally until the bug
 /// manifests (what a production client's tracing layer would ship).
-fn failing_trace_bytes(args: &Args, name: &str) -> Result<Vec<u8>, ExitCode> {
-    if let Some(path) = args.flags.get("trace") {
-        return std::fs::read(path).map_err(|e| {
-            eprintln!("cannot read {path}: {e}");
-            ExitCode::FAILURE
-        });
+fn failing_trace_bytes(flags: &Flags, name: &str) -> Result<Vec<u8>, CliError> {
+    if let Some(path) = flags.value("trace") {
+        return read_file(path);
     }
     let w = lookup(name)?;
-    let base = args.flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let Some((seed, trace)) = failing_trace(w.as_ref(), base) else {
-        eprintln!("{name}: no failure manifested in 64 triggered runs");
-        return Err(ExitCode::FAILURE);
-    };
+    let (seed, trace) = failing_trace(w.as_ref(), flags.get("seed")?.unwrap_or(0))
+        .ok_or_else(|| Failed(format!("{name}: no failure manifested in 64 triggered runs")))?;
     println!("(failure manifested at seed {seed}; shipping its trace)");
     Ok(act_trace::io::trace_to_bytes(&trace))
 }
@@ -734,204 +533,106 @@ fn failing_trace_bytes(args: &Args, name: &str) -> Result<Vec<u8>, ExitCode> {
 /// (N > 1) rides a multiplexed v4 session; `--stream` sends uploads in
 /// chunks instead of one frame, so they are not bounded by the 64 MiB
 /// payload cap.
-fn cmd_request(args: &Args) -> ExitCode {
-    let Some(verb) = args.positional.first().map(String::as_str) else { return usage() };
-    let client = match client_from(args) {
-        Ok(c) => c,
-        Err(e) => return e,
-    };
-    let fail = |e: act_client::ActError| {
-        eprintln!("{e}");
-        ExitCode::FAILURE
-    };
+fn cmd_request(flags: &Flags) -> Result<(), CliError> {
+    let verb = flags.arg(0, "request verb")?;
+    let client = client_from(flags)?;
     match verb {
-        "status" => match client.status() {
-            Ok(status) => {
-                print!("{}", status.text);
-                if let Some(snap) = status.metrics {
-                    // Hit rate counts every no-retraining outcome: memory,
-                    // the model dir, and the corpus store.
-                    let hits = snap.counter("cache_memory_hits").unwrap_or(0)
-                        + snap.counter("cache_disk_loads").unwrap_or(0)
-                        + snap.counter("cache_store_loads").unwrap_or(0);
-                    let total = hits + snap.counter("cache_trained").unwrap_or(0);
-                    if total > 0 {
-                        println!("cache_hit_rate {:.1}%", 100.0 * hits as f64 / total as f64);
-                    }
-                    println!("\n-- metrics --");
-                    print!("{}", snap.render_table());
+        "status" => {
+            let status = client.status()?;
+            print!("{}", status.text);
+            if let Some(snap) = status.metrics {
+                // Hit rate counts every no-retraining outcome: memory,
+                // the model dir, and the corpus store.
+                let hits = snap.counter("cache_memory_hits").unwrap_or(0)
+                    + snap.counter("cache_disk_loads").unwrap_or(0)
+                    + snap.counter("cache_store_loads").unwrap_or(0);
+                let total = hits + snap.counter("cache_trained").unwrap_or(0);
+                if total > 0 {
+                    println!("cache_hit_rate {:.1}%", 100.0 * hits as f64 / total as f64);
                 }
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
-        "shutdown" => match client.shutdown() {
-            Ok(()) => {
-                println!("server shutting down");
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
-        "trace-put" => {
-            let Some(name) = args.positional.get(1) else {
-                eprintln!("request trace-put requires a workload name");
-                return ExitCode::from(2);
-            };
-            let Some(path) = args.flags.get("trace") else {
-                eprintln!("request trace-put requires --trace FILE (a correct-run text trace)");
-                return ExitCode::from(2);
-            };
-            let key = args.flags.get("key").cloned().unwrap_or_else(|| {
-                std::path::Path::new(path)
-                    .file_stem()
-                    .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned())
-            });
-            let stored = if args.switches.contains("stream") {
-                // Chunked upload straight off the file handle: the trace
-                // is never fully resident in this process.
-                match std::fs::File::open(path) {
-                    Ok(file) => client.trace_put_streaming(&key, name, BufReader::new(file)),
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match std::fs::read(path) {
-                    Ok(bytes) => client.trace_put(&key, name, &bytes),
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            match stored {
-                Ok(text) => {
-                    println!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
+                println!("\n-- metrics --");
+                print!("{}", snap.render_table());
             }
         }
-        "trace-get" => {
-            let Some(key) =
-                args.flags.get("key").cloned().or_else(|| args.positional.get(1).cloned())
-            else {
-                eprintln!("request trace-get requires a key (--key K or positional)");
-                return ExitCode::from(2);
+        "shutdown" => {
+            client.shutdown()?;
+            println!("server shutting down");
+        }
+        "trace-put" => {
+            let name = flags.arg(1, "workload name")?;
+            let path = flags.required("trace")?;
+            let key = key_for(flags, path);
+            let stored = if flags.switch("stream") {
+                // Chunked upload straight off the file handle: the trace
+                // is never fully resident in this process.
+                let file = std::fs::File::open(path)
+                    .map_err(|e| Failed(format!("cannot read {path}: {e}")))?;
+                client.trace_put_streaming(&key, name, BufReader::new(file))?
+            } else {
+                client.trace_put(&key, name, &read_file(path)?)?
             };
-            match client.trace_get(&key) {
-                Ok(bytes) => {
-                    match args.flags.get("out") {
-                        Some(path) => {
-                            if let Err(e) = std::fs::write(path, &bytes) {
-                                eprintln!("cannot write {path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                            println!("trace written to {path} ({} bytes)", bytes.len());
-                        }
-                        None => print!("{}", String::from_utf8_lossy(&bytes)),
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
+            println!("{stored}");
+        }
+        "trace-get" => {
+            let key = flags.value("key").or(flags.positional(1));
+            let key =
+                key.ok_or_else(|| Usage("missing trace key (--key K or positional)".into()))?;
+            let bytes = client.trace_get(key)?;
+            if let Some(path) = write_out_or_print(flags, &bytes)? {
+                println!("trace written to {path} ({} bytes)", bytes.len());
             }
         }
         "train" | "diagnose" => {
-            let Some(name) = args.positional.get(1) else {
-                eprintln!("request {verb} requires a workload name");
-                return ExitCode::from(2);
-            };
-            let spec = spec_from(args, name);
-            let answer = if verb == "train" {
-                client.train(&spec)
+            let name = flags.arg(1, "workload name")?;
+            let spec = spec_from(flags, name)?;
+            let text = if verb == "train" {
+                client.train(&spec)?
             } else {
-                let bytes = match failing_trace_bytes(args, name) {
-                    Ok(b) => b,
-                    Err(e) => return e,
-                };
-                if args.switches.contains("stream") {
-                    client.diagnose_streaming(&spec, std::io::Cursor::new(bytes))
+                let bytes = failing_trace_bytes(flags, name)?;
+                if flags.switch("stream") {
+                    client.diagnose_streaming(&spec, std::io::Cursor::new(bytes))?
                 } else {
-                    client.diagnose(&spec, &bytes)
+                    client.diagnose(&spec, &bytes)?
                 }
             };
-            match answer {
-                Ok(text) => {
-                    println!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
-            }
+            println!("{text}");
         }
-        _ => usage(),
+        other => return Err(Usage(format!("unknown request verb `{other}`"))),
     }
+    Ok(())
+}
+
+fn open_corpus(dir: &str) -> Result<act_store::Corpus, CliError> {
+    act_store::Corpus::open(dir).map_err(|e| Failed(format!("cannot open {dir}: {e}")))
 }
 
 /// `act store <init|put|get|ls|stat|compact> DIR [args]` — manage an
 /// on-disk trace/model corpus (`act-store`) without a running daemon.
-fn cmd_store(args: &Args) -> ExitCode {
-    let Some(verb) = args.positional.first().map(String::as_str) else { return usage() };
-    let Some(dir) = args.positional.get(1) else {
-        eprintln!("store {verb} requires a corpus directory");
-        return ExitCode::from(2);
-    };
+fn cmd_store(flags: &Flags) -> Result<(), CliError> {
+    let verb = flags.arg(0, "store verb")?;
+    let dir = flags.arg(1, "corpus directory")?;
     match verb {
-        "init" => match act_store::Corpus::init(dir) {
-            Ok(_) => {
-                println!("initialised empty corpus at {dir}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cannot initialise {dir}: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "put" => cmd_store_put(args, dir),
+        "init" => {
+            act_store::Corpus::init(dir)
+                .map_err(|e| Failed(format!("cannot initialise {dir}: {e}")))?;
+            println!("initialised empty corpus at {dir}");
+        }
+        "put" => return cmd_store_put(flags, dir),
         "get" => {
-            let Some(key) = args.positional.get(2) else {
-                eprintln!("store get requires a key");
-                return ExitCode::from(2);
-            };
-            let corpus = match act_store::Corpus::open(dir) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot open {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let read = corpus.get_trace_text(key).and_then(|bytes| {
-                Ok((corpus.entry_info(act_store::EntryKind::Trace, key)?.records, bytes))
-            });
-            let (records, bytes) = match read {
-                Ok(read) => read,
-                Err(e) => {
-                    eprintln!("store get {key}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match args.flags.get("out") {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, &bytes) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("wrote {path} ({records} records, {} bytes)", bytes.len());
-                }
-                None => print!("{}", String::from_utf8_lossy(&bytes)),
+            let key = flags.arg(2, "key")?;
+            let corpus = open_corpus(dir)?;
+            let (records, bytes) = corpus
+                .get_trace_text(key)
+                .and_then(|bytes| {
+                    Ok((corpus.entry_info(act_store::EntryKind::Trace, key)?.records, bytes))
+                })
+                .map_err(|e| Failed(format!("store get {key}: {e}")))?;
+            if let Some(path) = write_out_or_print(flags, &bytes)? {
+                println!("wrote {path} ({records} records, {} bytes)", bytes.len());
             }
-            ExitCode::SUCCESS
         }
         "ls" => {
-            let corpus = match act_store::Corpus::open(dir) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot open {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let filter = args.positional.get(2).map(String::as_str);
-            let entries = corpus.entries(filter);
+            let entries = open_corpus(dir)?.entries(flags.positional(2));
             println!(
                 "{:<12} {:<24} {:<12} {:>8} {:>10} {:>10} {:>6}",
                 "KIND", "KEY", "WORKLOAD", "RECORDS", "RAW", "ENCODED", "RATIO"
@@ -950,23 +651,10 @@ fn cmd_store(args: &Args) -> ExitCode {
                 );
             }
             println!("{} live entries", entries.len());
-            ExitCode::SUCCESS
         }
         "stat" => {
-            let corpus = match act_store::Corpus::open(dir) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot open {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let stat = match corpus.stat() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot stat {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let corpus = open_corpus(dir)?;
+            let stat = corpus.stat().map_err(|e| Failed(format!("cannot stat {dir}: {e}")))?;
             let report = corpus.open_report();
             println!("corpus {dir}");
             println!("  sealed segments  {}", stat.sealed_segments);
@@ -978,101 +666,50 @@ fn cmd_store(args: &Args) -> ExitCode {
             if report.dropped_tail {
                 println!("  recovered: dropped {} uncommitted tail bytes", report.dropped_bytes);
             }
-            ExitCode::SUCCESS
         }
         "compact" => {
-            let mut corpus = match act_store::Corpus::open(dir) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot open {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match corpus.compact() {
-                Ok(s) => {
-                    println!(
-                        "compacted {dir}: kept {} entries, dropped {}, {} -> {} disk bytes",
-                        s.entries_kept, s.entries_dropped, s.disk_bytes_before, s.disk_bytes_after
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("compact failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let s =
+                open_corpus(dir)?.compact().map_err(|e| Failed(format!("compact failed: {e}")))?;
+            println!(
+                "compacted {dir}: kept {} entries, dropped {}, {} -> {} disk bytes",
+                s.entries_kept, s.entries_dropped, s.disk_bytes_before, s.disk_bytes_after
+            );
         }
-        other => {
-            eprintln!("unknown store subcommand: {other}");
-            usage()
-        }
+        other => return Err(Usage(format!("unknown store subcommand `{other}`"))),
     }
+    Ok(())
 }
 
 /// `act store put DIR <workload> [--runs N]` collects correct-run traces
 /// straight into the corpus; `--trace FILE --key K` ingests an existing
 /// text trace instead.
-fn cmd_store_put(args: &Args, dir: &str) -> ExitCode {
-    let mut corpus = match act_store::Corpus::open_or_init(dir) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot open {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(name) = args.positional.get(2) else {
-        eprintln!("store put requires a workload name");
-        return ExitCode::from(2);
-    };
-    if let Some(path) = args.flags.get("trace") {
-        let key = args.flags.get("key").cloned().unwrap_or_else(|| {
-            std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned())
-        });
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match corpus.put_trace_bytes(&key, name, &bytes) {
-            Ok(info) => {
-                println!(
-                    "stored {key} ({} records, {} -> {} bytes)",
-                    info.records, info.raw_bytes, info.encoded_bytes
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("store put {key}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+fn cmd_store_put(flags: &Flags, dir: &str) -> Result<(), CliError> {
+    let name = flags.arg(2, "workload name")?;
+    let runs = flags.count("runs")?.unwrap_or(10);
+    let mut corpus = act_store::Corpus::open_or_init(dir)
+        .map_err(|e| Failed(format!("cannot open {dir}: {e}")))?;
+    if let Some(path) = flags.value("trace") {
+        let key = key_for(flags, path);
+        let bytes = read_file(path)?;
+        return print_stored(&key, corpus.put_trace_bytes(&key, name, &bytes));
     }
-    let runs: u64 = args.flags.get("runs").and_then(|s| s.parse().ok()).unwrap_or(10);
-    let w = match lookup(name) {
-        Ok(w) => w,
-        Err(e) => return e,
-    };
+    let w = lookup(name)?;
     let mut stored = 0;
     for (seed, trace) in correct_run_traces(w.as_ref(), runs) {
         let key = format!("{name}-{seed}");
-        match corpus.put_trace(&key, name, &trace) {
-            Ok(info) => {
-                println!(
-                    "stored {key} ({} records, {} -> {} bytes)",
-                    info.records, info.raw_bytes, info.encoded_bytes
-                );
-                stored += 1;
-            }
-            Err(e) => {
-                eprintln!("store put {key}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        print_stored(&key, corpus.put_trace(&key, name, &trace))?;
+        stored += 1;
     }
     println!("{stored} correct-run traces stored in {dir}");
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Print what `act store put` stored under `key`, or fail with why not.
+fn print_stored(key: &str, put: Result<EntryInfo, StoreError>) -> Result<(), CliError> {
+    let info = put.map_err(|e| Failed(format!("store put {key}: {e}")))?;
+    println!(
+        "stored {key} ({} records, {} -> {} bytes)",
+        info.records, info.raw_bytes, info.encoded_bytes
+    );
+    Ok(())
 }

@@ -34,6 +34,7 @@ use act_trace::collector::TraceCollector;
 use act_trace::io::trace_to_bytes;
 use act_workloads::registry;
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 use std::io::Write as _;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -660,10 +661,16 @@ fn fingerprint(reply: &Reply) -> String {
     format!("{reply:?}")
 }
 
-fn equivalence_fixture() -> &'static Vocabulary {
-    use std::sync::OnceLock;
-    static FIXTURE: OnceLock<(Server, Vocabulary)> = OnceLock::new();
-    let (_, vocab) = FIXTURE.get_or_init(|| {
+/// The daemon the equivalence property runs against: a warm model and two
+/// stored traces. Dropping it drains the daemon and removes its corpus.
+struct Fixture {
+    server: Option<Server>,
+    dir: PathBuf,
+    vocab: Vocabulary,
+}
+
+impl Fixture {
+    fn boot() -> Fixture {
         let dir = scratch_corpus("prop");
         let cfg = ServeConfig { corpus_dir: Some(dir.clone()), ..small(2, 64) };
         let (server, endpoint) = boot(cfg);
@@ -679,20 +686,28 @@ fn equivalence_fixture() -> &'static Vocabulary {
                 (key.to_string(), bytes)
             })
             .collect();
-        (server, Vocabulary { endpoint, spec, failing, stored })
-    });
-    vocab
+        let vocab = Vocabulary { endpoint, spec, failing, stored };
+        Fixture { server: Some(server), dir, vocab }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    #[test]
-    fn any_pipelined_interleaving_matches_sequential_one_frame_requests(
-        depth in 2u32..6,
-        plan in prop::collection::vec((any::<u8>(), any::<u8>()), 1..10),
-    ) {
-        let vocab = equivalence_fixture();
+impl Drop for Fixture {
+    fn drop(&mut self) {
+        if let Some(server) = self.server.take() {
+            server.shutdown();
+            server.join();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
 
+#[test]
+fn any_pipelined_interleaving_matches_sequential_one_frame_requests() {
+    let fixture = Fixture::boot();
+    let vocab = &fixture.vocab;
+    let plans = (2u32..6, prop::collection::vec((any::<u8>(), any::<u8>()), 1..10));
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(12));
+    let outcome = runner.run(&plans, |(depth, plan)| {
         // Sequential baseline: the same requests one at a time, each on a
         // raw connection of its own (one frame each way).
         let mut expected = Vec::new();
@@ -714,7 +729,8 @@ proptest! {
             &vocab.endpoint,
             &act_client::ClientConfig::default(),
             depth,
-        ).expect("session opens");
+        )
+        .expect("session opens");
         let mut pending: Vec<(usize, act_client::session::Pending)> = Vec::new();
         let mut got: Vec<Option<String>> = vec![None; plan.len()];
         for (i, (op, pick)) in plan.iter().enumerate() {
@@ -733,5 +749,7 @@ proptest! {
         let got: Vec<String> = got.into_iter().map(|g| g.expect("every reply collected")).collect();
 
         prop_assert_eq!(got, expected);
-    }
+        Ok(())
+    });
+    outcome.unwrap();
 }

@@ -1,9 +1,5 @@
 //! Property-based tests for ACT's core analyses.
 
-// Property suites are opt-in: run with `--features slow-tests` (they use
-// the in-tree proptest shim, so they work offline too).
-#![cfg(feature = "slow-tests")]
-
 use act_core::encoding::{Encoder, FEATURES_PER_DEP};
 use act_core::module::DebugEntry;
 use act_core::postprocess::postprocess;

@@ -39,7 +39,9 @@ use act_fleet::{BoundedQueue, ModelKey};
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
 };
-use act_serve::conn::{accept_loop, run_session, wake, Listener, SessionShared, SessionStats};
+use act_serve::conn::{
+    accept_loop, run_session, wake, Listener, SessionShared, SessionStats, SessionThreads,
+};
 use act_serve::{ClientError, Endpoint, Reply, Request};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -595,6 +597,7 @@ pub(crate) fn route_key(request: &Request) -> Option<String> {
 pub struct Gateway {
     state: Arc<GateState>,
     threads: Vec<JoinHandle<()>>,
+    sessions: Arc<SessionThreads>,
     tcp_addr: SocketAddr,
 }
 
@@ -649,16 +652,17 @@ impl Gateway {
             wake: listener.wake_endpoint()?,
         });
         let mut threads = Vec::new();
+        let sessions = Arc::<SessionThreads>::default();
 
         {
-            let state = state.clone();
+            let (state, sessions) = (state.clone(), sessions.clone());
             threads.push(std::thread::Builder::new().name("act-gate-accept".into()).spawn(
                 move || {
                     let session = {
                         let state = state.clone();
                         move |conn| run_session(conn, &state)
                     };
-                    accept_loop(&listener, &state.shutdown, "act-gate-session", session);
+                    accept_loop(&listener, &state.shutdown, &sessions, "act-gate-session", session);
                 },
             )?);
         }
@@ -708,7 +712,7 @@ impl Gateway {
                 n, cfg.vnodes, cfg.workers, cfg.queue_depth
             ),
         );
-        Ok(Gateway { state, threads, tcp_addr })
+        Ok(Gateway { state, threads, sessions, tcp_addr })
     }
 
     /// The bound listen address (with the real port when `:0` was asked).
@@ -750,11 +754,13 @@ impl Gateway {
     }
 
     /// Wait for the drain to finish: every admitted request and relayed
-    /// upload has had its one final reply.
+    /// upload has had its one final reply, and every session thread has
+    /// ended (so a `SHUTDOWN`'s `BYE` is out).
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
         }
+        self.sessions.wait();
     }
 }
 

@@ -20,6 +20,7 @@
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
 //! - a drain wakes the acceptor blocked in `accept`, and answers every
 //!   forward in flight exactly once before `join` returns;
+//! - `join` returns only after every session thread has ended;
 //! - a gateway queue held full by a window-1 backend answers `BUSY`, and
 //!   the client retry absorbs it;
 //! - any interleaving of pipelined requests through a 2-backend gateway
@@ -32,8 +33,10 @@ use act_serve::proto::{read_frame, write_frame, Frame, FrameKind};
 use act_serve::{ModelSpec, Reply, Request};
 use act_serve::{ServeConfig, Server};
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -192,7 +195,7 @@ where
             }
         };
         // Never drained: the stub lives as long as the test process.
-        accept_loop(&listener, &AtomicBool::new(false), "stub-session", serve);
+        accept_loop(&listener, &AtomicBool::new(false), &Arc::default(), "stub-session", serve);
     });
     addr
 }
@@ -246,7 +249,7 @@ fn spawn_stream_dropper(hung_up: mpsc::Sender<()>) -> String {
             }
         };
         // Never drained: the stub lives as long as the test process.
-        accept_loop(&listener, &AtomicBool::new(false), "stub-session", serve);
+        accept_loop(&listener, &AtomicBool::new(false), &Arc::default(), "stub-session", serve);
     });
     addr
 }
@@ -327,7 +330,7 @@ fn spawn_slow_sealer(sealed: mpsc::Sender<()>) -> String {
             }
         };
         // Never drained: the stub lives as long as the test process.
-        accept_loop(&listener, &AtomicBool::new(false), "stub-session", serve);
+        accept_loop(&listener, &AtomicBool::new(false), &Arc::default(), "stub-session", serve);
     });
     addr
 }
@@ -644,6 +647,24 @@ fn gateway_shutdown_drains_without_touching_backends() {
     backend.join();
 }
 
+/// `join` returns only once every session thread has ended, so an
+/// `act gate` process never exits under a session still writing its `BYE`.
+#[test]
+fn join_waits_for_every_session_thread() {
+    let backend = boot_backend();
+    let gate = boot_gateway(vec![addr_of(&backend)]);
+    let stats = gate.stats().clone();
+    let addr = gate.tcp_addr().to_string();
+    let _idle = raw_session(&addr, 4);
+    let mut bye = TcpStream::connect(&addr).expect("connect");
+    send_all(&mut bye, 7, &[Request::Shutdown]);
+    assert_eq!(read_reply(&mut bye), (7, Reply::Bye));
+    gate.join();
+    assert_eq!(stats.sessions_open(), 0, "join returned under a live session thread");
+    backend.shutdown();
+    backend.join();
+}
+
 #[test]
 fn a_drain_wakes_the_blocked_acceptor() {
     let backend = boot_backend();
@@ -881,15 +902,33 @@ fn trace_bytes(base_seed: u64, failing: bool) -> Vec<u8> {
 }
 
 /// A 2-backend gateway whose fleet holds a warm model and one stored
-/// trace per backend, all put there through the gateway.
+/// trace per backend, all put there through the gateway. Dropping it
+/// drains the gateway and the backends and removes their corpora.
 struct ShardedFleet {
-    gate: Gateway,
+    gate: Option<Gateway>,
     backends: Vec<String>,
     spec: ModelSpec,
     failing: Vec<u8>,
     /// One corpus key per backend (index = owner).
     stored: Vec<String>,
-    _servers: Vec<Server>,
+    servers: Vec<Server>,
+    corpora: Vec<PathBuf>,
+}
+
+impl Drop for ShardedFleet {
+    fn drop(&mut self) {
+        if let Some(gate) = self.gate.take() {
+            gate.shutdown();
+            gate.join();
+        }
+        for server in self.servers.drain(..) {
+            server.shutdown();
+            server.join();
+        }
+        for dir in &self.corpora {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 impl ShardedFleet {
@@ -915,70 +954,69 @@ impl ShardedFleet {
             Request::TraceGet { key } => format!("trace:{key}"),
             other => panic!("not in the vocabulary: {other:?}"),
         };
-        &self.backends[self.gate.ring().owner(&key)]
+        &self.backends[self.gate().ring().owner(&key)]
+    }
+
+    fn gate(&self) -> &Gateway {
+        self.gate.as_ref().expect("the gateway runs until the fleet drops")
     }
 }
 
-fn sharded_fleet() -> &'static ShardedFleet {
-    use std::sync::OnceLock;
-    static FIXTURE: OnceLock<ShardedFleet> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let servers: Vec<Server> = (0..2)
-            .map(|i| {
-                let dir =
-                    std::env::temp_dir().join(format!("act-gate-prop-{i}-{}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&dir);
-                let cfg = ServeConfig {
-                    tcp_addr: Some("127.0.0.1:0".to_string()),
-                    workers: 2,
-                    queue_depth: 64,
-                    corpus_dir: Some(dir),
-                    ..ServeConfig::default()
-                };
-                Server::start(cfg).expect("backend boots")
-            })
-            .collect();
-        let backends: Vec<String> = servers.iter().map(addr_of).collect();
-        let gate = boot_gateway(backends.clone());
-        let client = gate_client(&gate);
-        let spec = tiny_spec("seq", 0);
-        client.train(&spec).expect("warm the model through the gateway");
-        let stored: Vec<String> = (0..2)
-            .map(|want| {
-                let key = (0..)
-                    .map(|n| format!("prop-{n}"))
-                    .find(|key| gate.ring().owner(&format!("trace:{key}")) == want)
-                    .expect("some key lands on every backend");
-                let bytes = trace_bytes(100 * want as u64, false);
-                client.trace_put(&key, "seq", &bytes).expect("store through the gateway");
-                key
-            })
-            .collect();
-        ShardedFleet {
-            gate,
-            backends,
-            spec,
-            failing: trace_bytes(0, true),
-            stored,
-            _servers: servers,
-        }
-    })
+fn sharded_fleet() -> ShardedFleet {
+    let corpora: Vec<PathBuf> = (0..2)
+        .map(|i| std::env::temp_dir().join(format!("act-gate-prop-{i}-{}", std::process::id())))
+        .collect();
+    let servers: Vec<Server> = corpora
+        .iter()
+        .map(|dir| {
+            let _ = std::fs::remove_dir_all(dir);
+            let cfg = ServeConfig {
+                tcp_addr: Some("127.0.0.1:0".to_string()),
+                workers: 2,
+                queue_depth: 64,
+                corpus_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            };
+            Server::start(cfg).expect("backend boots")
+        })
+        .collect();
+    let backends: Vec<String> = servers.iter().map(addr_of).collect();
+    let gate = boot_gateway(backends.clone());
+    let client = gate_client(&gate);
+    let spec = tiny_spec("seq", 0);
+    client.train(&spec).expect("warm the model through the gateway");
+    let stored: Vec<String> = (0..2)
+        .map(|want| {
+            let key = (0..)
+                .map(|n| format!("prop-{n}"))
+                .find(|key| gate.ring().owner(&format!("trace:{key}")) == want)
+                .expect("some key lands on every backend");
+            let bytes = trace_bytes(100 * want as u64, false);
+            client.trace_put(&key, "seq", &bytes).expect("store through the gateway");
+            key
+        })
+        .collect();
+    ShardedFleet {
+        gate: Some(gate),
+        backends,
+        spec,
+        failing: trace_bytes(0, true),
+        stored,
+        servers,
+        corpora,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Pipelined through a 2-backend gateway at any depth and in any
-    /// issue/wait order, every reply is byte-identical to the one its
-    /// owner gives the same request sent straight to it, one frame on a
-    /// connection of its own.
-    #[test]
-    fn any_pipelined_interleaving_through_a_gateway_matches_one_frame_requests_to_the_owners(
-        depth in 2u32..9,
-        plan in prop::collection::vec((any::<u8>(), any::<u8>()), 1..12),
-    ) {
-        let fleet = sharded_fleet();
-
+/// Pipelined through a 2-backend gateway at any depth and in any
+/// issue/wait order, every reply is byte-identical to the one its owner
+/// gives the same request sent straight to it, one frame on a connection
+/// of its own.
+#[test]
+fn any_pipelined_interleaving_through_a_gateway_matches_one_frame_requests_to_the_owners() {
+    let fleet = sharded_fleet();
+    let plans = (2u32..9, prop::collection::vec((any::<u8>(), any::<u8>()), 1..12));
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(12));
+    let outcome = runner.run(&plans, |(depth, plan)| {
         let mut expected = Vec::new();
         for (op, _) in &plan {
             let req = fleet.request(*op);
@@ -988,12 +1026,10 @@ proptest! {
             expected.push((frame.kind, frame.payload));
         }
 
-        let gate = act_serve::Endpoint::Tcp(fleet.gate.tcp_addr().to_string());
-        let session = act_client::session::Session::open(
-            &gate,
-            &act_client::ClientConfig::default(),
-            depth,
-        ).expect("session opens");
+        let gate = act_serve::Endpoint::Tcp(fleet.gate().tcp_addr().to_string());
+        let session =
+            act_client::session::Session::open(&gate, &act_client::ClientConfig::default(), depth)
+                .expect("session opens");
         prop_assert_eq!(session.window(), depth);
         let wire = |p: act_client::session::Pending| {
             let frame = p.wait().expect("pipelined reply").to_frame();
@@ -1015,5 +1051,7 @@ proptest! {
         let got: Vec<_> = got.into_iter().map(|g| g.expect("every reply collected")).collect();
 
         prop_assert_eq!(got, expected);
-    }
+        Ok(())
+    });
+    outcome.unwrap();
 }

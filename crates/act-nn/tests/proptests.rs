@@ -1,9 +1,5 @@
 //! Property-based tests for the neural substrate.
 
-// Property suites are opt-in: run with `--features slow-tests` (they use
-// the in-tree proptest shim, so they work offline too).
-#![cfg(feature = "slow-tests")]
-
 use act_nn::network::{Network, Topology};
 use act_nn::pipeline::{NnPipeline, PipelineConfig};
 use act_nn::sigmoid::{sigmoid, SigmoidTable};

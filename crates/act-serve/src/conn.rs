@@ -32,7 +32,7 @@ use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Ceiling on the in-flight window a `HELLO` can ask for (and what a
@@ -107,10 +107,12 @@ impl Listener {
 /// each connection, until `draining` is set. The flag is checked after
 /// every accept, and the connection that woke the loop then is dropped
 /// without a session — a drain sets the flag, then [`wake`]s the loop
-/// with a connection of its own.
+/// with a connection of its own. Each session thread is counted in
+/// `sessions` from before its spawn until it ends.
 pub fn accept_loop<F>(
     listener: &Listener,
     draining: &AtomicBool,
+    sessions: &Arc<SessionThreads>,
     session_thread: &'static str,
     session: F,
 ) where
@@ -124,15 +126,60 @@ pub fn accept_loop<F>(
         match accepted {
             Ok(conn) => {
                 let session = session.clone();
-                let spawned = std::thread::Builder::new()
-                    .name(session_thread.to_string())
-                    .spawn(move || session(conn));
+                let live = sessions.enter();
+                let spawned =
+                    std::thread::Builder::new().name(session_thread.to_string()).spawn(move || {
+                        let _live = live;
+                        session(conn);
+                    });
                 if spawned.is_err() {
                     let why = format!("failed to spawn {session_thread}");
                     events().emit(Level::Warn, "conn.accept", why);
                 }
             }
             Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+}
+
+/// The session threads a daemon's accept loops started that have not
+/// ended yet. A daemon's `join` waits for them after its acceptors stop,
+/// so the process never exits under a session still writing its last
+/// frame (the `BYE` that answers a `SHUTDOWN`); an idle session leaves
+/// within 25 ms of a drain. A connection costs one lock to enter and
+/// one to leave.
+#[derive(Debug, Default)]
+pub struct SessionThreads {
+    live: Mutex<usize>,
+    ended: Condvar,
+}
+
+impl SessionThreads {
+    /// Count one session thread in until the returned guard drops.
+    fn enter(self: &Arc<Self>) -> LiveSession {
+        *self.live.lock().expect("session count lock") += 1;
+        LiveSession(Arc::clone(self))
+    }
+
+    /// Block until every counted session thread has ended.
+    pub fn wait(&self) {
+        let mut live = self.live.lock().expect("session count lock");
+        while *live > 0 {
+            live = self.ended.wait(live).expect("session count lock");
+        }
+    }
+}
+
+/// One session thread's place in its [`SessionThreads`].
+struct LiveSession(Arc<SessionThreads>);
+
+impl Drop for LiveSession {
+    fn drop(&mut self) {
+        // No lock holder can panic mid-update, and a drop must not panic.
+        let mut live = self.0.live.lock().unwrap_or_else(PoisonError::into_inner);
+        *live -= 1;
+        if *live == 0 {
+            self.0.ended.notify_all();
         }
     }
 }
@@ -652,7 +699,7 @@ mod tests {
                     let Conn::Tcp(stream) = conn else { unreachable!("tcp listener") };
                     sessions.send(stream.nodelay().expect("read option")).expect("test alive");
                 };
-                accept_loop(&listener, &draining, "test-session", session);
+                accept_loop(&listener, &draining, &Arc::default(), "test-session", session);
             })
         };
 

@@ -21,7 +21,7 @@
 
 use crate::cache::{CacheOutcome, ModelCache};
 use crate::client::Endpoint;
-use crate::conn::{accept_loop, run_session, wake, Listener};
+use crate::conn::{accept_loop, run_session, wake, Listener, SessionThreads};
 use crate::conn::{SessionHost, SessionShared, SessionStats};
 use crate::pool::{no_corpus, spawn_workers, Job, Responder, Work};
 use crate::proto::{ModelSpec, Reply, Request};
@@ -417,6 +417,7 @@ impl SessionHost for Daemon {
 pub struct Server {
     daemon: Arc<Daemon>,
     threads: Vec<JoinHandle<()>>,
+    sessions: Arc<SessionThreads>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
@@ -484,8 +485,13 @@ impl Server {
             started: Instant::now(),
             wake: listeners.iter().map(|(_, l)| l.wake_endpoint()).collect::<io::Result<_>>()?,
         });
-        let mut server =
-            Server { daemon, threads: Vec::new(), tcp_addr, unix_path: cfg.unix_path.clone() };
+        let mut server = Server {
+            daemon,
+            threads: Vec::new(),
+            sessions: Arc::default(),
+            tcp_addr,
+            unix_path: cfg.unix_path.clone(),
+        };
         server.threads = spawn_workers(
             cfg.workers,
             server.daemon.queue.clone(),
@@ -495,13 +501,13 @@ impl Server {
             cfg.batch_size,
         );
         for (name, listener) in listeners {
-            let daemon = server.daemon.clone();
+            let (daemon, sessions) = (server.daemon.clone(), server.sessions.clone());
             let spawned = std::thread::Builder::new().name(name.to_string()).spawn(move || {
                 let session = {
                     let daemon = daemon.clone();
                     move |conn| run_session(conn, &daemon)
                 };
-                accept_loop(&listener, &daemon.shutdown, "act-serve-session", session);
+                accept_loop(&listener, &daemon.shutdown, &sessions, "act-serve-session", session);
             });
             match spawned {
                 Ok(t) => server.threads.push(t),
@@ -559,11 +565,13 @@ impl Server {
     }
 
     /// Wait for the drain to finish (acceptors stopped, every accepted job
-    /// answered). Removes the Unix socket file on the way out.
+    /// answered, every session thread ended — so a `SHUTDOWN`'s `BYE` is
+    /// out). Removes the Unix socket file on the way out.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
         }
+        self.sessions.wait();
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }

@@ -9,6 +9,7 @@
 //! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
 //! - a client that connects and stays silent holds up nobody else;
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
+//! - `join` returns only after every session thread has ended;
 //! - a start that fails on its second listener leaves the first unbound.
 
 use act_serve::client::{ClientConfig, ClientError, Endpoint};
@@ -436,6 +437,23 @@ fn diagnose_on_a_cold_daemon_trains_then_ranks() {
     }
     assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
     server.join();
+}
+
+/// `join` returns only once every session thread has ended — the idle one
+/// and the one that wrote the `BYE` — so an `act serve` process never
+/// exits under a session still writing its last frame.
+#[test]
+fn join_waits_for_every_session_thread() {
+    let (server, endpoint) = boot(1, 4);
+    let stats = server.stats();
+    let mut idle = Conn::connect(&endpoint, &ClientConfig::default()).expect("connect");
+    write_frame(&mut idle, &Request::Hello { window: 4 }.to_frame()).expect("send HELLO");
+    let ack = Reply::from_frame(read_frame(&mut idle).expect("ack")).expect("decode");
+    assert_eq!(ack, Reply::HelloAck { window: 4 });
+    assert_eq!(request(&endpoint, &Request::Shutdown).expect("reply"), Reply::Bye);
+    server.join();
+    let open = stats.metrics_snapshot(Duration::ZERO, 0, 0).gauge("sessions_open");
+    assert_eq!(open, Some(0), "join returned under a live session thread");
 }
 
 #[test]

@@ -1,9 +1,5 @@
 //! Property-based tests for the simulator substrate.
 
-// Property suites are opt-in: run with `--features slow-tests` (they use
-// the in-tree proptest shim, so they work offline too).
-#![cfg(feature = "slow-tests")]
-
 use act_sim::asm::Asm;
 use act_sim::config::{CacheConfig, MachineConfig, MetaGranularity};
 use act_sim::events::LastWriter;

@@ -1,9 +1,5 @@
 //! Property-based tests for trace analysis and input generation.
 
-// Property suites are opt-in: run with `--features slow-tests` (they use
-// the in-tree proptest shim, so they work offline too).
-#![cfg(feature = "slow-tests")]
-
 use act_sim::events::RawDep;
 use act_trace::correct_set::CorrectSet;
 use act_trace::event::{Trace, TraceKind, TraceRecord};

@@ -9,6 +9,8 @@
 //! - the [`proptest!`] macro (multiple `#[test]` fns per invocation, an
 //!   optional leading `#![proptest_config(..)]`),
 //! - [`prop_assert!`] / [`prop_assert_eq!`],
+//! - [`test_runner::TestRunner`], for a property whose test sets something
+//!   up once for all its cases and tears it down after them,
 //! - strategies: [`any`], integer and float ranges, tuples (arity 2–4),
 //!   [`prop::collection::vec`], and [`Strategy::prop_map`],
 //! - [`ProptestConfig::with_cases`].
@@ -209,6 +211,60 @@ pub mod prelude {
     }
 }
 
+/// Running a property outside [`proptest!`], mirroring the used subset of
+/// `proptest::test_runner`.
+pub mod test_runner {
+    use crate::{rng_for, Strategy, TestCaseError, TestRng};
+
+    pub use crate::ProptestConfig as Config;
+
+    /// Runs one property over values drawn from a strategy. A test that
+    /// boots something for the property (a daemon, a scratch directory)
+    /// holds it across every case and drops it after the run.
+    #[derive(Debug)]
+    pub struct TestRunner {
+        config: Config,
+    }
+
+    impl TestRunner {
+        /// A runner for `config.cases` cases.
+        pub fn new(config: Config) -> TestRunner {
+            TestRunner { config }
+        }
+
+        /// Run `test` on `config.cases` values of `strategy`, drawn from
+        /// one fixed stream; the first failing case ends the run.
+        ///
+        /// # Errors
+        ///
+        /// The failing case, with its number and assertion.
+        pub fn run<S: Strategy>(
+            &mut self,
+            strategy: &S,
+            test: impl Fn(S::Value) -> Result<(), TestCaseError>,
+        ) -> Result<(), TestCaseError> {
+            run_cases("TestRunner", self.config.cases, |rng| test(strategy.generate(rng)))
+        }
+    }
+
+    /// Run `cases` cases of the property `name`, each on its own
+    /// [`rng_for`] stream, stopping at the first that fails.
+    #[doc(hidden)]
+    pub fn run_cases(
+        name: &str,
+        cases: u32,
+        mut case: impl FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+    ) -> Result<(), TestCaseError> {
+        for i in 0..cases as u64 {
+            if let Err(TestCaseError(msg)) = case(&mut rng_for(name, i)) {
+                let msg = format!("proptest case {}/{cases} failed for `{name}`: {msg}", i + 1);
+                return Err(TestCaseError(msg));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Assert a condition inside a property, with an optional message.
 #[macro_export]
 macro_rules! prop_assert {
@@ -256,17 +312,12 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let cfg: $crate::ProptestConfig = $cfg;
-                for case in 0..cfg.cases as u64 {
-                    let mut __rng = $crate::rng_for(stringify!($name), case);
-                    $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)+
-                    let __result: Result<(), $crate::TestCaseError> = (|| { $body Ok(()) })();
-                    if let Err($crate::TestCaseError(msg)) = __result {
-                        panic!(
-                            "proptest case {}/{} failed for `{}`: {}",
-                            case + 1, cfg.cases, stringify!($name), msg
-                        );
-                    }
-                }
+                $crate::test_runner::run_cases(stringify!($name), cfg.cases, |__rng| {
+                    $(let $arg = $crate::Strategy::generate(&($strat), __rng);)+
+                    $body
+                    Ok(())
+                })
+                .unwrap_or_else(|$crate::TestCaseError(msg)| panic!("{}", msg));
             }
         )+
     };
@@ -318,6 +369,24 @@ mod tests {
             let v = crate::Strategy::generate(&s, &mut rng);
             assert!(v % 2 == 0 && v < 20);
         }
+    }
+
+    #[test]
+    fn test_runner_runs_every_case_and_reports_the_first_failure() {
+        use crate::test_runner::TestRunner;
+        let ran = std::cell::Cell::new(0);
+        let mut runner = TestRunner::new(ProptestConfig::with_cases(16));
+        let ok = runner.run(&(0u32..10, any::<bool>()), |(x, _)| {
+            ran.set(ran.get() + 1);
+            prop_assert!(x < 10);
+            Ok(())
+        });
+        assert!(ok.is_ok() && ran.get() == 16);
+        let failed = runner.run(&(0u32..10), |x| {
+            prop_assert!(x > 1000);
+            Ok(())
+        });
+        assert!(failed.unwrap_err().0.starts_with("proptest case 1/16 failed"));
     }
 
     #[test]

@@ -70,18 +70,22 @@ cmp "$STORE_DIR/seq-0.trace" "$STORE_DIR/back.trace"
 target/release/act store compact "$STORE_DIR/corpus" | grep "compacted"
 rm -rf "$STORE_DIR"
 
-# Command-line rejection: an unknown flag, an unparsable value and a zero
-# count each exit 2 before any work is done (the trace directory stays
-# empty, and no daemon starts).
-expect_exit_2() {
+# Exit codes: an unknown flag, an unparsable value and a zero count each
+# exit 2 before any work is done (the trace directory stays empty, and no
+# daemon starts); a run that fails, like `perf` reading a missing file,
+# exits 1.
+expect_exit() {
+    want=$1
+    shift
     status=0
     "$@" || status=$?
-    test "$status" = 2
+    test "$status" = "$want"
 }
 REJECT_DIR=$(mktemp -d)
-expect_exit_2 target/release/act trace seq --out "$REJECT_DIR" --runs abc
-expect_exit_2 target/release/act serve --worker 2
-expect_exit_2 target/release/table4 --jobs 0
+expect_exit 2 target/release/act trace seq --out "$REJECT_DIR" --runs abc
+expect_exit 2 target/release/act serve --worker 2
+expect_exit 2 target/release/table4 --jobs 0
+expect_exit 1 target/release/perf --validate "$REJECT_DIR/missing.json"
 rmdir "$REJECT_DIR"
 
 ACT=target/release/act

@@ -23,70 +23,63 @@
 //! (comma-separated, exact match) restricts the verdict to the named
 //! benches; everything else still runs and is recorded, ungated.
 
+use act_bench::cli::CliError::{self, Failed};
 use act_bench::cli::Flags;
 use act_bench::perf;
-use act_core::ActError;
+use std::process::ExitCode;
 
 /// The value flags `perf` takes; `--quick` is its one switch.
 const VALUES: [&str; 8] =
     ["out", "baseline", "validate", "only", "jobs", "gate", "gate-pct", "gate-bench"];
 
-fn load_entries(path: &str) -> Result<Vec<perf::BenchEntry>, ActError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ActError::io(format!("cannot read {path}"), e))?;
-    perf::parse_json(&text).map_err(|e| ActError::Parse(format!("{path}: {e}")))
+const USAGE: &str = "usage: perf [--quick] [--out FILE] [--baseline FILE] [--validate FILE] \
+     [--only NAMES] [--jobs N] [--gate FILE] [--gate-pct PCT] [--gate-bench NAMES]";
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Err(e) = Flags::parse(&argv, &VALUES, &["quick"]).and_then(|flags| run(&flags)) else {
+        return ExitCode::SUCCESS;
+    };
+    let code = e.report("perf");
+    if let CliError::Usage(_) = e {
+        eprintln!("{USAGE}");
+    }
+    code
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = Flags::parse(&argv, &VALUES, &["quick"]).and_then(|flags| {
-        let jobs = flags.count("jobs")?.unwrap_or_else(act_fleet::default_workers);
-        let gate_pct = flags.parsed("gate-pct", |raw| match raw.parse::<f64>() {
+fn load_entries(path: &str) -> Result<Vec<perf::BenchEntry>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    perf::parse_json(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// One `perf` run. A bad command line is a [`CliError::Usage`] (exit 2);
+/// an unreadable or malformed input file, an unwritable `--out` and a
+/// gate regression are [`CliError::Failed`] (exit 1).
+fn run(flags: &Flags) -> Result<(), CliError> {
+    let jobs = flags.count("jobs")?.unwrap_or_else(act_fleet::default_workers);
+    let gate_pct = flags
+        .parsed("gate-pct", |raw| match raw.parse::<f64>() {
             Ok(pct) if pct.is_finite() && pct >= 0.0 => Ok(pct),
             Ok(_) => Err("must be a non-negative percentage".to_string()),
             Err(e) => Err(e.to_string()),
-        })?;
-        Ok((flags, jobs, gate_pct.unwrap_or(10.0)))
-    });
-    let (flags, jobs, gate_pct) = parsed.unwrap_or_else(|e| {
-        eprintln!("perf: {e}");
-        eprintln!(
-            "usage: perf [--quick] [--out FILE] [--baseline FILE] [--validate FILE] \
-             [--only NAMES] [--jobs N] [--gate FILE] [--gate-pct PCT] [--gate-bench NAMES]"
-        );
-        std::process::exit(2);
-    });
+        })?
+        .unwrap_or(10.0);
     let quick = flags.switch("quick");
     let out = flags.value("out").unwrap_or("BENCH_hotpath.json");
 
     // Validation mode: schema-check an existing file and exit.
     if let Some(path) = flags.value("validate") {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("perf: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match perf::validate(&text) {
-            Ok(n) => {
-                println!("{path}: ok ({n} entries)");
-                return;
-            }
-            Err(e) => {
-                eprintln!("perf: {path}: malformed: {e}");
-                std::process::exit(2);
-            }
-        }
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| Failed(format!("cannot read {path}: {e}")))?;
+        let n = perf::validate(&text).map_err(|e| Failed(format!("{path}: malformed: {e}")))?;
+        println!("{path}: ok ({n} entries)");
+        return Ok(());
     }
 
-    let baseline = flags.value("baseline").map(|p| match load_entries(p) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("perf: bad baseline: {e}");
-            std::process::exit(2);
-        }
-    });
+    let baseline = match flags.value("baseline") {
+        Some(path) => Some(load_entries(path).map_err(|e| Failed(format!("bad baseline: {e}")))?),
+        None => None,
+    };
 
     eprintln!("perf: running {} suite (jobs {})...", if quick { "quick" } else { "full" }, jobs);
     let mut entries = perf::run_all(quick, jobs, flags.value("only"));
@@ -102,47 +95,37 @@ fn main() {
     }
 
     let json = perf::render_json(&entries);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("perf: cannot write {out}: {e}");
-        std::process::exit(2);
-    }
+    std::fs::write(out, &json).map_err(|e| Failed(format!("cannot write {out}: {e}")))?;
     println!("wrote {out}");
 
     // Gate mode: compare against the committed reference file and fail the
     // run on any regression past the threshold. Benches absent from the
     // gate file pass vacuously (a new bench cannot block its own PR).
-    if let Some(path) = flags.value("gate") {
-        let reference = match load_entries(path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("perf: bad gate file: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut gated = entries.clone();
-        perf::merge_baseline(&mut gated, &reference);
-        if let Some(filter) = flags.value("gate-bench") {
-            gated.retain(|e| filter.split(',').any(|p| e.bench == p));
-        }
-        let mut failed = false;
-        for e in &gated {
-            let Some(regression) = e.regression_pct() else {
-                println!("gate: {:<30} no reference, skipped", e.bench);
-                continue;
-            };
-            let ok = regression <= gate_pct;
-            println!(
-                "gate: {:<30} {:+.1}% vs {path} (limit +{:.1}%): {}",
-                e.bench,
-                regression,
-                gate_pct,
-                if ok { "ok" } else { "REGRESSION" }
-            );
-            failed |= !ok;
-        }
-        if failed {
-            eprintln!("perf: gate failed (see REGRESSION lines above)");
-            std::process::exit(1);
-        }
+    let Some(path) = flags.value("gate") else { return Ok(()) };
+    let reference = load_entries(path).map_err(|e| Failed(format!("bad gate file: {e}")))?;
+    let mut gated = entries.clone();
+    perf::merge_baseline(&mut gated, &reference);
+    if let Some(filter) = flags.value("gate-bench") {
+        gated.retain(|e| filter.split(',').any(|p| e.bench == p));
     }
+    let mut failed = false;
+    for e in &gated {
+        let Some(regression) = e.regression_pct() else {
+            println!("gate: {:<30} no reference, skipped", e.bench);
+            continue;
+        };
+        let ok = regression <= gate_pct;
+        println!(
+            "gate: {:<30} {:+.1}% vs {path} (limit +{:.1}%): {}",
+            e.bench,
+            regression,
+            gate_pct,
+            if ok { "ok" } else { "REGRESSION" }
+        );
+        failed |= !ok;
+    }
+    if failed {
+        return Err(Failed("gate failed (see REGRESSION lines above)".into()));
+    }
+    Ok(())
 }

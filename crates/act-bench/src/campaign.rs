@@ -80,12 +80,7 @@ pub const FIG8_SWEEPS: [(&str, usize, usize); 6] = [
 /// recorded as crashed, the right report for a bad spec).
 fn corpus_traces(dir: &str, workload: &str, want: usize) -> Vec<act_trace::event::Trace> {
     let c = act_store::Corpus::open(dir).unwrap_or_else(|e| panic!("corpus {dir}: {e}"));
-    c.entries(Some(workload))
-        .into_iter()
-        .filter(|info| info.meta.kind == act_store::EntryKind::Trace)
-        .filter_map(|info| c.get_trace(&info.meta.key).ok())
-        .take(want)
-        .collect()
+    c.traces(workload).take(want).collect()
 }
 
 fn lookup(name: &str) -> Box<dyn Workload> {
@@ -600,7 +595,7 @@ mod tests {
     #[test]
     fn remote_report_scrubbers_drop_cache_state() {
         assert_eq!(
-            strip_cache_tag("seq: seq_len=2 hidden=10 deps=37 [cache-hit:disk]"),
+            strip_cache_tag("seq: seq_len=2 hidden=10 deps=37 [cache-hit:store]"),
             "seq: seq_len=2 hidden=10 deps=37"
         );
         assert_eq!(strip_cache_tag("no tag at all"), "no tag at all");

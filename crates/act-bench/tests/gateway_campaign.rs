@@ -126,18 +126,18 @@ fn pipeline_depth_changes_nothing_in_the_campaign_report() {
     );
 }
 
-/// Fleet-wide cache hit rate, read off the gateway's aggregated snapshot.
+/// Fleet-wide cache hit rate, read off the gateway's fleet rollup lines.
 fn fleet_hit_rate(gate: &Gateway) -> f64 {
     let client = act_client::Client::builder()
         .addr(gate.tcp_addr().to_string())
         .build()
         .expect("endpoint is set");
     let status = client.status().expect("gateway status");
-    let snap = status.metrics.expect("gateway replies with metrics");
-    let c = |name: &str| snap.counter(name).unwrap_or(0) as f64;
-    let hits =
-        c("fleet.cache_memory_hits") + c("fleet.cache_disk_loads") + c("fleet.cache_store_loads");
-    let misses = c("fleet.cache_trained");
+    let line = |key: &str| -> f64 {
+        let value = status.text.lines().find_map(|l| l.strip_prefix(key));
+        value.and_then(|v| v.trim().parse().ok()).unwrap_or_else(|| panic!("no {key}"))
+    };
+    let (hits, misses) = (line("fleet_cache_hits "), line("fleet_cache_misses "));
     assert!(hits + misses > 0.0, "no cache traffic reached the fleet");
     100.0 * hits / (hits + misses)
 }

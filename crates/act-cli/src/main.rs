@@ -42,8 +42,8 @@ const USAGE: &str = "usage: act <command> [args]\n\
      \x20 campaign <spec> [--jobs N] [--out FILE] [--no-timing]\n\
      \x20                                        run a campaign spec in parallel\n\
      \x20 serve [--addr A] [--unix PATH] [--workers N] [--queue-depth D]\n\
-     \x20       [--model-dir DIR] [--corpus DIR] [--cache N] [--deadline-ms MS]\n\
-     \x20       [--io-timeout MS] [--event-log FILE]\n\
+     \x20       [--corpus DIR] [--cache N] [--deadline-ms MS] [--io-timeout MS]\n\
+     \x20       [--event-log FILE]\n\
      \x20       [--batch-size N]                 run the diagnosis daemon\n\
      \x20                                        (--batch-size 1 disables request\n\
      \x20                                        coalescing)\n\
@@ -77,8 +77,8 @@ const COMMANDS: &[Command] = &[
     ("train", &["out", "runs"], &[], cmd_train),
     ("diagnose", &["weights"], &[], cmd_diagnose),
     ("campaign", CAMPAIGN_FLAGS.0, CAMPAIGN_FLAGS.1, cmd_campaign),
-    ("serve", &["addr", "unix", "workers", "queue-depth", "model-dir", "corpus", "cache",
-        "deadline-ms", "io-timeout", "event-log", "batch-size"], &[], cmd_serve),
+    ("serve", &["addr", "unix", "workers", "queue-depth", "corpus", "cache", "deadline-ms",
+        "io-timeout", "event-log", "batch-size"], &[], cmd_serve),
     ("gate", &["backends", "listen", "workers", "queue-depth", "vnodes", "connect-timeout",
         "io-timeout", "event-log"], &[], cmd_gate),
     ("request", &["addr", "unix", "seed", "traces", "seq-len", "hidden", "epochs", "trace", "key",
@@ -407,7 +407,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         unix_path: unix_path.map(PathBuf::from),
         workers,
         queue_depth,
-        model_dir: flags.value("model-dir").map(PathBuf::from),
         corpus_dir: flags.value("corpus").map(PathBuf::from),
         cache_capacity,
         deadline: flags.millis("deadline-ms")?.unwrap_or(Duration::from_secs(120)),
@@ -541,12 +540,8 @@ fn cmd_request(flags: &Flags) -> Result<(), CliError> {
             let status = client.status()?;
             print!("{}", status.text);
             if let Some(snap) = status.metrics {
-                // Hit rate counts every no-retraining outcome: memory,
-                // the model dir, and the corpus store.
-                let hits = snap.counter("cache_memory_hits").unwrap_or(0)
-                    + snap.counter("cache_disk_loads").unwrap_or(0)
-                    + snap.counter("cache_store_loads").unwrap_or(0);
-                let total = hits + snap.counter("cache_trained").unwrap_or(0);
+                let (hits, misses) = act_serve::cache_hits_misses(&snap);
+                let total = hits + misses;
                 if total > 0 {
                     println!("cache_hit_rate {:.1}%", 100.0 * hits as f64 / total as f64);
                 }

@@ -203,9 +203,12 @@ pub fn classify_trace_batch(
     results
 }
 
-/// Batched [`diagnose_trace`]: one ranked [`Diagnosis`] per trace (same
+/// Full service-side diagnosis of shipped failing traces: classify every
+/// dependence window with the trained `store`, then prune and rank the
+/// flagged ones against the Correct Set — the same postprocessing a
+/// hardware debug buffer gets. One ranked [`Diagnosis`] per trace (same
 /// order), classified through [`classify_trace_batch`] and postprocessed
-/// per trace. Bit-identical to diagnosing each trace individually.
+/// per trace; bit-identical to diagnosing each trace on its own.
 pub fn diagnose_trace_batch(
     store: &crate::weights::WeightStore,
     correct: &CorrectSet,
@@ -216,19 +219,6 @@ pub fn diagnose_trace_batch(
         .iter()
         .map(|entries| postprocess(entries, correct))
         .collect()
-}
-
-/// Full service-side diagnosis of a shipped failing trace: classify every
-/// dependence window with the trained `store`, then prune and rank the
-/// flagged ones against the Correct Set — the same postprocessing a
-/// hardware debug buffer gets.
-pub fn diagnose_trace(
-    store: &crate::weights::WeightStore,
-    correct: &CorrectSet,
-    trace: &act_trace::event::Trace,
-    norm_code_len: usize,
-) -> Diagnosis {
-    diagnose_trace_batch(store, correct, &[trace], norm_code_len).pop().expect("one result")
 }
 
 #[cfg(test)]
@@ -306,7 +296,7 @@ mod tests {
         let traces = correct_traces(&Looping::CORRECT, 1..2);
         let store = WeightStore::new(Topology::new(2 * crate::encoding::FEATURES_PER_DEP, 3), 2, 1);
         let set = correct_set();
-        let diag = diagnose_trace(&store, &set, &traces[0], p.code_len());
+        let diag = diagnose_trace_batch(&store, &set, &[&traces[0]], p.code_len()).remove(0);
         assert!(diag.total_logged > 0, "untrained store logs everything");
         assert_eq!(
             diag.ranked.len(),
@@ -346,7 +336,7 @@ mod tests {
         let refs: Vec<&act_trace::event::Trace> = traces.iter().collect();
         let batched = diagnose_trace_batch(&store, &set, &refs, p.code_len());
         for (t, b) in traces.iter().zip(&batched) {
-            let seq = diagnose_trace(&store, &set, t, p.code_len());
+            let seq = postprocess(&classify_trace(&store, t, p.code_len(), 0.5), &set);
             assert_eq!(format!("{seq:?}"), format!("{b:?}"), "diagnosis must match sequential");
         }
     }

@@ -207,9 +207,9 @@ impl WeightStore {
 
     /// Save atomically to `path`: write the full serialization to a
     /// temporary file in the *same directory*, then `rename` it into place.
-    /// A crash (or poisoned request — see `act-serve`) mid-save can
-    /// therefore never leave a torn, half-written model file: readers see
-    /// either the old complete file or the new complete one.
+    /// A crash mid-save can therefore never leave a torn, half-written
+    /// model file: readers see either the old complete file or the new
+    /// complete one.
     ///
     /// # Errors
     ///
@@ -234,18 +234,6 @@ impl WeightStore {
             return Err(e);
         }
         std::fs::rename(&tmp, path)
-    }
-
-    /// Load a store saved by [`WeightStore::save`] / [`WeightStore::save_to_path`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseWeightsError`] on I/O failure or malformed content.
-    pub fn load_from_path<P: AsRef<std::path::Path>>(
-        path: P,
-    ) -> Result<WeightStore, ParseWeightsError> {
-        let f = std::fs::File::open(path)?;
-        WeightStore::load(std::io::BufReader::new(f))
     }
 
     /// Parse a store previously produced by [`WeightStore::save`].
@@ -410,7 +398,8 @@ mod persistence_tests {
         // Overwrite with a second save: the rename must replace atomically.
         store.store_weights(5, Network::random(topo, 0.2, 10).weights_flat());
         store.save_to_path(&path).unwrap();
-        let back = WeightStore::load_from_path(&path).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let back = WeightStore::load(std::io::BufReader::new(file)).unwrap();
         assert_eq!(back.known_threads(), vec![4, 5]);
         // No .tmp.* litter remains next to the target.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)

@@ -4,8 +4,8 @@
 //! ablations) runs dozens of *independent* single-threaded `act-sim`
 //! machines. This crate is the fan-out/aggregate layer over them: a
 //! declarative campaign spec (workload × config × seed grid,
-//! [`spec::CampaignSpec`]) expands into a job queue ([`queue::JobQueue`]),
-//! jobs execute across worker threads ([`worker::run_jobs`]), and results
+//! [`spec::CampaignSpec`]) expands into a job list, jobs execute across
+//! worker threads ([`worker::run_jobs`]), and results
 //! funnel into an aggregator ([`aggregate`]) and a structured report with
 //! machine-readable JSON output ([`report::CampaignReport`]).
 //!

@@ -1,66 +1,24 @@
-//! The shared work queues.
+//! The work queue of long-lived services (`act-serve`).
 //!
-//! Two shapes, one per workload pattern:
-//!
-//! * [`JobQueue`] — campaigns. The expanded job list is immutable, so "the
-//!   queue" is one atomic cursor over a slice. Workers claim the next
-//!   unclaimed job with a single `fetch_add` — no locks, no channels on the
-//!   claim path, and (because each job owns its whole `Machine`/`ActModule`
-//!   pipeline) no shared mutable state afterwards either. Claim order is
-//!   scheduling-dependent; *result* order is not, because the aggregator
-//!   re-indexes by job id (see `worker`/`aggregate`).
-//! * [`BoundedQueue`] — long-lived services (`act-serve`). Work arrives
-//!   over time from producers the consumer does not control, so the queue
-//!   is a bounded MPMC channel: `try_push` fails fast when full (the
-//!   producer turns that into a backpressure reply instead of buffering
-//!   unboundedly), `pop` blocks until an item or close, and `close`
-//!   initiates graceful drain — queued items are still handed out, then
-//!   every consumer sees `None`. `requeue` puts back an item that was
-//!   already accepted, past the bound and the close.
+//! Work arrives over time from producers the consumer does not control, so
+//! [`BoundedQueue`] is a bounded MPMC channel: `try_push` fails fast when
+//! full (the producer turns that into a backpressure reply instead of
+//! buffering unboundedly), `pop` blocks until an item or close, and
+//! `close` initiates graceful drain — queued items are still handed out,
+//! then every consumer sees `None`. `requeue` puts back an item that was
+//! already accepted, past the bound and the close. (Campaigns need no
+//! queue: their job list is fixed, and [`crate::parallel_map`] hands it
+//! out with an atomic cursor.)
 
-use crate::spec::JobDesc;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-
-/// A lock-free multi-consumer view over an immutable job list.
-pub struct JobQueue<'a> {
-    jobs: &'a [JobDesc],
-    next: AtomicUsize,
-}
-
-impl<'a> JobQueue<'a> {
-    /// A queue over `jobs` with nothing claimed yet.
-    pub fn new(jobs: &'a [JobDesc]) -> Self {
-        JobQueue { jobs, next: AtomicUsize::new(0) }
-    }
-
-    /// Claim the next job, or `None` when the grid is exhausted.
-    pub fn claim(&self) -> Option<&'a JobDesc> {
-        // Relaxed is enough: the slice is immutable and the cursor is the
-        // only coordination; result movement synchronizes via the workers'
-        // result channel.
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        self.jobs.get(i)
-    }
-
-    /// Total number of jobs (claimed or not).
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the queue started empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-}
 
 /// A bounded multi-producer/multi-consumer FIFO for long-lived services.
 ///
-/// Unlike [`JobQueue`], items arrive over time: producers `try_push` (and
-/// get the item back when the queue is full — backpressure, never silent
-/// drop), consumers block in [`pop`](BoundedQueue::pop) until an item
-/// arrives or the queue is closed. [`close`](BoundedQueue::close) starts a
+/// Items arrive over time: producers `try_push` (and get the item back
+/// when the queue is full — backpressure, never silent drop), consumers
+/// block in [`pop`](BoundedQueue::pop) until an item arrives or the queue
+/// is closed. [`close`](BoundedQueue::close) starts a
 /// graceful drain: already-queued items are still popped, new pushes are
 /// refused, and once empty every consumer unblocks with `None`.
 #[derive(Debug)]
@@ -190,29 +148,6 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CampaignSpec;
-
-    #[test]
-    fn claims_each_job_exactly_once() {
-        let mut spec = CampaignSpec::new("t", "run", &["a"]);
-        spec.seeds = (0..100).collect();
-        let jobs = spec.expand();
-        let queue = JobQueue::new(&jobs);
-        let seen: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    while let Some(job) = queue.claim() {
-                        seen.lock().unwrap().push(job.id);
-                    }
-                });
-            }
-        });
-        let mut ids = seen.into_inner().unwrap();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..100).collect::<Vec<_>>());
-        assert!(queue.claim().is_none());
-    }
 
     #[test]
     fn bounded_queue_backpressures_when_full() {

@@ -1,12 +1,13 @@
 //! Worker threads and failure isolation.
 //!
-//! Each worker pulls from the [`JobQueue`](crate::queue::JobQueue), runs the
-//! executor inside `catch_unwind`, stamps the wall-clock time, and sends the
-//! result home over a channel. A panicking job becomes
-//! [`JobOutcome::Crashed`] — it is recorded like any other result and never
-//! poisons the campaign (a poisoned job's worker keeps pulling). The
-//! collector re-indexes results by job id, which is what makes the
-//! aggregate report independent of worker count and scheduling.
+//! [`parallel_map`] is the one parallel runner: scoped worker threads claim
+//! the next item with one atomic `fetch_add`, send each result home over a
+//! channel, and the collector re-indexes results by item index, which is
+//! what makes a campaign's aggregate report independent of worker count
+//! and scheduling. [`run_jobs`] runs a campaign's jobs through it, each
+//! executor call inside `catch_unwind` and timed: a panicking job becomes
+//! [`JobOutcome::Crashed`] — recorded like any other result, it never
+//! poisons the campaign.
 
 use crate::spec::JobDesc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -122,8 +123,9 @@ pub struct JobResult {
     pub queued: Duration,
 }
 
-/// Run every job across `workers` threads; results come back **ordered by
-/// job id** regardless of scheduling.
+/// Run every job across `workers` threads through [`parallel_map`];
+/// results come back **in `jobs` order** — job id order for an expanded
+/// grid — regardless of scheduling.
 ///
 /// The executor is shared by reference across workers, so it must be
 /// [`Sync`]; everything job-specific should be built inside the call from
@@ -132,55 +134,27 @@ pub fn run_jobs<F>(jobs: &[JobDesc], workers: usize, exec: &F) -> Vec<JobResult>
 where
     F: Fn(&JobDesc) -> JobOutput + Sync,
 {
-    let workers = workers.max(1).min(jobs.len().max(1));
-    let queue = crate::queue::JobQueue::new(jobs);
     let epoch = Instant::now();
-    let (tx, rx) = mpsc::channel::<JobResult>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (queue, epoch) = (&queue, &epoch);
-            s.spawn(move || {
-                while let Some(job) = queue.claim() {
-                    let queued = epoch.elapsed();
-                    let start = Instant::now();
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| exec(job))) {
-                        Ok(out) => JobOutcome::Completed(out),
-                        Err(payload) => JobOutcome::Crashed { message: panic_message(&*payload) },
-                    };
-                    let result =
-                        JobResult { job: job.clone(), outcome, wall: start.elapsed(), queued };
-                    if tx.send(result).is_err() {
-                        break; // collector is gone; stop pulling
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Collect as results arrive (any order), then re-index by id.
-        let mut slots: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
-        for result in rx {
-            let id = result.job.id;
-            debug_assert!(slots[id].is_none(), "job {id} reported twice");
-            slots[id] = Some(result);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(id, r)| r.unwrap_or_else(|| panic!("job {id} produced no result")))
-            .collect()
+    parallel_map(jobs, workers, |_, job| {
+        let queued = epoch.elapsed();
+        let start = Instant::now();
+        let outcome = match catch_unwind(AssertUnwindSafe(|| exec(job))) {
+            Ok(out) => JobOutcome::Completed(out),
+            Err(payload) => JobOutcome::Crashed { message: panic_message(&*payload) },
+        };
+        JobResult { job: job.clone(), outcome, wall: start.elapsed(), queued }
     })
 }
 
 /// Map `f` over `items` across `workers` threads; results come back
 /// **ordered by item index** regardless of scheduling.
 ///
-/// This is the generic sibling of [`run_jobs`] for callers whose work units
-/// are not campaign [`JobDesc`]s (e.g. the offline topology search fanning
-/// training candidates). The same determinism contract applies: `f` must
-/// depend only on its item (and index), so the result vector is identical
-/// at any worker count. Unlike `run_jobs` there is no failure isolation —
-/// a panic in `f` propagates to the caller with its original payload.
+/// [`run_jobs`] runs campaigns through it; other callers fan out work
+/// units that are not campaign [`JobDesc`]s (e.g. the offline topology
+/// search fanning training candidates). `f` must depend only on its item
+/// (and index), so the result vector is identical at any worker count.
+/// There is no failure isolation here — a panic in `f` propagates to the
+/// caller with its original payload (`run_jobs` catches inside `f`).
 ///
 /// `workers <= 1` (or a single item) runs inline on the caller's thread
 /// with no thread or channel overhead.

@@ -546,10 +546,7 @@ impl GateState {
         let up = self.health.up_count();
         let mut text = self.stats.render(uptime, queue_len, up, self.pool.addrs().len());
         let served = fleet.counter("requests_served").unwrap_or(0);
-        let hits = fleet.counter("cache_memory_hits").unwrap_or(0)
-            + fleet.counter("cache_disk_loads").unwrap_or(0)
-            + fleet.counter("cache_store_loads").unwrap_or(0);
-        let misses = fleet.counter("cache_trained").unwrap_or(0);
+        let (hits, misses) = act_serve::cache_hits_misses(&fleet);
         text.push_str(&format!(
             "fleet_requests_served {served}\nfleet_cache_hits {hits}\nfleet_cache_misses {misses}\n"
         ));

@@ -28,9 +28,9 @@
 
 use act_client::{Client, MetricsSnapshot};
 use act_gate::{GateConfig, Gateway};
-use act_serve::conn::{accept_loop, Conn, Listener};
+use act_serve::conn::{accept_loop, wake, Conn, Listener};
 use act_serve::proto::{read_frame, write_frame, Frame, FrameKind};
-use act_serve::{ModelSpec, Reply, Request};
+use act_serve::{Endpoint, ModelSpec, Reply, Request};
 use act_serve::{ServeConfig, Server};
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
@@ -39,6 +39,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Boot a real act-serve backend on an ephemeral port.
@@ -162,50 +163,81 @@ fn killing_the_owner_fails_over_to_the_ring_neighbor() {
     }
 }
 
+/// A stub backend listening on a loopback port until the guard drops:
+/// the drop stops its accept loop, wakes it out of `accept` and joins it.
+/// Its sessions end when the gateway hangs up.
+struct Stub {
+    addr: String,
+    draining: Arc<AtomicBool>,
+    wake: Endpoint,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+impl Stub {
+    /// Accept connections on an ephemeral loopback port, running `serve`
+    /// on each.
+    fn serve<F>(serve: F) -> Stub
+    where
+        F: Fn(Conn) + Clone + Send + 'static,
+    {
+        let listener = Listener::Tcp(TcpListener::bind("127.0.0.1:0").expect("stub binds"));
+        let wake = listener.wake_endpoint().expect("bound address");
+        let Endpoint::Tcp(addr) = wake.clone() else { unreachable!("tcp listener") };
+        let draining = Arc::new(AtomicBool::new(false));
+        let flag = draining.clone();
+        let acceptor = std::thread::spawn(move || {
+            accept_loop(&listener, &flag, &Arc::default(), "stub-session", serve);
+        });
+        Stub { addr, draining, wake, acceptor: Some(acceptor) }
+    }
+}
+
+impl Drop for Stub {
+    fn drop(&mut self) {
+        self.draining.store(true, Ordering::SeqCst);
+        wake(&self.wake);
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+    }
+}
+
 /// A stub backend that speaks sessions: `HELLO` gets an ack, `STATUS` a
 /// plausible status (so health checks pass), and every other frame
 /// whatever `answer` makes of it, under the frame's request id.
-fn spawn_stub(answer: fn(Frame) -> Reply) -> String {
+fn spawn_stub(answer: fn(Frame) -> Reply) -> Stub {
     spawn_stub_with(32, answer)
 }
 
 /// [`spawn_stub`] whose `HELLO_ACK` grants `window` and which answers
 /// request frames one at a time per connection.
-fn spawn_stub_with<F>(window: u32, answer: F) -> String
+fn spawn_stub_with<F>(window: u32, answer: F) -> Stub
 where
     F: Fn(Frame) -> Reply + Clone + Send + 'static,
 {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
-    let addr = listener.local_addr().unwrap().to_string();
-    let listener = Listener::Tcp(listener);
-    std::thread::spawn(move || {
-        let serve = move |mut conn: Conn| {
-            while let Ok(frame) = read_frame(&mut conn) {
-                let id = frame.request_id;
-                let reply = match frame.kind {
-                    FrameKind::Hello => Reply::HelloAck { window },
-                    FrameKind::Status => {
-                        Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
-                    }
-                    _ => answer(frame),
-                };
-                if write_frame(&mut conn, &reply.to_frame().with_request(id)).is_err() {
-                    break;
+    Stub::serve(move |mut conn: Conn| {
+        while let Ok(frame) = read_frame(&mut conn) {
+            let id = frame.request_id;
+            let reply = match frame.kind {
+                FrameKind::Hello => Reply::HelloAck { window },
+                FrameKind::Status => {
+                    Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
                 }
+                _ => answer(frame),
+            };
+            if write_frame(&mut conn, &reply.to_frame().with_request(id)).is_err() {
+                break;
             }
-        };
-        // Never drained: the stub lives as long as the test process.
-        accept_loop(&listener, &AtomicBool::new(false), &Arc::default(), "stub-session", serve);
-    });
-    addr
+        }
+    })
 }
 
 #[test]
 fn busy_owner_fails_over_to_the_next_backend() {
     let real = boot_backend();
-    let stub_addr = spawn_stub(|_| Reply::Busy);
+    let stub = spawn_stub(|_| Reply::Busy);
     // Backend 0 is the always-busy stub, backend 1 the real server.
-    let gate = boot_gateway(vec![stub_addr, addr_of(&real)]);
+    let gate = boot_gateway(vec![stub.addr.clone(), addr_of(&real)]);
     let client = gate_client(&gate);
 
     let seed = seed_owned_by(&gate, "seq", 0);
@@ -222,42 +254,35 @@ fn busy_owner_fails_over_to_the_next_backend() {
 /// A backend that acks `HELLO` and answers `STATUS`, but hangs up on a
 /// stream opener once the upload's first chunk has arrived — leaving it
 /// unread, so the socket resets — and then reports on `hung_up`.
-fn spawn_stream_dropper(hung_up: mpsc::Sender<()>) -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
-    let addr = listener.local_addr().unwrap().to_string();
-    let listener = Listener::Tcp(listener);
-    std::thread::spawn(move || {
-        let serve = move |mut conn: Conn| {
-            while let Ok(frame) = read_frame(&mut conn) {
-                let reply = match frame.kind {
-                    FrameKind::Hello => Reply::HelloAck { window: 32 },
-                    FrameKind::Status => {
-                        Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
-                    }
-                    _ => {
-                        let Conn::Tcp(stream) = &conn else { unreachable!("tcp listener") };
-                        let _ = stream.peek(&mut [0u8; 1]);
-                        drop(conn);
-                        let _ = hung_up.send(());
-                        return;
-                    }
-                };
-                let reply = reply.to_frame().with_request(frame.request_id);
-                if write_frame(&mut conn, &reply).is_err() {
-                    break;
+fn spawn_stream_dropper(hung_up: mpsc::Sender<()>) -> Stub {
+    Stub::serve(move |mut conn: Conn| {
+        while let Ok(frame) = read_frame(&mut conn) {
+            let reply = match frame.kind {
+                FrameKind::Hello => Reply::HelloAck { window: 32 },
+                FrameKind::Status => {
+                    Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
                 }
+                _ => {
+                    let Conn::Tcp(stream) = &conn else { unreachable!("tcp listener") };
+                    let _ = stream.peek(&mut [0u8; 1]);
+                    drop(conn);
+                    let _ = hung_up.send(());
+                    return;
+                }
+            };
+            let reply = reply.to_frame().with_request(frame.request_id);
+            if write_frame(&mut conn, &reply).is_err() {
+                break;
             }
-        };
-        // Never drained: the stub lives as long as the test process.
-        accept_loop(&listener, &AtomicBool::new(false), &Arc::default(), "stub-session", serve);
-    });
-    addr
+        }
+    })
 }
 
 #[test]
 fn an_upload_whose_backend_is_lost_mid_relay_gets_one_error() {
     let (hung_up, backend_gone) = mpsc::channel();
-    let gate = boot_gateway(vec![spawn_stream_dropper(hung_up)]);
+    let dropper = spawn_stream_dropper(hung_up);
+    let gate = boot_gateway(vec![dropper.addr.clone()]);
     let mut conn = TcpStream::connect(gate.tcp_addr().to_string()).expect("connect");
     let send = |conn: &mut TcpStream, id: u32, request: Request| {
         write_frame(conn, &request.to_frame().with_request(id)).expect("send");
@@ -304,41 +329,34 @@ fn an_upload_whose_backend_is_lost_mid_relay_gets_one_error() {
 /// A backend that acks `HELLO` and answers `STATUS`, takes a stream's
 /// opener and chunks without a word, and answers its `STREAM_END` 300 ms
 /// after reading it — reporting on `sealed` the moment it has.
-fn spawn_slow_sealer(sealed: mpsc::Sender<()>) -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
-    let addr = listener.local_addr().unwrap().to_string();
-    let listener = Listener::Tcp(listener);
-    std::thread::spawn(move || {
-        let serve = move |mut conn: Conn| {
-            while let Ok(frame) = read_frame(&mut conn) {
-                let reply = match frame.kind {
-                    FrameKind::Hello => Reply::HelloAck { window: 32 },
-                    FrameKind::Status => {
-                        Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
-                    }
-                    FrameKind::StreamEnd => {
-                        let _ = sealed.send(());
-                        std::thread::sleep(Duration::from_millis(300));
-                        Reply::Stored("stored slow-0".into())
-                    }
-                    _ => continue, // the opener and its chunks
-                };
-                let reply = reply.to_frame().with_request(frame.request_id);
-                if write_frame(&mut conn, &reply).is_err() {
-                    break;
+fn spawn_slow_sealer(sealed: mpsc::Sender<()>) -> Stub {
+    Stub::serve(move |mut conn: Conn| {
+        while let Ok(frame) = read_frame(&mut conn) {
+            let reply = match frame.kind {
+                FrameKind::Hello => Reply::HelloAck { window: 32 },
+                FrameKind::Status => {
+                    Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
                 }
+                FrameKind::StreamEnd => {
+                    let _ = sealed.send(());
+                    std::thread::sleep(Duration::from_millis(300));
+                    Reply::Stored("stored slow-0".into())
+                }
+                _ => continue, // the opener and its chunks
+            };
+            let reply = reply.to_frame().with_request(frame.request_id);
+            if write_frame(&mut conn, &reply).is_err() {
+                break;
             }
-        };
-        // Never drained: the stub lives as long as the test process.
-        accept_loop(&listener, &AtomicBool::new(false), &Arc::default(), "stub-session", serve);
-    });
-    addr
+        }
+    })
 }
 
 #[test]
 fn a_drain_waits_for_a_relayed_upload_verdict() {
     let (sealed, backend_sealed) = mpsc::channel();
-    let gate = boot_gateway(vec![spawn_slow_sealer(sealed)]);
+    let sealer = spawn_slow_sealer(sealed);
+    let gate = boot_gateway(vec![sealer.addr.clone()]);
     let stats = gate.stats().clone();
     let mut conn = raw_session(&gate.tcp_addr().to_string(), 4);
     conn.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
@@ -515,7 +533,7 @@ proptest! {
         traces in 1u32..32,
     ) {
         let echo = spawn_stub(|frame| Reply::TraceData(frame.payload));
-        let gate = boot_gateway(vec![echo]);
+        let gate = boot_gateway(vec![echo.addr.clone()]);
         let addr = gate.tcp_addr().to_string();
 
         let workload = ["seq", "prodcons", "pipeline", "mutex"][workload_ix];
@@ -713,7 +731,7 @@ fn client_retry_rides_through_a_gateway_queue_spike() {
         Reply::Trained("stub".into())
     });
     let cfg = GateConfig {
-        backends: vec![stub],
+        backends: vec![stub.addr.clone()],
         workers: 1,
         queue_depth: 1,
         connect_timeout: Duration::from_millis(500),

@@ -1,18 +1,14 @@
 //! The model cache: trained `(workload, topology, seed)` models kept hot in
-//! an LRU map and persisted to a model directory so repeat clients — and
-//! daemon restarts — skip retraining.
+//! an LRU map and, when the daemon runs with `--corpus`, persisted in the
+//! [`act_store::Corpus`] so repeat clients — and daemon restarts — skip
+//! retraining.
 //!
 //! A *model* is everything `DIAGNOSE` needs: the per-thread
 //! [`WeightStore`] (the paper's binary-patched weights), the Correct Set
 //! the ranked suspects are pruned against, and the code-length the encoder
-//! normalizes by. Lookup order is memory → disk → corpus store → train;
-//! only the last is a cache miss. Disk writes go through
-//! [`WeightStore::save_to_path`]'s atomic temp-file + `rename`, so a crash
-//! mid-save never leaves a torn model for the next boot to trip over.
-//!
-//! When the daemon runs with `--corpus`, the cache is additionally backed
-//! by the [`act_store::Corpus`]: trained models (weights + Correct Set)
-//! are persisted as store blobs keyed by `ModelKey::canonical()`, and
+//! normalizes by. Lookup order is memory → corpus store → train; only the
+//! last is a cache miss. A trained model persists as two store blobs keyed
+//! by `ModelKey::canonical()` (the weights text and the Correct Set), and
 //! `TRAIN` prefers the corpus's ingested correct-run traces over fresh
 //! simulator runs when the workload has at least two of them.
 
@@ -20,6 +16,7 @@ use crate::proto::ModelSpec;
 use act_core::offline::offline_train;
 use act_core::weights::WeightStore;
 use act_core::{ActConfig, ActError};
+use act_obs::MetricsSnapshot;
 use act_sim::events::RawDep;
 use act_store::{Corpus, EntryKind};
 use act_trace::collector::TraceCollector;
@@ -29,16 +26,15 @@ use act_workloads::registry;
 use act_workloads::run::{correct_runs, norm_of};
 use act_workloads::spec::Workload;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Cache key: the shared workload × topology × seed identity from
 /// `act-fleet` — `seq_len` and `hidden` pin the topology
 /// (`inputs = FEATURES_PER_DEP * seq_len`). Its
-/// [`canonical`](ModelKey::canonical) string form is the stable on-disk
-/// file stem (workload names are `[a-z0-9_]`, so no escaping is needed;
-/// `__`-reserved names never reach the cache).
+/// [`canonical`](ModelKey::canonical) string form is the stable key of
+/// the model's corpus blobs (workload names are `[a-z0-9_]`, so no
+/// escaping is needed; `__`-reserved names never reach the cache).
 pub use act_fleet::ModelKey;
 
 impl From<&ModelSpec> for ModelKey {
@@ -66,12 +62,40 @@ pub struct Model {
 pub enum CacheOutcome {
     /// Already resident in memory.
     Memory,
-    /// Loaded from the model directory (no retraining).
-    Disk,
     /// Loaded from the corpus store (no retraining).
     Store,
     /// Trained from scratch (the only outcome counted as a miss).
     Trained,
+}
+
+impl CacheOutcome {
+    /// Every outcome, in declaration order (`outcome as usize` indexes it).
+    pub(crate) const ALL: [CacheOutcome; 3] =
+        [CacheOutcome::Memory, CacheOutcome::Store, CacheOutcome::Trained];
+
+    /// The `STATUS` counter that counts this outcome.
+    pub(crate) fn counter(self) -> &'static str {
+        match self {
+            CacheOutcome::Memory => "cache_memory_hits",
+            CacheOutcome::Store => "cache_store_loads",
+            CacheOutcome::Trained => "cache_trained",
+        }
+    }
+}
+
+/// `(hits, misses)` summed from the cache outcome counters in `snap`
+/// (`cache_memory_hits`, `cache_store_loads`, `cache_trained`): a model
+/// trained from scratch is a miss, every other outcome a hit. The
+/// daemon's `STATUS` text, the gateway's fleet rollup and `act request
+/// status` all count this way.
+pub fn cache_hits_misses(snap: &MetricsSnapshot) -> (u64, u64) {
+    CacheOutcome::ALL.iter().fold((0, 0), |(hits, misses), &outcome| {
+        let n = snap.counter(outcome.counter()).unwrap_or(0);
+        match outcome {
+            CacheOutcome::Trained => (hits, misses + n),
+            _ => (hits + n, misses),
+        }
+    })
 }
 
 struct Slot {
@@ -81,12 +105,12 @@ struct Slot {
     last_used: AtomicU64,
 }
 
-/// LRU cache over trained models, optionally backed by a model directory.
+/// LRU cache over trained models, optionally backed by a corpus store.
 ///
 /// The hit path is contention-free: lookups take the map's `RwLock` in
 /// *read* mode (shared — concurrent workers never serialize on hits) and
 /// record recency by storing a relaxed-atomic tick into the slot. Only
-/// misses — an insert after disk/store/training resolution — take the
+/// misses — an insert after store/training resolution — take the
 /// write lock. Under concurrency the LRU ordering is approximate (two
 /// simultaneous hits may stamp ticks out of order), which changes nothing
 /// observable: eviction picks *a* least-recently-used victim, and the
@@ -96,33 +120,20 @@ pub struct ModelCache {
     map: RwLock<HashMap<ModelKey, Slot>>,
     tick: AtomicU64,
     capacity: usize,
-    dir: Option<PathBuf>,
     corpus: Option<Arc<Mutex<Corpus>>>,
 }
 
 impl ModelCache {
-    /// An empty cache holding at most `capacity` models in memory, spilling
-    /// to `dir` (if given) for persistence across evictions and restarts.
+    /// An empty cache holding at most `capacity` models in memory. With a
+    /// `corpus`, models persist there as store blobs (across evictions and
+    /// restarts) and training prefers the corpus's ingested traces.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize, dir: Option<PathBuf>) -> Self {
+    pub fn new(capacity: usize, corpus: Option<Arc<Mutex<Corpus>>>) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        ModelCache {
-            map: RwLock::new(HashMap::new()),
-            tick: AtomicU64::new(0),
-            capacity,
-            dir,
-            corpus: None,
-        }
-    }
-
-    /// Back the cache with a corpus store: models persist as store blobs
-    /// and training prefers the corpus's ingested traces.
-    pub fn with_corpus(mut self, corpus: Arc<Mutex<Corpus>>) -> Self {
-        self.corpus = Some(corpus);
-        self
+        ModelCache { map: RwLock::new(HashMap::new()), tick: AtomicU64::new(0), capacity, corpus }
     }
 
     /// The corpus store backing this cache, when the daemon has one.
@@ -149,31 +160,25 @@ impl ModelCache {
         if let Some(model) = self.lookup(&key) {
             return Ok((model, CacheOutcome::Memory));
         }
-        if let Some(model) = self.load_from_dir(&key) {
-            let model = Arc::new(model);
-            self.insert(key, model.clone());
-            return Ok((model, CacheOutcome::Disk));
-        }
-        if let Some(model) = self.load_from_store(&key) {
-            let model = Arc::new(model);
-            self.insert(key, model.clone());
-            return Ok((model, CacheOutcome::Store));
-        }
-        let model = Arc::new(self.train(spec)?);
-        self.save_to_dir(&key, &model);
-        self.save_to_store(&key, &model);
+        let (model, outcome) = match self.load_from_store(&key) {
+            Some(model) => (model, CacheOutcome::Store),
+            None => {
+                let model = self.train(spec)?;
+                self.save_to_store(&key, &model);
+                (model, CacheOutcome::Trained)
+            }
+        };
+        let model = Arc::new(model);
         self.insert(key, model.clone());
-        Ok((model, CacheOutcome::Trained))
+        Ok((model, outcome))
     }
 
     /// Train from the corpus's ingested correct-run traces when the
     /// workload has at least two; otherwise collect fresh simulator runs.
     fn train(&self, spec: &ModelSpec) -> Result<Model, ActError> {
         if let Some(corpus) = &self.corpus {
-            let traces = {
-                let c = corpus.lock().expect("corpus lock");
-                corpus_traces(&c, &spec.workload)
-            };
+            let traces: Vec<Trace> =
+                corpus.lock().expect("corpus lock").traces(&spec.workload).collect();
             if traces.len() >= 2 {
                 return train_model_from_traces(spec, traces);
             }
@@ -202,45 +207,6 @@ impl ModelCache {
         }
     }
 
-    fn weights_path(&self, key: &ModelKey) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{}.weights", key.canonical())))
-    }
-
-    fn cset_path(&self, key: &ModelKey) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{}.cset", key.canonical())))
-    }
-
-    fn load_from_dir(&self, key: &ModelKey) -> Option<Model> {
-        let store = WeightStore::load_from_path(self.weights_path(key)?).ok()?;
-        let correct = read_correct_set(&self.cset_path(key)?).ok()?;
-        // The store must actually match the key (a hand-edited or stale
-        // file with the wrong topology would poison every diagnosis).
-        if store.seq_len() != key.seq_len || store.topology().hidden != key.hidden {
-            return None;
-        }
-        let norm_code_len = norm_of(registry::by_name(&key.workload)?.as_ref());
-        let summary = format!(
-            "model {} loaded from disk ({} threads, {} correct sequences)",
-            key.canonical(),
-            store.known_threads().len(),
-            correct.len()
-        );
-        Some(Model { store, correct, norm_code_len, summary })
-    }
-
-    fn save_to_dir(&self, key: &ModelKey, model: &Model) {
-        let (Some(wpath), Some(cpath)) = (self.weights_path(key), self.cset_path(key)) else {
-            return;
-        };
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        // Persistence is best-effort: a full disk degrades the daemon to
-        // in-memory caching, it does not fail requests.
-        let _ = model.store.save_to_path(&wpath);
-        let _ = write_correct_set(&cpath, &model.correct);
-    }
-
     fn load_from_store(&self, key: &ModelKey) -> Option<Model> {
         let corpus = self.corpus.as_ref()?;
         let (weights, cset) = {
@@ -251,7 +217,8 @@ impl ModelCache {
             )
         };
         let store = WeightStore::load(&weights[..]).ok()?;
-        // Same poisoned-model guard as the disk path.
+        // The store must actually match the key (a stale blob with the
+        // wrong topology would poison every diagnosis).
         if store.seq_len() != key.seq_len || store.topology().hidden != key.hidden {
             return None;
         }
@@ -274,23 +241,12 @@ impl ModelCache {
             return;
         }
         let cset = cset_blob(model);
-        // Best-effort, like the model-dir path: a full disk degrades the
-        // daemon to in-memory caching, it does not fail requests.
+        // Persistence is best-effort: a full disk degrades the daemon to
+        // in-memory caching, it does not fail requests.
         let mut c = corpus.lock().expect("corpus lock");
         let _ = c.put_blob(EntryKind::Model, &key.canonical(), &key.workload, &weights);
         let _ = c.put_blob(EntryKind::CorrectSet, &key.canonical(), &key.workload, &cset);
     }
-}
-
-/// Every stored correct-run trace of `workload`, oldest first. Entries that
-/// fail to decode are skipped — one rotten trace must not block training.
-fn corpus_traces(corpus: &Corpus, workload: &str) -> Vec<Trace> {
-    corpus
-        .entries(Some(workload))
-        .into_iter()
-        .filter(|info| info.meta.kind == EntryKind::Trace)
-        .filter_map(|info| corpus.get_trace(&info.meta.key).ok())
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -390,10 +346,13 @@ fn finish_training(
 // Correct Set persistence (one sequence per line).
 // ---------------------------------------------------------------------
 
-fn correct_set_text(set: &CorrectSet) -> String {
+/// The corpus-store Correct Set blob: a `norm <code-len>` line (the one
+/// model field the Correct Set does not carry), an `actcset v1 <seq_len>`
+/// header, then one sequence per line as `store_pc load_pc inter` triples.
+fn cset_blob(model: &Model) -> Vec<u8> {
     use std::fmt::Write as _;
-    let mut buf = String::new();
-    writeln!(buf, "actcset v1 {}", set.seq_len()).expect("string write");
+    let set = &model.correct;
+    let mut buf = format!("norm {}\nactcset v1 {}\n", model.norm_code_len, set.seq_len());
     for seq in set.sequences() {
         let mut first = true;
         for d in seq {
@@ -405,59 +364,25 @@ fn correct_set_text(set: &CorrectSet) -> String {
         }
         buf.push('\n');
     }
-    buf
+    buf.into_bytes()
 }
 
-fn write_correct_set(path: &Path, set: &CorrectSet) -> std::io::Result<()> {
-    let buf = correct_set_text(set);
-    // Same atomic discipline as the weight files.
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    if let Err(e) = std::fs::write(&tmp, &buf) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// The corpus-store Correct Set blob: a `norm <code-len>` line (the one
-/// model field the `actcset` format does not carry) followed by the same
-/// text the `.cset` files hold.
-fn cset_blob(model: &Model) -> Vec<u8> {
-    format!("norm {}\n{}", model.norm_code_len, correct_set_text(&model.correct)).into_bytes()
-}
-
+/// Read a [`cset_blob`] back: `(norm_code_len, Correct Set)`, or `None`
+/// for a malformed blob.
 fn parse_cset_blob(bytes: &[u8]) -> Option<(usize, CorrectSet)> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let (head, rest) = text.split_once('\n')?;
-    let norm: usize = head.strip_prefix("norm ")?.trim().parse().ok()?;
-    let set = correct_set_from_text(rest).ok()?;
-    Some((norm, set))
-}
-
-fn read_correct_set(path: &Path) -> Result<CorrectSet, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    correct_set_from_text(&text)
-}
-
-fn correct_set_from_text(text: &str) -> Result<CorrectSet, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty correct-set file")?;
-    let mut h = header.split_whitespace();
+    let mut lines = std::str::from_utf8(bytes).ok()?.lines();
+    let norm: usize = lines.next()?.strip_prefix("norm ")?.trim().parse().ok()?;
+    let mut h = lines.next()?.split_whitespace();
     if h.next() != Some("actcset") || h.next() != Some("v1") {
-        return Err("bad correct-set header".into());
+        return None;
     }
-    let n: usize = h.next().and_then(|v| v.parse().ok()).ok_or("bad correct-set seq_len")?;
+    let n: usize = h.next()?.parse().ok()?;
     let mut set = CorrectSet::default();
-    for (i, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let nums: Result<Vec<u64>, _> = line.split_whitespace().map(str::parse).collect();
-        let nums = nums.map_err(|e| format!("line {}: {e}", i + 2))?;
+    for line in lines.filter(|l| !l.is_empty()) {
+        let nums: Vec<u64> =
+            line.split_whitespace().map(str::parse).collect::<Result<_, _>>().ok()?;
         if n > 0 && nums.len() != 3 * n {
-            return Err(format!("line {}: expected {} fields, got {}", i + 2, 3 * n, nums.len()));
+            return None;
         }
         let deps: Vec<RawDep> = nums
             .chunks(3)
@@ -469,7 +394,7 @@ fn correct_set_from_text(text: &str) -> Result<CorrectSet, String> {
             .collect();
         set.insert(&deps);
     }
-    Ok(set)
+    Some((norm, set))
 }
 
 #[cfg(test)]
@@ -480,56 +405,52 @@ mod tests {
         RawDep { store_pc: s, load_pc: l, inter_thread: s.is_multiple_of(2) }
     }
 
+    /// A model around `correct` with a placeholder network.
+    fn model(correct: CorrectSet, summary: &str) -> Model {
+        Model {
+            store: WeightStore::new(act_nn::network::Topology::new(2, 2), 1, 1),
+            correct,
+            norm_code_len: 10,
+            summary: summary.to_string(),
+        }
+    }
+
     #[test]
-    fn correct_set_file_round_trips() {
-        let dir = std::env::temp_dir().join(format!("act-cset-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.cset");
+    fn correct_set_blob_round_trips() {
         let mut set = CorrectSet::default();
         set.insert(&[dep(1, 10), dep(2, 20)]);
         set.insert(&[dep(3, 30), dep(4, 40)]);
-        write_correct_set(&path, &set).unwrap();
-        let back = read_correct_set(&path).unwrap();
+        let (norm, back) = parse_cset_blob(&cset_blob(&model(set, ""))).unwrap();
+        assert_eq!(norm, 10);
         assert_eq!(back.len(), 2);
         assert_eq!(back.seq_len(), 2);
         assert!(back.contains(&[dep(1, 10), dep(2, 20)]));
         assert!(back.contains(&[dep(3, 30), dep(4, 40)]));
         assert_eq!(back.matched_prefix(&[dep(1, 10), dep(9, 9)]), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn read_correct_set_rejects_garbage() {
-        let dir = std::env::temp_dir().join(format!("act-cset-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.cset");
-        std::fs::write(&path, "nope\n").unwrap();
-        assert!(read_correct_set(&path).is_err());
-        std::fs::write(&path, "actcset v1 2\n1 2\n").unwrap();
-        assert!(read_correct_set(&path).is_err(), "wrong field count rejected");
-        std::fs::write(&path, "actcset v1 2\n1 2 x 3 4 0\n").unwrap();
-        assert!(read_correct_set(&path).is_err(), "non-numeric field rejected");
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn parse_cset_blob_rejects_garbage() {
+        assert!(parse_cset_blob(b"nope\n").is_none());
+        assert!(parse_cset_blob(b"norm x\nactcset v1 2\n").is_none(), "bad norm rejected");
+        assert!(parse_cset_blob(b"norm 5\nnope\n").is_none(), "bad header rejected");
+        let wrong_count = b"norm 5\nactcset v1 2\n1 2\n";
+        assert!(parse_cset_blob(wrong_count).is_none(), "wrong field count rejected");
+        let non_numeric = b"norm 5\nactcset v1 2\n1 2 x 3 4 0\n";
+        assert!(parse_cset_blob(non_numeric).is_none(), "non-numeric field rejected");
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = ModelCache::new(2, None);
-        let model = |name: &str| {
-            Arc::new(Model {
-                store: WeightStore::new(act_nn::network::Topology::new(2, 2), 1, 1),
-                correct: CorrectSet::default(),
-                norm_code_len: 10,
-                summary: name.to_string(),
-            })
-        };
+        let named = |name: &str| Arc::new(model(CorrectSet::default(), name));
         let key =
             |name: &str| ModelKey { workload: name.to_string(), seq_len: 1, hidden: 2, seed: 0 };
-        cache.insert(key("a"), model("a"));
-        cache.insert(key("b"), model("b"));
+        cache.insert(key("a"), named("a"));
+        cache.insert(key("b"), named("b"));
         // Touch "a" so "b" is the LRU victim.
         assert!(cache.lookup(&key("a")).is_some());
-        cache.insert(key("c"), model("c"));
+        cache.insert(key("c"), named("c"));
         assert_eq!(cache.resident(), 2);
         assert!(cache.lookup(&key("a")).is_some(), "recently used survives");
         assert!(cache.lookup(&key("b")).is_none(), "LRU evicted");

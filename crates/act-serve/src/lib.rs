@@ -21,13 +21,14 @@
 //!      streamed chunks parsed or stored; BoundedQueue<Job> ── full ──► BUSY
 //!                                          │
 //!                                          ▼
-//!                            worker pool (catch_unwind)
+//!       worker pool: every popped job runs as a micro-batch
+//!       (a DIAGNOSE gathers its queued companions; catch_unwind)
 //!                                          │
 //!                                          ▼
-//!                     ModelCache: memory ─► disk ─► train
+//!                ModelCache: memory ─► corpus store ─► train
 //!                                          │
 //!                                          ▼
-//!                    diagnose_trace ─► ranked suspect list reply
+//!              diagnose_trace_batch ─► ranked suspect list replies
 //! ```
 //!
 //! - [`proto`] — the length-prefixed binary frame protocol (v4 only; see
@@ -38,9 +39,9 @@
 //!   daemon plugs into it.
 //! - [`server`] — listeners, acceptors, the daemon's session host,
 //!   backpressure, graceful drain.
-//! - [`pool`] — crash-isolated request workers.
+//! - [`pool`] — crash-isolated request workers, one micro-batch path.
 //! - [`cache`] — the LRU model cache keyed by (workload, topology, seed),
-//!   persisted through `act-core`'s weight store.
+//!   persisted in the corpus store when the daemon has one.
 //! - [`client`] — the transport vocabulary ([`Endpoint`], [`ClientConfig`],
 //!   ...) that the `act-client` crate's typed `Client` builds on.
 
@@ -51,7 +52,7 @@ pub(crate) mod pool;
 pub mod proto;
 pub mod server;
 
-pub use cache::{CacheOutcome, Model, ModelCache, ModelKey};
+pub use cache::{cache_hits_misses, CacheOutcome, Model, ModelCache, ModelKey};
 pub use client::{connect_tcp, ClientConfig, ClientError, Endpoint, RetryPolicy};
 pub use conn::{Conn, Listener, SESSION_WINDOW};
 pub use proto::{Frame, FrameKind, ModelSpec, ProtoError, Reply, Request};

@@ -1,30 +1,33 @@
 //! Request workers: a pool of threads draining the daemon's bounded job
-//! queue ([`act_fleet::BoundedQueue`]), each request executed inside
+//! queue ([`act_fleet::BoundedQueue`]), each unit of work executed inside
 //! `catch_unwind` — the same crash-isolation discipline as `act-fleet`'s
 //! campaign workers, so one poisoned request becomes an `ERROR` reply, not
 //! a dead daemon.
 //!
-//! # Coalescing scheduler
+//! # One path: every popped job runs as a micro-batch
 //!
-//! Workers do not dispatch one diagnose request at a time. A worker that
-//! pops a batchable diagnose job becomes the *leader* of a micro-batch: it
-//! drains every queued job targeting the same [`ModelKey`] up to the
-//! configured batch size — without waiting for more to arrive, so batches
-//! form from queue backlog alone — then runs the whole batch through
-//! [`act_core::diagnosis::diagnose_trace_batch`] and answers every member.
-//! Replies bound for the same session go out as one buffered write.
-//! The win on a loaded daemon is amortization: one worker wakeup, one
-//! model-cache lookup, one classify sweep, and one reply syscall per
-//! *batch* instead of per request — while the batched kernel is
-//! bit-identical to the sequential one, so coalescing is invisible in the
-//! reply bytes. Fault-hook workloads (`__`-prefixed) are never coalesced;
-//! their per-request semantics (panic/sleep injection) must hold exactly.
+//! A worker that pops a batchable diagnose job becomes the *leader* of a
+//! micro-batch: it drains every queued job targeting the same [`ModelKey`]
+//! up to the configured batch size — without waiting for more to arrive,
+//! so batches form from queue backlog alone. Every other job is a batch of
+//! one: `TRAIN`, `TRACE_PUT`, `TRACE_GET`, a fault-hook workload
+//! (`__`-prefixed, whose per-request panic/sleep injection must hold
+//! exactly), and any job on a daemon with batch size 1. A batch runs
+//! through [`run_batch`]: per-member deadline checks, each member's fault
+//! hook and trace parse, then one *sweep* — one model-cache lookup and one
+//! [`act_core::diagnosis::diagnose_trace_batch`] classify sweep for the
+//! whole batch — and every member's reply, those bound for the same
+//! session going out as one buffered write. The win on a loaded daemon is
+//! amortization: one worker wakeup, one lookup, one sweep and one reply
+//! syscall per *batch* instead of per request — while the batched kernel
+//! is bit-identical to the sequential one, so coalescing is invisible in
+//! the reply bytes.
 
 use crate::cache::{CacheOutcome, ModelCache, ModelKey};
 use crate::conn::SessionShared;
 use crate::proto::{ModelSpec, Reply, Request};
 use crate::server::{stored_summary, ServerStats};
-use act_core::diagnosis::{diagnose_trace, diagnose_trace_batch};
+use act_core::diagnosis::diagnose_trace_batch;
 use act_core::postprocess::Diagnosis;
 use act_fleet::{panic_message, BoundedQueue};
 use act_obs::{events, Level};
@@ -55,8 +58,9 @@ impl Responder {
 pub(crate) enum Work {
     /// An ordinary parsed request.
     Request(Request),
-    /// A streamed `DIAGNOSE` whose trace the session already parsed
-    /// chunk-by-chunk (the decode half of the decode→classify pipeline).
+    /// A `DIAGNOSE` whose trace is parsed: a streamed one the session
+    /// parsed chunk by chunk (the decode half of the decode→classify
+    /// pipeline), or a one-frame one once its batch member parsed it.
     DiagnoseTrace(ModelSpec, Box<Trace>),
 }
 
@@ -114,8 +118,9 @@ fn batch_key(work: &Work) -> Option<ModelKey> {
     Some(ModelKey::from(spec))
 }
 
-/// Route one popped job: gather a micro-batch around a batchable diagnose
-/// leader, or fall through to the classic one-job path.
+/// Route one popped job: a batchable diagnose leader gathers its queued
+/// companions (and is counted as a batch); every other job is a batch of
+/// one.
 fn dispatch(
     job: Job,
     queue: &BoundedQueue<Job>,
@@ -124,17 +129,14 @@ fn dispatch(
     deadline: Duration,
     batch_size: usize,
 ) {
-    let key = if batch_size > 1 { batch_key(&job.work) } else { None };
-    let Some(key) = key else {
-        process(job, cache, stats, deadline);
-        return;
-    };
     let mut batch = vec![job];
-    batch.extend(
-        queue.drain_matching(batch_size - 1, |j| batch_key(&j.work).as_ref() == Some(&key)),
-    );
-    stats.note_batch(batch.len());
-    process_batch(batch, cache, stats, deadline);
+    if let Some(key) = batch_key(&batch[0].work).filter(|_| batch_size > 1) {
+        batch.extend(
+            queue.drain_matching(batch_size - 1, |j| batch_key(&j.work).as_ref() == Some(&key)),
+        );
+        stats.note_batch(batch.len());
+    }
+    run_batch(batch, cache, stats, deadline);
 }
 
 /// Count and emit one expired request; build its `ERROR` reply.
@@ -167,102 +169,91 @@ fn count_reply(reply: &Reply, stats: &ServerStats) {
     }
 }
 
-/// Execute one job: deadline check, crash-isolated request handling, reply.
-fn process(job: Job, cache: &ModelCache, stats: &ServerStats, deadline: Duration) {
-    let Job { responder, work, accepted } = job;
-    let waited = accepted.elapsed();
-    let reply = if waited > deadline {
-        deadline_reply(waited, deadline, stats)
-    } else {
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_work(&work, cache, stats)));
-        stats.service_us.observe(started.elapsed().as_micros() as u64);
-        match outcome {
-            Ok(reply) => reply,
-            Err(payload) => {
-                stats.crashed.inc();
-                let message = panic_message(&*payload);
-                events().emit(
-                    Level::Warn,
-                    "serve.worker",
-                    format!("request crashed (isolated): {message}"),
-                );
-                Reply::Error(format!("request crashed: {message}"))
-            }
-        }
-    };
-    count_reply(&reply, stats);
-    responder.respond(&reply);
+/// Run one request's unit of work — its fault hook and trace parse, or a
+/// sweep of one — inside `catch_unwind`. `Err` is the request's final
+/// reply; a panic becomes one: counted in `requests_crashed`, emitted as a
+/// `serve.worker` event, and answered `ERROR`.
+fn isolated<T>(stats: &ServerStats, unit: impl FnOnce() -> Result<T, Reply>) -> Result<T, Reply> {
+    catch_unwind(AssertUnwindSafe(unit)).unwrap_or_else(|payload| {
+        stats.crashed.inc();
+        let message = panic_message(&*payload);
+        events().emit(
+            Level::Warn,
+            "serve.worker",
+            format!("request crashed (isolated): {message}"),
+        );
+        Err(Reply::Error(format!("request crashed: {message}")))
+    })
 }
 
-/// Execute one gathered micro-batch: per-member deadline checks and trace
-/// parses (failures answered individually), one model-cache resolution
-/// shared by every member, one batched classify sweep, then replies —
-/// grouped per session into a single write. The whole sweep runs inside
-/// `catch_unwind`; if it panics, every member is retried alone so one
-/// poisoned trace cannot take down its batch-mates.
-fn process_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadline: Duration) {
+/// Execute one batch: per-member deadline checks, each member's fault hook
+/// and trace parse (failures answered individually), one sweep over the
+/// members left, then replies — grouped per session into a single write.
+/// `service_us` records one observation per batch that has a member
+/// within its deadline: from the first parse to the end of the sweep.
+fn run_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadline: Duration) {
+    let started = Instant::now();
     let mut finished: Vec<(Responder, Reply)> = Vec::with_capacity(batch.len());
-    let mut ready: Vec<(Responder, ModelSpec, Trace)> = Vec::with_capacity(batch.len());
-    for job in batch {
-        let Job { responder, work, accepted } = job;
+    let mut ready: Vec<(Responder, Work)> = Vec::with_capacity(batch.len());
+    let mut serviced = false;
+    for Job { responder, work, accepted } in batch {
         let waited = accepted.elapsed();
         if waited > deadline {
             finished.push((responder, deadline_reply(waited, deadline, stats)));
             continue;
         }
-        match work {
-            Work::Request(Request::Diagnose(spec, bytes)) => match trace_from_bytes(&bytes) {
-                Ok(trace) => ready.push((responder, spec, trace)),
-                Err(e) => {
-                    finished.push((responder, Reply::Error(format!("bad trace payload: {e}"))))
-                }
-            },
-            Work::DiagnoseTrace(spec, trace) => ready.push((responder, spec, *trace)),
-            // `batch_key` admits only the two diagnose shapes; anything
-            // else is a scheduler bug, but answer it normally anyway.
-            work @ Work::Request(_) => {
-                process(Job { responder, work, accepted }, cache, stats, deadline);
-            }
+        serviced = true;
+        match isolated(stats, || prepare(work)) {
+            Ok(work) => ready.push((responder, work)),
+            Err(reply) => finished.push((responder, reply)),
         }
     }
-    if !ready.is_empty() {
-        let started = Instant::now();
-        // The first member's spec resolves (or trains) the model — exactly
-        // the request that would have trained it under sequential dispatch.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let spec0 = &ready[0].1;
-            let (model, outcome) = cache.get_or_train(spec0).map_err(|e| e.to_string())?;
-            let traces: Vec<&Trace> = ready.iter().map(|(_, _, t)| t).collect();
-            let diags =
-                diagnose_trace_batch(&model.store, &model.correct, &traces, model.norm_code_len);
-            let replies: Vec<Reply> = ready
-                .iter()
-                .zip(diags.iter())
-                .enumerate()
-                .map(|(i, ((_, spec, _), diag))| {
-                    // Members after the leader see a memory hit, same as
-                    // they would arriving right behind it sequentially.
-                    let tag = if i == 0 { outcome } else { CacheOutcome::Memory };
-                    Reply::Diagnosis(render_diagnosis(&spec.workload, tag, diag))
-                })
-                .collect();
-            Ok::<_, String>((outcome, replies))
-        }));
+    sweep(ready, cache, stats, &mut finished);
+    if serviced {
         stats.service_us.observe(started.elapsed().as_micros() as u64);
-        match result {
-            Ok(Ok((outcome, replies))) => {
-                stats.note_cache(outcome);
-                for _ in 1..ready.len() {
-                    stats.note_cache(CacheOutcome::Memory);
-                }
-                finished.extend(ready.into_iter().map(|(r, _, _)| r).zip(replies));
-            }
-            Ok(Err(msg)) => {
-                for (responder, _, _) in ready {
-                    finished.push((responder, Reply::Error(msg.clone())));
-                }
-            }
+    }
+    for (_, reply) in &finished {
+        count_reply(reply, stats);
+    }
+    respond_batch(finished);
+}
+
+/// A member's own share of the work, before the sweep: its fault hook,
+/// and the parse of a one-frame `DIAGNOSE`'s trace. `Err` is its reply.
+fn prepare(work: Work) -> Result<Work, Reply> {
+    let spec = match &work {
+        Work::Request(Request::Train(spec) | Request::Diagnose(spec, _)) => spec,
+        Work::DiagnoseTrace(spec, _) => spec,
+        Work::Request(_) => return Ok(work),
+    };
+    if let Some(reply) = fault_hook(spec) {
+        return Err(reply);
+    }
+    match work {
+        Work::Request(Request::Diagnose(spec, bytes)) => match trace_from_bytes(&bytes) {
+            Ok(trace) => Ok(Work::DiagnoseTrace(spec, Box::new(trace))),
+            Err(e) => Err(Reply::Error(format!("bad trace payload: {e}"))),
+        },
+        work => Ok(work),
+    }
+}
+
+/// Answer the members that passed their deadline and parse, appending to
+/// `finished`. A sweep of one runs [`isolated`]; a sweep of several runs
+/// inside `catch_unwind` too, and if it panics every member is retried as
+/// a batch of one, so one poisoned trace cannot take down its batch-mates.
+fn sweep(
+    ready: Vec<(Responder, Work)>,
+    cache: &ModelCache,
+    stats: &ServerStats,
+    finished: &mut Vec<(Responder, Reply)>,
+) {
+    let (responders, members): (Vec<Responder>, Vec<Work>) = ready.into_iter().unzip();
+    let answered = match members.len() {
+        0 => return,
+        1 => isolated(stats, || answer(&members, cache, stats)),
+        _ => match catch_unwind(AssertUnwindSafe(|| answer(&members, cache, stats))) {
+            Ok(answered) => answered,
             Err(payload) => {
                 let message = panic_message(&*payload);
                 events().emit(
@@ -270,31 +261,54 @@ fn process_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadl
                     "serve.worker",
                     format!("batch crashed (isolated): {message}; retrying members alone"),
                 );
-                for (responder, spec, trace) in ready {
-                    let work = Work::DiagnoseTrace(spec, Box::new(trace));
-                    let one = catch_unwind(AssertUnwindSafe(|| handle_work(&work, cache, stats)));
-                    let reply = match one {
-                        Ok(reply) => reply,
-                        Err(p) => {
-                            stats.crashed.inc();
-                            let m = panic_message(&*p);
-                            events().emit(
-                                Level::Warn,
-                                "serve.worker",
-                                format!("request crashed (isolated): {m}"),
-                            );
-                            Reply::Error(format!("request crashed: {m}"))
-                        }
-                    };
-                    finished.push((responder, reply));
+                for member in responders.into_iter().zip(members) {
+                    sweep(vec![member], cache, stats, finished);
                 }
+                return;
             }
-        }
+        },
+    };
+    match answered {
+        Ok(replies) => finished.extend(responders.into_iter().zip(replies)),
+        Err(reply) => finished.extend(responders.into_iter().map(|r| (r, reply.clone()))),
     }
-    for (_, reply) in &finished {
-        count_reply(reply, stats);
+}
+
+/// The sweep itself: one reply per member, or `Err` with the one reply
+/// every member gets. A batch of several is diagnoses of one model; the
+/// first member's spec resolves (or trains) it — exactly the request that
+/// would have trained it alone — and its companions see a memory hit, as
+/// they would arriving right behind it. Cache outcomes are counted once
+/// the sweep has answered, so a sweep retried member by member counts
+/// each lookup once.
+fn answer(members: &[Work], cache: &ModelCache, stats: &ServerStats) -> Result<Vec<Reply>, Reply> {
+    if let [Work::Request(request)] = members {
+        return Ok(vec![handle_request(request, cache, stats)]);
     }
-    respond_batch(finished);
+    let diagnoses: Vec<(&ModelSpec, &Trace)> = members
+        .iter()
+        .map(|member| match member {
+            Work::DiagnoseTrace(spec, trace) => (spec, &**trace),
+            Work::Request(_) => unreachable!("only parsed diagnoses share a batch"),
+        })
+        .collect();
+    let (model, outcome) =
+        cache.get_or_train(diagnoses[0].0).map_err(|e| Reply::Error(e.to_string()))?;
+    let traces: Vec<&Trace> = diagnoses.iter().map(|&(_, trace)| trace).collect();
+    let diags = diagnose_trace_batch(&model.store, &model.correct, &traces, model.norm_code_len);
+    let tag = |i: usize| if i == 0 { outcome } else { CacheOutcome::Memory };
+    let replies: Vec<Reply> = diagnoses
+        .iter()
+        .zip(&diags)
+        .enumerate()
+        .map(|(i, ((spec, _), diag))| {
+            Reply::Diagnosis(render_diagnosis(&spec.workload, tag(i), diag))
+        })
+        .collect();
+    for i in 0..replies.len() {
+        stats.note_cache(tag(i));
+    }
+    Ok(replies)
 }
 
 /// One session's share of a batch: its replies, by request id.
@@ -319,60 +333,20 @@ fn respond_batch(finished: Vec<(Responder, Reply)>) {
     }
 }
 
-/// Map queued work to its reply. Runs *inside* `catch_unwind`: panics out
-/// of the diagnosis stack (malformed topologies, workload asserts,
-/// injected faults) surface as `ERROR` frames.
-fn handle_work(work: &Work, cache: &ModelCache, stats: &ServerStats) -> Reply {
-    match work {
-        Work::Request(request) => handle_request(request, cache, stats),
-        Work::DiagnoseTrace(spec, trace) => {
-            if let Some(reply) = fault_hook(spec) {
-                return reply;
-            }
-            let (model, outcome) = match cache.get_or_train(spec) {
-                Ok(pair) => pair,
-                Err(e) => return Reply::Error(e.to_string()),
-            };
-            stats.note_cache(outcome);
-            let diag = diagnose_trace(&model.store, &model.correct, trace, model.norm_code_len);
-            Reply::Diagnosis(render_diagnosis(&spec.workload, outcome, &diag))
-        }
-    }
-}
-
+/// Answer a request that is not a diagnosis: `TRAIN` and the corpus
+/// requests.
 fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) -> Reply {
     match request {
-        Request::Train(spec) => {
-            if let Some(reply) = fault_hook(spec) {
-                return reply;
-            }
-            match cache.get_or_train(spec) {
-                Ok((model, outcome)) => {
-                    stats.note_cache(outcome);
-                    if outcome != CacheOutcome::Memory {
-                        events().emit(Level::Info, "serve.model", model.summary.clone());
-                    }
-                    Reply::Trained(format!("{} [{}]", model.summary, outcome_tag(outcome)))
+        Request::Train(spec) => match cache.get_or_train(spec) {
+            Ok((model, outcome)) => {
+                stats.note_cache(outcome);
+                if outcome != CacheOutcome::Memory {
+                    events().emit(Level::Info, "serve.model", model.summary.clone());
                 }
-                Err(e) => Reply::Error(e.to_string()),
+                Reply::Trained(format!("{} [{}]", model.summary, outcome_tag(outcome)))
             }
-        }
-        Request::Diagnose(spec, trace_bytes) => {
-            if let Some(reply) = fault_hook(spec) {
-                return reply;
-            }
-            let trace = match trace_from_bytes(trace_bytes) {
-                Ok(t) => t,
-                Err(e) => return Reply::Error(format!("bad trace payload: {e}")),
-            };
-            let (model, outcome) = match cache.get_or_train(spec) {
-                Ok(pair) => pair,
-                Err(e) => return Reply::Error(e.to_string()),
-            };
-            stats.note_cache(outcome);
-            let diag = diagnose_trace(&model.store, &model.correct, &trace, model.norm_code_len);
-            Reply::Diagnosis(render_diagnosis(&spec.workload, outcome, &diag))
-        }
+            Err(e) => Reply::Error(e.to_string()),
+        },
         Request::TracePut { key, workload, trace } => {
             let Some(corpus) = cache.corpus() else { return no_corpus() };
             let mut c = corpus.lock().expect("corpus lock");
@@ -389,8 +363,10 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
                 Err(e) => Reply::Error(format!("trace get failed: {e}")),
             }
         }
-        // The session answers these itself; they never reach the queue.
-        Request::Status
+        // A one-frame DIAGNOSE is parsed before the sweep, and the session
+        // answers the rest itself; none of these reaches here.
+        Request::Diagnose(..)
+        | Request::Status
         | Request::Shutdown
         | Request::Hello { .. }
         | Request::TracePutStart { .. }
@@ -423,7 +399,6 @@ fn fault_hook(spec: &ModelSpec) -> Option<Reply> {
 fn outcome_tag(outcome: CacheOutcome) -> &'static str {
     match outcome {
         CacheOutcome::Memory => "cache-hit",
-        CacheOutcome::Disk => "cache-hit:disk",
         CacheOutcome::Store => "cache-hit:store",
         CacheOutcome::Trained => "trained",
     }

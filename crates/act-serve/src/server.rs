@@ -19,7 +19,7 @@
 //! acceptors out of `accept` and stops them, closes the queue, and lets
 //! the workers finish every accepted job before [`Server::join`] returns.
 
-use crate::cache::{CacheOutcome, ModelCache};
+use crate::cache::{cache_hits_misses, CacheOutcome, ModelCache};
 use crate::client::Endpoint;
 use crate::conn::{accept_loop, run_session, wake, Listener, SessionThreads};
 use crate::conn::{SessionHost, SessionShared, SessionStats};
@@ -60,10 +60,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded job-queue depth; a full queue answers `BUSY`.
     pub queue_depth: usize,
-    /// Directory for persisted models (`None` = in-memory cache only).
-    pub model_dir: Option<PathBuf>,
-    /// Corpus store directory (`None` = no `TRACE_PUT`/`TRACE_GET`; the
-    /// directory is created and initialized on first use).
+    /// Corpus store directory (`None` = no `TRACE_PUT`/`TRACE_GET`, and
+    /// trained models live in memory only; the directory is created and
+    /// initialized on first use).
     pub corpus_dir: Option<PathBuf>,
     /// Models kept resident in the LRU cache.
     pub cache_capacity: usize,
@@ -73,7 +72,7 @@ pub struct ServeConfig {
     /// Socket read/write timeout for each connection.
     pub io_timeout: Duration,
     /// Most diagnose requests coalesced into one micro-batch. `1`
-    /// disables coalescing (every request dispatched alone); `0` is
+    /// disables coalescing (every request a batch of one); `0` is
     /// rejected at startup. A batch takes whatever compatible requests are
     /// already queued; it never waits for more.
     pub batch_size: usize,
@@ -86,7 +85,6 @@ impl Default for ServeConfig {
             unix_path: None,
             workers: act_fleet::default_workers(),
             queue_depth: 64,
-            model_dir: None,
             corpus_dir: None,
             cache_capacity: 32,
             deadline: Duration::from_secs(120),
@@ -118,10 +116,8 @@ pub struct ServerStats {
     pub(crate) rejected_busy: Counter,
     pub(crate) crashed: Counter,
     pub(crate) deadline_expired: Counter,
-    cache_memory_hits: Counter,
-    cache_disk_loads: Counter,
-    cache_store_loads: Counter,
-    cache_trained: Counter,
+    /// One counter per [`CacheOutcome`], indexed by `outcome as usize`.
+    cache: [Counter; 3],
     coalesced_batches: Counter,
     coalesce_hits: Counter,
     coalesce_misses: Counter,
@@ -151,10 +147,7 @@ impl Default for ServerStats {
             rejected_busy: registry.counter("requests_rejected_busy"),
             crashed: registry.counter("requests_crashed"),
             deadline_expired: registry.counter("requests_deadline_expired"),
-            cache_memory_hits: registry.counter("cache_memory_hits"),
-            cache_disk_loads: registry.counter("cache_disk_loads"),
-            cache_store_loads: registry.counter("cache_store_loads"),
-            cache_trained: registry.counter("cache_trained"),
+            cache: CacheOutcome::ALL.map(|outcome| registry.counter(outcome.counter())),
             coalesced_batches: registry.counter("coalesced_batches"),
             coalesce_hits: registry.counter("coalesce_hits"),
             coalesce_misses: registry.counter("coalesce_misses"),
@@ -189,12 +182,7 @@ impl ServerStats {
     }
 
     pub(crate) fn note_cache(&self, outcome: CacheOutcome) {
-        match outcome {
-            CacheOutcome::Memory => self.cache_memory_hits.inc(),
-            CacheOutcome::Disk => self.cache_disk_loads.inc(),
-            CacheOutcome::Store => self.cache_store_loads.inc(),
-            CacheOutcome::Trained => self.cache_trained.inc(),
-        }
+        self.cache[outcome as usize].inc();
     }
 
     /// Every metric as one snapshot — what a `STATUS` reply carries. The
@@ -215,11 +203,12 @@ impl ServerStats {
 
 /// Render the plain-text `STATUS` block from the snapshot it ships with:
 /// `key value` per line. Scripts grep these keys, so the aggregates keep
-/// their names: `cache_hits` is memory + disk + store hits, `cache_misses`
-/// is models trained from scratch.
+/// their names: `cache_hits` is memory + store hits, `cache_misses` is
+/// models trained from scratch (see [`cache_hits_misses`]).
 fn render_status(snap: &MetricsSnapshot) -> String {
     use std::fmt::Write as _;
     let c = |name: &str| snap.counter(name).unwrap_or(0);
+    let (cache_hits, cache_misses) = cache_hits_misses(snap);
     let g = |name: &str| snap.gauge(name).unwrap_or(0).max(0) as u64;
     let mut out = String::from("act-serve status\n");
     for (key, value) in [
@@ -231,8 +220,8 @@ fn render_status(snap: &MetricsSnapshot) -> String {
         ("requests_crashed", c("requests_crashed")),
         ("requests_deadline_expired", c("requests_deadline_expired")),
         ("protocol_errors", c("protocol_errors")),
-        ("cache_hits", c("cache_memory_hits") + c("cache_disk_loads") + c("cache_store_loads")),
-        ("cache_misses", c("cache_trained")),
+        ("cache_hits", cache_hits),
+        ("cache_misses", cache_misses),
         ("coalesced_batches", c("coalesced_batches")),
         ("coalesce_hits", c("coalesce_hits")),
         ("coalesce_misses", c("coalesce_misses")),
@@ -448,18 +437,19 @@ impl Server {
         }
 
         let stats = Arc::new(ServerStats::default());
-        let mut cache = ModelCache::new(cfg.cache_capacity, cfg.model_dir.clone());
-        if let Some(dir) = &cfg.corpus_dir {
-            let corpus = act_store::Corpus::open_or_init(dir)
-                .map_err(|e| {
+        let corpus = match &cfg.corpus_dir {
+            Some(dir) => {
+                let corpus = act_store::Corpus::open_or_init(dir).map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("corpus at {}: {e}", dir.display()),
                     )
-                })?
-                .with_registry(&stats.registry);
-            cache = cache.with_corpus(Arc::new(Mutex::new(corpus)));
-        }
+                })?;
+                Some(Arc::new(Mutex::new(corpus.with_registry(&stats.registry))))
+            }
+            None => None,
+        };
+        let cache = ModelCache::new(cfg.cache_capacity, corpus);
 
         // Every listener is bound before any thread starts, so a failed
         // bind leaves nothing behind.
@@ -669,7 +659,7 @@ mod tests {
         stats.note_frame(FrameKind::Train);
         stats.note_frame(FrameKind::Busy);
         stats.served.inc();
-        stats.note_cache(CacheOutcome::Disk);
+        stats.note_cache(CacheOutcome::Store);
         stats.service_us.observe(180);
         let snap = stats.metrics_snapshot(Duration::from_secs(2), 5, 1);
         assert_eq!(snap.counter("req_status"), Some(1));
@@ -680,7 +670,7 @@ mod tests {
             assert!(snap.counter(name).is_some(), "no `{name}` counter");
         }
         assert_eq!(snap.counter("requests_served"), Some(1));
-        assert_eq!(snap.counter("cache_disk_loads"), Some(1));
+        assert_eq!(snap.counter("cache_store_loads"), Some(1));
         assert_eq!(snap.gauge("uptime_ms"), Some(2000));
         assert_eq!(snap.gauge("queue_depth"), Some(5));
         assert_eq!(snap.gauge("models_resident"), Some(1));

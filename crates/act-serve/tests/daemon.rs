@@ -6,6 +6,8 @@
 //!   keeps serving others;
 //! - a repeated request is answered from the model cache (the `STATUS`
 //!   cache-hit counter increases);
+//! - a model trained from simulator runs persists in the corpus store, so
+//!   a restarted daemon loads it instead of retraining;
 //! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
 //! - a client that connects and stays silent holds up nobody else;
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
@@ -21,6 +23,7 @@ use act_trace::io::trace_to_bytes;
 use act_workloads::registry;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::time::Duration;
 
 /// Boot a daemon on 127.0.0.1:0 and return it with its client endpoint.
@@ -32,6 +35,20 @@ fn boot(workers: usize, queue_depth: usize) -> (Server, Endpoint) {
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("daemon boots");
+    let endpoint = Endpoint::Tcp(server.tcp_addr().expect("tcp bound").to_string());
+    (server, endpoint)
+}
+
+/// Boot a one-worker daemon on 127.0.0.1:0 backed by the corpus at `dir`.
+fn boot_on_corpus(dir: &Path) -> (Server, Endpoint) {
+    let cfg = ServeConfig {
+        tcp_addr: Some("127.0.0.1:0".to_string()),
+        workers: 1,
+        queue_depth: 8,
+        corpus_dir: Some(dir.to_path_buf()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).expect("daemon boots with corpus");
     let endpoint = Endpoint::Tcp(server.tcp_addr().expect("tcp bound").to_string());
     (server, endpoint)
 }
@@ -315,19 +332,7 @@ fn corpus_round_trips_traces_trains_from_store_and_persists_models() {
     let dir = std::env::temp_dir().join(format!("act-serve-corpus-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let boot_with_corpus = || {
-        let cfg = ServeConfig {
-            tcp_addr: Some("127.0.0.1:0".to_string()),
-            workers: 1,
-            queue_depth: 8,
-            corpus_dir: Some(dir.clone()),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(cfg).expect("daemon boots with corpus");
-        let endpoint = Endpoint::Tcp(server.tcp_addr().expect("tcp bound").to_string());
-        (server, endpoint)
-    };
-    let (server, endpoint) = boot_with_corpus();
+    let (server, endpoint) = boot_on_corpus(&dir);
 
     // Ship two correct-run traces into the store.
     let t0 = correct_trace_bytes(0);
@@ -382,7 +387,7 @@ fn corpus_round_trips_traces_trains_from_store_and_persists_models() {
 
     // Restart on the same corpus: the model comes back from the store
     // (no retraining) and the traces survived.
-    let (server, endpoint) = boot_with_corpus();
+    let (server, endpoint) = boot_on_corpus(&dir);
     match request(&endpoint, &Request::Train(spec)).expect("train reply") {
         Reply::Trained(summary) => {
             assert!(summary.contains("loaded from corpus store"), "summary: {summary}");
@@ -396,6 +401,42 @@ fn corpus_round_trips_traces_trains_from_store_and_persists_models() {
     }
     let status = status_of(&endpoint);
     assert!(counter(&status, "cache_hits") >= 1, "store hit counts as a hit:\n{status}");
+    assert_eq!(counter(&status, "cache_misses"), 0, "status:\n{status}");
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_simulator_trained_model_loads_from_the_corpus_after_a_restart() {
+    let dir = std::env::temp_dir().join(format!("act-serve-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = tiny_spec("seq");
+
+    // An empty corpus holds no traces, so TRAIN runs the simulator.
+    let (server, endpoint) = boot_on_corpus(&dir);
+    match request(&endpoint, &Request::Train(spec.clone())).expect("train reply") {
+        Reply::Trained(summary) => {
+            assert!(summary.starts_with("trained seq:"), "summary: {summary}");
+            assert!(summary.ends_with("[trained]"), "summary: {summary}");
+        }
+        other => panic!("unexpected train reply: {other:?}"),
+    }
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+
+    // Restart on the same directory: the same TRAIN loads the model.
+    let (server, endpoint) = boot_on_corpus(&dir);
+    match request(&endpoint, &Request::Train(spec)).expect("train reply") {
+        Reply::Trained(summary) => {
+            assert!(summary.starts_with("model seq-n2-h4-s0 "), "summary: {summary}");
+            assert!(summary.contains("loaded from corpus store"), "summary: {summary}");
+            assert!(summary.ends_with("[cache-hit:store]"), "summary: {summary}");
+        }
+        other => panic!("unexpected train reply: {other:?}"),
+    }
+    let status = status_of(&endpoint);
+    assert_eq!(counter(&status, "cache_hits"), 1, "status:\n{status}");
     assert_eq!(counter(&status, "cache_misses"), 0, "status:\n{status}");
     assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
     server.join();

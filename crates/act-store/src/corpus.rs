@@ -662,21 +662,15 @@ impl Corpus {
         out
     }
 
-    /// Build a Correct Set from every stored trace of `workload` — the
-    /// train-from-store path: the daemon and campaigns window the observed
-    /// dependences of corpus traces instead of re-running the workload.
-    pub fn correct_set(
-        &self,
-        workload: &str,
-        n: usize,
-    ) -> Result<act_trace::CorrectSet, StoreError> {
-        let mut traces = Vec::new();
-        for info in self.entries(Some(workload)) {
-            if info.meta.kind == EntryKind::Trace {
-                traces.push(self.get_trace(&info.meta.key)?);
-            }
-        }
-        Ok(act_trace::CorrectSet::from_traces(&traces, n))
+    /// Every stored trace of `workload`, in [`entries`](Corpus::entries)
+    /// order — the train-from-store path of the daemon and of campaigns. An
+    /// entry that fails to decode is skipped (and counted in
+    /// `corrupt_blocks`), so one rotten trace cannot block training.
+    pub fn traces<'a>(&'a self, workload: &str) -> impl Iterator<Item = Trace> + 'a {
+        self.entries(Some(workload))
+            .into_iter()
+            .filter(|info| info.meta.kind == EntryKind::Trace)
+            .filter_map(|info| self.get_trace(&info.meta.key).ok())
     }
 
     /// Corpus-wide accounting.

@@ -66,7 +66,9 @@ fn correct_set_builds_from_corpus_traces() {
         let trace = workload_trace("lu", 100 + seed);
         c.put_trace(&format!("lu-{seed}"), "lu", &trace).unwrap();
     }
-    let set = c.correct_set("lu", 2).unwrap();
+    let traces: Vec<_> = c.traces("lu").collect();
+    assert_eq!(traces.len(), 3, "every stored lu trace decodes");
+    let set = act_trace::CorrectSet::from_traces(&traces, 2);
     assert!(!set.is_empty(), "lu traces must contribute dependence windows");
     assert_eq!(set.seq_len(), 2);
     assert!(!c.contains(EntryKind::CorrectSet, "unused"));

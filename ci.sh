@@ -8,7 +8,10 @@ cargo fmt --all --check
 # service stack, with their tests, benches and examples — stays lint-clean.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q --release
+# The tests run optimized under the `ci-test` profile (release without thin
+# LTO and single-unit codegen; see Cargo.toml): the shipped binaries, the
+# perf gate and every benchmark below stay on `release`.
+cargo test -q --profile ci-test
 # The trace codec and the store's kernels once more in debug, where an
 # integer overflow panics instead of wrapping silently.
 cargo test -q -p act-trace -p act-store

@@ -50,6 +50,8 @@ const USAGE: &str = "usage: act <command> [args]\n\
      \x20 gate --backends A,B,... [--listen ADDR] [--workers N] [--queue-depth D]\n\
      \x20      [--vnodes N] [--connect-timeout MS] [--io-timeout MS]\n\
      \x20      [--event-log FILE]                 run the sharding gateway\n\
+     \x20                                        (--queue-depth caps requests in\n\
+     \x20                                        flight; --workers settle answers)\n\
      \x20 request <train|diagnose|status|shutdown|trace-put|trace-get> [workload]\n\
      \x20       [--addr A] [--unix PATH] [--seed N] [--traces N]\n\
      \x20       [--seq-len N] [--hidden N] [--epochs N] [--trace FILE] [--key K]\n\

@@ -52,10 +52,10 @@ pub use act_core::{ActError, ConfigError};
 pub use act_obs::MetricsSnapshot;
 pub use act_serve::{ClientConfig, Endpoint, ModelSpec, Reply, Request};
 
-use act_serve::proto::{read_frame, write_frame};
+use act_serve::proto::read_frame;
 use act_serve::{ClientError, Conn};
 use session::Session;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -335,7 +335,9 @@ impl Client {
     /// One request on a fresh connection: one frame each way.
     fn oneshot(&self, req: &Request) -> Result<Reply, ClientError> {
         let mut conn = Conn::connect(&self.endpoint, &self.cfg)?;
-        write_frame(&mut conn, &req.to_frame())?;
+        let mut frame = Vec::new();
+        req.encode_into(0, &mut frame);
+        conn.write_all(&frame)?;
         Ok(Reply::from_frame(read_frame(&mut conn)?)?)
     }
 

@@ -17,11 +17,11 @@
 //! frames from concurrent requests interleave on the wire at frame
 //! granularity — the writer lock is held per frame, never per request.
 
-use act_serve::proto::{read_frame, write_frame, MAX_CHUNK};
-use act_serve::{ClientConfig, ClientError, Conn, Endpoint, Frame, Reply, Request};
+use act_serve::proto::{encode_chunk, read_frame, MAX_CHUNK};
+use act_serve::{ClientConfig, ClientError, Conn, Endpoint, Reply, Request};
 use act_store::UploadCheck;
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
@@ -91,7 +91,9 @@ impl Session {
         depth: u32,
     ) -> Result<Arc<Session>, ClientError> {
         let mut conn = Conn::connect(endpoint, cfg)?;
-        write_frame(&mut conn, &Request::Hello { window: depth }.to_frame())?;
+        let mut hello = Vec::new();
+        Request::Hello { window: depth }.encode_into(0, &mut hello);
+        conn.write_all(&hello)?;
         let window = match Reply::from_frame(read_frame(&mut conn)?)? {
             Reply::HelloAck { window } => window.max(1),
             other => {
@@ -148,7 +150,7 @@ impl Session {
         on_reply: impl FnOnce(Answer) + Send + 'static,
     ) -> Result<u32, ClientError> {
         let id = self.begin(Box::new(on_reply))?;
-        let sent = self.write(&request.to_frame().with_request(id)).map_err(ClientError::Io);
+        let sent = self.send(id, request).map_err(ClientError::Io);
         self.sent(id, sent)
     }
 
@@ -176,19 +178,22 @@ impl Session {
         let (on_reply, reply) = Pending::channel();
         let id = self.begin(Box::new(on_reply))?;
         let sent = (|| -> Result<(), ClientError> {
-            self.write(&start.to_frame().with_request(id))?;
+            self.send(id, start)?;
             let mut check = UploadCheck::default();
             let mut buf = vec![0u8; STREAM_CHUNK_BYTES.min(MAX_CHUNK as usize)];
+            let mut frame = Vec::new();
             loop {
                 let n = reader.read(&mut buf).map_err(ClientError::Io)?;
                 if n == 0 {
                     break;
                 }
                 check.update(&buf[..n]);
-                self.write(&Request::StreamChunk(buf[..n].to_vec()).to_frame().with_request(id))?;
+                frame.clear();
+                encode_chunk(&mut frame, id, &buf[..n]);
+                self.write(&frame)?;
             }
             let end = Request::StreamEnd { crc32: check.crc32(), total_len: check.total_len() };
-            self.write(&end.to_frame().with_request(id))?;
+            self.send(id, &end)?;
             Ok(())
         })();
         let id = self.sent(id, sent)?;
@@ -211,10 +216,19 @@ impl Session {
         Ok(id)
     }
 
-    /// Write one whole frame under the writer lock.
-    fn write(&self, frame: &Frame) -> io::Result<()> {
+    /// Encode `request` under `id`, payload and all, straight into the
+    /// buffer written as its frame.
+    fn send(&self, id: u32, request: &Request) -> io::Result<()> {
+        let mut frame = Vec::new();
+        request.encode_into(id, &mut frame);
+        self.write(&frame)
+    }
+
+    /// Write one whole encoded frame under the writer lock.
+    fn write(&self, frame: &[u8]) -> io::Result<()> {
         let mut w = self.writer.lock().expect("session writer lock");
-        write_frame(&mut *w, frame)
+        w.write_all(frame)?;
+        w.flush()
     }
 
     /// Settle the send of request `id`. On failure the callback is taken

@@ -5,26 +5,27 @@
 //! own (see [`crate::session`]), with the same connection model as
 //! act-serve — a first frame of `HELLO` asks for a window, anything else
 //! opens a window-1 session. The session answers `STATUS` (the aggregated
-//! fleet view) and `SHUTDOWN` itself, and admits every routable request —
-//! decoded, with its shard key and its reply target — to a bounded
-//! forwarding queue, answering `BUSY` when full (the same
-//! refused-not-dropped backpressure contract as act-serve).
+//! fleet view) and `SHUTDOWN` itself, and routes every other request on
+//! its own thread: it admits the request — or answers `BUSY` when
+//! `--queue-depth` requests are already admitted and unanswered, or the
+//! gateway is draining (the same refused-not-dropped contract as
+//! act-serve: a refused request is never sent) — picks its candidates on
+//! the consistent-hash ring (the owner plus at most one failover hop,
+//! down-marked backends skipped), sends it on the backend's pooled session
+//! ([`crate::pool`]) and goes back to reading its client.
 //!
-//! Forwarding workers never wait on a backend. A worker pops an admitted
-//! request, routes it — the consistent-hash ring orders the backends for
-//! the key, down-marked backends are skipped, and the request gets the
-//! owner plus at most one failover hop — sends it on the backend's pooled
-//! session ([`crate::pool`]) and goes back to the queue. The backend
-//! session's reader puts the answered request back on the same queue and
-//! does nothing else, so it blocks on nothing but its own socket. A
-//! worker then settles the answer: it relays a reply to the client, or
-//! applies the forwarding rule — one fresh-session retry when the pooled
-//! session died, the next ring owner when the backend failed or answered
-//! `BUSY`, then `BUSY` or `ERROR`. Every hop takes that one path, and
-//! workers do every client write, so a client that stops reading stalls
-//! one worker, never a backend link. Requests from one session therefore
-//! route, fail over, and complete independently, and a backend session
-//! carries up to its whole window of forwards at once.
+//! Nothing waits on a backend for its answer. The backend session's reader
+//! puts the answered request on the forwarding queue and does nothing
+//! else, so it blocks on nothing but its own socket. A forwarding worker
+//! then settles the answer: it relays a reply to the client, or applies
+//! the forwarding rule — one fresh-session retry when the pooled session
+//! died, the next ring owner when the backend failed or answered `BUSY`,
+//! then `BUSY` or `ERROR`. The queue holds only answered requests, and
+//! workers do every client write of a relayed answer, so a client that
+//! stops reading stalls one worker, never a backend link; a backend that
+//! stops reading stalls only the sessions that send to it. Requests from
+//! one session route, fail over, and complete independently, and a backend
+//! session carries up to its whole window of forwards at once.
 //!
 //! Each admitted request, and each relayed upload from its opener on,
 //! counts as in flight (`requests_in_flight`) until its final reply; a
@@ -63,9 +64,10 @@ pub struct GateConfig {
     pub backends: Vec<String>,
     /// Virtual nodes per backend on the consistent-hash ring.
     pub vnodes: usize,
-    /// Forwarding worker threads.
+    /// Forwarding worker threads: they settle backend answers.
     pub workers: usize,
-    /// Bounded queue depth; a full queue answers `BUSY`.
+    /// Most requests and uploads admitted and not yet answered
+    /// (`requests_in_flight`); one past it is answered `BUSY`, unsent.
     pub queue_depth: usize,
     /// Backend TCP connect timeout.
     pub connect_timeout: Duration,
@@ -109,7 +111,8 @@ pub struct GateStats {
     pub(crate) failovers: Counter,
     pub(crate) busy_failovers: Counter,
     pub(crate) failed: Counter,
-    /// Queue-full refusals, and the session loop's `BUSY`s.
+    /// Refusals at the in-flight cap or in a drain, and the session
+    /// loop's `BUSY`s.
     pub(crate) rejected_busy: Counter,
     proto_errors: Counter,
     pub(crate) probes_ok: Counter,
@@ -179,9 +182,9 @@ impl GateStats {
         self.failed.get()
     }
 
-    /// Requests the gateway refused `BUSY` itself: its queue was full,
-    /// the session's window was full, the session already had an upload
-    /// open, or the gateway was draining.
+    /// Requests the gateway refused `BUSY` itself: `queue_depth` requests
+    /// were already in flight, the session's window was full, the session
+    /// already had an upload open, or the gateway was draining.
     pub fn rejected_busy(&self) -> u64 {
         self.rejected_busy.get()
     }
@@ -204,8 +207,9 @@ impl GateStats {
     }
 
     /// Admitted requests and relayed uploads that have not had their
-    /// final reply yet — what a drain waits on. With forwards no longer
-    /// parked at the gateway, this is how much work is out on the fleet.
+    /// final reply yet — what a drain waits on, and what `queue_depth`
+    /// caps. With forwards never parked at the gateway, this is how much
+    /// work is out on the fleet.
     pub fn requests_in_flight(&self) -> i64 {
         self.requests_in_flight.get()
     }
@@ -255,14 +259,10 @@ pub(crate) struct Forward {
     pub(crate) accepted: Instant,
 }
 
-/// What the forwarding queue carries.
-pub(crate) enum GateJob {
-    /// Fresh from its client session, not yet routed.
-    Admitted(Arc<Forward>),
-    /// Back from the backend its route points at, with that backend's
-    /// answer or the transport error that stands in for one.
-    Answered(Arc<Forward>, Route, Result<Reply, ClientError>),
-}
+/// What the forwarding queue carries: a request back from the backend its
+/// route points at, with that backend's answer or the transport error that
+/// stands in for one.
+pub(crate) type Answered = (Arc<Forward>, Route, Result<Reply, ClientError>);
 
 /// Where a request stands on its route: the backends it may try (the
 /// ring owner and at most one failover hop), the one it is on, and
@@ -282,21 +282,24 @@ impl Route {
     }
 }
 
-/// Everything the acceptor, workers, session readers, and prober share.
+/// Everything the acceptor, sessions, workers, backend readers, and prober
+/// share.
 pub(crate) struct GateState {
     pub(crate) ring: HashRing,
     pub(crate) health: Health,
     pub(crate) pool: SessionPool,
     pub(crate) stats: Arc<GateStats>,
     started: Instant,
-    /// Shared with the reply callbacks, which hold nothing else of the
-    /// gateway.
-    queue: Arc<BoundedQueue<GateJob>>,
+    /// Answered requests waiting for a worker to settle them. Shared with
+    /// the reply callbacks, which hold nothing else of the gateway.
+    queue: Arc<BoundedQueue<Answered>>,
     /// Admitted requests and open uploads not yet finally answered
     /// (mirrored in `stats.requests_in_flight`). Admission, final replies
     /// and the start of a drain all decide under this lock, so the reply
     /// that empties a draining gateway cannot miss closing the queue.
     in_flight: Mutex<u64>,
+    /// The most `in_flight` may hold (`--queue-depth`).
+    max_in_flight: u64,
     /// One act-client per backend, probe-timeout-configured, for health
     /// probes and STATUS aggregation.
     probe_clients: Vec<Client>,
@@ -373,11 +376,11 @@ impl GateState {
     }
 
     /// Count a request or upload in flight if the gateway is not draining
-    /// and `accepted` takes it. `false` means it was never taken, and the
-    /// caller answers `BUSY`.
-    pub(crate) fn enter(&self, accepted: impl FnOnce() -> bool) -> bool {
+    /// and fewer than `queue_depth` are. `false` means it was never taken,
+    /// and the caller answers `BUSY`.
+    pub(crate) fn enter(&self) -> bool {
         let mut in_flight = self.in_flight.lock().expect("gate in-flight lock");
-        let entered = !self.shutdown.load(Ordering::SeqCst) && accepted();
+        let entered = !self.shutdown.load(Ordering::SeqCst) && *in_flight < self.max_in_flight;
         if entered {
             *in_flight += 1;
             self.stats.requests_in_flight.set(*in_flight as i64);
@@ -394,14 +397,6 @@ impl GateState {
         if *in_flight == 0 && self.shutdown.load(Ordering::SeqCst) {
             self.queue.close();
         }
-    }
-
-    /// Admit a routable request: queue it for a worker and count it in
-    /// flight until its final reply. `false` means it was never queued —
-    /// the queue is full or the gateway is draining — and the caller
-    /// answers `BUSY`.
-    pub(crate) fn admit(&self, forward: Forward) -> bool {
-        self.enter(|| self.queue.try_push(GateJob::Admitted(Arc::new(forward))).is_ok())
     }
 
     /// Write an admitted request's final reply and count it out.
@@ -428,27 +423,22 @@ impl GateState {
         candidates
     }
 
-    /// One forwarding step for a job off the queue: route and send an
-    /// admitted request, or settle an answered one.
-    fn work(&self, job: GateJob) {
-        match job {
-            GateJob::Admitted(forward) => {
-                let candidates = self.candidates(&forward.key);
-                let route = Route {
-                    candidates: [candidates[0], *candidates.last().expect("ring is non-empty")],
-                    hops: candidates.len(),
-                    hop: 0,
-                    retried: false,
-                };
-                self.send(forward, route);
-            }
-            GateJob::Answered(forward, route, answer) => self.settle(forward, route, answer),
-        }
+    /// Route an admitted request and send it to its ring owner: the first
+    /// hop, taken on the client's session thread.
+    pub(crate) fn dispatch(&self, forward: Arc<Forward>) {
+        let candidates = self.candidates(&forward.key);
+        let route = Route {
+            candidates: [candidates[0], *candidates.last().expect("ring is non-empty")],
+            hops: candidates.len(),
+            hop: 0,
+            retried: false,
+        };
+        self.send(forward, route);
     }
 
     /// Send `forward` to its route's backend over the pooled session and
-    /// return without waiting: the session's reader requeues the answer.
-    /// A send that fails is settled on the spot.
+    /// return without waiting: the backend session's reader queues the
+    /// answer for a worker. A send that fails is settled on the spot.
     fn send(&self, forward: Arc<Forward>, mut route: Route) {
         let b = route.backend();
         let session = match self.pool.session(b) {
@@ -462,7 +452,8 @@ impl GateState {
         let queue = self.queue.clone();
         let answered = forward.clone();
         let sent = session.call_with(&forward.request, move |answer| {
-            queue.requeue(GateJob::Answered(answered, route, answer));
+            // Admitted already: past the depth bound and the closed flag.
+            queue.requeue((answered, route, answer));
         });
         if let Err(e) = sent {
             self.pool.discard(b, &session);
@@ -599,8 +590,8 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Bind the listener and spawn the acceptor, forwarding workers, and
-    /// the health prober.
+    /// Bind the listener and spawn the acceptor, the forwarding workers
+    /// that settle answers, and the health prober.
     ///
     /// # Errors
     ///
@@ -635,21 +626,25 @@ impl Gateway {
         let listener = TcpListener::bind(&cfg.listen)?;
         let tcp_addr = listener.local_addr()?;
         let listener = Listener::Tcp(listener);
+        let stats = Arc::new(GateStats::new(n));
+        let sessions = Arc::new(SessionThreads::new(&stats.registry));
         let state = Arc::new(GateState {
             ring: HashRing::new(n, cfg.vnodes),
             health: Health::new(n, 0x6761_7465), // "gate"
             pool: SessionPool::new(cfg.backends.clone(), cfg.connect_timeout, cfg.backend_timeout),
-            stats: Arc::new(GateStats::new(n)),
+            stats,
             started: Instant::now(),
+            // Every answer was admitted under the in-flight cap, so the
+            // queue never holds more than `queue_depth` of them.
             queue: Arc::new(BoundedQueue::new(cfg.queue_depth)),
             in_flight: Mutex::new(0),
+            max_in_flight: cfg.queue_depth as u64,
             probe_clients,
             shutdown: AtomicBool::new(false),
             io_timeout: cfg.io_timeout,
             wake: listener.wake_endpoint()?,
         });
         let mut threads = Vec::new();
-        let sessions = Arc::<SessionThreads>::default();
 
         {
             let (state, sessions) = (state.clone(), sessions.clone());
@@ -667,8 +662,8 @@ impl Gateway {
             let state = state.clone();
             threads.push(std::thread::Builder::new().name(format!("act-gate-worker-{i}")).spawn(
                 move || {
-                    while let Some(job) = state.queue.pop() {
-                        state.work(job);
+                    while let Some((forward, route, answer)) = state.queue.pop() {
+                        state.settle(forward, route, answer);
                     }
                 },
             )?);
@@ -737,8 +732,8 @@ impl Gateway {
         self.state.aggregated_status().0
     }
 
-    /// Begin graceful drain: stop accepting and admitting, and let the
-    /// workers finish every admitted request. Idempotent; also triggered
+    /// Begin graceful drain: stop accepting and admitting, and let every
+    /// admitted request get its answer. Idempotent; also triggered
     /// by a `SHUTDOWN` frame. The backends are *not* shut down — they
     /// outlive their gateway.
     pub fn shutdown(&self) {

@@ -11,15 +11,16 @@
 //!   backoff between probes of a dead backend.
 //! - [`pool`] — one warm multiplexed session per backend, carrying every
 //!   forward to that backend.
-//! - [`gateway`] — the daemon: acceptor + bounded queue + forwarding
-//!   workers that send each request and settle its answer when it comes
-//!   back (never waiting on a backend), transparent single-retry failover
+//! - [`gateway`] — the daemon: acceptor, a cap on requests in flight,
+//!   routing, and forwarding workers that settle each answer when it comes
+//!   back (nothing waits on a backend), transparent single-retry failover
 //!   to the next ring owner, and an aggregated fleet `STATUS`.
 //! - `session` — where a request goes: each client connection runs
 //!   act-serve's session loop, and the gateway supplies only its
-//!   `STATUS`, its drain, the admission of each pipelined request —
-//!   routed per request, so each fails over independently — and the
-//!   relay of chunked uploads over a dedicated backend connection.
+//!   `STATUS`, its drain, the admission, routing and send of each
+//!   pipelined request on the session's own thread — routed per request,
+//!   so each fails over independently — and the relay of chunked uploads
+//!   over a dedicated backend connection.
 //!
 //! Clients need no changes: `act request`, `act-client` and act-fleet
 //! campaigns point at the gateway address exactly as they would at a

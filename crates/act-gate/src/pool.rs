@@ -2,8 +2,11 @@
 //! that backend.
 //!
 //! A session carries up to its whole window of requests at once, so one
-//! per backend is plenty: a forwarding worker sends on it and returns, and
-//! the session's reader hands each answer back to the forwarding queue.
+//! per backend is plenty: a client's session thread sends on it and
+//! returns (so does a forwarding worker, for a retry or a failover hop),
+//! and the session's reader hands each answer to the forwarding queue. A
+//! sender blocks only while the window is full, or while a backend that
+//! stopped reading leaves the send unwritten.
 //! A session that dies, is discarded or is cleared is dropped — which
 //! closes its connection and fails whatever was still in flight on it —
 //! and the next forward (or the next health probe) opens a replacement.

@@ -4,11 +4,13 @@
 //! ([`act_serve::conn::run_session`]) — the same window, handshake,
 //! errors, one-upload rule and stream routing as a daemon — and this
 //! module is the gateway's side of it. `STATUS` gets the aggregated fleet
-//! view, and a routable request is admitted to the forwarding queue on
-//! its own, so requests from one session fail over *independently* (each
-//! picks its own backend by shard key) and replies go back out of order,
-//! tagged with the client's request ids, written by the forwarding
-//! workers.
+//! view, and the session thread admits, routes and sends each routable
+//! request itself, so requests from one session fail over
+//! *independently* (each picks its own backend by shard key) and replies
+//! go back out of order, tagged with the client's request ids, written by
+//! the forwarding workers that settle the backends' answers. A session
+//! whose backend's window is full, or whose backend stops reading, waits
+//! on that backend; no other session does.
 //!
 //! Chunked uploads cannot ride the shared backend sessions (a backend
 //! allows one inbound stream per session), so each `TRACE_PUT_START` /
@@ -20,7 +22,7 @@
 //! backend's verdict so a slow ingest cannot stall the session's other
 //! pipelined requests. An upload counts in `requests_in_flight` from its
 //! opener to its one reply, so a drain waits for the verdict; a draining
-//! gateway refuses new openers `BUSY`.
+//! gateway, or one at its in-flight cap, refuses new openers `BUSY`.
 
 use crate::gateway::{route_key, Forward, GateState};
 use act_obs::{events, Level};
@@ -67,7 +69,15 @@ impl SessionHost for GateState {
         self.begin_shutdown();
     }
 
+    /// Admit the request and send it to its ring owner from this session's
+    /// thread; past the in-flight cap, or in a drain, it is answered `BUSY`
+    /// and never sent.
     fn route(&self, session: &Arc<SessionShared>, request_id: u32, request: Request) {
+        if !self.enter() {
+            self.stats.rejected_busy.inc();
+            return session.send_final(request_id, &Reply::Busy);
+        }
+        self.stats.routed.inc();
         let key = route_key(&request).expect("routable requests carry a shard key");
         let forward = Forward {
             session: session.clone(),
@@ -76,18 +86,13 @@ impl SessionHost for GateState {
             key,
             accepted: Instant::now(),
         };
-        if self.admit(forward) {
-            self.stats.routed.inc();
-        } else {
-            self.stats.rejected_busy.inc();
-            session.send_final(request_id, &Reply::Busy);
-        }
+        self.dispatch(Arc::new(forward));
     }
 
     /// Count the upload in flight, then open its relay. A failed open or
     /// chunk is counted out as the session loop writes its `ERROR`.
     fn open(&self, opener: Request) -> Result<Relay, Reply> {
-        if !self.enter(|| true) {
+        if !self.enter() {
             return Err(Reply::Busy);
         }
         let key = route_key(&opener).expect("stream openers carry a shard key");

@@ -20,9 +20,15 @@
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
 //! - a drain wakes the acceptor blocked in `accept`, and answers every
 //!   forward in flight exactly once before `join` returns;
-//! - `join` returns only after every session thread has ended;
-//! - a gateway queue held full by a window-1 backend answers `BUSY`, and
-//!   the client retry absorbs it;
+//! - `join` returns only after every session thread has ended, and within
+//!   a second of a drain with session threads parked;
+//! - one-shot requests reuse parked session threads instead of spawning
+//!   one per connection;
+//! - a backend that stops reading stalls only the sessions that send to
+//!   it;
+//! - a request past the in-flight cap (`queue_depth`) is answered `BUSY`
+//!   and never reaches a backend; with the cap held by a window-1 backend,
+//!   the client retry absorbs the `BUSY`;
 //! - any interleaving of pipelined requests through a 2-backend gateway
 //!   yields the replies the owners give one frame at a time (proptest).
 
@@ -715,13 +721,12 @@ fn a_drain_wakes_the_blocked_acceptor() {
 #[test]
 fn client_retry_rides_through_a_gateway_queue_spike() {
     // The backend grants its pooled session a window of 1 and holds every
-    // answer until the test releases it. With one forwarding worker and a
-    // one-deep queue, the gateway holds three requests — one on the
-    // backend, one in the worker waiting for the window, one queued — and
-    // answers the rest BUSY; the act-client retry absorbs that. The
-    // backend is released only once every client's first try has been
-    // admitted or refused, so the queue drains long before any retry,
-    // which waits at least half its 400 ms backoff.
+    // answer until the test releases it. With `queue_depth: 1` the gateway
+    // holds one request — on the backend — and answers the rest BUSY; the
+    // act-client retry absorbs that. The backend is released only once
+    // every client's first try has been admitted or refused, so the held
+    // request is answered long before any retry, which waits at least half
+    // its 400 ms backoff.
     let released = Arc::new(AtomicBool::new(false));
     let hold = released.clone();
     let stub = spawn_stub_with(1, move |_| {
@@ -773,6 +778,151 @@ fn client_retry_rides_through_a_gateway_queue_spike() {
 
     gate.shutdown();
     gate.join();
+}
+
+/// The gateway's own `session_threads_started`, read on a one-shot
+/// connection (which may start one more).
+fn gate_threads_started(gate: &Gateway) -> u64 {
+    let mut conn = TcpStream::connect(gate.tcp_addr()).expect("connect");
+    status_counter(&mut conn, 1, "session_threads_started")
+}
+
+/// A client that sends one request per connection and hangs up finds a
+/// session thread parked by the connection before it, instead of costing
+/// the gateway a thread spawn each.
+#[test]
+fn one_shot_requests_reuse_parked_session_threads() {
+    let (backend, gate) = daemon_and_gateway();
+    let client = gate_client(&gate);
+    let spec = tiny_spec("seq", 0);
+    client.train(&spec).expect("warm-up");
+    let before = gate_threads_started(&gate);
+    for _ in 0..50 {
+        client.train(&spec).expect("train through the gateway");
+    }
+    let started = gate_threads_started(&gate) - before;
+    assert!(started <= 5, "51 one-shot connections started {started} session threads");
+
+    gate.shutdown();
+    gate.join();
+    backend.shutdown();
+    backend.join();
+}
+
+/// A drain ends the parked session threads at once: `join` does not wait
+/// out their park.
+#[test]
+fn join_returns_promptly_with_session_threads_parked() {
+    let (backend, gate) = daemon_and_gateway();
+    for _ in 0..3 {
+        assert!(gate_threads_started(&gate) >= 1, "STATUS came from a session thread");
+    }
+    let stats = gate.stats().clone();
+    gate.shutdown();
+    let drained = Instant::now();
+    gate.join();
+    assert!(drained.elapsed() < Duration::from_secs(1), "join took {:?}", drained.elapsed());
+    assert_eq!(stats.sessions_open(), 0);
+    backend.shutdown();
+    backend.join();
+}
+
+#[test]
+fn a_backend_that_stops_reading_stalls_only_the_sessions_sending_to_it() {
+    // Backend 0 grants its pooled session a window of 1, reads one
+    // request, and then neither answers nor reads until released.
+    let released = Arc::new(AtomicBool::new(false));
+    let hold = released.clone();
+    let stalled = spawn_stub_with(1, move |_| {
+        while !hold.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Reply::Trained("stub".into())
+    });
+    let real = boot_backend();
+    // One forwarding worker: a worker that sent to the stalled backend
+    // would hold up every other session's requests.
+    let cfg = GateConfig {
+        backends: vec![stalled.addr.clone(), addr_of(&real)],
+        workers: 1,
+        connect_timeout: Duration::from_millis(500),
+        probe_interval: Duration::from_millis(100),
+        probe_timeout: Duration::from_millis(500),
+        ..GateConfig::default()
+    };
+    let gate = Gateway::start(cfg).expect("gateway boots");
+    let addr = gate.tcp_addr().to_string();
+
+    // Two requests for the stalled backend: the first fills its window,
+    // so the second waits for a slot that does not come.
+    let stuck = Request::Train(tiny_spec("seq", seed_owned_by(&gate, "seq", 0)));
+    let mut waiting = raw_session(&addr, 4);
+    send_all(&mut waiting, 1, std::slice::from_ref(&stuck));
+    send_all(&mut waiting, 2, std::slice::from_ref(&stuck));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while gate.stats().requests_in_flight() < 2 {
+        assert!(Instant::now() < deadline, "the two requests never got admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Another session's request routes to the live backend and is served.
+    let spec = tiny_spec("seq", seed_owned_by(&gate, "seq", 1));
+    let other = Client::builder()
+        .addr(addr.clone())
+        .timeouts(Duration::from_secs(2), Duration::from_secs(5))
+        .build()
+        .expect("client builds");
+    let summary = other.train(&spec).expect("a session sending elsewhere is not stalled");
+    assert!(summary.contains("trained seq"), "odd summary: {summary}");
+
+    // Released, the stalled backend answers both, in order.
+    released.store(true, Ordering::SeqCst);
+    waiting.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let stub = Reply::Trained("stub".into());
+    assert_eq!(read_reply(&mut waiting), (1, stub.clone()));
+    assert_eq!(read_reply(&mut waiting), (2, stub));
+
+    gate.shutdown();
+    gate.join();
+    real.shutdown();
+    real.join();
+}
+
+#[test]
+fn a_request_past_the_in_flight_cap_gets_busy_and_is_never_sent() {
+    let backend = boot_backend();
+    let cfg = GateConfig {
+        backends: vec![addr_of(&backend)],
+        queue_depth: 1,
+        connect_timeout: Duration::from_millis(500),
+        probe_timeout: Duration::from_millis(500),
+        ..GateConfig::default()
+    };
+    let gate = Gateway::start(cfg).expect("gateway boots");
+    let mut session = raw_session(&gate.tcp_addr().to_string(), 4);
+    let sleeper = Request::Train(ModelSpec { seed: 500, ..ModelSpec::new("__sleep") });
+    send_all(&mut session, 1, &[sleeper]);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while gate.stats().requests_in_flight() < 1 {
+        assert!(Instant::now() < deadline, "the sleeper never got admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // One forward is out, so the next request is refused at the door.
+    send_all(&mut session, 2, &[Request::Train(tiny_spec("seq", 0))]);
+    assert_eq!(read_reply(&mut session), (2, Reply::Busy));
+    assert_eq!(read_reply(&mut session), (1, Reply::Trained("slept 500ms".into())));
+    assert_eq!(gate.stats().rejected_busy(), 1);
+
+    // The backend read the sleeper and nothing else.
+    let direct = Client::builder().addr(addr_of(&backend)).build().expect("client builds");
+    let snap = direct.status().expect("backend status").metrics.expect("metrics");
+    assert_eq!(snap.counter("req_train"), Some(1), "the refused request reached the backend");
+
+    gate.shutdown();
+    gate.join();
+    backend.shutdown();
+    backend.join();
 }
 
 #[test]

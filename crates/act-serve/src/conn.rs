@@ -4,7 +4,11 @@
 //! every connection, [`run_session`].
 //!
 //! The acceptor blocks in `accept` and never reads: every connection is a
-//! session on a thread of its own. Its first frame decides the window: a
+//! session on a thread of its own. The acceptor hands a connection to a
+//! session thread that an ended session left parked, and spawns a thread
+//! only when none is; it never waits for one. A parked thread that gets
+//! no connection within [`PARK`] exits, and a drain ends every parked
+//! thread at once. A connection's first frame decides the window: a
 //! `HELLO` asks for one (capped at [`SESSION_WINDOW`]), and any other first
 //! frame opens a window-1 session with that frame as its first request —
 //! so a client that wants one reply still sends one frame and reads one.
@@ -24,7 +28,7 @@
 //! delayed ACK fires, up to 40 ms later.
 
 use crate::client::{connect_tcp, ClientConfig, Endpoint};
-use crate::proto::{encode_frame, read_frame, write_frame, Frame, FrameKind, ProtoError};
+use crate::proto::{read_frame, Frame, FrameKind, ProtoError};
 use crate::proto::{Reply, Request};
 use act_obs::{events, Counter, Gauge, Level, Registry};
 use std::collections::VecDeque;
@@ -32,8 +36,8 @@ use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Ceiling on the in-flight window a `HELLO` can ask for (and what a
 /// `HELLO` asking for 0 gets).
@@ -50,6 +54,12 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Connect timeout of the connection a drain opens to wake an acceptor.
 const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long a session thread whose connection ended waits, parked, for
+/// the acceptor to hand it the next one before it exits. A client that
+/// sends one request per connection finds a parked thread every time, so
+/// it pays a hand-off instead of a thread spawn and teardown.
+pub const PARK: Duration = Duration::from_secs(5);
 
 /// A bound listening socket, TCP or Unix-domain.
 #[derive(Debug)]
@@ -103,12 +113,13 @@ impl Listener {
 }
 
 /// The accept loop both daemons run, one per listener: block in `accept`
-/// and run `session` on a thread of its own (named `session_thread`) for
-/// each connection, until `draining` is set. The flag is checked after
-/// every accept, and the connection that woke the loop then is dropped
-/// without a session — a drain sets the flag, then [`wake`]s the loop
-/// with a connection of its own. Each session thread is counted in
-/// `sessions` from before its spawn until it ends.
+/// and hand each connection to a parked session thread of `sessions`, or
+/// run `session` on a new thread (named `session_thread`) when none is
+/// parked, until `draining` is set. The flag is checked after every
+/// accept, and the connection that woke the loop then is dropped without
+/// a session — a drain sets the flag, then [`wake`]s the loop with a
+/// connection of its own. On the way out the loop ends every thread
+/// parked in `sessions`.
 pub fn accept_loop<F>(
     listener: &Listener,
     draining: &AtomicBool,
@@ -125,60 +136,142 @@ pub fn accept_loop<F>(
         }
         match accepted {
             Ok(conn) => {
-                let session = session.clone();
-                let live = sessions.enter();
-                let spawned =
-                    std::thread::Builder::new().name(session_thread.to_string()).spawn(move || {
-                        let _live = live;
-                        session(conn);
-                    });
-                if spawned.is_err() {
-                    let why = format!("failed to spawn {session_thread}");
-                    events().emit(Level::Warn, "conn.accept", why);
+                if let Err(conn) = sessions.hand_off(conn) {
+                    sessions.spawn(session_thread, conn, session.clone());
                 }
             }
             Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
+    sessions.close();
 }
 
-/// The session threads a daemon's accept loops started that have not
-/// ended yet. A daemon's `join` waits for them after its acceptors stop,
-/// so the process never exits under a session still writing its last
-/// frame (the `BYE` that answers a `SHUTDOWN`); an idle session leaves
-/// within 25 ms of a drain. A connection costs one lock to enter and
-/// one to leave.
+/// The session threads of a daemon's accept loops, counted from spawn to
+/// exit, and the ones among them parked between connections. A daemon's
+/// `join` waits for them after its acceptors stop, so the process never
+/// exits under a session still writing its last frame (the `BYE` that
+/// answers a `SHUTDOWN`): an idle session leaves within 25 ms of a drain,
+/// and a parked thread at once. Every thread spawned counts in
+/// `session_threads_started`; a hand-off to a parked thread does not.
 #[derive(Debug, Default)]
 pub struct SessionThreads {
-    live: Mutex<usize>,
+    threads: Mutex<Threads>,
+    /// Signaled for a parked thread: a connection was handed off, or the
+    /// loops stopped.
+    handed: Condvar,
+    /// Signaled when the last thread ends.
     ended: Condvar,
+    started: Counter,
+}
+
+/// The state behind [`SessionThreads`]' lock.
+#[derive(Debug, Default)]
+struct Threads {
+    /// Threads spawned and not yet ended, parked ones included.
+    live: usize,
+    /// Threads parked or on their way to park. Never fewer than the
+    /// connections in `handoffs`: each one has a thread to take it.
+    parked: usize,
+    /// Connections handed to parked threads and not yet taken.
+    handoffs: VecDeque<Conn>,
+    /// Set once an accept loop stops: no thread parks any more.
+    closed: bool,
 }
 
 impl SessionThreads {
-    /// Count one session thread in until the returned guard drops.
-    fn enter(self: &Arc<Self>) -> LiveSession {
-        *self.live.lock().expect("session count lock") += 1;
-        LiveSession(Arc::clone(self))
+    /// Session threads whose spawns count in `registry`'s
+    /// `session_threads_started`.
+    pub fn new(registry: &Registry) -> SessionThreads {
+        SessionThreads { started: registry.counter("session_threads_started"), ..Self::default() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Threads> {
+        // No lock holder can panic mid-update, and a drop must not panic.
+        self.threads.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hand `conn` to a parked thread, if one is free to take it; else
+    /// give it back.
+    fn hand_off(&self, conn: Conn) -> Result<(), Conn> {
+        let mut threads = self.lock();
+        if threads.closed || threads.parked == threads.handoffs.len() {
+            return Err(conn);
+        }
+        threads.handoffs.push_back(conn);
+        drop(threads);
+        self.handed.notify_one();
+        Ok(())
+    }
+
+    /// Run `session` on `conn` on a new thread named `name`, which then
+    /// parks for the next connection. A failed spawn drops `conn`.
+    fn spawn<F>(self: &Arc<Self>, name: &str, conn: Conn, session: F)
+    where
+        F: Fn(Conn) + Send + 'static,
+    {
+        self.lock().live += 1;
+        let live = LiveSession(Arc::clone(self));
+        let spawned = std::thread::Builder::new().name(name.to_string()).spawn(move || {
+            let mut next = Some(conn);
+            while let Some(conn) = next {
+                session(conn);
+                next = live.0.park();
+            }
+        });
+        match spawned {
+            Ok(_) => self.started.inc(),
+            Err(_) => events().emit(Level::Warn, "conn.accept", format!("failed to spawn {name}")),
+        }
+    }
+
+    /// Park the calling thread until a connection is handed to it, for at
+    /// most [`PARK`]. `None` means it should exit: the wait ran out, or
+    /// the accept loops stopped.
+    fn park(&self) -> Option<Conn> {
+        let deadline = Instant::now() + PARK;
+        let mut threads = self.lock();
+        threads.parked += 1;
+        loop {
+            // A handed-off connection is taken even after a close: its
+            // session sees the drain and ends at once.
+            if let Some(conn) = threads.handoffs.pop_front() {
+                threads.parked -= 1;
+                return Some(conn);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if threads.closed || left.is_zero() {
+                threads.parked -= 1;
+                return None;
+            }
+            threads =
+                self.handed.wait_timeout(threads, left).unwrap_or_else(PoisonError::into_inner).0;
+        }
+    }
+
+    /// Let no thread park any more, and end the parked ones.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.handed.notify_all();
     }
 
     /// Block until every counted session thread has ended.
     pub fn wait(&self) {
-        let mut live = self.live.lock().expect("session count lock");
-        while *live > 0 {
-            live = self.ended.wait(live).expect("session count lock");
+        let mut threads = self.lock();
+        while threads.live > 0 {
+            threads = self.ended.wait(threads).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-/// One session thread's place in its [`SessionThreads`].
+/// One session thread's place in its [`SessionThreads`], from its spawn
+/// until it ends (or its spawn fails).
 struct LiveSession(Arc<SessionThreads>);
 
 impl Drop for LiveSession {
     fn drop(&mut self) {
-        // No lock holder can panic mid-update, and a drop must not panic.
-        let mut live = self.0.live.lock().unwrap_or_else(PoisonError::into_inner);
-        *live -= 1;
-        if *live == 0 {
+        let mut threads = self.0.lock();
+        threads.live -= 1;
+        if threads.live == 0 {
             self.0.ended.notify_all();
         }
     }
@@ -339,11 +432,10 @@ impl SessionShared {
     /// Count and write one reply frame tagged with the request id it
     /// answers.
     pub fn send(&self, request_id: u32, reply: &Reply) {
-        let frame = reply.to_frame().with_request(request_id);
-        self.stats.note_frame(frame.kind);
-        let mut w = self.writer.lock().expect("session writer lock");
-        // A vanished client is noticed by the session reader; move on.
-        let _ = write_frame(&mut *w, &frame);
+        let mut buf = Vec::new();
+        reply.encode_into(request_id, &mut buf);
+        self.stats.note_frame(reply.kind());
+        self.write(&buf);
     }
 
     /// Send the final reply for a request holding a window slot,
@@ -364,13 +456,17 @@ impl SessionShared {
         }
         let mut buf = Vec::new();
         for (request_id, reply) in replies {
-            let frame = reply.to_frame().with_request(*request_id);
-            self.stats.note_frame(frame.kind);
-            encode_frame(&mut buf, &frame);
+            reply.encode_into(*request_id, &mut buf);
+            self.stats.note_frame(reply.kind());
         }
+        self.write(&buf);
+    }
+
+    /// Write whole frames under the writer lock.
+    fn write(&self, frames: &[u8]) {
         let mut w = self.writer.lock().expect("session writer lock");
         // A vanished client is noticed by the session reader; move on.
-        let _ = w.write_all(&buf).and_then(|()| w.flush());
+        let _ = w.write_all(frames).and_then(|()| w.flush());
     }
 
     /// Claim one window slot; `false` means the window is full.

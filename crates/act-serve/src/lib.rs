@@ -11,7 +11,8 @@
 //!
 //! ```text
 //!  clients ── TCP / Unix socket ──► acceptor threads (accept only)
-//!                                          │ one thread per connection
+//!                                          │ one thread per connection,
+//!                                          │ parked between connections
 //!                                          ▼
 //!   session loop (conn::run_session, act-gate runs it too): first frame
 //!   HELLO → asked window, else window 1; STATUS / SHUTDOWN answered here;

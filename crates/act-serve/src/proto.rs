@@ -269,13 +269,39 @@ pub fn write_frame<W: Write>(mut w: W, frame: &Frame) -> io::Result<()> {
 /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a caller bug: requests
 /// are built by this crate and replies are bounded text).
 pub fn encode_frame(buf: &mut Vec<u8>, frame: &Frame) {
-    assert!(frame.payload.len() <= MAX_PAYLOAD as usize, "frame payload too large");
+    encode_in_place(buf, frame.kind, frame.request_id, |b| b.extend_from_slice(&frame.payload));
+}
+
+/// Append a `STREAM_CHUNK` frame carrying `bytes` under `request_id` to
+/// `buf`: the bytes [`encode_frame`] gives the same chunk as a [`Frame`],
+/// copied once, straight from the caller's read buffer.
+///
+/// # Panics
+///
+/// Panics if `bytes` exceeds [`MAX_CHUNK`].
+pub fn encode_chunk(buf: &mut Vec<u8>, request_id: u32, bytes: &[u8]) {
+    assert!(bytes.len() <= MAX_CHUNK as usize, "stream chunk over MAX_CHUNK");
+    encode_in_place(buf, FrameKind::StreamChunk, request_id, |b| b.extend_from_slice(bytes));
+}
+
+/// Append one frame of `kind` under `request_id` to `buf`, its payload
+/// written in place by `payload`: the header goes first, with the length
+/// patched in once the payload is there, so no payload is built apart
+/// and copied.
+fn encode_in_place(
+    buf: &mut Vec<u8>,
+    kind: FrameKind,
+    request_id: u32,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = buf.len();
     buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    buf.push(frame.kind as u8);
-    buf.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame.request_id.to_le_bytes());
-    buf.extend_from_slice(&frame.payload);
+    buf.extend_from_slice(&[VERSION, kind as u8, 0, 0, 0, 0]);
+    buf.extend_from_slice(&request_id.to_le_bytes());
+    payload(buf);
+    let len = buf.len() - start - HEADER_LEN;
+    assert!(len <= MAX_PAYLOAD as usize, "frame payload too large");
+    buf[start + 6..start + PREFIX_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Read one frame from `r`, validating magic, version, kind, and length
@@ -439,55 +465,66 @@ pub enum Request {
 impl Request {
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
+        let mut payload = Vec::new();
+        self.put_payload(&mut payload);
+        Frame::new(self.kind(), payload)
+    }
+
+    /// Append this request's frame under `request_id` to `buf`: the bytes
+    /// [`encode_frame`] gives `self.to_frame().with_request(request_id)`,
+    /// with the payload written once, straight into `buf`.
+    ///
+    /// # Panics
+    ///
+    /// As [`encode_frame`], and on a `STREAM_CHUNK` over [`MAX_CHUNK`].
+    pub fn encode_into(&self, request_id: u32, buf: &mut Vec<u8>) {
+        encode_in_place(buf, self.kind(), request_id, |b| self.put_payload(b));
+    }
+
+    /// The frame kind this request travels as.
+    fn kind(&self) -> FrameKind {
         match self {
-            Request::Train(spec) => {
-                let mut payload = Vec::new();
-                spec.encode_into(&mut payload);
-                Frame::new(FrameKind::Train, payload)
-            }
+            Request::Train(_) => FrameKind::Train,
+            Request::Diagnose(..) => FrameKind::Diagnose,
+            Request::Status => FrameKind::Status,
+            Request::Shutdown => FrameKind::Shutdown,
+            Request::TracePut { .. } => FrameKind::TracePut,
+            Request::TraceGet { .. } => FrameKind::TraceGet,
+            Request::Hello { .. } => FrameKind::Hello,
+            Request::TracePutStart { .. } => FrameKind::TracePutStart,
+            Request::DiagnoseStart(_) => FrameKind::DiagnoseStart,
+            Request::StreamChunk(_) => FrameKind::StreamChunk,
+            Request::StreamEnd { .. } => FrameKind::StreamEnd,
+        }
+    }
+
+    /// Append this request's payload to `buf`.
+    fn put_payload(&self, buf: &mut Vec<u8>) {
+        match self {
+            Request::Train(spec) | Request::DiagnoseStart(spec) => spec.encode_into(buf),
             Request::Diagnose(spec, trace) => {
-                let mut payload = Vec::new();
-                spec.encode_into(&mut payload);
-                put_bytes(&mut payload, trace);
-                Frame::new(FrameKind::Diagnose, payload)
+                spec.encode_into(buf);
+                put_bytes(buf, trace);
             }
-            Request::Status => Frame::new(FrameKind::Status, Vec::new()),
-            Request::Shutdown => Frame::new(FrameKind::Shutdown, Vec::new()),
+            Request::Status | Request::Shutdown => {}
             Request::TracePut { key, workload, trace } => {
-                let mut payload = Vec::new();
-                put_str(&mut payload, key);
-                put_str(&mut payload, workload);
-                put_bytes(&mut payload, trace);
-                Frame::new(FrameKind::TracePut, payload)
+                put_str(buf, key);
+                put_str(buf, workload);
+                put_bytes(buf, trace);
             }
-            Request::TraceGet { key } => {
-                let mut payload = Vec::new();
-                put_str(&mut payload, key);
-                Frame::new(FrameKind::TraceGet, payload)
-            }
-            Request::Hello { window } => {
-                Frame::new(FrameKind::Hello, window.to_le_bytes().to_vec())
-            }
+            Request::TraceGet { key } => put_str(buf, key),
+            Request::Hello { window } => buf.extend_from_slice(&window.to_le_bytes()),
             Request::TracePutStart { key, workload } => {
-                let mut payload = Vec::new();
-                put_str(&mut payload, key);
-                put_str(&mut payload, workload);
-                Frame::new(FrameKind::TracePutStart, payload)
-            }
-            Request::DiagnoseStart(spec) => {
-                let mut payload = Vec::new();
-                spec.encode_into(&mut payload);
-                Frame::new(FrameKind::DiagnoseStart, payload)
+                put_str(buf, key);
+                put_str(buf, workload);
             }
             Request::StreamChunk(bytes) => {
                 assert!(bytes.len() <= MAX_CHUNK as usize, "stream chunk over MAX_CHUNK");
-                Frame::new(FrameKind::StreamChunk, bytes.clone())
+                buf.extend_from_slice(bytes);
             }
             Request::StreamEnd { crc32, total_len } => {
-                let mut payload = Vec::new();
-                payload.extend_from_slice(&crc32.to_le_bytes());
-                payload.extend_from_slice(&total_len.to_le_bytes());
-                Frame::new(FrameKind::StreamEnd, payload)
+                buf.extend_from_slice(&crc32.to_le_bytes());
+                buf.extend_from_slice(&total_len.to_le_bytes());
             }
         }
     }
@@ -576,23 +613,51 @@ pub enum Reply {
 impl Reply {
     /// Encode to a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let (kind, payload) = match self {
-            Reply::Trained(s) => (FrameKind::Trained, s.clone().into_bytes()),
-            Reply::Diagnosis(s) => (FrameKind::Diagnosis, s.clone().into_bytes()),
-            Reply::StatusMetrics(s, snap) => {
-                let mut payload = Vec::new();
-                put_str(&mut payload, s);
-                payload.extend_from_slice(&snap.to_bytes());
-                (FrameKind::StatusMetrics, payload)
+        let mut payload = Vec::new();
+        self.put_payload(&mut payload);
+        Frame::new(self.kind(), payload)
+    }
+
+    /// Append this reply's frame under `request_id` to `buf`: the bytes
+    /// [`encode_frame`] gives `self.to_frame().with_request(request_id)`,
+    /// with the payload written once, straight into `buf`.
+    ///
+    /// # Panics
+    ///
+    /// As [`encode_frame`].
+    pub fn encode_into(&self, request_id: u32, buf: &mut Vec<u8>) {
+        encode_in_place(buf, self.kind(), request_id, |b| self.put_payload(b));
+    }
+
+    /// The frame kind this reply travels as.
+    pub(crate) fn kind(&self) -> FrameKind {
+        match self {
+            Reply::Trained(_) => FrameKind::Trained,
+            Reply::Diagnosis(_) => FrameKind::Diagnosis,
+            Reply::StatusMetrics(..) => FrameKind::StatusMetrics,
+            Reply::Stored(_) => FrameKind::Stored,
+            Reply::TraceData(_) => FrameKind::TraceData,
+            Reply::HelloAck { .. } => FrameKind::HelloAck,
+            Reply::Bye => FrameKind::Bye,
+            Reply::Busy => FrameKind::Busy,
+            Reply::Error(_) => FrameKind::Error,
+        }
+    }
+
+    /// Append this reply's payload to `buf`.
+    fn put_payload(&self, buf: &mut Vec<u8>) {
+        match self {
+            Reply::Trained(s) | Reply::Diagnosis(s) | Reply::Stored(s) | Reply::Error(s) => {
+                buf.extend_from_slice(s.as_bytes());
             }
-            Reply::Stored(s) => (FrameKind::Stored, s.clone().into_bytes()),
-            Reply::TraceData(bytes) => (FrameKind::TraceData, bytes.clone()),
-            Reply::HelloAck { window } => (FrameKind::HelloAck, window.to_le_bytes().to_vec()),
-            Reply::Bye => (FrameKind::Bye, Vec::new()),
-            Reply::Busy => (FrameKind::Busy, Vec::new()),
-            Reply::Error(s) => (FrameKind::Error, s.clone().into_bytes()),
-        };
-        Frame::new(kind, payload)
+            Reply::StatusMetrics(s, snap) => {
+                put_str(buf, s);
+                buf.extend_from_slice(&snap.to_bytes());
+            }
+            Reply::TraceData(bytes) => buf.extend_from_slice(bytes),
+            Reply::HelloAck { window } => buf.extend_from_slice(&window.to_le_bytes()),
+            Reply::Bye | Reply::Busy => {}
+        }
     }
 
     /// Decode a reply frame. A `TRACE_DATA` or text reply taken by value
@@ -819,13 +884,26 @@ mod tests {
             Request::StreamChunk(b"S 1 6 0 15 200\n".to_vec()),
             Request::StreamEnd { crc32: 42, total_len: 99 },
         ];
-        for req in reqs {
+        for (id, req) in (1u32..).zip(reqs) {
             let frame = req.to_frame();
             let mut wire = Vec::new();
             write_frame(&mut wire, &frame).unwrap();
             let back = read_frame(wire.as_slice()).unwrap();
             assert_eq!(Request::from_frame(&back).unwrap(), req, "borrowed");
             assert_eq!(Request::from_frame(back).unwrap(), req, "owned");
+
+            // Encoding in place gives the bytes of the frame built apart,
+            // after whatever the buffer already holds.
+            let mut framed = vec![0xaa];
+            encode_frame(&mut framed, &frame.with_request(id));
+            let mut direct = vec![0xaa];
+            req.encode_into(id, &mut direct);
+            assert_eq!(direct, framed, "{req:?}");
+            if let Request::StreamChunk(bytes) = &req {
+                let mut chunk = vec![0xaa];
+                encode_chunk(&mut chunk, id, bytes);
+                assert_eq!(chunk, framed, "a chunk from a borrowed slice");
+            }
         }
     }
 
@@ -842,13 +920,19 @@ mod tests {
             Reply::Busy,
             Reply::Error("unknown workload".into()),
         ];
-        for reply in replies {
+        for (id, reply) in (1u32..).zip(replies) {
             let frame = reply.to_frame();
             let mut wire = Vec::new();
             write_frame(&mut wire, &frame).unwrap();
             let back = read_frame(wire.as_slice()).unwrap();
             assert_eq!(Reply::from_frame(&back).unwrap(), reply, "borrowed");
             assert_eq!(Reply::from_frame(back).unwrap(), reply, "owned");
+
+            let mut framed = vec![0xaa];
+            encode_frame(&mut framed, &frame.with_request(id));
+            let mut direct = vec![0xaa];
+            reply.encode_into(id, &mut direct);
+            assert_eq!(direct, framed, "{reply:?}");
         }
     }
 

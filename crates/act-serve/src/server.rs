@@ -3,8 +3,10 @@
 //! `STATUS`.
 //!
 //! Life of a request: an acceptor thread accepts the connection and hands
-//! it to a session thread of its own; the acceptor never reads. The
-//! session runs the loop both daemons share ([`crate::conn::run_session`]):
+//! it to a session thread of its own — one that an ended connection left
+//! parked, or a new one when none is (see [`crate::conn::accept_loop`]);
+//! the acceptor never reads. The session runs the loop both daemons share
+//! ([`crate::conn::run_session`]):
 //! its first frame decides its window, `STATUS` and `SHUTDOWN` are answered
 //! there — always serviceable, even with a full queue — and every other
 //! request claims a window slot or gets `BUSY`. The daemon is the loop's
@@ -16,8 +18,9 @@
 //! accepted-then-dropped. Workers drain the queue (see [`crate::pool`])
 //! and write replies onto the session; `SHUTDOWN` (or
 //! [`Server::shutdown`], which the CLI wires to SIGINT) wakes the
-//! acceptors out of `accept` and stops them, closes the queue, and lets
-//! the workers finish every accepted job before [`Server::join`] returns.
+//! acceptors out of `accept` and stops them, ends the parked session
+//! threads, closes the queue, and lets the workers finish every accepted
+//! job before [`Server::join`] returns.
 
 use crate::cache::{cache_hits_misses, CacheOutcome, ModelCache};
 use crate::client::Endpoint;
@@ -476,9 +479,9 @@ impl Server {
             wake: listeners.iter().map(|(_, l)| l.wake_endpoint()).collect::<io::Result<_>>()?,
         });
         let mut server = Server {
+            sessions: Arc::new(SessionThreads::new(&daemon.stats.registry)),
             daemon,
             threads: Vec::new(),
-            sessions: Arc::default(),
             tcp_addr,
             unix_path: cfg.unix_path.clone(),
         };
@@ -555,8 +558,9 @@ impl Server {
     }
 
     /// Wait for the drain to finish (acceptors stopped, every accepted job
-    /// answered, every session thread ended — so a `SHUTDOWN`'s `BYE` is
-    /// out). Removes the Unix socket file on the way out.
+    /// answered, every session thread ended, parked ones included — so a
+    /// `SHUTDOWN`'s `BYE` is out). Removes the Unix socket file on the way
+    /// out.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();

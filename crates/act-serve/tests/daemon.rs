@@ -11,7 +11,10 @@
 //! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
 //! - a client that connects and stays silent holds up nobody else;
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
-//! - `join` returns only after every session thread has ended;
+//! - `join` returns only after every session thread has ended, and within
+//!   a second of a drain with session threads parked;
+//! - one-shot requests reuse parked session threads instead of spawning
+//!   one per connection;
 //! - a start that fails on its second listener leaves the first unbound.
 
 use act_serve::client::{ClientConfig, ClientError, Endpoint};
@@ -24,7 +27,7 @@ use act_workloads::registry;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boot a daemon on 127.0.0.1:0 and return it with its client endpoint.
 fn boot(workers: usize, queue_depth: usize) -> (Server, Endpoint) {
@@ -104,6 +107,17 @@ fn request_under(
 /// [`request_under`] with the default client timeouts.
 fn request(endpoint: &Endpoint, request: &Request) -> Result<Reply, ClientError> {
     request_under(endpoint, request, &ClientConfig::default())
+}
+
+/// The session threads the daemon at `endpoint` has spawned so far, from
+/// its `STATUS` snapshot.
+fn threads_started(endpoint: &Endpoint) -> u64 {
+    match request(endpoint, &Request::Status).expect("status reply") {
+        Reply::StatusMetrics(_, snap) => {
+            snap.counter("session_threads_started").expect("session_threads_started counter")
+        }
+        other => panic!("unexpected status reply: {other:?}"),
+    }
 }
 
 fn status_of(endpoint: &Endpoint) -> String {
@@ -495,6 +509,41 @@ fn join_waits_for_every_session_thread() {
     server.join();
     let open = stats.metrics_snapshot(Duration::ZERO, 0, 0).gauge("sessions_open");
     assert_eq!(open, Some(0), "join returned under a live session thread");
+}
+
+/// A client that sends one request per connection and hangs up — how a
+/// production machine reports a failure — finds a session thread parked
+/// by the connection before it, instead of costing a thread spawn each.
+#[test]
+fn one_shot_requests_reuse_parked_session_threads() {
+    let (server, endpoint) = boot(1, 4);
+    let train = Request::Train(tiny_spec("seq"));
+    assert!(matches!(request(&endpoint, &train).expect("warm-up"), Reply::Trained(_)));
+    let before = threads_started(&endpoint);
+    for _ in 0..50 {
+        assert!(matches!(request(&endpoint, &train).expect("train"), Reply::Trained(_)));
+    }
+    let started = threads_started(&endpoint) - before;
+    assert!(started <= 5, "51 one-shot connections started {started} session threads");
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+}
+
+/// A drain ends the parked session threads at once: `join` does not wait
+/// out their park.
+#[test]
+fn join_returns_promptly_with_session_threads_parked() {
+    let (server, endpoint) = boot(1, 4);
+    for _ in 0..3 {
+        assert!(threads_started(&endpoint) >= 1, "STATUS came from a session thread");
+    }
+    let stats = server.stats();
+    server.shutdown();
+    let drained = Instant::now();
+    server.join();
+    assert!(drained.elapsed() < Duration::from_secs(1), "join took {:?}", drained.elapsed());
+    let open = stats.metrics_snapshot(Duration::ZERO, 0, 0).gauge("sessions_open");
+    assert_eq!(open, Some(0));
 }
 
 #[test]

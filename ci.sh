@@ -3,6 +3,12 @@
 # workspace has zero registry dependencies; see DESIGN.md §6).
 set -eux
 
+# The lock files must already match the manifests: a dependency change that
+# would rewrite Cargo.lock, or the benchmark's own perfbench/Cargo.lock,
+# fails here instead of changing the file during a later build.
+cargo metadata --locked --offline --format-version 1 > /dev/null
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path perfbench/Cargo.toml > /dev/null
 cargo fmt --all --check
 # Every crate of the workspace — simulator, NN, workloads, harness and
 # service stack, with their tests, benches and examples — stays lint-clean.

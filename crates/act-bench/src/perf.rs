@@ -153,10 +153,10 @@ pub fn classify_predictions_per_sec(target: Duration) -> f64 {
 
 /// The classify loop of [`classify_predictions_per_sec`] with live
 /// observability on top: a [`LocalCounter`] bump per prediction, flushed
-/// into a registered `act-obs` counter every 256 ops — the exact
-/// per-module instrumentation pattern `ActModule` and the daemon use. The
-/// gap between this and the plain classify bench *is* the enabled-but-idle
-/// overhead of the obs layer; the acceptance budget is < 3%.
+/// into a registered `act-obs` counter every 256 ops — the pattern a
+/// per-dependence counter on the classify path would follow. The gap
+/// between this and the plain classify bench *is* the overhead of such a
+/// counter; the budget is < 3%.
 pub fn obs_classify_predictions_per_sec(target: Duration) -> f64 {
     const SEQ_LEN: usize = 2;
     const IGB_CAP: usize = 8;

@@ -9,9 +9,9 @@
 //! only on a thread that set the thread-local `COUNTED` flag, so the
 //! harness's threads and any sibling test cannot trip the counter.
 
-//! The loop also runs with observability enabled — a per-prediction
-//! `LocalCounter` flushed amortized into a registered `act-obs` counter —
-//! pinning that the obs layer keeps the same zero-allocation contract.
+//! The loop also counts its predictions — a per-prediction `LocalCounter`
+//! flushed amortized into a registered `act-obs` counter — pinning that
+//! the obs layer keeps the same zero-allocation contract.
 
 use act_core::encoding::{Encoder, FEATURES_PER_DEP};
 use act_nn::network::{Network, Topology};
@@ -78,9 +78,9 @@ fn classify_and_online_train_do_not_allocate_in_steady_state() {
         })
         .collect();
 
-    // Observability enabled: registration (cold) may allocate, recording
-    // (hot) must not. The shape mirrors ActModule: a local counter per
-    // prediction, flushed to the shared cell on the check interval.
+    // Observability on the loop: registration (cold) may allocate,
+    // recording (hot) must not. A local counter per prediction, flushed to
+    // the shared cell every 200 steps.
     let registry = Registry::new();
     let predictions = registry.counter("predictions");
     let mut local = LocalCounter::default();

@@ -97,12 +97,7 @@ mod tests {
     }
 
     fn done(id: usize, out: JobOutput) -> JobResult {
-        JobResult {
-            job: job(id),
-            outcome: JobOutcome::Completed(out),
-            wall: Duration::ZERO,
-            queued: Duration::ZERO,
-        }
+        JobResult { job: job(id), outcome: JobOutcome::Completed(out), wall: Duration::ZERO }
     }
 
     #[test]
@@ -114,7 +109,6 @@ mod tests {
                 job: job(2),
                 outcome: JobOutcome::Crashed { message: "boom".into() },
                 wall: Duration::ZERO,
-                queued: Duration::ZERO,
             },
         ];
         let agg = aggregate(&results);

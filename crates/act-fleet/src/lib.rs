@@ -96,30 +96,16 @@ where
     }
 }
 
-/// Publish a finished campaign's timing into the process-wide metrics
-/// registry (per-job queue-wait and run-time histograms, outcome
-/// counters) and emit progress events. Campaigns have no owning service
-/// object, so the global registry is the natural home; the serve daemon,
-/// by contrast, owns its own registry per server instance.
+/// Emit a finished campaign's progress events: one per crashed job, then
+/// a summary.
 fn record_campaign_obs(spec: &CampaignSpec, results: &[JobResult], total_ms: f64) {
-    let registry = act_obs::metrics::global();
-    let queue_wait = registry.histogram("fleet_job_queue_wait_us", &act_obs::latency_bounds_us());
-    let run_time = registry.histogram("fleet_job_run_us", &act_obs::latency_bounds_us());
-    let completed = registry.counter("fleet_jobs_completed");
-    let crashed = registry.counter("fleet_jobs_crashed");
     for result in results {
-        queue_wait.observe(result.queued.as_micros() as u64);
-        run_time.observe(result.wall.as_micros() as u64);
-        match &result.outcome {
-            JobOutcome::Completed(_) => completed.inc(),
-            JobOutcome::Crashed { message } => {
-                crashed.inc();
-                events().emit(
-                    Level::Warn,
-                    "fleet.job",
-                    format!("job {} ({}) crashed: {message}", result.job.id, result.job.workload),
-                );
-            }
+        if let JobOutcome::Crashed { message } = &result.outcome {
+            events().emit(
+                Level::Warn,
+                "fleet.job",
+                format!("job {} ({}) crashed: {message}", result.job.id, result.job.workload),
+            );
         }
     }
     let crashes = results.iter().filter(|r| !r.outcome.is_completed()).count();

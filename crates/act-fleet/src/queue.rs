@@ -62,11 +62,9 @@ impl<T> BoundedQueue<T> {
             return Err(item);
         }
         inner.items.push_back(item);
-        // Wakes every consumer parked in `pop`: one takes the item, the
-        // rest re-check and sleep again. Nothing else parks on this
-        // condvar, so `notify_one` would do; switching is a scheduling
-        // change and waits for a measurement.
-        self.nonempty.notify_all();
+        // One item needs one consumer: only `pop` parks on this condvar,
+        // and each push wakes a parked consumer of its own.
+        self.nonempty.notify_one();
         Ok(())
     }
 
@@ -122,11 +120,6 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
         self.nonempty.notify_all();
-    }
-
-    /// Whether [`close`](BoundedQueue::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock").closed
     }
 
     /// Items currently queued (racy by nature; for observability only).
@@ -197,6 +190,37 @@ mod tests {
         let mut all: Vec<u32> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
         all.sort_unstable();
         assert_eq!(all, (0..30).collect::<Vec<_>>(), "every item popped exactly once");
+    }
+
+    #[test]
+    fn parked_consumers_take_items_pushed_one_at_a_time() {
+        // No `close` until the end: a push that fails to wake a parked
+        // consumer leaves its item queued, and the receive times out.
+        let q = std::sync::Arc::new(BoundedQueue::new(4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumers: Vec<_> = (0..3)
+            .map(|_| {
+                let (q, tx) = (q.clone(), tx.clone());
+                std::thread::spawn(move || {
+                    while let Some(v) = q.pop() {
+                        tx.send(v).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for v in 0..20u32 {
+            // Give the consumers time to park in `pop` (not observable from
+            // outside). The check does not rest on it: an item pushed before
+            // a consumer parks is taken without a wake-up.
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            q.try_push(v).unwrap();
+            let got = rx.recv_timeout(std::time::Duration::from_secs(5));
+            assert_eq!(got, Ok(v), "item {v} was never taken by a parked consumer");
+        }
+        q.close();
+        for c in consumers {
+            c.join().unwrap();
+        }
     }
 
     #[test]

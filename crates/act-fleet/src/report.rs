@@ -322,13 +322,11 @@ mod tests {
                     JobOutput::default().int("cycles", 120).float("rate", 0.5).text("status", "ok"),
                 ),
                 wall: Duration::from_millis(3),
-                queued: Duration::ZERO,
             },
             JobResult {
                 job: JobDesc { id: 1, workload: "w\"x".into(), config: "default".into(), seed: 1 },
                 outcome: JobOutcome::Crashed { message: "index out of bounds\n(line 3)".into() },
                 wall: Duration::from_millis(1),
-                queued: Duration::ZERO,
             },
         ];
         let agg = aggregate(&results);

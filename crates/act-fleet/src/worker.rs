@@ -118,9 +118,6 @@ pub struct JobResult {
     /// Wall-clock time of the executor call (timing only — never part of
     /// the deterministic report section).
     pub wall: Duration,
-    /// How long the job sat in the queue before a worker claimed it,
-    /// measured from campaign start (timing only, like `wall`).
-    pub queued: Duration,
 }
 
 /// Run every job across `workers` threads through [`parallel_map`];
@@ -134,15 +131,13 @@ pub fn run_jobs<F>(jobs: &[JobDesc], workers: usize, exec: &F) -> Vec<JobResult>
 where
     F: Fn(&JobDesc) -> JobOutput + Sync,
 {
-    let epoch = Instant::now();
     parallel_map(jobs, workers, |_, job| {
-        let queued = epoch.elapsed();
         let start = Instant::now();
         let outcome = match catch_unwind(AssertUnwindSafe(|| exec(job))) {
             Ok(out) => JobOutcome::Completed(out),
             Err(payload) => JobOutcome::Crashed { message: panic_message(&*payload) },
         };
-        JobResult { job: job.clone(), outcome, wall: start.elapsed(), queued }
+        JobResult { job: job.clone(), outcome, wall: start.elapsed() }
     })
 }
 

@@ -1,14 +1,12 @@
-//! Bounded structured event ring with pluggable sinks.
+//! Structured events with pluggable sinks.
 //!
 //! Events are for *rare* occurrences — server start/stop, worker crash,
 //! campaign progress — not per-request or per-dependence traffic (that is
 //! what counters are for). Each event carries a level, a static target
 //! (dotted subsystem path like `serve.worker`), a wall-clock timestamp,
-//! and a small text payload. The newest `capacity` events are retained in
-//! a ring for STATUS-style introspection; sinks see every event as it is
-//! emitted.
+//! and a small text payload. Sinks see every event as it is emitted;
+//! nothing is retained, so with no sink attached an event costs one lock.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -82,24 +80,11 @@ impl Event {
     }
 }
 
-/// Where emitted events go, beyond the in-memory ring.
+/// Where emitted events go.
 pub trait EventSink: Send + Sync {
-    /// Handle one event. Called with the bus lock *not* held.
+    /// Handle one event. Called with the bus's sink list locked, so a sink
+    /// must not emit events itself.
     fn emit(&self, event: &Event);
-}
-
-/// Text sink to stderr: `[level target] message`.
-pub struct StderrSink {
-    /// Minimum level forwarded.
-    pub min_level: Level,
-}
-
-impl EventSink for StderrSink {
-    fn emit(&self, event: &Event) {
-        if event.level >= self.min_level {
-            eprintln!("[{} {}] {}", event.level, event.target, event.message);
-        }
-    }
 }
 
 /// JSONL sink: one JSON object per line, flushed per event so a crash or
@@ -124,44 +109,28 @@ impl EventSink for JsonlSink {
     }
 }
 
-/// A bounded event ring plus its sinks.
+/// An event bus: the sinks every emitted event is forwarded to.
+#[derive(Default)]
 pub struct Events {
-    ring: Mutex<VecDeque<Event>>,
     sinks: Mutex<Vec<Box<dyn EventSink>>>,
-    capacity: usize,
 }
 
 impl Events {
-    /// An event bus retaining the newest `capacity` events.
-    pub fn new(capacity: usize) -> Events {
-        Events {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            sinks: Mutex::new(Vec::new()),
-            capacity: capacity.max(1),
-        }
+    /// An event bus with no sinks.
+    pub fn new() -> Events {
+        Events::default()
     }
 
-    /// Emit one event: stamp it, append to the ring (evicting the oldest
-    /// past capacity), and forward to every sink.
+    /// Emit one event: stamp it and forward it to every sink. With no sink
+    /// attached the event is dropped unstamped.
     pub fn emit(&self, level: Level, target: &'static str, message: impl Into<String>) {
-        #[cfg(feature = "no-obs")]
-        {
-            let _ = (level, target, message.into());
+        let sinks = self.sinks.lock().expect("event sink lock");
+        if sinks.is_empty() {
+            return;
         }
-        #[cfg(not(feature = "no-obs"))]
-        {
-            let event = Event { level, target, unix_us: unix_us(), message: message.into() };
-            {
-                let mut ring = self.ring.lock().unwrap();
-                if ring.len() == self.capacity {
-                    ring.pop_front();
-                }
-                ring.push_back(event.clone());
-            }
-            let sinks = self.sinks.lock().unwrap();
-            for sink in sinks.iter() {
-                sink.emit(&event);
-            }
+        let event = Event { level, target, unix_us: unix_us(), message: message.into() };
+        for sink in sinks.iter() {
+            sink.emit(&event);
         }
     }
 
@@ -169,45 +138,24 @@ impl Events {
     pub fn add_sink(&self, sink: Box<dyn EventSink>) {
         self.sinks.lock().unwrap().push(sink);
     }
-
-    /// The retained events, oldest first.
-    pub fn recent(&self) -> Vec<Event> {
-        self.ring.lock().unwrap().iter().cloned().collect()
-    }
 }
 
 fn unix_us() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0)
 }
 
-/// The process-wide event bus (ring of 256). Sinks are installed by the
-/// binary (e.g. `act serve --event-log FILE` attaches a [`JsonlSink`]);
-/// libraries just [`emit`](Events::emit).
+/// The process-wide event bus. Sinks are installed by the binary (e.g.
+/// `act serve --event-log FILE` attaches a [`JsonlSink`]); libraries just
+/// [`emit`](Events::emit).
 pub fn events() -> &'static Events {
     static GLOBAL: OnceLock<Events> = OnceLock::new();
-    GLOBAL.get_or_init(|| Events::new(256))
+    GLOBAL.get_or_init(Events::new)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn ring_is_bounded_and_ordered() {
-        let bus = Events::new(3);
-        for i in 0..5 {
-            bus.emit(Level::Info, "test", format!("event {i}"));
-        }
-        let recent = bus.recent();
-        if crate::ENABLED {
-            assert_eq!(recent.len(), 3);
-            let messages: Vec<&str> = recent.iter().map(|e| e.message.as_str()).collect();
-            assert_eq!(messages, ["event 2", "event 3", "event 4"]);
-        } else {
-            assert!(recent.is_empty());
-        }
-    }
 
     #[test]
     fn sinks_see_every_event() {
@@ -219,13 +167,11 @@ mod tests {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let bus = Events::new(8);
+        let bus = Events::new();
         bus.emit(Level::Debug, "test", "before sink"); // not seen
         bus.add_sink(Box::new(CountingSink(AtomicUsize::new(0))));
         bus.emit(Level::Warn, "test", "after sink");
-        if crate::ENABLED {
-            assert_eq!(HITS.load(Ordering::SeqCst), 1);
-        }
+        assert_eq!(HITS.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -248,18 +194,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("act-obs-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-        let bus = Events::new(8);
+        let bus = Events::new();
         bus.add_sink(Box::new(JsonlSink::create(&path).unwrap()));
         bus.emit(Level::Info, "test", "hello");
         bus.emit(Level::Warn, "test", "world");
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        if crate::ENABLED {
-            assert_eq!(text.lines().count(), 2);
-            assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')), "{text}");
-            assert!(text.contains("\"msg\":\"hello\""), "{text}");
-        } else {
-            assert!(text.is_empty());
-        }
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')), "{text}");
+        assert!(text.contains("\"msg\":\"hello\""), "{text}");
     }
 }

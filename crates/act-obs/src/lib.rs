@@ -1,5 +1,5 @@
 //! Observability substrate for the ACT workspace: a lock-light metrics
-//! registry and a bounded structured event ring.
+//! registry and a structured event bus.
 //!
 //! The design splits the cost of observability into three phases so the
 //! hot path (classify: one retired RAW dependence per call, ~100 ns) never
@@ -20,28 +20,22 @@
 //!   [`MetricsSnapshot`] — a plain-data value that serializes to a compact
 //!   little-endian byte form ([`MetricsSnapshot::to_bytes`]) carried by the
 //!   act-serve STATUS reply, and renders as a text table
-//!   ([`MetricsSnapshot::render_table`]). Subsystems that keep plain-field
-//!   stats structs (act-sim `Stats`, act-core `ModuleStats`) export by
-//!   *building* a snapshot rather than by holding live handles, so one
-//!   snapshot type serializes everything.
+//!   ([`MetricsSnapshot::render_table`]). Every registry belongs to
+//!   something that snapshots it (a daemon's STATUS); there is no
+//!   process-global one. Subsystems that keep plain-field stats structs
+//!   (act-sim `Stats`, act-core `ModuleStats`) export by *building* a
+//!   snapshot rather than by holding live handles, so one snapshot type
+//!   serializes everything.
 //!
 //! Events ([`Events`]) are for rare, structured occurrences (server start,
 //! worker crash, campaign progress): level + static target + timestamp +
-//! small text payload, kept in a bounded ring and optionally forwarded to
-//! pluggable sinks (stderr text, JSONL file).
-//!
-//! Building with the `no-obs` feature compiles the recording paths down to
-//! no-ops: counters never move, `emit` drops the event, and snapshots come
-//! back empty. The API surface is unchanged so callers need no cfg.
+//! small text payload, forwarded to the sinks a binary attaches (a JSONL
+//! file). Nothing keeps them in memory.
 
 pub mod event;
 pub mod metrics;
 pub mod snapshot;
 
-pub use event::{events, Event, EventSink, Events, JsonlSink, Level, StderrSink};
+pub use event::{events, Event, EventSink, Events, JsonlSink, Level};
 pub use metrics::{latency_bounds_us, Counter, Gauge, Histogram, LocalCounter, Registry};
 pub use snapshot::{DecodeError, HistogramSnapshot, MetricValue, MetricsSnapshot};
-
-/// Whether observability is compiled in (`false` when built with the
-/// `no-obs` feature).
-pub const ENABLED: bool = cfg!(not(feature = "no-obs"));

@@ -28,10 +28,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "no-obs"))]
         self.0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "no-obs")]
-        let _ = n;
     }
 
     /// Current value.
@@ -44,7 +41,7 @@ impl Counter {
 /// A plain-integer counter for hot loops that cannot afford one atomic
 /// per event: increment locally, then [`flush`](LocalCounter::flush) the
 /// accumulated delta into a shared [`Counter`] at an amortized interval
-/// (e.g. `act-core` flushes on its existing `check_interval` boundary).
+/// (`perf`'s `obs_classify` bench flushes every 256 predictions).
 #[derive(Debug, Default)]
 pub struct LocalCounter {
     pending: u64,
@@ -89,19 +86,13 @@ impl Gauge {
     /// Set the value.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(not(feature = "no-obs"))]
         self.0.store(v, Ordering::Relaxed);
-        #[cfg(feature = "no-obs")]
-        let _ = v;
     }
 
     /// Add a (possibly negative) delta.
     #[inline]
     pub fn add(&self, d: i64) {
-        #[cfg(not(feature = "no-obs"))]
         self.0.fetch_add(d, Ordering::Relaxed);
-        #[cfg(feature = "no-obs")]
-        let _ = d;
     }
 
     /// Current value.
@@ -138,15 +129,10 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
-        #[cfg(not(feature = "no-obs"))]
-        {
-            let cells = &*self.0;
-            let idx = cells.bounds.partition_point(|&b| b < v);
-            cells.counts[idx].fetch_add(1, Ordering::Relaxed);
-            cells.sum.fetch_add(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "no-obs")]
-        let _ = v;
+        let cells = &*self.0;
+        let idx = cells.bounds.partition_point(|&b| b < v);
+        cells.counts[idx].fetch_add(1, Ordering::Relaxed);
+        cells.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Total observations recorded.
@@ -261,15 +247,6 @@ impl Registry {
     }
 }
 
-/// The process-wide registry. Library crates that have no natural place
-/// to thread a `Registry` through (act-fleet campaigns) record here;
-/// anything with its own lifecycle (an `act-serve` server) should own a
-/// registry instead so side-by-side instances do not mix.
-pub fn global() -> &'static Registry {
-    static GLOBAL: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,13 +261,8 @@ mod tests {
         c.add(4);
         g.set(7);
         g.add(-2);
-        if crate::ENABLED {
-            assert_eq!(c.get(), 5);
-            assert_eq!(g.get(), 5);
-        } else {
-            assert_eq!(c.get(), 0);
-            assert_eq!(g.get(), 0);
-        }
+        assert_eq!(c.get(), 5);
+        assert_eq!(g.get(), 5);
     }
 
     #[test]
@@ -307,9 +279,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        if !crate::ENABLED {
-            return;
-        }
         let h = Histogram::detached(&[10, 100, 1000]);
         for v in [1, 5, 50, 500, 5000] {
             h.observe(v);
@@ -332,9 +301,7 @@ mod tests {
         assert_eq!(c.get(), 0, "nothing shared before flush");
         local.flush(&c);
         assert_eq!(local.pending(), 0);
-        if crate::ENABLED {
-            assert_eq!(c.get(), 300);
-        }
+        assert_eq!(c.get(), 300);
     }
 
     #[test]
@@ -347,9 +314,6 @@ mod tests {
 
     #[test]
     fn concurrent_registration_and_increments_lose_nothing() {
-        if !crate::ENABLED {
-            return;
-        }
         let reg = Registry::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -375,9 +339,6 @@ mod tests {
 
     #[test]
     fn snapshot_is_consistent_under_concurrent_writes() {
-        if !crate::ENABLED {
-            return;
-        }
         // Successive snapshots of a monotone counter must themselves be
         // monotone, and once the writer quiesces a snapshot must show the
         // exact retired total — nothing lost, nothing double-counted.

@@ -99,12 +99,11 @@ impl Default for ServeConfig {
 
 /// Counters behind `STATUS` — the daemon's observability surface, backed
 /// by a per-server [`act_obs::Registry`] so the whole set serializes as
-/// one [`MetricsSnapshot`] in `STATUS` replies. Per-server (not the
-/// process-global registry) because the tests boot several daemons in one
-/// process and their counters must not mix. The counters every session
-/// keeps — frames read and written per [`crate::FrameKind`] among them —
-/// are a [`SessionStats`] in the same registry; service time is a
-/// fixed-bucket latency histogram.
+/// one [`MetricsSnapshot`] in `STATUS` replies. Per-server because the
+/// tests boot several daemons in one process and their counters must not
+/// mix. The counters every session keeps — frames read and written per
+/// [`crate::FrameKind`] among them — are a [`SessionStats`] in the same
+/// registry; service time is a fixed-bucket latency histogram.
 pub struct ServerStats {
     /// The registry every counter lives in, so sibling subsystems (the
     /// corpus store's metrics) can join the same `STATUS` snapshot.

@@ -8,6 +8,8 @@
 //!   cache-hit counter increases);
 //! - a model trained from simulator runs persists in the corpus store, so
 //!   a restarted daemon loads it instead of retraining;
+//! - a daemon booted on a corpus with a torn tail counts the dropped
+//!   bytes in STATUS's `store_corrupt_blocks`;
 //! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
 //! - a client that connects and stays silent holds up nobody else;
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
@@ -452,6 +454,42 @@ fn a_simulator_trained_model_loads_from_the_corpus_after_a_restart() {
     let status = status_of(&endpoint);
     assert_eq!(counter(&status, "cache_hits"), 1, "status:\n{status}");
     assert_eq!(counter(&status, "cache_misses"), 0, "status:\n{status}");
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn status_counts_what_corpus_recovery_dropped() {
+    let dir = std::env::temp_dir().join(format!("act-serve-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let trace = correct_trace_bytes(0);
+
+    let (server, endpoint) = boot_on_corpus(&dir);
+    let put =
+        Request::TracePut { key: "kept".into(), workload: "seq".into(), trace: trace.clone() };
+    assert!(matches!(request(&endpoint, &put).expect("put reply"), Reply::Stored(_)));
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+
+    // A torn append: bytes past the last committed entry.
+    let mut active =
+        std::fs::OpenOptions::new().append(true).open(dir.join("active.seg")).expect("active.seg");
+    active.write_all(b"torn tail: not a block of any segment").expect("append junk");
+    drop(active);
+
+    // Recovery drops the tail on boot, keeps the committed trace, and the
+    // daemon's STATUS counts the drop.
+    let (server, endpoint) = boot_on_corpus(&dir);
+    let corrupt = match request(&endpoint, &Request::Status).expect("status reply") {
+        Reply::StatusMetrics(_, snap) => snap.counter("store_corrupt_blocks"),
+        other => panic!("unexpected status reply: {other:?}"),
+    };
+    assert!(corrupt >= Some(1), "store_corrupt_blocks after a dropped tail: {corrupt:?}");
+    match request(&endpoint, &Request::TraceGet { key: "kept".into() }).expect("get") {
+        Reply::TraceData(bytes) => assert_eq!(bytes, trace, "the committed trace survives"),
+        other => panic!("unexpected get reply: {other:?}"),
+    }
     assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

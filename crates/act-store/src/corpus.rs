@@ -174,7 +174,7 @@ impl Corpus {
             live_encoded: 0,
             total_entries: 0,
             report: OpenReport::default(),
-            metrics: StoreMetrics::global(),
+            metrics: StoreMetrics::default(),
             seal_bytes: DEFAULT_SEAL_BYTES,
             next_seg_id: 1,
             stream: None,
@@ -188,7 +188,7 @@ impl Corpus {
         if !active_path(&dir).exists() && !dir.is_dir() {
             return Err(StoreError::InvalidInput(format!("{} is not a corpus", dir.display())));
         }
-        let metrics = StoreMetrics::global();
+        let metrics = StoreMetrics::default();
         let mut report = OpenReport::default();
 
         // Discover sealed segments.
@@ -297,11 +297,11 @@ impl Corpus {
         }
     }
 
-    /// Re-register the store instruments on `registry` (e.g. the serving
-    /// daemon's per-server registry) instead of the process-global one.
+    /// Move the store instruments onto `registry` (e.g. the serving
+    /// daemon's per-server registry), carrying over what the corpus has
+    /// counted so far, such as the blocks `open` dropped.
     pub fn with_registry(mut self, registry: &Registry) -> Corpus {
-        self.metrics = StoreMetrics::register(registry);
-        self.publish_ratio();
+        self.metrics = self.metrics.move_to(registry);
         self
     }
 

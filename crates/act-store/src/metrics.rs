@@ -1,12 +1,12 @@
 //! Store metrics, registered on an `act-obs` [`Registry`] so a corpus
 //! embedded in the daemon surfaces through the same STATUS snapshot as the
-//! serving counters.
+//! serving counters. Until then a corpus counts into cells of its own.
 
 use act_obs::metrics::{Counter, Gauge, Registry};
 
 /// Handles to the store's instruments. Cheap to clone (each instrument is a
-/// shared atomic cell).
-#[derive(Clone)]
+/// shared atomic cell); the default is a set of cells on no registry.
+#[derive(Clone, Default)]
 pub struct StoreMetrics {
     /// Uncompressed payload bytes accepted by `put` operations.
     pub bytes_in: Counter,
@@ -34,9 +34,17 @@ impl StoreMetrics {
         }
     }
 
-    /// Register on the process-wide registry.
-    pub fn global() -> Self {
-        Self::register(act_obs::metrics::global())
+    /// Register on `registry`, carrying over what these cells have counted
+    /// (an opened corpus's recovery drops), so the registry's snapshot
+    /// shows them.
+    pub fn move_to(&self, registry: &Registry) -> Self {
+        let moved = Self::register(registry);
+        moved.bytes_in.add(self.bytes_in.get());
+        moved.bytes_out.add(self.bytes_out.get());
+        moved.corrupt_blocks.add(self.corrupt_blocks.get());
+        moved.compression_ratio_milli.set(self.compression_ratio_milli.get());
+        moved.decode_mb_per_sec.set(self.decode_mb_per_sec.get());
+        moved
     }
 
     /// Update the cumulative compression-ratio gauge.
@@ -60,6 +68,21 @@ mod tests {
         let (_, v) =
             snap.entries.iter().find(|(n, _)| n == "store_compression_ratio_milli").unwrap();
         assert_eq!(*v, act_obs::snapshot::MetricValue::Gauge(3000));
+    }
+
+    #[test]
+    fn moving_to_a_registry_carries_the_counts() {
+        let m = StoreMetrics::default();
+        m.corrupt_blocks.inc();
+        m.bytes_in.add(10);
+        m.set_ratio(3000, 1000);
+        let r = Registry::new();
+        let moved = m.move_to(&r);
+        moved.corrupt_blocks.inc();
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("store_corrupt_blocks"), Some(2));
+        assert_eq!(snap.counter("store_bytes_in"), Some(10));
+        assert_eq!(snap.gauge("store_compression_ratio_milli"), Some(3000));
     }
 
     #[test]

@@ -11,8 +11,7 @@ use act_core::encoding::Encoder;
 use act_core::offline::offline_train;
 use act_nn::network::Network;
 use act_trace::event::{Trace, TraceKind};
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
+use act_trace::input_gen::WindowFormer;
 use act_workloads::kernels;
 use std::collections::HashSet;
 
@@ -61,18 +60,19 @@ fn main() {
         // Distinct sequences of the excluded function, from the full traces.
         let mut seen: HashSet<Vec<act_sim::events::RawDep>> = HashSet::new();
         let mut wrong = 0usize;
+        let mut former = WindowFormer::new(n);
         for t in &traces {
-            let deps = observed_deps(t);
-            for s in positive_sequences(&deps, n) {
+            former.each_window(t, |r, window| {
+                let window: Vec<_> = window.collect();
                 let touches =
-                    s.deps.iter().any(|d| d.load_pc >= func.start && d.load_pc < func.end);
-                if touches && seen.insert(s.deps.clone()) {
-                    let mut net = trained.store.network_for(s.tid, 0.2);
-                    if !Network::classify(net.predict(&enc.encode_seq(&s.deps))) {
+                    window.iter().any(|d| d.load_pc >= func.start && d.load_pc < func.end);
+                if touches && seen.insert(window.clone()) {
+                    let mut net = trained.store.network_for(r.tid, 0.2);
+                    if !Network::classify(net.predict(&enc.encode_seq(&window))) {
                         wrong += 1;
                     }
                 }
-            }
+            });
         }
         if seen.is_empty() {
             continue;

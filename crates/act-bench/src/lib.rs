@@ -1,8 +1,8 @@
 //! # act-bench — the experiment harness
 //!
 //! Shared plumbing for the binaries that regenerate every table and figure
-//! of the paper's evaluation (see `src/bin/`), plus Criterion
-//! micro-benchmarks (see `benches/`).
+//! of the paper's evaluation (see `src/bin/`), plus the [`perf`] hot-path
+//! benchmark.
 //!
 //! The central flow, mirroring the paper's methodology:
 //!

@@ -5,9 +5,10 @@
 //! the same discipline. This module measures the four rates that gate it —
 //! steady-state classify throughput, online-training throughput, offline
 //! training wall-clock, and the end-to-end `table4` campaign — plus the
-//! service's own kernels (the corpus codec, CRC-32, text parse and write),
-//! and emits `BENCH_hotpath.json` so the trajectory is recorded per PR
-//! instead of asserted in prose.
+//! simulator's throughput with and without ACT attached, the service's own
+//! kernels (window formation, prune and rank, the corpus codec, CRC-32,
+//! text parse and write), and emits `BENCH_hotpath.json` so the trajectory
+//! is recorded per PR instead of asserted in prose.
 //!
 //! Schema (one JSON array, one object per measurement):
 //!
@@ -24,9 +25,15 @@
 //! higher-is-better; wall-clock benches (`s`) are lower-is-better.
 
 use crate::campaign::{executor_for, table4_spec};
-use crate::{act_cfg_for, clean_traces, collect_clean_traces, norm_of};
+use crate::{
+    act_cfg_for, clean_traces, collect_clean_traces, machine_cfg, norm_of, train_workload,
+};
+use act_core::diagnosis::run_with_act;
 use act_core::encoding::{Encoder, FEATURES_PER_DEP};
+use act_core::module::DebugEntry;
 use act_core::offline::offline_train;
+use act_core::postprocess::postprocess;
+use act_core::weights::shared;
 use act_core::ActError;
 use act_fleet::{run_campaign, CampaignSpec};
 use act_nn::network::{Network, Topology};
@@ -35,7 +42,9 @@ use act_sim::events::RawDep;
 use act_store::column::{decode_chunk, encode_chunk, CHUNK_RECORDS};
 use act_store::corpus::text_size_of;
 use act_store::crc32::crc32;
+use act_trace::correct_set::CorrectSet;
 use act_trace::event::{Trace, TraceRecord};
+use act_trace::input_gen::{DepRing, WindowFormer};
 use act_trace::io::{trace_from_bytes, trace_to_bytes};
 use act_workloads::registry;
 use std::time::{Duration, Instant};
@@ -125,7 +134,7 @@ pub fn classify_predictions_per_sec(target: Duration) -> f64 {
     const IGB_CAP: usize = 8;
     let enc = Encoder::new(4096);
     let mut net = Network::random(Topology::new(FEATURES_PER_DEP * SEQ_LEN, 10), 0.2, 42);
-    // A dependence ring with distinct PCs so the encoder's hash work is
+    // A dependence stream with distinct PCs so the encoder's hash work is
     // realistic (constant inputs would let it fold). Power-of-two size and
     // a mask index: a `%` by a runtime length would put an integer divide
     // inside the measured op.
@@ -133,20 +142,18 @@ pub fn classify_predictions_per_sec(target: Duration) -> f64 {
         let i = i as u32;
         RawDep { store_pc: 17 * i + 3, load_pc: 29 * i + 7, inter_thread: i.is_multiple_of(3) }
     });
-    let mut igb = [ring[0]; IGB_CAP];
+    let mut igb = DepRing::new(IGB_CAP);
     let mut x: Vec<f32> = Vec::new();
     let mut pushed = 0usize;
     throughput(target, move || {
-        // Mirror of `ActModule::process`: masked-ring push, then the last
-        // SEQ_LEN entries (oldest first) encoded straight from the ring.
-        igb[pushed & (IGB_CAP - 1)] = ring[pushed & 63];
+        // `ActModule::process`: push into the input generator's ring, then
+        // the last SEQ_LEN entries (oldest first) encoded straight from it.
+        igb.push(ring[pushed & 63]);
         pushed += 1;
         if pushed < SEQ_LEN {
             return 0.0;
         }
-        let start = pushed - SEQ_LEN;
-        let window = (0..SEQ_LEN).map(|k| igb[(start + k) & (IGB_CAP - 1)]);
-        enc.encode_iter_into(window, &mut x);
+        enc.encode_iter_into(igb.window(SEQ_LEN), &mut x);
         net.predict(&x)
     })
 }
@@ -169,18 +176,16 @@ pub fn obs_classify_predictions_per_sec(target: Duration) -> f64 {
     let registry = Registry::new();
     let predictions = registry.counter("predictions");
     let mut local = LocalCounter::default();
-    let mut igb = [ring[0]; IGB_CAP];
+    let mut igb = DepRing::new(IGB_CAP);
     let mut x: Vec<f32> = Vec::new();
     let mut pushed = 0usize;
     let rate = throughput(target, move || {
-        igb[pushed & (IGB_CAP - 1)] = ring[pushed & 63];
+        igb.push(ring[pushed & 63]);
         pushed += 1;
         if pushed < SEQ_LEN {
             return 0.0;
         }
-        let start = pushed - SEQ_LEN;
-        let window = (0..SEQ_LEN).map(|k| igb[(start + k) & (IGB_CAP - 1)]);
-        enc.encode_iter_into(window, &mut x);
+        enc.encode_iter_into(igb.window(SEQ_LEN), &mut x);
         local.inc();
         if pushed & 255 == 0 {
             local.flush(&predictions);
@@ -193,9 +198,10 @@ pub fn obs_classify_predictions_per_sec(target: Duration) -> f64 {
 
 /// Volume-throughput variant of [`throughput`]: run `pass` (one sweep over
 /// a fixed payload) until `target` elapses and scale passes/second by the
-/// payload's size in MiB. The per-pass work-product count is folded into a
-/// sink so the optimizer cannot delete the sweep.
-fn mb_rate(target: Duration, mb_per_pass: f64, mut pass: impl FnMut() -> usize) -> f64 {
+/// payload's size — MiB, windows or simulated cycles per pass. The
+/// per-pass work-product count is folded into a sink so the optimizer
+/// cannot delete the sweep.
+fn pass_rate(target: Duration, per_pass: f64, mut pass: impl FnMut() -> usize) -> f64 {
     let mut sink = pass(); // warm-up: touch caches, size scratch buffers
     let start = Instant::now();
     let mut passes = 0u64;
@@ -207,7 +213,7 @@ fn mb_rate(target: Duration, mb_per_pass: f64, mut pass: impl FnMut() -> usize) 
         }
     }
     std::hint::black_box(sink);
-    passes as f64 * mb_per_pass / start.elapsed().as_secs_f64()
+    passes as f64 * per_pass / start.elapsed().as_secs_f64()
 }
 
 /// The corpus-store bench payload: clean `lu` traces (the representative
@@ -231,7 +237,7 @@ fn store_bench_payload() -> (Vec<TraceRecord>, f64) {
 pub fn store_encode_mb_per_sec(target: Duration) -> f64 {
     let (records, mb) = store_bench_payload();
     let mut out = Vec::new();
-    mb_rate(target, mb, move || {
+    pass_rate(target, mb, move || {
         out.clear();
         let mut n = 0usize;
         for chunk in records.chunks(CHUNK_RECORDS) {
@@ -253,7 +259,7 @@ pub fn store_decode_mb_per_sec(target: Duration) -> f64 {
         bodies.push(body);
     }
     let mut recs = Vec::new();
-    mb_rate(target, mb, move || {
+    pass_rate(target, mb, move || {
         let mut n = 0usize;
         for body in &bodies {
             recs.clear();
@@ -296,21 +302,93 @@ fn text_bench_payload() -> (Trace, Vec<u8>, f64) {
 /// columnar encoder, on every `TRACE_PUT`).
 pub fn text_parse_mb_per_sec(target: Duration) -> f64 {
     let (_, text, mb) = text_bench_payload();
-    mb_rate(target, mb, move || trace_from_bytes(&text).expect("bench text parses").len())
+    pass_rate(target, mb, move || trace_from_bytes(&text).expect("bench text parses").len())
 }
 
 /// Text write throughput, in MiB of v1 text per second: the digit writer
 /// behind every `TRACE_GET` reply and `trace_to_bytes`.
 pub fn text_write_mb_per_sec(target: Duration) -> f64 {
     let (trace, _, mb) = text_bench_payload();
-    mb_rate(target, mb, move || trace_to_bytes(&trace).len())
+    pass_rate(target, mb, move || trace_to_bytes(&trace).len())
 }
 
 /// CRC-32 throughput, in MiB hashed per second: the check on every
 /// segment block the store writes or verifies.
 pub fn store_crc32_mb_per_sec(target: Duration) -> f64 {
     let (_, text, mb) = text_bench_payload();
-    mb_rate(target, mb, move || crc32(&text) as usize)
+    pass_rate(target, mb, move || crc32(&text) as usize)
+}
+
+/// The first correct `lu` run's trace: the representative service-side
+/// trace (1,581 records, 529 windows at N = 2).
+fn lu_trace() -> Trace {
+    let w = registry::by_name("lu").expect("lu kernel registered");
+    let trace = clean_traces(w.as_ref(), 0..8).next().expect("lu produced a clean trace");
+    trace
+}
+
+/// Dependence windows formed and encoded per second over one `lu` trace at
+/// N = 2: the Input Generator's former reading the trace's observed loads,
+/// each window encoded straight from its thread's ring — the service's
+/// classify up to, not including, the network.
+pub fn windows_formed_per_sec(target: Duration) -> f64 {
+    let trace = lu_trace();
+    let enc = Encoder::new(norm_of(registry::by_name("lu").expect("lu").as_ref()));
+    let mut former = WindowFormer::new(2);
+    let mut x = Vec::new();
+    let mut windows = 0;
+    former.each_window(&trace, |_, _| windows += 1);
+    pass_rate(target, windows as f64, move || {
+        let mut sink = 0;
+        former.each_window(&trace, |_, w| {
+            enc.encode_iter_into(w, &mut x);
+            sink ^= x[0].to_bits() as usize;
+        });
+        sink
+    })
+}
+
+/// Prune-and-rank calls per second: a 60-entry debug buffer (the paper's
+/// capacity) postprocessed against the Correct Set of four `lu` runs.
+pub fn prune_rank_per_sec(target: Duration) -> f64 {
+    let w = registry::by_name("lu").expect("lu kernel registered");
+    let set = CorrectSet::from_traces(&collect_clean_traces(w.as_ref(), 0..4), 2);
+    let entries: Vec<DebugEntry> = (0..60u32)
+        .map(|i| DebugEntry {
+            deps: vec![
+                RawDep { store_pc: i % 7, load_pc: 40 + i % 5, inter_thread: i % 2 == 0 },
+                RawDep { store_pc: i % 11, load_pc: 50 + i % 3, inter_thread: false },
+            ],
+            output: 0.1,
+            cycle: i as u64,
+            tid: 0,
+        })
+        .collect();
+    throughput(target, move || postprocess(&entries, &set).ranked.len() as f32)
+}
+
+/// Simulated cycles per second of whole `fft` runs, plain or with a
+/// trained ACT module attached to every core (the per-run cost behind the
+/// Fig 8 overhead experiment).
+pub fn sim_cycles_per_sec(target: Duration, with_act: bool) -> f64 {
+    let w = registry::by_name("fft").expect("fft kernel registered");
+    let built = w.build(&w.default_params());
+    let cfg = act_cfg_for(w.as_ref());
+    let store = with_act.then(|| train_workload(w.as_ref(), 4, &cfg).store);
+    let run = move || match &store {
+        Some(store) => {
+            run_with_act(&built.program, machine_cfg(7), &cfg, &shared(store.clone()))
+                .machine_stats
+                .total_cycles
+        }
+        None => {
+            let mut m = act_sim::machine::Machine::new(&built.program, machine_cfg(7));
+            m.run();
+            m.stats().total_cycles
+        }
+    };
+    let cycles = run();
+    pass_rate(target, cycles as f64, move || run() as usize)
 }
 
 /// Online back-propagation throughput on the harness topology: the work of
@@ -631,144 +709,44 @@ pub fn run_all(quick: bool, jobs: usize, only: Option<&str>) -> Vec<BenchEntry> 
         only.is_none_or(|f| f.split(',').any(|part| !part.is_empty() && name.contains(part)))
     };
     let mut entries = Vec::new();
-    if want("classify_predictions_per_sec") {
-        entries.push(BenchEntry::new(
-            "classify_predictions_per_sec",
-            classify_predictions_per_sec(target),
-            "ops/s",
-            1,
-        ));
-    }
-    if want("obs_classify_predictions_per_sec") {
-        entries.push(BenchEntry::new(
-            "obs_classify_predictions_per_sec",
-            obs_classify_predictions_per_sec(target),
-            "ops/s",
-            1,
-        ));
-    }
-    if want("online_train_steps_per_sec") {
-        entries.push(BenchEntry::new(
-            "online_train_steps_per_sec",
-            online_train_steps_per_sec(target),
-            "ops/s",
-            1,
-        ));
-    }
-    if want("offline_train_wall_s") {
-        entries.push(BenchEntry::new(
-            "offline_train_wall_s",
-            offline_train_wall_s(quick, 1),
-            "s",
-            1,
-        ));
-        if jobs > 1 {
-            entries.push(BenchEntry::new(
-                "offline_train_wall_s",
-                offline_train_wall_s(quick, jobs),
-                "s",
-                jobs,
-            ));
+    let mut row = |bench: &str, jobs: usize, unit: &str, measure: &dyn Fn() -> f64| {
+        if want(bench) {
+            entries.push(BenchEntry::new(bench, measure(), unit, jobs));
         }
+    };
+    let ops = "ops/s";
+    row("classify_predictions_per_sec", 1, ops, &|| classify_predictions_per_sec(target));
+    row("obs_classify_predictions_per_sec", 1, ops, &|| obs_classify_predictions_per_sec(target));
+    row("online_train_steps_per_sec", 1, ops, &|| online_train_steps_per_sec(target));
+    row("offline_train_wall_s", 1, "s", &|| offline_train_wall_s(quick, 1));
+    if jobs > 1 {
+        row("offline_train_wall_s", jobs, "s", &|| offline_train_wall_s(quick, jobs));
     }
-    if want("store_encode_mb_per_sec") {
-        entries.push(BenchEntry::new(
-            "store_encode_mb_per_sec",
-            store_encode_mb_per_sec(target),
-            "MB/s",
-            1,
-        ));
-    }
-    if want("store_decode_mb_per_sec") {
-        entries.push(BenchEntry::new(
-            "store_decode_mb_per_sec",
-            store_decode_mb_per_sec(target),
-            "MB/s",
-            1,
-        ));
-    }
-    if want("store_compression_ratio") {
-        entries.push(BenchEntry::new(
-            "store_compression_ratio",
-            store_compression_ratio(),
-            "ratio",
-            1,
-        ));
-    }
-    if want("store_crc32_mb_per_sec") {
-        entries.push(BenchEntry::new(
-            "store_crc32_mb_per_sec",
-            store_crc32_mb_per_sec(target),
-            "MB/s",
-            1,
-        ));
-    }
-    if want("text_parse_mb_per_sec") {
-        entries.push(BenchEntry::new(
-            "text_parse_mb_per_sec",
-            text_parse_mb_per_sec(target),
-            "MB/s",
-            1,
-        ));
-    }
-    if want("text_write_mb_per_sec") {
-        entries.push(BenchEntry::new(
-            "text_write_mb_per_sec",
-            text_write_mb_per_sec(target),
-            "MB/s",
-            1,
-        ));
-    }
-    if want("gate_diagnose_rps") {
-        entries.push(BenchEntry::new("gate_diagnose_rps", gate_diagnose_rps(target), "ops/s", 1));
-    }
-    if want("pipelined_diagnose_rps") {
-        // `jobs` records the pipeline depth: the depth-8 row over the
-        // depth-1 row is the pipelining speedup.
-        entries.push(BenchEntry::new(
-            "pipelined_diagnose_rps",
-            pipelined_diagnose_rps(target, 1),
-            "ops/s",
-            1,
-        ));
-        entries.push(BenchEntry::new(
-            "pipelined_diagnose_rps",
-            pipelined_diagnose_rps(target, 8),
-            "ops/s",
-            8,
-        ));
-    }
-    if want("batched_diagnose_rps") {
-        // `jobs` records the batch bound, mirroring how the pipelined
-        // rows record depth.
-        entries.push(BenchEntry::new(
-            "batched_diagnose_rps",
-            batched_diagnose_rps(target, 16),
-            "ops/s",
-            16,
-        ));
-    }
-    if want("cache_hit_lookups_per_sec") {
-        entries.push(BenchEntry::new(
-            "cache_hit_lookups_per_sec",
-            cache_hit_lookups_per_sec(target, 1),
-            "ops/s",
-            1,
-        ));
-        // Four threads on one key: the contention row. The thread count is
-        // fixed (not `jobs`) so the row is comparable across hosts.
-        entries.push(BenchEntry::new(
-            "cache_hit_lookups_per_sec",
-            cache_hit_lookups_per_sec(target, 4),
-            "ops/s",
-            4,
-        ));
-    }
-    if want("table4_wall_s") {
-        entries.push(BenchEntry::new("table4_wall_s", table4_wall_s(quick, 1), "s", 1));
-        if jobs > 1 {
-            entries.push(BenchEntry::new("table4_wall_s", table4_wall_s(quick, jobs), "s", jobs));
-        }
+    row("store_encode_mb_per_sec", 1, "MB/s", &|| store_encode_mb_per_sec(target));
+    row("store_decode_mb_per_sec", 1, "MB/s", &|| store_decode_mb_per_sec(target));
+    row("store_compression_ratio", 1, "ratio", &store_compression_ratio);
+    row("store_crc32_mb_per_sec", 1, "MB/s", &|| store_crc32_mb_per_sec(target));
+    row("text_parse_mb_per_sec", 1, "MB/s", &|| text_parse_mb_per_sec(target));
+    row("text_write_mb_per_sec", 1, "MB/s", &|| text_write_mb_per_sec(target));
+    row("windows_formed_per_sec", 1, ops, &|| windows_formed_per_sec(target));
+    row("prune_rank_per_sec", 1, ops, &|| prune_rank_per_sec(target));
+    row("sim_cycles_per_sec", 1, ops, &|| sim_cycles_per_sec(target, false));
+    row("sim_act_cycles_per_sec", 1, ops, &|| sim_cycles_per_sec(target, true));
+    row("gate_diagnose_rps", 1, ops, &|| gate_diagnose_rps(target));
+    // `jobs` records the pipeline depth: the depth-8 row over the depth-1
+    // row is the pipelining speedup.
+    row("pipelined_diagnose_rps", 1, ops, &|| pipelined_diagnose_rps(target, 1));
+    row("pipelined_diagnose_rps", 8, ops, &|| pipelined_diagnose_rps(target, 8));
+    // `jobs` records the batch bound, mirroring how the pipelined rows
+    // record depth.
+    row("batched_diagnose_rps", 16, ops, &|| batched_diagnose_rps(target, 16));
+    row("cache_hit_lookups_per_sec", 1, ops, &|| cache_hit_lookups_per_sec(target, 1));
+    // Four threads on one key: the contention row. The thread count is
+    // fixed (not `jobs`) so the row is comparable across hosts.
+    row("cache_hit_lookups_per_sec", 4, ops, &|| cache_hit_lookups_per_sec(target, 4));
+    row("table4_wall_s", 1, "s", &|| table4_wall_s(quick, 1));
+    if jobs > 1 {
+        row("table4_wall_s", jobs, "s", &|| table4_wall_s(quick, jobs));
     }
     entries
 }

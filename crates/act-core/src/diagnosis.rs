@@ -15,8 +15,7 @@ use act_sim::outcome::RunOutcome;
 use act_sim::program::Program;
 use act_sim::stats::Stats;
 use act_trace::correct_set::CorrectSet;
-use act_trace::input_gen::positive_sequences;
-use act_trace::raw::observed_deps;
+use act_trace::input_gen::WindowFormer;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -95,8 +94,9 @@ pub fn diagnose(run: &ActRun, correct: &CorrectSet) -> Diagnosis {
 /// machine that ran without ACT hardware can still ship its failing trace
 /// (`act-trace::io`) to a diagnosis service, which reconstructs what the
 /// module's debug buffer would have held — every length-`N` per-thread
-/// dependence window whose network output falls below `threshold` (the
-/// module's 0.5 decision boundary).
+/// window of the trace's observed dependences, formed by the Input
+/// Generator's [`WindowFormer`] like the module's own, whose network output
+/// falls below `threshold` (the module's 0.5 decision boundary).
 ///
 /// `norm_code_len` must be the code length the store was *trained* with
 /// (trace and training encodings must agree); the trace's own `code_len` is
@@ -128,16 +128,17 @@ pub const CLASSIFY_BATCH: usize = 64;
 /// ops are exactly `predict`'s, and entries are emitted in the original
 /// window order per trace.
 ///
-/// Each entry's `cycle` is its window's final load's, carried on the
-/// window itself. A trace that repeats a `seq` (no writer emits one) gets
-/// each window's own load cycle; the cycle breaks rank ties in
-/// [`postprocess`].
+/// Each entry's `cycle` is its window's final load's. A trace that repeats
+/// a `seq` (no writer emits one) gets each window's own load cycle; the
+/// cycle breaks rank ties in [`postprocess`].
 ///
 /// What the batching amortizes: per-thread networks are built once for
 /// the whole batch (not once per trace), and windows are grouped per
 /// thread into [`CLASSIFY_BATCH`]-sized matrix-matrix blocks so the
 /// hidden-layer weights are loaded once per block of four windows instead
-/// of once per window.
+/// of once per window. Each window is encoded straight from its thread's
+/// ring and copied once into a flat buffer; only a flagged window
+/// allocates, for its entry.
 ///
 /// # Panics
 ///
@@ -149,31 +150,38 @@ pub fn classify_trace_batch(
     threshold: f32,
 ) -> Vec<Vec<DebugEntry>> {
     use std::collections::HashMap;
+    let n = store.seq_len();
     let enc = crate::encoding::Encoder::new(norm_code_len);
+    let width = enc.input_width(n);
+    let mut former = WindowFormer::new(n);
     let mut nets: HashMap<act_sim::events::ThreadId, act_nn::network::Network> = HashMap::new();
-    // Reused across traces: per-thread feature batches, window outputs,
-    // and the per-window encode buffer.
+    // Reused across traces: every window's dependences (window `i` is
+    // `deps[i * n..][..n]`) with its thread and cycle, per-thread feature
+    // batches, window outputs, and the per-window encode buffer.
+    let mut deps = Vec::new();
+    let mut at = Vec::new();
     let mut groups: HashMap<act_sim::events::ThreadId, (Vec<f32>, Vec<usize>)> = HashMap::new();
     let mut outputs: Vec<f32> = Vec::new();
     let mut batch_out: Vec<f32> = Vec::new();
     let mut x = Vec::new();
     let mut results = Vec::with_capacity(traces.len());
     for trace in traces {
-        let deps = observed_deps(trace);
-        let samples = positive_sequences(&deps, store.seq_len());
+        deps.clear();
+        at.clear();
         for (xs, idx) in groups.values_mut() {
             xs.clear();
             idx.clear();
         }
-        for (i, s) in samples.iter().enumerate() {
-            let (xs, idx) = groups.entry(s.tid).or_default();
-            enc.encode_seq_into(&s.deps, &mut x);
+        former.each_window(trace, |r, window| {
+            deps.extend(window.clone());
+            enc.encode_iter_into(window, &mut x);
+            let (xs, idx) = groups.entry(r.tid).or_default();
             xs.extend_from_slice(&x);
-            idx.push(i);
-        }
+            idx.push(at.len());
+            at.push((r.tid, r.cycle));
+        });
         outputs.clear();
-        outputs.resize(samples.len(), 0.0);
-        let width = x.len().max(1);
+        outputs.resize(at.len(), 0.0);
         for (tid, (xs, idx)) in groups.iter() {
             if idx.is_empty() {
                 continue;
@@ -187,17 +195,18 @@ pub fn classify_trace_batch(
                 }
             }
         }
-        let mut entries = Vec::new();
-        for (i, s) in samples.into_iter().enumerate() {
-            if outputs[i] < threshold {
-                entries.push(DebugEntry {
-                    deps: s.deps,
-                    output: outputs[i],
-                    cycle: s.cycle,
-                    tid: s.tid,
-                });
-            }
-        }
+        let entries = at
+            .iter()
+            .zip(deps.chunks_exact(n))
+            .zip(&outputs)
+            .filter(|(_, &output)| output < threshold)
+            .map(|((&(tid, cycle), window), &output)| DebugEntry {
+                deps: window.to_vec(),
+                output,
+                cycle,
+                tid,
+            })
+            .collect();
         results.push(entries);
     }
     results

@@ -9,6 +9,7 @@ use act_nn::network::Network;
 use act_nn::pipeline::NnPipeline;
 use act_sim::attach::CoreAttachment;
 use act_sim::events::{LoadEvent, RawDep, ThreadId};
+use act_trace::input_gen::DepRing;
 use std::collections::VecDeque;
 
 /// Operating mode of the module (the `Mode` flag of Fig 4(b)).
@@ -79,51 +80,6 @@ impl DebugBuffer {
     }
 }
 
-/// The input generator buffer as a power-of-two ring: a push is one masked
-/// store, and the last-`N` window is `N` masked reads. The per-load hot
-/// path pays no deque length management — a slot is simply overwritten
-/// once the ring wraps, which *is* the IGB's eviction policy.
-#[derive(Debug, Clone)]
-struct DepRing {
-    buf: Box<[RawDep]>,
-    mask: usize,
-    /// Total pushes since the last clear.
-    pushed: u64,
-}
-
-impl DepRing {
-    fn new(min_capacity: usize) -> Self {
-        let zero = RawDep { store_pc: 0, load_pc: 0, inter_thread: false };
-        let cap = min_capacity.max(1).next_power_of_two();
-        DepRing { buf: vec![zero; cap].into_boxed_slice(), mask: cap - 1, pushed: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, dep: RawDep) {
-        self.buf[self.pushed as usize & self.mask] = dep;
-        self.pushed += 1;
-    }
-
-    /// The most recent `n` entries, oldest first, as masked reads.
-    #[inline]
-    fn last_n(&self, n: usize) -> impl ExactSizeIterator<Item = RawDep> + '_ {
-        debug_assert!(n <= self.buf.len() && self.pushed >= n as u64);
-        let start = self.pushed as usize - n;
-        (0..n).map(move |k| self.buf[(start + k) & self.mask])
-    }
-
-    /// Copy the most recent `n` entries, oldest first, into `out`.
-    #[inline]
-    fn last_n_into(&self, n: usize, out: &mut Vec<RawDep>) {
-        out.clear();
-        out.extend(self.last_n(n));
-    }
-
-    fn clear(&mut self) {
-        self.pushed = 0;
-    }
-}
-
 /// Counters exposed by the module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModuleStats {
@@ -166,10 +122,9 @@ pub struct ActModule {
     net: Option<Network>,
     cur_tid: Option<ThreadId>,
     pipeline: NnPipeline,
-    /// Input generator buffer: recent dependences of the running thread.
+    /// Input generator buffer: recent dependences of the running thread,
+    /// the Input Generator's ring (`act_trace::input_gen`).
     igb: DepRing,
-    /// Scratch: the current length-`N` window (reused every prediction).
-    seq_scratch: Vec<RawDep>,
     /// Scratch: the encoded input vector (reused every prediction).
     x_scratch: Vec<f32>,
     debug: DebugBuffer,
@@ -205,7 +160,6 @@ impl ActModule {
             cur_tid: None,
             pipeline,
             igb,
-            seq_scratch: Vec::new(),
             x_scratch: Vec::new(),
             debug,
             mode: Mode::Testing,
@@ -253,7 +207,10 @@ impl ActModule {
         snap.push_counter("no_dep_loads", s.no_dep_loads);
         snap.push_gauge("mispred_rate_ppm", (s.mispred_rate() * 1e6) as i64);
         snap.push_gauge("mode_training", matches!(self.mode, Mode::Training) as i64);
-        snap.push_gauge("igb_occupancy", self.igb.pushed.min(self.cfg.igb_capacity as u64) as i64);
+        snap.push_gauge(
+            "igb_occupancy",
+            self.igb.pushed().min(self.cfg.igb_capacity as u64) as i64,
+        );
         snap.push_gauge("igb_capacity", self.cfg.igb_capacity as i64);
         snap.push_gauge("debug_len", self.debug.len() as i64);
         snap.push_gauge("debug_capacity", self.debug.capacity as i64);
@@ -299,14 +256,14 @@ impl ActModule {
         self.igb.push(dep);
         // Warm-up: a window forms once `seq_len` dependences have arrived
         // (and never, if the configured IGB is too small to hold one).
-        if self.igb.pushed < self.seq_len as u64 || self.cfg.igb_capacity < self.seq_len {
+        if self.igb.pushed() < self.seq_len as u64 || self.cfg.igb_capacity < self.seq_len {
             return;
         }
         // Steady-state hot path: the window encodes straight out of the
         // ring into a scratch vector, so a prediction allocates and copies
         // nothing. Only a predicted-invalid sequence (rare once trained)
         // materializes the window, for the debug buffer.
-        self.encoder.encode_iter_into(self.igb.last_n(self.seq_len), &mut self.x_scratch);
+        self.encoder.encode_iter_into(self.igb.window(self.seq_len), &mut self.x_scratch);
         let net = self.net.as_mut().expect("network loaded while thread runs");
 
         self.stats.predictions += 1;
@@ -316,9 +273,8 @@ impl ActModule {
         if !valid {
             self.stats.invalids += 1;
             self.invalid_count += 1;
-            self.igb.last_n_into(self.seq_len, &mut self.seq_scratch);
             self.debug.push(DebugEntry {
-                deps: self.seq_scratch.clone(),
+                deps: self.igb.window(self.seq_len).collect(),
                 output,
                 cycle: ev.cycle,
                 tid: ev.tid,

@@ -8,11 +8,11 @@ use crate::encoding::Encoder;
 use crate::weights::WeightStore;
 use act_nn::network::{Network, Topology};
 use act_nn::trainer::{self, Example, SearchOutcome};
-use act_sim::events::ThreadId;
+use act_sim::events::{RawDep, ThreadId};
 use act_trace::event::Trace;
-use act_trace::input_gen::sequences_ext;
+use act_trace::input_gen::{SeqSample, WindowFormer};
 use act_trace::raw::{distinct_deps, observed_deps, DepEvent};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// What offline training found — the per-program row of Table IV.
 #[derive(Debug, Clone)]
@@ -95,6 +95,114 @@ fn stride_sample(v: Vec<Example>, max: usize) -> Vec<Example> {
     (0..max).map(|i| v[(i as f64 * step) as usize].clone()).collect()
 }
 
+/// Donors for cross negatives: the distinct dependences of the trace,
+/// plus *jittered* variants whose store is displaced by a few
+/// instructions. Jitter matters: real buggy communications usually involve
+/// a store near a valid one (same function), and without negatives ringing
+/// each positive the classifier's valid regions stretch unboundedly along
+/// the positional dimensions.
+fn donor_pool(deps: &[DepEvent]) -> Vec<RawDep> {
+    let mut donors: Vec<RawDep> = deps.iter().map(|d| d.dep).collect();
+    donors.sort_unstable();
+    donors.dedup();
+    let observed = donors.clone();
+    for d in &observed {
+        for off in [-13i64, -7, -3, 3, 7, 13] {
+            let store = d.store_pc as i64 + off;
+            if store >= 0 {
+                donors.push(RawDep { store_pc: store as u32, ..*d });
+            }
+            // Also flip the inter-thread flag (a same-PC store from the
+            // wrong thread is a classic racy communication).
+            donors.push(RawDep { inter_thread: !d.inter_thread, ..*d });
+        }
+    }
+    donors.sort_unstable();
+    donors.dedup();
+    donors
+}
+
+/// The training samples of one trace's observed dependences: every window
+/// of length `n` the Input Generator forms, as a positive, and the
+/// negatives synthesized from it — the only place ACT synthesizes any.
+///
+/// A window whose final dependence has a distinct previous writer gets the
+/// paper's negative `S'→L`: that dependence's store replaced by the
+/// previous writer of the same word. `cross_negs` more negatives per
+/// window replace a store with the store of *another* observed (or
+/// jittered) dependence. With word-granularity metadata many words have a
+/// single writer, leaving most of the invalid input space unconstrained —
+/// the network would then classify *novel* (buggy) communications as
+/// valid by default. Cross negatives teach it the PSet-style invariant the
+/// scheme depends on: a load fed by a store it was never observed to pair
+/// with is suspect.
+///
+/// Synthesized negatives can collide with genuinely valid sequences from
+/// elsewhere in the program; [`offline_train`] filters them against every
+/// trace's positives.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn training_samples(
+    deps: &[DepEvent],
+    n: usize,
+    cross_negs: usize,
+) -> (Vec<SeqSample>, Vec<SeqSample>) {
+    let mut former = WindowFormer::new(n);
+    let donors = if cross_negs > 0 { donor_pool(deps) } else { Vec::new() };
+    let mut positives = Vec::new();
+    let mut negatives = Vec::new();
+    for (w, d) in deps.iter().enumerate() {
+        let Some(window) = former.push(d.tid, d.dep) else { continue };
+        let window: Vec<RawDep> = window.collect();
+        let sample =
+            |deps, valid| SeqSample { deps, tid: d.tid, seq: d.seq, cycle: d.cycle, valid };
+        if let Some(neg_dep) = d.negative() {
+            let mut neg = window.clone();
+            neg[n - 1] = neg_dep;
+            negatives.push(sample(neg, false));
+        }
+        if donors.len() > 1 {
+            for k in 0..cross_negs {
+                // Perturb a rotating position of the window (bugs corrupt
+                // prefix dependences as often as the final one). Even picks
+                // prefer donors that feed the *same load* — the most
+                // confusable neighbours and exactly what a wrong-writer bug
+                // looks like; odd picks draw from the global donor pool.
+                let at = (w + k) % n;
+                let donor = if k % 2 == 0 {
+                    let same_load: Vec<&RawDep> = donors
+                        .iter()
+                        .filter(|dd| {
+                            dd.load_pc == window[at].load_pc && dd.store_pc != window[at].store_pc
+                        })
+                        .collect();
+                    if same_load.is_empty() {
+                        donors[(w * 7 + k * 13 + 3) % donors.len()]
+                    } else {
+                        *same_load[(w * 5 + k) % same_load.len()]
+                    }
+                } else {
+                    donors[(w * 7 + k * 13 + 3) % donors.len()]
+                };
+                if donor.store_pc == window[at].store_pc {
+                    continue;
+                }
+                let mut neg = window.clone();
+                neg[at] = RawDep {
+                    store_pc: donor.store_pc,
+                    load_pc: window[at].load_pc,
+                    inter_thread: donor.inter_thread,
+                };
+                negatives.push(sample(neg, false));
+            }
+        }
+        positives.push(sample(window, true));
+    }
+    (positives, negatives)
+}
+
 /// Generate windows per trace (windows must not span trace boundaries),
 /// pool them, and drop any synthesized negative that collides with a
 /// sequence observed valid in *any* trace — a correct run somewhere having
@@ -106,12 +214,12 @@ fn encode_examples(
     traces_deps: &[&Vec<DepEvent>],
     n: usize,
     cross_negs: usize,
-    global_positives: &std::collections::HashSet<Vec<act_sim::events::RawDep>>,
+    global_positives: &HashSet<Vec<RawDep>>,
 ) -> (Vec<Example>, Vec<Example>, Vec<(ThreadId, Example)>) {
     let mut pos = Vec::new();
     let mut neg = Vec::new();
     for deps in traces_deps {
-        let (p, ng) = sequences_ext(deps, n, cross_negs);
+        let (p, ng) = training_samples(deps, n, cross_negs);
         pos.extend(p);
         neg.extend(ng);
     }
@@ -146,16 +254,16 @@ fn encode_examples(
     (pos_ex, neg_ex, by_tid)
 }
 
-/// Every positive sequence of every trace, for negative-collision filtering.
-fn global_positive_set(
-    traces_deps: &[Vec<DepEvent>],
-    n: usize,
-) -> std::collections::HashSet<Vec<act_sim::events::RawDep>> {
-    let mut set = std::collections::HashSet::new();
+/// Every window of every trace, for negative-collision filtering.
+fn global_positive_set(traces_deps: &[Vec<DepEvent>], n: usize) -> HashSet<Vec<RawDep>> {
+    let mut former = WindowFormer::new(n);
+    let mut set = HashSet::new();
     for deps in traces_deps {
-        let (p, _) = sequences_ext(deps, n, 0);
-        for s in p {
-            set.insert(s.deps);
+        former.reset();
+        for d in deps {
+            if let Some(window) = former.push(d.tid, d.dep) {
+                set.insert(window.collect());
+            }
         }
     }
     set
@@ -342,6 +450,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn negatives_replace_final_dep() {
+        let dep = |store_pc, load_pc| RawDep { store_pc, load_pc, inter_thread: false };
+        let ev = |seq, d, prev_writer| DepEvent { dep: d, tid: 0, seq, cycle: seq, prev_writer };
+        // The second load's word had a writer at pc 3 before its last one.
+        let deps = [ev(0, dep(1, 2), None), ev(1, dep(5, 6), Some((3, 0)))];
+        let (pos, neg) = training_samples(&deps, 2, 0);
+        assert_eq!(pos.len(), 1);
+        assert_eq!(neg.len(), 1);
+        assert_eq!(neg[0].deps, vec![dep(1, 2), dep(3, 6)]);
+        assert!(!neg[0].valid);
+        // The shared prefix matches the positive sample's.
+        assert_eq!(neg[0].deps[0], pos[0].deps[0]);
     }
 
     #[test]

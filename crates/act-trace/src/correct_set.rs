@@ -2,7 +2,8 @@
 //! executions, used by offline postprocessing to prune and rank the debug
 //! buffer.
 
-use crate::input_gen::SeqSample;
+use crate::event::Trace;
+use crate::input_gen::WindowFormer;
 use act_sim::events::RawDep;
 use std::collections::HashSet;
 
@@ -18,34 +19,29 @@ pub struct CorrectSet {
 }
 
 impl CorrectSet {
-    /// Build from positive samples (all must have the same length).
-    pub fn from_samples<'a, I>(samples: I) -> Self
-    where
-        I: IntoIterator<Item = &'a SeqSample>,
-    {
-        let mut set = CorrectSet::default();
-        for s in samples {
-            set.insert(&s.deps);
-        }
-        set
-    }
-
     /// Build from whole correct-run traces — fresh simulator runs or an
     /// `act-store` corpus's stored ones. This is the one Correct Set
-    /// builder: each trace contributes the positive dependence windows of
-    /// length `n` that the Input Generator would emit, using the *observed*
-    /// dependence stream (what the hardware saw), so the set matches what
-    /// online classification is scored against.
+    /// builder: each trace contributes every window of length `n` that the
+    /// Input Generator's [`WindowFormer`] forms from its *observed*
+    /// dependences (what the hardware saw), so the set matches what online
+    /// classification is scored against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
     pub fn from_traces<'a, I>(traces: I, n: usize) -> Self
     where
-        I: IntoIterator<Item = &'a crate::event::Trace>,
+        I: IntoIterator<Item = &'a Trace>,
     {
         let mut set = CorrectSet::default();
+        let mut former = WindowFormer::new(n);
+        let mut window = Vec::with_capacity(n);
         for trace in traces {
-            let deps = crate::raw::observed_deps(trace);
-            for s in crate::input_gen::positive_sequences(&deps, n) {
-                set.insert(&s.deps);
-            }
+            former.each_window(trace, |_, w| {
+                window.clear();
+                window.extend(w);
+                set.insert(&window);
+            });
         }
         set
     }
@@ -86,9 +82,10 @@ impl CorrectSet {
         self.full.contains(deps)
     }
 
-    /// The full sequences, in arbitrary order — for serialization (e.g.
-    /// `act-serve` persists the set next to the cached weights so a daemon
-    /// restart skips rebuilding it from fresh runs).
+    /// The full sequences, in arbitrary order — for serialization:
+    /// `act-serve` persists the set as a corpus blob next to the model's
+    /// weights, so a daemon restarted on the same corpus loads it instead
+    /// of rebuilding it from fresh runs.
     pub fn sequences(&self) -> impl Iterator<Item = &Vec<RawDep>> {
         self.full.iter()
     }
@@ -157,16 +154,6 @@ mod tests {
         let s = [dep(1, 1), dep(2, 2)];
         let set = set_of(&[&s]);
         assert_eq!(set.matched_prefix(&s), 2);
-    }
-
-    #[test]
-    fn from_samples_builds_set() {
-        let sample =
-            SeqSample { deps: vec![dep(1, 2), dep(3, 4)], tid: 0, seq: 0, cycle: 0, valid: true };
-        let set = CorrectSet::from_samples([&sample]);
-        assert_eq!(set.len(), 1);
-        assert_eq!(set.seq_len(), 2);
-        assert!(set.contains(&[dep(1, 2), dep(3, 4)]));
     }
 
     #[test]

@@ -1,8 +1,15 @@
-//! The Input Generator (§III-B): groups of `N` consecutive RAW dependences
-//! from the same thread, forming positive examples, plus synthesized
-//! negative examples where the final dependence's store is replaced by the
-//! previous writer of the same word.
+//! The Input Generator (§III-B): each thread's window of its last `N`
+//! observed RAW dependences.
+//!
+//! This is the one place a window is formed. The online module keeps one
+//! [`DepRing`] as its input generator buffer; the Correct Set, the
+//! service's classify and the offline trainer run a [`WindowFormer`] —
+//! one ring per thread — over a trace's observed dependences. A window is
+//! read in place from its ring, oldest dependence first, so it can go into
+//! a flat buffer or straight into an encoder without an intermediate copy.
+//! Negative examples are the offline trainer's alone (`act-core`).
 
+use crate::event::{Trace, TraceKind, TraceRecord};
 use crate::raw::DepEvent;
 use act_sim::events::{RawDep, ThreadId};
 use std::collections::HashMap;
@@ -23,137 +30,164 @@ pub struct SeqSample {
     pub valid: bool,
 }
 
-/// Generate positive and negative sequence samples of length `n`.
-///
-/// Dependences are grouped per thread (a dependence belongs to the
-/// processor executing its load). The first `n − 1` dependences of each
-/// thread produce no sample (there is no full history yet). A negative
-/// sample is produced for a window whenever the final dependence has a
-/// distinct previous writer.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn sequences(deps: &[DepEvent], n: usize) -> (Vec<SeqSample>, Vec<SeqSample>) {
-    sequences_ext(deps, n, 0)
+/// One thread's recent dependences as a power-of-two ring: a push is one
+/// masked store, and the last-`N` window is `N` masked reads. A slot is
+/// simply overwritten once the ring wraps, which *is* the input generator
+/// buffer's eviction policy.
+#[derive(Debug, Clone)]
+pub struct DepRing {
+    buf: Box<[RawDep]>,
+    mask: usize,
+    /// Total pushes since the last clear.
+    pushed: u64,
 }
 
-/// Like [`sequences`], with `cross_negs` additional negatives per window:
-/// the final dependence's store is replaced by the store of *another*
-/// distinct dependence observed in the trace.
-///
-/// The paper's input generator only synthesizes the previous-writer
-/// negative `S'→L`; with word-granularity metadata many words have a
-/// single writer, leaving most of the invalid input space unconstrained —
-/// the network would then classify *novel* (buggy) communications as valid
-/// by default. Cross negatives teach it the PSet-style invariant the
-/// scheme depends on: a load fed by a store it was never observed to pair
-/// with is suspect.
-///
-/// Synthesized negatives can collide with genuinely valid sequences from
-/// elsewhere in the program; callers pooling several traces should filter
-/// negatives against the full positive set (see `act-core`'s offline
-/// trainer).
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn sequences_ext(
-    deps: &[DepEvent],
-    n: usize,
-    cross_negs: usize,
-) -> (Vec<SeqSample>, Vec<SeqSample>) {
-    assert!(n > 0, "sequence length must be positive");
-
-    // Donors for cross negatives: the distinct dependences of the trace,
-    // plus *jittered* variants whose store is displaced by a few
-    // instructions. Jitter matters: real buggy communications usually
-    // involve a store near a valid one (same function), and without
-    // negatives ringing each positive the classifier's valid regions
-    // stretch unboundedly along the positional dimensions.
-    let mut donors: Vec<RawDep> = deps.iter().map(|d| d.dep).collect();
-    donors.sort_unstable();
-    donors.dedup();
-    let observed = donors.clone();
-    for d in &observed {
-        for off in [-13i64, -7, -3, 3, 7, 13] {
-            let store = d.store_pc as i64 + off;
-            if store >= 0 {
-                donors.push(RawDep { store_pc: store as u32, ..*d });
-            }
-            // Also flip the inter-thread flag (a same-PC store from the
-            // wrong thread is a classic racy communication).
-            donors.push(RawDep { inter_thread: !d.inter_thread, ..*d });
-        }
+impl DepRing {
+    /// A ring holding at least `min_capacity` dependences (at least one).
+    pub fn new(min_capacity: usize) -> Self {
+        let zero = RawDep { store_pc: 0, load_pc: 0, inter_thread: false };
+        let cap = min_capacity.max(1).next_power_of_two();
+        DepRing { buf: vec![zero; cap].into_boxed_slice(), mask: cap - 1, pushed: 0 }
     }
-    donors.sort_unstable();
-    donors.dedup();
 
-    let mut history: HashMap<ThreadId, Vec<RawDep>> = HashMap::new();
-    let mut positives = Vec::new();
-    let mut negatives = Vec::new();
-    for (w, d) in deps.iter().enumerate() {
-        let h = history.entry(d.tid).or_default();
-        if h.len() >= n - 1 {
-            let sample =
-                |deps, valid| SeqSample { deps, tid: d.tid, seq: d.seq, cycle: d.cycle, valid };
-            let prefix = &h[h.len() - (n - 1)..];
-            let window = [prefix, &[d.dep]].concat();
-            if let Some(neg_dep) = d.negative() {
-                negatives.push(sample([prefix, &[neg_dep]].concat(), false));
-            }
-            if donors.len() > 1 {
-                for k in 0..cross_negs {
-                    // Perturb a rotating position of the window (bugs
-                    // corrupt prefix dependences as often as the final
-                    // one). Even picks prefer donors that feed the *same
-                    // load* — the most confusable neighbours and exactly
-                    // what a wrong-writer bug looks like; odd picks draw
-                    // from the global donor pool.
-                    let at = (w + k) % n;
-                    let donor = if k % 2 == 0 {
-                        let same_load: Vec<&RawDep> = donors
-                            .iter()
-                            .filter(|dd| {
-                                dd.load_pc == window[at].load_pc
-                                    && dd.store_pc != window[at].store_pc
-                            })
-                            .collect();
-                        if same_load.is_empty() {
-                            donors[(w * 7 + k * 13 + 3) % donors.len()]
-                        } else {
-                            *same_load[(w * 5 + k) % same_load.len()]
-                        }
-                    } else {
-                        donors[(w * 7 + k * 13 + 3) % donors.len()]
-                    };
-                    if donor.store_pc == window[at].store_pc {
-                        continue;
-                    }
-                    let mut neg = window.clone();
-                    neg[at] = RawDep {
-                        store_pc: donor.store_pc,
-                        load_pc: window[at].load_pc,
-                        inter_thread: donor.inter_thread,
-                    };
-                    negatives.push(sample(neg, false));
+    /// Dependences pushed since the last clear.
+    pub fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Append a dependence, overwriting the oldest once the ring is full.
+    #[inline]
+    pub fn push(&mut self, dep: RawDep) {
+        self.buf[self.pushed as usize & self.mask] = dep;
+        self.pushed += 1;
+    }
+
+    /// The most recent `n` dependences, oldest first, read in place.
+    /// `n` must be at most the capacity and at most [`DepRing::pushed`].
+    #[inline]
+    pub fn window(&self, n: usize) -> Window<'_> {
+        debug_assert!(n <= self.buf.len() && self.pushed >= n as u64);
+        let end = self.pushed as usize;
+        Window { ring: self, at: end - n, end }
+    }
+
+    /// Forget every dependence (a thread switch).
+    pub fn clear(&mut self) {
+        self.pushed = 0;
+    }
+}
+
+/// A window of a [`DepRing`]: its last `N` dependences, oldest first.
+#[derive(Debug, Clone)]
+pub struct Window<'a> {
+    ring: &'a DepRing,
+    at: usize,
+    end: usize,
+}
+
+impl Iterator for Window<'_> {
+    type Item = RawDep;
+
+    #[inline]
+    fn next(&mut self) -> Option<RawDep> {
+        if self.at == self.end {
+            return None;
+        }
+        let dep = self.ring.buf[self.at & self.ring.mask];
+        self.at += 1;
+        Some(dep)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.at;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Window<'_> {}
+
+/// Forms every thread's windows of `N` dependences from a stream of
+/// observed dependences in trace order. A dependence belongs to the thread
+/// that executed its load; a thread's first `N − 1` dependences form no
+/// window. Rings are kept across [`WindowFormer::reset`], so a former
+/// reused over traces with the threads it has seen allocates nothing.
+#[derive(Debug, Clone)]
+pub struct WindowFormer {
+    n: usize,
+    /// Rings by slot; slots are handed out in first-seen order per trace,
+    /// and a ring left over from an earlier trace is reused.
+    rings: Vec<DepRing>,
+    slots: HashMap<ThreadId, usize>,
+}
+
+impl WindowFormer {
+    /// A former of windows of `n` dependences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "sequence length must be positive");
+        WindowFormer { n, rings: Vec::new(), slots: HashMap::new() }
+    }
+
+    /// Forget every thread's history, keeping the rings for reuse.
+    pub fn reset(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Feed `dep`, observed by a load of thread `tid`. Returns the thread's
+    /// window ending at `dep` once the thread has `N` dependences.
+    #[inline]
+    pub fn push(&mut self, tid: ThreadId, dep: RawDep) -> Option<Window<'_>> {
+        let next = self.slots.len();
+        let slot = *self.slots.entry(tid).or_insert(next);
+        if slot == self.rings.len() {
+            self.rings.push(DepRing::new(self.n));
+        } else if slot == next {
+            self.rings[slot].clear();
+        }
+        let n = self.n;
+        let ring = &mut self.rings[slot];
+        ring.push(dep);
+        if ring.pushed < n as u64 {
+            return None;
+        }
+        Some(ring.window(n))
+    }
+
+    /// Form every window of `trace`'s observed dependences — its
+    /// `Load { dep: Some(..) }` records, the stream the hardware formed —
+    /// in trace order, calling `f` with each window's final load. Resets
+    /// first: windows never span traces.
+    pub fn each_window(&mut self, trace: &Trace, mut f: impl FnMut(&TraceRecord, Window<'_>)) {
+        self.reset();
+        for r in &trace.records {
+            if let TraceKind::Load { dep: Some(dep), .. } = r.kind {
+                if let Some(window) = self.push(r.tid, dep) {
+                    f(r, window);
                 }
             }
-            positives.push(sample(window, true));
-        }
-        h.push(d.dep);
-        // Bound per-thread history to what windows need.
-        if h.len() > 4 * n {
-            let cut = h.len() - n;
-            h.drain(..cut);
         }
     }
-    (positives, negatives)
 }
 
-/// Only the positive samples (for building the Correct Set).
+/// The windows of a dependence stream as positive samples. Kept for the
+/// service benchmark's window count; the workspace forms windows with
+/// [`WindowFormer`].
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
 pub fn positive_sequences(deps: &[DepEvent], n: usize) -> Vec<SeqSample> {
-    sequences(deps, n).0
+    let mut former = WindowFormer::new(n);
+    deps.iter()
+        .filter_map(|d| {
+            let deps = former.push(d.tid, d.dep)?.collect();
+            Some(SeqSample { deps, tid: d.tid, seq: d.seq, cycle: d.cycle, valid: true })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -165,21 +199,24 @@ mod tests {
         RawDep { store_pc, load_pc, inter_thread: false }
     }
 
-    fn ev(seq: u64, tid: ThreadId, d: RawDep, prev: Option<Pc>) -> DepEvent {
-        DepEvent { dep: d, tid, seq, cycle: 10 * seq, prev_writer: prev.map(|p| (p, tid)) }
+    fn ev(seq: u64, tid: ThreadId, d: RawDep) -> DepEvent {
+        DepEvent { dep: d, tid, seq, cycle: 10 * seq, prev_writer: None }
+    }
+
+    fn load(seq: u64, tid: ThreadId, d: Option<RawDep>) -> TraceRecord {
+        TraceRecord { seq, cycle: 10 * seq, tid, pc: 0, kind: TraceKind::Load { addr: 8, dep: d } }
     }
 
     #[test]
     fn windows_are_per_thread_and_ordered() {
         let deps = vec![
-            ev(0, 0, dep(1, 2), None),
-            ev(1, 1, dep(3, 4), None),
-            ev(2, 0, dep(5, 6), None),
-            ev(3, 1, dep(7, 8), None),
-            ev(4, 0, dep(9, 10), None),
+            ev(0, 0, dep(1, 2)),
+            ev(1, 1, dep(3, 4)),
+            ev(2, 0, dep(5, 6)),
+            ev(3, 1, dep(7, 8)),
+            ev(4, 0, dep(9, 10)),
         ];
-        let (pos, neg) = sequences(&deps, 2);
-        assert!(neg.is_empty());
+        let pos = positive_sequences(&deps, 2);
         // Thread 0: (1->2, 5->6), (5->6, 9->10); thread 1: (3->4, 7->8).
         assert_eq!(pos.len(), 3);
         assert_eq!(pos[0].deps, vec![dep(1, 2), dep(5, 6)]);
@@ -191,43 +228,25 @@ mod tests {
 
     #[test]
     fn n_equals_one_yields_singletons_immediately() {
-        let deps = vec![ev(0, 0, dep(1, 2), None), ev(1, 0, dep(3, 4), None)];
-        let (pos, _) = sequences(&deps, 1);
+        let deps = vec![ev(0, 0, dep(1, 2)), ev(1, 0, dep(3, 4))];
+        let pos = positive_sequences(&deps, 1);
         assert_eq!(pos.len(), 2);
         assert_eq!(pos[0].deps.len(), 1);
     }
 
     #[test]
     fn warmup_produces_no_windows() {
-        let deps = vec![ev(0, 0, dep(1, 2), None), ev(1, 0, dep(3, 4), None)];
-        let (pos, _) = sequences(&deps, 3);
-        assert!(pos.is_empty());
-    }
-
-    #[test]
-    fn negatives_replace_final_dep() {
-        let deps = vec![
-            ev(0, 0, dep(1, 2), None),
-            ev(1, 0, dep(5, 6), Some(3)), // prev writer at pc 3
-        ];
-        let (pos, neg) = sequences(&deps, 2);
-        assert_eq!(pos.len(), 1);
-        assert_eq!(neg.len(), 1);
-        assert_eq!(neg[0].deps, vec![dep(1, 2), dep(3, 6)]);
-        assert!(!neg[0].valid);
-        // The shared prefix matches the positive sample's.
-        assert_eq!(neg[0].deps[0], pos[0].deps[0]);
+        let deps = vec![ev(0, 0, dep(1, 2)), ev(1, 0, dep(3, 4))];
+        assert!(positive_sequences(&deps, 3).is_empty());
     }
 
     #[test]
     fn history_bounding_does_not_change_samples() {
-        // Long single-thread stream: bounded history must give identical
-        // windows to an unbounded reference implementation.
-        let deps: Vec<DepEvent> =
-            (0..200).map(|i| ev(i, 0, dep(i as Pc, (i + 1) as Pc), None)).collect();
-        let (pos, _) = sequences(&deps, 5);
+        // A long single-thread stream wraps the ring many times: every
+        // window must still be the last five dependences.
+        let deps: Vec<DepEvent> = (0..200).map(|i| ev(i, 0, dep(i as Pc, (i + 1) as Pc))).collect();
+        let pos = positive_sequences(&deps, 5);
         assert_eq!(pos.len(), 200 - 4);
-        // Spot-check a late window.
         assert_eq!(
             pos.last().unwrap().deps,
             (195..200).map(|i| dep(i as Pc, (i + 1) as Pc)).collect::<Vec<_>>()
@@ -235,8 +254,47 @@ mod tests {
     }
 
     #[test]
+    fn each_window_reads_observed_loads_and_resets_per_trace() {
+        let trace = Trace {
+            records: vec![
+                load(0, 0, Some(dep(1, 2))),
+                load(1, 0, None),
+                TraceRecord {
+                    seq: 2,
+                    cycle: 20,
+                    tid: 0,
+                    pc: 0,
+                    kind: TraceKind::Store { addr: 8 },
+                },
+                load(3, 0, Some(dep(3, 4))),
+            ],
+            code_len: 10,
+        };
+        let mut former = WindowFormer::new(2);
+        for _ in 0..2 {
+            let mut seen = Vec::new();
+            former.each_window(&trace, |r, w| seen.push((r.seq, r.cycle, w.collect::<Vec<_>>())));
+            assert_eq!(seen, vec![(3, 30, vec![dep(1, 2), dep(3, 4)])], "no window spans traces");
+        }
+    }
+
+    #[test]
+    fn ring_window_reads_the_last_n_in_place() {
+        let mut ring = DepRing::new(3);
+        for i in 0..6 {
+            ring.push(dep(i, i));
+        }
+        assert_eq!(ring.pushed(), 6);
+        let w = ring.window(3);
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.collect::<Vec<_>>(), vec![dep(3, 3), dep(4, 4), dep(5, 5)]);
+        ring.clear();
+        assert_eq!(ring.pushed(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "positive")]
     fn zero_length_rejected() {
-        let _ = sequences(&[], 0);
+        let _ = WindowFormer::new(0);
     }
 }

@@ -1,13 +1,19 @@
 //! Cross-crate integration invariants that no single crate can test alone.
 
 use act_bench::{act_cfg_for, collect_clean_traces, machine_cfg, norm_of, train_workload};
-use act_core::weights::WeightStore;
+use act_core::module::ActModule;
+use act_core::weights::{shared, WeightStore};
 use act_serve::ModelSpec;
 use act_sim::machine::Machine;
+use act_trace::collector::TraceCollector;
 use act_trace::correct_set::CorrectSet;
+use act_trace::input_gen::WindowFormer;
 use act_trace::raw::{observed_deps, raw_deps};
 use act_workloads::registry;
 use act_workloads::spec::Params;
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::rc::Rc;
 
 /// The hardware-observed dependence stream must be a subsequence of the
 /// precise replay: cache metadata can *lose* writers (evictions, clean
@@ -116,5 +122,66 @@ fn harness_and_daemon_train_the_same_model() {
         assert_eq!(bytes(&daemon.store), bytes(&harness.store), "{name}: weights differ");
         assert_eq!(sequences(&daemon.correct), sequences(&correct), "{name}: Correct Sets differ");
         assert_eq!(daemon.norm_code_len, norm_of(w.as_ref()), "{name}: encodings differ");
+    }
+}
+
+/// The simulator path and the service path form the same windows. The
+/// first failing run of each Table V bug (the harness's training, seeds
+/// from 0, the default machine) runs once with an ACT module on every core
+/// and a trace collector attached, so both see the same `LoadEvent`s — the
+/// collector at dispatch, the modules at retirement or in the crash drain.
+/// Every debug entry a module logged must be one of the windows the Input
+/// Generator's former forms from that run's trace, with the same deps,
+/// thread and cycle, and the modules must have predicted exactly as many
+/// windows as the trace path forms.
+#[test]
+fn module_and_trace_path_form_the_same_windows() {
+    for w in act_workloads::bugs::all() {
+        let cfg = act_cfg_for(w.as_ref());
+        let store = shared(train_workload(w.as_ref(), 10, &cfg).store);
+        let n = store.borrow().seq_len();
+        let (modules, trace) = (0..20)
+            .find_map(|seed| {
+                let built = w.build(&w.default_params().with_seed(seed).triggered());
+                let mut machine = Machine::new(&built.program, machine_cfg(seed));
+                let modules: Vec<_> = (0..machine.stats().cores.len())
+                    .map(|core| {
+                        let m = ActModule::new(cfg.clone(), cfg.norm_code_len, store.clone());
+                        let m = Rc::new(RefCell::new(m));
+                        machine.attach(core, Box::new(m.clone()));
+                        m
+                    })
+                    .collect();
+                let mut collector = TraceCollector::new(cfg.norm_code_len);
+                let outcome = machine.run_observed(&mut collector);
+                built.is_failure(&outcome).then(|| (modules, collector.into_trace()))
+            })
+            .unwrap_or_else(|| panic!("{} never failed", w.name()));
+
+        let mut windows = HashSet::new();
+        let mut formed = 0u64;
+        WindowFormer::new(n).each_window(&trace, |r, window| {
+            windows.insert((window.collect::<Vec<_>>(), r.tid, r.cycle));
+            formed += 1;
+        });
+        let mut predictions = 0;
+        let mut logged = 0;
+        for m in &modules {
+            let m = m.borrow();
+            predictions += m.stats().predictions;
+            for e in m.debug_buffer().entries() {
+                logged += 1;
+                assert!(
+                    windows.contains(&(e.deps.clone(), e.tid, e.cycle)),
+                    "{}: the module logged a window the trace path never forms: {e:?}",
+                    w.name()
+                );
+            }
+        }
+        eprintln!(
+            "{:<10} module predictions {predictions:>6}  trace windows {formed:>6}  logged {logged}",
+            w.name()
+        );
+        assert_eq!(predictions, formed, "{}: the two paths formed different windows", w.name());
     }
 }

@@ -1,6 +1,7 @@
 //! Regenerates **Table IV**: offline training of the neural networks on the
-//! clean kernels — traces used, dependences, chosen topology, and held-out
-//! misprediction rate (false positives; the paper's average is ~0.4%).
+//! clean kernels — traces used, dependences, the trained topology (the
+//! recipe's N = 2, h = 10), and held-out misprediction rate (false
+//! positives; the paper's average is ~0.4%).
 //!
 //! Kernels train in parallel via `act-fleet` (one job per kernel); the
 //! table is identical at any `--jobs` count.

@@ -459,8 +459,8 @@ fn ablation_mutate(label: &str, cfg: &mut ActConfig) {
         "full" => {}
         "no-cross-negs" => cfg.cross_negs = 0,
         "no-noise-negs" => cfg.noise_fraction = 0.0,
-        "seq-len-1" => cfg.search.seq_lens = vec![1],
-        "hidden-2" => cfg.search.hidden_sizes = vec![2],
+        "seq-len-1" => cfg.seq_len = 1,
+        "hidden-2" => cfg.hidden = 2,
         other => panic!("unknown ablation `{other}`"),
     }
 }
@@ -605,6 +605,20 @@ mod tests {
         assert_eq!(header_int(&clean, "ranked"), Some(1));
         assert_eq!(header_int(&clean, "logged"), Some(58));
         assert_eq!(header_int(&clean, "missing"), None);
+    }
+
+    #[test]
+    fn ablation_labels_set_the_topology_and_nothing_else() {
+        let w = lookup("apache");
+        let base = act_cfg_for(w.as_ref());
+        assert_eq!((base.seq_len, base.hidden), (2, 10));
+        for (label, want) in [("full", (2, 10)), ("seq-len-1", (1, 10)), ("hidden-2", (2, 2))] {
+            let mut cfg = act_cfg_for(w.as_ref());
+            ablation_mutate(label, &mut cfg);
+            assert_eq!((cfg.seq_len, cfg.hidden), want, "{label}");
+            (cfg.seq_len, cfg.hidden) = (base.seq_len, base.hidden);
+            assert_eq!(format!("{cfg:?}"), format!("{base:?}"), "{label} changed another field");
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub use act_workloads::run::{machine_cfg, norm_of};
 /// 10-neuron hidden layer.
 pub fn act_cfg() -> ActConfig {
     // Sequence context is what distinguishes "same dependence, wrong
-    // context" bugs (gzip, seq, apache); N = 1 can win error ties only
-    // because it cannot even express them, so the harness pins N = 2.
+    // context" bugs (gzip, seq, apache), and N = 1 cannot express it, so
+    // the harness trains at N = 2.
     ActConfig::recipe(2, 10, 0, 0)
 }
 

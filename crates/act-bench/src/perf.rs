@@ -405,21 +405,19 @@ pub fn online_train_steps_per_sec(target: Duration) -> f64 {
     })
 }
 
-/// Offline training wall-clock on the `fft` kernel over a real topology
-/// grid (the default `M²` search is what the parallel fan-out accelerates).
-pub fn offline_train_wall_s(quick: bool, jobs: usize) -> f64 {
+/// Offline training wall-clock on the `fft` kernel: one `offline_train` of
+/// the harness topology (`act_cfg_for`, N = 2, h = 10) on 4 traces at 60
+/// epochs (quick) or 8 traces at 120 epochs.
+pub fn offline_train_wall_s(quick: bool) -> f64 {
     let w = registry::by_name("fft").expect("fft kernel registered");
     let want = if quick { 4 } else { 8 };
     let traces: Vec<_> = clean_traces(w.as_ref(), 0..want as u64 * 2).take(want).collect();
     assert!(!traces.is_empty(), "fft produced no clean traces");
     let mut cfg = act_cfg_for(w.as_ref());
-    cfg.search.seq_lens = if quick { vec![2] } else { vec![1, 2] };
-    cfg.search.hidden_sizes = if quick { vec![4, 10] } else { vec![2, 4, 6, 8, 10] };
     cfg.train.max_epochs = if quick { 60 } else { 120 };
-    cfg.search_workers = jobs;
     let start = Instant::now();
     let trained = offline_train(norm_of(w.as_ref()), &traces, &cfg);
-    std::hint::black_box(trained.report.candidates);
+    std::hint::black_box(trained.report.test_fp_rate);
     start.elapsed().as_secs_f64()
 }
 
@@ -696,11 +694,11 @@ pub fn cache_hit_lookups_per_sec(target: Duration, threads: usize) -> f64 {
     total as f64 / target.as_secs_f64()
 }
 
-/// Run the full suite. `jobs` is the worker count for the parallel variants
-/// of the wall-clock benches (entries are only emitted when `jobs > 1`, so
-/// a single-core host produces one row per bench). `only` restricts the
-/// suite to benches whose name contains any of the comma-separated
-/// filters (substring match) — `perf --only obs` runs just the
+/// Run the full suite. `jobs` is the worker count of `table4_wall_s`'s
+/// parallel row (emitted only when `jobs > 1`, so a single-core host
+/// produces one row per bench). `only` restricts the suite to benches
+/// whose name contains any of the comma-separated filters (substring
+/// match) — `perf --only obs` runs just the
 /// observability-overhead measurement, `--only classify,batched` the
 /// CI-gated pair.
 pub fn run_all(quick: bool, jobs: usize, only: Option<&str>) -> Vec<BenchEntry> {
@@ -718,10 +716,7 @@ pub fn run_all(quick: bool, jobs: usize, only: Option<&str>) -> Vec<BenchEntry> 
     row("classify_predictions_per_sec", 1, ops, &|| classify_predictions_per_sec(target));
     row("obs_classify_predictions_per_sec", 1, ops, &|| obs_classify_predictions_per_sec(target));
     row("online_train_steps_per_sec", 1, ops, &|| online_train_steps_per_sec(target));
-    row("offline_train_wall_s", 1, "s", &|| offline_train_wall_s(quick, 1));
-    if jobs > 1 {
-        row("offline_train_wall_s", jobs, "s", &|| offline_train_wall_s(quick, jobs));
-    }
+    row("offline_train_wall_s", 1, "s", &|| offline_train_wall_s(quick));
     row("store_encode_mb_per_sec", 1, "MB/s", &|| store_encode_mb_per_sec(target));
     row("store_decode_mb_per_sec", 1, "MB/s", &|| store_decode_mb_per_sec(target));
     row("store_compression_ratio", 1, "ratio", &store_compression_ratio);

@@ -10,11 +10,12 @@
 //!
 //! 1. **Offline training** ([`offline`]): from traces of correct runs,
 //!    form dependence sequences (positive + synthesized negative examples),
-//!    search `i × h × 1` topologies, store per-thread weights
+//!    train the configured `i × h × 1` topology, store per-thread weights
 //!    ([`weights::WeightStore`] — the paper's binary patching). The
 //!    experiment harness and the diagnosis daemon train with the one
-//!    recipe [`ActConfig::recipe`] (pinned topology, learning rate 0.5,
-//!    300 epochs by default).
+//!    recipe [`ActConfig::recipe`] (N = 2 and h = 10 unless a caller asks
+//!    for another topology, learning rate 0.5, at most 300 epochs by
+//!    default).
 //! 2. **Online testing/training** ([`module::ActModule`]): attached to each
 //!    simulated core, the module verifies every dependence sequence through
 //!    the pipelined network, logs invalid ones in its debug buffer, and

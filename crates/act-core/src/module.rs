@@ -190,38 +190,6 @@ impl ActModule {
         self.pipeline.stats()
     }
 
-    /// Export the module's observability view — misprediction rate, mode
-    /// flips, IGB occupancy, debug-buffer pressure, and FIFO counters — as
-    /// one [`MetricsSnapshot`](act_obs::MetricsSnapshot). The module keeps
-    /// plain-field counters on its per-load hot path (no atomics); this
-    /// copies them out on demand, which is how the whole stack funnels
-    /// into the one snapshot type.
-    pub fn metrics_snapshot(&self) -> act_obs::MetricsSnapshot {
-        let mut snap = act_obs::MetricsSnapshot::new();
-        let s = &self.stats;
-        snap.push_counter("predictions", s.predictions);
-        snap.push_counter("invalids", s.invalids);
-        snap.push_counter("train_updates", s.train_updates);
-        snap.push_counter("mode_flips_to_training", s.to_training);
-        snap.push_counter("mode_flips_to_testing", s.to_testing);
-        snap.push_counter("no_dep_loads", s.no_dep_loads);
-        snap.push_gauge("mispred_rate_ppm", (s.mispred_rate() * 1e6) as i64);
-        snap.push_gauge("mode_training", matches!(self.mode, Mode::Training) as i64);
-        snap.push_gauge(
-            "igb_occupancy",
-            self.igb.pushed().min(self.cfg.igb_capacity as u64) as i64,
-        );
-        snap.push_gauge("igb_capacity", self.cfg.igb_capacity as i64);
-        snap.push_gauge("debug_len", self.debug.len() as i64);
-        snap.push_gauge("debug_capacity", self.debug.capacity as i64);
-        snap.push_counter("debug_evicted", self.debug.evicted());
-        let p = self.pipeline.stats();
-        snap.push_counter("fifo_accepted", p.accepted);
-        snap.push_counter("fifo_rejected", p.rejected);
-        snap.push_counter("fifo_serviced", p.serviced);
-        snap
-    }
-
     fn set_mode(&mut self, mode: Mode) {
         if self.mode != mode {
             match mode {
@@ -487,25 +455,6 @@ mod tests {
         // After enough cycles the FIFO drains and the load is accepted.
         m.tick(100);
         assert!(m.offer_load(&load_event(7, Some(dep(3, 7)), 100)));
-    }
-
-    #[test]
-    fn metrics_snapshot_exports_module_state() {
-        let mut m = module_with_seq_len(2);
-        m.on_thread_start(0);
-        m.tick(1);
-        let _ = m.offer_load(&load_event(5, Some(dep(1, 5)), 1));
-        m.tick(50);
-        let _ = m.offer_load(&load_event(6, Some(dep(2, 6)), 50));
-        let snap = m.metrics_snapshot();
-        assert_eq!(snap.counter("predictions"), Some(m.stats().predictions));
-        assert_eq!(snap.gauge("igb_occupancy"), Some(2));
-        assert_eq!(snap.gauge("igb_capacity"), Some(50));
-        assert_eq!(snap.gauge("mode_training"), Some(1), "untrained thread trains");
-        assert_eq!(snap.gauge("debug_capacity"), Some(60));
-        // The snapshot round-trips through the wire form intact.
-        let bytes = snap.to_bytes();
-        assert_eq!(act_obs::MetricsSnapshot::from_bytes(&bytes).unwrap(), snap);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Offline training (§III-B): from traces of correct executions, run the
-//! input generator, search topologies, and produce per-thread weights.
-//! The traces come from `act_workloads::run::correct_runs` or a corpus;
-//! the settings from [`ActConfig::recipe`].
+//! input generator, train the configured `5N × h × 1` network, and produce
+//! per-thread weights. The traces come from `act_workloads::run::correct_runs`
+//! or a corpus; the settings, topology included, from [`ActConfig::recipe`].
 
 use crate::config::ActConfig;
 use crate::encoding::Encoder;
 use crate::weights::WeightStore;
 use act_nn::network::{Network, Topology};
-use act_nn::trainer::{self, Example, SearchOutcome};
+use act_nn::trainer::{self, Example};
 use act_sim::events::{RawDep, ThreadId};
 use act_trace::event::Trace;
 use act_trace::input_gen::{SeqSample, WindowFormer};
@@ -19,15 +19,15 @@ use std::collections::{HashMap, HashSet};
 pub struct OfflineReport {
     /// Traces used for training (the rest were held out).
     pub train_traces: usize,
-    /// Held-out traces used to score topologies.
+    /// Held-out traces used to score the trained network.
     pub test_traces: usize,
     /// Dependence occurrences across all traces.
     pub total_deps: usize,
     /// Distinct dependences across all traces (Table IV "# RAW Dep").
     pub distinct_deps: usize,
-    /// Winning sequence length `N`.
+    /// Sequence length `N` (`ActConfig::seq_len`).
     pub seq_len: usize,
-    /// Winning topology (Table IV "Topology").
+    /// The trained topology, `5N × h × 1` (Table IV "Topology").
     pub topology: Topology,
     /// Held-out false-positive rate: valid sequences predicted invalid
     /// (Table IV "% mispred" — the paper's test data has no invalid
@@ -39,8 +39,6 @@ pub struct OfflineReport {
     /// Held-out false-negative rate on *previous-writer* negatives only —
     /// the paper's Fig 7(a) metric.
     pub test_fn_rate_paper: f64,
-    /// Topology candidates evaluated.
-    pub candidates: usize,
 }
 
 /// Result of offline training: the weight store to deploy plus the report.
@@ -273,18 +271,22 @@ fn global_positive_set(traces_deps: &[Vec<DepEvent>], n: usize) -> HashSet<Vec<R
 /// instructions.
 ///
 /// The trace set is split into training and held-out portions
-/// (`cfg.test_fraction`); the `M²` topology search picks the sequence
-/// length and hidden size with the lowest held-out error; then each
-/// thread's network is fine-tuned from the pooled winner on that thread's
-/// own sequences, and the weights are stored per thread id.
+/// (`cfg.test_fraction`). One network of `cfg.seq_len` dependences and
+/// `cfg.hidden` hidden neurons trains on the pooled training windows; each
+/// thread's network is then refined from it on that thread's own windows,
+/// and the weights are stored per thread id. The held-out traces score the
+/// pooled network.
 ///
 /// # Panics
 ///
-/// Panics if `traces` is empty or produces no dependences.
+/// Panics if `traces` is empty, produces no dependences, or its training
+/// traces form no window of `cfg.seq_len` dependences.
 pub fn offline_train(code_len: usize, traces: &[Trace], cfg: &ActConfig) -> TrainedAct {
     assert!(!traces.is_empty(), "offline training needs at least one trace");
     cfg.validate().expect("valid ActConfig");
     let enc = Encoder::new(code_len);
+    let n = cfg.seq_len;
+    let topology = Topology::new(crate::encoding::FEATURES_PER_DEP * n, cfg.hidden);
 
     let per_trace_deps: Vec<Vec<DepEvent>> = traces.iter().map(observed_deps).collect();
     let all_deps: Vec<DepEvent> = per_trace_deps.iter().flatten().copied().collect();
@@ -300,30 +302,21 @@ pub fn offline_train(code_len: usize, traces: &[Trace], cfg: &ActConfig) -> Trai
         per_trace_deps[train_count..].iter().collect(),
     );
 
-    // Topology search over pooled examples. Training sets are seeded with
-    // "noise negatives" — random input points labelled invalid — so the
+    // The pooled network. Its training set is seeded with "noise
+    // negatives" — random input points labelled invalid — so the
     // classifier's default in unpopulated input regions is *invalid*:
     // exactly the property ACT needs to flag communications never seen in
     // any correct run (PSet-style membership).
-    let cap = cfg.max_search_examples.max(1);
-    let outcome: SearchOutcome =
-        trainer::topology_search_with_workers(&cfg.search, cfg.train, cfg.search_workers, |n| {
-            let gp = global_positive_set(&per_trace_deps, n);
-            let (tp, tn, _) = encode_examples(&enc, &train_deps, n, cfg.cross_negs, &gp);
-            let (vp, vn, _) = encode_examples(&enc, &test_deps, n, cfg.cross_negs, &gp);
-            let mut train = balance(tp, tn, cap);
-            let width = crate::encoding::FEATURES_PER_DEP * n;
-            let noise_count = (train.len() as f64 * cfg.noise_fraction) as usize;
-            train.extend(noise_negatives(noise_count, width, cfg.train.seed));
-            (train, balance(vp, vn, cap))
-        });
-    let n = outcome.seq_len;
-    let topology = outcome.topology;
-
-    // Per-thread fine-tuning from the pooled winner (balanced like the
-    // pooled training set).
     let gp = global_positive_set(&per_trace_deps, n);
-    let (_, _, by_tid) = encode_examples(&enc, &train_deps, n, cfg.cross_negs, &gp);
+    let (tp, tn, by_tid) = encode_examples(&enc, &train_deps, n, cfg.cross_negs, &gp);
+    assert!(!tp.is_empty(), "the training traces form no window of {n} dependences");
+    let mut train = balance(tp, tn, cfg.max_train_examples.max(1));
+    let noise_count = (train.len() as f64 * cfg.noise_fraction) as usize;
+    train.extend(noise_negatives(noise_count, topology.inputs, cfg.train.seed));
+    let mut pooled = trainer::train_network(topology, &train, cfg.train).network;
+
+    // Per-thread fine-tuning from the pooled network (balanced like the
+    // pooled training set).
     let mut grouped: HashMap<ThreadId, (Vec<Example>, Vec<Example>)> = HashMap::new();
     for (tid, ex) in by_tid {
         let slot = grouped.entry(tid).or_default();
@@ -338,7 +331,7 @@ pub fn offline_train(code_len: usize, traces: &[Trace], cfg: &ActConfig) -> Trai
     tids.sort_unstable();
     for tid in tids {
         let (pos, neg) = grouped.remove(&tid).expect("tid grouped");
-        // Brief per-thread refinement from the pooled winner: a couple of
+        // Brief per-thread refinement from the pooled network: a couple of
         // passes over the thread's own positives, with its negatives along
         // to keep the invalid space carved. (An aggressive per-thread pass
         // destabilizes the shared solution; two gentle epochs only firm up
@@ -349,11 +342,8 @@ pub fn offline_train(code_len: usize, traces: &[Trace], cfg: &ActConfig) -> Trai
         // Refine at a fraction of the training rate: enough to firm up the
         // thread's own patterns, not enough to destabilize the shared
         // solution on a thread's small, repetitive sample.
-        let mut net = Network::from_flat(
-            topology,
-            &outcome.network.weights_flat(),
-            cfg.train.learning_rate * 0.2,
-        );
+        let mut net =
+            Network::from_flat(topology, &pooled.weights_flat(), cfg.train.learning_rate * 0.2);
         for _ in 0..2 {
             for ex in &examples {
                 net.train(&ex.x, ex.t);
@@ -362,14 +352,13 @@ pub fn offline_train(code_len: usize, traces: &[Trace], cfg: &ActConfig) -> Trai
         store.store_weights(tid, net.weights_flat());
     }
 
-    // Held-out quality of the pooled winner, split by example polarity.
+    // Held-out quality of the pooled network, split by example polarity.
     let (vp, vn, _) = encode_examples(&enc, &test_deps, n, cfg.cross_negs, &gp);
-    let mut net: Network = outcome.network.clone();
-    let fp = trainer::evaluate(&mut net, &vp);
-    let fnr = trainer::evaluate(&mut net, &vn);
+    let fp = trainer::evaluate(&mut pooled, &vp);
+    let fnr = trainer::evaluate(&mut pooled, &vn);
     // The paper's Fig 7(a) negatives: previous-writer substitutions only.
     let (_, vn_paper, _) = encode_examples(&enc, &test_deps, n, 0, &gp);
-    let fnr_paper = trainer::evaluate(&mut net, &vn_paper);
+    let fnr_paper = trainer::evaluate(&mut pooled, &vn_paper);
 
     TrainedAct {
         store,
@@ -383,7 +372,6 @@ pub fn offline_train(code_len: usize, traces: &[Trace], cfg: &ActConfig) -> Trai
             test_fp_rate: fp.rate(),
             test_fn_rate: fnr.rate(),
             test_fn_rate_paper: fnr_paper.rate(),
-            candidates: outcome.candidates,
         },
     }
 }
@@ -393,10 +381,8 @@ mod tests {
     use super::*;
     use crate::testing::{correct_traces, Looping};
 
-    fn small_cfg() -> ActConfig {
-        let mut cfg = ActConfig::default();
-        cfg.search.seq_lens = vec![1, 2];
-        cfg.search.hidden_sizes = vec![2, 4];
+    fn small_cfg(seq_len: usize, hidden: usize) -> ActConfig {
+        let mut cfg = ActConfig { seq_len, hidden, ..ActConfig::default() };
         cfg.train.max_epochs = 30;
         cfg
     }
@@ -413,43 +399,43 @@ mod tests {
     #[test]
     fn offline_train_produces_store_and_report() {
         let traces = correct_traces(&Looping::CORRECT, 1..5);
-        let trained = offline_train(traces[0].code_len, &traces, &small_cfg());
+        let trained = offline_train(traces[0].code_len, &traces, &small_cfg(2, 4));
         let r = &trained.report;
         assert!(r.total_deps > 0);
         assert!(r.distinct_deps > 0);
-        assert!(r.seq_len == 1 || r.seq_len == 2);
-        assert_eq!(r.topology.inputs, crate::encoding::FEATURES_PER_DEP * r.seq_len);
-        assert!(r.candidates > 0);
+        assert_eq!((r.train_traces, r.test_traces), (2, 2));
         assert!(trained.store.has_weights(0), "main thread weights stored");
         // The stable loop should be learned nearly perfectly.
         assert!(r.test_fp_rate < 0.2, "fp rate {}", r.test_fp_rate);
     }
 
     #[test]
-    fn offline_train_is_byte_identical_at_any_search_worker_count() {
+    fn offline_train_trains_the_configured_topology() {
         let traces = correct_traces(&Looping::CORRECT, 1..5);
-        let code_len = traces[0].code_len;
-        let serial = offline_train(code_len, &traces, &small_cfg());
-        for workers in [2, 4, 8] {
-            let mut cfg = small_cfg();
-            cfg.search_workers = workers;
-            let par = offline_train(code_len, &traces, &cfg);
-            assert_eq!(par.report.seq_len, serial.report.seq_len, "workers={workers}");
-            assert_eq!(par.report.topology, serial.report.topology, "workers={workers}");
-            assert_eq!(par.report.candidates, serial.report.candidates, "workers={workers}");
-            for tid in 0..2u32 {
-                if !serial.store.has_weights(tid) {
-                    continue;
-                }
-                let (sw, pw) = (serial.store.weights_for(tid), par.store.weights_for(tid));
-                let bits = |w: &[f32]| w.iter().copied().map(f32::to_bits).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(sw),
-                    bits(pw),
-                    "thread {tid} weights must match bitwise at workers={workers}"
-                );
-            }
+        for (seq_len, hidden) in [(1, 2), (2, 4)] {
+            let trained = offline_train(traces[0].code_len, &traces, &small_cfg(seq_len, hidden));
+            let want = Topology::new(crate::encoding::FEATURES_PER_DEP * seq_len, hidden);
+            assert_eq!((trained.report.seq_len, trained.report.topology), (seq_len, want));
+            assert_eq!((trained.store.seq_len(), trained.store.topology()), (seq_len, want));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "form no window of 2 dependences")]
+    fn offline_train_rejects_traces_without_a_window() {
+        // Each trace keeps its first dependence only: N = 1 would have a
+        // window, N = 2 has none.
+        let traces: Vec<Trace> = correct_traces(&Looping::CORRECT, 1..3)
+            .into_iter()
+            .map(|mut t| {
+                let first = t.records.iter().position(|r| {
+                    matches!(r.kind, act_trace::event::TraceKind::Load { dep: Some(_), .. })
+                });
+                t.records.truncate(first.expect("the loop forms a dependence") + 1);
+                t
+            })
+            .collect();
+        let _ = offline_train(traces[0].code_len, &traces, &small_cfg(2, 4));
     }
 
     #[test]
@@ -470,6 +456,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one trace")]
     fn offline_train_rejects_empty() {
-        let _ = offline_train(10, &[], &small_cfg());
+        let _ = offline_train(10, &[], &small_cfg(2, 4));
     }
 }

@@ -144,10 +144,9 @@ where
 /// Map `f` over `items` across `workers` threads; results come back
 /// **ordered by item index** regardless of scheduling.
 ///
-/// [`run_jobs`] runs campaigns through it; other callers fan out work
-/// units that are not campaign [`JobDesc`]s (e.g. the offline topology
-/// search fanning training candidates). `f` must depend only on its item
-/// (and index), so the result vector is identical at any worker count.
+/// [`run_jobs`] runs campaigns through it. `f` must depend only on its
+/// item (and index), so the result vector is identical at any worker
+/// count.
 /// There is no failure isolation here — a panic in `f` propagates to the
 /// caller with its original payload (`run_jobs` catches inside `f`).
 ///

@@ -5,7 +5,7 @@
 //! * [`network`] — the one-hidden-layer MLP (`i × h × 1`) with sigmoid
 //!   activation and online back-propagation (§II-A).
 //! * [`sigmoid`] — exact activation plus the hardware lookup table.
-//! * [`trainer`] — epoch training and the `M²` topology search that replaces
+//! * [`trainer`] — epoch training of one configured topology, replacing
 //!   the paper's OpenCV MLP library (§III-B).
 //! * [`pipeline`] — the cycle model of ACT's three-stage partially
 //!   configurable pipeline, with the multiply-add-unit latency knob and the

@@ -1,10 +1,12 @@
-//! Offline training: epoch-based back-propagation and the `M²` topology
-//! search of §IV-A (`i × h × 1` with `1 ≤ i, h ≤ M`).
+//! Offline training: epoch-based back-propagation of one `i × h × 1`
+//! network (§III-B).
 //!
-//! This replaces the OpenCV MLP library the paper trains with (its reference 27): the caller
-//! supplies labelled examples (positive = observed RAW dependence sequences,
-//! negative = synthesized invalid ones), the trainer picks the topology with
-//! the lowest held-out misprediction rate.
+//! This replaces the OpenCV MLP library the paper trains with (its
+//! reference 27): the caller supplies labelled examples (positive =
+//! observed RAW dependence sequences, negative = synthesized invalid ones)
+//! and the topology. The paper lets its library choose the topology; here
+//! the caller configures it, because a search by held-out error prefers
+//! sequence length 1, which cannot express the context bugs ACT targets.
 
 use crate::network::{Network, Topology};
 use act_rng::rngs::StdRng;
@@ -143,138 +145,6 @@ pub fn evaluate(net: &mut Network, examples: &[Example]) -> EvalStats {
     stats
 }
 
-/// The search space for topology selection.
-#[derive(Debug, Clone)]
-pub struct SearchSpace {
-    /// Candidate sequence lengths `N` (number of RAW dependences per input).
-    /// The paper sweeps 1..=5.
-    pub seq_lens: Vec<usize>,
-    /// Candidate hidden-layer sizes. The paper sweeps 1..=10.
-    pub hidden_sizes: Vec<usize>,
-}
-
-impl Default for SearchSpace {
-    fn default() -> Self {
-        SearchSpace { seq_lens: (1..=5).collect(), hidden_sizes: (1..=10).collect() }
-    }
-}
-
-/// Outcome of a topology search.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome {
-    /// The winning sequence length `N`.
-    pub seq_len: usize,
-    /// The winning topology.
-    pub topology: Topology,
-    /// The network trained at that topology.
-    pub network: Network,
-    /// Held-out misprediction rate of the winner.
-    pub test_error: f64,
-    /// Number of (seq_len, hidden) candidates evaluated.
-    pub candidates: usize,
-}
-
-/// Search over sequence lengths and hidden sizes for the topology with the
-/// lowest held-out misprediction rate (ties go to the smaller network).
-///
-/// `examples_for(n)` must return `(train, test)` example sets encoded for
-/// sequence length `n`; all examples for a given `n` must share the same
-/// input width. Lengths with no training data are skipped.
-///
-/// # Panics
-///
-/// Panics if every candidate sequence length has an empty training set.
-pub fn topology_search<F>(space: &SearchSpace, cfg: TrainConfig, examples_for: F) -> SearchOutcome
-where
-    F: FnMut(usize) -> (Vec<Example>, Vec<Example>),
-{
-    topology_search_with_workers(space, cfg, 1, examples_for)
-}
-
-/// One `(seq_len, hidden)` cell of the search grid, borrowing its sequence
-/// length's materialized example sets.
-struct Candidate<'a> {
-    seq_len: usize,
-    topo: Topology,
-    train: &'a [Example],
-    test: &'a [Example],
-}
-
-/// [`topology_search`] with the candidate grid fanned across `workers`
-/// threads (via [`act_fleet::parallel_map`]).
-///
-/// Each `(seq_len, hidden)` candidate trains independently from its own
-/// seeded RNG streams, so training can run in any order; the winner is then
-/// folded in the serial grid order with the exact comparison the serial
-/// search uses. The outcome — topology, weights, error — is therefore
-/// **byte-identical** at any worker count. `examples_for` is still called
-/// serially (once per sequence length, in order), since it may carry
-/// mutable state.
-pub fn topology_search_with_workers<F>(
-    space: &SearchSpace,
-    cfg: TrainConfig,
-    workers: usize,
-    mut examples_for: F,
-) -> SearchOutcome
-where
-    F: FnMut(usize) -> (Vec<Example>, Vec<Example>),
-{
-    // Materialize example sets per sequence length up front (serially).
-    let mut sets: Vec<(usize, Vec<Example>, Vec<Example>)> = Vec::new();
-    for &n in &space.seq_lens {
-        let (train, test) = examples_for(n);
-        if train.is_empty() {
-            continue;
-        }
-        let inputs = train[0].x.len();
-        debug_assert!(train.iter().chain(&test).all(|e| e.x.len() == inputs));
-        sets.push((n, train, test));
-    }
-    // Expand the grid in serial iteration order: seq_lens outer, hidden inner.
-    let grid: Vec<Candidate> = sets
-        .iter()
-        .flat_map(|(n, train, test)| {
-            space.hidden_sizes.iter().map(move |&h| Candidate {
-                seq_len: *n,
-                topo: Topology::new(train[0].x.len(), h),
-                train,
-                test,
-            })
-        })
-        .collect();
-    let trained: Vec<(Network, f64)> = act_fleet::parallel_map(&grid, workers, |_, c| {
-        let result = train_network(c.topo, c.train, cfg);
-        let mut net = result.network;
-        let err =
-            if c.test.is_empty() { result.train_error } else { evaluate(&mut net, c.test).rate() };
-        (net, err)
-    });
-    // Fold winners in grid order so the choice (including the equal-error
-    // tie-break to the smaller network) matches the serial loop exactly.
-    let mut best: Option<SearchOutcome> = None;
-    for (c, (net, err)) in grid.iter().zip(trained) {
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                err < b.test_error
-                    || (err == b.test_error && c.topo.weight_count() < b.topology.weight_count())
-            }
-        };
-        if better {
-            best = Some(SearchOutcome {
-                seq_len: c.seq_len,
-                topology: c.topo,
-                network: net,
-                test_error: err,
-                candidates: 0,
-            });
-        }
-    }
-    let mut out = best.expect("no training data for any sequence length");
-    out.candidates = grid.len();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,75 +196,5 @@ mod tests {
         assert_eq!(stats.false_negatives, 1);
         assert_eq!(stats.mispredictions(), 1);
         assert!((stats.rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn topology_search_picks_a_winner() {
-        let space = SearchSpace { seq_lens: vec![1, 2], hidden_sizes: vec![1, 2, 3] };
-        let cfg = TrainConfig { max_epochs: 40, ..Default::default() };
-        let outcome = topology_search(&space, cfg, |n| {
-            // Width-n encoding of the toy problem (pad with 0.5).
-            let widen = |ex: Example| {
-                let mut x = ex.x;
-                x.resize(n + 1, 0.5);
-                Example { x, t: ex.t }
-            };
-            (
-                toy_examples(200, n as u64).into_iter().map(widen).collect(),
-                toy_examples(80, 100 + n as u64).into_iter().map(widen).collect(),
-            )
-        });
-        assert_eq!(outcome.candidates, 6);
-        assert!(outcome.test_error < 0.2);
-        assert!(outcome.seq_len == 1 || outcome.seq_len == 2);
-    }
-
-    #[test]
-    fn parallel_search_is_byte_identical_to_serial() {
-        let space = SearchSpace { seq_lens: vec![1, 2, 3], hidden_sizes: vec![1, 2, 4] };
-        let cfg = TrainConfig { max_epochs: 25, ..Default::default() };
-        let examples_for = |n: usize| {
-            let widen = |ex: Example| {
-                let mut x = ex.x;
-                x.resize(n + 1, 0.5);
-                Example { x, t: ex.t }
-            };
-            (
-                toy_examples(150, n as u64).into_iter().map(widen).collect::<Vec<_>>(),
-                toy_examples(60, 100 + n as u64).into_iter().map(widen).collect::<Vec<_>>(),
-            )
-        };
-        let serial = topology_search(&space, cfg, examples_for);
-        for workers in [1, 2, 4, 8] {
-            let par = topology_search_with_workers(&space, cfg, workers, examples_for);
-            assert_eq!(par.seq_len, serial.seq_len, "workers={workers}");
-            assert_eq!(par.topology, serial.topology, "workers={workers}");
-            assert_eq!(par.candidates, serial.candidates, "workers={workers}");
-            assert_eq!(par.test_error.to_bits(), serial.test_error.to_bits(), "workers={workers}");
-            let (pw, sw) = (par.network.weights_flat(), serial.network.weights_flat());
-            let bits = |w: Vec<f32>| w.into_iter().map(f32::to_bits).collect::<Vec<_>>();
-            assert_eq!(bits(pw), bits(sw), "weights must match bitwise at workers={workers}");
-        }
-    }
-
-    #[test]
-    fn topology_search_skips_empty_lengths() {
-        let space = SearchSpace { seq_lens: vec![1, 2], hidden_sizes: vec![2] };
-        let cfg = TrainConfig::default();
-        let outcome = topology_search(&space, cfg, |n| {
-            if n == 1 {
-                (vec![], vec![])
-            } else {
-                (toy_examples(100, 5), toy_examples(50, 6))
-            }
-        });
-        assert_eq!(outcome.seq_len, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no training data")]
-    fn topology_search_requires_some_data() {
-        let space = SearchSpace { seq_lens: vec![1], hidden_sizes: vec![1] };
-        let _ = topology_search(&space, TrainConfig::default(), |_| (vec![], vec![]));
     }
 }

@@ -22,10 +22,9 @@
 //!   act-serve STATUS reply, and renders as a text table
 //!   ([`MetricsSnapshot::render_table`]). Every registry belongs to
 //!   something that snapshots it (a daemon's STATUS); there is no
-//!   process-global one. Subsystems that keep plain-field stats structs
-//!   (act-sim `Stats`, act-core `ModuleStats`) export by *building* a
-//!   snapshot rather than by holding live handles, so one snapshot type
-//!   serializes everything.
+//!   process-global one. The plain-field stats structs (act-sim `Stats`,
+//!   act-core `ModuleStats`) stay outside it: their readers, the
+//!   experiment binaries, read the fields directly.
 //!
 //! Events ([`Events`]) are for rare, structured occurrences (server start,
 //! worker crash, campaign progress): level + static target + timestamp +

@@ -88,40 +88,6 @@ impl Stats {
             self.mem.deps_formed as f64 / total as f64
         }
     }
-
-    /// Export every counter as one [`MetricsSnapshot`](act_obs::MetricsSnapshot)
-    /// — machine-wide totals plus `core{i}_*` per-core entries — so
-    /// simulator stats serialize and render through the same type as
-    /// serve/fleet/module metrics. The simulator keeps its plain-field
-    /// counters on the hot path; this copies them out on demand.
-    pub fn metrics_snapshot(&self) -> act_obs::MetricsSnapshot {
-        let mut snap = act_obs::MetricsSnapshot::new();
-        snap.push_counter("total_cycles", self.total_cycles);
-        snap.push_counter("threads_spawned", self.threads_spawned);
-        snap.push_counter("lock_acquires", self.lock_acquires);
-        snap.push_counter("retired", self.total_retired());
-        snap.push_counter("loads", self.total_loads());
-        snap.push_counter("attach_stall_cycles", self.total_attach_stalls());
-        snap.push_counter("l1_hits", self.mem.l1_hits);
-        snap.push_counter("l2_hits", self.mem.l2_hits);
-        snap.push_counter("cache_to_cache", self.mem.cache_to_cache);
-        snap.push_counter("mem_fills", self.mem.mem_fills);
-        snap.push_counter("bus_transactions", self.mem.bus_transactions);
-        snap.push_counter("writebacks", self.mem.writebacks);
-        snap.push_counter("deps_formed", self.mem.deps_formed);
-        snap.push_counter("deps_missing", self.mem.deps_missing);
-        snap.push_gauge("dep_coverage_ppm", (self.dep_coverage() * 1e6) as i64);
-        for (i, core) in self.cores.iter().enumerate() {
-            snap.push_counter(&format!("core{i}_retired"), core.retired);
-            snap.push_counter(&format!("core{i}_loads"), core.loads);
-            snap.push_counter(&format!("core{i}_stores"), core.stores);
-            snap.push_counter(&format!("core{i}_branches"), core.branches);
-            snap.push_counter(&format!("core{i}_attach_stall_cycles"), core.attach_stall_cycles);
-            snap.push_counter(&format!("core{i}_rob_full_cycles"), core.rob_full_cycles);
-            snap.push_counter(&format!("core{i}_busy_cycles"), core.busy_cycles);
-        }
-        snap
-    }
 }
 
 #[cfg(test)]
@@ -138,21 +104,6 @@ mod tests {
         assert_eq!(s.total_retired(), 15);
         assert_eq!(s.total_loads(), 4);
         assert_eq!(s.total_attach_stalls(), 7);
-    }
-
-    #[test]
-    fn metrics_snapshot_round_trips() {
-        let mut s = Stats::new(2);
-        s.total_cycles = 1234;
-        s.cores[1].retired = 7;
-        s.mem.deps_formed = 3;
-        s.mem.deps_missing = 1;
-        let snap = s.metrics_snapshot();
-        assert_eq!(snap.counter("total_cycles"), Some(1234));
-        assert_eq!(snap.counter("core1_retired"), Some(7));
-        assert_eq!(snap.gauge("dep_coverage_ppm"), Some(750_000));
-        let bytes = snap.to_bytes();
-        assert_eq!(act_obs::MetricsSnapshot::from_bytes(&bytes).unwrap(), snap);
     }
 
     #[test]

@@ -26,6 +26,14 @@ cargo test -q -p act-trace -p act-store
 # break it unseen.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
+# The experiment record: regenerating it must reproduce the committed
+# experiments_output.txt byte for byte, so a change that moves any table's
+# numbers fails here until the record is regenerated with it.
+EXP_OUT=$(mktemp)
+./experiments.sh "$EXP_OUT"
+cmp "$EXP_OUT" experiments_output.txt
+rm -f "$EXP_OUT"
+
 # Hot-path benchmark: quick suite must run, and the artifact must exist
 # and parse against the schema (DESIGN.md §7). Numbers are not gated here
 # (CI hosts are too noisy); the trajectory lives in BENCH_hotpath.json.

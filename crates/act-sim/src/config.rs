@@ -42,12 +42,16 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly or is not a power of two.
+    /// Panics if the geometry does not divide evenly (the capacity into
+    /// lines, the lines into `ways`) or the set count is not a power of two.
     pub fn sets(&self, line_bytes: u64) -> usize {
-        let lines = self.size_bytes / line_bytes;
-        let sets = lines as usize / self.ways;
-        assert!(sets > 0 && sets.is_power_of_two(), "bad cache geometry");
-        sets
+        let lines = self.size_bytes.checked_div(line_bytes).unwrap_or(0);
+        let sets = lines.checked_div(self.ways as u64).unwrap_or(0);
+        assert!(
+            sets.is_power_of_two() && sets * self.ways as u64 * line_bytes == self.size_bytes,
+            "bad cache geometry"
+        );
+        sets as usize
     }
 }
 
@@ -195,5 +199,25 @@ mod tests {
             ..Default::default()
         };
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "bad cache geometry")]
+    fn capacity_not_a_multiple_of_the_line_panics() {
+        // 100 B holds one 64 B line and 36 B of nothing.
+        CacheConfig { size_bytes: 100, ways: 1, latency: 1 }.sets(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad cache geometry")]
+    fn lines_not_a_multiple_of_the_ways_panics() {
+        // Three 64 B lines do not fill 2-way sets.
+        CacheConfig { size_bytes: 192, ways: 2, latency: 1 }.sets(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad cache geometry")]
+    fn zero_ways_panics() {
+        CacheConfig { size_bytes: 1024, ways: 0, latency: 1 }.sets(64);
     }
 }

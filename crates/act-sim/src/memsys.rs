@@ -24,8 +24,9 @@
 
 use crate::config::{MachineConfig, MetaGranularity};
 use crate::events::{CacheEvent, LastWriter};
-use crate::isa::Addr;
+use crate::isa::{Addr, Pc};
 use crate::stats::MemStats;
+use std::num::NonZeroU64;
 
 /// MESI coherence states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,15 +37,19 @@ enum Mesi {
     Invalid,
 }
 
-/// An L2 line: MESI state plus last-writer metadata.
-#[derive(Debug, Clone)]
-struct L2Line {
-    tag: u64,
-    state: Mesi,
-    /// One entry per word ([`MetaGranularity::Word`]) or a single entry
-    /// ([`MetaGranularity::Line`]).
-    meta: Vec<Option<LastWriter>>,
-    lru: u64,
+/// A last-writer metadata slot: the writer packed into one word as
+/// `tid << 32 | (pc + 1)`, or `None`. An empty slot is all zero bits.
+type Slot = Option<NonZeroU64>;
+
+/// Pack `w` into a slot. A pc indexes the program, so it is below
+/// [`Pc::MAX`] and `pc + 1` fits its 32 bits.
+fn pack(w: LastWriter) -> Slot {
+    assert!(w.pc < Pc::MAX, "pc {} cannot index a program", w.pc);
+    NonZeroU64::new(u64::from(w.tid) << 32 | u64::from(w.pc + 1))
+}
+
+fn unpack(slot: Slot) -> Option<LastWriter> {
+    slot.map(|s| LastWriter { pc: s.get() as u32 - 1, tid: (s.get() >> 32) as u32 })
 }
 
 /// An L1 line: tag only (state and metadata live in the inclusive L2).
@@ -55,27 +60,33 @@ struct L1Line {
     lru: u64,
 }
 
+/// One core's L1 tag array.
 #[derive(Debug)]
 struct L1Array {
-    sets: Vec<Vec<L1Line>>,
+    /// `sets * ways` lines, set by set: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<L1Line>,
+    ways: usize,
     set_mask: u64,
 }
 
 impl L1Array {
     fn new(sets: usize, ways: usize) -> Self {
         L1Array {
-            sets: vec![vec![L1Line { tag: 0, valid: false, lru: 0 }; ways]; sets],
+            lines: vec![L1Line { tag: 0, valid: false, lru: 0 }; sets * ways],
+            ways,
             set_mask: sets as u64 - 1,
         }
     }
 
-    fn set_of(&self, line_addr: u64) -> usize {
-        (line_addr & self.set_mask) as usize
+    /// The ways of the set `line_addr` maps to.
+    fn set_mut(&mut self, line_addr: u64) -> &mut [L1Line] {
+        let first = (line_addr & self.set_mask) as usize * self.ways;
+        &mut self.lines[first..first + self.ways]
     }
 
     fn hit(&mut self, line_addr: u64, clock: u64) -> bool {
-        let set = self.set_of(line_addr);
-        for way in &mut self.sets[set] {
+        for way in self.set_mut(line_addr) {
             if way.valid && way.tag == line_addr {
                 way.lru = clock;
                 return true;
@@ -85,20 +96,17 @@ impl L1Array {
     }
 
     fn fill(&mut self, line_addr: u64, clock: u64) {
-        let set = self.set_of(line_addr);
-        if self.sets[set].iter().any(|w| w.valid && w.tag == line_addr) {
+        let set = self.set_mut(line_addr);
+        if set.iter().any(|w| w.valid && w.tag == line_addr) {
             return;
         }
-        let victim = self.sets[set]
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("nonzero ways");
+        let victim =
+            set.iter_mut().min_by_key(|w| if w.valid { w.lru } else { 0 }).expect("nonzero ways");
         *victim = L1Line { tag: line_addr, valid: true, lru: clock };
     }
 
     fn invalidate(&mut self, line_addr: u64) {
-        let set = self.set_of(line_addr);
-        for way in &mut self.sets[set] {
+        for way in self.set_mut(line_addr) {
             if way.valid && way.tag == line_addr {
                 way.valid = false;
             }
@@ -106,57 +114,84 @@ impl L1Array {
     }
 }
 
+/// One core's L2. A line is named by its index `i` into `sets * ways`
+/// ways, set by set (set `s` holds `s * ways..(s + 1) * ways`), and its tag,
+/// LRU stamp, MESI state and last-writer metadata sit at that index in four
+/// flat arrays. An empty way is zero in all but the one-byte states, so
+/// those three arrays are allocated zeroed: fresh pages from the OS are
+/// handed out untouched, and one is mapped in only when a set is first
+/// used. A run that touches a few hundred lines then pays for those, not
+/// for all 8,192 of a Table III L2.
 #[derive(Debug)]
 struct L2Array {
-    sets: Vec<Vec<L2Line>>,
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    states: Vec<Mesi>,
+    /// `meta_slots` slots per line: line `i`'s are
+    /// `meta[i * meta_slots..(i + 1) * meta_slots]`. One slot per word
+    /// ([`MetaGranularity::Word`]) or a single slot
+    /// ([`MetaGranularity::Line`]).
+    meta: Vec<Slot>,
+    ways: usize,
     set_mask: u64,
     meta_slots: usize,
 }
 
 impl L2Array {
     fn new(sets: usize, ways: usize, meta_slots: usize) -> Self {
-        let line = L2Line { tag: 0, state: Mesi::Invalid, meta: vec![None; meta_slots], lru: 0 };
-        L2Array { sets: vec![vec![line; ways]; sets], set_mask: sets as u64 - 1, meta_slots }
+        let lines = sets * ways;
+        L2Array {
+            tags: vec![0; lines],
+            lru: vec![0; lines],
+            states: vec![Mesi::Invalid; lines],
+            meta: vec![None; lines * meta_slots],
+            ways,
+            set_mask: sets as u64 - 1,
+            meta_slots,
+        }
     }
 
-    fn set_of(&self, line_addr: u64) -> usize {
-        (line_addr & self.set_mask) as usize
+    /// The lines of the set `line_addr` maps to.
+    fn set_of(&self, line_addr: u64) -> std::ops::Range<usize> {
+        let first = (line_addr & self.set_mask) as usize * self.ways;
+        first..first + self.ways
     }
 
-    fn get_mut(&mut self, line_addr: u64) -> Option<&mut L2Line> {
-        let set = self.set_of(line_addr);
-        self.sets[set].iter_mut().find(|w| w.state != Mesi::Invalid && w.tag == line_addr)
+    /// The valid line holding `line_addr`, if present.
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        self.set_of(line_addr)
+            .find(|&i| self.states[i] != Mesi::Invalid && self.tags[i] == line_addr)
     }
 
-    fn get(&self, line_addr: u64) -> Option<&L2Line> {
-        let set = self.set_of(line_addr);
-        self.sets[set].iter().find(|w| w.state != Mesi::Invalid && w.tag == line_addr)
+    /// Line `i`'s metadata slots.
+    fn meta(&self, i: usize) -> &[Slot] {
+        &self.meta[i * self.meta_slots..(i + 1) * self.meta_slots]
     }
 
-    /// Insert a line, returning the evicted victim (if it was valid).
-    fn fill(
-        &mut self,
-        line_addr: u64,
-        state: Mesi,
-        meta: Vec<Option<LastWriter>>,
-        clock: u64,
-    ) -> Option<L2Line> {
-        debug_assert_eq!(meta.len(), self.meta_slots);
-        let set = self.set_of(line_addr);
-        debug_assert!(self.get(line_addr).is_none(), "fill of present line");
-        let victim_idx = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.state == Mesi::Invalid { 0 } else { w.lru + 1 })
-            .map(|(i, _)| i)
+    fn meta_mut(&mut self, i: usize) -> &mut [Slot] {
+        &mut self.meta[i * self.meta_slots..(i + 1) * self.meta_slots]
+    }
+
+    /// Insert a line over the set's first invalid or else LRU way,
+    /// returning the line and the evicted victim's tag and state if it was
+    /// valid. The line's metadata slots still hold the victim's; the caller
+    /// overwrites them.
+    fn fill(&mut self, line_addr: u64, state: Mesi, clock: u64) -> (usize, Option<(u64, Mesi)>) {
+        debug_assert!(self.find(line_addr).is_none(), "fill of present line");
+        let i = self
+            .set_of(line_addr)
+            .min_by_key(|&i| if self.states[i] == Mesi::Invalid { 0 } else { self.lru[i] + 1 })
             .expect("nonzero ways");
-        let old = std::mem::replace(
-            &mut self.sets[set][victim_idx],
-            L2Line { tag: line_addr, state, meta, lru: clock },
-        );
-        (old.state != Mesi::Invalid).then_some(old)
+        let victim = (self.states[i] != Mesi::Invalid).then_some((self.tags[i], self.states[i]));
+        self.tags[i] = line_addr;
+        self.lru[i] = clock;
+        self.states[i] = state;
+        (i, victim)
     }
 }
+
+/// A line in some core's L2: `(core, line index)`.
+type LineRef = (usize, usize);
 
 /// Result of a timed memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,11 +206,14 @@ pub struct AccessResult {
 }
 
 /// The whole coherent memory system: per-core L1/L2, bus, and memory timing.
+///
+/// Each cache keeps its lines in flat arrays indexed by line, so building
+/// the hierarchy allocates per core, not per set or line, and no access
+/// allocates at all.
 #[derive(Debug)]
 pub struct MemorySystem {
     line_bytes: u64,
     granularity: MetaGranularity,
-    meta_slots: usize,
     l1: Vec<L1Array>,
     l2: Vec<L2Array>,
     l1_lat: u64,
@@ -198,7 +236,6 @@ impl MemorySystem {
         MemorySystem {
             line_bytes: cfg.line_bytes,
             granularity: cfg.granularity,
-            meta_slots,
             l1: (0..cfg.cores)
                 .map(|_| L1Array::new(cfg.l1.sets(cfg.line_bytes), cfg.l1.ways))
                 .collect(),
@@ -245,67 +282,80 @@ impl MemorySystem {
     }
 
     /// Invalidate `line_addr` in every core except `except`; returns the
-    /// metadata of a Modified owner's line, if one existed.
-    fn invalidate_others(
-        &mut self,
-        except: usize,
-        line_addr: u64,
-    ) -> Option<Vec<Option<LastWriter>>> {
-        let mut dirty_meta = None;
+    /// line of a Modified owner, if one existed. An invalidated line keeps
+    /// its metadata slots until its way is refilled.
+    fn invalidate_others(&mut self, except: usize, line_addr: u64) -> Option<LineRef> {
+        let mut dirty = None;
         for core in 0..self.l2.len() {
             if core == except {
                 continue;
             }
-            if let Some(line) = self.l2[core].get_mut(line_addr) {
-                if line.state == Mesi::Modified {
-                    dirty_meta = Some(line.meta.clone());
+            if let Some(i) = self.l2[core].find(line_addr) {
+                let state = &mut self.l2[core].states[i];
+                if *state == Mesi::Modified {
+                    dirty = Some((core, i));
                 }
-                line.state = Mesi::Invalid;
+                *state = Mesi::Invalid;
                 self.l1[core].invalidate(line_addr);
             }
         }
-        dirty_meta
+        dirty
     }
 
     /// Demote a Modified owner of `line_addr` (other than `except`) to
-    /// Shared; returns its metadata if one existed (the dirty cache-to-cache
+    /// Shared; returns its line if one existed (the dirty cache-to-cache
     /// piggyback). Also returns whether any other core holds the line at all.
-    fn snoop_for_read(
-        &mut self,
-        except: usize,
-        line_addr: u64,
-    ) -> (Option<Vec<Option<LastWriter>>>, bool) {
-        let mut dirty_meta = None;
+    fn snoop_for_read(&mut self, except: usize, line_addr: u64) -> (Option<LineRef>, bool) {
+        let mut dirty = None;
         let mut any_shared = false;
         for core in 0..self.l2.len() {
             if core == except {
                 continue;
             }
-            if let Some(line) = self.l2[core].get_mut(line_addr) {
+            if let Some(i) = self.l2[core].find(line_addr) {
                 any_shared = true;
-                match line.state {
+                let state = &mut self.l2[core].states[i];
+                match *state {
                     Mesi::Modified => {
-                        dirty_meta = Some(line.meta.clone());
-                        line.state = Mesi::Shared;
+                        dirty = Some((core, i));
+                        *state = Mesi::Shared;
                     }
-                    Mesi::Exclusive => line.state = Mesi::Shared,
+                    Mesi::Exclusive => *state = Mesi::Shared,
                     Mesi::Shared | Mesi::Invalid => {}
                 }
             }
         }
-        (dirty_meta, any_shared)
+        (dirty, any_shared)
     }
 
-    fn fill_l2(&mut self, core: usize, line_addr: u64, state: Mesi, meta: Vec<Option<LastWriter>>) {
+    /// Fill `line_addr` into `core`'s L2 and return its line index. The
+    /// line's metadata is copied from the dirty owner's line `from`, if
+    /// there is one, and cleared otherwise.
+    fn fill_l2(
+        &mut self,
+        core: usize,
+        line_addr: u64,
+        state: Mesi,
+        from: Option<LineRef>,
+    ) -> usize {
         let clock = self.bump_clock();
-        if let Some(victim) = self.l2[core].fill(line_addr, state, meta, clock) {
+        let (i, victim) = self.l2[core].fill(line_addr, state, clock);
+        match from {
+            Some((owner, j)) => {
+                let (dst, src) = pair_mut(&mut self.l2, core, owner);
+                dst.meta_mut(i).copy_from_slice(src.meta(j));
+            }
+            None => self.l2[core].meta_mut(i).fill(None),
+        }
+        if let Some((tag, state)) = victim {
             // Inclusion: evicting from L2 back-invalidates the L1 copy.
-            self.l1[core].invalidate(victim.tag);
-            if victim.state == Mesi::Modified {
+            self.l1[core].invalidate(tag);
+            if state == Mesi::Modified {
                 // Relaxation 2: data goes to memory, metadata is dropped.
                 self.stats.writebacks += 1;
             }
         }
+        i
     }
 
     fn fill_l1(&mut self, core: usize, line_addr: u64) {
@@ -321,7 +371,8 @@ impl MemorySystem {
 
         if self.l1[core].hit(line_addr, clock) {
             self.stats.l1_hits += 1;
-            let meta = self.l2[core].get(line_addr).and_then(|l| l.meta[widx]);
+            let l2 = &self.l2[core];
+            let meta = l2.find(line_addr).and_then(|i| unpack(l2.meta(i)[widx]));
             return AccessResult {
                 complete_at: now + self.l1_lat,
                 event: CacheEvent::L1Hit,
@@ -329,9 +380,9 @@ impl MemorySystem {
             };
         }
 
-        if let Some(line) = self.l2[core].get_mut(line_addr) {
-            line.lru = clock;
-            let meta = line.meta[widx];
+        if let Some(i) = self.l2[core].find(line_addr) {
+            self.l2[core].lru[i] = clock;
+            let meta = unpack(self.l2[core].meta(i)[widx]);
             self.stats.l2_hits += 1;
             self.fill_l1(core, line_addr);
             return AccessResult {
@@ -343,36 +394,40 @@ impl MemorySystem {
 
         // Miss: go to the bus.
         let start = self.acquire_bus(now + self.l1_lat + self.l2_lat);
-        let (dirty_meta, any_shared) = self.snoop_for_read(core, line_addr);
-        let (complete_at, event, meta) = match dirty_meta {
-            Some(meta) => {
+        let (dirty, any_shared) = self.snoop_for_read(core, line_addr);
+        let (complete_at, event) = match dirty {
+            Some(_) => {
                 // Relaxation 3: metadata rides along only on this path.
                 self.stats.cache_to_cache += 1;
-                (start + self.bus_cycles, CacheEvent::CacheToCache, meta)
+                (start + self.bus_cycles, CacheEvent::CacheToCache)
             }
             None => {
                 self.stats.mem_fills += 1;
-                (start + self.mem_lat, CacheEvent::Memory, vec![None; self.meta_slots])
+                (start + self.mem_lat, CacheEvent::Memory)
             }
         };
         let state = if any_shared { Mesi::Shared } else { Mesi::Exclusive };
-        let last_writer = meta[widx];
-        self.fill_l2(core, line_addr, state, meta);
+        let i = self.fill_l2(core, line_addr, state, dirty);
+        let last_writer = unpack(self.l2[core].meta(i)[widx]);
         self.fill_l1(core, line_addr);
         AccessResult { complete_at, event, last_writer }
     }
 
     /// Perform a timed store by `core` to the word at `addr`, issued at
     /// `now`, recording `writer` as the word's (or line's) last writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `writer.pc` is [`Pc::MAX`], which indexes no program.
     pub fn store(&mut self, core: usize, addr: Addr, now: u64, writer: LastWriter) -> AccessResult {
         let line_addr = self.line_addr(addr);
         let widx = self.meta_index(addr);
         let clock = self.bump_clock();
         let l1_hit = self.l1[core].hit(line_addr, clock);
 
-        let state = self.l2[core].get(line_addr).map(|l| l.state);
-        let (complete_at, event) = match state {
-            Some(Mesi::Modified) | Some(Mesi::Exclusive) => {
+        let present = self.l2[core].find(line_addr).map(|i| (i, self.l2[core].states[i]));
+        let (complete_at, event, i) = match present {
+            Some((i, Mesi::Modified | Mesi::Exclusive)) => {
                 let (lat, ev) = if l1_hit {
                     (self.l1_lat, CacheEvent::L1Hit)
                 } else {
@@ -383,44 +438,56 @@ impl MemorySystem {
                 if l1_hit {
                     self.stats.l1_hits += 1;
                 }
-                (now + lat, ev)
+                (now + lat, ev, i)
             }
-            Some(Mesi::Shared) => {
+            Some((i, Mesi::Shared)) => {
                 // Upgrade: invalidate other copies over the bus.
                 let start = self.acquire_bus(now + self.l1_lat + self.l2_lat);
                 self.invalidate_others(core, line_addr);
                 if !l1_hit {
                     self.fill_l1(core, line_addr);
                 }
-                (start + self.bus_cycles, CacheEvent::L2Hit)
+                (start + self.bus_cycles, CacheEvent::L2Hit, i)
             }
-            Some(Mesi::Invalid) | None => {
+            Some((_, Mesi::Invalid)) | None => {
                 // Read-for-ownership on the bus.
                 let start = self.acquire_bus(now + self.l1_lat + self.l2_lat);
-                let dirty_meta = self.invalidate_others(core, line_addr);
-                let (complete_at, event, meta) = match dirty_meta {
-                    Some(meta) => {
+                let dirty = self.invalidate_others(core, line_addr);
+                let (complete_at, event) = match dirty {
+                    Some(_) => {
                         self.stats.cache_to_cache += 1;
-                        (start + self.bus_cycles, CacheEvent::CacheToCache, meta)
+                        (start + self.bus_cycles, CacheEvent::CacheToCache)
                     }
                     None => {
                         self.stats.mem_fills += 1;
-                        (start + self.mem_lat, CacheEvent::Memory, vec![None; self.meta_slots])
+                        (start + self.mem_lat, CacheEvent::Memory)
                     }
                 };
-                self.fill_l2(core, line_addr, Mesi::Modified, meta);
+                let i = self.fill_l2(core, line_addr, Mesi::Modified, dirty);
                 self.fill_l1(core, line_addr);
-                (complete_at, event)
+                (complete_at, event, i)
             }
         };
 
         // The line is now Modified with updated metadata.
-        let line = self.l2[core].get_mut(line_addr).expect("line present after store path");
-        line.state = Mesi::Modified;
-        line.lru = clock;
-        line.meta[widx] = Some(writer);
+        let l2 = &mut self.l2[core];
+        l2.states[i] = Mesi::Modified;
+        l2.lru[i] = clock;
+        l2.meta_mut(i)[widx] = pack(writer);
 
         AccessResult { complete_at, event, last_writer: None }
+    }
+}
+
+/// `v[a]` mutably and `v[b]` shared, for `a != b`.
+fn pair_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
+    assert_ne!(a, b, "a line is never copied onto its own core");
+    if a < b {
+        let (lo, hi) = v.split_at_mut(b);
+        (&mut lo[a], &hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(a);
+        (&mut hi[0], &lo[b])
     }
 }
 

@@ -105,6 +105,21 @@ expect_exit 2 target/release/table4 --jobs 0
 expect_exit 1 target/release/perf --validate "$REJECT_DIR/missing.json"
 rmdir "$REJECT_DIR"
 
+# perf writes only where --out says, and reads its --gate file before it
+# runs: a reference the run cannot meet fails it with or without --out,
+# and the reference file stays as it was.
+GATE_DIR=$(mktemp -d)
+printf '[\n  {"bench":"store_compression_ratio","value":1000.0,"unit":"ratio","jobs":1}\n]\n' \
+    > "$GATE_DIR/ref.json"
+cp "$GATE_DIR/ref.json" "$GATE_DIR/ref.orig.json"
+expect_exit 1 target/release/perf --quick --only store_compression \
+    --gate "$GATE_DIR/ref.json"
+expect_exit 1 target/release/perf --quick --only store_compression \
+    --gate "$GATE_DIR/ref.json" --out "$GATE_DIR/run.json"
+cmp "$GATE_DIR/ref.json" "$GATE_DIR/ref.orig.json"
+test -s "$GATE_DIR/run.json"
+rm -rf "$GATE_DIR"
+
 ACT=target/release/act
 
 # Wait until the daemon at the given --addr/--unix answers STATUS; fail
@@ -221,9 +236,12 @@ grep '"target":"gate.start"' act-gate-events.jsonl
 grep '"target":"gate.down"' act-gate-events.jsonl
 grep '"target":"gate.shutdown"' act-gate-events.jsonl
 
-# Streaming ingest smoke: chunk a >64 MiB trace — too big for any single
-# frame — through gate -> serve -> store, then read it back from the
-# corpus byte-for-byte (PROTOCOL.md, "Chunked uploads").
+# Streaming ingest smoke: a >64 MiB trace — too big for any single frame,
+# so the client uploads it in chunks — goes through gate -> serve -> store
+# and is read back from the corpus byte-for-byte (PROTOCOL.md, "Chunked
+# uploads"). Its text cannot come back in one TRACE_DATA frame: TRACE_GET
+# is one ERROR, and the daemon's one worker lives on to answer the next
+# request.
 BIG_B=127.0.0.1:7465
 BIG_GATE=127.0.0.1:7466
 BIG_DIR=$(mktemp -d)
@@ -235,7 +253,7 @@ cp "$BIG_DIR/traces/seq-0.trace" "$BIG_DIR/big.trace"
 LINE=$(grep -m1 '^S ' "$BIG_DIR/big.trace")
 yes "$LINE" | head -n 4500000 >> "$BIG_DIR/big.trace"
 test "$(wc -c < "$BIG_DIR/big.trace")" -gt 67108864
-"$ACT" serve --addr "$BIG_B" --workers 2 --queue-depth 8 \
+"$ACT" serve --addr "$BIG_B" --workers 1 --queue-depth 8 \
     --corpus "$BIG_DIR/corpus" &
 BIG_B_PID=$!
 trap 'kill "$BIG_B_PID" 2>/dev/null || true' EXIT
@@ -244,8 +262,14 @@ wait_ready --addr "$BIG_B"
 BIG_GATE_PID=$!
 trap 'kill "$BIG_GATE_PID" "$BIG_B_PID" 2>/dev/null || true' EXIT
 wait_ready --addr "$BIG_GATE"
-"$ACT" request trace-put seq --addr "$BIG_GATE" --stream \
+"$ACT" request trace-put seq --addr "$BIG_GATE" \
     --trace "$BIG_DIR/big.trace" --key big | grep "stored big"
+expect_exit 1 "$ACT" request trace-get --key big --addr "$BIG_GATE" \
+    --io-timeout 5000 2> "$BIG_DIR/get.err"
+grep "one-frame limit" "$BIG_DIR/get.err"
+"$ACT" request trace-put seq --addr "$BIG_B" --io-timeout 5000 \
+    --trace "$BIG_DIR/traces/seq-0.trace" --key small | grep "stored small"
+"$ACT" request status --addr "$BIG_B" | grep "requests_crashed 0"
 "$ACT" request shutdown --addr "$BIG_GATE"
 wait "$BIG_GATE_PID"
 "$ACT" request shutdown --addr "$BIG_B"

@@ -1,13 +1,15 @@
 //! `perf` — the tracked hot-path benchmark.
 //!
 //! Measures classify/train throughput and offline-training / `table4`
-//! wall-clock, and writes `BENCH_hotpath.json` (schema documented in
-//! `act_bench::perf`). Typical uses:
+//! wall-clock, prints one row per bench, and writes the rows as JSON to
+//! `--out FILE` (schema documented in `act_bench::perf`); without `--out`
+//! it writes nothing. Typical uses:
 //!
 //! ```text
-//! cargo run --release -p act-bench --bin perf                 # full run
-//! cargo run --release -p act-bench --bin perf -- --quick      # CI-sized
 //! cargo run --release -p act-bench --bin perf -- \
+//!     --out BENCH_hotpath.json                                # full run
+//! cargo run --release -p act-bench --bin perf -- --quick      # CI-sized
+//! cargo run --release -p act-bench --bin perf -- --out BENCH_hotpath.json \
 //!     --baseline BENCH_baseline.json                          # fill `before`
 //! cargo run --release -p act-bench --bin perf -- \
 //!     --validate BENCH_hotpath.json                           # schema check
@@ -19,9 +21,11 @@
 //! `--gate FILE` turns the run into a pass/fail check: every measured
 //! bench that has a row in FILE (matched the same way `--baseline` rows
 //! are) must not regress by more than `--gate-pct` percent (default 10),
-//! in the unit's own direction — else exit 1. `--gate-bench NAMES`
-//! (comma-separated, exact match) restricts the verdict to the named
-//! benches; everything else still runs and is recorded, ungated.
+//! in the unit's own direction — else exit 1. FILE is read before the
+//! run, so an `--out` naming the same file cannot make the run its own
+//! reference. `--gate-bench NAMES` (comma-separated, exact match) restricts
+//! the verdict to the named benches; everything else still runs and is
+//! recorded, ungated.
 
 use act_bench::cli::CliError::{self, Failed};
 use act_bench::cli::Flags;
@@ -65,7 +69,6 @@ fn run(flags: &Flags) -> Result<(), CliError> {
         })?
         .unwrap_or(10.0);
     let quick = flags.switch("quick");
-    let out = flags.value("out").unwrap_or("BENCH_hotpath.json");
 
     // Validation mode: schema-check an existing file and exit.
     if let Some(path) = flags.value("validate") {
@@ -78,6 +81,12 @@ fn run(flags: &Flags) -> Result<(), CliError> {
 
     let baseline = match flags.value("baseline") {
         Some(path) => Some(load_entries(path).map_err(|e| Failed(format!("bad baseline: {e}")))?),
+        None => None,
+    };
+    let gate = match flags.value("gate") {
+        Some(path) => {
+            Some((path, load_entries(path).map_err(|e| Failed(format!("bad gate file: {e}")))?))
+        }
         None => None,
     };
 
@@ -94,15 +103,16 @@ fn run(flags: &Flags) -> Result<(), CliError> {
         println!("{:<30} jobs {:<2} {:>14.3} {}{vs}", e.bench, e.jobs, e.value, e.unit);
     }
 
-    let json = perf::render_json(&entries);
-    std::fs::write(out, &json).map_err(|e| Failed(format!("cannot write {out}: {e}")))?;
-    println!("wrote {out}");
+    if let Some(out) = flags.value("out") {
+        let json = perf::render_json(&entries);
+        std::fs::write(out, &json).map_err(|e| Failed(format!("cannot write {out}: {e}")))?;
+        println!("wrote {out}");
+    }
 
-    // Gate mode: compare against the committed reference file and fail the
-    // run on any regression past the threshold. Benches absent from the
-    // gate file pass vacuously (a new bench cannot block its own PR).
-    let Some(path) = flags.value("gate") else { return Ok(()) };
-    let reference = load_entries(path).map_err(|e| Failed(format!("bad gate file: {e}")))?;
+    // Gate mode: compare against the reference file read before the run
+    // and fail it on any regression past the threshold. Benches absent from
+    // the gate file pass vacuously (a new bench cannot block its own PR).
+    let Some((path, reference)) = gate else { return Ok(()) };
     let mut gated = entries.clone();
     perf::merge_baseline(&mut gated, &reference);
     if let Some(filter) = flags.value("gate-bench") {

@@ -151,17 +151,14 @@ pub fn executor_for(spec: &CampaignSpec) -> Result<Executor, ActError> {
     // same) — instead of running the pipeline in-process.
     if let Some(addr) = spec.params.get("gateway").cloned() {
         let model = remote_model_spec(spec);
-        // `pipeline_depth = N` (N > 1) sends every job through one shared
-        // v4 session with N requests in flight instead of one
-        // connection-per-job; the report stays byte-identical either way.
-        let shared = shared_pipeline(spec, &addr);
+        let client = remote_client(spec, &addr);
         return match spec.kind.as_str() {
-            "train" => Ok(Box::new(move |job: &JobDesc| {
-                remote_train_exec(job, &addr, &model, shared.as_deref())
-            })),
-            "diagnose" => Ok(Box::new(move |job: &JobDesc| {
-                remote_diagnose_exec(job, &addr, &model, shared.as_deref())
-            })),
+            "train" => {
+                Ok(Box::new(move |job: &JobDesc| remote_train_exec(job, &addr, &model, &client)))
+            }
+            "diagnose" => {
+                Ok(Box::new(move |job: &JobDesc| remote_diagnose_exec(job, &addr, &model, &client)))
+            }
             other => Err(ActError::Parse(format!(
                 "campaign kind `{other}` cannot run through a gateway (train and diagnose can)"
             ))),
@@ -191,35 +188,19 @@ fn remote_model_spec(spec: &CampaignSpec) -> act_serve::ModelSpec {
     model
 }
 
-/// The client remote jobs use: bounded default timeouts plus one jittered
-/// retry keyed on the job seed, so a gateway BUSY or a mid-failover blip
-/// does not crash the job (and retry sleeps stay deterministic per job).
-fn remote_client(job: &JobDesc, addr: &str) -> act_client::Client {
+/// The one client every worker of a remote campaign shares, at the spec's
+/// `pipeline_depth` (default 1: a connection per job; N > 1: one v4
+/// session with N requests in flight). Bounded default timeouts plus one
+/// jittered retry, so a gateway BUSY or a mid-failover blip does not crash
+/// a job; retries pick only sleep jitter, never results, so the report is
+/// byte-identical at any depth.
+fn remote_client(spec: &CampaignSpec, addr: &str) -> act_client::Client {
     act_client::Client::builder()
         .addr(addr)
-        .retry(std::time::Duration::from_millis(100), job.seed)
+        .retry(std::time::Duration::from_millis(100), 0)
+        .pipeline_depth(spec.param_or("pipeline_depth", 1usize) as u32)
         .build()
         .expect("endpoint is set")
-}
-
-/// The one pipelined client every worker shares when the spec asks for
-/// `pipeline_depth > 1`. A single client means a single v4 session, so
-/// concurrent jobs genuinely overlap in flight; the retry seed is fixed
-/// (retries only pick sleep jitter, never results, so sharing it keeps
-/// reports deterministic).
-fn shared_pipeline(spec: &CampaignSpec, addr: &str) -> Option<std::sync::Arc<act_client::Client>> {
-    let depth: usize = spec.param_or("pipeline_depth", 1);
-    if depth <= 1 {
-        return None;
-    }
-    Some(std::sync::Arc::new(
-        act_client::Client::builder()
-            .addr(addr)
-            .retry(std::time::Duration::from_millis(100), 0)
-            .pipeline_depth(depth as u32)
-            .build()
-            .expect("endpoint is set"),
-    ))
 }
 
 /// Strip the cache-outcome tag (` [cache-hit]`, ` [trained]`, ...) off a
@@ -247,16 +228,12 @@ fn remote_train_exec(
     job: &JobDesc,
     addr: &str,
     model: &act_serve::ModelSpec,
-    shared: Option<&act_client::Client>,
+    client: &act_client::Client,
 ) -> JobOutput {
     let mut spec = model.clone();
     spec.workload = job.workload.clone();
     spec.seed = job.seed;
-    let result = match shared {
-        Some(client) => client.train(&spec),
-        None => remote_client(job, addr).train(&spec),
-    };
-    match result {
+    match client.train(&spec) {
         Ok(summary) => {
             let summary = strip_cache_tag(&summary);
             JobOutput::default()
@@ -274,17 +251,12 @@ fn remote_diagnose_exec(
     job: &JobDesc,
     addr: &str,
     model: &act_serve::ModelSpec,
-    shared: Option<&act_client::Client>,
+    client: &act_client::Client,
 ) -> JobOutput {
     let mut spec = model.clone();
     spec.workload = job.workload.clone();
     spec.seed = job.seed;
-    let trace = failing_trace_bytes(&job.workload, job.seed);
-    let result = match shared {
-        Some(client) => client.diagnose(&spec, &trace),
-        None => remote_client(job, addr).diagnose(&spec, &trace),
-    };
-    match result {
+    match client.diagnose(&spec, &failing_trace_bytes(&job.workload, job.seed)) {
         Ok(text) => {
             let header = strip_model_token(text.lines().next().unwrap_or(""));
             let ranked = header_int(&header, "ranked").unwrap_or(0);

@@ -15,6 +15,7 @@ use act_bench::{
 use act_core::diagnosis::diagnose;
 use act_core::weights::{shared, WeightStore};
 use act_gate::Gateway;
+use act_serve::proto::MAX_PAYLOAD;
 use act_serve::Server;
 use act_sim::machine::Machine;
 use act_store::{EntryInfo, StoreError};
@@ -56,7 +57,7 @@ const USAGE: &str = "usage: act <command> [args]\n\
      \x20       [--addr A] [--unix PATH] [--seed N] [--traces N]\n\
      \x20       [--seq-len N] [--hidden N] [--epochs N] [--trace FILE] [--key K]\n\
      \x20       [--out FILE] [--connect-timeout MS] [--io-timeout MS] [--retry MS]\n\
-     \x20       [--pipeline-depth N] [--stream]  talk to a running daemon\n\
+     \x20       [--pipeline-depth N]             talk to a running daemon\n\
      \x20 store init DIR                         create an empty corpus store\n\
      \x20 store put DIR <workload> [--runs N] [--trace FILE --key K]\n\
      \x20                                        ingest correct-run traces\n\
@@ -84,7 +85,7 @@ const COMMANDS: &[Command] = &[
     ("gate", &["backends", "listen", "workers", "queue-depth", "vnodes", "connect-timeout",
         "io-timeout", "event-log"], &[], cmd_gate),
     ("request", &["addr", "unix", "seed", "traces", "seq-len", "hidden", "epochs", "trace", "key",
-        "out", "connect-timeout", "io-timeout", "retry", "pipeline-depth"], &["stream"], cmd_request),
+        "out", "connect-timeout", "io-timeout", "retry", "pipeline-depth"], &[], cmd_request),
     ("store", &["runs", "trace", "key", "out"], &[], cmd_store),
 ];
 
@@ -531,9 +532,8 @@ fn failing_trace_bytes(flags: &Flags, name: &str) -> Result<Vec<u8>, CliError> {
 
 /// `act request <train|diagnose|status|shutdown|trace-put|trace-get>`:
 /// one typed call through [`act_client::Client`]. `--pipeline-depth N`
-/// (N > 1) rides a multiplexed v4 session; `--stream` sends uploads in
-/// chunks instead of one frame, so they are not bounded by the 64 MiB
-/// payload cap.
+/// (N > 1) rides a multiplexed v4 session. A trace too big for one frame
+/// is uploaded in chunks.
 fn cmd_request(flags: &Flags) -> Result<(), CliError> {
     let verb = flags.arg(0, "request verb")?;
     let client = client_from(flags)?;
@@ -559,11 +559,12 @@ fn cmd_request(flags: &Flags) -> Result<(), CliError> {
             let name = flags.arg(1, "workload name")?;
             let path = flags.required("trace")?;
             let key = key_for(flags, path);
-            let stored = if flags.switch("stream") {
-                // Chunked upload straight off the file handle: the trace
-                // is never fully resident in this process.
-                let file = std::fs::File::open(path)
-                    .map_err(|e| Failed(format!("cannot read {path}: {e}")))?;
+            let unreadable = |e: std::io::Error| Failed(format!("cannot read {path}: {e}"));
+            let size = std::fs::metadata(path).map_err(unreadable)?.len();
+            let stored = if size > MAX_PAYLOAD.into() {
+                // Too big for one frame: a chunked upload straight off the
+                // file handle, so the trace is never resident here.
+                let file = std::fs::File::open(path).map_err(unreadable)?;
                 client.trace_put_streaming(&key, name, BufReader::new(file))?
             } else {
                 client.trace_put(&key, name, &read_file(path)?)?
@@ -585,12 +586,7 @@ fn cmd_request(flags: &Flags) -> Result<(), CliError> {
             let text = if verb == "train" {
                 client.train(&spec)?
             } else {
-                let bytes = failing_trace_bytes(flags, name)?;
-                if flags.switch("stream") {
-                    client.diagnose_streaming(&spec, std::io::Cursor::new(bytes))?
-                } else {
-                    client.diagnose(&spec, &bytes)?
-                }
+                client.diagnose(&spec, &failing_trace_bytes(flags, name)?)?
             };
             println!("{text}");
         }

@@ -32,9 +32,10 @@
 //! request opens a fresh connection, sends one frame and reads one reply
 //! (the daemon serves it as a window-1 session); with a larger depth the
 //! client keeps one multiplexed [`session::Session`] open and pipelines
-//! requests over it. The streaming methods
-//! ([`Client::trace_put_streaming`], [`Client::diagnose_streaming`])
-//! always use a session.
+//! requests over it. [`Client::trace_put`] and [`Client::diagnose`] send
+//! a trace too big for one frame as a chunked upload, over a session; the
+//! streaming methods ([`Client::trace_put_streaming`],
+//! [`Client::diagnose_streaming`]) always do.
 //!
 //! One retry rule holds at every depth: with [`ClientBuilder::retry`] set,
 //! a transport failure or a `BUSY` reply is retried exactly once, after
@@ -52,7 +53,7 @@ pub use act_core::{ActError, ConfigError};
 pub use act_obs::MetricsSnapshot;
 pub use act_serve::{ClientConfig, Endpoint, ModelSpec, Reply, Request};
 
-use act_serve::proto::read_frame;
+use act_serve::proto::{read_frame, MAX_PAYLOAD};
 use act_serve::{ClientError, Conn};
 use session::Session;
 use std::io::{Read, Write};
@@ -188,12 +189,13 @@ impl Client {
 
     /// Diagnose a failing trace (`act-trace::io` v1 text bytes) against
     /// the model for `spec`; returns the rendered ranked-suspect report.
+    /// A trace too big for one frame goes as a chunked upload.
     ///
     /// # Errors
     ///
     /// Transport failures, `BUSY` after retry, and server-side `ERROR`s.
     pub fn diagnose(&self, spec: &ModelSpec, trace: &[u8]) -> Result<String, ActError> {
-        match self.roundtrip(&Request::Diagnose(spec.clone(), trace.to_vec()))? {
+        match self.upload(Request::DiagnoseStart(spec.clone()), trace)? {
             Reply::Diagnosis(s) => Ok(s),
             other => Err(unexpected("DIAGNOSIS", &other)),
         }
@@ -218,18 +220,15 @@ impl Client {
     }
 
     /// Store a correct-run trace in the daemon's corpus under
-    /// `(workload, key)`; returns the `STORED` summary line.
+    /// `(workload, key)`; returns the `STORED` summary line. A trace too
+    /// big for one frame goes as a chunked upload.
     ///
     /// # Errors
     ///
     /// Transport failures and server-side `ERROR`s (e.g. no corpus).
     pub fn trace_put(&self, key: &str, workload: &str, trace: &[u8]) -> Result<String, ActError> {
-        let req = Request::TracePut {
-            key: key.to_string(),
-            workload: workload.to_string(),
-            trace: trace.to_vec(),
-        };
-        match self.roundtrip(&req)? {
+        let start = Request::TracePutStart { key: key.to_string(), workload: workload.to_string() };
+        match self.upload(start, trace)? {
             Reply::Stored(s) => Ok(s),
             other => Err(unexpected("STORED", &other)),
         }
@@ -309,6 +308,16 @@ impl Client {
             )));
         }
         self.live_session(self.depth).map_err(|e| self.convert(e))
+    }
+
+    /// Send `trace` under upload `opener`: as the one-frame request the
+    /// upload spells out when that fits one frame, else in chunks.
+    fn upload(&self, opener: Request, trace: &[u8]) -> Result<Reply, ActError> {
+        if fits_one_frame(&opener, trace.len()) {
+            self.roundtrip(&opener.into_one_frame(trace.to_vec()))
+        } else {
+            self.stream_roundtrip(&opener, trace)
+        }
     }
 
     /// Dispatch a unary request over the configured transport, under the
@@ -421,6 +430,13 @@ impl Client {
     }
 }
 
+/// Whether upload `opener`'s one-frame twin carrying `trace_len` bytes of
+/// trace fits one frame: its payload is the opener's, then the trace with
+/// its 4-byte length.
+fn fits_one_frame(opener: &Request, trace_len: usize) -> bool {
+    opener.to_frame().payload.len() + 4 + trace_len <= MAX_PAYLOAD as usize
+}
+
 /// Turn server-reported failure replies into errors; pass the rest on.
 fn check_reply(reply: Reply) -> Result<Reply, ActError> {
     match reply {
@@ -462,6 +478,21 @@ mod tests {
         let client = Client::builder().addr("127.0.0.1:1").build().unwrap();
         let err = client.pipeline().unwrap_err();
         assert!(matches!(err, ActError::Config(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn an_upload_is_one_frame_exactly_while_its_twin_fits_one() {
+        let openers = [
+            Request::TracePutStart { key: "big".into(), workload: "seq".into() },
+            Request::DiagnoseStart(ModelSpec::new("seq")),
+        ];
+        for opener in openers {
+            let trace = b"acttrace v1 0\n".to_vec();
+            let twin = opener.clone().into_one_frame(trace.clone()).to_frame();
+            let room = MAX_PAYLOAD as usize - (twin.payload.len() - trace.len());
+            assert!(fits_one_frame(&opener, room), "{opener:?}: a full frame");
+            assert!(!fits_one_frame(&opener, room + 1), "{opener:?}: one byte over");
+        }
     }
 
     #[test]

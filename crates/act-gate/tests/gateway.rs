@@ -444,7 +444,7 @@ fn a_refused_or_failed_upload_gets_exactly_one_reply() {
         assert_eq!(read_reply(&mut session), (9, Reply::Error("session already open".into())));
 
         // A bad record line in the first chunk: one ERROR naming the line,
-        // and the upload's two later chunks and STREAM_END go unanswered.
+        // once the upload's STREAM_END has come in.
         let upload = b"acttrace v1 10\nS 1 2 0 7 8\nX not a record\nS 3 4 0 7 8\n";
         let (head, tail) = upload.split_at(42);
         send_all(&mut session, 1, &[start.clone(), Request::StreamChunk(head.to_vec())]);

@@ -19,7 +19,9 @@
 //!   window full ──► BUSY; uploads routed by request id
 //!                                          │ SessionHost: the daemon
 //!                                          ▼
-//!      streamed chunks parsed or stored; BoundedQueue<Job> ── full ──► BUSY
+//!              BoundedQueue<Job> ── full ──► BUSY
+//!   (an upload's text is held to its STREAM_END, then queued as the
+//!   one-frame TRACE_PUT or DIAGNOSE it spells out)
 //!                                          │
 //!                                          ▼
 //!       worker pool: every popped job runs as a micro-batch

@@ -25,13 +25,13 @@
 
 use crate::cache::{CacheOutcome, ModelCache, ModelKey};
 use crate::conn::SessionShared;
-use crate::proto::{ModelSpec, Reply, Request};
-use crate::server::{stored_summary, ServerStats};
+use crate::proto::{ModelSpec, Reply, Request, MAX_PAYLOAD};
+use crate::server::ServerStats;
 use act_core::diagnosis::diagnose_trace_batch;
 use act_core::postprocess::Diagnosis;
 use act_fleet::{panic_message, BoundedQueue};
 use act_obs::{events, Level};
-use act_trace::io::trace_from_bytes;
+use act_trace::io::{parse_text, ParseTraceError, TraceBuilder};
 use act_trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -56,11 +56,10 @@ impl Responder {
 
 /// What a worker executes.
 pub(crate) enum Work {
-    /// An ordinary parsed request.
+    /// A request as it arrived in one frame, or as an upload spelled it
+    /// out.
     Request(Request),
-    /// A `DIAGNOSE` whose trace is parsed: a streamed one the session
-    /// parsed chunk by chunk (the decode half of the decode→classify
-    /// pipeline), or a one-frame one once its batch member parsed it.
+    /// A `DIAGNOSE` whose trace its batch member has parsed.
     DiagnoseTrace(ModelSpec, Box<Trace>),
 }
 
@@ -219,7 +218,7 @@ fn run_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadline:
 }
 
 /// A member's own share of the work, before the sweep: its fault hook,
-/// and the parse of a one-frame `DIAGNOSE`'s trace. `Err` is its reply.
+/// and the parse of a `DIAGNOSE`'s trace. `Err` is its reply.
 fn prepare(work: Work) -> Result<Work, Reply> {
     let spec = match &work {
         Work::Request(Request::Train(spec) | Request::Diagnose(spec, _)) => spec,
@@ -230,10 +229,17 @@ fn prepare(work: Work) -> Result<Work, Reply> {
         return Err(reply);
     }
     match work {
-        Work::Request(Request::Diagnose(spec, bytes)) => match trace_from_bytes(&bytes) {
-            Ok(trace) => Ok(Work::DiagnoseTrace(spec, Box::new(trace))),
-            Err(e) => Err(Reply::Error(format!("bad trace payload: {e}"))),
-        },
+        Work::Request(Request::Diagnose(spec, bytes)) => {
+            // Not `trace_from_bytes`, whose 64 MiB cap would refuse a large
+            // upload: the frame cap or the upload ceiling bounds `bytes`.
+            let mut builder = TraceBuilder::new();
+            match parse_text(&bytes, &mut builder) {
+                Ok(()) => Ok(Work::DiagnoseTrace(spec, Box::new(builder.into_trace()))),
+                Err(e) => {
+                    Err(Reply::Error(format!("bad trace payload: {}", ParseTraceError::from(e))))
+                }
+            }
+        }
         work => Ok(work),
     }
 }
@@ -359,7 +365,7 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
             let Some(corpus) = cache.corpus() else { return no_corpus() };
             let c = corpus.lock().expect("corpus lock");
             match c.get_trace_text(key) {
-                Ok(text) => Reply::TraceData(text),
+                Ok(text) => trace_data(key, text),
                 Err(e) => Reply::Error(format!("trace get failed: {e}")),
             }
         }
@@ -374,6 +380,32 @@ fn handle_request(request: &Request, cache: &ModelCache, stats: &ServerStats) ->
         | Request::StreamChunk(_)
         | Request::StreamEnd { .. } => Reply::Error("session frames are session-handled".into()),
     }
+}
+
+/// The `STORED` reply text.
+fn stored_summary(key: &str, info: &act_store::EntryInfo) -> String {
+    format!(
+        "stored {} ({} records, {} -> {} bytes, {:.2}x)",
+        key,
+        info.records,
+        info.raw_bytes,
+        info.encoded_bytes,
+        info.raw_bytes as f64 / info.encoded_bytes.max(1) as f64
+    )
+}
+
+/// The `TRACE_DATA` reply carrying stored trace `key`'s `text`, or an
+/// `ERROR` when the text does not fit one frame: a reply has no chunked
+/// form, so such an entry is read from the corpus directory instead.
+fn trace_data(key: &str, text: Vec<u8>) -> Reply {
+    if text.len() > MAX_PAYLOAD as usize {
+        return Reply::Error(format!(
+            "trace get failed: `{key}` is {} bytes of text, over the {MAX_PAYLOAD}-byte \
+             one-frame limit; read it from the corpus with `act store get`",
+            text.len()
+        ));
+    }
+    Reply::TraceData(text)
 }
 
 /// The `ERROR` to a corpus request on a daemon without a corpus store.
@@ -480,6 +512,22 @@ mod tests {
         let reply = fault_hook(&spec).expect("sleep hook fires");
         assert!(matches!(reply, Reply::Trained(s) if s.contains("slept 1ms")));
         assert!(fault_hook(&ModelSpec::new("fft")).is_none());
+    }
+
+    #[test]
+    fn a_trace_over_one_frame_is_an_error_not_a_reply_that_cannot_be_sent() {
+        // A text at the limit is sent, as one whole frame.
+        let fits = trace_data("k", vec![0; MAX_PAYLOAD as usize]);
+        assert!(matches!(&fits, Reply::TraceData(text) if text.len() == MAX_PAYLOAD as usize));
+        let mut frame = Vec::new();
+        fits.encode_into(1, &mut frame);
+        assert_eq!(frame.len(), crate::proto::HEADER_LEN + MAX_PAYLOAD as usize);
+        drop((fits, frame));
+        let Reply::Error(why) = trace_data("k", vec![0; MAX_PAYLOAD as usize + 1]) else {
+            panic!("a text over one frame must be refused")
+        };
+        assert!(why.contains(&format!("over the {MAX_PAYLOAD}-byte one-frame limit")), "{why}");
+        assert!(why.contains("act store get"), "{why}");
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! [`FrameKind::DiagnoseStart`] open one, [`FrameKind::StreamChunk`]
 //! frames (each <= [`MAX_CHUNK`]) carry the trace text incrementally, and
 //! [`FrameKind::StreamEnd`] seals it with a running CRC-32 and total
-//! length — so a trace larger than one frame's [`MAX_PAYLOAD`] can be
-//! ingested without ever being materialized whole.
+//! length — so a client can send a trace larger than one frame's
+//! [`MAX_PAYLOAD`] without ever holding it whole. The daemon holds the
+//! text, up to its upload ceiling, and then runs the upload as the
+//! one-frame request it spells out ([`Request::into_one_frame`]).
 //!
 //! [`read_frame`] validates magic, version, kind and length from the first
 //! ten bytes, before it reads the request id or allocates the payload. A
@@ -479,6 +481,22 @@ impl Request {
     /// As [`encode_frame`], and on a `STREAM_CHUNK` over [`MAX_CHUNK`].
     pub fn encode_into(&self, request_id: u32, buf: &mut Vec<u8>) {
         encode_in_place(buf, self.kind(), request_id, |b| self.put_payload(b));
+    }
+
+    /// The one-frame request an upload opener spells out once its `trace`
+    /// text has arrived: `TRACE_PUT_START` becomes `TRACE_PUT` and
+    /// `DIAGNOSE_START` becomes `DIAGNOSE`. Its payload is the opener's,
+    /// then `trace` with its 4-byte length.
+    ///
+    /// # Panics
+    ///
+    /// When `self` opens no upload.
+    pub fn into_one_frame(self, trace: Vec<u8>) -> Request {
+        match self {
+            Request::TracePutStart { key, workload } => Request::TracePut { key, workload, trace },
+            Request::DiagnoseStart(spec) => Request::Diagnose(spec, trace),
+            other => panic!("{:?} opens no upload", other.kind()),
+        }
     }
 
     /// The frame kind this request travels as.

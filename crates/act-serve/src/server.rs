@@ -11,12 +11,13 @@
 //! there — always serviceable, even with a full queue — and every other
 //! request claims a window slot or gets `BUSY`. The daemon is the loop's
 //! [`SessionHost`]: it wraps a claimed request into a
-//! [`Job`](crate::pool::Job) that it `try_push`es onto the bounded queue,
-//! and parses a streamed `DIAGNOSE` or feeds a streamed `TRACE_PUT` to the
-//! corpus as its chunks arrive. A full queue or a full window yields an
-//! immediate `BUSY` reply: the request was *refused*, never
-//! accepted-then-dropped. Workers drain the queue (see [`crate::pool`])
-//! and write replies onto the session; `SHUTDOWN` (or
+//! [`Job`](crate::pool::Job) that it `try_push`es onto the bounded queue.
+//! A chunked upload is a request in pieces: the daemon holds its text, and
+//! at its `STREAM_END` queues the one-frame `TRACE_PUT` or `DIAGNOSE` it
+//! spells out, just as that request would be queued. A full queue or a
+//! full window yields an immediate `BUSY` reply: the request was
+//! *refused*, never accepted-then-dropped. Workers drain the queue (see
+//! [`crate::pool`]) and write replies onto the session; `SHUTDOWN` (or
 //! [`Server::shutdown`], which the CLI wires to SIGINT) wakes the
 //! acceptors out of `accept` and stops them, ends the parked session
 //! threads, closes the queue, and lets the workers finish every accepted
@@ -27,29 +28,25 @@ use crate::client::Endpoint;
 use crate::conn::{accept_loop, run_session, wake, Listener, SessionThreads};
 use crate::conn::{SessionHost, SessionShared, SessionStats};
 use crate::pool::{no_corpus, spawn_workers, Job, Responder, Work};
-use crate::proto::{ModelSpec, Reply, Request};
+use crate::proto::{Reply, Request};
 use act_fleet::BoundedQueue;
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
 };
-use act_store::UploadCheck;
-use act_trace::io::{CopyError, ParseTraceError, TextParser, TraceBuilder};
-use act_trace::Trace;
-use std::convert::Infallible;
+use act_store::{StoreError, UploadCheck};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Ceiling on one streamed `DIAGNOSE` upload. Unlike streamed `TRACE_PUT`
-/// (disk-backed, memory bounded by the chunk size) a streamed diagnose
-/// materializes the parsed trace in memory, so it needs a cap; this one is
-/// 4x the single-frame limit.
-const MAX_STREAM_DIAGNOSE_BYTES: u64 = 256 << 20;
+/// Ceiling on the trace text one chunked upload carries, `TRACE_PUT` or
+/// `DIAGNOSE`: the daemon holds an upload's text until its `STREAM_END`.
+/// 4x the one-frame limit.
+const MAX_UPLOAD_BYTES: u64 = 256 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -283,19 +280,27 @@ impl Daemon {
             }
         }
     }
-
-    /// The corpus a `TRACE_PUT` upload writes to, locked.
-    fn upload_corpus(&self) -> MutexGuard<'_, act_store::Corpus> {
-        self.cache.corpus().expect("upload opened with a corpus").lock().expect("corpus lock")
-    }
 }
 
-/// The at-most-one upload a session may have open.
-enum Upload {
-    /// A chunked `TRACE_PUT`; the corpus holds the parser/CRC state.
-    TracePut,
-    /// A chunked `DIAGNOSE`; the trace is parsed here, then queued whole.
-    Diagnose { spec: ModelSpec, parse: Box<DiagnoseStream> },
+/// The at-most-one upload a session may have open: its opener, the
+/// running check of its chunks, and the text they carried.
+struct Upload {
+    opener: Request,
+    check: UploadCheck,
+    text: Vec<u8>,
+}
+
+impl Upload {
+    /// The `ERROR` that fails this upload, worded as its one-frame twin
+    /// words a rejected input.
+    fn failed(&self, why: String) -> Reply {
+        Reply::Error(match self.opener {
+            Request::TracePutStart { .. } => {
+                format!("trace put failed: {}", StoreError::InvalidInput(why))
+            }
+            _ => why,
+        })
+    }
 }
 
 impl SessionHost for Daemon {
@@ -329,40 +334,31 @@ impl SessionHost for Daemon {
     }
 
     fn open(&self, opener: Request) -> Result<Upload, Reply> {
-        let upload = match opener {
-            Request::DiagnoseStart(spec) => Upload::Diagnose { spec, parse: Box::default() },
-            Request::TracePutStart { key, workload } => {
-                let Some(corpus) = self.cache.corpus() else { return Err(no_corpus()) };
-                let mut c = corpus.lock().expect("corpus lock");
-                if c.streaming_key().is_some() {
-                    // Another session owns the corpus stream right now.
-                    return Err(Reply::Busy);
-                }
-                c.stream_begin(&key, &workload)
-                    .map_err(|e| Reply::Error(format!("trace put failed: {e}")))?;
-                Upload::TracePut
-            }
-            _ => unreachable!("not a stream opener"),
-        };
+        if matches!(opener, Request::TracePutStart { .. }) && self.cache.corpus().is_none() {
+            return Err(no_corpus());
+        }
         self.stats.streams_opened.inc();
-        Ok(upload)
+        Ok(Upload { opener, check: UploadCheck::default(), text: Vec::new() })
     }
 
     fn chunk(&self, upload: &mut Upload, bytes: Vec<u8>) -> Result<(), Reply> {
-        let fed = match upload {
-            Upload::TracePut => self
-                .upload_corpus()
-                .stream_chunk(&bytes)
-                .map_err(|e| format!("trace put failed: {e}")),
-            Upload::Diagnose { parse, .. } => parse.feed(&bytes),
-        };
-        // A failed feed has already aborted the corpus/parser side.
-        fed.map_err(|why| {
+        upload.check.update(&bytes);
+        if upload.check.total_len() > MAX_UPLOAD_BYTES {
             self.stats.streams_aborted.inc();
-            Reply::Error(why)
-        })
+            let what = match upload.opener {
+                Request::TracePutStart { .. } => "trace put",
+                _ => "diagnose",
+            };
+            return Err(
+                upload.failed(format!("streamed {what} exceeds the {MAX_UPLOAD_BYTES}-byte cap"))
+            );
+        }
+        upload.text.extend_from_slice(&bytes);
+        Ok(())
     }
 
+    /// Queue the one-frame request the upload spells out, once its length
+    /// and CRC verify.
     fn end(
         self: Arc<Self>,
         session: &Arc<SessionShared>,
@@ -371,33 +367,18 @@ impl SessionHost for Daemon {
         crc32: u32,
         total_len: u64,
     ) {
-        let failed = match upload {
-            Upload::TracePut => match self.upload_corpus().stream_finish(crc32, total_len) {
-                Ok(info) => {
-                    let reply = Reply::Stored(stored_summary(&info.meta.key, &info));
-                    return session.send_final(request_id, &reply);
-                }
-                Err(e) => format!("trace put failed: {e}"),
-            },
-            Upload::Diagnose { spec, parse } => match parse.finish(crc32, total_len) {
-                Ok(trace) => {
-                    let work = Work::DiagnoseTrace(spec, Box::new(trace));
-                    return self.enqueue(session, request_id, work);
-                }
-                Err(why) => why,
-            },
-        };
-        self.stats.streams_aborted.inc();
-        session.send_final(request_id, &Reply::Error(failed));
+        if let Err(why) = upload.check.verify(crc32, total_len) {
+            self.stats.streams_aborted.inc();
+            return session.send_final(request_id, &upload.failed(why));
+        }
+        let request = upload.opener.into_one_frame(upload.text);
+        self.enqueue(session, request_id, Work::Request(request));
     }
 
-    /// The client died mid-upload: truncate the half-written corpus entry
-    /// so no partial segment survives.
-    fn abandon(&self, upload: Upload) {
+    /// The client died mid-upload: its text is dropped, and nothing of it
+    /// reached the corpus.
+    fn abandon(&self, _upload: Upload) {
         self.stats.streams_aborted.inc();
-        if matches!(upload, Upload::TracePut) {
-            self.upload_corpus().stream_abort();
-        }
         events().emit(Level::Warn, "serve.stream", "session closed mid-stream; upload aborted");
     }
 }
@@ -571,51 +552,6 @@ impl Server {
     }
 }
 
-/// The `STORED` reply text — shared verbatim by the one-frame and the
-/// streamed `TRACE_PUT` paths, so clients see one format.
-pub(crate) fn stored_summary(key: &str, info: &act_store::EntryInfo) -> String {
-    format!(
-        "stored {} ({} records, {} -> {} bytes, {:.2}x)",
-        key,
-        info.records,
-        info.raw_bytes,
-        info.encoded_bytes,
-        info.raw_bytes as f64 / info.encoded_bytes.max(1) as f64
-    )
-}
-
-/// A streamed `DIAGNOSE` upload in progress: the text parser fills a
-/// [`TraceBuilder`], since the trace is diagnosed, not stored, and the
-/// upload check is verified at `STREAM_END`.
-#[derive(Default)]
-struct DiagnoseStream {
-    check: UploadCheck,
-    parser: TextParser,
-    builder: TraceBuilder,
-}
-
-impl DiagnoseStream {
-    fn feed(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.check.update(bytes);
-        if self.check.total_len() > MAX_STREAM_DIAGNOSE_BYTES {
-            return Err(format!(
-                "streamed diagnose exceeds the {MAX_STREAM_DIAGNOSE_BYTES}-byte cap"
-            ));
-        }
-        self.parser.feed(bytes, &mut self.builder).map_err(bad_payload)
-    }
-
-    fn finish(mut self, crc32: u32, total_len: u64) -> Result<Trace, String> {
-        self.check.verify(crc32, total_len)?;
-        self.parser.finish(&mut self.builder).map_err(bad_payload)?;
-        Ok(self.builder.into_trace())
-    }
-}
-
-fn bad_payload(e: CopyError<Infallible>) -> String {
-    format!("bad trace payload: {}", ParseTraceError::from(e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,6 +618,17 @@ mod tests {
         // Identical after a wire round-trip — what a STATUS reply carries.
         let bytes = snap.to_bytes();
         assert_eq!(act_obs::MetricsSnapshot::from_bytes(&bytes).unwrap(), snap);
+    }
+
+    #[test]
+    fn a_failed_upload_is_worded_as_its_one_frame_twin_words_it() {
+        let upload = |opener| Upload { opener, check: UploadCheck::default(), text: Vec::new() };
+        let put = upload(Request::TracePutStart { key: "k".into(), workload: "seq".into() });
+        let why = "stream crc mismatch".to_string();
+        let put_error = "trace put failed: invalid store input: stream crc mismatch";
+        assert_eq!(put.failed(why.clone()), Reply::Error(put_error.into()));
+        let diagnose = upload(Request::DiagnoseStart(crate::proto::ModelSpec::new("seq")));
+        assert_eq!(diagnose.failed(why.clone()), Reply::Error(why));
     }
 
     #[test]

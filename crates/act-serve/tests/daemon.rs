@@ -10,6 +10,13 @@
 //!   a restarted daemon loads it instead of retraining;
 //! - a daemon booted on a corpus with a torn tail counts the dropped
 //!   bytes in STATUS's `store_corrupt_blocks`;
+//! - an upload left open holds up no other request: a one-frame
+//!   `TRACE_PUT`, another upload and a cold `TRAIN`'s persisted model all
+//!   go through while it waits, and it still completes;
+//! - an upload whose `STREAM_END` does not verify, or whose text holds a
+//!   bad line, is one `ERROR`, and stores nothing;
+//! - at its `STREAM_END` an upload is queued as its one-frame twin would
+//!   be: `BUSY` from a full queue, and counted as a request;
 //! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
 //! - a client that connects and stays silent holds up nobody else;
 //! - a frame of any protocol version but 4 gets one `ERROR`, then EOF;
@@ -418,6 +425,202 @@ fn corpus_round_trips_traces_trains_from_store_and_persists_models() {
     let status = status_of(&endpoint);
     assert!(counter(&status, "cache_hits") >= 1, "store hit counts as a hit:\n{status}");
     assert_eq!(counter(&status, "cache_misses"), 0, "status:\n{status}");
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session on `endpoint` that asked for a window of 4.
+fn open_session(endpoint: &Endpoint) -> Conn {
+    let mut conn = Conn::connect(endpoint, &ClientConfig::default()).expect("connect");
+    write_frame(&mut conn, &Request::Hello { window: 4 }.to_frame()).expect("send HELLO");
+    let ack = Reply::from_frame(read_frame(&mut conn).expect("ack")).expect("decode");
+    assert_eq!(ack, Reply::HelloAck { window: 4 });
+    conn
+}
+
+/// Send each of `requests` as one frame under request id `id`.
+fn send_all(conn: &mut Conn, id: u32, requests: &[Request]) {
+    for request in requests {
+        write_frame(&mut *conn, &request.to_frame().with_request(id)).expect("send");
+    }
+}
+
+/// Read one reply frame: its request id and decoded reply.
+fn read_reply(conn: &mut Conn) -> (u32, Reply) {
+    let frame = read_frame(&mut *conn).expect("reply frame");
+    (frame.request_id, Reply::from_frame(&frame).expect("decode"))
+}
+
+/// The frames of a `TRACE_PUT` upload of `bytes` under `key`, in `chunk`
+/// byte chunks, sealed with `crc32`.
+fn upload(key: &str, bytes: &[u8], chunk: usize, crc32: u32) -> Vec<Request> {
+    let mut frames = vec![Request::TracePutStart { key: key.into(), workload: "seq".into() }];
+    frames.extend(bytes.chunks(chunk).map(|c| Request::StreamChunk(c.to_vec())));
+    frames.push(Request::StreamEnd { crc32, total_len: bytes.len() as u64 });
+    frames
+}
+
+#[test]
+fn an_open_upload_holds_up_no_other_request() {
+    let dir = std::env::temp_dir().join(format!("act-serve-open-upload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let trace = correct_trace_bytes(0);
+    let crc = act_store::crc32::crc32(&trace);
+    let (server, endpoint) = boot_on_corpus(&dir);
+
+    // One session opens an upload, sends its first chunk, and waits.
+    let frames = upload("held", &trace, 100, crc);
+    let (head, rest) = frames.split_at(2);
+    let mut held = open_session(&endpoint);
+    send_all(&mut held, 1, head);
+
+    // Another session's one-frame TRACE_PUT is stored meanwhile.
+    let put =
+        Request::TracePut { key: "one-frame".into(), workload: "seq".into(), trace: trace.clone() };
+    match request(&endpoint, &put).expect("put reply") {
+        Reply::Stored(summary) => assert!(summary.starts_with("stored one-frame "), "{summary}"),
+        other => panic!("a one-frame put beside an open upload: {other:?}"),
+    }
+    // So is a third session's whole upload.
+    let mut third = open_session(&endpoint);
+    send_all(&mut third, 1, &upload("streamed", &trace, 4096, crc));
+    match read_reply(&mut third) {
+        (1, Reply::Stored(summary)) => {
+            assert!(summary.starts_with("stored streamed "), "{summary}")
+        }
+        other => panic!("an upload beside an open upload: {other:?}"),
+    }
+    // And a cold TRAIN, whose model goes into the corpus.
+    let spec = tiny_spec("seq");
+    match request(&endpoint, &Request::Train(spec.clone())).expect("train reply") {
+        Reply::Trained(summary) => assert!(summary.ends_with("[trained]"), "{summary}"),
+        other => panic!("unexpected train reply: {other:?}"),
+    }
+
+    // The held upload was not disturbed: it completes.
+    send_all(&mut held, 1, rest);
+    match read_reply(&mut held) {
+        (1, Reply::Stored(summary)) => assert!(summary.starts_with("stored held "), "{summary}"),
+        other => panic!("the held upload: {other:?}"),
+    }
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+
+    // Restarted on the corpus, the daemon has all three traces and loads
+    // the model instead of training it.
+    let (server, endpoint) = boot_on_corpus(&dir);
+    for key in ["held", "one-frame", "streamed"] {
+        match request(&endpoint, &Request::TraceGet { key: key.into() }).expect("get") {
+            Reply::TraceData(bytes) => assert_eq!(bytes, trace, "{key}"),
+            other => panic!("unexpected get reply for {key}: {other:?}"),
+        }
+    }
+    match request(&endpoint, &Request::Train(spec)).expect("train reply") {
+        Reply::Trained(summary) => assert!(summary.ends_with("[cache-hit:store]"), "{summary}"),
+        other => panic!("unexpected train reply: {other:?}"),
+    }
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_upload_is_one_error_and_stores_nothing() {
+    let dir = std::env::temp_dir().join(format!("act-serve-bad-upload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let trace = correct_trace_bytes(0);
+    let (server, endpoint) = boot_on_corpus(&dir);
+    let mut session = open_session(&endpoint);
+
+    let wrong = act_store::crc32::crc32(&trace) ^ 1;
+    send_all(&mut session, 7, &upload("bad-crc", &trace, 4096, wrong));
+    match read_reply(&mut session) {
+        (7, Reply::Error(why)) => {
+            assert!(why.starts_with("trace put failed: "), "{why}");
+            assert!(why.contains("crc mismatch"), "{why}");
+        }
+        other => panic!("a wrong CRC must be one ERROR, got {other:?}"),
+    }
+    // A bad line is found once the whole text is in, and named.
+    let text = b"acttrace v1 10\nS 1 2 0 7 8\nX not a record\nS 3 4 0 7 8\n";
+    send_all(&mut session, 8, &upload("bad-line", text, 6, act_store::crc32::crc32(text)));
+    match read_reply(&mut session) {
+        (8, Reply::Error(why)) => {
+            assert!(why.starts_with("trace put failed: "), "{why}");
+            assert!(why.contains("line 3"), "{why}");
+        }
+        other => panic!("a bad line must be one ERROR, got {other:?}"),
+    }
+
+    for key in ["bad-crc", "bad-line"] {
+        match request(&endpoint, &Request::TraceGet { key: key.into() }).expect("get") {
+            Reply::Error(why) => assert!(why.contains("no store entry"), "{why}"),
+            other => panic!("the failed upload's key {key} must be absent, got {other:?}"),
+        }
+    }
+    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_upload_is_queued_like_its_one_frame_twin() {
+    // One worker, queue depth one: a sleeper on the worker plus one queued
+    // job fill the daemon, as in the full-queue test.
+    let dir = std::env::temp_dir().join(format!("act-serve-queued-upload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        tcp_addr: Some("127.0.0.1:0".to_string()),
+        workers: 1,
+        queue_depth: 1,
+        corpus_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).expect("daemon boots with corpus");
+    let endpoint = Endpoint::Tcp(server.tcp_addr().expect("tcp bound").to_string());
+    let trace = correct_trace_bytes(0);
+    let frames = upload("queued", &trace, 4096, act_store::crc32::crc32(&trace));
+    let sleeper = |ms| Request::Train(ModelSpec { seed: ms, ..ModelSpec::new("__sleep") });
+
+    // Wait, by STATUS, until the queue holds `depth` jobs and the daemon
+    // has accepted `accepted` in all.
+    let queue_reaches = |depth: u64, accepted: u64| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let status = status_of(&endpoint);
+            let now = (counter(&status, "queue_depth"), counter(&status, "requests_accepted"));
+            if now == (depth, accepted) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "queue never reached {depth}:\n{status}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    let mut session = open_session(&endpoint);
+    // The worker takes the first sleeper, and the second fills the queue.
+    send_all(&mut session, 1, &[sleeper(1000)]);
+    queue_reaches(0, 1);
+    send_all(&mut session, 2, &[sleeper(10)]);
+    queue_reaches(1, 2);
+    // The opener and the chunks are taken; the STREAM_END finds no room.
+    send_all(&mut session, 3, &frames);
+    assert_eq!(read_reply(&mut session), (3, Reply::Busy));
+    let slept = |ms| Reply::Trained(format!("slept {ms}ms"));
+    assert_eq!(read_reply(&mut session), (1, slept(1000)));
+    assert_eq!(read_reply(&mut session), (2, slept(10)));
+
+    // Sent again to an idle daemon, it is stored, and counted as a request.
+    send_all(&mut session, 4, &frames);
+    match read_reply(&mut session) {
+        (4, Reply::Stored(summary)) => assert!(summary.starts_with("stored queued "), "{summary}"),
+        other => panic!("the upload, sent again: {other:?}"),
+    }
+    let status = status_of(&endpoint);
+    assert_eq!(counter(&status, "requests_rejected_busy"), 1, "status:\n{status}");
+    assert_eq!(counter(&status, "requests_accepted"), 3, "status:\n{status}");
+    assert_eq!(counter(&status, "requests_served"), 3, "status:\n{status}");
     assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

@@ -18,7 +18,6 @@
 //! before old data is unlinked, so a crash between the two steps leaves
 //! duplicates, not loss).
 
-use crate::crc32::UploadCheck;
 use crate::error::StoreError;
 use crate::metrics::StoreMetrics;
 use crate::segment::{
@@ -26,7 +25,7 @@ use crate::segment::{
     SegmentWriter, TraceEntrySink, TraceEntrySource,
 };
 use act_obs::metrics::Registry;
-use act_trace::io::{stream_trace, trace_to_bytes, CopyError, TextParser, TextTraceSink};
+use act_trace::io::{parse_text, stream_trace, trace_to_bytes, CopyError, TextTraceSink};
 use act_trace::io::{TraceBuilder, TraceSink};
 use act_trace::Trace;
 use std::collections::HashMap;
@@ -111,22 +110,6 @@ pub struct Corpus {
     metrics: StoreMetrics,
     seal_bytes: u64,
     next_seg_id: u64,
-    stream: Option<StreamPut>,
-}
-
-/// In-flight state of a chunked [`Corpus::stream_begin`] upload: the text
-/// parser, and the running CRC/length tally the finishing frame is
-/// verified against. (The segment writer holds the entry's partly filled
-/// chunk of records.)
-struct StreamPut {
-    key: String,
-    workload: String,
-    check: UploadCheck,
-    parser: TextParser,
-}
-
-fn no_stream() -> StoreError {
-    StoreError::InvalidInput("no streaming put is open".into())
 }
 
 /// A text-codec put's failure: the input's fault, or the store's own.
@@ -177,7 +160,6 @@ impl Corpus {
             metrics: StoreMetrics::default(),
             seal_bytes: DEFAULT_SEAL_BYTES,
             next_seg_id: 1,
-            stream: None,
         })
     }
 
@@ -281,7 +263,6 @@ impl Corpus {
             metrics,
             seal_bytes: DEFAULT_SEAL_BYTES,
             next_seg_id,
-            stream: None,
         };
         corpus.recount();
         Ok(corpus)
@@ -377,27 +358,13 @@ impl Corpus {
 
     // -- writes ------------------------------------------------------------
 
-    /// Truncate away a half-written entry after a failed put (and drop
-    /// the stream that wrote it, if any), so one bad input cannot wedge the
-    /// writer or leave junk for recovery to drop.
+    /// Truncate away a half-written entry after a failed put, so one bad
+    /// input cannot wedge the writer or leave junk for recovery to drop.
     fn abort_on_err<T>(&mut self, r: Result<T, StoreError>) -> Result<T, StoreError> {
         if r.is_err() {
-            self.stream_abort();
+            let _ = self.active_mut().abort_entry();
         }
         r
-    }
-
-    /// A streaming put owns the active segment's open entry; any other
-    /// write interleaving with it would corrupt the entry, so they are
-    /// refused while a stream is open.
-    fn reject_if_streaming(&self) -> Result<(), StoreError> {
-        match &self.stream {
-            Some(s) => Err(StoreError::InvalidInput(format!(
-                "a streaming put ({}) is in progress; finish or abort it first",
-                s.key
-            ))),
-            None => Ok(()),
-        }
     }
 
     /// Store a trace under `(workload, key)`, streaming it through the
@@ -408,7 +375,6 @@ impl Corpus {
         workload: &str,
         trace: &Trace,
     ) -> Result<EntryInfo, StoreError> {
-        self.reject_if_streaming()?;
         let raw = text_size_of(trace);
         let r = (|| {
             let active = self.active.as_mut().expect("active segment writer present");
@@ -419,22 +385,19 @@ impl Corpus {
         self.commit(SegRef::Active, info)
     }
 
-    /// Ingest a text-codec trace payload (the daemon's `TRACE_PUT` path):
-    /// parsed and re-encoded record-by-record, so the uncompressed text is
-    /// never materialized a second time.
+    /// Ingest a text-codec trace payload (the daemon's `TRACE_PUT` path,
+    /// one-frame or uploaded in chunks): parsed and re-encoded
+    /// record-by-record, so the uncompressed text is never materialized a
+    /// second time.
     pub fn put_trace_bytes(
         &mut self,
         key: &str,
         workload: &str,
         bytes: &[u8],
     ) -> Result<EntryInfo, StoreError> {
-        self.reject_if_streaming()?;
         let r = (|| {
             let active = self.active.as_mut().expect("active segment writer present");
-            let mut sink = TraceEntrySink::new(active, key, workload);
-            let mut parser = TextParser::default();
-            parser.feed(bytes, &mut sink).map_err(rejected)?;
-            parser.finish(&mut sink).map_err(rejected)?;
+            parse_text(bytes, &mut TraceEntrySink::new(active, key, workload)).map_err(rejected)?;
             active.end_entry(bytes.len() as u64)
         })();
         let info = self.abort_on_err(r)?;
@@ -449,7 +412,6 @@ impl Corpus {
         workload: &str,
         bytes: &[u8],
     ) -> Result<EntryInfo, StoreError> {
-        self.reject_if_streaming()?;
         if kind == EntryKind::Trace {
             return Err(StoreError::InvalidInput("traces go through put_trace".into()));
         }
@@ -471,91 +433,6 @@ impl Corpus {
         })();
         let info = self.abort_on_err(r)?;
         self.commit(SegRef::Active, info)
-    }
-
-    // -- streaming writes --------------------------------------------------
-
-    /// Open a chunked trace put under `(workload, key)`: the protocol's
-    /// `TRACE_PUT_START`. Text-codec bytes arrive via
-    /// [`Corpus::stream_chunk`] and the entry commits only at
-    /// [`Corpus::stream_finish`] — until then the key stays unpublished,
-    /// and [`Corpus::stream_abort`] (or a failed chunk) truncates every
-    /// byte the stream wrote. One stream may be open at a time; a second
-    /// `stream_begin` (or any materialized put) is refused while it is.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::InvalidInput`] when a stream is already open.
-    pub fn stream_begin(&mut self, key: &str, workload: &str) -> Result<(), StoreError> {
-        self.reject_if_streaming()?;
-        self.stream = Some(StreamPut {
-            key: key.to_string(),
-            workload: workload.to_string(),
-            check: UploadCheck::default(),
-            parser: TextParser::default(),
-        });
-        Ok(())
-    }
-
-    /// Feed one chunk of text-codec bytes into the open stream. Chunks may
-    /// split lines (and multi-byte sequences) anywhere; the parser carries
-    /// the partial tail over. Any parse or write failure aborts the stream
-    /// — the half-written entry is truncated away before the error returns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::InvalidInput`] when no stream is open or the
-    /// bytes are not valid text-codec lines, and I/O errors from the
-    /// segment writer.
-    pub fn stream_chunk(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        let r = (|| {
-            let s = self.stream.as_mut().ok_or_else(no_stream)?;
-            let active = self.active.as_mut().expect("active segment writer present");
-            s.check.update(bytes);
-            s.parser
-                .feed(bytes, &mut TraceEntrySink::new(active, &s.key, &s.workload))
-                .map_err(rejected)
-        })();
-        self.abort_on_err(r)
-    }
-
-    /// Seal the open stream: verify the client's CRC-32 and total length
-    /// against the running tallies, flush the trailing records, and commit
-    /// the entry. On any mismatch or failure the stream aborts — the key
-    /// is never published.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::InvalidInput`] on CRC/length mismatch, a
-    /// malformed last line, or an upload with no header line, and I/O
-    /// errors from the commit.
-    pub fn stream_finish(&mut self, crc32: u32, total_len: u64) -> Result<EntryInfo, StoreError> {
-        let r = (|| {
-            let s = self.stream.take().ok_or_else(no_stream)?;
-            s.check.verify(crc32, total_len).map_err(StoreError::InvalidInput)?;
-            let active = self.active.as_mut().expect("active segment writer present");
-            s.parser
-                .finish(&mut TraceEntrySink::new(active, &s.key, &s.workload))
-                .map_err(rejected)?;
-            active.end_entry(s.check.total_len())
-        })();
-        let info = self.abort_on_err(r)?;
-        self.commit(SegRef::Active, info)
-    }
-
-    /// Drop the open stream (client vanished mid-upload, CRC mismatch,
-    /// parse failure): the half-written entry is truncated out of the
-    /// active segment, leaving the corpus exactly as it was before
-    /// `stream_begin`. Idempotent; a no-op when nothing is streaming (no
-    /// entry is open between calls unless a stream opened it).
-    pub fn stream_abort(&mut self) {
-        self.stream = None;
-        let _ = self.active_mut().abort_entry();
-    }
-
-    /// Key of the open streaming put, if any.
-    pub fn streaming_key(&self) -> Option<&str> {
-        self.stream.as_ref().map(|s| s.key.as_str())
     }
 
     // -- reads -------------------------------------------------------------
@@ -874,9 +751,7 @@ mod tests {
         c.put_trace_bytes("t4", "wl", &text).unwrap();
         c.put_blob(EntryKind::Model, "m", "wl", b"weights-v1").unwrap();
         c.put_blob(EntryKind::Model, "m", "wl", b"weights-v2, longer").unwrap();
-        c.stream_begin("t5", "wl").unwrap();
-        c.stream_chunk(&text).unwrap();
-        c.stream_finish(crate::crc32::crc32(&text), text.len() as u64).unwrap();
+        c.put_trace_bytes("t5", "wl", &text).unwrap();
         assert_totals_match_a_recount(&c);
         let before = c.stat().unwrap();
         c.compact().unwrap();
@@ -913,115 +788,6 @@ mod tests {
         assert!(err.is_err());
         assert!(!c.contains(EntryKind::Trace, "bad"));
         // The corpus stays usable and recovery drops the aborted blocks.
-        drop(c);
-        let c = Corpus::open(&dir).unwrap();
-        assert_eq!(c.entries(None).len(), 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streamed_put_matches_materialized_put_for_any_chunking() {
-        let dir = tmp_dir("stream");
-        let mut c = Corpus::init(&dir).unwrap();
-        let trace = sample_trace(300, 5);
-        let text = act_trace::io::trace_to_bytes(&trace);
-        let crc = crate::crc32::crc32(&text);
-        // Chunk sizes chosen to split lines (and the header) mid-way.
-        for (i, chunk_len) in [1usize, 3, 7, 64, text.len()].into_iter().enumerate() {
-            let key = format!("s{i}");
-            c.stream_begin(&key, "wl").unwrap();
-            assert_eq!(c.streaming_key(), Some(key.as_str()));
-            for chunk in text.chunks(chunk_len) {
-                c.stream_chunk(chunk).unwrap();
-            }
-            let info = c.stream_finish(crc, text.len() as u64).unwrap();
-            assert_eq!(info.raw_bytes, text.len() as u64);
-            assert!(c.streaming_key().is_none());
-            assert_eq!(text_of(&c, &key), text);
-        }
-        // Byte-for-byte the same accounting as the materialized path.
-        let info = c.put_trace_bytes("mat", "wl", &text).unwrap();
-        let streamed = c.entry_info(EntryKind::Trace, "s0").unwrap();
-        assert_eq!(info.raw_bytes, streamed.raw_bytes);
-        assert_eq!(info.records, streamed.records);
-        assert_eq!(info.encoded_bytes, streamed.encoded_bytes);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stream_crc_and_length_mismatches_abort_without_publishing() {
-        let dir = tmp_dir("stream-crc");
-        let mut c = Corpus::init(&dir).unwrap();
-        let text = act_trace::io::trace_to_bytes(&sample_trace(50, 1));
-        let crc = crate::crc32::crc32(&text);
-
-        c.stream_begin("bad-crc", "wl").unwrap();
-        c.stream_chunk(&text).unwrap();
-        let err = c.stream_finish(crc ^ 1, text.len() as u64).unwrap_err();
-        assert!(err.to_string().contains("crc mismatch"), "{err}");
-        assert!(!c.contains(EntryKind::Trace, "bad-crc"));
-        assert!(c.streaming_key().is_none(), "failed finish drops the stream");
-
-        c.stream_begin("bad-len", "wl").unwrap();
-        c.stream_chunk(&text).unwrap();
-        let err = c.stream_finish(crc, text.len() as u64 + 1).unwrap_err();
-        assert!(err.to_string().contains("length mismatch"), "{err}");
-        assert!(!c.contains(EntryKind::Trace, "bad-len"));
-
-        // The corpus is still fully usable afterwards.
-        c.put_trace_bytes("ok", "wl", &text).unwrap();
-        assert!(c.contains(EntryKind::Trace, "ok"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn aborted_stream_leaves_no_partial_entry_after_reopen() {
-        let dir = tmp_dir("stream-abort");
-        let mut c = Corpus::init(&dir).unwrap();
-        let text = act_trace::io::trace_to_bytes(&sample_trace(5000, 2));
-        c.stream_begin("half", "wl").unwrap();
-        // Feed enough to open the entry and flush real columnar chunks,
-        // then drop the client mid-upload.
-        c.stream_chunk(&text[..text.len() / 2]).unwrap();
-        c.stream_abort();
-        assert!(!c.contains(EntryKind::Trace, "half"));
-        // Recovery on reopen sees no trace of the half-streamed entry.
-        drop(c);
-        let c = Corpus::open(&dir).unwrap();
-        assert_eq!(c.entries(None).len(), 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn materialized_puts_are_refused_while_a_stream_is_open() {
-        let dir = tmp_dir("stream-lock");
-        let mut c = Corpus::init(&dir).unwrap();
-        let trace = sample_trace(20, 3);
-        let text = act_trace::io::trace_to_bytes(&trace);
-        c.stream_begin("s", "wl").unwrap();
-        c.stream_chunk(&text[..10]).unwrap();
-        assert!(c.put_trace("t", "wl", &trace).is_err());
-        assert!(c.put_trace_bytes("t", "wl", &text).is_err());
-        assert!(c.put_blob(EntryKind::Model, "m", "wl", b"w").is_err());
-        assert!(c.stream_begin("s2", "wl").is_err(), "one stream at a time");
-        // The open stream survives those refusals and still finishes.
-        let rest = &text[10..];
-        c.stream_chunk(rest).unwrap();
-        c.stream_finish(crate::crc32::crc32(&text), text.len() as u64).unwrap();
-        assert_eq!(text_of(&c, "s"), text);
-        c.put_trace("t", "wl", &trace).unwrap();
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn garbage_mid_stream_aborts_and_truncates() {
-        let dir = tmp_dir("stream-garbage");
-        let mut c = Corpus::init(&dir).unwrap();
-        c.stream_begin("bad", "wl").unwrap();
-        c.stream_chunk(b"acttrace v1 10\n").unwrap();
-        assert!(c.stream_chunk(b"L not a record\n").is_err());
-        assert!(c.streaming_key().is_none(), "failed chunk aborts the stream");
-        assert!(!c.contains(EntryKind::Trace, "bad"));
         drop(c);
         let c = Corpus::open(&dir).unwrap();
         assert_eq!(c.entries(None).len(), 0);

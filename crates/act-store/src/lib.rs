@@ -8,7 +8,8 @@
 //! * [`varint`] / [`crc32`] — leaf codecs (LEB128 + zigzag, CRC-32), built
 //!   in-tree because the workspace compiles offline, and the
 //!   [`UploadCheck`] (running CRC-32 + length) that seals a chunked upload
-//!   on both ends of the wire.
+//!   on both ends of the wire (the store itself only ever takes whole
+//!   puts).
 //! * [`column`] — the columnar chunk codec: per-field delta+varint columns,
 //!   self-contained per chunk so decode memory is bounded.
 //! * [`segment`] — append-only segment files: CRC-checksummed blocks, entry
@@ -19,8 +20,9 @@
 //!   event codec boundary in the workspace.
 //! * [`corpus`] — the [`Corpus`] manager: create/open/append/get/iter/
 //!   compact with atomic rename commits and truncated-tail recovery. A
-//!   text-codec put, one-frame or chunked, runs `act-trace`'s one text
-//!   parser (`TextParser`) straight into a `TraceEntrySink`.
+//!   text-codec put takes the whole text and runs `act-trace`'s one text
+//!   parser (`parse_text`) straight into a `TraceEntrySink`; a failed put
+//!   truncates its half-written entry away.
 //! * [`metrics`] — store instruments on an `act-obs` registry (bytes in/out,
 //!   compression ratio, decode throughput, corrupt blocks).
 

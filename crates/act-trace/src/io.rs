@@ -16,15 +16,15 @@
 //! There is exactly **one** event codec boundary in the workspace:
 //! [`TraceSink`], which consumes a header and then records in order.
 //! Producers push into it — [`stream_trace`] from a [`Trace`], the text
-//! reader [`TextParser`], and `act-store`'s columnar decoder — and writers
+//! reader [`parse_text`], and `act-store`'s columnar decoder — and writers
 //! implement it: the text writer [`TextTraceSink`], `act-store`'s columnar
 //! encoder, and [`TraceBuilder`]. Everything that moves traces — files,
 //! protocol frames, the corpus store — goes through it instead of growing
 //! a private copy of the record schema.
 //!
-//! [`TextParser`] is the only code that reads the text format. Fed chunks
-//! of any size, it gives a whole payload ([`trace_from_bytes`]) and the
-//! daemon's chunked uploads the same checks: the header, the
+//! [`parse_text`] is the only code that reads the text format, and it reads
+//! one whole buffer: a file, a protocol payload, or an upload the daemon
+//! received whole. Each gets the same checks: the header, the
 //! [`MAX_CODE_LEN`] and [`MAX_LINE_BYTES`] caps, and a 1-based line number
 //! on every malformed line. It reads each line in one pass over its bytes,
 //! accumulating a field's digits as it scans them. The format is ASCII:
@@ -60,9 +60,8 @@ pub const MAX_TRACE_BYTES: usize = 64 << 20;
 pub const MAX_CODE_LEN: u64 = u32::MAX as u64;
 
 /// Upper bound on one line of the text format, newline excluded. A valid
-/// record line is under ~200 bytes; the cap bounds what a chunked reader
-/// must buffer for a line split across chunks, and it applies to every
-/// line, so no input's verdict depends on how it was chunked.
+/// record line is under ~200 bytes; the cap bounds the copy an
+/// unterminated last line costs, and it applies to every line.
 pub const MAX_LINE_BYTES: usize = 64 << 10;
 
 /// Error produced when parsing a serialized trace.
@@ -138,7 +137,7 @@ pub fn stream_trace<S: TraceSink>(trace: &Trace, sink: &mut S) -> Result<(), S::
     sink.finish()
 }
 
-/// Which side of a [`TextParser`] feed failed.
+/// Which side of a [`parse_text`] failed.
 #[derive(Debug)]
 pub enum CopyError<E> {
     /// The input was malformed or failed to read.
@@ -300,120 +299,80 @@ impl TraceSink for TextTraceSink {
     }
 }
 
-/// The v1 text parser, and the only code that reads the format: feed it
-/// chunks of any size with [`TextParser::feed`], end the input with
-/// [`TextParser::finish`], and it hands the header and every record, in
-/// order, to a [`TraceSink`]. A field is a decimal with an optional `+`;
-/// fields past a record's last are ignored, and lines empty once one
-/// trailing `\r` is dropped are skipped. A line wholly inside one chunk is
-/// parsed in place; only a line split across chunks (or left unterminated)
-/// is copied. After an error the input is rejected: feed it no more.
-#[derive(Debug, Default)]
-pub struct TextParser {
-    /// The head of a line split across chunks.
-    partial: Vec<u8>,
-    /// Lines seen so far; the first is the header.
-    lineno: usize,
+/// The v1 text parser, and the only code that reads the format: it hands
+/// the header and every record of `bytes`, in order, to `sink`, then
+/// finishes it. A field is a decimal with an optional `+`; fields past a
+/// record's last are ignored, and lines empty once one trailing `\r` is
+/// dropped are skipped. Every line is parsed in place, but for an
+/// unterminated last line, which is copied to end it in `\n`.
+///
+/// # Errors
+///
+/// [`CopyError::Source`] names the first malformed line, or line 1 of an
+/// input with no header line at all; [`CopyError::Sink`] is the sink's own
+/// failure.
+pub fn parse_text<S: TraceSink>(bytes: &[u8], sink: &mut S) -> Result<(), CopyError<S::Error>> {
+    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+    let mut lineno = lines(&bytes[..whole], 0, sink)?;
+    let tail = &bytes[whole..];
+    if !tail.is_empty() {
+        // Refused before it is copied, with the verdict `lines` would give.
+        if tail.len() > MAX_LINE_BYTES {
+            return Err(malformed(lineno + 1, line_cap()));
+        }
+        let mut last = Vec::with_capacity(tail.len() + 1);
+        last.extend_from_slice(tail);
+        last.push(b'\n');
+        lineno = lines(&last, lineno, sink)?;
+    }
+    if lineno == 0 {
+        return Err(malformed(1, "empty input".into()));
+    }
+    sink.finish().map_err(CopyError::Sink)
 }
 
-impl TextParser {
-    /// Parse every complete line of `bytes`, carrying an unterminated tail
-    /// over to the next call.
-    ///
-    /// # Errors
-    ///
-    /// [`CopyError::Source`] names the first malformed line (a tail already
-    /// longer than [`MAX_LINE_BYTES`] counts); [`CopyError::Sink`] is the
-    /// sink's own failure.
-    pub fn feed<S: TraceSink>(
-        &mut self,
-        mut bytes: &[u8],
-        sink: &mut S,
-    ) -> Result<(), CopyError<S::Error>> {
-        if !self.partial.is_empty() {
-            let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
-                return self.carry(bytes);
-            };
-            let mut line = std::mem::take(&mut self.partial);
-            line.extend_from_slice(&bytes[..=nl]);
-            self.lines(&line, sink)?;
-            line.clear();
-            self.partial = line;
-            bytes = &bytes[nl + 1..];
-        }
-        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
-        self.lines(&bytes[..whole], sink)?;
-        self.carry(&bytes[whole..])
-    }
-
-    /// End the input: parse an unterminated last line, then finish `sink`.
-    ///
-    /// # Errors
-    ///
-    /// As [`TextParser::feed`], and [`CopyError::Source`] when the input
-    /// held no header line at all.
-    pub fn finish<S: TraceSink>(mut self, sink: &mut S) -> Result<(), CopyError<S::Error>> {
-        if !self.partial.is_empty() {
-            self.feed(b"\n", sink)?;
-        }
-        if self.lineno == 0 {
-            return Err(malformed(1, "empty input".into()));
-        }
-        sink.finish().map_err(CopyError::Sink)
-    }
-
-    /// Keep `tail`, the head of the next line, unless that line would grow
-    /// past [`MAX_LINE_BYTES`].
-    fn carry<E>(&mut self, tail: &[u8]) -> Result<(), CopyError<E>> {
-        if self.partial.len() + tail.len() > MAX_LINE_BYTES {
-            return Err(malformed(self.lineno + 1, line_cap()));
-        }
-        self.partial.extend_from_slice(tail);
-        Ok(())
-    }
-
-    /// Parse `bytes`, a run of whole lines each ending in `\n`, in one pass.
-    /// A record line in the writer's own form takes the canonical path;
-    /// every other line the general one, where each field is checked and
-    /// its digits accumulated as it is scanned, and only what follows a
-    /// record's last field is scanned to be ASCII.
-    fn lines<S: TraceSink>(
-        &mut self,
-        bytes: &[u8],
-        sink: &mut S,
-    ) -> Result<(), CopyError<S::Error>> {
-        let mut f = Fields { bytes, pos: 0 };
-        while f.pos < bytes.len() {
-            self.lineno += 1;
-            if self.lineno > 1 {
-                if let Some(rec) = f.canonical_record() {
-                    sink.record(&rec).map_err(CopyError::Sink)?;
-                    continue;
-                }
-            }
-            let start = f.pos;
-            let parsed = if self.lineno == 1 {
-                header(&mut f).map(Line::Header)
-            } else if bytes[start..].starts_with(b"\n") || bytes[start..].starts_with(b"\r\n") {
-                Ok(Line::Blank)
-            } else {
-                record(&mut f).map(Line::Record)
-            };
-            // A parsed line's fields are ASCII: only the rest is checked.
-            let rest_ascii = f.seek_line_end();
-            let line = &bytes[start..f.pos];
-            f.pos += 1;
-            match parsed {
-                Ok(parsed) if rest_ascii && line.len() <= MAX_LINE_BYTES => match parsed {
-                    Line::Header(code_len) => sink.begin(code_len).map_err(CopyError::Sink)?,
-                    Line::Record(rec) => sink.record(&rec).map_err(CopyError::Sink)?,
-                    Line::Blank => {}
-                },
-                parsed => return Err(malformed(self.lineno, rejection(line, parsed.err()))),
+/// Parse `bytes`, a run of whole lines each ending in `\n`, in one pass,
+/// numbering them on from `lineno` lines already seen (the first line is
+/// the header); returns the lines seen. A record line in the writer's own
+/// form takes the canonical path; every other line the general one, where
+/// each field is checked and its digits accumulated as it is scanned, and
+/// only what follows a record's last field is scanned to be ASCII.
+fn lines<S: TraceSink>(
+    bytes: &[u8],
+    mut lineno: usize,
+    sink: &mut S,
+) -> Result<usize, CopyError<S::Error>> {
+    let mut f = Fields { bytes, pos: 0 };
+    while f.pos < bytes.len() {
+        lineno += 1;
+        if lineno > 1 {
+            if let Some(rec) = f.canonical_record() {
+                sink.record(&rec).map_err(CopyError::Sink)?;
+                continue;
             }
         }
-        Ok(())
+        let start = f.pos;
+        let parsed = if lineno == 1 {
+            header(&mut f).map(Line::Header)
+        } else if bytes[start..].starts_with(b"\n") || bytes[start..].starts_with(b"\r\n") {
+            Ok(Line::Blank)
+        } else {
+            record(&mut f).map(Line::Record)
+        };
+        // A parsed line's fields are ASCII: only the rest is checked.
+        let rest_ascii = f.seek_line_end();
+        let line = &bytes[start..f.pos];
+        f.pos += 1;
+        match parsed {
+            Ok(parsed) if rest_ascii && line.len() <= MAX_LINE_BYTES => match parsed {
+                Line::Header(code_len) => sink.begin(code_len).map_err(CopyError::Sink)?,
+                Line::Record(rec) => sink.record(&rec).map_err(CopyError::Sink)?,
+                Line::Blank => {}
+            },
+            parsed => return Err(malformed(lineno, rejection(line, parsed.err()))),
+        }
     }
+    Ok(lineno)
 }
 
 /// Why `line` is rejected: the cap outranks a non-ASCII byte, which
@@ -691,10 +650,8 @@ pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, ParseTraceError> {
             ),
         });
     }
-    let mut parser = TextParser::default();
     let mut builder = TraceBuilder::new();
-    parser.feed(bytes, &mut builder)?;
-    parser.finish(&mut builder)?;
+    parse_text(bytes, &mut builder)?;
     Ok(builder.into_trace())
 }
 
@@ -814,37 +771,47 @@ mod tests {
         assert!(err.to_string().contains("cap"), "got: {err}");
     }
 
-    /// Parse `bytes` through [`TextParser`] in seeded random chunks of
-    /// 1-64 bytes.
-    fn parse_chunked(bytes: &[u8], seed: u64) -> Result<Trace, ParseTraceError> {
-        use proptest::prelude::*;
-        let mut rng = proptest::rng_for("parse_chunked", seed);
-        let mut parser = TextParser::default();
-        let mut builder = TraceBuilder::new();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let n = (any::<u8>().generate(&mut rng) % 64) as usize + 1;
-            let (chunk, tail) = rest.split_at(n.min(rest.len()));
-            parser.feed(chunk, &mut builder)?;
-            rest = tail;
-        }
-        parser.finish(&mut builder)?;
-        Ok(builder.into_trace())
-    }
-
     /// The verdict on one input, comparable across parses.
     fn verdict(r: Result<Trace, ParseTraceError>) -> Result<(usize, Vec<TraceRecord>), String> {
         r.map(|t| (t.code_len, t.records)).map_err(|e| e.to_string())
     }
 
+    /// What a sink saw, in order: the header, each record, the finish.
+    #[derive(Default)]
+    struct Log(Vec<String>);
+
+    impl TraceSink for Log {
+        type Error = Infallible;
+
+        fn begin(&mut self, code_len: usize) -> Result<(), Infallible> {
+            self.0.push(format!("begin {code_len}"));
+            Ok(())
+        }
+
+        fn record(&mut self, rec: &TraceRecord) -> Result<(), Infallible> {
+            self.0.push(format!("record {}", rec.seq));
+            Ok(())
+        }
+
+        fn finish(&mut self) -> Result<(), Infallible> {
+            self.0.push("finish".into());
+            Ok(())
+        }
+    }
+
     #[test]
     fn streaming_source_yields_records_in_order() {
         let trace = sample();
-        let bytes = trace_to_bytes(&trace);
-        for seed in 0..32 {
-            let back = parse_chunked(&bytes, seed).unwrap();
-            assert_eq!(back.code_len, 42);
-            assert_eq!(back.records, trace.records, "chunking seed {seed}");
+        let mut bytes = trace_to_bytes(&trace);
+        let mut want = vec!["begin 42".to_string()];
+        want.extend(trace.records.iter().map(|r| format!("record {}", r.seq)));
+        want.push("finish".into());
+        // Terminated or not, the last line is the last record.
+        for _ in 0..2 {
+            let mut log = Log::default();
+            parse_text(&bytes, &mut log).unwrap();
+            assert_eq!(log.0, want);
+            bytes.pop();
         }
     }
 
@@ -852,9 +819,7 @@ mod tests {
     fn copy_trace_pipes_source_to_sink_without_a_trace() {
         let bytes = trace_to_bytes(&sample());
         let mut sink = TextTraceSink::default();
-        let mut parser = TextParser::default();
-        parser.feed(&bytes, &mut sink).unwrap();
-        parser.finish(&mut sink).unwrap();
+        parse_text(&bytes, &mut sink).unwrap();
         assert_eq!(sink.into_bytes(), bytes, "text -> text copy is byte-identical");
     }
 
@@ -868,32 +833,23 @@ mod tests {
     }
 
     #[test]
-    fn line_cap_holds_whole_and_chunked() {
-        // A valid record padded with spaces: only the cap can reject it.
-        let padded = |len: usize| {
+    fn line_cap_holds_on_every_line() {
+        // A valid record padded with spaces: only the cap can reject it,
+        // on a line in the middle and on an unterminated last line alike.
+        let padded = |len: usize, last: bool| {
             let mut text = b"acttrace v1 10\nS 1 2 0 7 8".to_vec();
             text.resize(15 + len, b' ');
-            text.extend_from_slice(b"\nT 2 3 0\n");
+            if !last {
+                text.extend_from_slice(b"\nT 2 3 0\n");
+            }
             text
         };
-        assert_eq!(trace_from_bytes(&padded(MAX_LINE_BYTES)).unwrap().records.len(), 2);
-        let over = padded(MAX_LINE_BYTES + 1);
-        let whole = trace_from_bytes(&over).unwrap_err();
-        assert!(matches!(whole, ParseTraceError::Malformed { line: 2, .. }), "{whole}");
-        assert!(whole.to_string().contains("cap"), "{whole}");
-        for seed in 0..4 {
-            assert_eq!(verdict(parse_chunked(&over, seed)), Err(whole.to_string()));
-        }
-    }
-
-    #[test]
-    fn chunking_never_changes_the_outcome() {
-        let mut inputs = vec![trace_to_bytes(&sample())];
-        inputs.extend(mutated_inputs());
-        for (case, bytes) in inputs.iter().enumerate() {
-            let whole = verdict(trace_from_bytes(bytes));
-            let chunked = verdict(parse_chunked(bytes, case as u64));
-            assert_eq!(chunked, whole, "input {case}: {:?}", String::from_utf8_lossy(bytes));
+        for last in [false, true] {
+            let fits = trace_from_bytes(&padded(MAX_LINE_BYTES, last)).unwrap();
+            assert_eq!(fits.records.len(), 2 - usize::from(last), "last line: {last}");
+            let over = trace_from_bytes(&padded(MAX_LINE_BYTES + 1, last)).unwrap_err();
+            assert!(matches!(over, ParseTraceError::Malformed { line: 2, .. }), "{over}");
+            assert!(over.to_string().contains("cap"), "{over}");
         }
     }
 
@@ -1153,10 +1109,6 @@ mod tests {
             accepted += usize::from(reference.is_ok());
             let show = String::from_utf8_lossy(bytes);
             assert_eq!(verdict(trace_from_bytes(bytes)), reference, "input {case}: {show:?}");
-            for seed in [case as u64, case as u64 + 7919] {
-                let chunked = verdict(parse_chunked(bytes, seed));
-                assert_eq!(chunked, reference, "input {case}, chunking {seed}: {show:?}");
-            }
         }
         // Both verdicts are well represented, so neither path goes untested.
         assert!(accepted > 600 && inputs.len() - accepted > 600, "{accepted}/{}", inputs.len());
@@ -1192,9 +1144,6 @@ mod tests {
             let reference = verdict(reference_parse(text.as_bytes()));
             assert_eq!(reference.is_ok(), ok, "{line}: {reference:?}");
             assert_eq!(verdict(trace_from_bytes(text.as_bytes())), reference, "{line}");
-            for seed in 0..4 {
-                assert_eq!(verdict(parse_chunked(text.as_bytes(), seed)), reference, "{line}");
-            }
         }
     }
 

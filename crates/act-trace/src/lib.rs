@@ -18,7 +18,9 @@
 //!   [`CorrectSet::from_traces`] is its one builder, for fresh correct
 //!   runs and stored corpus traces alike.
 //! * [`io`] — text (de)serialization so traces can be archived and shipped
-//!   like the paper's PIN trace files.
+//!   like the paper's PIN trace files. Its one reader, `parse_text`, reads
+//!   one whole buffer: a file, a protocol payload, or an upload the daemon
+//!   has received whole.
 
 pub mod collector;
 pub mod correct_set;
